@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -75,7 +74,6 @@ class RunConfig:
     order: int = 4
     output: str | None = None
     allow_resonant: bool = False
-    parallel: bool = False
 
     @property
     def factor_count(self) -> int:
@@ -84,7 +82,7 @@ class RunConfig:
 
 _CONFIG_FIELDS = {
     "theta", "n", "p", "q", "mu", "nu", "word", "checks",
-    "truncation", "order", "output", "allow_resonant", "parallel",
+    "truncation", "order", "output", "allow_resonant",
 }
 
 
@@ -180,21 +178,17 @@ def config_from_dict(data: dict) -> RunConfig:
     output = data.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError("output: expected a path string")
-    parallel = data.get("parallel", False)
-    if not isinstance(parallel, bool):
-        raise ConfigError("parallel: expected a boolean")
 
     return RunConfig(theta=theta, n=n, p=p, q=q, mu=mu, nu=nu, word=word,
                      checks=tuple(checks), truncation=truncation, order=order,
-                     output=output, allow_resonant=allow_resonant,
-                     parallel=parallel)
+                     output=output, allow_resonant=allow_resonant)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Canonical JSON-ready echo of a config (rationals as "a/b").
 
     Only fields that determine check results are echoed; the output path
-    and the parallel flag are plumbing and never change a report.
+    is plumbing and never changes a report.
     """
     return {
         "theta": cfg.theta,
@@ -559,13 +553,7 @@ def _run_one(cfg: RunConfig, name: str) -> dict:
 
 def run(config: RunConfig) -> Report:
     """Execute the configured checks in their declared order."""
-    if config.parallel:
-        with ThreadPoolExecutor() as pool:
-            futures = [pool.submit(_run_one, config, name)
-                       for name in config.checks]
-            records = tuple(f.result() for f in futures)
-    else:
-        records = tuple(_run_one(config, name) for name in config.checks)
+    records = tuple(_run_one(config, name) for name in config.checks)
     status = "pass" if all(r["status"] == "pass" for r in records) else "fail"
     return Report(config=config_to_dict(config), records=records,
                   status=status)
@@ -591,8 +579,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="degree cap for the truncated operator checks")
     parser.add_argument("--output", metavar="PATH",
                         help="write the JSON report here instead of stdout")
-    parser.add_argument("--parallel", action="store_true",
-                        help="run independent checks concurrently")
     parser.add_argument("--list-checks", action="store_true",
                         help="print the registered checks and exit")
     return parser
@@ -636,8 +622,6 @@ def main(argv: list[str] | None = None) -> int:
                                                    "--truncation", 1)
         if args.output is not None:
             overrides["output"] = args.output
-        if args.parallel:
-            overrides["parallel"] = True
         if overrides:
             cfg = RunConfig(**{**cfg.__dict__, **overrides})
         report = run(cfg)

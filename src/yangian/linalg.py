@@ -124,12 +124,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "Poly":
-        out = Poly([1])
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __call__(self, u) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -283,10 +277,6 @@ class RatFunc:
 
     def __setattr__(self, *a):
         raise AttributeError("RatFunc is immutable")
-
-    @staticmethod
-    def of_poly(p: Poly) -> "RatFunc":
-        return RatFunc(p, Poly([1]))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -476,9 +466,6 @@ class RatMatrix:
     def __rmul__(self, other):
         return self * other
 
-    def scale(self, c) -> "RatMatrix":
-        return self * rat(c)
-
     def transpose(self) -> "RatMatrix":
         return RatMatrix(self.data.T)
 
@@ -488,13 +475,6 @@ class RatMatrix:
     def apply(self, vec: Sequence) -> list[Fraction]:
         v = np.array([rat(x) for x in vec], dtype=object)
         return list(self.data @ v)
-
-    def map(self, f) -> "RatMatrix":
-        out = np.empty(self.shape, dtype=object)
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                out[i, j] = f(self.data[i, j])
-        return RatMatrix(out)
 
     def rref(self) -> tuple["RatMatrix", list[int]]:
         """Reduced row echelon form over Fraction and its pivot columns."""
@@ -778,7 +758,3 @@ def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         prod = a.astype(np.int64) @ b.astype(np.int64)
         return prod.astype(object)
     return a @ b
-
-
-def kron_object(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from yangian import cli
-from yangian.cli import ConfigError, RunConfig, config_from_dict, list_checks, run
+from yangian.cli import ConfigError, config_from_dict, list_checks, run
 from yangian.intertwine import zeta_factor
 from yangian.modules import ModuleParams
 
@@ -30,7 +30,7 @@ def test_config_parses_rationals_and_defaults():
     assert cfg.mu == (Fraction(1, 7), Fraction(12, 7))
     assert cfg.checks == ("rtt",)
     assert cfg.truncation == 6 and cfg.order == 4
-    assert cfg.word == () and not cfg.parallel
+    assert cfg.word == ()
 
 
 @pytest.mark.parametrize("patch,message", [
@@ -145,8 +145,6 @@ def test_reports_are_deterministic():
         return json.dumps(data, sort_keys=True)
 
     assert strip(first) == strip(second)
-    parallel = RunConfig(**{**cfg.__dict__, "parallel": True})
-    assert strip(run(parallel)) == strip(first)
 
 
 def test_report_serializes_rationals_as_strings():

@@ -4,9 +4,12 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yangian.fock import block_basis
 from yangian.hd import (
+    Operator,
     OperatorRealization,
     alpha_coefficient,
     apply_operator,
@@ -165,6 +168,51 @@ def test_alpha_detects_perturbed_series():
     report = check_alpha(real, 4, series=s)
     assert not report.ok
     assert not report.yangian.ok
+    first = report.yangian.failures[0]
+    assert first["rs"] == (1, 3)
+    assert first["ijkl"] == (0, 0, 0, 0)
+    assert first["vector"] == (1, (0, 0))
+    assert first["image"] == ((0, (1, 1)), 2)
+    # the witness entry is the nonzero image entry with the smallest key
+    commutant_keys = [bad["image"][0] for bad in report.commutant.failures]
+    assert commutant_keys == [(0, (0, 0)), (0, (1, 1))]
+
+
+@st.composite
+def realization_and_factors(draw):
+    theta = draw(st.sampled_from((1, -1)))
+    m = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 2))
+    real = OperatorRealization(theta, m, n, draw(st.integers(0, m)))
+    idx = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+
+    def factor(kind, u, v):
+        if kind == "e":
+            return real.e_hat(*u, *v)
+        if kind in "pq":
+            c, atom = (real.p_atom if kind == "p" else real.q_atom)(*u)
+            return c, (atom,)
+        return 1, ((kind, *u),)
+
+    single = st.builds(factor, st.sampled_from("xdpqe"), idx, idx)
+    return real, draw(st.lists(single, min_size=1, max_size=3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(realization_and_factors())
+def test_cached_column_products_match_expanded_terms(case):
+    real, factors = case
+    ops = [Operator(real, [(c, None, word)]) for c, word in factors]
+    coeff, word = 1, ()
+    for c, w in factors:
+        coeff, word = coeff * c, word + w
+    for exps in real.basis_exps(2):
+        vec = {(0, exps): 1}
+        for op in reversed(ops):
+            vec = op.apply(vec)
+        got = {key: v for key, v in vec.items() if v != 0}
+        assert got == apply_operator(real, [(coeff, None, word)],
+                                     {(0, exps): 1})
 
 
 def test_alpha_single_block_matches_module_action():
