@@ -18,6 +18,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from . import hd
@@ -40,6 +41,7 @@ from .modules import (
     omega_prime_module,
     pattern_module,
     permute_pattern,
+    resonant_pair,
     source_pattern,
     tensor_module,
 )
@@ -141,14 +143,12 @@ def config_from_dict(data: dict) -> RunConfig:
     allow_resonant = data.get("allow_resonant", False)
     if not isinstance(allow_resonant, bool):
         raise ConfigError("allow_resonant: expected a boolean")
-    if not allow_resonant:
-        for a in range(m):
-            for b in range(a + 1, m):
-                if (mu[a] - mu[b]).denominator == 1:
-                    raise ConfigError(
-                        "genericity violated: mu_a - mu_b in Z for "
-                        f"(a, b) = ({a + 1}, {b + 1}); set allow_resonant "
-                        "to work with resonant parameters")
+    pair = None if allow_resonant else resonant_pair(mu)
+    if pair is not None:
+        raise ConfigError(
+            "genericity violated: mu_a - mu_b in Z for "
+            f"(a, b) = ({pair[0] + 1}, {pair[1] + 1}); set allow_resonant "
+            "to work with resonant parameters")
 
     word_raw = data.get("word", [])
     if not isinstance(word_raw, list):
@@ -230,6 +230,27 @@ class CheckError(RuntimeError):
     """A check could not run on this configuration."""
 
 
+class _Shared:
+    """Objects that several checks of one run use, each built on first use
+    and dropped with the run."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+
+    @cached_property
+    def realization(self) -> hd.OperatorRealization:
+        cfg = self.cfg
+        if cfg.factor_count < 1:
+            raise CheckError("operator checks need at least one factor")
+        return hd.realize(cfg.theta, cfg.factor_count, cfg.n, cfg.p,
+                          max_degree=cfg.truncation)
+
+    @cached_property
+    def series(self) -> hd.XSeries:
+        cfg = self.cfg
+        return hd.x_series(cfg.theta, cfg.factor_count, cfg.order)
+
+
 def _params(cfg: RunConfig) -> ModuleParams:
     try:
         return ModuleParams(cfg.theta, cfg.n, cfg.p, cfg.q,
@@ -248,7 +269,7 @@ def _factor_label(f) -> str:
     return f"{f.kind}:{f.degree}@{_frac_str(f.param)}"
 
 
-def _check_rtt(cfg: RunConfig) -> tuple[bool, dict]:
+def _check_rtt(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
     params = _params(cfg)
     factors = source_pattern(params)
     mod = pattern_module(params, factors)
@@ -265,7 +286,7 @@ def _check_rtt(cfg: RunConfig) -> tuple[bool, dict]:
     return rep.ok, details
 
 
-def _check_isomorphisms(cfg: RunConfig) -> tuple[bool, dict]:
+def _check_isomorphisms(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
     if cfg.factor_count < 1:
         raise CheckError("isomorphisms check needs at least one factor")
     n, z = cfg.n, cfg.mu[0]
@@ -289,7 +310,7 @@ def _check_isomorphisms(cfg: RunConfig) -> tuple[bool, dict]:
     return entrywise and iso and flip, details
 
 
-def _check_hw_eigenvalues(cfg: RunConfig) -> tuple[bool, dict]:
+def _check_hw_eigenvalues(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
     params = _params(cfg)
     factors = source_pattern(params)
     mod = pattern_module(params, factors)
@@ -306,7 +327,7 @@ def _check_hw_eigenvalues(cfg: RunConfig) -> tuple[bool, dict]:
     return all(matches), details
 
 
-def _check_drinfeld(cfg: RunConfig) -> tuple[bool, dict]:
+def _check_drinfeld(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
     params = _params(cfg)
     mod = pattern_module(params, source_pattern(params))
     vec = distinguished_vector(params, source_pattern(params))
@@ -320,7 +341,7 @@ def _check_drinfeld(cfg: RunConfig) -> tuple[bool, dict]:
     return monic, details
 
 
-def _check_hw_scalar(cfg: RunConfig) -> tuple[bool, dict]:
+def _check_hw_scalar(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
     params = _params(cfg)
     word = cfg.word or _default_word(cfg.factor_count)
     intw = compose_word(params, word)
@@ -337,7 +358,7 @@ def _check_hw_scalar(cfg: RunConfig) -> tuple[bool, dict]:
     return report.ok and intw.hw_scalar == product, details
 
 
-def _check_braid(cfg: RunConfig) -> tuple[bool, dict]:
+def _check_braid(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
     if cfg.factor_count != 3:
         raise CheckError("braid check needs exactly three factors")
     params = _params(cfg)
@@ -353,7 +374,7 @@ def _check_braid(cfg: RunConfig) -> tuple[bool, dict]:
     return equal and left.hw_scalar == right.hw_scalar, details
 
 
-def _check_kernel_quotient(cfg: RunConfig) -> tuple[bool, dict]:
+def _check_kernel_quotient(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
     params = _params(cfg)
     m = cfg.factor_count
     if m < 2:
@@ -382,13 +403,6 @@ def _check_kernel_quotient(cfg: RunConfig) -> tuple[bool, dict]:
     return ok, details
 
 
-def _realization(cfg: RunConfig) -> hd.OperatorRealization:
-    m = cfg.factor_count
-    if m < 1:
-        raise CheckError("operator checks need at least one factor")
-    return hd.realize(cfg.theta, m, cfg.n, cfg.p, max_degree=cfg.truncation)
-
-
 def _identity_details(rep) -> dict:
     out = {"checked": rep.checked, "window_cap": rep.window_cap}
     if rep.failures:
@@ -396,18 +410,19 @@ def _identity_details(rep) -> dict:
     return out
 
 
-def _check_e_relations(cfg: RunConfig) -> tuple[bool, dict]:
-    rep = hd.check_e_relations(_realization(cfg))
+def _check_e_relations(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
+    rep = hd.check_e_relations(shared.realization)
     return rep.ok, _identity_details(rep)
 
 
-def _check_zeta_hom(cfg: RunConfig) -> tuple[bool, dict]:
-    rep = hd.check_zeta(_realization(cfg))
+def _check_zeta_hom(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
+    rep = hd.check_zeta(shared.realization)
     return rep.ok, _identity_details(rep)
 
 
-def _check_alpha(cfg: RunConfig) -> tuple[bool, dict]:
-    rep = hd.check_alpha(_realization(cfg), cfg.order)
+def _check_alpha(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
+    rep = hd.check_alpha(shared.realization, cfg.order,
+                         series=shared.series)
     details = {
         "order": cfg.order,
         "generator_exchange": _identity_details(rep.yangian),
@@ -416,12 +431,11 @@ def _check_alpha(cfg: RunConfig) -> tuple[bool, dict]:
     return rep.ok, details
 
 
-def _check_x_identities(cfg: RunConfig) -> tuple[bool, dict]:
+def _check_x_identities(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
     m = cfg.factor_count
     if m < 1:
         raise CheckError("appendix-x-identities check needs at least one factor")
-    series = hd.x_series(cfg.theta, m, cfg.order)
-    rep = hd.check_x_identities(series)
+    rep = hd.check_x_identities(shared.series)
     details = _identity_details(rep)
     details["order"] = cfg.order
     return rep.ok, details
@@ -432,7 +446,7 @@ class CheckSpec:
     name: str
     description: str
     identity: str
-    runner: Callable[[RunConfig], tuple[bool, dict]]
+    runner: Callable[[RunConfig, _Shared], tuple[bool, dict]]
 
 
 _REGISTRY: dict[str, CheckSpec] = {}
@@ -536,11 +550,11 @@ class Report:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _run_one(cfg: RunConfig, name: str) -> dict:
+def _run_one(cfg: RunConfig, name: str, shared: _Shared) -> dict:
     spec = _REGISTRY[name]
     start = time.perf_counter()
     try:
-        ok, details = spec.runner(cfg)
+        ok, details = spec.runner(cfg, shared)
         status = "pass" if ok else "fail"
     except ConfigError:
         raise
@@ -553,7 +567,8 @@ def _run_one(cfg: RunConfig, name: str) -> dict:
 
 def run(config: RunConfig) -> Report:
     """Execute the configured checks in their declared order."""
-    records = tuple(_run_one(config, name) for name in config.checks)
+    shared = _Shared(config)
+    records = tuple(_run_one(config, name, shared) for name in config.checks)
     status = "pass" if all(r["status"] == "pass" for r in records) else "fail"
     return Report(config=config_to_dict(config), records=records,
                   status=status)

@@ -28,8 +28,6 @@ PLAIN = "plain"   # K_ij = x_i d_j,            z_eff = z
 TILDE = "tilde"   # K_ij = -theta d_i x_j,     z_eff = z
 PRIME = "prime"   # K_ij = -x_j d_i,           z_eff = z - 1
 
-FLAVORS = (PLAIN, TILDE, PRIME)
-
 
 def block_basis(theta: int, n: int, degree: int) -> list[tuple[int, ...]]:
     """Exponent tuples of one block, in a fixed deterministic order."""

@@ -443,63 +443,62 @@ def x_series(theta: int, m: int, order: int, rep: dict | None = None) -> XSeries
 
 def check_x_identities(series: XSeries) -> IdentityReport:
     """Exchange identity (u-v) X(u)X(v) = X(v) - X(u) and the induced
-    generator relation, coefficient-by-coefficient through the order."""
+    generator relation, coefficient-by-coefficient through the order.
+
+    All products x(k)_ab x(l)_cd of two coefficient blocks come from one
+    stacked product per pair of orders (k, l), formed once per call.
+    """
     th, m, K = series.theta, series.m, series.order
-    coeffs = series.coeffs
     dim = series.rep_dim
-    zero = np.zeros((dim, dim), dtype=object)
+    blocks = [np.array([[c[a, b] for b in range(m)] for a in range(m)],
+                       dtype=object) for c in series.coeffs]
+    zero = np.zeros((m, m, dim, dim), dtype=object)
+    zero_pair = np.zeros((m, m, m, m, dim, dim), dtype=object)
+    pairs = {}
 
-    def x(k, a, b):
-        return zero if k < 0 else coeffs[k][a, b]
+    def x(k):
+        return zero if k < 0 else blocks[k]
 
-    def prod(k, l, a, b):
+    def pair(k, l):
+        """pair(k, l)[a, b, c, d] = x(k)_ab x(l)_cd, matrix indices last."""
         if k < 0 or l < 0:
-            return zero
-        acc = zero
-        for c in range(m):
-            acc = acc + coeffs[k][a, c] @ coeffs[l][c, b]
-        return acc
+            return zero_pair
+        if (k, l) not in pairs:
+            stacked = (blocks[k].reshape(m * m * dim, dim)
+                       @ blocks[l].transpose(2, 0, 1, 3).reshape(dim, m * m * dim))
+            pairs[k, l] = stacked.reshape(m, m, dim, m, m, dim).transpose(
+                0, 1, 3, 4, 2, 5)
+        return pairs[k, l]
 
+    def prod(k, l):
+        """prod(k, l)[a, b] = sum_c x(k)_ac x(l)_cb."""
+        return np.diagonal(pair(k, l), axis1=1, axis2=2).sum(axis=-1)
+
+    swap = (2, 3, 0, 1, 4, 5)   # [a, b, c, d] -> [c, d, a, b]
     checked = 0
     failures = []
     for r in range(K + 1):
         for s in range(K + 1 - r):
             if r == 0 and s == 0:
                 continue
-            for a in range(m):
-                for b in range(m):
-                    lhs = prod(r, s - 1, a, b) - prod(r - 1, s, a, b)
-                    rhs = zero
-                    if r == 0:
-                        rhs = rhs + x(s - 1, a, b)
-                    if s == 0:
-                        rhs = rhs - x(r - 1, a, b)
+            lhs = prod(r, s - 1) - prod(r - 1, s)
+            rhs = ((x(s - 1) if r == 0 else zero)
+                   - (x(r - 1) if s == 0 else zero))
+            exchange_bad = (lhs != rhs).any(axis=(2, 3))
+            lhs = ((pair(r, s - 1) - pair(s - 1, r).transpose(swap))
+                   - (pair(r - 1, s) - pair(s, r - 1).transpose(swap)))
+            rhs = th * (pair(r - 1, s - 1) - pair(s - 1, r - 1)).swapaxes(0, 2)
+            generator_bad = (lhs != rhs).any(axis=(4, 5))
+            for identity, label, bad in (("exchange", "ab", exchange_bad),
+                                         ("generator", "abcd", generator_bad)):
+                for idx in np.ndindex(bad.shape):
                     checked += 1
-                    if not (lhs == rhs).all():
-                        failures.append({"identity": "exchange",
-                                         "rs": (r, s), "ab": (a, b)})
+                    if bad[idx]:
+                        failures.append({"identity": identity, "rs": (r, s),
+                                         label: idx})
                     if len(failures) >= _MAX_FAILURES:
                         return IdentityReport("series-identities", False,
                                               checked, None, failures)
-            for a in range(m):
-                for b in range(m):
-                    for c in range(m):
-                        for d in range(m):
-                            lhs = ((x(r, a, b) @ x(s - 1, c, d)
-                                    - x(s - 1, c, d) @ x(r, a, b))
-                                   - (x(r - 1, a, b) @ x(s, c, d)
-                                      - x(s, c, d) @ x(r - 1, a, b)))
-                            rhs = th * (x(r - 1, c, b) @ x(s - 1, a, d)
-                                        - x(s - 1, c, b) @ x(r - 1, a, d))
-                            checked += 1
-                            if not (lhs == rhs).all():
-                                failures.append({"identity": "generator",
-                                                 "rs": (r, s),
-                                                 "abcd": (a, b, c, d)})
-                            if len(failures) >= _MAX_FAILURES:
-                                return IdentityReport("series-identities",
-                                                      False, checked, None,
-                                                      failures)
     return IdentityReport("series-identities", not failures, checked, None,
                           failures)
 

@@ -677,15 +677,8 @@ def kernel_quotient(intw: Intertwiner) -> QuotientModule:
     if k == dim:
         raise ValueError("intertwiner is zero; the quotient would be the zero module")
 
-    gens = [g for _, g in _coeff_matrices(src)]
     if k:
-        kmat = _columns_matrix(kernel)
-        for g in gens:
-            gk = g * kmat
-            for c in range(k):
-                if kmat.solve(gk.col(c)) is None:
-                    raise ValueError("kernel is not stable under the module action")
-        _, pivot_coords = kmat.transpose().rref()
+        _, pivot_coords = _columns_matrix(kernel).transpose().rref()
     else:
         pivot_coords = []
     complement = [c for c in range(dim) if c not in pivot_coords]

@@ -642,11 +642,6 @@ class MatPoly:
         return MatPoly(mat.shape, [mat])
 
     @staticmethod
-    def scalar(p: Poly, dim: int) -> "MatPoly":
-        eye = RatMatrix.identity(dim)
-        return MatPoly((dim, dim), [eye * c for c in p.coeffs])
-
-    @staticmethod
     def zero(shape: tuple[int, int]) -> "MatPoly":
         return MatPoly(shape, [])
 

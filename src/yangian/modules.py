@@ -263,6 +263,15 @@ class PatternFactor:
     origin: int        # 0-based original slot
 
 
+def resonant_pair(mu: Sequence[Fraction]) -> tuple[int, int] | None:
+    """The first 0-based pair a < b with mu[a] - mu[b] an integer, if any."""
+    for a in range(len(mu)):
+        for b in range(a + 1, len(mu)):
+            if (mu[a] - mu[b]).denominator == 1:
+                return a, b
+    return None
+
+
 class ModuleParams:
     """Validated numeric data for a pattern of p tilde and q plain slots."""
 
@@ -281,12 +290,11 @@ class ModuleParams:
             raise ValueError("degrees must be non-negative")
         if theta == -1 and any(x > n for x in nu):
             raise ValueError("anticommuting degrees cannot exceed n")
-        for a in range(m):
-            for b in range(a + 1, m):
-                if (mu[a] - mu[b]).denominator == 1 and not allow_resonant:
-                    raise ValueError(
-                        f"mu[{a}] - mu[{b}] is an integer; pass allow_resonant=True "
-                        "to work with a resonant parameter set")
+        pair = None if allow_resonant else resonant_pair(mu)
+        if pair is not None:
+            raise ValueError(
+                f"mu[{pair[0]}] - mu[{pair[1]}] is an integer; pass "
+                "allow_resonant=True to work with a resonant parameter set")
         self.theta, self.n, self.p, self.q = theta, n, p, q
         self.m = m
         self.mu, self.nu = mu, nu

@@ -1,15 +1,17 @@
 """Verification engine: defining relations, highest weights, Drinfeld data.
 
 The defining-relation check works with cleared numerators.  Writing the
-action as P(u)/d(u) and R-bar(w) = w - Flip (the Yang matrix scaled by w),
-the relation
+action as T_ij(u) = P_ij(u)/d(u), the relation R(u-v) T1(u) T2(v) =
+T2(v) T1(u) R(u-v) reads, component by component (Molev 2007),
 
-    R-bar(u-v) P1(u) P2(v) = P2(v) P1(u) R-bar(u-v)
+    (u-v) [P_ij(u), P_kl(v)] = P_kj(u) P_il(v) - P_kj(v) P_il(u)
 
-is a polynomial identity in (u, v) of degree at most (deg d + 1) in each
-variable, so checking it on a (deg d + 2) x (deg d + 2) grid of points that
-avoid the poles proves it identically.  Grid evaluations are scaled to
-integer matrices; the common scalars appear on both sides and cancel.
+for all i, j, k, l; the scalar d(u) d(v) cancels.  Each side is a
+polynomial in (u, v) of degree at most (deg d + 1) in each variable, so
+checking it on a (deg d + 2) x (deg d + 2) grid of points that avoid the
+poles proves it identically.  At a grid point the blocks P_ij(u0) are
+evaluated once and scaled to integers by one common factor; both sides are
+bilinear in the blocks at u0 and v0, so the scalars cancel.
 """
 
 from __future__ import annotations
@@ -22,65 +24,15 @@ import numpy as np
 
 from .fock import PLAIN, PRIME, TILDE
 from .linalg import Poly, RatFunc, int_matmul, nullspace, poly_rational_roots, rat
-from .modules import (ModuleParams, PatternFactor, YangianModule, _entry_poly,
-                      source_pattern)
-
-
-def _clear_denominators(arr: np.ndarray) -> np.ndarray:
-    """Scale a Fraction array by one global factor to integers."""
-    scale = 1
-    for x in arr.flat:
-        d = x.denominator
-        scale = scale * (d // math.gcd(scale, d))
-    out = np.empty(arr.shape, dtype=object)
-    for idx, x in np.ndenumerate(arr):
-        out[idx] = int(x * scale)
-    return out
-
-
-def _numerator_blocks(mod: YangianModule, u0: Fraction) -> np.ndarray:
-    """P_ij(u0) as an (n, n, dim, dim) Fraction array."""
-    n, dim = mod.n, mod.dim
-    out = np.empty((n, n, dim, dim), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = mod.num[i][j](u0).data
-    return out
-
-
-def _aux_matrix(blocks: np.ndarray, slot: int) -> np.ndarray:
-    """Embed P blocks as T acting on aux slot 1 or 2 of C^n x C^n x W."""
-    n, _, dim, _ = blocks.shape
-    big = np.zeros((n, n, dim, n, n, dim), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if slot == 1:
-                    big[i, k, :, j, k, :] = blocks[i, j]
-                else:
-                    big[k, i, :, k, j, :] = blocks[i, j]
-    size = n * n * dim
-    return big.reshape(size, size)
-
-
-def _rmat_left(w, mat: np.ndarray, n: int, dim: int) -> np.ndarray:
-    """(w - Flip x 1) @ mat via a row shuffle."""
-    size = n * n * dim
-    m6 = mat.reshape(n, n, dim, size)
-    out = m6 * w - m6.swapaxes(0, 1)
-    return out.reshape(size, size)
-
-
-def _rmat_right(w, mat: np.ndarray, n: int, dim: int) -> np.ndarray:
-    """mat @ (w - Flip x 1) via a column shuffle."""
-    size = n * n * dim
-    m6 = mat.reshape(size, n, n, dim)
-    out = m6 * w - m6.swapaxes(1, 2)
-    return out.reshape(size, size)
+from .modules import ModuleParams, PatternFactor, YangianModule, source_pattern
 
 
 @dataclass
 class RttReport:
+    """Verdict of the grid proof; failure names the first failing grid pair
+    (u, v) and entry (i, j, k, l, r, s): matrix element (r, s) of the
+    component relation for the generators T_ij(u), T_kl(v)."""
+
     ok: bool
     n: int
     dim: int
@@ -100,29 +52,43 @@ def _grid_points(den: Poly, count: int, base: int) -> list[int]:
     return pts
 
 
+def _stacked_blocks(mod: YangianModule, u0: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks P_ij(u0), scaled to integers by one common factor, as a
+    vertical stack (rows (i, j, r)) and a horizontal stack (columns
+    (i, j, s))."""
+    n, dim = mod.n, mod.dim
+    vals = np.array([[mod.num[i][j](u0).data for j in range(n)]
+                     for i in range(n)], dtype=object)
+    scale = math.lcm(*(x.denominator for x in vals.flat))
+    ints = np.array([int(x * scale) for x in vals.flat],
+                    dtype=object).reshape(vals.shape)
+    return (ints.reshape(n * n * dim, dim),
+            ints.transpose(2, 0, 1, 3).reshape(dim, n * n * dim))
+
+
 def check_rtt(mod: YangianModule, base: int = 10) -> RttReport:
     """Prove the defining relation for the module by grid evaluation."""
     n, dim = mod.n, mod.dim
     degree = mod.den.degree
     pts = _grid_points(mod.den, degree + 2, base)
-    cleared = {}
-    for u0 in pts:
-        blocks = _numerator_blocks(mod, Fraction(u0))
-        cleared[u0] = _clear_denominators(blocks.reshape(-1)).reshape(blocks.shape)
-    t1 = {u0: _aux_matrix(cleared[u0], 1) for u0 in pts}
-    t2 = {v0: _aux_matrix(cleared[v0], 2) for v0 in pts}
+    stacks = {u0: _stacked_blocks(mod, u0) for u0 in pts}
+    shape = (n, n, dim, n, n, dim)
     report = RttReport(True, n, dim, degree, list(pts), list(pts))
     for u0 in pts:
         for v0 in pts:
-            w = u0 - v0
-            prod12 = int_matmul(t1[u0], t2[v0])
-            prod21 = int_matmul(t2[v0], t1[u0])
-            lhs = _rmat_left(w, prod12, n, dim)
-            rhs = _rmat_right(w, prod21, n, dim)
-            if not (lhs == rhs).all():
-                bad = np.argwhere(lhs != rhs)[0]
+            # with A = P(u0), B = P(v0): ab[i, j, k, l] = A_ij B_kl and
+            # ba[i, j, k, l] = B_ij A_kl, matrix indices (r, s) last
+            ab = int_matmul(stacks[u0][0], stacks[v0][1])
+            ba = int_matmul(stacks[v0][0], stacks[u0][1])
+            ab = ab.reshape(shape).transpose(0, 1, 3, 4, 2, 5)
+            ba = ba.reshape(shape).transpose(0, 1, 3, 4, 2, 5)
+            lhs = (u0 - v0) * (ab - ba.transpose(2, 3, 0, 1, 4, 5))
+            rhs = (ab - ba).swapaxes(0, 2)
+            bad = np.argwhere(lhs != rhs)
+            if len(bad):
                 report.ok = False
-                report.failure = {"u": u0, "v": v0, "entry": tuple(int(x) for x in bad)}
+                report.failure = {"u": u0, "v": v0,
+                                  "entry": tuple(int(x) for x in bad[0])}
                 return report
     return report
 

@@ -302,7 +302,7 @@ def test_kernel_invariance_guard():
                      for r in range(mod.dim)])
     fake = Intertwiner(source=mod, target=mod, matrix=bad,
                        hw_scalar=None, word=())
-    with pytest.raises(ValueError, match="not stable|not isomorphic|not invariant"):
+    with pytest.raises(ValueError, match="not stable"):
         kernel_quotient(fake)
 
 

@@ -2,10 +2,14 @@
 highest-weight extraction, closed-form eigenvalue products and the
 recovery of the classifying polynomials."""
 
+import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yangian.fock import PLAIN, PRIME, TILDE
 from yangian.linalg import MatPoly, Poly, RatFunc, RatMatrix
@@ -93,8 +97,87 @@ def test_rtt_catches_tampered_module():
     bad = YangianModule(2, good.den, nums)
     report = check_rtt(bad)
     assert not report.ok
-    assert report.failure is not None
-    assert set(report.failure) == {"u", "v", "entry"}
+    assert report.failure == {"u": 10, "v": 11, "entry": (0, 0, 0, 1, 0, 0)}
+
+
+def dense_rtt_holds(mod):
+    """Reference verdict: R(u-v) T1(u) T2(v) = T2(v) T1(u) R(u-v) with
+    R(w) = w - Flip, as dense (n^2 dim)-square matrices of numerators on a
+    grid of deg d + 2 points per variable."""
+    n, dim = mod.n, mod.dim
+    eye_n, eye_w = np.eye(n, dtype=object), np.eye(dim, dtype=object)
+    unit = [[np.outer(eye_n[i], eye_n[j]) for j in range(n)] for i in range(n)]
+    flip = np.kron(sum(np.kron(unit[i][j], unit[j][i])
+                       for i in range(n) for j in range(n)), eye_w)
+
+    def cleared(mat):
+        scale = math.lcm(*(x.denominator for x in mat.flat))
+        return np.array([[int(x * scale) for x in row] for row in mat],
+                        dtype=object)
+
+    pts = range(mod.den.degree + 2)
+    t1, t2 = {}, {}
+    for u in pts:
+        blocks = [[mod.num[i][j](u).data for j in range(n)] for i in range(n)]
+        t1[u] = cleared(sum(np.kron(np.kron(unit[i][j], eye_n), blocks[i][j])
+                            for i in range(n) for j in range(n)))
+        t2[u] = cleared(sum(np.kron(np.kron(eye_n, unit[i][j]), blocks[i][j])
+                            for i in range(n) for j in range(n)))
+    for u in pts:
+        for v in pts:
+            r = (u - v) * np.eye(n * n * dim, dtype=object) - flip
+            if not (r @ t1[u] @ t2[v] == t2[v] @ t1[u] @ r).all():
+                return False
+    return True
+
+
+def atom_modules(n, z):
+    yield evaluation_module(n, z)
+    yield dual_evaluation_module(n, z)
+    yield omega_module(n, z)
+    for theta in (1, -1):
+        for flavor in (PLAIN, TILDE, PRIME):
+            for degree in (1, 2):
+                yield fock_module(theta, n, flavor, z, degree)
+
+
+@st.composite
+def small_modules(draw):
+    """An evaluation, Fock or two-factor tensor module with n <= 3 and
+    n^2 dim <= 54, as built or with one numerator coefficient entry
+    perturbed; returns the module and whether it was perturbed."""
+    n = draw(st.sampled_from((2, 3)))
+    params = st.builds(F, st.integers(-6, 6), st.sampled_from((1, 2, 3, 5)))
+    cap = 54 // (n * n)
+    mod = draw(st.sampled_from([a for a in atom_modules(n, draw(params))
+                                if a.dim <= cap]))
+    if draw(st.booleans()):
+        mod = tensor_module(mod, draw(st.sampled_from(
+            [a for a in atom_modules(n, draw(params))
+             if mod.dim * a.dim <= cap])))
+    if not draw(st.booleans()):
+        return mod, False
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    k = draw(st.integers(0, mod.den.degree - 1))
+    r, s = draw(st.integers(0, mod.dim - 1)), draw(st.integers(0, mod.dim - 1))
+    delta = draw(st.sampled_from((F(1), F(-1), F(1, 2))))
+    entry = mod.num[i][j]
+    coeffs = [entry.coeff(t) for t in range(max(entry.degree + 1, k + 1))]
+    rows = [[coeffs[k][a, b] + delta * ((a, b) == (r, s))
+             for b in range(mod.dim)] for a in range(mod.dim)]
+    coeffs[k] = RatMatrix(rows)
+    nums = [list(row) for row in mod.num]
+    nums[i][j] = MatPoly((mod.dim, mod.dim), coeffs)
+    return YangianModule(n, mod.den, nums), True
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_modules())
+def test_rtt_matches_dense_reference(case):
+    mod, perturbed = case
+    ok = check_rtt(mod).ok
+    assert ok == dense_rtt_holds(mod)
+    assert ok or perturbed
 
 
 # ---------------------------------------------------------------------------
