@@ -1,7 +1,8 @@
 """Exact-arithmetic representations of the Yangian of gl_n.
 
 Finite-dimensional modules are stored with rational-function matrix entries
-held exactly (Fraction coefficients).  Subpackages:
+held exactly (integer numerators over one denominator per coefficient
+matrix).  Subpackages:
 
 - linalg: polynomials, rational functions, fraction-free linear algebra
 - fock: polynomial / Grassmann multiparticle spaces and gl_n operators

@@ -35,6 +35,8 @@ from .intertwine import (
 from .linalg import Poly, RatFunc
 from .modules import (
     ModuleParams,
+    PatternFactor,
+    YangianModule,
     distinguished_vector,
     fock_module,
     omega_module,
@@ -250,14 +252,23 @@ class _Shared:
         cfg = self.cfg
         return hd.x_series(cfg.theta, cfg.factor_count, cfg.order)
 
+    @cached_property
+    def params(self) -> ModuleParams:
+        cfg = self.cfg
+        try:
+            return ModuleParams(cfg.theta, cfg.n, cfg.p, cfg.q,
+                                list(cfg.mu), list(cfg.nu),
+                                allow_resonant=cfg.allow_resonant)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
 
-def _params(cfg: RunConfig) -> ModuleParams:
-    try:
-        return ModuleParams(cfg.theta, cfg.n, cfg.p, cfg.q,
-                            list(cfg.mu), list(cfg.nu),
-                            allow_resonant=cfg.allow_resonant)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    @cached_property
+    def factors(self) -> list[PatternFactor]:
+        return source_pattern(self.params)
+
+    @cached_property
+    def source_module(self) -> YangianModule:
+        return pattern_module(self.params, self.factors)
 
 
 def _default_word(m: int) -> tuple[int, ...]:
@@ -270,9 +281,7 @@ def _factor_label(f) -> str:
 
 
 def _check_rtt(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
-    params = _params(cfg)
-    factors = source_pattern(params)
-    mod = pattern_module(params, factors)
+    factors, mod = shared.factors, shared.source_module
     rep = check_rtt(mod)
     details = {
         "dim": mod.dim,
@@ -311,10 +320,8 @@ def _check_isomorphisms(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
 
 
 def _check_hw_eigenvalues(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
-    params = _params(cfg)
-    factors = source_pattern(params)
-    mod = pattern_module(params, factors)
-    vec = distinguished_vector(params, factors)
+    params, mod = shared.params, shared.source_module
+    vec = distinguished_vector(params, shared.factors)
     computed = hw_eigenvalues(mod, vec)
     closed = closed_form_eigenvalues(params)
     matches = [computed[i] == closed[i] for i in range(params.n)]
@@ -328,9 +335,8 @@ def _check_hw_eigenvalues(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
 
 
 def _check_drinfeld(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
-    params = _params(cfg)
-    mod = pattern_module(params, source_pattern(params))
-    vec = distinguished_vector(params, source_pattern(params))
+    mod = shared.source_module
+    vec = distinguished_vector(shared.params, shared.factors)
     data = drinfeld_data(mod, vec)
     monic = all(p.coeffs[-1] == 1 for p in data.polys)
     details = {
@@ -342,7 +348,7 @@ def _check_drinfeld(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
 
 
 def _check_hw_scalar(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
-    params = _params(cfg)
+    params = shared.params
     word = cfg.word or _default_word(cfg.factor_count)
     intw = compose_word(params, word)
     report = check_hw_image(intw, params)
@@ -361,9 +367,8 @@ def _check_hw_scalar(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
 def _check_braid(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
     if cfg.factor_count != 3:
         raise CheckError("braid check needs exactly three factors")
-    params = _params(cfg)
-    left = compose_word(params, (1, 2, 1))
-    right = compose_word(params, (2, 1, 2))
+    left = compose_word(shared.params, (1, 2, 1))
+    right = compose_word(shared.params, (2, 1, 2))
     equal = left.matrix == right.matrix
     details = {
         "dim": left.source.dim,
@@ -375,15 +380,14 @@ def _check_braid(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
 
 
 def _check_kernel_quotient(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
-    params = _params(cfg)
+    params = shared.params
     m = cfg.factor_count
     if m < 2:
         raise CheckError("kernel-quotient check needs at least two factors")
     word = cfg.word or _default_word(m)
-    factors = source_pattern(params)
     sigma = word_permutation(m, word)
-    src = pattern_module(params, factors)
-    tgt = pattern_module(params, permute_pattern(factors, sigma))
+    src = shared.source_module
+    tgt = pattern_module(params, permute_pattern(shared.factors, sigma))
     intw = hom_intertwiner(src, tgt)
     quot = kernel_quotient(intw)
     kdim = len(quot.kernel_basis)

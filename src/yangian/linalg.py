@@ -1,8 +1,11 @@
 """Exact rational arithmetic: polynomials, rational functions, dense matrices.
 
-All scalars are `fractions.Fraction`; nothing in this module ever rounds.
-Elimination is fraction-free (Bareiss one-step) on integer-scaled rows, so
-intermediate entries stay integers; results are converted back to Fraction.
+Nothing in this module ever rounds.  Polynomial and rational-function
+coefficients are `fractions.Fraction`s.  A matrix is one array of Python-int
+numerators over one positive denominator, in lowest terms; its arithmetic
+runs on the integers, every product goes through `int_matmul`, and `rref`,
+`rank`, `nullspace`, `solve` and `inverse` all read one fraction-free
+Gauss-Jordan elimination.  Entries and vectors are read back as Fractions.
 """
 
 from __future__ import annotations
@@ -370,46 +373,40 @@ def ratfunc_normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 
 class RatMatrix:
-    """Dense exact matrix over Fraction.
+    """Dense exact rational matrix: integer numerators over one denominator.
 
-    Stored as a numpy object array; treated as a value (public operations
-    never mutate in place).
+    `data` is a 2-d numpy object array of Python ints and `den` a positive
+    int; the matrix is data / den, kept in lowest terms (no prime divides
+    den and every numerator, and the zero matrix has den 1), so equal
+    matrices have equal fields.  Entries are read back as Fractions.
+    Treated as a value: public operations never mutate in place.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "den")
 
     def __init__(self, rows):
-        if isinstance(rows, np.ndarray):
-            arr = rows.astype(object)
-            if arr.ndim != 2:
-                raise ValueError("need a 2-d array")
-            data = np.empty(arr.shape, dtype=object)
-            for i in range(arr.shape[0]):
-                for j in range(arr.shape[1]):
-                    data[i, j] = rat(arr[i, j])
-        else:
-            rows = [list(r) for r in rows]
-            if not rows:
-                raise ValueError("matrix needs at least one row")
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-            data = np.empty((len(rows), width), dtype=object)
-            for i, r in enumerate(rows):
-                for j, x in enumerate(r):
-                    data[i, j] = rat(x)
+        rows = [[rat(x) for x in r] for r in rows]
+        if not rows:
+            raise ValueError("matrix needs at least one row")
+        width = len(rows[0])
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged rows")
+        den = math.lcm(*(x.denominator for r in rows for x in r))
+        data = np.array([[x.numerator * (den // x.denominator) for x in r]
+                         for r in rows], dtype=object).reshape(len(rows), width)
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("RatMatrix is immutable; build a new one")
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return _ratmatrix(np.eye(n, dtype=np.int64).astype(object), 1)
 
     @staticmethod
     def zeros(r: int, c: int) -> "RatMatrix":
-        return RatMatrix([[Fraction(0)] * c for _ in range(r)])
+        return _ratmatrix(np.zeros((r, c), dtype=object), 1)
 
     @staticmethod
     def from_flat(r: int, c: int, entries: Sequence) -> "RatMatrix":
@@ -417,6 +414,13 @@ class RatMatrix:
         if len(entries) != r * c:
             raise ValueError("wrong number of entries")
         return RatMatrix([entries[i * c:(i + 1) * c] for i in range(r)])
+
+    @staticmethod
+    def stack(blocks: Sequence[Sequence["RatMatrix"]]) -> "RatMatrix":
+        """The block matrix with these rows of blocks, as `np.block`."""
+        den = math.lcm(*(b.den for row in blocks for b in row))
+        return _ratmatrix(np.block([[b.data * (den // b.den) for b in row]
+                                    for row in blocks]), den)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -431,185 +435,162 @@ class RatMatrix:
         return self.data.shape[1]
 
     def __getitem__(self, ij) -> Fraction:
-        return self.data[ij]
-
-    def row(self, i: int) -> list[Fraction]:
-        return list(self.data[i])
+        return Fraction(self.data[ij], self.den)
 
     def col(self, j: int) -> list[Fraction]:
-        return list(self.data[:, j])
+        return [Fraction(x, self.den) for x in self.data[:, j]]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        return self.shape == other.shape and bool((self.data == other.data).all())
+        return (self.shape == other.shape and self.den == other.den
+                and bool((self.data == other.data).all()))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.data.flat)
+        return not self.data.any()
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(self.data + other.data)
+        den = math.lcm(self.den, other.den)
+        return _ratmatrix(self.data * (den // self.den)
+                          + other.data * (den // other.den), den)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(self.data - other.data)
+        return self + (-other)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix(-self.data)
+        return _ratmatrix(-self.data, self.den)
 
     def __mul__(self, other):
         if isinstance(other, RatMatrix):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.shape} x {other.shape}")
-            return RatMatrix(self.data @ other.data)
-        return RatMatrix(self.data * rat(other))
+            return _ratmatrix(int_matmul(self.data, other.data),
+                              self.den * other.den)
+        c = rat(other)
+        return _ratmatrix(self.data * c.numerator, self.den * c.denominator)
 
     def __rmul__(self, other):
         return self * other
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.data.T)
+        return _ratmatrix(self.data.T, self.den)
 
     def kron(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(np.kron(self.data, other.data))
+        return _ratmatrix(np.kron(self.data, other.data), self.den * other.den)
 
     def apply(self, vec: Sequence) -> list[Fraction]:
-        v = np.array([rat(x) for x in vec], dtype=object)
-        return list(self.data @ v)
+        v = RatMatrix([vec])
+        den = self.den * v.den
+        return [Fraction(x, den) for x in self.data.dot(v.data[0])]
 
     def rref(self) -> tuple["RatMatrix", list[int]]:
-        """Reduced row echelon form over Fraction and its pivot columns."""
-        m = self.data.copy()
-        rows, cols = m.shape
-        pivots = []
-        r = 0
-        for c in range(cols):
-            pr = next((i for i in range(r, rows) if m[i, c] != 0), None)
-            if pr is None:
-                continue
-            if pr != r:
-                m[[r, pr]] = m[[pr, r]]
-            m[r] = m[r] / m[r, c]
-            for i in range(rows):
-                if i != r and m[i, c] != 0:
-                    m[i] = m[i] - m[i, c] * m[r]
-            pivots.append(c)
-            r += 1
-            if r == rows:
-                break
-        return RatMatrix(m), pivots
+        """Reduced row echelon form and its pivot columns."""
+        red, pivots, d = _gauss_jordan(self.data)
+        full = np.zeros(self.shape, dtype=object)
+        full[:len(pivots)] = red
+        return _ratmatrix(full, d), pivots
 
     def rank(self) -> int:
-        return len(_echelon_int(_integerize(self.data))[1])
+        return len(_gauss_jordan(self.data)[1])
 
     def nullspace(self) -> list[list[Fraction]]:
         return nullspace(self)
 
     def solve(self, rhs: Sequence) -> list[Fraction] | None:
         """One exact solution of A x = rhs, or None if inconsistent."""
-        b = [rat(x) for x in rhs]
-        if len(b) != self.nrows:
+        if len(rhs) != self.nrows:
             raise ValueError("rhs length mismatch")
-        aug = np.empty((self.nrows, self.ncols + 1), dtype=object)
-        aug[:, :self.ncols] = self.data
-        for i, x in enumerate(b):
-            aug[i, self.ncols] = x
-        red, pivots = RatMatrix(aug).rref()
-        if self.ncols in pivots:
+        cols = self.ncols
+        aug = RatMatrix.stack([[self, RatMatrix([[x] for x in rhs])]])
+        red, pivots, d = _gauss_jordan(aug.data)
+        if cols in pivots:
             return None
-        x = [Fraction(0)] * self.ncols
+        x = [Fraction(0)] * cols
         for r, c in enumerate(pivots):
-            x[c] = red[r, self.ncols]
+            x[c] = Fraction(red[r, cols], d)
         return x
 
     def inverse(self) -> "RatMatrix":
         if self.nrows != self.ncols:
             raise ValueError("not square")
         n = self.nrows
-        aug = np.empty((n, 2 * n), dtype=object)
-        aug[:, :n] = self.data
-        aug[:, n:] = RatMatrix.identity(n).data
-        red, pivots = RatMatrix(aug).rref()
+        aug = RatMatrix.stack([[self, RatMatrix.identity(n)]])
+        red, pivots, d = _gauss_jordan(aug.data)
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return RatMatrix(red.data[:, n:])
+        return _ratmatrix(red[:, n:], d)
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.nrows}x{self.ncols})"
 
 
-def nullspace(mat: RatMatrix | np.ndarray) -> list[list[Fraction]]:
+def _ratmatrix(data: np.ndarray, den: int) -> RatMatrix:
+    """The matrix data / den (integer data, den != 0), in lowest terms."""
+    if den < 0:
+        data, den = -data, -den
+    if den != 1:
+        g = math.gcd(den, *data.flat)
+        if g > 1:
+            data, den = data // g, den // g
+    out = object.__new__(RatMatrix)
+    object.__setattr__(out, "data", data)
+    object.__setattr__(out, "den", den)
+    return out
+
+
+def nullspace(mat: RatMatrix) -> list[list[Fraction]]:
     """Canonical basis of the right nullspace.
 
-    Forward pass is fraction-free (Bareiss) on integer-scaled rows; the basis
-    has an identity block on the free columns (one vector per free column, in
-    column order), which makes the output deterministic.
+    One vector per free column of the reduced row echelon form, in column
+    order, with an identity block on the free columns; the basis is unique,
+    so the output is deterministic.
     """
-    data = mat.data if isinstance(mat, RatMatrix) else mat
-    m = _integerize(data)
-    ech, piv_cols = _echelon_int(m)
-    cols = data.shape[1]
-    free = [c for c in range(cols) if c not in piv_cols]
+    red, pivots, d = _gauss_jordan(mat.data)
+    cols = mat.ncols
     basis = []
-    for f in free:
+    for f in sorted(set(range(cols)) - set(pivots)):
         v = [Fraction(0)] * cols
         v[f] = Fraction(1)
-        for r in reversed(range(len(piv_cols))):
-            pc = piv_cols[r]
-            s = Fraction(0)
-            for c in range(pc + 1, cols):
-                if v[c] != 0 and ech[r, c] != 0:
-                    s += Fraction(int(ech[r, c])) * v[c]
-            v[pc] = -s / Fraction(int(ech[r, pc]))
+        for r, c in enumerate(pivots):
+            v[c] = Fraction(-red[r, f], d)
         basis.append(v)
     return basis
 
 
-def _integerize(data: np.ndarray) -> np.ndarray:
-    """Scale each row to a primitive integer vector (exact)."""
-    rows, cols = data.shape
-    out = np.zeros((rows, cols), dtype=object)
-    for i in range(rows):
-        scale = 1
-        for x in data[i]:
-            d = x.denominator if isinstance(x, Fraction) else 1
-            scale = scale * (d // math.gcd(scale, d))
-        ints = [int(x * scale) for x in data[i]]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out[i] = ints
-    return out
+def _gauss_jordan(m: np.ndarray) -> tuple[np.ndarray, list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
 
-
-def _echelon_int(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Fraction-free (one-step Bareiss) row echelon form of an integer matrix.
-
-    Returns the echelon rows (integers) and the pivot column list.  Division
-    by the previous pivot is exact by the Bareiss minor identity.
+    Zero rows are dropped and the others made primitive, which changes no
+    row space and keeps the entries small.  Bareiss's one-step update then
+    runs on every row except the pivot row, so each division by the
+    previous pivot is exact and every earlier pivot becomes the current one
+    (Nakos, Turner & Williams 1997).  Returns the nonzero rows R, the pivot
+    columns and the last pivot d: R / d is the nonzero part of the reduced
+    row echelon form.
     """
-    m = m.copy()
+    m = m[m.any(axis=1)]
+    m = m // np.array([math.gcd(*r) for r in m], dtype=object).reshape(-1, 1)
     rows, cols = m.shape
-    piv_cols: list[int] = []
+    pivots: list[int] = []
     prev = 1
-    r = 0
     for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i, c] != 0), None)
+        r = len(pivots)
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if m[i, c]), None)
         if pr is None:
             continue
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
-        pivot = m[r, c]
-        if r + 1 < rows:
-            block = m[r + 1:, c:]
-            m[r + 1:, c:] = (block * pivot - np.outer(m[r + 1:, c], m[r, c:])) // prev
-        prev = pivot
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m[:r], piv_cols
+        # left of column c the pivot row is zero, so there the update only
+        # scales the rows above it (the rows below are zero)
+        p, row = m[r, c], m[r, c:].copy()
+        m[:, c:] = (m[:, c:] * p - np.outer(m[:, c], row)) // prev
+        m[r, c:] = row
+        m[:r, :c] = m[:r, :c] * p // prev
+        prev = p
+        pivots.append(c)
+    return m[:len(pivots)], pivots, prev
 
 
 # ---------------------------------------------------------------------------

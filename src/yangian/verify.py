@@ -10,20 +10,20 @@ for all i, j, k, l; the scalar d(u) d(v) cancels.  Each side is a
 polynomial in (u, v) of degree at most (deg d + 1) in each variable, so
 checking it on a (deg d + 2) x (deg d + 2) grid of points that avoid the
 poles proves it identically.  At a grid point the blocks P_ij(u0) are
-evaluated once and scaled to integers by one common factor; both sides are
-bilinear in the blocks at u0 and v0, so the scalars cancel.
+evaluated once and stacked as integer numerators over one common
+denominator; both sides are bilinear in the blocks at u0 and v0, so the
+denominators cancel.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .fock import PLAIN, PRIME, TILDE
-from .linalg import Poly, RatFunc, int_matmul, nullspace, poly_rational_roots, rat
+from .linalg import Poly, RatFunc, RatMatrix, int_matmul, poly_rational_roots, rat
 from .modules import ModuleParams, PatternFactor, YangianModule, source_pattern
 
 
@@ -53,17 +53,14 @@ def _grid_points(den: Poly, count: int, base: int) -> list[int]:
 
 
 def _stacked_blocks(mod: YangianModule, u0: int) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks P_ij(u0), scaled to integers by one common factor, as a
-    vertical stack (rows (i, j, r)) and a horizontal stack (columns
-    (i, j, s))."""
+    """The numerators of the blocks P_ij(u0) over their one common
+    denominator, as a vertical stack (rows (i, j, r)) and a horizontal stack
+    (columns (i, j, s))."""
     n, dim = mod.n, mod.dim
-    vals = np.array([[mod.num[i][j](u0).data for j in range(n)]
-                     for i in range(n)], dtype=object)
-    scale = math.lcm(*(x.denominator for x in vals.flat))
-    ints = np.array([int(x * scale) for x in vals.flat],
-                    dtype=object).reshape(vals.shape)
-    return (ints.reshape(n * n * dim, dim),
-            ints.transpose(2, 0, 1, 3).reshape(dim, n * n * dim))
+    ints = RatMatrix.stack([[mod.num[i][j](u0)] for i in range(n)
+                            for j in range(n)]).data
+    return ints, (ints.reshape(n, n, dim, dim).transpose(2, 0, 1, 3)
+                  .reshape(dim, n * n * dim))
 
 
 def check_rtt(mod: YangianModule, base: int = 10) -> RttReport:
@@ -99,17 +96,13 @@ def check_rtt(mod: YangianModule, base: int = 10) -> RttReport:
 
 def highest_weight_vectors(mod: YangianModule) -> list[list[Fraction]]:
     """Basis of the space killed by every T_ij(u) with i < j."""
-    rows = []
-    for i in range(mod.n):
-        for j in range(i + 1, mod.n):
-            entry = mod.num[i][j]
-            for k in range(entry.degree + 1):
-                rows.extend(entry.coeff(k).data)
-    if not rows:
+    blocks = [[mod.num[i][j].coeff(k)] for i in range(mod.n)
+              for j in range(i + 1, mod.n)
+              for k in range(mod.num[i][j].degree + 1)]
+    if not blocks:
         return [[Fraction(1) if r == k else Fraction(0) for r in range(mod.dim)]
                 for k in range(mod.dim)]
-    stacked = np.array(rows, dtype=object)
-    return nullspace(stacked)
+    return RatMatrix.stack(blocks).nullspace()
 
 
 def eigenvalue_of(mod: YangianModule, i: int, vec) -> RatFunc:

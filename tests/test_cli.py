@@ -200,10 +200,27 @@ def test_main_exit_one_on_failing_run(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_hom_space_budget_fails_cleanly(tmp_path, capsys):
+    # four degree-1 factors with n = 2 span dim 16: 256 unknowns per map
+    path = write_config(tmp_path, {
+        "theta": 1, "n": 2, "p": 0, "q": 4, "nu": [1, 1, 1, 1],
+        "mu": ["1/7", "2/7", "3/7", "4/7"], "checks": ["kernel-quotient"]})
+    out = tmp_path / "report.json"
+    assert cli.main(["--config", path, "--output", str(out)]) == 1
+    record = json.loads(out.read_text())["checks"][0]
+    assert record["status"] == "error"
+    assert "256 unknowns, over the budget" in record["details"]["error"]
+    capsys.readouterr()
+
+
 def test_main_exit_two_on_config_problems(tmp_path, capsys):
     bad = write_config(tmp_path, {**GENERIC, "mu": [0, 1]})
     assert cli.main(["--config", bad]) == 2
     assert "genericity violated" in capsys.readouterr().err
+    # rejected when the run builds its module parameters, not while parsing
+    anti = write_config(tmp_path, {**GENERIC, "theta": -1, "nu": [3, 1]})
+    assert cli.main(["--config", anti]) == 2
+    assert "cannot exceed n" in capsys.readouterr().err
     missing = str(tmp_path / "absent.json")
     assert cli.main(["--config", missing]) == 2
     capsys.readouterr()

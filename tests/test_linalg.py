@@ -4,6 +4,9 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yangian.linalg import (
     Poly,
@@ -215,3 +218,137 @@ def test_int_matmul_exact_across_fast_and_big_paths():
         got = int_matmul(a, b)
         ref = a @ b
         assert (got == ref).all()
+
+
+# ---------------------------------------------------------------------------
+# property tests against an in-test Fraction reference
+
+
+def ref_entries(m):
+    return [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)]
+
+
+def ref_matmul(a, b):
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def ref_rref(a):
+    """Fraction Gauss-Jordan: the reduced rows and the pivot columns."""
+    m = [list(r) for r in a]
+    pivots = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def ref_nullspace(a):
+    red, pivots = ref_rref(a)
+    cols = len(a[0])
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(int(c == f)) for c in range(cols)]
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        basis.append(v)
+    return basis
+
+
+fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 10007))
+
+
+@st.composite
+def rat_matrices(draw, rows=None, cols=None):
+    """A zero, rank-deficient or general rational matrix (1 x 1 included)."""
+    r = rows or draw(st.integers(1, 4))
+    c = cols or draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("zero", "deficient", "general")))
+    if kind == "zero":
+        return [[Fraction(0)] * c for _ in range(r)]
+    if kind == "deficient":
+        k = draw(st.integers(1, max(1, min(r, c) - 1)))
+        left = draw(st.lists(st.lists(fractions, min_size=k, max_size=k),
+                             min_size=r, max_size=r))
+        right = draw(st.lists(st.lists(fractions, min_size=c, max_size=c),
+                              min_size=k, max_size=k))
+        return ref_matmul(left, right)
+    return draw(st.lists(st.lists(fractions, min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+
+
+@st.composite
+def matrix_pairs(draw):
+    a = draw(rat_matrices())
+    b = draw(rat_matrices(len(a), len(a[0])))
+    c = draw(rat_matrices(len(a[0])))
+    return a, b, c
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_pairs(), fractions, st.lists(fractions, min_size=4, max_size=4))
+def test_arithmetic_matches_fraction_reference(pair, scalar, vec):
+    a, b, c = pair
+    ma, mb, mc = RatMatrix(a), RatMatrix(b), RatMatrix(c)
+    assert ref_entries(ma) == a
+    assert ma[0, 0] == a[0][0]
+    rows, cols = len(a), len(a[0])
+    cases = [
+        (ma + mb, [[x + y for x, y in zip(p, q)] for p, q in zip(a, b)]),
+        (ma - mb, [[x - y for x, y in zip(p, q)] for p, q in zip(a, b)]),
+        (-ma, [[-x for x in p] for p in a]),
+        (ma * scalar, [[x * scalar for x in p] for p in a]),
+        (scalar * ma, [[x * scalar for x in p] for p in a]),
+        (ma * mc, ref_matmul(a, c)),
+        (ma.kron(mc), [[a[i][j] * c[k][l] for j in range(cols)
+                        for l in range(len(c[0]))]
+                       for i in range(rows) for k in range(len(c))]),
+        (ma.transpose(), [list(r) for r in zip(*a)]),
+    ]
+    for got, want in cases:
+        assert ref_entries(got) == want
+        # equal matrices have equal fields: every result is in lowest terms
+        assert got == RatMatrix(want)
+    assert (ma + mb) - mb == ma
+    assert ma.apply(vec[:cols]) == [sum((x * y for x, y in zip(r, vec)), Fraction(0))
+                                     for r in a]
+    assert (ma == mb) == (a == b)
+    assert ma.is_zero() == all(x == 0 for r in a for x in r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rat_matrices(), st.lists(fractions, min_size=4, max_size=4))
+def test_elimination_matches_fraction_reference(a, rhs):
+    ma = RatMatrix(a)
+    rows, cols = len(a), len(a[0])
+    red, pivots = ref_rref(a)
+    got, got_pivots = ma.rref()
+    assert got_pivots == pivots
+    assert got == RatMatrix(red)
+    assert ma.rank() == len(pivots)
+    assert nullspace(ma) == ma.nullspace() == ref_nullspace(a)
+    b = rhs[:rows]
+    aug_red, aug_pivots = ref_rref([r + [x] for r, x in zip(a, b)])
+    if cols in aug_pivots:
+        assert ma.solve(b) is None
+    else:
+        want = [Fraction(0)] * cols
+        for r, c in enumerate(aug_pivots):
+            want[c] = aug_red[r][cols]
+        assert ma.solve(b) == want
+    if rows == cols:
+        eye = [[Fraction(int(i == j)) for j in range(cols)] for i in range(rows)]
+        inv_red, inv_pivots = ref_rref([r + e for r, e in zip(a, eye)])
+        if inv_pivots[:rows] == list(range(rows)):
+            assert ma.inverse() == RatMatrix([r[cols:] for r in inv_red])
+        else:
+            with pytest.raises(ValueError, match="singular"):
+                ma.inverse()

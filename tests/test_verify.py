@@ -110,6 +110,10 @@ def dense_rtt_holds(mod):
     flip = np.kron(sum(np.kron(unit[i][j], unit[j][i])
                        for i in range(n) for j in range(n)), eye_w)
 
+    def entries(mat):
+        return np.array([[mat[r, s] for s in range(dim)] for r in range(dim)],
+                        dtype=object)
+
     def cleared(mat):
         scale = math.lcm(*(x.denominator for x in mat.flat))
         return np.array([[int(x * scale) for x in row] for row in mat],
@@ -118,7 +122,7 @@ def dense_rtt_holds(mod):
     pts = range(mod.den.degree + 2)
     t1, t2 = {}, {}
     for u in pts:
-        blocks = [[mod.num[i][j](u).data for j in range(n)] for i in range(n)]
+        blocks = [[entries(mod.num[i][j](u)) for j in range(n)] for i in range(n)]
         t1[u] = cleared(sum(np.kron(np.kron(unit[i][j], eye_n), blocks[i][j])
                             for i in range(n) for j in range(n)))
         t2[u] = cleared(sum(np.kron(np.kron(eye_n, unit[i][j]), blocks[i][j])
