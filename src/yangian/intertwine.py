@@ -12,8 +12,11 @@ per-inversion closed forms (`zeta_factor`).
 It also provides the generic machinery the degenerate (resonant) cases need:
 an honest solver for the full space of intertwiners between two modules
 (`hom_space`), kernels and quotient modules of a given intertwiner
-(`kernel_quotient`), and an irreducibility test combining endomorphism count
-with cyclicity of the highest-weight vector.
+(`kernel_quotient`, which certifies quotient = image with the intertwiner's
+own columns at the coordinates complementary to the kernel), and an
+irreducibility test combining endomorphism count with cyclicity of the
+highest-weight vector.  Swap operators and the cyclicity test share one
+breadth-first span of exact columns under the coefficient matrices.
 
 Conventions.  Words are tuples of positions a with 1 <= a <= m-1; position a
 swaps tensor slots a and a+1 (slots counted from 1).  A word is applied left
@@ -27,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .fock import PLAIN, TILDE, block_basis
-from .linalg import MatPoly, RatMatrix, rat
+from .linalg import MatPoly, RatMatrix
 from .modules import (
     ModuleParams,
     PatternFactor,
@@ -222,7 +225,7 @@ def _swap_sign(theta: int, deg_a: int, deg_b: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# spanning words and cyclic bases
+# cyclic spans
 
 
 def _coeff_matrices(mod: YangianModule,
@@ -249,87 +252,41 @@ def _coeff_matrices(mod: YangianModule,
     return gens
 
 
-class _SpanBuilder:
-    """Incrementally maintained reduced basis of a growing subspace."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.pivots: list[tuple[int, list[Fraction]]] = []
-
-    def add(self, vec: Sequence[Fraction]) -> bool:
-        """Insert vec; return True when it enlarged the span."""
-        v = list(vec)
-        for p, pv in self.pivots:
-            c = v[p]
-            if c:
-                v = [x - c * y for x, y in zip(v, pv)]
-        lead = next((k for k, x in enumerate(v) if x != 0), None)
-        if lead is None:
-            return False
-        inv = 1 / v[lead]
-        v = [x * inv for x in v]
-        for idx, (p, pv) in enumerate(self.pivots):
-            c = pv[lead]
-            if c:
-                self.pivots[idx] = (p, [x - c * y for x, y in zip(pv, v)])
-        self.pivots.append((lead, v))
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+def _column(vec: Sequence) -> RatMatrix:
+    return RatMatrix([vec]).transpose()
 
 
-def _span_words(gens: Sequence[tuple[tuple, RatMatrix]],
-                start: Sequence[Fraction]) -> tuple[list[tuple], list[list[Fraction]]]:
-    """Breadth-first word search: words in gens whose images of start span.
+def _cyclic_span(gens: Sequence[tuple[RatMatrix, ...]],
+                 start: tuple[RatMatrix, ...]) -> tuple[RatMatrix, ...]:
+    """Breadth-first span of a start column under words in the generators.
 
-    Returns parallel lists of words (tuples of gen keys, applied left to
-    right) and image vectors; the first entry is the empty word with start
-    itself.  Stops as soon as the span is the whole space or no generator
-    enlarges it further.
+    Each generator is a tuple of matrices, one per side, and start holds one
+    column per side.  A layer applies every generator to the frontier and
+    orders the candidates word-major (frontier column first, generator
+    second); the pivots of the rref of [kept | candidates] on side 0 pick the
+    candidates that enlarge its span, so the kept columns are the first
+    independent ones in breadth-first order.  Every other side keeps the
+    same columns, built by the same words.  Stops when side 0's span is the
+    whole space or a layer adds nothing; returns the kept columns per side.
     """
-    dim = len(start)
-    span = _SpanBuilder(dim)
-    words: list[tuple] = []
-    vecs: list[list[Fraction]] = []
-    queue: list[tuple[tuple, list[Fraction]]] = []
-    first = [rat(x) for x in start]
-    if span.add(first):
-        words.append(())
-        vecs.append(first)
-        queue.append(((), first))
-    qi = 0
-    while qi < len(queue) and span.rank < dim:
-        word, v = queue[qi]
-        qi += 1
-        for key, g in gens:
-            w = g.apply(v)
-            if span.add(w):
-                nw = word + (key,)
-                words.append(nw)
-                vecs.append(w)
-                queue.append((nw, w))
-                if span.rank == dim:
-                    break
-    return words, vecs
-
-
-def _replay_words(mod: YangianModule, words: Sequence[tuple],
-                  start: Sequence[Fraction]) -> list[list[Fraction]]:
-    """Apply the recorded coefficient words to start inside mod."""
-    out = []
-    for word in words:
-        v = [rat(x) for x in start]
-        for (i, j, k) in word:
-            v = mod.num[i][j].coeff(k).apply(v)
-        out.append(v)
-    return out
-
-
-def _columns_matrix(cols: Sequence[Sequence[Fraction]]) -> RatMatrix:
-    dim = len(cols[0])
-    return RatMatrix([[cols[c][r] for c in range(len(cols))] for r in range(dim)])
+    dim = start[0].nrows
+    kept = tuple(col[:, :0] for col in start)
+    cands = start
+    while True:
+        width = kept[0].ncols
+        _, pivots = RatMatrix.stack([[kept[0], cands[0]]]).rref()
+        new = [c - width for c in pivots[width:]]
+        if not new:
+            return kept
+        frontier = tuple(c[:, new] for c in cands)
+        kept = tuple(RatMatrix.stack([[k, f]]) for k, f in zip(kept, frontier))
+        if kept[0].ncols == dim or not gens:
+            return kept
+        f, g = len(new), len(gens)
+        order = [i * f + j for j in range(f) for i in range(g)]
+        cands = tuple(
+            RatMatrix.stack([[gen[side] * frontier[side] for gen in gens]])[:, order]
+            for side in range(len(start)))
 
 
 # ---------------------------------------------------------------------------
@@ -403,19 +360,15 @@ def step(params: ModuleParams, a: int,
         raise NonGenericStepError(
             "non-generic step: a swapped pair has a degenerate highest-weight space")
 
-    v_src = distinguished_vector(params, [fa, fb])
-    v_tgt = distinguished_vector(params, [fb, fa])
-    words, vecs = _span_words(_coeff_matrices(pair_src, lower_only=True), v_src)
-    if len(vecs) < pair_src.dim:
+    gens = [(g, pair_tgt.num[i][j].coeff(k))
+            for (i, j, k), g in _coeff_matrices(pair_src, lower_only=True)]
+    b_src, b_tgt = _cyclic_span(gens, (
+        _column(distinguished_vector(params, [fa, fb])),
+        _column(distinguished_vector(params, [fb, fa]))))
+    if b_src.ncols < pair_src.dim:
         raise NonGenericStepError(
             "non-generic step: the distinguished vector is not cyclic in the pair")
-    b_src = _columns_matrix(vecs)
-    b_tgt = _columns_matrix(_replay_words(pair_tgt, words, v_tgt))
-    try:
-        pair_map = b_tgt * b_src.inverse()
-    except ValueError as exc:
-        raise NonGenericStepError(f"non-generic step: {exc}") from exc
-    pair_map = pair_map * (frac * _swap_sign(theta, fa.degree, fb.degree))
+    pair_map = b_tgt * b_src.inverse() * (frac * _swap_sign(theta, fa.degree, fb.degree))
 
     dims = [len(block_basis(theta, n, f.degree)) for f in factors]
     left = 1
@@ -626,83 +579,52 @@ class QuotientModule:
     quotient: YangianModule
 
 
-def _image_module(intw: Intertwiner) -> YangianModule:
-    """The target action restricted to the image of the intertwiner."""
-    mat, tgt = intw.matrix, intw.target
-    _, pivots = mat.rref()
-    if not pivots:
-        raise ValueError("zero intertwiner has no image module")
-    cols = [mat.col(c) for c in pivots]
-    b = _columns_matrix(cols)
-    r = len(pivots)
-    num = []
-    for i in range(tgt.n):
-        row = []
-        for j in range(tgt.n):
-            entry = tgt.num[i][j]
-            coeffs = []
-            for k in range(entry.degree + 1):
-                gb = entry.coeff(k) * b
-                sol_cols = []
-                for c in range(r):
-                    sol = b.solve(gb.col(c))
-                    if sol is None:
-                        raise ValueError("image of the intertwiner is not invariant")
-                    sol_cols.append(sol)
-                coeffs.append(_columns_matrix(sol_cols))
-            row.append(MatPoly((r, r), coeffs))
-        num.append(row)
-    return YangianModule(tgt.n, tgt.den, num)
-
-
 def kernel_quotient(intw: Intertwiner) -> QuotientModule:
     """Exact kernel of the intertwiner and the quotient action beside it.
 
-    The kernel's stability under every numerator coefficient matrix is
-    checked exactly (a failure would mean the input is not an intertwiner).
-    The quotient is built on the standard coordinates away from the kernel's
-    pivot positions and verified to be isomorphic to the image module inside
-    the target.
+    In the adapted basis (the kernel basis, then the standard coordinates
+    away from its pivot positions) every numerator coefficient of the
+    source action must be block upper triangular: the lower-left block is
+    the kernel's stability test, and the lower-right block is the quotient
+    action Q_k.  The quotient is then certified with the intertwiner
+    itself: its columns at the complement coordinates form an injective map
+    emb onto the image, and G_k emb = emb Q_k is checked exactly for every
+    coefficient of the target action G, so the quotient is isomorphic to
+    the image, a submodule of the target.  The certificate needs equal
+    source and target denominators.
     """
-    src = intw.source
-    kernel = intw.matrix.nullspace()
+    src, mat = intw.source, intw.matrix
+    kernel = mat.nullspace()
     k, dim = len(kernel), src.dim
     if k == dim:
         raise ValueError("intertwiner is zero; the quotient would be the zero module")
 
+    complement = list(range(dim))
+    change = RatMatrix.identity(dim)
     if k:
-        _, pivot_coords = _columns_matrix(kernel).transpose().rref()
-    else:
-        pivot_coords = []
-    complement = [c for c in range(dim) if c not in pivot_coords]
-    cols = list(kernel) + [[Fraction(int(r == c)) for r in range(dim)]
-                           for c in complement]
-    change = _columns_matrix(cols)
+        rows = RatMatrix(kernel)
+        pivot_coords = set(rows.rref()[1])
+        complement = [c for c in complement if c not in pivot_coords]
+        change = RatMatrix.stack([[rows.transpose(), change[:, complement]]])
     change_inv = change.inverse()
 
-    dq = dim - k
     num = []
     for i in range(src.n):
         row = []
         for j in range(src.n):
-            entry = src.num[i][j]
             coeffs = []
-            for kk in range(entry.degree + 1):
-                w = change_inv * entry.coeff(kk) * change
-                for r in range(k, dim):
-                    for c in range(k):
-                        if w[r, c] != 0:
-                            raise ValueError("kernel is not stable under the module action")
-                coeffs.append(RatMatrix([[w[k + r, k + c] for c in range(dq)]
-                                         for r in range(dq)]))
-            row.append(MatPoly((dq, dq), coeffs))
+            for coeff in src.num[i][j].coeffs:
+                w = change_inv * coeff * change
+                if not w[k:, :k].is_zero():
+                    raise ValueError("kernel is not stable under the module action")
+                coeffs.append(w[k:, k:])
+            row.append(MatPoly((dim - k, dim - k), coeffs))
         num.append(row)
     quotient = YangianModule(src.n, src.den, num)
 
-    if src.den == intw.target.den:
-        image = _image_module(intw)
-        if modules_isomorphic(quotient, image) is None:
-            raise ValueError("quotient is not isomorphic to the image module")
+    if src.den == intw.target.den and not _verify_intertwiner(
+            mat[:, complement], quotient, intw.target):
+        raise ValueError("quotient is not isomorphic to the image module")
     return QuotientModule(parent=src,
                           kernel_basis=tuple(tuple(v) for v in kernel),
                           quotient=quotient)
@@ -733,8 +655,8 @@ def irreducibility_test(mod: YangianModule) -> IrreducibilityReport:
     hw_dim = len(hw)
     cyclic_dim = 0
     if hw_dim >= 1:
-        _, vecs = _span_words(_coeff_matrices(mod), hw[0])
-        cyclic_dim = len(vecs)
+        gens = [(g,) for _, g in _coeff_matrices(mod)]
+        cyclic_dim = _cyclic_span(gens, (_column(hw[0]),))[0].ncols
     verdict = endo_dim == 1 and hw_dim == 1 and cyclic_dim == mod.dim
     return IrreducibilityReport(irreducible=verdict, dim=mod.dim,
                                 endo_dim=endo_dim, hw_dim=hw_dim,

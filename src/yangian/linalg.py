@@ -434,11 +434,14 @@ class RatMatrix:
     def ncols(self) -> int:
         return self.data.shape[1]
 
-    def __getitem__(self, ij) -> Fraction:
-        return Fraction(self.data[ij], self.den)
-
-    def col(self, j: int) -> list[Fraction]:
-        return [Fraction(x, self.den) for x in self.data[:, j]]
+    def __getitem__(self, ij):
+        """An entry as a Fraction; with slices or index lists, a submatrix."""
+        x = self.data[ij]
+        if not isinstance(x, np.ndarray):
+            return Fraction(x, self.den)
+        if x.ndim != 2:
+            raise IndexError("a submatrix needs a row and a column index")
+        return _ratmatrix(x, self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
@@ -497,7 +500,11 @@ class RatMatrix:
         return nullspace(self)
 
     def solve(self, rhs: Sequence) -> list[Fraction] | None:
-        """One exact solution of A x = rhs, or None if inconsistent."""
+        """One exact solution of A x = rhs, or None if inconsistent.
+
+        No caller in the package; kept because the per-layer tracer in
+        perfbench/tracer.py wraps it by name.
+        """
         if len(rhs) != self.nrows:
             raise ValueError("rhs length mismatch")
         cols = self.ncols

@@ -60,16 +60,15 @@ class YangianModule:
         return RatFunc(_entry_poly(self.num[i][j], r, s), self.den)
 
     def equal_entrywise(self, other: "YangianModule") -> bool:
-        """Same action entrywise after reduction, denominators may differ."""
+        """Same action entrywise, denominators may differ.
+
+        P/d = Q/e exactly when P e = Q d, so the matrix polynomials are
+        compared cross-multiplied.
+        """
         if (self.n, self.dim) != (other.n, other.dim):
             return False
-        for i in range(self.n):
-            for j in range(self.n):
-                for r in range(self.dim):
-                    for s in range(self.dim):
-                        if self.entry_ratfunc(i, j, r, s) != other.entry_ratfunc(i, j, r, s):
-                            return False
-        return True
+        return all(self.num[i][j] * other.den == other.num[i][j] * self.den
+                   for i in range(self.n) for j in range(self.n))
 
 
 def trivial_module(n: int, dim: int = 1) -> YangianModule:

@@ -7,6 +7,8 @@ import pytest
 
 from yangian.intertwine import (
     Intertwiner,
+    _column,
+    _cyclic_span,
     NonGenericStepError,
     ResonanceError,
     check_hw_image,
@@ -36,6 +38,7 @@ from yangian.modules import (
     prime_form,
     source_pattern,
     tensor_module,
+    trivial_module,
 )
 
 
@@ -306,6 +309,19 @@ def test_kernel_invariance_guard():
         kernel_quotient(fake)
 
 
+def test_invertible_non_intertwiner_rejected():
+    params = params_for(1, 2, 0, 2, (1, 1), [0, 2])
+    mod = pattern_module(params, source_pattern(params))
+    # zero kernel, so the quotient is the source itself, but I + N does not
+    # commute with the action and so cannot certify it
+    shear = RatMatrix([[int(c in (r, r + 1)) for c in range(mod.dim)]
+                       for r in range(mod.dim)])
+    fake = Intertwiner(source=mod, target=mod, matrix=shear,
+                       hw_scalar=None, word=())
+    with pytest.raises(ValueError, match="not isomorphic"):
+        kernel_quotient(fake)
+
+
 def test_zero_intertwiner_rejected():
     params = params_for(1, 2, 0, 2, (1, 1), [0, 2])
     mod = pattern_module(params, source_pattern(params))
@@ -329,6 +345,55 @@ def test_irreducibility_examples():
     second = irreducibility_test(tensor_module(evaluation_module(2, 1),
                                                evaluation_module(2, 0)))
     assert not second.irreducible and second.cyclic_dim < second.dim
+    # no coefficient generators at all: the span stops at the start vector
+    trivial = irreducibility_test(trivial_module(2, 3))
+    assert not trivial.irreducible and trivial.cyclic_dim == 1
+
+
+def reference_span(gens, start, carried):
+    """One vector at a time breadth-first search, replaying words on carried."""
+    kept, words, queue = [], [], []
+    if any(start):
+        kept, words, queue = [list(start)], [()], [((), list(start))]
+    qi = 0
+    while qi < len(queue) and len(kept) < len(start):
+        word, v = queue[qi]
+        qi += 1
+        for idx, (g, _) in enumerate(gens):
+            w = g.apply(v)
+            if RatMatrix(kept + [w]).rank() > len(kept):
+                kept.append(w)
+                words.append(word + (idx,))
+                queue.append((word + (idx,), w))
+                if len(kept) == len(start):
+                    break
+    replayed = []
+    for word in words:
+        v = list(carried)
+        for idx in word:
+            v = gens[idx][1].apply(v)
+        replayed.append(v)
+    return kept, replayed
+
+
+def test_cyclic_span_matches_one_vector_search():
+    rng = random.Random(20261018)
+    for _ in range(40):
+        dim = rng.randint(1, 5)
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            # sparse integer matrices, so that some spans stay proper
+            pair = [RatMatrix([[rng.choice((0, 0, 0, 1, -2)) for _ in range(dim)]
+                               for _ in range(dim)]) for _ in range(2)]
+            gens.append(tuple(pair))
+        start = [rng.choice((0, 1, Fraction(1, 3))) for _ in range(dim)]
+        carried = [rng.randint(-3, 3) for _ in range(dim)]
+        kept, replayed = reference_span(gens, start, carried)
+        got, got_carried = _cyclic_span(gens, (_column(start), _column(carried)))
+        assert got.ncols == len(kept)
+        assert [got[:, [c]] for c in range(got.ncols)] == [_column(v) for v in kept]
+        assert [got_carried[:, [c]] for c in range(got.ncols)] == \
+            [_column(v) for v in replayed]
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,8 @@ def test_arithmetic_matches_fraction_reference(pair, scalar, vec):
                         for l in range(len(c[0]))]
                        for i in range(rows) for k in range(len(c))]),
         (ma.transpose(), [list(r) for r in zip(*a)]),
+        (ma[rows - 1:, :], a[rows - 1:]),
+        (ma[:, [cols - 1, 0]], [[r[-1], r[0]] for r in a]),
     ]
     for got, want in cases:
         assert ref_entries(got) == want

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from yangian.fock import PLAIN, PRIME, TILDE
-from yangian.linalg import Poly, RatFunc
+from yangian.linalg import MatPoly, Poly, RatFunc, RatMatrix
 from yangian.modules import (
     ModuleParams,
     YangianModule,
@@ -54,8 +54,20 @@ def test_tilde_equals_scalar_twist_of_prime():
         tilde = fock_module(theta, n, TILDE, z, deg)
         prime = fock_module(theta, n, PRIME, z, deg)
         omega = omega_prime_module(n, z) if theta == 1 else omega_module(n, -z)
-        assert tilde.equal_entrywise(tensor_module(omega, prime))
+        twisted = tensor_module(omega, prime)
+        assert tilde.equal_entrywise(twisted)
         assert tilde.equal_entrywise(tensor_module(prime, omega))
+        # the untwisted prime component, one perturbed coefficient entry and
+        # a dimension mismatch all compare unequal
+        assert not tilde.equal_entrywise(prime)
+        bump = RatMatrix([[int(r == c == 0) for c in range(tilde.dim)]
+                          for r in range(tilde.dim)])
+        bumped = YangianModule(n, tilde.den, [
+            [entry + MatPoly.constant(bump) if (i, j) == (0, 1) else entry
+             for j, entry in enumerate(row)] for i, row in enumerate(tilde.num)])
+        assert not bumped.equal_entrywise(twisted)
+        assert not twisted.equal_entrywise(bumped)
+        assert not tilde.equal_entrywise(trivial_module(n))
 
 
 def test_one_dimensional_factors_are_cocentral():
