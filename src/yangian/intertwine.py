@@ -329,7 +329,8 @@ def _verify_intertwiner(mat: RatMatrix, src: YangianModule,
 
 
 def step(params: ModuleParams, a: int,
-         factors: Sequence[PatternFactor] | None = None) -> Intertwiner:
+         factors: Sequence[PatternFactor] | None = None,
+         source: YangianModule | None = None) -> Intertwiner:
     """The normalized swap of tensor slots a and a+1 (1-based position a).
 
     The operator is found on the two swapped factors alone (it acts as the
@@ -338,7 +339,8 @@ def step(params: ModuleParams, a: int,
     both two-factor modules have one-dimensional highest-weight spaces and
     the source one is cyclic.  The scale is fixed so the distinguished
     vector maps to the swapped monomial times the closed-form normalization
-    fraction, and the full matrix identity is re-verified exactly.
+    fraction, and the full matrix identity is re-verified exactly.  source,
+    when given, is the already built pattern_module(params, factors).
     """
     factors = list(factors) if factors is not None else source_pattern(params)
     m = len(factors)
@@ -385,7 +387,7 @@ def step(params: ModuleParams, a: int,
 
     target_factors = list(factors)
     target_factors[a - 1], target_factors[a] = fb, fa
-    src_mod = pattern_module(params, factors)
+    src_mod = source if source is not None else pattern_module(params, factors)
     tgt_mod = pattern_module(params, target_factors)
     if not _verify_intertwiner(full, src_mod, tgt_mod):
         raise NonGenericStepError(
@@ -420,7 +422,7 @@ def compose_word(params: ModuleParams, word: Sequence[int],
     cur_factors = list(factors)
     cur_mod = src_mod
     for a in word:
-        st = step(params, a, cur_factors)
+        st = step(params, a, cur_factors, cur_mod)
         total = st.matrix * total
         scalar *= st.hw_scalar
         cur_factors = list(st.target_factors)

@@ -3,9 +3,11 @@
 Nothing in this module ever rounds.  Polynomial and rational-function
 coefficients are `fractions.Fraction`s.  A matrix is one array of Python-int
 numerators over one positive denominator, in lowest terms; its arithmetic
-runs on the integers, every product goes through `int_matmul`, and `rref`,
-`rank`, `nullspace`, `solve` and `inverse` all read one fraction-free
-Gauss-Jordan elimination.  Entries and vectors are read back as Fractions.
+runs on the integers, every `RatMatrix` product goes through `int_matmul`,
+and `rref`, `rank`, `nullspace`, `solve` and `inverse` all read one
+fraction-free Gauss-Jordan elimination.  Entries and vectors are read back
+as Fractions.  `residue_primes` picks the word-size primes for exact
+float64 products modulo p.
 """
 
 from __future__ import annotations
@@ -734,10 +736,63 @@ def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if a.size == 0 or b.size == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=object)
-    ma = max(abs(int(x)) for x in a.flat)
-    mb = max(abs(int(x)) for x in b.flat)
+    ma = int(np.abs(a).max())
+    mb = int(np.abs(b).max())
     k = a.shape[1]
     if ma and mb and k * ma * mb < _INT64_LIMIT:
         prod = a.astype(np.int64) @ b.astype(np.int64)
         return prod.astype(object)
     return a @ b
+
+
+# ---------------------------------------------------------------------------
+# word-size primes for exact float64 products of residues
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for p < 3215031751."""
+    if p < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if p % q == 0:
+            return p == q
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for q in (2, 3, 5, 7):
+        x = pow(q, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def residue_primes(bound: int, inner: int) -> list[int]:
+    """The fewest primes whose product exceeds bound, taking the largest
+    primes p with inner * (p - 1)**2 < 2**53, in decreasing order; at least
+    one, even for bound 0.
+
+    A float64 product of two matrices with entries in [0, p) and inner
+    dimension `inner` is then exact, since every partial sum is an integer
+    below 2**53; and an integer x with |x| <= bound that vanishes modulo
+    every returned prime is 0 (Chinese remainder theorem).
+    """
+    # the largest c with inner * (c - 1)**2 < 2**53
+    c = math.isqrt((2 ** 53 - 1) // inner) + 1
+    primes: list[int] = []
+    product = 1
+    while not primes or product <= bound:
+        while not _is_prime(c):
+            if c < 2:
+                raise ValueError("too few word-size primes for inner "
+                                 f"dimension {inner}")
+            c -= 1
+        primes.append(c)
+        product *= c
+        c -= 1
+    return primes

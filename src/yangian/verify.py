@@ -13,6 +13,18 @@ poles proves it identically.  At a grid point the blocks P_ij(u0) are
 evaluated once and stacked as integer numerators over one common
 denominator; both sides are bilinear in the blocks at u0 and v0, so the
 denominators cancel.
+
+The two sides are compared by residues.  With M the largest absolute
+numerator of any stack and spread the largest |u0 - v0|, every entry of
+every product of two blocks is at most dim M^2, so every entry of
+lhs - rhs is at most D = 2 (spread + 1) dim M^2.  The stacks are reduced
+modulo the fewest word-size primes whose product exceeds D, and both
+sides are formed with float64 matrix products, exact because every
+partial sum is an integer below 2^53 (Dumas, Giorgi & Pernet, FFLAS-FFPACK,
+ACM TOMS 35(3), 2008).  An entry of lhs - rhs that vanishes modulo every
+prime is 0 by the Chinese remainder theorem, and one that does not vanish
+is nonzero, so the entries that fail modulo some prime are exactly the
+entries that fail.
 """
 
 from __future__ import annotations
@@ -23,15 +35,27 @@ from fractions import Fraction
 import numpy as np
 
 from .fock import PLAIN, PRIME, TILDE
-from .linalg import Poly, RatFunc, RatMatrix, int_matmul, poly_rational_roots, rat
+from .linalg import Poly, RatFunc, RatMatrix, poly_rational_roots, rat, residue_primes
 from .modules import ModuleParams, PatternFactor, YangianModule, source_pattern
+
+# Largest n^2 dim that check_rtt takes on.  Each grid pair forms two
+# (n^2 dim)-square products per prime, so the work per pair grows as
+# (n^2 dim)^2 dim: the 4-factor n = 3 pattern (dim 81, 729) takes 2.5-3 s
+# on a 2-core x86 VM, and a 5-factor one (dim 243, 2187) would need 9x
+# the memory and 27x the work per pair.
+RTT_MAX_SIZE = 729
 
 
 @dataclass
 class RttReport:
     """Verdict of the grid proof; failure names the first failing grid pair
     (u, v) and entry (i, j, k, l, r, s): matrix element (r, s) of the
-    component relation for the generators T_ij(u), T_kl(v)."""
+    component relation for the generators T_ij(u), T_kl(v), scanning pairs
+    and then entries in that order.
+
+    bound is the proven bound D on |lhs - rhs| over every entry of every
+    grid pair, and primes are the residue primes, largest first, whose
+    product exceeds it."""
 
     ok: bool
     n: int
@@ -40,6 +64,8 @@ class RttReport:
     points_u: list = field(default_factory=list)
     points_v: list = field(default_factory=list)
     failure: dict | None = None
+    bound: int = 0
+    primes: list = field(default_factory=list)
 
 
 def _grid_points(den: Poly, count: int, base: int) -> list[int]:
@@ -52,40 +78,66 @@ def _grid_points(den: Poly, count: int, base: int) -> list[int]:
     return pts
 
 
-def _stacked_blocks(mod: YangianModule, u0: int) -> tuple[np.ndarray, np.ndarray]:
+def _stacked_blocks(mod: YangianModule, u0: int) -> np.ndarray:
     """The numerators of the blocks P_ij(u0) over their one common
-    denominator, as a vertical stack (rows (i, j, r)) and a horizontal stack
-    (columns (i, j, s))."""
-    n, dim = mod.n, mod.dim
-    ints = RatMatrix.stack([[mod.num[i][j](u0)] for i in range(n)
+    denominator, as a vertical stack (rows (i, j, r))."""
+    n = mod.n
+    return RatMatrix.stack([[mod.num[i][j](u0)] for i in range(n)
                             for j in range(n)]).data
-    return ints, (ints.reshape(n, n, dim, dim).transpose(2, 0, 1, 3)
+
+
+def _residue_stacks(ints: np.ndarray, p: int, n: int,
+                    dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """A stack modulo p as float64, vertical (rows (i, j, r)) and
+    horizontal (columns (i, j, s))."""
+    vert = (ints % p).astype(np.float64)
+    return vert, (vert.reshape(n, n, dim, dim).transpose(2, 0, 1, 3)
                   .reshape(dim, n * n * dim))
 
 
 def check_rtt(mod: YangianModule, base: int = 10) -> RttReport:
-    """Prove the defining relation for the module by grid evaluation."""
+    """Prove the defining relation for the module by grid evaluation.
+
+    Raises ValueError when n^2 dim exceeds RTT_MAX_SIZE.
+    """
     n, dim = mod.n, mod.dim
+    if n * n * dim > RTT_MAX_SIZE:
+        raise ValueError(f"rtt check on n^2 * dim = {n * n * dim}, over the "
+                         f"budget of {RTT_MAX_SIZE}")
     degree = mod.den.degree
     pts = _grid_points(mod.den, degree + 2, base)
-    stacks = {u0: _stacked_blocks(mod, u0) for u0 in pts}
+    stacks = [_stacked_blocks(mod, u0) for u0 in pts]
+    top = max(int(np.abs(ints).max()) for ints in stacks)
+    bound = 2 * (pts[-1] - pts[0] + 1) * dim * top * top
+    primes = residue_primes(bound, dim)
+    residues = [[_residue_stacks(ints, p, n, dim) for ints in stacks]
+                for p in primes]
     shape = (n, n, dim, n, n, dim)
-    report = RttReport(True, n, dim, degree, list(pts), list(pts))
-    for u0 in pts:
-        for v0 in pts:
-            # with A = P(u0), B = P(v0): ab[i, j, k, l] = A_ij B_kl and
-            # ba[i, j, k, l] = B_ij A_kl, matrix indices (r, s) last
-            ab = int_matmul(stacks[u0][0], stacks[v0][1])
-            ba = int_matmul(stacks[v0][0], stacks[u0][1])
-            ab = ab.reshape(shape).transpose(0, 1, 3, 4, 2, 5)
-            ba = ba.reshape(shape).transpose(0, 1, 3, 4, 2, 5)
-            lhs = (u0 - v0) * (ab - ba.transpose(2, 3, 0, 1, 4, 5))
-            rhs = (ab - ba).swapaxes(0, 2)
-            bad = np.argwhere(lhs != rhs)
-            if len(bad):
+    report = RttReport(True, n, dim, degree, list(pts), list(pts),
+                       bound=bound, primes=primes)
+    for a, u0 in enumerate(pts):
+        for b, v0 in enumerate(pts):
+            bad = np.zeros(shape, dtype=bool)
+            for p, res in zip(primes, residues):
+                # with A = P(u0), B = P(v0) modulo p: ab[i, j, r, k, l, s] =
+                # (A_ij B_kl)[r, s] and ba[i, j, r, k, l, s] = (B_ij A_kl)[r, s],
+                # integers in [0, 2^53), so float64 holds them and their
+                # differences exactly
+                ab = (res[a][0] @ res[b][1]).reshape(shape)
+                ba = (res[b][0] @ res[a][1]).reshape(shape)
+                # (u0 - v0) [A_ij, B_kl] - (A_kj B_il - B_kj A_il): the first
+                # term is reduced to [0, p^2) before the second is subtracted,
+                # so the int64 sum stays below 2^54
+                diff = (ab - ba.transpose(3, 4, 2, 0, 1, 5)).astype(np.int64) % p
+                diff *= (u0 - v0) % p
+                np.subtract(ab, ba, out=ab)
+                diff -= ab.astype(np.int64).swapaxes(0, 3)
+                bad |= diff % p != 0
+            if bad.any():
+                entry = np.argwhere(bad.transpose(0, 1, 3, 4, 2, 5))[0]
                 report.ok = False
                 report.failure = {"u": u0, "v": v0,
-                                  "entry": tuple(int(x) for x in bad[0])}
+                                  "entry": tuple(int(x) for x in entry)}
                 return report
     return report
 

@@ -213,6 +213,19 @@ def test_hom_space_budget_fails_cleanly(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_rtt_budget_fails_cleanly(tmp_path, capsys):
+    # two degree-1 factors with n = 6 span dim 36: n^2 dim = 1296
+    path = write_config(tmp_path, {
+        "theta": 1, "n": 6, "p": 1, "q": 1, "nu": [1, 1],
+        "mu": ["1/7", "2/7"], "checks": ["rtt"]})
+    out = tmp_path / "report.json"
+    assert cli.main(["--config", path, "--output", str(out)]) == 1
+    record = json.loads(out.read_text())["checks"][0]
+    assert record["status"] == "error"
+    assert "n^2 * dim = 1296, over the budget of 729" in record["details"]["error"]
+    capsys.readouterr()
+
+
 def test_main_exit_two_on_config_problems(tmp_path, capsys):
     bad = write_config(tmp_path, {**GENERIC, "mu": [0, 1]})
     assert cli.main(["--config", bad]) == 2

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from yangian import intertwine
 from yangian.intertwine import (
     Intertwiner,
     _column,
@@ -160,13 +161,23 @@ def test_compose_word_rejects_non_reduced():
         compose_word(params, (1, 2, 1, 2))
 
 
-def test_composition_is_stepwise_product():
+def test_composition_is_stepwise_product(monkeypatch):
     params = params_for(1, 2, 1, 2, (1, 1, 2), [0, 2, -2])
     whole = compose_word(params, (1, 2))
     first = step(params, 1)
     second = step(params, 2, first.target_factors)
     assert whole.matrix == second.matrix * first.matrix
     assert whole.hw_scalar == first.hw_scalar * second.hw_scalar
+    # given the built source module, a step uses it and finds the same map
+    reused = step(params, 2, first.target_factors, first.target)
+    assert reused.source is first.target and reused.matrix == second.matrix
+    # so a w-letter word builds w + 1 pattern modules: its source, then
+    # one target per letter
+    built = []
+    monkeypatch.setattr(intertwine, "pattern_module",
+                        lambda *args: built.append(args) or pattern_module(*args))
+    compose_word(params, (1, 2))
+    assert len(built) == 3
     # a mid-word step carries its own single-inversion closed form
     mid = check_hw_image(second, params)
     assert mid.ok

@@ -1,5 +1,6 @@
 """Exactness checks for the rational linear algebra layer."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from yangian.linalg import (
     nullspace,
     poly_gcd,
     poly_rational_roots,
+    residue_primes,
 )
 
 
@@ -218,6 +220,30 @@ def test_int_matmul_exact_across_fast_and_big_paths():
         got = int_matmul(a, b)
         ref = a @ b
         assert (got == ref).all()
+
+
+def is_prime_by_trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10 ** 4), st.integers(0, 2 ** 300))
+def test_residue_primes_certify_bound(inner, bound):
+    primes = residue_primes(bound, inner)
+    assert primes
+    assert len(set(primes)) == len(primes)
+    assert primes == sorted(primes, reverse=True)
+    for p in primes:
+        assert is_prime_by_trial_division(p)
+        assert inner * (p - 1) ** 2 < 2 ** 53
+    assert math.prod(primes) > bound
+    # the fewest: the largest primes, one fewer of them, do not suffice
+    assert len(primes) == 1 or math.prod(primes[:-1]) <= bound
+    # the largest: no prime between the first one and the float64 limit
+    c = primes[0] + 1
+    while inner * (c - 1) ** 2 < 2 ** 53:
+        assert not is_prime_by_trial_division(c)
+        c += 1
 
 
 # ---------------------------------------------------------------------------

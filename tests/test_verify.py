@@ -2,6 +2,7 @@
 highest-weight extraction, closed-form eigenvalue products and the
 recovery of the classifying polynomials."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yangian.fock import PLAIN, PRIME, TILDE
-from yangian.linalg import MatPoly, Poly, RatFunc, RatMatrix
+from yangian.linalg import MatPoly, Poly, RatFunc, RatMatrix, residue_primes
 from yangian.modules import (
     ModuleParams,
     PatternFactor,
@@ -98,6 +99,45 @@ def test_rtt_catches_tampered_module():
     report = check_rtt(bad)
     assert not report.ok
     assert report.failure == {"u": 10, "v": 11, "entry": (0, 0, 0, 1, 0, 0)}
+
+
+def component_rtt_failures(mod, points):
+    """Reference: the first failing (u, v, i, j, k, l, r, s) of
+    (u-v) [P_ij(u), P_kl(v)] = P_kj(u) P_il(v) - P_kj(v) P_il(u), scanning
+    u, v, i, j, k, l, r, s in that order, by exact RatMatrix products of the
+    evaluated numerators; and every nonzero entry of every difference."""
+    n, dim = mod.n, mod.dim
+    first, values = None, []
+    for u in points:
+        for v in points:
+            a = [[mod.num[i][j](u) for j in range(n)] for i in range(n)]
+            b = [[mod.num[i][j](v) for j in range(n)] for i in range(n)]
+            for i, j, k, l in itertools.product(range(n), repeat=4):
+                diff = ((a[i][j] * b[k][l] - b[k][l] * a[i][j]) * (u - v)
+                        - (a[k][j] * b[i][l] - b[k][j] * a[i][l]))
+                for r, s in itertools.product(range(dim), repeat=2):
+                    if diff[r, s] != 0:
+                        values.append(diff[r, s])
+                        if first is None:
+                            first = {"u": u, "v": v, "entry": (i, j, k, l, r, s)}
+    return first, values
+
+
+def test_rtt_failure_missed_by_first_prime():
+    # adding c E_00 to P_01 makes every entry of lhs - rhs a multiple of c,
+    # so with c the first residue prime that prime alone sees no failure
+    good = evaluation_module(2, F(3, 2))
+    first_prime = residue_primes(0, good.dim)[0]
+    nums = [[good.num[i][j] for j in range(2)] for i in range(2)]
+    nums[0][1] = nums[0][1] + MatPoly.constant(
+        RatMatrix.from_flat(2, 2, [first_prime, 0, 0, 0]))
+    bad = YangianModule(2, good.den, nums)
+    report = check_rtt(bad)
+    assert report.primes[0] == first_prime and len(report.primes) > 1
+    first, values = component_rtt_failures(bad, report.points_u)
+    assert values and all(x.numerator % first_prime == 0 for x in values)
+    assert not report.ok and not dense_rtt_holds(bad)
+    assert report.failure == first
 
 
 def dense_rtt_holds(mod):
