@@ -50,7 +50,7 @@ from .modules import (
 from .verify import (
     check_rtt,
     closed_form_eigenvalues,
-    drinfeld_data,
+    drinfeld_polynomials,
     highest_weight_vectors,
     hw_eigenvalues,
 )
@@ -270,6 +270,13 @@ class _Shared:
     def source_module(self) -> YangianModule:
         return pattern_module(self.params, self.factors)
 
+    @cached_property
+    def eigenvalues(self) -> list[RatFunc]:
+        """The T_ii(u) eigenvalues of the source module on its
+        distinguished vector."""
+        return hw_eigenvalues(self.source_module,
+                              distinguished_vector(self.params, self.factors))
+
 
 def _default_word(m: int) -> tuple[int, ...]:
     """Reduced word for the full reversal of m slots."""
@@ -321,8 +328,7 @@ def _check_isomorphisms(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
 
 def _check_hw_eigenvalues(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
     params, mod = shared.params, shared.source_module
-    vec = distinguished_vector(params, shared.factors)
-    computed = hw_eigenvalues(mod, vec)
+    computed = shared.eigenvalues
     closed = closed_form_eigenvalues(params)
     matches = [computed[i] == closed[i] for i in range(params.n)]
     details = {
@@ -335,13 +341,12 @@ def _check_hw_eigenvalues(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
 
 
 def _check_drinfeld(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
-    mod = shared.source_module
-    vec = distinguished_vector(shared.params, shared.factors)
-    data = drinfeld_data(mod, vec)
-    monic = all(p.coeffs[-1] == 1 for p in data.polys)
+    eigen = shared.eigenvalues
+    polys = drinfeld_polynomials(eigen)
+    monic = all(p.coeffs[-1] == 1 for p in polys)
     details = {
-        "polynomials": [_poly_coeffs(p) for p in data.polys],
-        "eigenvalues": [_ratfunc_dict(f) for f in data.eigenvalues],
+        "polynomials": [_poly_coeffs(p) for p in polys],
+        "eigenvalues": [_ratfunc_dict(f) for f in eigen],
         "monic": monic,
     }
     return monic, details

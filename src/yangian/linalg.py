@@ -1,13 +1,17 @@
 """Exact rational arithmetic: polynomials, rational functions, dense matrices.
 
 Nothing in this module ever rounds.  Polynomial and rational-function
-coefficients are `fractions.Fraction`s.  A matrix is one array of Python-int
-numerators over one positive denominator, in lowest terms; its arithmetic
-runs on the integers, every `RatMatrix` product goes through `int_matmul`,
-and `rref`, `rank`, `nullspace`, `solve` and `inverse` all read one
-fraction-free Gauss-Jordan elimination.  Entries and vectors are read back
-as Fractions.  `residue_primes` picks the word-size primes for exact
-float64 products modulo p.
+coefficients are `fractions.Fraction`s.  `poly_rational_roots` isolates
+the real roots of an integer-scaled square-free part by Sturm sequences on
+integer intervals and verifies every candidate exactly, so it factors no
+integer and its work is polynomial in the degree and the coefficient
+sizes.  A matrix is one array of Python-int numerators over one positive
+denominator, in lowest terms; its arithmetic runs on the integers, every
+`RatMatrix` product goes through `int_matmul`, and `rref`, `rank`,
+`nullspace`, `solve` and `inverse` all read one fraction-free Gauss-Jordan
+elimination.  Entries and vectors are read back as Fractions.
+`residue_primes` picks the word-size primes for exact float64 products
+modulo p.
 """
 
 from __future__ import annotations
@@ -210,56 +214,99 @@ def format_poly(p: Poly, var: str = "u") -> str:
 
 
 def poly_rational_roots(p: Poly) -> tuple[list[Fraction], Poly]:
-    """All rational roots of p with multiplicity, plus the rootless cofactor.
+    """All rational roots of p with multiplicity, plus the exact cofactor.
 
-    Roots are returned sorted ascending.  Exact: candidates come from the
-    rational root theorem on the integer-cleared polynomial and each is
-    verified by evaluation before deflating.
+    Roots are returned sorted ascending; the cofactor is p divided by
+    (u - r) once per returned root, so it has no rational root.  Nothing is
+    factored.  With the roots at 0 stripped, the square-free part of p is
+    cleared to a primitive integer polynomial f of degree d with leading
+    coefficient L.  A rational root of f in lowest terms has a denominator
+    dividing L, so y = |L| r is an integer root of the monic integer
+    polynomial g(y) = sgn(L) |L|^(d-1) f(y / |L|).  Sturm's theorem gives
+    the number of roots of g in (a, b] as V(a) - V(b), V counting the sign
+    changes of its Sturm chain; bisection from the Fujiwara bound prunes
+    every interval without a root, down to unit intervals (b - 1, b], whose
+    b is kept when g(b) = 0.  Each r = b / |L| is then checked on p itself
+    and divided out while it is a root, which gives its multiplicity.  The
+    work is polynomial in the degree and the coefficient sizes.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every root")
-    roots: list[Fraction] = []
-    # strip roots at 0 first
-    k = 0
-    while k <= p.degree and p.coeffs[k] == 0:
-        k += 1
-    roots.extend([Fraction(0)] * k)
+    k = next(i for i, c in enumerate(p.coeffs) if c != 0)
+    roots = [Fraction(0)] * k
     q = Poly(p.coeffs[k:])
-    while q.degree >= 1:
-        scale = math.lcm(*(c.denominator for c in q.coeffs))
-        ints = [int(c * scale) for c in q.coeffs]
-        a0, lead = abs(ints[0]), abs(ints[-1])
-        found = None
-        for num in sorted(_divisors(a0)):
-            for den in sorted(_divisors(lead)):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if q(cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        while q(found) == 0 and q.degree >= 1:
-            roots.append(found)
-            q = q // Poly([-found, 1])
+    if q.degree < 1:
+        return roots, q
+    f = _primitive(q // poly_gcd(q, _derivative(q)))
+    d, lead = len(f) - 1, abs(f[-1])
+    sign = 1 if f[-1] > 0 else -1
+    g = [sign * c * lead ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+    chain = [g, _primitive(_derivative(Poly(g)))]
+    while len(chain[-1]) > 1:
+        chain.append(_primitive(-(Poly(chain[-2]) % Poly(chain[-1]))))
+    top = _fujiwara_bound(g)
+    # (a, V(a), b, V(b)) for the intervals (a, b] still holding a root
+    todo = [(-top - 1, _sign_changes(chain, -top - 1), top,
+             _sign_changes(chain, top))]
+    while todo:
+        a, va, b, vb = todo.pop()
+        if va == vb:
+            continue
+        if b - a > 1:
+            m = (a + b) // 2
+            vm = _sign_changes(chain, m)
+            todo += [(a, va, m, vm), (m, vm, b, vb)]
+        elif _int_eval(g, b) == 0:
+            r = Fraction(b, lead)
+            while q.degree >= 1 and q(r) == 0:
+                roots.append(r)
+                q = q // Poly([-r, 1])
     return sorted(roots), q
 
 
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return []
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+def _derivative(p: Poly) -> Poly:
+    return Poly([k * c for k, c in enumerate(p.coeffs)][1:])
+
+
+def _primitive(p: Poly) -> list[int]:
+    """The coprime integer coefficients of a positive multiple of p."""
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in p.coeffs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _int_eval(coeffs: list[int], y: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * y + c
+    return acc
+
+
+def _sign_changes(chain: list[list[int]], y: int) -> int:
+    """Sign changes along the chain evaluated at y, zeros skipped."""
+    signs = [v > 0 for v in (_int_eval(c, y) for c in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _ceil_root(c: int, k: int) -> int:
+    """The least integer x >= 0 with x**k >= c, for c >= 0."""
+    if c <= 1:
+        return c
+    x = 1 << -(-c.bit_length() // k)
+    # integer Newton steps from above reach the floor of the k-th root
+    while (y := ((k - 1) * x + c // x ** (k - 1)) // k) < x:
+        x = y
+    return x if x ** k >= c else x + 1
+
+
+def _fujiwara_bound(g: list[int]) -> int:
+    """An integer bound on |y| over the complex roots y of the monic g:
+    2 max(|g[d-1]|, |g[d-2]|^(1/2), ..., |g[1]|^(1/(d-1)), |g[0] / 2|^(1/d))
+    (Fujiwara 1916), each root rounded up."""
+    d = len(g) - 1
+    terms = [_ceil_root(abs(g[d - k]), k) for k in range(1, d)]
+    return 2 * max(terms + [_ceil_root(-(-abs(g[0]) // 2), d)])
 
 
 # ---------------------------------------------------------------------------

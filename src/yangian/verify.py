@@ -247,9 +247,13 @@ def drinfeld_data(mod: YangianModule, vec=None) -> DrinfeldData:
                 f"highest weight space has dimension {len(basis)}, need 1")
         vec = basis[0]
     eigen = hw_eigenvalues(mod, vec)
-    polys = [ratio_to_drinfeld_poly(eigen[i] / eigen[i + 1])
-             for i in range(mod.n - 1)]
-    return DrinfeldData(polys, eigen)
+    return DrinfeldData(drinfeld_polynomials(eigen), eigen)
+
+
+def drinfeld_polynomials(eigen: list[RatFunc]) -> list[Poly]:
+    """The monic P_i with P_i(u + 1/2) / P_i(u - 1/2) = eigen[i] / eigen[i+1]."""
+    return [ratio_to_drinfeld_poly(eigen[i] / eigen[i + 1])
+            for i in range(len(eigen) - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,20 @@ def test_rtt_budget_fails_cleanly(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_drinfeld_with_ten_digit_mu_denominators(tmp_path, capsys):
+    # prime denominators near 10^9: the eigenvalue ratios have roots with
+    # 10-digit numerators and denominators
+    path = write_config(tmp_path, {
+        "theta": 1, "n": 2, "p": 0, "q": 2, "nu": [1, 1],
+        "mu": ["1/1000000007", "1/998244353"],
+        "checks": ["drinfeld", "hw-eigenvalues"]})
+    out = tmp_path / "report.json"
+    assert cli.main(["--config", path, "--output", str(out)]) == 0
+    records = json.loads(out.read_text())["checks"]
+    assert [r["status"] for r in records] == ["pass", "pass"]
+    capsys.readouterr()
+
+
 def test_main_exit_two_on_config_problems(tmp_path, capsys):
     bad = write_config(tmp_path, {**GENERIC, "mu": [0, 1]})
     assert cli.main(["--config", bad]) == 2

@@ -95,6 +95,39 @@ def test_rational_roots_zero_root_and_repeats():
     assert residual.degree == 0
 
 
+# polynomials without a rational root
+ROOTLESS = (Poly([1, 0, 1]), Poly([-2, 0, 1]), Poly([-2, 0, 0, 1]),
+            Poly([-2, 0, 1]) * Poly([-3, 0, 1]) * Poly([-6, 0, 1]))
+
+
+@st.composite
+def split_polynomials(draw):
+    """c (u - r_1) ... (u - r_k) h with h from ROOTLESS: roots with
+    denominators up to 10^12, small integers and 0, a repeated root and a
+    pair r, r + 10^-12.  Returns the polynomial, its sorted roots and h."""
+    wide = st.builds(Fraction, st.integers(-10 ** 13, 10 ** 13),
+                     st.integers(1, 10 ** 12))
+    roots = draw(st.lists(st.one_of(wide, st.integers(-3, 3).map(Fraction)),
+                          max_size=4))
+    if roots and draw(st.booleans()):
+        roots.append(draw(st.sampled_from(roots)))
+    if roots and draw(st.booleans()):
+        roots.append(draw(st.sampled_from(roots)) + Fraction(1, 10 ** 12))
+    h = draw(st.sampled_from(ROOTLESS))
+    c = draw(st.builds(Fraction, st.integers(-99, 99).filter(bool),
+                       st.integers(1, 99)))
+    return Poly.from_roots(roots) * h * c, sorted(roots), h
+
+
+@settings(deadline=None)
+@given(split_polynomials())
+def test_rational_roots_of_split_polynomials(case):
+    p, roots, h = case
+    got, residual = poly_rational_roots(p)
+    assert got == roots
+    assert residual.monic() == h.monic()
+
+
 def test_ratfunc_normal_form():
     u = Poly.x()
     f = RatFunc((u + 1) * (u - 2) * 6, (u - 2) * (u + 3) * 4)

@@ -143,33 +143,34 @@ def test_rtt_failure_missed_by_first_prime():
 def dense_rtt_holds(mod):
     """Reference verdict: R(u-v) T1(u) T2(v) = T2(v) T1(u) R(u-v) with
     R(w) = w - Flip, as dense (n^2 dim)-square matrices of numerators on a
-    grid of deg d + 2 points per variable."""
+    grid of deg d + 2 points per variable.  T1(u) = sum E_ij x I x T_ij(u)
+    and T2(u) = sum I x E_ij x T_ij(u) are written block by block into zero
+    matrices indexed (aux 1, aux 2, module) by (aux 1, aux 2, module)."""
     n, dim = mod.n, mod.dim
-    eye_n, eye_w = np.eye(n, dtype=object), np.eye(dim, dtype=object)
-    unit = [[np.outer(eye_n[i], eye_n[j]) for j in range(n)] for i in range(n)]
-    flip = np.kron(sum(np.kron(unit[i][j], unit[j][i])
-                       for i in range(n) for j in range(n)), eye_w)
+    size = n * n * dim
+    flip = np.zeros((n, n, dim, n, n, dim), dtype=object)
+    for i, j in itertools.product(range(n), repeat=2):
+        flip[i, j, :, j, i, :] = np.eye(dim, dtype=int)
+    flip = flip.reshape(size, size)
 
-    def entries(mat):
-        return np.array([[mat[r, s] for s in range(dim)] for r in range(dim)],
-                        dtype=object)
-
-    def cleared(mat):
-        scale = math.lcm(*(x.denominator for x in mat.flat))
-        return np.array([[int(x * scale) for x in row] for row in mat],
-                        dtype=object)
+    def assembled(u):
+        mats = [[mod.num[i][j](u) for j in range(n)] for i in range(n)]
+        den = math.lcm(*(m.den for row in mats for m in row))
+        t1 = np.zeros((n, n, dim, n, n, dim), dtype=object)
+        t2 = np.zeros_like(t1)
+        for i, j, a in itertools.product(range(n), repeat=3):
+            block = mats[i][j].data * (den // mats[i][j].den)
+            t1[i, a, :, j, a, :] = block
+            t2[a, i, :, a, j, :] = block
+        return t1.reshape(size, size), t2.reshape(size, size)
 
     pts = range(mod.den.degree + 2)
     t1, t2 = {}, {}
     for u in pts:
-        blocks = [[entries(mod.num[i][j](u)) for j in range(n)] for i in range(n)]
-        t1[u] = cleared(sum(np.kron(np.kron(unit[i][j], eye_n), blocks[i][j])
-                            for i in range(n) for j in range(n)))
-        t2[u] = cleared(sum(np.kron(np.kron(eye_n, unit[i][j]), blocks[i][j])
-                            for i in range(n) for j in range(n)))
+        t1[u], t2[u] = assembled(u)
     for u in pts:
         for v in pts:
-            r = (u - v) * np.eye(n * n * dim, dtype=object) - flip
+            r = (u - v) * np.eye(size, dtype=int).astype(object) - flip
             if not (r @ t1[u] @ t2[v] == t2[v] @ t1[u] @ r).all():
                 return False
     return True
