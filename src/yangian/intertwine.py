@@ -35,6 +35,7 @@ from .modules import (
     ModuleParams,
     PatternFactor,
     YangianModule,
+    coefficient_pairs,
     distinguished_vector,
     fock_module,
     pattern_module,
@@ -228,30 +229,6 @@ def _swap_sign(theta: int, deg_a: int, deg_b: int) -> Fraction:
 # cyclic spans
 
 
-def _coeff_matrices(mod: YangianModule,
-                    lower_only: bool = False) -> list[tuple[tuple[int, int, int], RatMatrix]]:
-    """Coefficient matrices of the numerator polynomials, with their keys.
-
-    The leading (identity) coefficient of a diagonal entry is skipped, as are
-    zero coefficients.  With lower_only, only entries below the diagonal are
-    returned; applied to a highest-weight vector these already generate the
-    span of all generator words.
-    """
-    gens = []
-    for i in range(mod.n):
-        for j in range(mod.n):
-            if lower_only and i <= j:
-                continue
-            entry = mod.num[i][j]
-            for k in range(entry.degree + 1):
-                if i == j and k == entry.degree:
-                    continue
-                g = entry.coeff(k)
-                if not g.is_zero():
-                    gens.append(((i, j, k), g))
-    return gens
-
-
 def _column(vec: Sequence) -> RatMatrix:
     return RatMatrix([vec]).transpose()
 
@@ -315,17 +292,21 @@ class Intertwiner:
 
 
 def _verify_intertwiner(mat: RatMatrix, src: YangianModule,
-                        tgt: YangianModule) -> bool:
-    """Exact check of mat . P_ij(u) = Q_ij(u) . mat for all coefficients."""
-    if src.den != tgt.den:
-        raise ValueError("intertwiner verification requires equal denominators")
-    for i in range(src.n):
-        for j in range(src.n):
-            a, b = src.num[i][j], tgt.num[i][j]
-            for k in range(max(a.degree, b.degree) + 1):
-                if mat * a.coeff(k) != b.coeff(k) * mat:
-                    return False
-    return True
+                        tgt: YangianModule) -> tuple[int, ...] | None:
+    """Exact check of mat . T_src(u) = T_tgt(u) . mat: None or a witness.
+
+    The witness of the first failing pair ((i, j, k), B, C) of
+    `coefficient_pairs(src, tgt)` is (i, j, k, r, s), k indexing u^k in the
+    cleared identity and (r, s) the first nonzero entry of mat B - C mat
+    in row-major order.
+    """
+    for key, b, c in coefficient_pairs(src, tgt):
+        left, right = mat * b, c * mat
+        if left != right:
+            diff = left - right
+            return key + next((r, s) for r in range(diff.nrows)
+                              for s in range(diff.ncols) if diff[r, s])
+    return None
 
 
 def step(params: ModuleParams, a: int,
@@ -362,8 +343,9 @@ def step(params: ModuleParams, a: int,
         raise NonGenericStepError(
             "non-generic step: a swapped pair has a degenerate highest-weight space")
 
-    gens = [(g, pair_tgt.num[i][j].coeff(k))
-            for (i, j, k), g in _coeff_matrices(pair_src, lower_only=True)]
+    # below-diagonal coefficients generate everything from a highest-weight vector
+    gens = [(b, c) for (i, j, _), b, c in coefficient_pairs(pair_src, pair_tgt)
+            if i > j and not b.is_zero()]
     b_src, b_tgt = _cyclic_span(gens, (
         _column(distinguished_vector(params, [fa, fb])),
         _column(distinguished_vector(params, [fb, fa]))))
@@ -389,9 +371,11 @@ def step(params: ModuleParams, a: int,
     target_factors[a - 1], target_factors[a] = fb, fa
     src_mod = source if source is not None else pattern_module(params, factors)
     tgt_mod = pattern_module(params, target_factors)
-    if not _verify_intertwiner(full, src_mod, tgt_mod):
+    witness = _verify_intertwiner(full, src_mod, tgt_mod)
+    if witness is not None:
         raise NonGenericStepError(
-            "non-generic step: the candidate map fails the exact module identity")
+            "non-generic step: the candidate map fails the exact module "
+            f"identity at (i, j, k, r, s) = {witness}")
     return Intertwiner(source=src_mod, target=tgt_mod, matrix=full,
                        hw_scalar=frac, word=(a,),
                        source_factors=tuple(factors),
@@ -483,43 +467,42 @@ def check_hw_image(intw: Intertwiner, params: ModuleParams) -> HwImageReport:
 # ---------------------------------------------------------------------------
 # hom spaces, kernels, quotients
 
-# Largest number of unknowns d1 * d2 that hom_space solves for.  Its system
-# has (coefficient pairs) x (d1 d2)^2 exact entries, so dim-81 patterns (6561
-# unknowns) would need gigabytes.  The tests reach 100 unknowns and the
-# benchmark 64; at 144 (a dim-12 pattern) one solve takes about 2.5 s and
-# 54 MB peak RSS on a 2-core x86 VM.
+# Largest number of unknowns d1 * d2 that hom_space solves for.  Each of its
+# blocks has (d1 d2)^2 exact entries, so dim-81 patterns (6561 unknowns)
+# would need gigabytes.  The tests reach 100 unknowns and the benchmark 64;
+# at 144 (a dim-12 pattern mapped to itself) one solve takes about 0.3 s and
+# adds 1 MB to peak RSS on a 2-core x86 VM.
 HOM_SPACE_MAX_UNKNOWNS = 144
 
 
 def hom_space(m1: YangianModule, m2: YangianModule) -> list[RatMatrix]:
     """Deterministic basis of all A with A . T1_ij(u) = T2_ij(u) . A.
 
-    Denominators are cleared by cross-multiplication, and every coefficient
-    pair (B, C) of the polynomial identity A B = C A contributes the block
-    (I ⊗ Bᵀ - C ⊗ I) vec(A) = 0 of one exact linear system in the row-major
-    entries of A; the canonical echelon nullspace basis is reshaped into
-    matrices.  Raises ValueError when d1 d2 exceeds HOM_SPACE_MAX_UNKNOWNS.
+    Each pair (B, C) of `coefficient_pairs(m1, m2)` gives the block
+    K = I ⊗ Bᵀ - C ⊗ I of the exact system K vec(A) = 0 in the row-major
+    entries of A.  The columns of span solve the blocks so far, and each
+    block restricts them to the nullspace of K . span.  The free columns of
+    the whole system are the last coordinates independent on its solutions,
+    so the rref of span with reversed columns is the system's canonical
+    echelon nullspace basis.  Raises ValueError when d1 d2 exceeds
+    HOM_SPACE_MAX_UNKNOWNS.
     """
-    if m1.n != m2.n:
-        raise ValueError("rank mismatch")
-    n, d1, d2 = m1.n, m1.dim, m2.dim
+    d1, d2 = m1.dim, m2.dim
     if d1 * d2 > HOM_SPACE_MAX_UNKNOWNS:
         raise ValueError(
             f"hom_space: {d1} x {d2} maps give {d1 * d2} unknowns, over the "
             f"budget of {HOM_SPACE_MAX_UNKNOWNS}")
     eye1, eye2 = RatMatrix.identity(d1), RatMatrix.identity(d2)
-    blocks = []
-    for i in range(n):
-        for j in range(n):
-            q1 = m1.num[i][j] * m2.den
-            q2 = m2.num[i][j] * m1.den
-            for k in range(max(q1.degree, q2.degree) + 1):
-                bmat, cmat = q1.coeff(k), q2.coeff(k)
-                if bmat.is_zero() and cmat.is_zero():
-                    continue
-                blocks.append([eye2.kron(bmat.transpose()) - cmat.kron(eye1)])
-    basis = RatMatrix.stack(blocks).nullspace()
-    return [RatMatrix.from_flat(d2, d1, vec) for vec in basis]
+    span = RatMatrix.identity(d1 * d2)
+    for _, b, c in coefficient_pairs(m1, m2):
+        kept = ((eye2.kron(b.transpose()) - c.kron(eye1)) * span).nullspace()
+        if not kept:
+            return []
+        span = span * RatMatrix(kept).transpose()
+    rev = list(reversed(range(d1 * d2)))
+    red, pivots = span.transpose()[:, rev].rref()
+    return [RatMatrix.from_flat(d2, d1, [red[r, s] for s in rev])
+            for r in reversed(range(len(pivots)))]
 
 
 def hom_intertwiner(m1: YangianModule, m2: YangianModule) -> Intertwiner:
@@ -590,10 +573,11 @@ def kernel_quotient(intw: Intertwiner) -> QuotientModule:
     the kernel's stability test, and the lower-right block is the quotient
     action Q_k.  The quotient is then certified with the intertwiner
     itself: its columns at the complement coordinates form an injective map
-    emb onto the image, and G_k emb = emb Q_k is checked exactly for every
-    coefficient of the target action G, so the quotient is isomorphic to
-    the image, a submodule of the target.  The certificate needs equal
-    source and target denominators.
+    emb onto the image, and emb . T_quotient(u) = T_target(u) . emb is
+    checked exactly on every coefficient pair (`coefficient_pairs`), so the
+    quotient is isomorphic to the image, a submodule of the target.  The
+    errors name the failing (i, j, k) of an unstable kernel, or the failing
+    (i, j, k, r, s) of the certificate.
     """
     src, mat = intw.source, intw.matrix
     kernel = mat.nullspace()
@@ -615,18 +599,20 @@ def kernel_quotient(intw: Intertwiner) -> QuotientModule:
         row = []
         for j in range(src.n):
             coeffs = []
-            for coeff in src.num[i][j].coeffs:
+            for power, coeff in enumerate(src.num[i][j].coeffs):
                 w = change_inv * coeff * change
                 if not w[k:, :k].is_zero():
-                    raise ValueError("kernel is not stable under the module action")
+                    raise ValueError("kernel is not stable under the module "
+                                     f"action at (i, j, k) = {(i, j, power)}")
                 coeffs.append(w[k:, k:])
             row.append(MatPoly((dim - k, dim - k), coeffs))
         num.append(row)
     quotient = YangianModule(src.n, src.den, num)
 
-    if src.den == intw.target.den and not _verify_intertwiner(
-            mat[:, complement], quotient, intw.target):
-        raise ValueError("quotient is not isomorphic to the image module")
+    witness = _verify_intertwiner(mat[:, complement], quotient, intw.target)
+    if witness is not None:
+        raise ValueError("quotient is not isomorphic to the image module: "
+                         f"fails at (i, j, k, r, s) = {witness}")
     return QuotientModule(parent=src,
                           kernel_basis=tuple(tuple(v) for v in kernel),
                           quotient=quotient)
@@ -657,7 +643,8 @@ def irreducibility_test(mod: YangianModule) -> IrreducibilityReport:
     hw_dim = len(hw)
     cyclic_dim = 0
     if hw_dim >= 1:
-        gens = [(g,) for _, g in _coeff_matrices(mod)]
+        gens = [(b,) for (_, _, k), b, _ in coefficient_pairs(mod, mod)
+                if k < mod.den.degree and not b.is_zero()]
         cyclic_dim = _cyclic_span(gens, (_column(hw[0]),))[0].ncols
     verdict = endo_dim == 1 and hw_dim == 1 and cyclic_dim == mod.dim
     return IrreducibilityReport(irreducible=verdict, dim=mod.dim,

@@ -710,22 +710,16 @@ class MatPoly:
     def __neg__(self) -> "MatPoly":
         return MatPoly(self.shape, [-c for c in self.coeffs])
 
-    def __mul__(self, other) -> "MatPoly":
-        if isinstance(other, MatPoly):
-            if self.is_zero() or other.is_zero():
-                return MatPoly((self.shape[0], other.shape[1]))
-            out = [RatMatrix.zeros(self.shape[0], other.shape[1])
-                   for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return MatPoly((self.shape[0], other.shape[1]), out)
-        if isinstance(other, Poly):
-            return MatPoly(self.shape,
-                           [sum((self.coeff(i) * other[k - i] for i in range(k + 1)),
-                                start=RatMatrix.zeros(*self.shape))
-                            for k in range(len(self.coeffs) + len(other.coeffs))])
-        return MatPoly(self.shape, [c * rat(other) for c in self.coeffs])
+    def __mul__(self, q: Poly) -> "MatPoly":
+        """The product P(u) q(u) with a scalar polynomial."""
+        if self.is_zero() or q.is_zero():
+            return MatPoly(self.shape)
+        out = [RatMatrix.zeros(*self.shape)
+               for _ in range(len(self.coeffs) + len(q.coeffs) - 1)]
+        for i, a in enumerate(self.coeffs):
+            for j, c in enumerate(q.coeffs):
+                out[i + j] = out[i + j] + a * c
+        return MatPoly(self.shape, out)
 
     def kron(self, other: "MatPoly") -> "MatPoly":
         shape = (self.shape[0] * other.shape[0], self.shape[1] * other.shape[1])

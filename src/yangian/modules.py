@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .fock import (
     PLAIN,
@@ -60,15 +60,33 @@ class YangianModule:
         return RatFunc(_entry_poly(self.num[i][j], r, s), self.den)
 
     def equal_entrywise(self, other: "YangianModule") -> bool:
-        """Same action entrywise, denominators may differ.
-
-        P/d = Q/e exactly when P e = Q d, so the matrix polynomials are
-        compared cross-multiplied.
-        """
+        """Same action entrywise, denominators may differ."""
         if (self.n, self.dim) != (other.n, other.dim):
             return False
-        return all(self.num[i][j] * other.den == other.num[i][j] * self.den
-                   for i in range(self.n) for j in range(self.n))
+        return all(b == c for _, b, c in coefficient_pairs(self, other))
+
+
+def coefficient_pairs(m1: YangianModule, m2: YangianModule
+                      ) -> Iterator[tuple[tuple[int, int, int], RatMatrix, RatMatrix]]:
+    """The coefficient pairs of the identity A . T1_ij(u) = T2_ij(u) . A.
+
+    With T = P/d and g = gcd(d1, d2), the identity times d1 d2 / g is
+    A . P1_ij (d2/g) = P2_ij (d1/g) . A, an equivalent identity of matrix
+    polynomials since Q[u] has no zero divisors.  Yields ((i, j, k), B, C)
+    for every i, j and every power k up to the larger degree, B and C the
+    u^k coefficients of the two sides' factors; A is a module map exactly
+    when A B = C A for all of them.  Equal denominators give cofactors 1.
+    """
+    if m1.n != m2.n:
+        raise ValueError("rank mismatch")
+    g = poly_gcd(m1.den, m2.den)
+    c1, c2 = m2.den // g, m1.den // g
+    for i in range(m1.n):
+        for j in range(m1.n):
+            p1 = m1.num[i][j] * c1 if c1.degree else m1.num[i][j]
+            p2 = m2.num[i][j] * c2 if c2.degree else m2.num[i][j]
+            for k in range(max(p1.degree, p2.degree) + 1):
+                yield (i, j, k), p1.coeff(k), p2.coeff(k)
 
 
 def trivial_module(n: int, dim: int = 1) -> YangianModule:

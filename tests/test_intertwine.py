@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yangian import intertwine
 from yangian.intertwine import (
@@ -27,9 +29,11 @@ from yangian.intertwine import (
     zeta_factors_for_word,
     zeta_product,
 )
-from yangian.linalg import RatMatrix
+from yangian.linalg import MatPoly, RatMatrix, poly_gcd
 from yangian.modules import (
     ModuleParams,
+    YangianModule,
+    coefficient_pairs,
     dual_evaluation_module,
     evaluation_module,
     fock_module,
@@ -110,6 +114,19 @@ def test_step_is_exact_module_map():
                 assert mat * a.coeff(k) == b.coeff(k) * mat
     # generic swap is invertible
     mat.inverse()
+
+
+def test_step_names_the_failing_identity_of_a_tampered_source():
+    params = params_for(1, 2, 0, 2, (1, 1), [0, 2])
+    src = pattern_module(params, source_pattern(params))
+    bump = MatPoly.constant(RatMatrix([[int(r == c == 0) for c in range(src.dim)]
+                                       for r in range(src.dim)]))
+    tampered = YangianModule(src.n, src.den, [
+        [entry + bump if (i, j) == (0, 1) else entry for j, entry in enumerate(row)]
+        for i, row in enumerate(src.num)])
+    with pytest.raises(NonGenericStepError,
+                       match=r"fails the exact module identity at .* = \(0, 1, 0, 0, 0\)"):
+        step(params, 1, source=tampered)
 
 
 def test_step_rejects_bad_positions_and_unordered_factors():
@@ -277,6 +294,89 @@ def test_modules_isomorphic_examples():
     assert modules_isomorphic(v, dual_evaluation_module(2, z)) is None
 
 
+def whole_denominator_hom_space(m1, m2):
+    """hom_space by the whole-denominator system: A P1 d2 = P2 d1 A."""
+    d1, d2 = m1.dim, m2.dim
+    eye1, eye2 = RatMatrix.identity(d1), RatMatrix.identity(d2)
+    blocks = []
+    for i in range(m1.n):
+        for j in range(m1.n):
+            q1, q2 = m1.num[i][j] * m2.den, m2.num[i][j] * m1.den
+            for k in range(max(q1.degree, q2.degree) + 1):
+                blocks.append([eye2.kron(q1.coeff(k).transpose())
+                               - q2.coeff(k).kron(eye1)])
+    basis = RatMatrix.stack(blocks).nullspace()
+    return [RatMatrix.from_flat(d2, d1, vec) for vec in basis]
+
+
+PARAMS = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1), Fraction(4, 3)])
+
+
+@st.composite
+def atom_modules(draw, n):
+    """An evaluation, dual, Fock or Omega-twisted Fock module of rank n."""
+    kind = draw(st.sampled_from(("eval", "dual", "plain", "tilde", "prime")))
+    z = draw(PARAMS)
+    if kind == "eval":
+        return evaluation_module(n, z)
+    if kind == "dual":
+        return dual_evaluation_module(n, z)
+    mod = fock_module(draw(st.sampled_from((1, -1))), n, kind, z,
+                      draw(st.integers(1, n)))
+    if draw(st.booleans()):
+        omega = draw(st.sampled_from((omega_module, omega_prime_module)))(n, draw(PARAMS))
+        mod = tensor_module(omega, mod) if draw(st.booleans()) else tensor_module(mod, omega)
+    return mod
+
+
+@st.composite
+def module_pairs(draw):
+    """Pairs with equal, coprime and partly shared denominators, d1 d2 <= 36.
+
+    Besides independent draws: a tensor product and itself, a swapped
+    tensor pair, a tilde block against the Omega-twisted prime block with
+    its action, and a module against copies of itself.
+    """
+    n = draw(st.integers(1, 2))
+    how = draw(st.sampled_from(("independent", "self", "swap", "twist", "copies")))
+    if how == "twist":
+        theta, z, deg = draw(st.sampled_from((1, -1))), draw(PARAMS), draw(st.integers(1, n))
+        omega = omega_prime_module(n, z) if theta == 1 else omega_module(n, -z)
+        pair = [fock_module(theta, n, "tilde", z, deg),
+                tensor_module(omega, fock_module(theta, n, "prime", z, deg))]
+        return pair if draw(st.booleans()) else pair[::-1]
+    a, b = draw(atom_modules(n)), draw(atom_modules(n))
+    if how == "copies":
+        # k copies of a (of dimension at most 3): hom spaces of dimension k, k^2
+        k = draw(st.integers(2, min(3, 6 // a.dim)))
+        copies = tensor_module(trivial_module(n, k), a)
+        return draw(st.sampled_from(((a, copies), (copies, a), (copies, copies))))
+    if how == "independent" or a.dim * b.dim > 6:
+        return a, b
+    if how == "self":
+        return tensor_module(a, b), tensor_module(a, b)
+    return tensor_module(a, b), tensor_module(b, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(module_pairs())
+def test_coefficient_pairs_match_whole_denominator_reference(pair):
+    m1, m2 = pair
+    g = poly_gcd(m1.den, m2.den)
+    q1 = [[p * (m2.den // g) for p in row] for row in m1.num]
+    q2 = [[p * (m1.den // g) for p in row] for row in m2.num]
+    for (i, j, k), b, c in coefficient_pairs(m1, m2):
+        assert (b, c) == (q1[i][j].coeff(k), q2[i][j].coeff(k))
+    basis = hom_space(m1, m2)
+    assert basis == whole_denominator_hom_space(m1, m2)
+    assert all(intertwine._verify_intertwiner(a, m1, m2) is None for a in basis)
+    same = (m1.n, m1.dim) == (m2.n, m2.dim) and all(
+        m1.entry_ratfunc(i, j, r, s) == m2.entry_ratfunc(i, j, r, s)
+        for i in range(m1.n) for j in range(m1.n)
+        for r in range(m1.dim) for s in range(m1.dim))
+    assert m1.equal_entrywise(m2) == same
+
+
 # ---------------------------------------------------------------------------
 # kernels, quotients, irreducibility
 
@@ -316,21 +416,30 @@ def test_kernel_invariance_guard():
                      for r in range(mod.dim)])
     fake = Intertwiner(source=mod, target=mod, matrix=bad,
                        hw_scalar=None, word=())
-    with pytest.raises(ValueError, match="not stable"):
+    with pytest.raises(ValueError, match=r"not stable.*\(0, 1, 0\)"):
         kernel_quotient(fake)
 
 
 def test_invertible_non_intertwiner_rejected():
     params = params_for(1, 2, 0, 2, (1, 1), [0, 2])
     mod = pattern_module(params, source_pattern(params))
-    # zero kernel, so the quotient is the source itself, but I + N does not
-    # commute with the action and so cannot certify it
-    shear = RatMatrix([[int(c in (r, r + 1)) for c in range(mod.dim)]
-                       for r in range(mod.dim)])
-    fake = Intertwiner(source=mod, target=mod, matrix=shear,
-                       hw_scalar=None, word=())
-    with pytest.raises(ValueError, match="not isomorphic"):
-        kernel_quotient(fake)
+    z = Fraction(1, 3)
+    tilde = fock_module(1, 2, "tilde", z, 2)
+    # same action as the tilde block over the denominator (u + 1/3)(u - 2/3)
+    prod = tensor_module(omega_prime_module(2, z), fock_module(1, 2, "prime", z, 2))
+    assert tilde.den != prod.den
+    for src, tgt in ((mod, mod), (tilde, prod)):
+        # zero kernel, so the quotient is the source itself, but I + N does
+        # not commute with the action and so cannot certify it
+        shear = RatMatrix([[int(c in (r, r + 1)) for c in range(src.dim)]
+                           for r in range(src.dim)])
+        fake = Intertwiner(source=src, target=tgt, matrix=shear,
+                           hw_scalar=None, word=())
+        assert intertwine._verify_intertwiner(shear, src, tgt) == (0, 0, 0, 0, 1)
+        with pytest.raises(ValueError, match=r"not isomorphic.*\(0, 0, 0, 0, 1\)"):
+            kernel_quotient(fake)
+        # the solver's map between the same modules is certified
+        assert kernel_quotient(hom_intertwiner(src, tgt)).kernel_basis == ()
 
 
 def test_zero_intertwiner_rejected():

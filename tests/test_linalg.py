@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yangian.linalg import (
+    MatPoly,
     Poly,
     RatFunc,
     RatMatrix,
@@ -413,3 +414,60 @@ def test_elimination_matches_fraction_reference(a, rhs):
         else:
             with pytest.raises(ValueError, match="singular"):
                 ma.inverse()
+
+
+def entry_polys(mp):
+    """A MatPoly as its grid of per-entry scalar polynomials."""
+    rows, cols = mp.shape
+    return [[Poly([mp.coeff(k)[r, s] for k in range(mp.degree + 1)])
+             for s in range(cols)] for r in range(rows)]
+
+
+def from_entry_polys(shape, polys):
+    top = max((p.degree for row in polys for p in row), default=-1)
+    return MatPoly(shape, [RatMatrix([[p[k] for p in row] for row in polys])
+                           for k in range(top + 1)])
+
+
+@st.composite
+def mat_polys(draw, rows=None, cols=None):
+    """A matrix polynomial of degree -1 (zero) to 3 with rational coefficients."""
+    r = rows or draw(st.integers(1, 3))
+    c = cols or draw(st.integers(1, 3))
+    deg = draw(st.integers(-1, 3))
+    return MatPoly((r, c), [RatMatrix(draw(rat_matrices(r, c)))
+                            for _ in range(deg + 1)])
+
+
+small_polys = st.builds(Poly, st.lists(fractions, max_size=4))
+
+
+@st.composite
+def mat_poly_triples(draw):
+    a = draw(mat_polys())
+    b = draw(mat_polys(*a.shape))
+    return a, b, draw(mat_polys())
+
+
+@settings(max_examples=100, deadline=None)
+@given(mat_poly_triples(), small_polys, fractions)
+def test_mat_poly_matches_entrywise_poly_reference(triple, q, u):
+    a, b, c = triple
+    pa, pb, pc = entry_polys(a), entry_polys(b), entry_polys(c)
+    assert from_entry_polys(a.shape, pa) == a
+    rc, cc = c.shape
+    cases = [
+        (a + b, a.shape, [[x + y for x, y in zip(r, t)] for r, t in zip(pa, pb)]),
+        (a - b, a.shape, [[x - y for x, y in zip(r, t)] for r, t in zip(pa, pb)]),
+        (a * q, a.shape, [[x * q for x in r] for r in pa]),
+        (a.shift(u), a.shape, [[x.shift(u) for x in r] for r in pa]),
+        (a.kron(c), (a.shape[0] * rc, a.shape[1] * cc),
+         [[pa[i][j] * pc[k][l] for j in range(a.shape[1]) for l in range(cc)]
+          for i in range(a.shape[0]) for k in range(rc)]),
+    ]
+    for got, shape, want in cases:
+        assert got.shape == shape
+        assert entry_polys(got) == want
+        # trailing zero coefficients are stripped, so equal values are equal
+        assert got == from_entry_polys(shape, want)
+    assert ref_entries(a(u)) == [[x(u) for x in r] for r in pa]
