@@ -23,6 +23,7 @@ from typing import Callable
 
 from . import hd
 from .intertwine import (
+    Intertwiner,
     check_hw_image,
     compose_word,
     hom_intertwiner,
@@ -238,6 +239,7 @@ class _Shared:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
+        self._composed: dict[tuple[int, ...], Intertwiner] = {}
 
     @cached_property
     def realization(self) -> hd.OperatorRealization:
@@ -269,6 +271,12 @@ class _Shared:
     @cached_property
     def source_module(self) -> YangianModule:
         return pattern_module(self.params, self.factors)
+
+    def composed(self, word: tuple[int, ...]) -> Intertwiner:
+        """The intertwiner composed along word, once per run."""
+        if word not in self._composed:
+            self._composed[word] = compose_word(self.params, word)
+        return self._composed[word]
 
     @cached_property
     def eigenvalues(self) -> list[RatFunc]:
@@ -355,7 +363,7 @@ def _check_drinfeld(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
 def _check_hw_scalar(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
     params = shared.params
     word = cfg.word or _default_word(cfg.factor_count)
-    intw = compose_word(params, word)
+    intw = shared.composed(word)
     report = check_hw_image(intw, params)
     product = zeta_product(params, word)
     details = {
@@ -372,8 +380,8 @@ def _check_hw_scalar(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
 def _check_braid(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
     if cfg.factor_count != 3:
         raise CheckError("braid check needs exactly three factors")
-    left = compose_word(shared.params, (1, 2, 1))
-    right = compose_word(shared.params, (2, 1, 2))
+    left = shared.composed((1, 2, 1))
+    right = shared.composed((2, 1, 2))
     equal = left.matrix == right.matrix
     details = {
         "dim": left.source.dim,

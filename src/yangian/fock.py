@@ -12,6 +12,8 @@ product of per-block bases with block 1 slowest, which matches the row-major
 Kronecker convention used for tensor products of modules.  Derivatives are
 left derivations, so for theta = -1 the relation is d_i x_j + x_j d_i = d_ij
 and a derivative acting at position k in a wedge word picks up (-1)^(k-1).
+`apply_word` is the one action of these atoms on monomials: the module
+matrices here and the operator realization in `hd` both go through it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .linalg import RatMatrix
+import numpy as np
+
+from .linalg import RatMatrix, _ratmatrix
 
 # flavors of one-block module actions: entry (i, j) of the degree-preserving
 # coefficient operator, with theta folded in so that the time-line action is
@@ -57,6 +61,36 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
+def apply_word(theta: int, n: int, word, exps: tuple):
+    """Apply a word of (kind, block a, coordinate i) atoms, rightmost first.
+
+    kind "x" multiplies by x_{ai} and kind "d" applies the left derivation
+    d_{ai}; exps holds the exponents of all variables, block by block, so
+    x_{ai} sits at position a * n + i.  Returns (coefficient, exponents),
+    or None if the word annihilates the monomial.
+    """
+    coeff = 1
+    for kind, a, i in reversed(word):
+        v = a * n + i
+        e = exps[v]
+        if theta == 1:
+            if kind == "x":
+                exps = exps[:v] + (e + 1,) + exps[v + 1:]
+            elif e:
+                coeff *= e
+                exps = exps[:v] + (e - 1,) + exps[v + 1:]
+            else:
+                return None
+        else:
+            # x on an occupied or d on an empty variable gives 0
+            if (kind == "x") == (e == 1):
+                return None
+            if sum(exps[:v]) & 1:
+                coeff = -coeff
+            exps = exps[:v] + (1 - e,) + exps[v + 1:]
+    return coeff, exps
+
+
 class FockSpace:
     """Fixed block degrees inside the m-block coordinate algebra."""
 
@@ -71,73 +105,28 @@ class FockSpace:
         self.index = {b: k for k, b in enumerate(self.basis)}
         self.dim = len(self.basis)
 
-    def var(self, block: int, i: int) -> int:
-        """Flat variable index of x_{block,i} (both 0-based)."""
-        return block * self.n + i
-
-    def mul_var(self, b: tuple, v: int):
-        """Left-multiply basis exponent b by variable v: (coeff, new b) or None."""
-        if self.theta == -1:
-            if b[v]:
-                return None
-            sign = -1 if sum(b[:v]) % 2 else 1
-            return sign, b[:v] + (1,) + b[v + 1:]
-        return 1, b[:v] + (b[v] + 1,) + b[v + 1:]
-
-    def deriv_var(self, b: tuple, v: int):
-        """Apply the left derivation in variable v: (coeff, new b) or None."""
-        e = b[v]
-        if e == 0:
-            return None
-        if self.theta == -1:
-            sign = -1 if sum(b[:v]) % 2 else 1
-            return sign, b[:v] + (0,) + b[v + 1:]
-        return e, b[:v] + (e - 1,) + b[v + 1:]
-
-    def apply_atoms(self, atoms, b: tuple):
-        """Apply a word of ('x'|'d', var) atoms, rightmost first.
-
-        Returns (coeff, basis tuple) or None if the word annihilates b.
-        """
-        coeff = 1
-        for kind, v in reversed(atoms):
-            step = self.mul_var(b, v) if kind == "x" else self.deriv_var(b, v)
-            if step is None:
-                return None
-            c, b = step
-            coeff *= c
-        return coeff, b
-
-    def flavor_atoms(self, flavor: str, block: int, i: int, j: int):
-        """The quadratic operator entry (i, j) for a one-block action flavor.
-
-        Returns (scalar, atom word); the word preserves the block degree.
-        """
-        vi, vj = self.var(block, i), self.var(block, j)
-        if flavor == PLAIN:
-            return 1, (("x", vi), ("d", vj))
-        if flavor == TILDE:
-            return -self.theta, (("d", vi), ("x", vj))
-        if flavor == PRIME:
-            return -1, (("x", vj), ("d", vi))
-        raise ValueError(f"unknown flavor {flavor!r}")
-
     def operator_matrix(self, terms) -> RatMatrix:
-        """Dense matrix of sum(scalar * atom-word) over the basis."""
-        cols = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for scalar, atoms in terms:
+        """Matrix of sum(scalar * word) over the basis, for integer scalars
+        and degree-preserving words."""
+        out = np.zeros((self.dim, self.dim), dtype=object)
+        for scalar, word in terms:
             for k, b in enumerate(self.basis):
-                hit = self.apply_atoms(atoms, b)
-                if hit is None:
-                    continue
-                c, nb = hit
-                cols[k][self.index[nb]] += Fraction(scalar) * c
-        return RatMatrix([[cols[k][r] for k in range(self.dim)] for r in range(self.dim)])
+                hit = apply_word(self.theta, self.n, word, b)
+                if hit is not None:
+                    out[self.index[hit[1]], k] += scalar * hit[0]
+        return _ratmatrix(out, 1)
 
-    def gl_action_matrix(self, flavor: str, i: int, j: int, block: int = 0) -> RatMatrix:
+    def gl_action_matrix(self, flavor: str, i: int, j: int) -> RatMatrix:
         """Matrix of the (i, j) coefficient operator of a one-block flavor."""
-        scalar, atoms = self.flavor_atoms(flavor, block, i, j)
-        return self.operator_matrix([(scalar, atoms)])
+        if flavor == PLAIN:
+            term = (1, (("x", 0, i), ("d", 0, j)))
+        elif flavor == TILDE:
+            term = (-self.theta, (("d", 0, i), ("x", 0, j)))
+        elif flavor == PRIME:
+            term = (-1, (("x", 0, j), ("d", 0, i)))
+        else:
+            raise ValueError(f"unknown flavor {flavor!r}")
+        return self.operator_matrix([term])
 
     def monomial_vector(self, exps: tuple, coeff=1) -> list[Fraction]:
         v = [Fraction(0)] * self.dim

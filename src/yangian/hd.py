@@ -1,7 +1,9 @@
 """Operator realization of the coordinate Weyl/Clifford algebra.
 
 The space is spanned by monomials in m*n variables x_{ai} (symmetric for
-theta=+1, exterior for theta=-1), with derivations d_{ai}.  On top of the
+theta=+1, exterior for theta=-1), with derivations d_{ai}; words of
+("x" | "d", block a, coordinate i) atoms act through `fock.apply_word`,
+the same action that builds the module matrices.  On top of the
 raw coordinates sit conjugate pairs (p, q) split at a block index, the
 quadratic elements E^_{ai,bj} = q_{ai} p_{bj}, the gl_m action zeta_n, and
 the generating-series homomorphism T_ij(u) -> delta_ij + sum_ab X_ab(u) (x)
@@ -31,13 +33,13 @@ from itertools import product as iproduct
 
 import numpy as np
 
-Atom = tuple[str, int, int]  # ("x" | "d", block a, coordinate i)
+from .fock import apply_word
 
 _MAX_FAILURES = 5
 
 
 class OperatorRealization:
-    """Monomial space with exact atom actions and the derived operators."""
+    """Monomial space of m blocks of n variables and the derived operators."""
 
     def __init__(self, theta: int, m: int, n: int, p: int = 0,
                  max_degree: int = 6):
@@ -57,40 +59,6 @@ class OperatorRealization:
         self.p = p
         self.nvars = m * n
         self.max_degree = m * n if theta == -1 else max_degree
-
-    def var(self, a: int, i: int) -> int:
-        return a * self.n + i
-
-    # -- atom actions -----------------------------------------------------
-
-    def apply_atom(self, kind: str, v: int, exps: tuple):
-        """(coefficient, new exponents) or None if the monomial dies."""
-        if self.theta == 1:
-            if kind == "x":
-                return 1, exps[:v] + (exps[v] + 1,) + exps[v + 1:]
-            e = exps[v]
-            if e == 0:
-                return None
-            return e, exps[:v] + (e - 1,) + exps[v + 1:]
-        sign = -1 if (sum(exps[:v]) & 1) else 1
-        if kind == "x":
-            if exps[v]:
-                return None
-            return sign, exps[:v] + (1,) + exps[v + 1:]
-        if not exps[v]:
-            return None
-        return sign, exps[:v] + (0,) + exps[v + 1:]
-
-    def apply_word(self, word: tuple, exps: tuple):
-        """Apply atoms rightmost-first; (coefficient, exponents) or None."""
-        coeff = 1
-        for kind, a, i in reversed(word):
-            res = self.apply_atom(kind, self.var(a, i), exps)
-            if res is None:
-                return None
-            c, exps = res
-            coeff *= c
-        return coeff, exps
 
     # -- conjugate coordinates and quadratic elements ----------------------
 
@@ -183,9 +151,10 @@ def _matrix_cols(mat: np.ndarray) -> dict:
 
 def apply_operator(real: OperatorRealization, terms: list, vec: dict) -> dict:
     out: dict = {}
+    theta, n = real.theta, real.n
     for coeff, cols, word in terms:
         for (w, exps), c0 in vec.items():
-            res = real.apply_word(word, exps)
+            res = apply_word(theta, n, word, exps)
             if res is None:
                 continue
             cw, e2 = res

@@ -528,7 +528,11 @@ class RatMatrix:
         return _ratmatrix(self.data.T, self.den)
 
     def kron(self, other: "RatMatrix") -> "RatMatrix":
-        return _ratmatrix(np.kron(self.data, other.data), self.den * other.den)
+        a, b = self.data, other.data
+        (r1, c1), (r2, c2) = a.shape, b.shape
+        # out[i r2 + k, j c2 + l] = a[i, j] b[k, l], as one broadcast product
+        out = (a[:, None, :, None] * b[None, :, None, :]).reshape(r1 * r2, c1 * c2)
+        return _ratmatrix(out, self.den * other.den)
 
     def apply(self, vec: Sequence) -> list[Fraction]:
         v = RatMatrix([vec])

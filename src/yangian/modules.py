@@ -116,41 +116,15 @@ def omega_prime_module(n: int, z) -> YangianModule:
 
 
 def evaluation_module(n: int, z) -> YangianModule:
-    """T_ij(u) = delta_ij + E_ij / (u + z) on column vectors of length n."""
-    z = rat(z)
-    den = Poly([z, 1])
-    num = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            unit = RatMatrix([[Fraction(int(r == i and s == j)) for s in range(n)]
-                              for r in range(n)])
-            if i == j:
-                row.append(MatPoly((n, n), [unit + RatMatrix.identity(n) * z,
-                                            RatMatrix.identity(n)]))
-            else:
-                row.append(MatPoly((n, n), [unit]))
-        num.append(row)
-    return YangianModule(n, den, num)
+    """T_ij(u) = delta_ij + E_ij / (u + z) on column vectors of length n:
+    the degree-1 plain component, x_i d_j on the variables."""
+    return fock_module(1, n, PLAIN, z, 1)
 
 
 def dual_evaluation_module(n: int, z) -> YangianModule:
-    """T_ij(u) = delta_ij - E_ji / (u + z)."""
-    z = rat(z)
-    den = Poly([z, 1])
-    num = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            unit = RatMatrix([[Fraction(int(r == j and s == i)) for s in range(n)]
-                              for r in range(n)])
-            if i == j:
-                row.append(MatPoly((n, n), [RatMatrix.identity(n) * z - unit,
-                                            RatMatrix.identity(n)]))
-            else:
-                row.append(MatPoly((n, n), [-unit]))
-        num.append(row)
-    return YangianModule(n, den, num)
+    """T_ij(u) = delta_ij - E_ji / (u + z): the degree-1 prime component
+    with parameter z + 1, -x_j d_i on the variables."""
+    return fock_module(1, n, PRIME, rat(z) + 1, 1)
 
 
 def fock_module(theta: int, n: int, flavor: str, z, degree: int) -> YangianModule:

@@ -45,6 +45,10 @@ from .modules import ModuleParams, PatternFactor, YangianModule, source_pattern
 # the memory and 27x the work per pair.
 RTT_MAX_SIZE = 729
 
+# The grid's sample points are the first integers from GRID_START on that
+# are not roots of the denominator.
+GRID_START = 10
+
 
 @dataclass
 class RttReport:
@@ -68,9 +72,9 @@ class RttReport:
     primes: list = field(default_factory=list)
 
 
-def _grid_points(den: Poly, count: int, base: int) -> list[int]:
+def _grid_points(den: Poly, count: int) -> list[int]:
     pts = []
-    u0 = base
+    u0 = GRID_START
     while len(pts) < count:
         if den(Fraction(u0)) != 0:
             pts.append(u0)
@@ -95,7 +99,7 @@ def _residue_stacks(ints: np.ndarray, p: int, n: int,
                   .reshape(dim, n * n * dim))
 
 
-def check_rtt(mod: YangianModule, base: int = 10) -> RttReport:
+def check_rtt(mod: YangianModule) -> RttReport:
     """Prove the defining relation for the module by grid evaluation.
 
     Raises ValueError when n^2 dim exceeds RTT_MAX_SIZE.
@@ -105,7 +109,7 @@ def check_rtt(mod: YangianModule, base: int = 10) -> RttReport:
         raise ValueError(f"rtt check on n^2 * dim = {n * n * dim}, over the "
                          f"budget of {RTT_MAX_SIZE}")
     degree = mod.den.degree
-    pts = _grid_points(mod.den, degree + 2, base)
+    pts = _grid_points(mod.den, degree + 2)
     stacks = [_stacked_blocks(mod, u0) for u0 in pts]
     top = max(int(np.abs(ints).max()) for ints in stacks)
     bound = 2 * (pts[-1] - pts[0] + 1) * dim * top * top

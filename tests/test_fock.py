@@ -10,16 +10,18 @@ from yangian.fock import (
     PRIME,
     TILDE,
     FockSpace,
+    apply_word,
     block_basis,
     first_variables_monomial,
     last_variables_monomial,
 )
+from yangian.hd import OperatorRealization, apply_operator
 from yangian.linalg import RatMatrix
 
 
-def apply_word(space, atoms, b):
+def word_image(space, atoms, b):
     """Word image as a dict {exponent tuple: coeff}, empty if annihilated."""
-    hit = space.apply_atoms(atoms, b)
+    hit = apply_word(space.theta, space.n, atoms, b)
     if hit is None:
         return {}
     c, nb = hit
@@ -43,8 +45,8 @@ def test_commutation_rule_on_all_degrees():
             for i in range(n):
                 for j in range(n):
                     for b in space.basis:
-                        lhs = apply_word(space, (("d", i), ("x", j)), b)
-                        rhs = apply_word(space, (("x", j), ("d", i)), b)
+                        lhs = word_image(space, (("d", 0, i), ("x", 0, j)), b)
+                        rhs = word_image(space, (("x", 0, j), ("d", 0, i)), b)
                         total = {}
                         for t, c in lhs.items():
                             total[t] = total.get(t, 0) + c
@@ -56,15 +58,14 @@ def test_commutation_rule_on_all_degrees():
 
 
 def test_anticommuting_signs():
-    space = FockSpace(-1, 3, (0,))
     empty = (0, 0, 0)
     # x_1 (x_2 b) and x_2 (x_1 b) differ by a sign
-    c1, m1 = space.apply_atoms((("x", 0), ("x", 1)), empty)
-    c2, m2 = space.apply_atoms((("x", 1), ("x", 0)), empty)
+    c1, m1 = apply_word(-1, 3, (("x", 0, 0), ("x", 0, 1)), empty)
+    c2, m2 = apply_word(-1, 3, (("x", 0, 1), ("x", 0, 0)), empty)
     assert m1 == m2 == (1, 1, 0)
     assert c1 == -c2 == 1
     # left derivation at position 2 of x_1^x_2 carries (-1)
-    c3, m3 = space.deriv_var((1, 1, 0), 1)
+    c3, m3 = apply_word(-1, 3, (("d", 0, 1),), (1, 1, 0))
     assert (c3, m3) == (-1, (1, 0, 0))
 
 
@@ -86,6 +87,31 @@ def test_all_flavors_satisfy_gl_relations():
                                 if l == i:
                                     rhs = rhs - K[k, j]
                                 assert lhs == rhs, (theta, flavor, i, j, k, l)
+
+
+@pytest.mark.parametrize("theta", [1, -1])
+def test_flavors_match_realization_quadratic_elements(theta):
+    # in a one-block realization E^_{0i,0j} is x_i d_j for p = 0 and
+    # -theta d_i x_j for p = 1: the plain and tilde coefficient operators
+    for n in (1, 2, 3):
+        for deg in range(n + 1 if theta == -1 else 4):
+            space = FockSpace(theta, n, (deg,))
+            for p, flavor in ((0, PLAIN), (1, TILDE)):
+                real = OperatorRealization(theta, 1, n, p)
+                for i in range(n):
+                    for j in range(n):
+                        c, word = real.e_hat(0, i, 0, j)
+                        mat = space.gl_action_matrix(flavor, i, j)
+                        for k, b in enumerate(space.basis):
+                            image = apply_operator(real, [(c, None, word)],
+                                                   {(0, b): 1})
+                            expect = {(0, space.basis[r]): mat[r, k]
+                                      for r in range(space.dim) if mat[r, k]}
+                            assert image == expect, (theta, flavor, i, j, b)
+            for i in range(n):
+                for j in range(n):
+                    assert (space.gl_action_matrix(PRIME, i, j)
+                            == -space.gl_action_matrix(PLAIN, j, i))
 
 
 def test_number_operator_is_degree():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yangian.fock import block_basis
+from yangian.fock import apply_word, block_basis
 from yangian.hd import (
     Operator,
     OperatorRealization,
@@ -41,15 +41,15 @@ def test_grassmann_nilpotency():
     word_xx = (("x", 0, 0), ("x", 0, 0))
     word_dd = (("d", 0, 0), ("d", 0, 0))
     for exps in r.basis_exps():
-        assert r.apply_word(word_xx, exps) is None
-        assert r.apply_word(word_dd, exps) is None
+        assert apply_word(r.theta, r.n, word_xx, exps) is None
+        assert apply_word(r.theta, r.n, word_dd, exps) is None
 
 
 def test_weyl_relation_one_variable():
     r = OperatorRealization(1, 1, 1, max_degree=6)
     for exps in r.basis_exps(4):
-        dx = r.apply_word((("d", 0, 0), ("x", 0, 0)), exps)
-        xd = r.apply_word((("x", 0, 0), ("d", 0, 0)), exps)
+        dx = apply_word(r.theta, r.n, (("d", 0, 0), ("x", 0, 0)), exps)
+        xd = apply_word(r.theta, r.n, (("x", 0, 0), ("d", 0, 0)), exps)
         got = dx[0] - (xd[0] if xd else 0)
         assert got == 1 and dx[1] == exps
 
@@ -232,8 +232,8 @@ def test_alpha_single_block_matches_module_action():
                         image = apply_operator(real, terms, {(0, exps): 1})
                         scale = (-theta * c) ** (r - 1)
                         expect = {}
-                        res = real.apply_word(
-                            (("x", 0, i), ("d", 0, j)), exps)
+                        res = apply_word(
+                            real.theta, real.n, (("x", 0, i), ("d", 0, j)), exps)
                         if res and res[0] * scale != 0:
                             expect[(0, res[1])] = res[0] * scale
                         assert image == expect

@@ -48,6 +48,35 @@ def test_dual_evaluation_matches_antisymmetric_component():
     assert d.entry_ratfunc(0, 1, 1, 0) == RatFunc(Poly([-1]), Poly([THIRD, 1]))
 
 
+def _explicit_evaluation(n, z, dual):
+    """Denominator and numerators of delta_ij + E_ij / (u + z), or of
+    delta_ij - E_ji / (u + z) when dual, built entry by entry."""
+    z = Fraction(z)
+    eye = RatMatrix.identity(n)
+    num = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            r, s = (j, i) if dual else (i, j)
+            unit = RatMatrix([[int((a, b) == (r, s)) for b in range(n)]
+                              for a in range(n)])
+            k = -unit if dual else unit
+            row.append(MatPoly((n, n), [k + eye * z, eye] if i == j else [k]))
+        num.append(row)
+    return Poly([z, 1]), num
+
+
+def test_evaluation_modules_match_explicit_construction():
+    for n in range(1, 5):
+        for z in (0, Fraction(2, 3), Fraction(-7, 5), 3):
+            for build, dual in ((evaluation_module, False),
+                                (dual_evaluation_module, True)):
+                den, num = _explicit_evaluation(n, z, dual)
+                mod = build(n, z)
+                assert mod.den == den, (n, z, dual)
+                assert mod.num == num, (n, z, dual)
+
+
 def test_tilde_equals_scalar_twist_of_prime():
     z = Fraction(7, 3)
     for theta, n, deg in ((1, 2, 2), (1, 3, 1), (-1, 3, 2), (-1, 2, 1)):
