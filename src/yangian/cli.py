@@ -605,10 +605,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--check", metavar="NAME", action="append",
                         help="run this check instead of the config's list "
                              "(repeatable)")
-    parser.add_argument("--order", metavar="K", type=int,
-                        help="series order for the operator checks")
-    parser.add_argument("--truncation", metavar="D", type=int,
-                        help="degree cap for the truncated operator checks")
     parser.add_argument("--output", metavar="PATH",
                         help="write the JSON report here instead of stdout")
     parser.add_argument("--list-checks", action="store_true",
@@ -647,11 +643,6 @@ def main(argv: list[str] | None = None) -> int:
                 if name not in _REGISTRY:
                     raise ConfigError(f"--check: unknown check {name!r}")
             overrides["checks"] = tuple(args.check)
-        if args.order is not None:
-            overrides["order"] = _require_int(args.order, "--order", 2)
-        if args.truncation is not None:
-            overrides["truncation"] = _require_int(args.truncation,
-                                                   "--truncation", 1)
         if args.output is not None:
             overrides["output"] = args.output
         if overrides:

@@ -29,11 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 
 import numpy as np
 
-from .fock import apply_word
+from .fock import apply_word, block_basis
 
 _MAX_FAILURES = 5
 
@@ -91,22 +90,13 @@ class OperatorRealization:
     # -- bases --------------------------------------------------------------
 
     def basis_exps(self, cap: int | None = None) -> list[tuple]:
-        """All exponent tuples of degree <= cap (defaults to the budget)."""
+        """All exponent tuples of degree <= cap (defaults to the budget),
+        in ascending order."""
         cap = self.max_degree if cap is None else cap
         if self.theta == -1:
-            return [e for e in iproduct((0, 1), repeat=self.nvars)
-                    if sum(e) <= cap]
-        out = []
-
-        def rec(prefix, remaining, budget):
-            if remaining == 0:
-                out.append(tuple(prefix))
-                return
-            for e in range(budget + 1):
-                rec(prefix + [e], remaining - 1, budget - e)
-
-        rec([], self.nvars, cap)
-        return out
+            cap = min(cap, self.nvars)
+        return sorted(e for d in range(cap + 1)
+                      for e in block_basis(self.theta, self.nvars, d))
 
     def window_keys(self, raise_count: int, rep_dim: int = 1) -> list:
         """(rep index, exponents) pairs forming the assertion set.
@@ -500,7 +490,6 @@ class AlphaReport:
 
 
 def check_alpha(real: OperatorRealization, order: int,
-                rep: dict | None = None,
                 series: XSeries | None = None) -> AlphaReport:
     """Verify the generating-series homomorphism through the given order.
 
@@ -511,7 +500,7 @@ def check_alpha(real: OperatorRealization, order: int,
     if order < 2:
         raise ValueError("order must be at least 2")
     if series is None:
-        series = x_series(real.theta, real.m, order, rep)
+        series = x_series(real.theta, real.m, order)
     n = real.n
     tcache = {}
 

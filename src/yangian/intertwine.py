@@ -521,31 +521,25 @@ def hom_intertwiner(m1: YangianModule, m2: YangianModule) -> Intertwiner:
 
 def modules_isomorphic(m1: YangianModule,
                        m2: YangianModule) -> Intertwiner | None:
-    """An invertible intertwiner m1 -> m2 if one exists in the hom space.
+    """An invertible intertwiner m1 -> m2, or None when there is none.
 
-    Tries each basis element of the hom space, then deterministic integer
-    combinations; when the hom space is one-dimensional (every use in this
-    package) the search is exhaustive.
+    Returns the first basis element of the hom space of full rank.  A hom
+    space of dimension at most 1 (every use in this package) settles the
+    question; one of larger dimension without an invertible basis element
+    may still hold an invertible combination, so that case raises
+    ValueError naming the dimension.
     """
     if m1.n != m2.n or m1.dim != m2.dim:
         return None
     basis = hom_space(m1, m2)
-    if not basis:
-        return None
     for cand in basis:
         if cand.rank() == m1.dim:
             return Intertwiner(source=m1, target=m2, matrix=cand,
                                hw_scalar=None, word=())
     if len(basis) > 1:
-        for t in range(1, m1.dim * len(basis) + 2):
-            acc = basis[0]
-            power = 1
-            for extra in basis[1:]:
-                power *= t
-                acc = acc + extra * power
-            if acc.rank() == m1.dim:
-                return Intertwiner(source=m1, target=m2, matrix=acc,
-                                   hw_scalar=None, word=())
+        raise ValueError(
+            f"modules_isomorphic: no basis element of the {len(basis)}-"
+            "dimensional hom space is invertible; isomorphism undecided")
     return None
 
 

@@ -708,8 +708,7 @@ class MatPoly:
         return MatPoly(self.shape, [self.coeff(k) + other.coeff(k) for k in range(n)])
 
     def __sub__(self, other: "MatPoly") -> "MatPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return MatPoly(self.shape, [self.coeff(k) - other.coeff(k) for k in range(n)])
+        return self + (-other)
 
     def __neg__(self) -> "MatPoly":
         return MatPoly(self.shape, [-c for c in self.coeffs])
@@ -743,20 +742,11 @@ class MatPoly:
         return acc
 
     def shift(self, c) -> "MatPoly":
-        """Return P(u + c)."""
-        c = rat(c)
+        """Return P(u + c), by Horner's rule in u + c."""
+        step = Poly([rat(c), 1])
         out = MatPoly.zero(self.shape)
-        for k in reversed(range(len(self.coeffs))):
-            if out.is_zero():
-                out = MatPoly.constant(self.coeffs[k])
-                continue
-            # out * (u + c) + coeff_k, Horner style
-            shifted = [RatMatrix.zeros(*self.shape)
-                       for _ in range(len(out.coeffs) + 1)]
-            for i, m in enumerate(out.coeffs):
-                shifted[i] = shifted[i] + m * c
-                shifted[i + 1] = shifted[i + 1] + m
-            out = MatPoly(self.shape, shifted) + MatPoly.constant(self.coeffs[k])
+        for coeff in reversed(self.coeffs):
+            out = out * step + MatPoly.constant(coeff)
         return out
 
     def apply(self, vec: Sequence) -> list[list[Fraction]]:

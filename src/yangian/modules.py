@@ -13,6 +13,7 @@ in this package a statement about polynomial matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -26,6 +27,16 @@ from .fock import (
     last_variables_monomial,
 )
 from .linalg import MatPoly, Poly, RatFunc, RatMatrix, poly_gcd, rat
+
+# The largest n * dim of a module that fock_module or tensor_module builds:
+# its n^2 numerator entries are dense dim x dim matrices.
+MODULE_MAX_SIZE = 1024
+
+
+def _check_module_size(n: int, dim: int) -> None:
+    if n * dim > MODULE_MAX_SIZE:
+        raise ValueError(f"module of n * dim = {n * dim}, over the budget of "
+                         f"{MODULE_MAX_SIZE}")
 
 
 class YangianModule:
@@ -134,12 +145,15 @@ def fock_module(theta: int, n: int, flavor: str, z, degree: int) -> YangianModul
     delta_ij - theta d_i x_j/(u + theta z); 'prime' is
     delta_ij - x_j d_i/(u + theta (z - 1)).  A degree-0 component of 'plain'
     or 'prime' is trivial by inspection; for uniformity degree 0 always
-    returns the trivial one-dimensional module.
+    returns the trivial one-dimensional module.  Raises ValueError when
+    n * dim exceeds MODULE_MAX_SIZE, before any matrix is built.
     """
     if flavor not in (PLAIN, TILDE, PRIME):
         raise ValueError(f"unknown flavor {flavor!r}")
     if degree == 0:
         return trivial_module(n)
+    _check_module_size(n, math.comb(n + degree - 1, degree) if theta == 1
+                       else math.comb(n, degree))
     z = rat(z)
     z_eff = z - 1 if flavor == PRIME else z
     den = Poly([theta * z_eff, 1])
@@ -161,11 +175,13 @@ def fock_module(theta: int, n: int, flavor: str, z, degree: int) -> YangianModul
 
 
 def tensor_module(a: YangianModule, b: YangianModule) -> YangianModule:
-    """Tensor product via the coproduct: P_ij = sum_k P_ik (x) Q_kj."""
+    """Tensor product via the coproduct: P_ij = sum_k P_ik (x) Q_kj.
+    Raises ValueError, before any product, when n * dim is over budget."""
     if a.n != b.n:
         raise ValueError("rank mismatch")
     n = a.n
     dim = a.dim * b.dim
+    _check_module_size(n, dim)
     num = []
     for i in range(n):
         row = []
@@ -183,6 +199,7 @@ def tensor_module(a: YangianModule, b: YangianModule) -> YangianModule:
 def tensor_all(mods: Sequence[YangianModule]) -> YangianModule:
     if not mods:
         raise ValueError("empty tensor product")
+    _check_module_size(mods[0].n, math.prod(m.dim for m in mods))
     out = mods[0]
     for m in mods[1:]:
         out = tensor_module(out, m)
@@ -198,37 +215,31 @@ def shift_module(mod: YangianModule, w) -> YangianModule:
 
 
 def twist_module(mod: YangianModule, g: RatFunc) -> YangianModule:
-    """Multiply the action by a scalar series g(u) with g -> 1 at infinity."""
+    """Multiply the action by a scalar series g(u) with g -> 1 at infinity:
+    the tensor product with the one-dimensional module T_ij(u) = delta_ij g(u)."""
     if g.limit_at_infinity() != 1:
         raise ValueError("twist must tend to 1 at infinity")
-    den = mod.den * g.den
-    num = [[mod.num[i][j] * g.num for j in range(mod.n)] for i in range(mod.n)]
+    out = tensor_module(scalar_module(mod.n, g.num, g.den), mod)
     # cancel the common polynomial factor, if any, to keep degrees low
-    g_all = den
-    for i in range(mod.n):
-        for j in range(mod.n):
-            entry = num[i][j]
-            for r in range(mod.dim):
-                for s in range(mod.dim):
-                    p = _entry_poly(entry, r, s)
-                    if not p.is_zero():
-                        g_all = poly_gcd(g_all, p)
-                    if g_all.degree == 0:
-                        return YangianModule(mod.n, den, num)
-    den = den // g_all
-    new_num = []
-    for i in range(mod.n):
-        row = []
-        for j in range(mod.n):
-            entry = num[i][j]
-            polys = {(r, s): _entry_poly(entry, r, s) // g_all
-                     for r in range(mod.dim) for s in range(mod.dim)}
-            deg = max(p.degree for p in polys.values())
-            mats = [RatMatrix([[polys[r, s][k] for s in range(mod.dim)]
-                               for r in range(mod.dim)]) for k in range(deg + 1)]
-            row.append(MatPoly((mod.dim, mod.dim), mats))
-        new_num.append(row)
-    return YangianModule(mod.n, den, new_num)
+    common = out.den
+    for row in out.num:
+        for entry in row:
+            for r in range(out.dim):
+                for s in range(out.dim):
+                    common = poly_gcd(common, _entry_poly(entry, r, s))
+                    if common.degree == 0:
+                        return out
+
+    def divided(entry: MatPoly) -> MatPoly:
+        polys = [[_entry_poly(entry, r, s) // common for s in range(out.dim)]
+                 for r in range(out.dim)]
+        deg = max(p.degree for row in polys for p in row)
+        return MatPoly(entry.shape,
+                       [RatMatrix([[p[k] for p in row] for row in polys])
+                        for k in range(deg + 1)])
+
+    return YangianModule(out.n, out.den // common,
+                         [[divided(entry) for entry in row] for row in out.num])
 
 
 def _entry_poly(entry: MatPoly, r: int, s: int) -> Poly:

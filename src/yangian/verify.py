@@ -36,7 +36,8 @@ import numpy as np
 
 from .fock import PLAIN, PRIME, TILDE
 from .linalg import Poly, RatFunc, RatMatrix, poly_rational_roots, rat, residue_primes
-from .modules import ModuleParams, PatternFactor, YangianModule, source_pattern
+from .modules import (ModuleParams, PatternFactor, YangianModule,
+                      scalar_module, source_pattern, tensor_module)
 
 # Largest n^2 dim that check_rtt takes on.  Each grid pair forms two
 # (n^2 dim)-square products per prime, so the work per pair grows as
@@ -242,15 +243,13 @@ def ratio_to_drinfeld_poly(ratio: RatFunc) -> Poly:
     return poly
 
 
-def drinfeld_data(mod: YangianModule, vec=None) -> DrinfeldData:
+def drinfeld_data(mod: YangianModule) -> DrinfeldData:
     """Drinfeld polynomials and diagonal eigenvalues of the hw vector."""
-    if vec is None:
-        basis = highest_weight_vectors(mod)
-        if len(basis) != 1:
-            raise DrinfeldError(
-                f"highest weight space has dimension {len(basis)}, need 1")
-        vec = basis[0]
-    eigen = hw_eigenvalues(mod, vec)
+    basis = highest_weight_vectors(mod)
+    if len(basis) != 1:
+        raise DrinfeldError(
+            f"highest weight space has dimension {len(basis)}, need 1")
+    eigen = hw_eigenvalues(mod, basis[0])
     return DrinfeldData(drinfeld_polynomials(eigen), eigen)
 
 
@@ -265,26 +264,18 @@ def drinfeld_polynomials(eigen: list[RatFunc]) -> list[Poly]:
 
 
 def scalar_twist_between(m1: YangianModule, m2: YangianModule) -> RatFunc | None:
-    """g with T1 = g T2 entrywise, or None; g = 1 means equal actions."""
+    """g with T1 = g T2 entrywise, or None; g = 1 means equal actions.
+
+    P_00 is monic, so the (0, 0) matrix element of T_00(u) is nonzero in
+    both modules and its ratio is the only candidate g; T1 = g T2 exactly
+    when m1 equals the tensor product of the one-dimensional module
+    T_ij(u) = delta_ij g(u) with m2.
+    """
     if (m1.n, m1.dim) != (m2.n, m2.dim):
         return None
-    g = None
-    for i in range(m1.n):
-        for j in range(m1.n):
-            for r in range(m1.dim):
-                for s in range(m1.dim):
-                    e1 = m1.entry_ratfunc(i, j, r, s)
-                    e2 = m2.entry_ratfunc(i, j, r, s)
-                    if e1.is_zero() != e2.is_zero():
-                        return None
-                    if e1.is_zero():
-                        continue
-                    cand = e1 / e2
-                    if g is None:
-                        g = cand
-                    elif g != cand:
-                        return None
-    return g
+    g = m1.entry_ratfunc(0, 0, 0, 0) / m2.entry_ratfunc(0, 0, 0, 0)
+    twisted = tensor_module(scalar_module(m1.n, g.num, g.den), m2)
+    return g if m1.equal_entrywise(twisted) else None
 
 
 # ---------------------------------------------------------------------------

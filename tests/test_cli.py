@@ -226,6 +226,35 @@ def test_rtt_budget_fails_cleanly(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("n,nu,size", [
+    # one degree-1 factor at n = 2000: dim 2000
+    (2000, [1], 4000000),
+    # six degree-1 factors at n = 3: dim 729
+    (3, [1] * 6, 2187),
+])
+def test_module_budget_fails_cleanly(tmp_path, capsys, n, nu, size):
+    path = write_config(tmp_path, {
+        "theta": 1, "n": n, "p": 0, "q": len(nu), "nu": nu,
+        "mu": [f"{b + 1}/7" for b in range(len(nu))],
+        "checks": ["rtt", "hw-eigenvalues"]})
+    out = tmp_path / "report.json"
+    assert cli.main(["--config", path, "--output", str(out)]) == 1
+    for record in json.loads(out.read_text())["checks"]:
+        assert record["status"] == "error"
+        assert (f"n * dim = {size}, over the budget of 1024"
+                in record["details"]["error"])
+    capsys.readouterr()
+
+
+def test_run_parameters_have_no_command_line_flags(tmp_path, capsys):
+    path = write_config(tmp_path, GENERIC)
+    for flag in ("--order", "--truncation"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", path, flag, "3"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_drinfeld_with_ten_digit_mu_denominators(tmp_path, capsys):
     # prime denominators near 10^9: the eigenvalue ratios have roots with
     # 10-digit numerators and denominators

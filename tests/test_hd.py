@@ -156,7 +156,8 @@ def test_alpha_passes(theta, m, n, p, order):
 
 
 def test_alpha_tensor_square_rep():
-    report = check_alpha(realize(1, 2, 1, 1), 3, rep=tensor_square_rep(2))
+    report = check_alpha(realize(1, 2, 1, 1), 3,
+                         series=x_series(1, 2, 3, tensor_square_rep(2)))
     assert report.ok
 
 

@@ -294,6 +294,15 @@ def test_modules_isomorphic_examples():
     assert modules_isomorphic(v, dual_evaluation_module(2, z)) is None
 
 
+def test_modules_isomorphic_raises_when_undecided():
+    # End(C^2 (x) V) is M_2 (x) End(V): its canonical basis has four
+    # elements of rank 2 and no invertible one, though the identity is a
+    # module map
+    c = tensor_module(trivial_module(2, 2), evaluation_module(2, Fraction(1, 3)))
+    with pytest.raises(ValueError, match="4-dimensional hom space"):
+        modules_isomorphic(c, c)
+
+
 def whole_denominator_hom_space(m1, m2):
     """hom_space by the whole-denominator system: A P1 d2 = P2 d1 A."""
     d1, d2 = m1.dim, m2.dim

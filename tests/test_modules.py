@@ -30,13 +30,6 @@ from yangian.modules import (
 THIRD = Fraction(1, 3)
 
 
-def test_evaluation_module_is_degree_one_component():
-    for n in (2, 3):
-        v = evaluation_module(n, THIRD)
-        f = fock_module(1, n, PLAIN, THIRD, 1)
-        assert v.equal_entrywise(f)
-
-
 def test_dual_evaluation_matches_antisymmetric_component():
     # for theta = -1 the degree-1 plain component acts by delta_ij + E_ij/(u - z)
     n = 3
@@ -68,7 +61,7 @@ def _explicit_evaluation(n, z, dual):
 
 def test_evaluation_modules_match_explicit_construction():
     for n in range(1, 5):
-        for z in (0, Fraction(2, 3), Fraction(-7, 5), 3):
+        for z in (0, THIRD, Fraction(2, 3), Fraction(-7, 5), 3):
             for build, dual in ((evaluation_module, False),
                                 (dual_evaluation_module, True)):
                 den, num = _explicit_evaluation(n, z, dual)

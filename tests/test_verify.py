@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yangian.fock import PLAIN, PRIME, TILDE
-from yangian.linalg import MatPoly, Poly, RatFunc, RatMatrix, residue_primes
+from yangian.linalg import MatPoly, Poly, RatFunc, RatMatrix, poly_gcd, residue_primes
 from yangian.modules import (
     ModuleParams,
     PatternFactor,
@@ -415,3 +415,92 @@ def test_scalar_twist_between_rejects_unrelated():
                                 dual_evaluation_module(2, F(1, 3))) is None
     assert scalar_twist_between(evaluation_module(2, F(1, 3)),
                                 evaluation_module(3, F(1, 3))) is None
+
+
+def entry_poly(entry, r, s):
+    return Poly([entry.coeff(k)[r, s] for k in range(entry.degree + 1)])
+
+
+def entry_keys(mod):
+    return itertools.product(range(mod.n), range(mod.n),
+                             range(mod.dim), range(mod.dim))
+
+
+def reference_twist(mod, g):
+    """Denominator and (i, j, r, s) entry polynomials of g T(u), entry by
+    entry: each P_ij[r, s] times num(g) over den times den(g), divided by
+    the gcd of the denominator and every entry."""
+    den = mod.den * g.den
+    polys = {key: entry_poly(mod.num[key[0]][key[1]], *key[2:]) * g.num
+             for key in entry_keys(mod)}
+    common = den
+    for p in polys.values():
+        common = poly_gcd(common, p)
+    return den // common, {key: p // common for key, p in polys.items()}
+
+
+def reference_scalar_twist(m1, m2):
+    """g with T1 = g T2, from the ratios of all nonzero matrix elements."""
+    if (m1.n, m1.dim) != (m2.n, m2.dim):
+        return None
+    ratios = set()
+    for key in entry_keys(m1):
+        e1, e2 = m1.entry_ratfunc(*key), m2.entry_ratfunc(*key)
+        if e1.is_zero() != e2.is_zero():
+            return None
+        if not e1.is_zero():
+            ratios.add(e1 / e2)
+    return ratios.pop() if len(ratios) == 1 else None
+
+
+TWIST_PARAMS = st.sampled_from([F(0), F(1, 3), F(1), F(4, 3)])
+
+
+@st.composite
+def twistable_modules(draw, n):
+    """An evaluation, dual, Fock or Omega module, maybe times an Omega."""
+    kind = draw(st.sampled_from(("eval", "dual", "omega", PLAIN, TILDE, PRIME)))
+    z = draw(TWIST_PARAMS)
+    if kind == "eval":
+        mod = evaluation_module(n, z)
+    elif kind == "dual":
+        mod = dual_evaluation_module(n, z)
+    elif kind == "omega":
+        mod = draw(st.sampled_from((omega_module, omega_prime_module)))(n, z)
+    else:
+        mod = fock_module(draw(st.sampled_from((1, -1))), n, kind, z,
+                          draw(st.integers(1, n)))
+    if draw(st.booleans()):
+        omega = omega_module(n, draw(TWIST_PARAMS))
+        mod = (tensor_module(omega, mod) if draw(st.booleans())
+               else tensor_module(mod, omega))
+    return mod
+
+
+@st.composite
+def scalar_series(draw):
+    """A product of up to two factors (u + a)/(u + b); the roots come from
+    the module parameters, so some cancel against a module's denominator."""
+    g = RatFunc(Poly([1]), Poly([1]))
+    for _ in range(draw(st.integers(0, 2))):
+        g = g * RatFunc(Poly([draw(TWIST_PARAMS), 1]),
+                        Poly([draw(TWIST_PARAMS), 1]))
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_twists_match_entrywise_references(data):
+    n = data.draw(st.integers(1, 2))
+    mod = data.draw(twistable_modules(n))
+    g = data.draw(scalar_series())
+    twisted = twist_module(mod, g)
+    den, polys = reference_twist(mod, g)
+    assert twisted.den == den
+    assert all(entry_poly(twisted.num[key[0]][key[1]], *key[2:]) == p
+               for key, p in polys.items())
+    # a twist, its inverse, an unrelated module of the same rank, itself
+    for m1, m2 in ((twisted, mod), (mod, twisted), (mod, mod),
+                   (mod, data.draw(twistable_modules(n)))):
+        assert scalar_twist_between(m1, m2) == reference_scalar_twist(m1, m2)
+    assert scalar_twist_between(twisted, mod) == g
