@@ -70,6 +70,16 @@ def test_evaluation_modules_match_explicit_construction():
                 assert mod.num == num, (n, z, dual)
 
 
+def test_evaluation_module_is_degree_one_component():
+    # the degree-1 plain component, built by the Fock action rather than
+    # through evaluation_module, is the explicit evaluation module
+    for n in (2, 3):
+        den, num = _explicit_evaluation(n, THIRD, False)
+        f = fock_module(1, n, PLAIN, THIRD, 1)
+        assert f.den == den and f.num == num, n
+        assert evaluation_module(n, THIRD).equal_entrywise(f)
+
+
 def test_tilde_equals_scalar_twist_of_prime():
     z = Fraction(7, 3)
     for theta, n, deg in ((1, 2, 2), (1, 3, 1), (-1, 3, 2), (-1, 2, 1)):
