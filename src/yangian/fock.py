@@ -53,12 +53,13 @@ def block_basis(theta: int, n: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    """Every tuple of `parts` non-negative integers summing to `total`: the
+    part counts of each multiset of `total` picks from `parts` places."""
+    for picks in itertools.combinations_with_replacement(range(parts), total):
+        exps = [0] * parts
+        for v in picks:
+            exps[v] += 1
+        yield tuple(exps)
 
 
 def apply_word(theta: int, n: int, word, exps: tuple):

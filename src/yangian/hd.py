@@ -27,6 +27,7 @@ realization's degree budget, and for theta=-1 it is the whole space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +36,13 @@ import numpy as np
 from .fock import apply_word, block_basis
 
 _MAX_FAILURES = 5
+
+# Largest theta = +1 basis a realization enumerates: the
+# C(m n + truncation, truncation) monomials of degree <= truncation in m n
+# variables.  The tests and the benchmark reach 924 (m = 3, n = 2,
+# truncation 6); at 18564 (m = 4, n = 3, truncation 6) e-relations and
+# alpha-series take 18-26 s on a 2-core x86 VM.
+BASIS_MAX_SIZE = 20000
 
 
 class OperatorRealization:
@@ -52,6 +60,13 @@ class OperatorRealization:
             raise ValueError("exterior space limited to 16 variables")
         if theta == 1 and max_degree < 2:
             raise ValueError("degree budget must be at least 2")
+        if theta == 1:
+            size = math.comb(m * n + max_degree, max_degree)
+            if size > BASIS_MAX_SIZE:
+                raise ValueError(
+                    f"realization basis of {size} monomials (m n = {m * n}, "
+                    f"truncation {max_degree}), over the budget of "
+                    f"{BASIS_MAX_SIZE}")
         self.theta = theta
         self.m = m
         self.n = n

@@ -29,8 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .fock import PLAIN, TILDE, block_basis
-from .linalg import MatPoly, RatMatrix
+from .linalg import RatMatrix, int_matmul
 from .modules import (
     ModuleParams,
     PatternFactor,
@@ -300,13 +302,21 @@ def _verify_intertwiner(mat: RatMatrix, src: YangianModule,
     cleared identity and (r, s) the first nonzero entry of mat B - C mat
     in row-major order.
     """
-    for key, b, c in coefficient_pairs(src, tgt):
-        left, right = mat * b, c * mat
-        if left != right:
-            diff = left - right
-            return key + next((r, s) for r in range(diff.nrows)
-                              for s in range(diff.ncols) if diff[r, s])
-    return None
+    pairs = list(coefficient_pairs(src, tgt))
+    if not pairs:
+        return None
+    # B and C are integer matrices, so both sides share mat's denominator:
+    # mat [B_1 B_2 ...] and [C_1; C_2; ...] mat are the two products
+    rows, cols = mat.shape
+    left = int_matmul(mat.data, np.hstack([b.data for _, b, _ in pairs]))
+    right = int_matmul(np.vstack([c.data for _, _, c in pairs]), mat.data)
+    diff = (left.reshape(rows, len(pairs), cols).transpose(1, 0, 2)
+            - right.reshape(len(pairs), rows, cols))
+    bad = np.argwhere(diff)
+    if not len(bad):
+        return None
+    p, r, s = (int(x) for x in bad[0])
+    return pairs[p][0] + (r, s)
 
 
 def step(params: ModuleParams, a: int,
@@ -588,20 +598,14 @@ def kernel_quotient(intw: Intertwiner) -> QuotientModule:
         change = RatMatrix.stack([[rows.transpose(), change[:, complement]]])
     change_inv = change.inverse()
 
-    num = []
-    for i in range(src.n):
-        row = []
-        for j in range(src.n):
-            coeffs = []
-            for power, coeff in enumerate(src.num[i][j].coeffs):
-                w = change_inv * coeff * change
-                if not w[k:, :k].is_zero():
-                    raise ValueError("kernel is not stable under the module "
-                                     f"action at (i, j, k) = {(i, j, power)}")
-                coeffs.append(w[k:, k:])
-            row.append(MatPoly((dim - k, dim - k), coeffs))
-        num.append(row)
-    quotient = YangianModule(src.n, src.den, num)
+    # every coefficient in the adapted basis, over scale * change dens
+    adapted = change_inv.data @ src.num @ change.data
+    unstable = np.argwhere((adapted[..., k:, :k] != 0).any(axis=(3, 4)))
+    if len(unstable):
+        raise ValueError("kernel is not stable under the module action at "
+                         f"(i, j, k) = {tuple(int(x) for x in unstable[0])}")
+    quotient = YangianModule(src.den, adapted[..., k:, k:],
+                             src.scale * change_inv.den * change.den)
 
     witness = _verify_intertwiner(mat[:, complement], quotient, intw.target)
     if witness is not None:

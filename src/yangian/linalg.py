@@ -661,6 +661,9 @@ class MatPoly:
     """Polynomial with RatMatrix coefficients, low-degree first.
 
     The zero polynomial keeps its shape but has no stored coefficients.
+    Modules store their coefficients as one integer array instead; this
+    per-entry form serves as a reference, and the per-layer tracer in
+    perfbench/tracer.py wraps `kron` and `__mul__` by name.
     """
 
     __slots__ = ("shape", "coeffs")
@@ -677,14 +680,6 @@ class MatPoly:
 
     def __setattr__(self, *a):
         raise AttributeError("MatPoly is immutable")
-
-    @staticmethod
-    def constant(mat: RatMatrix) -> "MatPoly":
-        return MatPoly(mat.shape, [mat])
-
-    @staticmethod
-    def zero(shape: tuple[int, int]) -> "MatPoly":
-        return MatPoly(shape, [])
 
     @property
     def degree(self) -> int:
@@ -706,12 +701,6 @@ class MatPoly:
     def __add__(self, other: "MatPoly") -> "MatPoly":
         n = max(len(self.coeffs), len(other.coeffs))
         return MatPoly(self.shape, [self.coeff(k) + other.coeff(k) for k in range(n)])
-
-    def __sub__(self, other: "MatPoly") -> "MatPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "MatPoly":
-        return MatPoly(self.shape, [-c for c in self.coeffs])
 
     def __mul__(self, q: Poly) -> "MatPoly":
         """The product P(u) q(u) with a scalar polynomial."""
@@ -735,46 +724,32 @@ class MatPoly:
                 out[i + j] = out[i + j] + a.kron(b)
         return MatPoly(shape, out)
 
-    def __call__(self, u) -> RatMatrix:
-        acc = RatMatrix.zeros(*self.shape)
-        for c in reversed(self.coeffs):
-            acc = acc * rat(u) + c
-        return acc
-
-    def shift(self, c) -> "MatPoly":
-        """Return P(u + c), by Horner's rule in u + c."""
-        step = Poly([rat(c), 1])
-        out = MatPoly.zero(self.shape)
-        for coeff in reversed(self.coeffs):
-            out = out * step + MatPoly.constant(coeff)
-        return out
-
-    def apply(self, vec: Sequence) -> list[list[Fraction]]:
-        """Coefficient vectors of P(u) v, one list per power of u."""
-        return [c.apply(vec) for c in self.coeffs]
-
-    def __repr__(self) -> str:
-        return f"MatPoly({self.shape[0]}x{self.shape[1]}, deg {self.degree})"
-
 
 # ---------------------------------------------------------------------------
-# integer matrix kernels (exact; int64 fast path under a proven bound)
+# integer matrix kernels (exact; float64 and int64 fast paths under a
+# proven bound)
 
 _INT64_LIMIT = 2 ** 62
+_FLOAT64_LIMIT = 2 ** 53
 
 
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product of integer object-dtype matrices.
 
-    Uses numpy int64 matmul when k * max|a| * max|b| provably fits, else
-    falls back to big-int object matmul.
+    With k the inner dimension, every partial sum of the product is at most
+    k * max|a| * max|b|.  Below 2^53 numpy's float64 matmul holds every
+    partial sum exactly, below 2^62 its int64 matmul does; otherwise the
+    product falls back to big-int object matmul.
     """
     if a.size == 0 or b.size == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=object)
     ma = int(np.abs(a).max())
     mb = int(np.abs(b).max())
-    k = a.shape[1]
-    if ma and mb and k * ma * mb < _INT64_LIMIT:
+    top = a.shape[1] * ma * mb
+    if top < _FLOAT64_LIMIT:
+        prod = a.astype(np.float64) @ b.astype(np.float64)
+        return prod.astype(np.int64).astype(object)
+    if top < _INT64_LIMIT:
         prod = a.astype(np.int64) @ b.astype(np.int64)
         return prod.astype(object)
     return a @ b

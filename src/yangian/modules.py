@@ -6,9 +6,12 @@ matrix polynomials P_ij(u) over one monic scalar denominator d(u):
     T_ij(u) acts by P_ij(u) / d(u),
 
 with deg P_ii = deg d, leading coefficient the identity, and deg P_ij < deg d
-off the diagonal.  This normal form survives tensor products (denominators
-multiply), parameter shifts and scalar twists, and makes every verification
-in this package a statement about polynomial matrices.
+off the diagonal.  The only stored form is one object array of Python ints,
+num[i, j, k, r, s] = scale * (u^k coefficient of P_ij)[r, s], over one
+positive integer scale and kept in lowest terms.  This normal form survives
+tensor products (denominators multiply), parameter shifts and scalar
+twists, and makes every verification in this package a statement about
+integer coefficient arrays.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .fock import (
     PLAIN,
     PRIME,
@@ -26,7 +31,8 @@ from .fock import (
     first_variables_monomial,
     last_variables_monomial,
 )
-from .linalg import MatPoly, Poly, RatFunc, RatMatrix, poly_gcd, rat
+from .linalg import (_INT64_LIMIT, Poly, RatFunc, RatMatrix, _ratmatrix,
+                     poly_gcd, rat)
 
 # The largest n * dim of a module that fock_module or tensor_module builds:
 # its n^2 numerator entries are dense dim x dim matrices.
@@ -40,41 +46,69 @@ def _check_module_size(n: int, dim: int) -> None:
 
 
 class YangianModule:
-    """Exact finite-dimensional module in the P_ij(u) / d(u) normal form."""
+    """Exact finite-dimensional module in the P_ij(u) / d(u) normal form.
 
-    def __init__(self, n: int, den: Poly, num: Sequence[Sequence[MatPoly]]):
+    num has shape (n, n, deg d + 1, dim, dim); num / scale holds the u^k
+    coefficients of the P_ij, so num[i, i, deg d] = scale I and
+    num[i, j, deg d] = 0 for i != j.  The constructor divides num and scale
+    by their gcd and makes the stored array read-only.
+    """
+
+    def __init__(self, den: Poly, num: np.ndarray, scale: int = 1):
         if den.is_zero() or den.lead() != 1:
             raise ValueError("denominator must be monic")
-        if len(num) != n or any(len(row) != n for row in num):
-            raise ValueError("need an n x n array of matrix polynomials")
-        dim = num[0][0].shape[0]
-        for i in range(n):
-            for j in range(n):
-                if num[i][j].shape != (dim, dim):
-                    raise ValueError("entry shape mismatch")
-                if i == j:
-                    if num[i][j].degree != den.degree or \
-                            num[i][j].coeff(den.degree) != RatMatrix.identity(dim):
-                        raise ValueError("diagonal entry must be monic of den degree")
-                elif num[i][j].degree >= den.degree and not num[i][j].is_zero():
-                    raise ValueError("off-diagonal entry degree too high")
+        if num.ndim != 5 or num.shape[0] != num.shape[1] \
+                or num.shape[3] != num.shape[4]:
+            raise ValueError("need an (n, n, powers, dim, dim) coefficient array")
+        if num.shape[2] != den.degree + 1:
+            raise ValueError("need one coefficient per power of u up to deg d")
+        if scale < 1:
+            raise ValueError("scale must be a positive integer")
+        n, dim = num.shape[0], num.shape[3]
+        num = num.astype(object, copy=False)
+        lead = np.zeros((n, n, dim, dim), dtype=object)
+        lead[range(n), range(n)] = RatMatrix.identity(dim).data * scale
+        if not (num[:, :, -1] == lead).all():
+            raise ValueError("P_ij must lead with u^deg d I on the diagonal "
+                             "and have a lower degree off it")
+        # row by row: the gcd is almost always 1 after a few rows
+        g = scale
+        for row in np.ndindex(num.shape[:4]):
+            if g == 1:
+                break
+            g = math.gcd(g, *num[row])
         self.n = n
         self.dim = dim
         self.den = den
-        self.num = [list(row) for row in num]
-
-    def entry(self, i: int, j: int) -> MatPoly:
-        return self.num[i][j]
+        self.num = num // g if g > 1 else num
+        self.num.flags.writeable = False   # a module is a value, as RatMatrix
+        self.scale = scale // g
 
     def entry_ratfunc(self, i: int, j: int, r: int, s: int) -> RatFunc:
         """The (r, s) matrix element of T_ij(u) as a reduced rational function."""
-        return RatFunc(_entry_poly(self.num[i][j], r, s), self.den)
+        return RatFunc(Poly([Fraction(int(x), self.scale)
+                             for x in self.num[i, j, :, r, s]]), self.den)
 
     def equal_entrywise(self, other: "YangianModule") -> bool:
         """Same action entrywise, denominators may differ."""
         if (self.n, self.dim) != (other.n, other.dim):
             return False
         return all(b == c for _, b, c in coefficient_pairs(self, other))
+
+
+def _cleared(mod: YangianModule, cofactor: Poly) -> tuple[np.ndarray, int]:
+    """The coefficients of P_ij(u) cofactor(u), for a monic cofactor, as
+    integers over a positive int, by one convolution along the power axis."""
+    if cofactor.degree == 0:
+        return mod.num, mod.scale
+    lcd = math.lcm(*(c.denominator for c in cofactor.coeffs))
+    ints = [c.numerator * (lcd // c.denominator) for c in cofactor.coeffs]
+    n, _, powers, dim, _ = mod.num.shape
+    out = np.zeros((n, n, powers + cofactor.degree, dim, dim), dtype=object)
+    for t, c in enumerate(ints):
+        if c:
+            out[:, :, t:t + powers] += mod.num * c
+    return out, mod.scale * lcd
 
 
 def coefficient_pairs(m1: YangianModule, m2: YangianModule
@@ -84,36 +118,42 @@ def coefficient_pairs(m1: YangianModule, m2: YangianModule
     With T = P/d and g = gcd(d1, d2), the identity times d1 d2 / g is
     A . P1_ij (d2/g) = P2_ij (d1/g) . A, an equivalent identity of matrix
     polynomials since Q[u] has no zero divisors.  Yields ((i, j, k), B, C)
-    for every i, j and every power k up to the larger degree, B and C the
-    u^k coefficients of the two sides' factors; A is a module map exactly
-    when A B = C A for all of them.  Equal denominators give cofactors 1.
+    for every i, j and every power k with B or C nonzero, B and C the u^k
+    coefficients of the two sides' factors times one positive factor common
+    to every pair, which makes them integer matrices (den 1) and changes no
+    identity A B = C A; A is a module map exactly when A B = C A for all of
+    them.
     """
     if m1.n != m2.n:
         raise ValueError("rank mismatch")
     g = poly_gcd(m1.den, m2.den)
-    c1, c2 = m2.den // g, m1.den // g
-    for i in range(m1.n):
-        for j in range(m1.n):
-            p1 = m1.num[i][j] * c1 if c1.degree else m1.num[i][j]
-            p2 = m2.num[i][j] * c2 if c2.degree else m2.num[i][j]
-            for k in range(max(p1.degree, p2.degree) + 1):
-                yield (i, j, k), p1.coeff(k), p2.coeff(k)
+    (b, sb), (c, sc) = _cleared(m1, m2.den // g), _cleared(m2, m1.den // g)
+    common = math.lcm(sb, sc)
+    if common != sb:
+        b = b * (common // sb)
+    if common != sc:
+        c = c * (common // sc)
+    for key in np.ndindex(b.shape[:3]):
+        if b[key].any() or c[key].any():
+            yield key, _ratmatrix(b[key], 1), _ratmatrix(c[key], 1)
 
 
 def trivial_module(n: int, dim: int = 1) -> YangianModule:
-    eye = MatPoly.constant(RatMatrix.identity(dim))
-    zero = MatPoly.zero((dim, dim))
-    return YangianModule(n, Poly([1]),
-                         [[eye if i == j else zero for j in range(n)] for i in range(n)])
+    num = np.zeros((n, n, 1, dim, dim), dtype=object)
+    num[range(n), range(n), 0] = RatMatrix.identity(dim).data
+    return YangianModule(Poly([1]), num)
 
 
 def scalar_module(n: int, num: Poly, den: Poly) -> YangianModule:
     """One-dimensional module T_ij(u) = delta_ij num(u)/den(u), num/den -> 1."""
     if num.degree != den.degree or num.lead() != 1 or den.lead() != 1:
         raise ValueError("scalar action must be a ratio of monic polynomials of equal degree")
-    entries = [[MatPoly((1, 1), [RatMatrix([[c]]) for c in num.coeffs]) if i == j
-                else MatPoly.zero((1, 1)) for j in range(n)] for i in range(n)]
-    return YangianModule(n, den, entries)
+    scale = math.lcm(*(c.denominator for c in num.coeffs))
+    arr = np.zeros((n, n, num.degree + 1, 1, 1), dtype=object)
+    for i in range(n):
+        arr[i, i, :, 0, 0] = [c.numerator * (scale // c.denominator)
+                              for c in num.coeffs]
+    return YangianModule(den, arr, scale)
 
 
 def omega_module(n: int, z) -> YangianModule:
@@ -158,42 +198,40 @@ def fock_module(theta: int, n: int, flavor: str, z, degree: int) -> YangianModul
     z_eff = z - 1 if flavor == PRIME else z
     den = Poly([theta * z_eff, 1])
     space = FockSpace(theta, n, (degree,))
-    dim = space.dim
-    num = []
+    # scale = the denominator of z_eff: P_ij = K_ij + delta_ij (theta z_eff + u)
+    scale, eye = z_eff.denominator, RatMatrix.identity(space.dim).data
+    num = np.zeros((n, n, 2, space.dim, space.dim), dtype=object)
     for i in range(n):
-        row = []
         for j in range(n):
-            k = space.gl_action_matrix(flavor, i, j)
-            if i == j:
-                row.append(MatPoly((dim, dim),
-                                   [k + RatMatrix.identity(dim) * (theta * z_eff),
-                                    RatMatrix.identity(dim)]))
-            else:
-                row.append(MatPoly((dim, dim), [k]))
-        num.append(row)
-    return YangianModule(n, den, num)
+            num[i, j, 0] = space.gl_action_matrix(flavor, i, j).data * scale
+        num[i, i, 0] += eye * (theta * z_eff.numerator)
+        num[i, i, 1] = eye * scale
+    return YangianModule(den, num, scale)
 
 
 def tensor_module(a: YangianModule, b: YangianModule) -> YangianModule:
-    """Tensor product via the coproduct: P_ij = sum_k P_ik (x) Q_kj.
+    """Tensor product via the coproduct: P_ij = sum_l P_il (x) Q_lj, one
+    einsum per pair of u-powers, in the row-major Kronecker convention.
     Raises ValueError, before any product, when n * dim is over budget."""
     if a.n != b.n:
         raise ValueError("rank mismatch")
     n = a.n
     dim = a.dim * b.dim
     _check_module_size(n, dim)
-    num = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = MatPoly.zero((dim, dim))
-            for k in range(n):
-                term = a.num[i][k].kron(b.num[k][j])
-                if not term.is_zero():
-                    acc = acc + term
-            row.append(acc)
-        num.append(row)
-    return YangianModule(n, a.den * b.den, num)
+    ka, kb = a.num.shape[2], b.num.shape[2]
+    # every output entry is a sum of at most min(ka, kb) n products, so
+    # int64 holds it when that many maximal products stay below 2^62
+    top = min(ka, kb) * n * int(np.abs(a.num).max()) * int(np.abs(b.num).max())
+    kind = np.int64 if top < _INT64_LIMIT else object
+    x, y = a.num.astype(kind), b.num.astype(kind)
+    # one u-power at a time, so that only one power is held in int64
+    num = np.empty((n, n, ka + kb - 1, dim, dim), dtype=object)
+    for k in range(ka + kb - 1):
+        num[:, :, k] = sum(
+            np.einsum("ilRS,ljTU->ijRTSU", x[:, :, s], y[:, :, k - s])
+            for s in range(max(0, k - kb + 1), min(ka, k + 1))
+        ).reshape(n, n, dim, dim)
+    return YangianModule(a.den * b.den, num, a.scale * b.scale)
 
 
 def tensor_all(mods: Sequence[YangianModule]) -> YangianModule:
@@ -207,11 +245,18 @@ def tensor_all(mods: Sequence[YangianModule]) -> YangianModule:
 
 
 def shift_module(mod: YangianModule, w) -> YangianModule:
-    """Pull back through the shift automorphism: T_ij(u) -> T_ij(u - w)."""
+    """Pull back through the shift automorphism: T_ij(u) -> T_ij(u - w).
+
+    With w = a/b and D = deg d, b^D P(u - w) has the integer coefficients
+    sum_k C(k, t) (-a)^(k-t) b^(D-k+t) P_k at u^t."""
     w = rat(w)
-    den = mod.den.shift(-w)
-    num = [[mod.num[i][j].shift(-w) for j in range(mod.n)] for i in range(mod.n)]
-    return YangianModule(mod.n, den, num)
+    a, b = w.numerator, w.denominator
+    top = mod.den.degree
+    mix = np.array([[math.comb(k, t) * (-a) ** (k - t) * b ** (top - k + t)
+                     if k >= t else 0 for k in range(top + 1)]
+                    for t in range(top + 1)], dtype=object)
+    num = np.tensordot(mix, mod.num, axes=(1, 2)).transpose(1, 2, 0, 3, 4)
+    return YangianModule(mod.den.shift(-w), num, mod.scale * b ** top)
 
 
 def twist_module(mod: YangianModule, g: RatFunc) -> YangianModule:
@@ -222,28 +267,22 @@ def twist_module(mod: YangianModule, g: RatFunc) -> YangianModule:
     out = tensor_module(scalar_module(mod.n, g.num, g.den), mod)
     # cancel the common polynomial factor, if any, to keep degrees low
     common = out.den
-    for row in out.num:
-        for entry in row:
-            for r in range(out.dim):
-                for s in range(out.dim):
-                    common = poly_gcd(common, _entry_poly(entry, r, s))
-                    if common.degree == 0:
-                        return out
-
-    def divided(entry: MatPoly) -> MatPoly:
-        polys = [[_entry_poly(entry, r, s) // common for s in range(out.dim)]
-                 for r in range(out.dim)]
-        deg = max(p.degree for row in polys for p in row)
-        return MatPoly(entry.shape,
-                       [RatMatrix([[p[k] for p in row] for row in polys])
-                        for k in range(deg + 1)])
-
-    return YangianModule(out.n, out.den // common,
-                         [[divided(entry) for entry in row] for row in out.num])
-
-
-def _entry_poly(entry: MatPoly, r: int, s: int) -> Poly:
-    return Poly([entry.coeff(k)[r, s] for k in range(entry.degree + 1)])
+    for i, j, r, s in np.ndindex(out.num.shape[:2] + out.num.shape[3:]):
+        common = poly_gcd(common, Poly(out.num[i, j, :, r, s]))
+        if common.degree == 0:
+            return out
+    # exact division by the monic common factor, one power at a time
+    rem = out.num * Fraction(1)
+    m, powers = common.degree, out.num.shape[2]
+    quo = np.zeros(out.num.shape[:2] + (powers - m,) + out.num.shape[3:],
+                   dtype=object)
+    for t in reversed(range(powers - m)):
+        quo[:, :, t] = rem[:, :, t + m]
+        for e, c in enumerate(common.coeffs):
+            rem[:, :, t + e] -= quo[:, :, t] * c
+    lcd = math.lcm(*(x.denominator for x in quo.flat))
+    ints = np.frompyfunc(int, 1, 1)(quo * lcd)   # integral Fractions to ints
+    return YangianModule(out.den // common, ints, out.scale * lcd)
 
 
 # ---------------------------------------------------------------------------

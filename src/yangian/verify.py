@@ -9,10 +9,13 @@ T2(v) T1(u) R(u-v) reads, component by component (Molev 2007),
 for all i, j, k, l; the scalar d(u) d(v) cancels.  Each side is a
 polynomial in (u, v) of degree at most (deg d + 1) in each variable, so
 checking it on a (deg d + 2) x (deg d + 2) grid of points that avoid the
-poles proves it identically.  At a grid point the blocks P_ij(u0) are
-evaluated once and stacked as integer numerators over one common
-denominator; both sides are bilinear in the blocks at u0 and v0, so the
-denominators cancel.
+poles proves it identically.  Both sides vanish on the diagonal u = v for
+every module, so only the pairs u0 != v0 need a comparison.  One
+contraction of the coefficient array with the Vandermonde matrix of the
+grid evaluates every block P_ij at every point, each point's blocks
+stacked as integer numerators over one common denominator; both sides are
+bilinear in the blocks at u0 and v0, so the denominators cancel, and the
+two products that compare (u0, v0) also compare (v0, u0).
 
 The two sides are compared by residues.  With M the largest absolute
 numerator of any stack and spread the largest |u0 - v0|, every entry of
@@ -29,21 +32,24 @@ entries that fail.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .fock import PLAIN, PRIME, TILDE
-from .linalg import Poly, RatFunc, RatMatrix, poly_rational_roots, rat, residue_primes
+from .linalg import (Poly, RatFunc, RatMatrix, _ratmatrix, poly_rational_roots,
+                     rat, residue_primes)
 from .modules import (ModuleParams, PatternFactor, YangianModule,
                       scalar_module, source_pattern, tensor_module)
 
-# Largest n^2 dim that check_rtt takes on.  Each grid pair forms two
-# (n^2 dim)-square products per prime, so the work per pair grows as
-# (n^2 dim)^2 dim: the 4-factor n = 3 pattern (dim 81, 729) takes 2.5-3 s
-# on a 2-core x86 VM, and a 5-factor one (dim 243, 2187) would need 9x
-# the memory and 27x the work per pair.
+# Largest n^2 dim that check_rtt takes on.  Each unordered grid pair
+# {u, v}, u != v, forms two (n^2 dim)-square products per prime, which
+# serve both (u, v) and (v, u), so the work per pair grows as
+# (n^2 dim)^2 dim: the 4-factor n = 3 pattern (dim 81, 729) takes
+# 1.1-1.5 s on a 2-core x86 VM, and a 5-factor one (dim 243, 2187) would
+# need 9x the memory and 27x the work per pair.
 RTT_MAX_SIZE = 729
 
 # The grid's sample points are the first integers from GRID_START on that
@@ -83,12 +89,19 @@ def _grid_points(den: Poly, count: int) -> list[int]:
     return pts
 
 
-def _stacked_blocks(mod: YangianModule, u0: int) -> np.ndarray:
-    """The numerators of the blocks P_ij(u0) over their one common
-    denominator, as a vertical stack (rows (i, j, r))."""
-    n = mod.n
-    return RatMatrix.stack([[mod.num[i][j](u0)] for i in range(n)
-                            for j in range(n)]).data
+def _grid_stacks(mod: YangianModule, pts: list[int]) -> list[np.ndarray]:
+    """The numerators of the blocks P_ij(u0) at every grid point, each over
+    the one common denominator of its lowest terms, as a vertical stack
+    (rows (i, j, r)): one contraction of num with the Vandermonde matrix."""
+    vander = np.array([[u0 ** k for k in range(mod.den.degree + 1)]
+                       for u0 in pts], dtype=object)
+    values = np.tensordot(vander, mod.num, axes=(1, 2))
+    rows = mod.n * mod.n * mod.dim
+    stacks = []
+    for vals in values:
+        g = math.gcd(mod.scale, *vals.flat)
+        stacks.append((vals // g if g > 1 else vals).reshape(rows, mod.dim))
+    return stacks
 
 
 def _residue_stacks(ints: np.ndarray, p: int, n: int,
@@ -100,49 +113,92 @@ def _residue_stacks(ints: np.ndarray, p: int, n: int,
                   .reshape(dim, n * n * dim))
 
 
+# (i, j, r, k, l, s) -> (k, l, r, i, j, s): swaps the two generators
+_SWAP = (3, 4, 2, 0, 1, 5)
+
+
+def _pair_failures(residues, primes, a: int, b: int, w: int, n: int,
+                   dim: int) -> tuple[tuple | None, tuple | None]:
+    """The first failing entries (i, j, k, l, r, s) of the grid pairs
+    (u0, v0) and (v0, u0), points a and b with w = u0 - v0, or None.
+
+    With A = P(u0), B = P(v0) modulo p, ab[i, j, r, k, l, s] =
+    (A_ij B_kl)[r, s] and ba[i, j, r, k, l, s] = (B_ij A_kl)[r, s] are
+    integers in [0, 2^53), held exactly by float64, and so are their
+    differences.  With C = ab - ba with the generators swapped and S =
+    ab - ba with axes 0 and 3 exchanged, the pair (u0, v0) needs
+    w C - S = 0 and the pair (v0, u0) needs w C' + S = 0 modulo p, C' being
+    C with the generators swapped; so one ab and one ba serve both pairs.
+    C is reduced to [0, p) before it is scaled by w, |w| < p, so the int64
+    sums stay below 2^54.
+    """
+    shape = (n, n, dim, n, n, dim)
+    bad_uv = np.zeros(shape, dtype=bool)
+    bad_vu = np.zeros(shape, dtype=bool)
+    for p, res in zip(primes, residues):
+        ab = (res[a][0] @ res[b][1]).reshape(shape)
+        ba = (res[b][0] @ res[a][1]).reshape(shape)
+        # x - x // p * p is x % p; numpy divides by a scalar much faster
+        # than it takes remainders
+        comm = (ab - ba.transpose(_SWAP)).astype(np.int64)
+        comm -= comm // p * p
+        comm *= w
+        cross = (ab - ba).astype(np.int64).swapaxes(0, 3)
+        for bad, diff in ((bad_uv, comm - cross),
+                          (bad_vu, comm.transpose(_SWAP) + cross)):
+            bad |= diff // p * p != diff
+    return _first_entry(bad_uv), _first_entry(bad_vu)
+
+
+def _first_entry(bad: np.ndarray) -> tuple | None:
+    """The first set entry in (i, j, k, l, r, s) order, or None."""
+    if not bad.any():
+        return None
+    return tuple(int(x) for x in np.argwhere(bad.transpose(0, 1, 3, 4, 2, 5))[0])
+
+
+def _rtt_grid(mod: YangianModule) -> tuple[list[int], int, list[int], list]:
+    """The grid points, the bound D, the residue primes and, per prime and
+    point, the vertical and horizontal residue stacks."""
+    n, dim = mod.n, mod.dim
+    pts = _grid_points(mod.den, mod.den.degree + 2)
+    stacks = _grid_stacks(mod, pts)
+    top = max(int(np.abs(ints).max()) for ints in stacks)
+    bound = 2 * (pts[-1] - pts[0] + 1) * dim * top * top
+    primes = residue_primes(bound, dim)
+    residues = [[_residue_stacks(ints, p, n, dim) for ints in stacks]
+                for p in primes]
+    return pts, bound, primes, residues
+
+
 def check_rtt(mod: YangianModule) -> RttReport:
     """Prove the defining relation for the module by grid evaluation.
 
+    The relation holds identically on the diagonal u0 = v0, so only the
+    pairs u0 != v0 are compared, each unordered pair once per prime.
     Raises ValueError when n^2 dim exceeds RTT_MAX_SIZE.
     """
     n, dim = mod.n, mod.dim
     if n * n * dim > RTT_MAX_SIZE:
         raise ValueError(f"rtt check on n^2 * dim = {n * n * dim}, over the "
                          f"budget of {RTT_MAX_SIZE}")
-    degree = mod.den.degree
-    pts = _grid_points(mod.den, degree + 2)
-    stacks = [_stacked_blocks(mod, u0) for u0 in pts]
-    top = max(int(np.abs(ints).max()) for ints in stacks)
-    bound = 2 * (pts[-1] - pts[0] + 1) * dim * top * top
-    primes = residue_primes(bound, dim)
-    residues = [[_residue_stacks(ints, p, n, dim) for ints in stacks]
-                for p in primes]
-    shape = (n, n, dim, n, n, dim)
-    report = RttReport(True, n, dim, degree, list(pts), list(pts),
+    pts, bound, primes, residues = _rtt_grid(mod)
+    report = RttReport(True, n, dim, mod.den.degree, list(pts), list(pts),
                        bound=bound, primes=primes)
+    # pairs (a, b) with a > b were settled with (b, a), earlier in the scan
+    later: dict[tuple[int, int], tuple | None] = {}
     for a, u0 in enumerate(pts):
         for b, v0 in enumerate(pts):
-            bad = np.zeros(shape, dtype=bool)
-            for p, res in zip(primes, residues):
-                # with A = P(u0), B = P(v0) modulo p: ab[i, j, r, k, l, s] =
-                # (A_ij B_kl)[r, s] and ba[i, j, r, k, l, s] = (B_ij A_kl)[r, s],
-                # integers in [0, 2^53), so float64 holds them and their
-                # differences exactly
-                ab = (res[a][0] @ res[b][1]).reshape(shape)
-                ba = (res[b][0] @ res[a][1]).reshape(shape)
-                # (u0 - v0) [A_ij, B_kl] - (A_kj B_il - B_kj A_il): the first
-                # term is reduced to [0, p^2) before the second is subtracted,
-                # so the int64 sum stays below 2^54
-                diff = (ab - ba.transpose(3, 4, 2, 0, 1, 5)).astype(np.int64) % p
-                diff *= (u0 - v0) % p
-                np.subtract(ab, ba, out=ab)
-                diff -= ab.astype(np.int64).swapaxes(0, 3)
-                bad |= diff % p != 0
-            if bad.any():
-                entry = np.argwhere(bad.transpose(0, 1, 3, 4, 2, 5))[0]
+            if a == b:
+                continue
+            if a < b:
+                entry, later[b, a] = _pair_failures(residues, primes, a, b,
+                                                    u0 - v0, n, dim)
+            else:
+                entry = later.pop((a, b))
+            if entry is not None:
                 report.ok = False
-                report.failure = {"u": u0, "v": v0,
-                                  "entry": tuple(int(x) for x in entry)}
+                report.failure = {"u": u0, "v": v0, "entry": entry}
                 return report
     return report
 
@@ -153,27 +209,27 @@ def check_rtt(mod: YangianModule) -> RttReport:
 
 def highest_weight_vectors(mod: YangianModule) -> list[list[Fraction]]:
     """Basis of the space killed by every T_ij(u) with i < j."""
-    blocks = [[mod.num[i][j].coeff(k)] for i in range(mod.n)
-              for j in range(i + 1, mod.n)
-              for k in range(mod.num[i][j].degree + 1)]
-    if not blocks:
-        return [[Fraction(1) if r == k else Fraction(0) for r in range(mod.dim)]
-                for k in range(mod.dim)]
-    return RatMatrix.stack(blocks).nullspace()
+    upper = mod.num[np.triu_indices(mod.n, 1)]
+    return _ratmatrix(upper.reshape(-1, mod.dim), 1).nullspace()
+
+
+def _numerators(vec) -> np.ndarray:
+    """The integer numerators of vec over their common denominator."""
+    return RatMatrix([vec]).data[0]
 
 
 def eigenvalue_of(mod: YangianModule, i: int, vec) -> RatFunc:
     """T_ii(u) eigenvalue on vec as a rational function; raises if not eigen."""
-    entry = mod.num[i][i]
-    images = entry.apply(vec)
-    pivot = next((r for r, x in enumerate(vec) if x != 0), None)
+    ints = _numerators(vec)
+    pivot = next((r for r, x in enumerate(ints) if x != 0), None)
     if pivot is None:
         raise ValueError("zero vector")
-    coeffs = [img[pivot] / vec[pivot] for img in images]
-    for k, img in enumerate(images):
-        for r in range(mod.dim):
-            if img[r] != coeffs[k] * vec[r]:
-                raise ValueError(f"vector is not an eigenvector of entry {i}")
+    coeffs = []
+    for img in mod.num[i, i] @ ints:
+        # img = scale * c * ints, for c the eigenvalue's u^k coefficient
+        if (img * ints[pivot] != ints * img[pivot]).any():
+            raise ValueError(f"vector is not an eigenvector of entry {i}")
+        coeffs.append(Fraction(int(img[pivot]), mod.scale * int(ints[pivot])))
     return RatFunc(Poly(coeffs), mod.den)
 
 
@@ -182,12 +238,8 @@ def hw_eigenvalues(mod: YangianModule, vec) -> list[RatFunc]:
 
 
 def is_highest_weight(mod: YangianModule, vec) -> bool:
-    for i in range(mod.n):
-        for j in range(i + 1, mod.n):
-            for img in mod.num[i][j].apply(vec):
-                if any(x != 0 for x in img):
-                    return False
-    return True
+    upper = mod.num[np.triu_indices(mod.n, 1)]
+    return not (upper @ _numerators(vec)).any()
 
 
 # ---------------------------------------------------------------------------

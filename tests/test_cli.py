@@ -1,6 +1,7 @@
 """Tests for the config-driven command line and its report contract."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,22 @@ def test_rtt_budget_fails_cleanly(tmp_path, capsys):
     record = json.loads(out.read_text())["checks"][0]
     assert record["status"] == "error"
     assert "n^2 * dim = 1296, over the budget of 729" in record["details"]["error"]
+    capsys.readouterr()
+
+
+def test_realization_budget_fails_cleanly(tmp_path, capsys):
+    # one factor at n = 2000: C(2006, 6) monomials of degree <= 6; the
+    # enumeration used to end in a RecursionError with no report written
+    path = write_config(tmp_path, {
+        "theta": 1, "n": 2000, "p": 0, "q": 1, "nu": [1],
+        "mu": ["1/7"], "checks": ["e-relations"]})
+    out = tmp_path / "report.json"
+    assert cli.main(["--config", path, "--output", str(out)]) == 1
+    record = json.loads(out.read_text())["checks"][0]
+    assert record["status"] == "error"
+    assert (f"realization basis of {math.comb(2006, 6)} monomials "
+            "(m n = 2000, truncation 6), over the budget of 20000"
+            in record["details"]["error"])
     capsys.readouterr()
 
 

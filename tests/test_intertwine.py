@@ -3,8 +3,9 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yangian import intertwine
@@ -52,6 +53,18 @@ def params_for(theta, n, p, q, nu, mu_ints):
     m = p + q
     mu = [Fraction(mu_ints[b]) + Fraction(b + 1, 7) for b in range(m)]
     return ModuleParams(theta, n, p, q, mu, nu)
+
+
+def coefficient(mod, i, j, k):
+    """The u^k coefficient of P_ij(u) as a RatMatrix."""
+    return RatMatrix([[Fraction(int(x), mod.scale) for x in row]
+                      for row in mod.num[i, j, k]])
+
+
+def entry_matpoly(mod, i, j):
+    """P_ij(u) as a MatPoly, read off the coefficient array."""
+    return MatPoly((mod.dim, mod.dim), [coefficient(mod, i, j, k)
+                                        for k in range(mod.num.shape[2])])
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +122,9 @@ def test_step_is_exact_module_map():
     assert src.den == tgt.den
     for i in range(src.n):
         for j in range(src.n):
-            a, b = src.num[i][j], tgt.num[i][j]
-            for k in range(max(a.degree, b.degree) + 1):
-                assert mat * a.coeff(k) == b.coeff(k) * mat
+            for k in range(src.den.degree + 1):
+                assert mat * coefficient(src, i, j, k) == \
+                    coefficient(tgt, i, j, k) * mat
     # generic swap is invertible
     mat.inverse()
 
@@ -119,11 +132,9 @@ def test_step_is_exact_module_map():
 def test_step_names_the_failing_identity_of_a_tampered_source():
     params = params_for(1, 2, 0, 2, (1, 1), [0, 2])
     src = pattern_module(params, source_pattern(params))
-    bump = MatPoly.constant(RatMatrix([[int(r == c == 0) for c in range(src.dim)]
-                                       for r in range(src.dim)]))
-    tampered = YangianModule(src.n, src.den, [
-        [entry + bump if (i, j) == (0, 1) else entry for j, entry in enumerate(row)]
-        for i, row in enumerate(src.num)])
+    num = src.num.copy()
+    num[0, 1, 0, 0, 0] += src.scale   # P_01(u) + E_00
+    tampered = YangianModule(src.den, num, src.scale)
     with pytest.raises(NonGenericStepError,
                        match=r"fails the exact module identity at .* = \(0, 1, 0, 0, 0\)"):
         step(params, 1, source=tampered)
@@ -310,7 +321,8 @@ def whole_denominator_hom_space(m1, m2):
     blocks = []
     for i in range(m1.n):
         for j in range(m1.n):
-            q1, q2 = m1.num[i][j] * m2.den, m2.num[i][j] * m1.den
+            q1 = entry_matpoly(m1, i, j) * m2.den
+            q2 = entry_matpoly(m2, i, j) * m1.den
             for k in range(max(q1.degree, q2.degree) + 1):
                 blocks.append([eye2.kron(q1.coeff(k).transpose())
                                - q2.coeff(k).kron(eye1)])
@@ -367,15 +379,44 @@ def module_pairs(draw):
     return tensor_module(a, b), tensor_module(b, a)
 
 
+def rescaled_evaluation():
+    """The evaluation module at z = 0 conjugated by diag(1, 3): E_01
+    becomes E_01 / 3, so its scale is 3 while the original's is 1."""
+    mod = evaluation_module(2, 0)
+    three = np.diag([1, 3]).astype(object)
+    return YangianModule(mod.den, three @ mod.num @ three[::-1, ::-1], 3)
+
+
 @settings(max_examples=60, deadline=None)
 @given(module_pairs())
+@example((evaluation_module(2, 0), rescaled_evaluation()))
+@example((rescaled_evaluation(), evaluation_module(2, 0)))
 def test_coefficient_pairs_match_whole_denominator_reference(pair):
     m1, m2 = pair
     g = poly_gcd(m1.den, m2.den)
-    q1 = [[p * (m2.den // g) for p in row] for row in m1.num]
-    q2 = [[p * (m1.den // g) for p in row] for row in m2.num]
-    for (i, j, k), b, c in coefficient_pairs(m1, m2):
-        assert (b, c) == (q1[i][j].coeff(k), q2[i][j].coeff(k))
+    want = {}
+    for i in range(m1.n):
+        for j in range(m1.n):
+            q1 = entry_matpoly(m1, i, j) * (m2.den // g)
+            q2 = entry_matpoly(m2, i, j) * (m1.den // g)
+            for k in range(max(q1.degree, q2.degree) + 1):
+                if not (q1.coeff(k).is_zero() and q2.coeff(k).is_zero()):
+                    want[i, j, k] = q1.coeff(k), q2.coeff(k)
+    # the nonzero pairs in (i, j, k) order, as integer matrices times one
+    # positive factor common to all of them
+    pairs = list(coefficient_pairs(m1, m2))
+    assert [key for key, _, _ in pairs] == sorted(want)
+    factors = set()
+    for key, b, c in pairs:
+        rb, rc = want[key]
+        ref, got = (rb, b) if not rb.is_zero() else (rc, c)
+        r, s = next((r, s) for r in range(ref.nrows) for s in range(ref.ncols)
+                    if ref[r, s])
+        factor = got[r, s] / ref[r, s]
+        assert b.den == c.den == 1 and factor > 0
+        assert (b, c) == (rb * factor, rc * factor)
+        factors.add(factor)
+    assert len(factors) <= 1
     basis = hom_space(m1, m2)
     assert basis == whole_denominator_hom_space(m1, m2)
     assert all(intertwine._verify_intertwiner(a, m1, m2) is None for a in basis)

@@ -30,6 +30,19 @@ from yangian.modules import (
 THIRD = Fraction(1, 3)
 
 
+def entry_matpoly(mod, i, j):
+    """P_ij(u) as a MatPoly, read off the coefficient array."""
+    return MatPoly((mod.dim, mod.dim), [
+        RatMatrix([[Fraction(int(x), mod.scale) for x in row] for row in coeff])
+        for coeff in mod.num[i, j]])
+
+
+def same_array(m1, m2):
+    """Equal denominators, scales and coefficient arrays."""
+    return (m1.den == m2.den and m1.scale == m2.scale
+            and m1.num.shape == m2.num.shape and bool((m1.num == m2.num).all()))
+
+
 def test_dual_evaluation_matches_antisymmetric_component():
     # for theta = -1 the degree-1 plain component acts by delta_ij + E_ij/(u - z)
     n = 3
@@ -67,7 +80,8 @@ def test_evaluation_modules_match_explicit_construction():
                 den, num = _explicit_evaluation(n, z, dual)
                 mod = build(n, z)
                 assert mod.den == den, (n, z, dual)
-                assert mod.num == num, (n, z, dual)
+                assert [[entry_matpoly(mod, i, j) for j in range(n)]
+                        for i in range(n)] == num, (n, z, dual)
 
 
 def test_evaluation_module_is_degree_one_component():
@@ -76,7 +90,9 @@ def test_evaluation_module_is_degree_one_component():
     for n in (2, 3):
         den, num = _explicit_evaluation(n, THIRD, False)
         f = fock_module(1, n, PLAIN, THIRD, 1)
-        assert f.den == den and f.num == num, n
+        assert f.den == den, n
+        assert [[entry_matpoly(f, i, j) for j in range(n)]
+                for i in range(n)] == num, n
         assert evaluation_module(n, THIRD).equal_entrywise(f)
 
 
@@ -92,11 +108,9 @@ def test_tilde_equals_scalar_twist_of_prime():
         # the untwisted prime component, one perturbed coefficient entry and
         # a dimension mismatch all compare unequal
         assert not tilde.equal_entrywise(prime)
-        bump = RatMatrix([[int(r == c == 0) for c in range(tilde.dim)]
-                          for r in range(tilde.dim)])
-        bumped = YangianModule(n, tilde.den, [
-            [entry + MatPoly.constant(bump) if (i, j) == (0, 1) else entry
-             for j, entry in enumerate(row)] for i, row in enumerate(tilde.num)])
+        num = tilde.num.copy()
+        num[0, 1, 0, 0, 0] += tilde.scale
+        bumped = YangianModule(tilde.den, num, tilde.scale)
         assert not bumped.equal_entrywise(twisted)
         assert not twisted.equal_entrywise(bumped)
         assert not tilde.equal_entrywise(trivial_module(n))
@@ -108,10 +122,7 @@ def test_one_dimensional_factors_are_cocentral():
     for scalar in (omega_module(2, z), omega_prime_module(2, z)):
         left = tensor_module(scalar, m)
         right = tensor_module(m, scalar)
-        assert left.den == right.den
-        for i in range(2):
-            for j in range(2):
-                assert left.entry(i, j) == right.entry(i, j)
+        assert same_array(left, right)
 
 
 def test_tensor_is_associative():
@@ -120,23 +131,23 @@ def test_tensor_is_associative():
     c = omega_module(2, Fraction(2, 9))
     left = tensor_module(tensor_module(a, b), c)
     right = tensor_module(a, tensor_module(b, c))
-    assert left.den == right.den
-    for i in range(2):
-        for j in range(2):
-            assert left.entry(i, j) == right.entry(i, j)
+    assert same_array(left, right)
 
 
 def test_shift_module_translates_argument():
-    m = evaluation_module(2, THIRD)
-    w = Fraction(3, 5)
-    s = shift_module(m, w)
-    for i in range(2):
-        for j in range(2):
-            for r in range(2):
-                for c in range(2):
-                    u0 = Fraction(9)
-                    assert s.entry_ratfunc(i, j, r, c)(u0) == \
-                        m.entry_ratfunc(i, j, r, c)(u0 - w)
+    # degree 1, and degree 2 through a tensor product with a tilde block
+    for m in (evaluation_module(2, THIRD),
+              tensor_module(evaluation_module(2, THIRD),
+                            fock_module(1, 2, TILDE, Fraction(5, 2), 2))):
+        w = Fraction(3, 5)
+        s = shift_module(m, w)
+        for i in range(2):
+            for j in range(2):
+                for r in range(m.dim):
+                    for c in range(m.dim):
+                        u0 = Fraction(9)
+                        assert s.entry_ratfunc(i, j, r, c)(u0) == \
+                            m.entry_ratfunc(i, j, r, c)(u0 - w)
 
 
 def test_twist_multiplies_entries_and_reduces():
@@ -148,10 +159,7 @@ def test_twist_multiplies_entries_and_reduces():
             for c in range(2):
                 assert t.entry_ratfunc(i, 0, r, c) == m.entry_ratfunc(i, 0, r, c) * g
     back = twist_module(t, 1 / g)
-    assert back.den == m.den
-    for i in range(2):
-        for j in range(2):
-            assert back.entry(i, j) == m.entry(i, j)
+    assert same_array(back, m)
 
 
 def test_twist_requires_limit_one():
@@ -164,7 +172,17 @@ def test_normal_form_is_enforced():
     with pytest.raises(ValueError):
         scalar_module(2, Poly([1, 2]), Poly([1, 1]))  # num not monic
     with pytest.raises(ValueError):
-        YangianModule(1, Poly([0, 2]), [[fock_module(1, 1, PLAIN, 0, 1).entry(0, 0)]])
+        YangianModule(Poly([0, 2]), fock_module(1, 1, PLAIN, 0, 1).num)
+    m = evaluation_module(2, THIRD)
+    for i, j, r, s in ((0, 1, 0, 0), (0, 0, 0, 0), (1, 1, 0, 1)):
+        num = m.num.copy()
+        num[i, j, 1, r, s] += 1   # the leading coefficient, off I or off 0
+        with pytest.raises(ValueError):
+            YangianModule(m.den, num, m.scale)
+    with pytest.raises(ValueError):
+        YangianModule(m.den * m.den, m.num, m.scale)   # too few powers
+    # the constructor keeps the array in lowest terms
+    assert same_array(YangianModule(m.den, m.num * 6, m.scale * 6), m)
 
 
 def test_module_params_derived_quantities():

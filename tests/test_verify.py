@@ -9,9 +9,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from yangian import verify
 from yangian.fock import PLAIN, PRIME, TILDE
 from yangian.linalg import MatPoly, Poly, RatFunc, RatMatrix, poly_gcd, residue_primes
 from yangian.modules import (
@@ -51,6 +52,26 @@ from yangian.verify import (
 def ratfunc(num_coeffs, den_coeffs):
     return RatFunc(Poly([F(c) for c in num_coeffs]),
                    Poly([F(c) for c in den_coeffs]))
+
+
+def coefficient(mod, i, j, k):
+    """The u^k coefficient of P_ij(u) as a RatMatrix."""
+    return RatMatrix([[F(int(x), mod.scale) for x in row]
+                      for row in mod.num[i, j, k]])
+
+
+def entry_matpoly(mod, i, j):
+    """P_ij(u) as a MatPoly, read off the coefficient array."""
+    return MatPoly((mod.dim, mod.dim), [coefficient(mod, i, j, k)
+                                        for k in range(mod.num.shape[2])])
+
+
+def block_at(mod, i, j, u):
+    """P_ij(u) as a RatMatrix, by Horner's rule on the coefficients."""
+    acc = RatMatrix.zeros(mod.dim, mod.dim)
+    for k in reversed(range(mod.num.shape[2])):
+        acc = acc * u + coefficient(mod, i, j, k)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -93,25 +114,28 @@ def test_rtt_tensor_shift_twist():
 
 def test_rtt_catches_tampered_module():
     good = evaluation_module(2, F(3, 2))
-    nums = [[good.num[i][j] for j in range(2)] for i in range(2)]
-    nums[0][1] = MatPoly((2, 2), (RatMatrix.from_flat(2, 2, [1, 0, 0, 0]),))
-    bad = YangianModule(2, good.den, nums)
+    num = good.num.copy()
+    num[0, 1] = 0
+    num[0, 1, 0, 0, 0] = good.scale   # P_01(u) = E_00
+    bad = YangianModule(good.den, num, good.scale)
     report = check_rtt(bad)
     assert not report.ok
     assert report.failure == {"u": 10, "v": 11, "entry": (0, 0, 0, 1, 0, 0)}
 
 
-def component_rtt_failures(mod, points):
-    """Reference: the first failing (u, v, i, j, k, l, r, s) of
-    (u-v) [P_ij(u), P_kl(v)] = P_kj(u) P_il(v) - P_kj(v) P_il(u), scanning
-    u, v, i, j, k, l, r, s in that order, by exact RatMatrix products of the
-    evaluated numerators; and every nonzero entry of every difference."""
+def pair_rtt_failures(mod, points):
+    """Reference: for every ordered pair (u, v) of points, the first failing
+    (i, j, k, l, r, s) of (u-v) [P_ij(u), P_kl(v)] = P_kj(u) P_il(v) -
+    P_kj(v) P_il(u), scanning i, j, k, l, r, s in that order, or None, by
+    exact RatMatrix products of the evaluated numerators; and the nonzero
+    entries of the difference."""
     n, dim = mod.n, mod.dim
-    first, values = None, []
+    out = {}
     for u in points:
         for v in points:
-            a = [[mod.num[i][j](u) for j in range(n)] for i in range(n)]
-            b = [[mod.num[i][j](v) for j in range(n)] for i in range(n)]
+            a = [[block_at(mod, i, j, u) for j in range(n)] for i in range(n)]
+            b = [[block_at(mod, i, j, v) for j in range(n)] for i in range(n)]
+            first, values = None, []
             for i, j, k, l in itertools.product(range(n), repeat=4):
                 diff = ((a[i][j] * b[k][l] - b[k][l] * a[i][j]) * (u - v)
                         - (a[k][j] * b[i][l] - b[k][j] * a[i][l]))
@@ -119,7 +143,20 @@ def component_rtt_failures(mod, points):
                     if diff[r, s] != 0:
                         values.append(diff[r, s])
                         if first is None:
-                            first = {"u": u, "v": v, "entry": (i, j, k, l, r, s)}
+                            first = (i, j, k, l, r, s)
+            out[u, v] = first, values
+    return out
+
+
+def component_rtt_failures(mod, points):
+    """Reference: the first failing (u, v, i, j, k, l, r, s), scanning u, v
+    and then the entries in that order, and every nonzero entry of every
+    difference (see pair_rtt_failures)."""
+    first, values = None, []
+    for (u, v), (entry, vals) in pair_rtt_failures(mod, points).items():
+        values += vals
+        if first is None and entry is not None:
+            first = {"u": u, "v": v, "entry": entry}
     return first, values
 
 
@@ -128,10 +165,9 @@ def test_rtt_failure_missed_by_first_prime():
     # so with c the first residue prime that prime alone sees no failure
     good = evaluation_module(2, F(3, 2))
     first_prime = residue_primes(0, good.dim)[0]
-    nums = [[good.num[i][j] for j in range(2)] for i in range(2)]
-    nums[0][1] = nums[0][1] + MatPoly.constant(
-        RatMatrix.from_flat(2, 2, [first_prime, 0, 0, 0]))
-    bad = YangianModule(2, good.den, nums)
+    num = good.num.copy()
+    num[0, 1, 0, 0, 0] += first_prime * good.scale
+    bad = YangianModule(good.den, num, good.scale)
     report = check_rtt(bad)
     assert report.primes[0] == first_prime and len(report.primes) > 1
     first, values = component_rtt_failures(bad, report.points_u)
@@ -154,7 +190,7 @@ def dense_rtt_holds(mod):
     flip = flip.reshape(size, size)
 
     def assembled(u):
-        mats = [[mod.num[i][j](u) for j in range(n)] for i in range(n)]
+        mats = [[block_at(mod, i, j, u) for j in range(n)] for i in range(n)]
         den = math.lcm(*(m.den for row in mats for m in row))
         t1 = np.zeros((n, n, dim, n, n, dim), dtype=object)
         t2 = np.zeros_like(t1)
@@ -206,23 +242,106 @@ def small_modules(draw):
     k = draw(st.integers(0, mod.den.degree - 1))
     r, s = draw(st.integers(0, mod.dim - 1)), draw(st.integers(0, mod.dim - 1))
     delta = draw(st.sampled_from((F(1), F(-1), F(1, 2))))
-    entry = mod.num[i][j]
-    coeffs = [entry.coeff(t) for t in range(max(entry.degree + 1, k + 1))]
-    rows = [[coeffs[k][a, b] + delta * ((a, b) == (r, s))
-             for b in range(mod.dim)] for a in range(mod.dim)]
-    coeffs[k] = RatMatrix(rows)
-    nums = [list(row) for row in mod.num]
-    nums[i][j] = MatPoly((mod.dim, mod.dim), coeffs)
-    return YangianModule(n, mod.den, nums), True
+    num = mod.num * delta.denominator
+    num[i, j, k, r, s] += delta.numerator * mod.scale
+    return YangianModule(mod.den, num, mod.scale * delta.denominator), True
+
+
+def noncommuting_module():
+    """n = 1, P(u) = u^2 + u E_00 + E_01 over (u + 1)(u + 2): the relation
+    reads (u - v - 1)(u - v) [E_00, E_01] = 0, so it fails at (10, 11) and
+    holds at (11, 10)."""
+    num = np.zeros((1, 1, 3, 2, 2), dtype=object)
+    num[0, 0, 0, 0, 1] = 1
+    num[0, 0, 1, 0, 0] = 1
+    num[0, 0, 2] = [[1, 0], [0, 1]]
+    return YangianModule(Poly([2, 3, 1]), num)
 
 
 @settings(max_examples=30, deadline=None)
 @given(small_modules())
+@example((noncommuting_module(), True))
+# (u + 4/3)(u + 2) / ((u + 1/3)(u + 1)): 3 divides every numerator at u = 10
+@example((tensor_module(omega_module(2, F(1, 3)), omega_module(2, 1)), False))
 def test_rtt_matches_dense_reference(case):
     mod, perturbed = case
-    ok = check_rtt(mod).ok
-    assert ok == dense_rtt_holds(mod)
-    assert ok or perturbed
+    report = check_rtt(mod)
+    assert report.ok == dense_rtt_holds(mod)
+    assert report.ok or perturbed
+    # the witness is the first failure of the row-major (u, v) scan
+    assert report.failure == component_rtt_failures(mod, report.points_u)[0]
+    # the bound reads the stacks of the evaluated blocks in lowest terms
+    pts = report.points_u
+    top = max(int(np.abs(RatMatrix.stack(
+        [[block_at(mod, i, j, u)] for i in range(mod.n) for j in range(mod.n)]
+    ).data).max()) for u in pts)
+    assert report.bound == 2 * (pts[-1] - pts[0] + 1) * mod.dim * top * top
+    assert report.primes == residue_primes(report.bound, mod.dim)
+
+
+@settings(max_examples=10, deadline=None)
+@given(small_modules())
+@example((noncommuting_module(), True))
+def test_rtt_pairs_match_component_reference(case):
+    # one product pair per prime settles both (u, v) and (v, u): every
+    # ordered pair's first failing entry matches the reference
+    mod, _ = case
+    pts, _, primes, residues = verify._rtt_grid(mod)
+    ref = pair_rtt_failures(mod, pts)
+    for a, b in itertools.combinations(range(len(pts)), 2):
+        u, v = pts[a], pts[b]
+        got = verify._pair_failures(residues, primes, a, b, u - v,
+                                    mod.n, mod.dim)
+        assert got == (ref[u, v][0], ref[v, u][0])
+    assert all(not ref[u, u][1] for u in pts)   # the diagonal holds
+
+
+def coproduct_reference(a, b):
+    """The n x n MatPolys sum_k P_ik (x) Q_kj of the tensor product, from
+    the MatPoly entries of a (a module or such a grid) and of b."""
+    grid = a if isinstance(a, list) else [
+        [entry_matpoly(a, i, j) for j in range(a.n)] for i in range(a.n)]
+    out = []
+    for i in range(b.n):
+        row = []
+        for j in range(b.n):
+            acc = MatPoly((grid[0][0].shape[0] * b.dim,) * 2)
+            for k in range(b.n):
+                acc = acc + grid[i][k].kron(entry_matpoly(b, k, j))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@st.composite
+def tensor_factors(draw):
+    """Two or three atom modules of rank n (both theta, and the dim-1
+    trivial and scalar modules), the product of their dims at most 24."""
+    n = draw(st.sampled_from((2, 3)))
+    params = st.builds(F, st.integers(-6, 6), st.sampled_from((1, 2, 3, 5)))
+    out, dim = [], 1
+    for _ in range(draw(st.integers(2, 3))):
+        z = draw(params)
+        choices = [m for m in atom_modules(n, z) if dim * m.dim <= 24]
+        choices += [trivial_module(n), omega_prime_module(n, z)]
+        out.append(draw(st.sampled_from(choices)))
+        dim *= out[-1].dim
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(tensor_factors())
+def test_tensor_matches_coproduct_reference(factors):
+    mod = factors[0]
+    ref = factors[0]
+    for other in factors[1:]:
+        ref = coproduct_reference(ref, other)
+        mod = tensor_module(mod, other)
+    assert mod.den == math.prod((f.den for f in factors), start=Poly([1]))
+    for i, j in itertools.product(range(mod.n), repeat=2):
+        for k in range(mod.num.shape[2]):
+            assert coefficient(mod, i, j, k) == ref[i][j].coeff(k)
+        assert ref[i][j].degree < mod.num.shape[2]
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +536,8 @@ def test_scalar_twist_between_rejects_unrelated():
                                 evaluation_module(3, F(1, 3))) is None
 
 
-def entry_poly(entry, r, s):
-    return Poly([entry.coeff(k)[r, s] for k in range(entry.degree + 1)])
+def entry_poly(mod, i, j, r, s):
+    return Poly([F(int(x), mod.scale) for x in mod.num[i, j, :, r, s]])
 
 
 def entry_keys(mod):
@@ -431,7 +550,7 @@ def reference_twist(mod, g):
     entry: each P_ij[r, s] times num(g) over den times den(g), divided by
     the gcd of the denominator and every entry."""
     den = mod.den * g.den
-    polys = {key: entry_poly(mod.num[key[0]][key[1]], *key[2:]) * g.num
+    polys = {key: entry_poly(mod, *key) * g.num
              for key in entry_keys(mod)}
     common = den
     for p in polys.values():
@@ -497,7 +616,7 @@ def test_twists_match_entrywise_references(data):
     twisted = twist_module(mod, g)
     den, polys = reference_twist(mod, g)
     assert twisted.den == den
-    assert all(entry_poly(twisted.num[key[0]][key[1]], *key[2:]) == p
+    assert all(entry_poly(twisted, *key) == p
                for key, p in polys.items())
     # a twist, its inverse, an unrelated module of the same rank, itself
     for m1, m2 in ((twisted, mod), (mod, twisted), (mod, mod),
