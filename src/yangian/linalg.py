@@ -702,6 +702,12 @@ class MatPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         return MatPoly(self.shape, [self.coeff(k) + other.coeff(k) for k in range(n)])
 
+    def __sub__(self, other: "MatPoly") -> "MatPoly":
+        return self + (-other)
+
+    def __neg__(self) -> "MatPoly":
+        return MatPoly(self.shape, [-c for c in self.coeffs])
+
     def __mul__(self, q: Poly) -> "MatPoly":
         """The product P(u) q(u) with a scalar polynomial."""
         if self.is_zero() or q.is_zero():
@@ -724,32 +730,39 @@ class MatPoly:
                 out[i + j] = out[i + j] + a.kron(b)
         return MatPoly(shape, out)
 
+    def __call__(self, u) -> RatMatrix:
+        acc = RatMatrix.zeros(*self.shape)
+        for c in reversed(self.coeffs):
+            acc = acc * rat(u) + c
+        return acc
+
+    def shift(self, c) -> "MatPoly":
+        """Return P(u + c), by Horner's rule in u + c."""
+        step = Poly([rat(c), 1])
+        out = MatPoly(self.shape)
+        for coeff in reversed(self.coeffs):
+            out = out * step + MatPoly(self.shape, [coeff])
+        return out
+
 
 # ---------------------------------------------------------------------------
-# integer matrix kernels (exact; float64 and int64 fast paths under a
-# proven bound)
+# integer matrix kernels (exact; int64 fast path under a proven bound)
 
 _INT64_LIMIT = 2 ** 62
-_FLOAT64_LIMIT = 2 ** 53
 
 
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product of integer object-dtype matrices.
 
-    With k the inner dimension, every partial sum of the product is at most
-    k * max|a| * max|b|.  Below 2^53 numpy's float64 matmul holds every
-    partial sum exactly, below 2^62 its int64 matmul does; otherwise the
-    product falls back to big-int object matmul.
+    Uses numpy int64 matmul when k * max|a| * max|b| provably fits, else
+    falls back to big-int object matmul.
     """
     if a.size == 0 or b.size == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=object)
     ma = int(np.abs(a).max())
     mb = int(np.abs(b).max())
-    top = a.shape[1] * ma * mb
-    if top < _FLOAT64_LIMIT:
-        prod = a.astype(np.float64) @ b.astype(np.float64)
-        return prod.astype(np.int64).astype(object)
-    if top < _INT64_LIMIT:
+    k = a.shape[1]
+    if ma and mb and k * ma * mb < _INT64_LIMIT:
         prod = a.astype(np.int64) @ b.astype(np.int64)
         return prod.astype(object)
     return a @ b

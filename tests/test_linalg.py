@@ -450,15 +450,17 @@ def mat_poly_triples(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(mat_poly_triples(), small_polys)
-def test_mat_poly_matches_entrywise_poly_reference(triple, q):
+@given(mat_poly_triples(), small_polys, fractions)
+def test_mat_poly_matches_entrywise_poly_reference(triple, q, u):
     a, b, c = triple
     pa, pb, pc = entry_polys(a), entry_polys(b), entry_polys(c)
     assert from_entry_polys(a.shape, pa) == a
     rc, cc = c.shape
     cases = [
         (a + b, a.shape, [[x + y for x, y in zip(r, t)] for r, t in zip(pa, pb)]),
+        (a - b, a.shape, [[x - y for x, y in zip(r, t)] for r, t in zip(pa, pb)]),
         (a * q, a.shape, [[x * q for x in r] for r in pa]),
+        (a.shift(u), a.shape, [[x.shift(u) for x in r] for r in pa]),
         (a.kron(c), (a.shape[0] * rc, a.shape[1] * cc),
          [[pa[i][j] * pc[k][l] for j in range(a.shape[1]) for l in range(cc)]
           for i in range(a.shape[0]) for k in range(rc)]),
@@ -468,3 +470,4 @@ def test_mat_poly_matches_entrywise_poly_reference(triple, q):
         assert entry_polys(got) == want
         # trailing zero coefficients are stripped, so equal values are equal
         assert got == from_entry_polys(shape, want)
+    assert ref_entries(a(u)) == [[x(u) for x in r] for r in pa]

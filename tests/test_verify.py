@@ -66,12 +66,11 @@ def entry_matpoly(mod, i, j):
                                         for k in range(mod.num.shape[2])])
 
 
-def block_at(mod, i, j, u):
-    """P_ij(u) as a RatMatrix, by Horner's rule on the coefficients."""
-    acc = RatMatrix.zeros(mod.dim, mod.dim)
-    for k in reversed(range(mod.num.shape[2])):
-        acc = acc * u + coefficient(mod, i, j, k)
-    return acc
+def blocks_at(mod, points):
+    """The blocks P_ij(u) as RatMatrix rows, one per point u."""
+    entries = [[entry_matpoly(mod, i, j) for j in range(mod.n)]
+               for i in range(mod.n)]
+    return {u: [[p(u) for p in row] for row in entries] for u in points}
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +129,11 @@ def pair_rtt_failures(mod, points):
     exact RatMatrix products of the evaluated numerators; and the nonzero
     entries of the difference."""
     n, dim = mod.n, mod.dim
+    blocks = blocks_at(mod, points)
     out = {}
     for u in points:
         for v in points:
-            a = [[block_at(mod, i, j, u) for j in range(n)] for i in range(n)]
-            b = [[block_at(mod, i, j, v) for j in range(n)] for i in range(n)]
+            a, b = blocks[u], blocks[v]
             first, values = None, []
             for i, j, k, l in itertools.product(range(n), repeat=4):
                 diff = ((a[i][j] * b[k][l] - b[k][l] * a[i][j]) * (u - v)
@@ -189,8 +188,10 @@ def dense_rtt_holds(mod):
         flip[i, j, :, j, i, :] = np.eye(dim, dtype=int)
     flip = flip.reshape(size, size)
 
+    entries = [[entry_matpoly(mod, i, j) for j in range(n)] for i in range(n)]
+
     def assembled(u):
-        mats = [[block_at(mod, i, j, u) for j in range(n)] for i in range(n)]
+        mats = [[p(u) for p in row] for row in entries]
         den = math.lcm(*(m.den for row in mats for m in row))
         t1 = np.zeros((n, n, dim, n, n, dim), dtype=object)
         t2 = np.zeros_like(t1)
@@ -273,8 +274,8 @@ def test_rtt_matches_dense_reference(case):
     # the bound reads the stacks of the evaluated blocks in lowest terms
     pts = report.points_u
     top = max(int(np.abs(RatMatrix.stack(
-        [[block_at(mod, i, j, u)] for i in range(mod.n) for j in range(mod.n)]
-    ).data).max()) for u in pts)
+        [[m] for row in blocks for m in row]).data).max())
+        for blocks in blocks_at(mod, pts).values())
     assert report.bound == 2 * (pts[-1] - pts[0] + 1) * mod.dim * top * top
     assert report.primes == residue_primes(report.bound, mod.dim)
 
@@ -331,6 +332,15 @@ def tensor_factors(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(tensor_factors())
+# tensor_module's bound min(ka, kb) n max|a| max|b| is 4 (2^30 - 1)^2, just
+# below 2^62 (int64 path), then 2^62 (object path); the degree-2 blocks over
+# 2^31 - 1 and 2147483629 have entries whose int64 sums wrap (bound < 2^67),
+# and the last factor takes the product to about 2^105
+@example([evaluation_module(2, F(1, 2 ** 30 - 2))] * 2)
+@example([evaluation_module(2, F(1, 2 ** 30 - 1))] * 2)
+@example([fock_module(1, 2, PLAIN, F(1, 2147483647), 2),
+          fock_module(1, 2, PRIME, F(2, 2147483629), 2),
+          evaluation_module(2, F(-3, 9999999943))])
 def test_tensor_matches_coproduct_reference(factors):
     mod = factors[0]
     ref = factors[0]
