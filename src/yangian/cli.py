@@ -340,7 +340,7 @@ def _check_hw_eigenvalues(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
     closed = closed_form_eigenvalues(params)
     matches = [computed[i] == closed[i] for i in range(params.n)]
     details = {
-        "hw_space_dim": len(highest_weight_vectors(mod)),
+        "hw_space_dim": highest_weight_vectors(mod).ncols,
         "computed": [_ratfunc_dict(f) for f in computed],
         "closed_form": [_ratfunc_dict(f) for f in closed],
         "matches": matches,

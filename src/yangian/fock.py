@@ -19,7 +19,6 @@ matrices here and the operator realization in `hd` both go through it.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 import numpy as np
 
@@ -129,10 +128,11 @@ class FockSpace:
             raise ValueError(f"unknown flavor {flavor!r}")
         return self.operator_matrix([term])
 
-    def monomial_vector(self, exps: tuple, coeff=1) -> list[Fraction]:
-        v = [Fraction(0)] * self.dim
-        v[self.index[tuple(exps)]] = Fraction(coeff)
-        return v
+    def monomial_vector(self, exps: tuple, coeff: int = 1) -> RatMatrix:
+        """The column of coeff times one basis monomial."""
+        v = np.zeros((self.dim, 1), dtype=object)
+        v[self.index[tuple(exps)], 0] = coeff
+        return _ratmatrix(v, 1)
 
 
 def first_variables_monomial(theta: int, n: int, degree: int) -> tuple[int, ...]:

@@ -23,6 +23,10 @@ caches belong to the operators one check call builds and die with it.
 For theta=+1 the assertion set is the "safe window" of monomials whose
 degree leaves room for the raising atoms of the identity inside the
 realization's degree budget, and for theta=-1 it is the whole space.
+
+Every suite, and the series expansion, first counts its identity
+evaluations, identities x window keys x rep_dim, as integers and refuses
+more than WORK_MAX of them before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -41,8 +45,26 @@ _MAX_FAILURES = 5
 # C(m n + truncation, truncation) monomials of degree <= truncation in m n
 # variables.  The tests and the benchmark reach 924 (m = 3, n = 2,
 # truncation 6); at 18564 (m = 4, n = 3, truncation 6) e-relations and
-# alpha-series take 18-26 s on a 2-core x86 VM.
+# alpha-series at order 6 take 9-10 s each on a 2-core x86 VM.
 BASIS_MAX_SIZE = 20000
+
+# Largest number of identity evaluations, identities x window keys x
+# rep_dim, that one suite or series expansion takes on.  The tests and the
+# benchmark reach 2.5e5; e-relations at m = 4, n = 3, truncation 6 needs
+# 5.7e6 (about 10 s on a 2-core x86 VM), while the theta = -1 alpha-series
+# at m = n = 3, order 10 would need 9.5e6 (104 s) and is refused.
+WORK_MAX = 6_000_000
+
+
+def _check_work(what: str, identities: int, keys: int = 1,
+                rep_dim: int = 1) -> None:
+    """Refuse more than WORK_MAX identity evaluations, naming the count."""
+    work = identities * keys * rep_dim
+    if work > WORK_MAX:
+        # a 2^(m n) window can make the count too long to print
+        shown = work if work < 2 ** 64 else f"2^{work.bit_length() - 1} or more"
+        raise ValueError(f"{what}: {shown} identity evaluations, over the "
+                         f"budget of {WORK_MAX}")
 
 
 class OperatorRealization:
@@ -56,8 +78,6 @@ class OperatorRealization:
             raise ValueError("m and n must be positive")
         if not 0 <= p <= m:
             raise ValueError("block split p must lie in 0..m")
-        if theta == -1 and m * n > 16:
-            raise ValueError("exterior space limited to 16 variables")
         if theta == 1 and max_degree < 2:
             raise ValueError("degree budget must be at least 2")
         if theta == 1:
@@ -73,6 +93,9 @@ class OperatorRealization:
         self.p = p
         self.nvars = m * n
         self.max_degree = m * n if theta == -1 else max_degree
+        # the canonical relations that realize checks
+        _check_work("canonical-relations", 6 * self.nvars ** 2,
+                    self.window_size(2))
 
     # -- conjugate coordinates and quadratic elements ----------------------
 
@@ -126,6 +149,14 @@ class OperatorRealization:
         else:
             exps = self.basis_exps(max(self.max_degree - raise_count, 0))
         return [(w, e) for e in exps for w in range(rep_dim)]
+
+    def window_size(self, raise_count: int) -> int:
+        """The number of exponent tuples in window_keys(raise_count),
+        counted without enumerating them."""
+        if self.theta == -1:
+            return 2 ** self.nvars
+        cap = max(self.max_degree - raise_count, 0)
+        return math.comb(self.nvars + cap, cap)
 
 
 def realize(theta: int, m: int, n: int, p: int = 0,
@@ -299,6 +330,7 @@ def check_canonical_relations(real: OperatorRealization) -> IdentityReport:
 def check_e_relations(real: OperatorRealization) -> IdentityReport:
     """The three displayed exchange relations of the E^ elements."""
     th = real.theta
+    _check_work("e-relations", 3 * real.nvars ** 4, real.window_size(4))
     chk = _Checker(real, "quadratic-relations", raise_budget=4)
     idx = [(a, i) for a in range(real.m) for i in range(real.n)]
     e = {}
@@ -332,8 +364,9 @@ def check_e_relations(real: OperatorRealization) -> IdentityReport:
 
 def check_zeta(real: OperatorRealization) -> IdentityReport:
     """zeta_n is a gl_m homomorphism: [z(E_ab), z(E_cd)] matches gl_m."""
-    chk = _Checker(real, "zeta-homomorphism", raise_budget=4)
     m = real.m
+    _check_work("zeta-hom", m ** 4, real.window_size(4))
+    chk = _Checker(real, "zeta-homomorphism", raise_budget=4)
     zeta = {(a, b): Operator(real, real.zeta_terms(a, b))
             for a in range(m) for b in range(m)}
     for a in range(m):
@@ -390,10 +423,19 @@ class XSeries:
         return _matrix_cols(self.coeffs[k][a, b])
 
 
+def _series_identities(m: int, order: int) -> int:
+    """The exchange and generator identities check_x_identities asserts:
+    m^2 + m^4 for each (r, s) != (0, 0) with r + s <= order."""
+    return (math.comb(order + 2, 2) - 1) * (m ** 2 + m ** 4)
+
+
 def x_series(theta: int, m: int, order: int, rep: dict | None = None) -> XSeries:
-    """Expand (u + theta E^t)^{-1} order by order in a representation."""
+    """Expand (u + theta E^t)^{-1} order by order in a representation,
+    after counting the identities the expansion is checked on."""
     rep = defining_rep(m) if rep is None else rep
     dim = rep[0, 0].shape[0]
+    _check_work(f"x_series to order {order}", _series_identities(m, order),
+                rep_dim=dim)
     eye = np.eye(dim, dtype=object)
     zero = np.zeros((dim, dim), dtype=object)
     coeffs = []
@@ -424,6 +466,8 @@ def check_x_identities(series: XSeries) -> IdentityReport:
     """
     th, m, K = series.theta, series.m, series.order
     dim = series.rep_dim
+    _check_work("appendix-x-identities", _series_identities(m, K),
+                rep_dim=dim)
     blocks = [np.array([[c[a, b] for b in range(m)] for a in range(m)],
                        dtype=object) for c in series.coeffs]
     zero = np.zeros((m, m, dim, dim), dtype=object)
@@ -516,7 +560,10 @@ def check_alpha(real: OperatorRealization, order: int,
         raise ValueError("order must be at least 2")
     if series is None:
         series = x_series(real.theta, real.m, order)
-    n = real.n
+    n, m = real.n, real.m
+    _check_work("alpha-series",
+                math.comb(order + 2, 2) * n ** 4 + m * m * order * n * n,
+                real.window_size(4), series.rep_dim)
     tcache = {}
 
     def t(r, i, j):
@@ -545,8 +592,8 @@ def check_alpha(real: OperatorRealization, order: int,
 
     comm = _Checker(real, "gl-commutant", raise_budget=4,
                     rep_dim=series.rep_dim)
-    for c in range(real.m):
-        for d in range(real.m):
+    for c in range(m):
+        for d in range(m):
             glemb = Operator(real, [(1, _matrix_cols(series.rep[c, d]), ())]
                              + real.zeta_terms(c, d))
             for r in range(1, order + 1):

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .fock import PLAIN, TILDE, block_basis
-from .linalg import RatMatrix, int_matmul
+from .linalg import RatMatrix, _ratmatrix, int_matmul
 from .modules import (
     ModuleParams,
     PatternFactor,
@@ -231,10 +231,6 @@ def _swap_sign(theta: int, deg_a: int, deg_b: int) -> Fraction:
 # cyclic spans
 
 
-def _column(vec: Sequence) -> RatMatrix:
-    return RatMatrix([vec]).transpose()
-
-
 def _cyclic_span(gens: Sequence[tuple[RatMatrix, ...]],
                  start: tuple[RatMatrix, ...]) -> tuple[RatMatrix, ...]:
     """Breadth-first span of a start column under words in the generators.
@@ -348,17 +344,16 @@ def step(params: ModuleParams, a: int,
     if pair_src.den != pair_tgt.den:
         raise StepError("swapped pair changed the denominator; factors corrupted")
 
-    if len(highest_weight_vectors(pair_src)) != 1 \
-            or len(highest_weight_vectors(pair_tgt)) != 1:
+    if highest_weight_vectors(pair_src).ncols != 1 \
+            or highest_weight_vectors(pair_tgt).ncols != 1:
         raise NonGenericStepError(
             "non-generic step: a swapped pair has a degenerate highest-weight space")
 
     # below-diagonal coefficients generate everything from a highest-weight vector
     gens = [(b, c) for (i, j, _), b, c in coefficient_pairs(pair_src, pair_tgt)
             if i > j and not b.is_zero()]
-    b_src, b_tgt = _cyclic_span(gens, (
-        _column(distinguished_vector(params, [fa, fb])),
-        _column(distinguished_vector(params, [fb, fa]))))
+    b_src, b_tgt = _cyclic_span(gens, (distinguished_vector(params, [fa, fb]),
+                                       distinguished_vector(params, [fb, fa])))
     if b_src.ncols < pair_src.dim:
         raise NonGenericStepError(
             "non-generic step: the distinguished vector is not cyclic in the pair")
@@ -464,11 +459,11 @@ def check_hw_image(intw: Intertwiner, params: ModuleParams) -> HwImageReport:
         for b, c in delta:
             sign *= _swap_sign(-1, nu[b], nu[c])
 
-    image = intw.matrix.apply(v_src)
-    ref = [sign * x for x in v_tgt]
-    idx = next(k for k, x in enumerate(ref) if x != 0)
-    scale = image[idx] / ref[idx]
-    proportional = all(x == scale * y for x, y in zip(image, ref))
+    image = intw.matrix * v_src
+    ref = v_tgt * sign
+    idx = int(np.flatnonzero(ref.data)[0])
+    scale = image[idx, 0] / ref[idx, 0]
+    proportional = image == ref * scale
     computed = scale if proportional else None
     return HwImageReport(ok=proportional and scale == closed,
                          computed=computed, closed_form=closed, factors=zetas)
@@ -477,24 +472,26 @@ def check_hw_image(intw: Intertwiner, params: ModuleParams) -> HwImageReport:
 # ---------------------------------------------------------------------------
 # hom spaces, kernels, quotients
 
-# Largest number of unknowns d1 * d2 that hom_space solves for.  Each of its
-# blocks has (d1 d2)^2 exact entries, so dim-81 patterns (6561 unknowns)
-# would need gigabytes.  The tests reach 100 unknowns and the benchmark 64;
-# at 144 (a dim-12 pattern mapped to itself) one solve takes about 0.3 s and
-# adds 1 MB to peak RSS on a 2-core x86 VM.
+# Largest number of unknowns d1 * d2 that hom_space solves for.  Its first
+# defect block has (d1 d2)^2 exact entries, so dim-81 patterns (6561
+# unknowns) would need gigabytes.  The tests reach 100 unknowns and the
+# benchmark 64; at 144 (a dim-12 pattern mapped to itself) one solve takes
+# about 0.3 s on a 2-core x86 VM.
 HOM_SPACE_MAX_UNKNOWNS = 144
 
 
 def hom_space(m1: YangianModule, m2: YangianModule) -> list[RatMatrix]:
     """Deterministic basis of all A with A . T1_ij(u) = T2_ij(u) . A.
 
-    Each pair (B, C) of `coefficient_pairs(m1, m2)` gives the block
-    K = I ⊗ Bᵀ - C ⊗ I of the exact system K vec(A) = 0 in the row-major
-    entries of A.  The columns of span solve the blocks so far, and each
-    block restricts them to the nullspace of K . span.  The free columns of
-    the whole system are the last coordinates independent on its solutions,
-    so the rref of span with reversed columns is the system's canonical
-    echelon nullspace basis.  Raises ValueError when d1 d2 exceeds
+    The unknowns are the row-major entries of the d2 x d1 matrix A.  The
+    columns of span solve the coefficient pairs (B, C) of
+    `coefficient_pairs(m1, m2)` so far; for the next pair, column t of
+    span, reshaped to A_t, has the defect A_t B - C A_t, whose row-major
+    entries are (I ⊗ Bᵀ - C ⊗ I) vec(A_t), and span is restricted to the
+    nullspace of the defects.  The free columns of the whole system are the
+    last coordinates independent on its solutions, so the rref of span
+    with reversed rows is the system's canonical echelon nullspace basis,
+    one basis map per row.  Raises ValueError when d1 d2 exceeds
     HOM_SPACE_MAX_UNKNOWNS.
     """
     d1, d2 = m1.dim, m2.dim
@@ -502,16 +499,20 @@ def hom_space(m1: YangianModule, m2: YangianModule) -> list[RatMatrix]:
         raise ValueError(
             f"hom_space: {d1} x {d2} maps give {d1 * d2} unknowns, over the "
             f"budget of {HOM_SPACE_MAX_UNKNOWNS}")
-    eye1, eye2 = RatMatrix.identity(d1), RatMatrix.identity(d2)
     span = RatMatrix.identity(d1 * d2)
     for _, b, c in coefficient_pairs(m1, m2):
-        kept = ((eye2.kron(b.transpose()) - c.kron(eye1)) * span).nullspace()
-        if not kept:
+        # span's numerators as k stacked d2 x d1 maps; its den drops out
+        k = span.ncols
+        maps = span.data.T.reshape(k, d2, d1)
+        ab = int_matmul(maps.reshape(k * d2, d1), b.data).reshape(k, d2, d1)
+        ca = int_matmul(c.data, maps.transpose(1, 0, 2).reshape(d2, k * d1))
+        defect = ab - ca.reshape(d2, k, d1).transpose(1, 0, 2)
+        kept = _ratmatrix(defect.reshape(k, d2 * d1).T, 1).nullspace()
+        if not kept.ncols:
             return []
-        span = span * RatMatrix(kept).transpose()
-    rev = list(reversed(range(d1 * d2)))
-    red, pivots = span.transpose()[:, rev].rref()
-    return [RatMatrix.from_flat(d2, d1, [red[r, s] for s in rev])
+        span = span * kept
+    red, pivots = span[::-1, :].transpose().rref()
+    return [_ratmatrix(red.data[r, ::-1].reshape(d2, d1), red.den)
             for r in reversed(range(len(pivots)))]
 
 
@@ -585,17 +586,16 @@ def kernel_quotient(intw: Intertwiner) -> QuotientModule:
     """
     src, mat = intw.source, intw.matrix
     kernel = mat.nullspace()
-    k, dim = len(kernel), src.dim
+    k, dim = kernel.ncols, src.dim
     if k == dim:
         raise ValueError("intertwiner is zero; the quotient would be the zero module")
 
     complement = list(range(dim))
     change = RatMatrix.identity(dim)
     if k:
-        rows = RatMatrix(kernel)
-        pivot_coords = set(rows.rref()[1])
+        pivot_coords = set(kernel.transpose().rref()[1])
         complement = [c for c in complement if c not in pivot_coords]
-        change = RatMatrix.stack([[rows.transpose(), change[:, complement]]])
+        change = RatMatrix.stack([[kernel, change[:, complement]]])
     change_inv = change.inverse()
 
     # every coefficient in the adapted basis, over scale * change dens
@@ -612,7 +612,9 @@ def kernel_quotient(intw: Intertwiner) -> QuotientModule:
         raise ValueError("quotient is not isomorphic to the image module: "
                          f"fails at (i, j, k, r, s) = {witness}")
     return QuotientModule(parent=src,
-                          kernel_basis=tuple(tuple(v) for v in kernel),
+                          kernel_basis=tuple(
+                              tuple(Fraction(x, kernel.den) for x in col)
+                              for col in kernel.data.T),
                           quotient=quotient)
 
 
@@ -638,12 +640,12 @@ def irreducibility_test(mod: YangianModule) -> IrreducibilityReport:
     """
     endo_dim = len(hom_space(mod, mod))
     hw = highest_weight_vectors(mod)
-    hw_dim = len(hw)
+    hw_dim = hw.ncols
     cyclic_dim = 0
     if hw_dim >= 1:
         gens = [(b,) for (_, _, k), b, _ in coefficient_pairs(mod, mod)
                 if k < mod.den.degree and not b.is_zero()]
-        cyclic_dim = _cyclic_span(gens, (_column(hw[0]),))[0].ncols
+        cyclic_dim = _cyclic_span(gens, (hw[:, :1],))[0].ncols
     verdict = endo_dim == 1 and hw_dim == 1 and cyclic_dim == mod.dim
     return IrreducibilityReport(irreducible=verdict, dim=mod.dim,
                                 endo_dim=endo_dim, hw_dim=hw_dim,

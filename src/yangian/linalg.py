@@ -9,7 +9,8 @@ sizes.  A matrix is one array of Python-int numerators over one positive
 denominator, in lowest terms; its arithmetic runs on the integers, every
 `RatMatrix` product goes through `int_matmul`, and `rref`, `rank`,
 `nullspace`, `solve` and `inverse` all read one fraction-free Gauss-Jordan
-elimination.  Entries and vectors are read back as Fractions.
+elimination.  A vector is a one-column `RatMatrix` and a basis one column
+per vector; single entries are read back as Fractions.
 `residue_primes` picks the word-size primes for exact float64 products
 modulo p.
 """
@@ -458,13 +459,6 @@ class RatMatrix:
         return _ratmatrix(np.zeros((r, c), dtype=object), 1)
 
     @staticmethod
-    def from_flat(r: int, c: int, entries: Sequence) -> "RatMatrix":
-        entries = list(entries)
-        if len(entries) != r * c:
-            raise ValueError("wrong number of entries")
-        return RatMatrix([entries[i * c:(i + 1) * c] for i in range(r)])
-
-    @staticmethod
     def stack(blocks: Sequence[Sequence["RatMatrix"]]) -> "RatMatrix":
         """The block matrix with these rows of blocks, as `np.block`."""
         den = math.lcm(*(b.den for row in blocks for b in row))
@@ -534,11 +528,6 @@ class RatMatrix:
         out = (a[:, None, :, None] * b[None, :, None, :]).reshape(r1 * r2, c1 * c2)
         return _ratmatrix(out, self.den * other.den)
 
-    def apply(self, vec: Sequence) -> list[Fraction]:
-        v = RatMatrix([vec])
-        den = self.den * v.den
-        return [Fraction(x, den) for x in self.data.dot(v.data[0])]
-
     def rref(self) -> tuple["RatMatrix", list[int]]:
         """Reduced row echelon form and its pivot columns."""
         red, pivots, d = _gauss_jordan(self.data)
@@ -549,26 +538,25 @@ class RatMatrix:
     def rank(self) -> int:
         return len(_gauss_jordan(self.data)[1])
 
-    def nullspace(self) -> list[list[Fraction]]:
+    def nullspace(self) -> "RatMatrix":
         return nullspace(self)
 
-    def solve(self, rhs: Sequence) -> list[Fraction] | None:
-        """One exact solution of A x = rhs, or None if inconsistent.
+    def solve(self, rhs: "RatMatrix") -> "RatMatrix | None":
+        """One exact solution column x of A x = rhs, for a column rhs, or
+        None if the system is inconsistent.
 
         No caller in the package; kept because the per-layer tracer in
         perfbench/tracer.py wraps it by name.
         """
-        if len(rhs) != self.nrows:
-            raise ValueError("rhs length mismatch")
+        if rhs.shape != (self.nrows, 1):
+            raise ValueError("rhs must be one column with a row per matrix row")
         cols = self.ncols
-        aug = RatMatrix.stack([[self, RatMatrix([[x] for x in rhs])]])
-        red, pivots, d = _gauss_jordan(aug.data)
+        red, pivots, d = _gauss_jordan(RatMatrix.stack([[self, rhs]]).data)
         if cols in pivots:
             return None
-        x = [Fraction(0)] * cols
-        for r, c in enumerate(pivots):
-            x[c] = Fraction(red[r, cols], d)
-        return x
+        x = np.zeros((cols, 1), dtype=object)
+        x[pivots, 0] = red[:, cols]
+        return _ratmatrix(x, d)
 
     def inverse(self) -> "RatMatrix":
         if self.nrows != self.ncols:
@@ -598,23 +586,19 @@ def _ratmatrix(data: np.ndarray, den: int) -> RatMatrix:
     return out
 
 
-def nullspace(mat: RatMatrix) -> list[list[Fraction]]:
-    """Canonical basis of the right nullspace.
+def nullspace(mat: RatMatrix) -> RatMatrix:
+    """Canonical basis of the right nullspace, one column per vector.
 
-    One vector per free column of the reduced row echelon form, in column
+    One column per free column of the reduced row echelon form, in column
     order, with an identity block on the free columns; the basis is unique,
     so the output is deterministic.
     """
     red, pivots, d = _gauss_jordan(mat.data)
-    cols = mat.ncols
-    basis = []
-    for f in sorted(set(range(cols)) - set(pivots)):
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = Fraction(-red[r, f], d)
-        basis.append(v)
-    return basis
+    free = sorted(set(range(mat.ncols)) - set(pivots))
+    basis = np.zeros((mat.ncols, len(free)), dtype=object)
+    basis[free, range(len(free))] = d
+    basis[pivots] = -red[:, free]
+    return _ratmatrix(basis, d)
 
 
 def _gauss_jordan(m: np.ndarray) -> tuple[np.ndarray, list[int], int]:

@@ -420,8 +420,9 @@ def pattern_module(params: ModuleParams, factors: Sequence[PatternFactor]) -> Ya
 
 
 def distinguished_vector(params: ModuleParams,
-                         factors: Sequence[PatternFactor]) -> list[Fraction]:
-    """The product of per-slot extreme monomials, with realization signs.
+                         factors: Sequence[PatternFactor]) -> RatMatrix:
+    """The column of the product of per-slot extreme monomials, with
+    realization signs.
 
     A tilde slot carries the top-variable monomial, a plain slot the
     bottom-variable monomial.  Tilde slots are realized through variables
@@ -431,12 +432,12 @@ def distinguished_vector(params: ModuleParams,
     theta, n = params.theta, params.n
     space = pattern_space(params, factors)
     exps = ()
-    sign = Fraction(1)
+    sign = 1
     for f in factors:
         if f.kind == PLAIN:
             exps += first_variables_monomial(theta, n, f.degree)
         else:
             exps += last_variables_monomial(theta, n, f.degree)
             if f.kind == TILDE:
-                sign *= Fraction(-theta) ** f.degree
+                sign *= (-theta) ** f.degree
     return space.monomial_vector(exps, sign)

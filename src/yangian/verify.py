@@ -207,20 +207,17 @@ def check_rtt(mod: YangianModule) -> RttReport:
 # highest weight vectors and eigenvalues
 
 
-def highest_weight_vectors(mod: YangianModule) -> list[list[Fraction]]:
-    """Basis of the space killed by every T_ij(u) with i < j."""
+def highest_weight_vectors(mod: YangianModule) -> RatMatrix:
+    """Basis of the space killed by every T_ij(u) with i < j, one column
+    per vector."""
     upper = mod.num[np.triu_indices(mod.n, 1)]
     return _ratmatrix(upper.reshape(-1, mod.dim), 1).nullspace()
 
 
-def _numerators(vec) -> np.ndarray:
-    """The integer numerators of vec over their common denominator."""
-    return RatMatrix([vec]).data[0]
-
-
-def eigenvalue_of(mod: YangianModule, i: int, vec) -> RatFunc:
-    """T_ii(u) eigenvalue on vec as a rational function; raises if not eigen."""
-    ints = _numerators(vec)
+def eigenvalue_of(mod: YangianModule, i: int, vec: RatMatrix) -> RatFunc:
+    """T_ii(u) eigenvalue on a column vec as a rational function; raises
+    if vec is not an eigenvector."""
+    ints = vec.data[:, 0]
     pivot = next((r for r, x in enumerate(ints) if x != 0), None)
     if pivot is None:
         raise ValueError("zero vector")
@@ -233,13 +230,13 @@ def eigenvalue_of(mod: YangianModule, i: int, vec) -> RatFunc:
     return RatFunc(Poly(coeffs), mod.den)
 
 
-def hw_eigenvalues(mod: YangianModule, vec) -> list[RatFunc]:
+def hw_eigenvalues(mod: YangianModule, vec: RatMatrix) -> list[RatFunc]:
     return [eigenvalue_of(mod, i, vec) for i in range(mod.n)]
 
 
-def is_highest_weight(mod: YangianModule, vec) -> bool:
+def is_highest_weight(mod: YangianModule, vec: RatMatrix) -> bool:
     upper = mod.num[np.triu_indices(mod.n, 1)]
-    return not (upper @ _numerators(vec)).any()
+    return not (upper @ vec.data).any()
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +295,10 @@ def ratio_to_drinfeld_poly(ratio: RatFunc) -> Poly:
 def drinfeld_data(mod: YangianModule) -> DrinfeldData:
     """Drinfeld polynomials and diagonal eigenvalues of the hw vector."""
     basis = highest_weight_vectors(mod)
-    if len(basis) != 1:
+    if basis.ncols != 1:
         raise DrinfeldError(
-            f"highest weight space has dimension {len(basis)}, need 1")
-    eigen = hw_eigenvalues(mod, basis[0])
+            f"highest weight space has dimension {basis.ncols}, need 1")
+    eigen = hw_eigenvalues(mod, basis)
     return DrinfeldData(drinfeld_polynomials(eigen), eigen)
 
 

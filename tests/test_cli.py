@@ -2,9 +2,15 @@
 
 import json
 import math
+import re
+import signal
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yangian import cli
 from yangian.cli import ConfigError, config_from_dict, list_checks, run
@@ -243,6 +249,34 @@ def test_realization_budget_fails_cleanly(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("patch,check,message", [
+    # 16 exterior variables: 6 * 16^2 canonical relations on 2^16 keys,
+    # counted before realize checks any of them
+    ({"theta": -1, "n": 4, "p": 0, "q": 4, "nu": [1, 1, 1, 1],
+      "mu": ["1/7", "2/7", "3/7", "4/7"]}, "e-relations",
+     "canonical-relations: 100663296 identity evaluations"),
+    # 70 exterior variables: 6 * 70^2 * 2^70, shown by its power of two
+    ({"theta": -1, "n": 70, "p": 0, "q": 1, "nu": [1], "mu": ["1/7"]},
+     "e-relations", "canonical-relations: 2^84 or more identity evaluations"),
+    # (C(10^6 + 2, 2) - 1) (2^2 + 2^4) series identities, rep_dim 2,
+    # counted before the series is expanded
+    ({"order": 10 ** 6}, "alpha-series",
+     "x_series to order 1000000: 20000060000000 identity evaluations"),
+    ({"order": 10 ** 6}, "appendix-x-identities",
+     "x_series to order 1000000: 20000060000000 identity evaluations"),
+])
+def test_operator_work_budget_fails_cleanly(tmp_path, capsys, patch, check,
+                                            message):
+    path = write_config(tmp_path, {**GENERIC, **patch, "checks": [check]})
+    out = tmp_path / "report.json"
+    assert cli.main(["--config", path, "--output", str(out)]) == 1
+    record = json.loads(out.read_text())["checks"][0]
+    assert record["status"] == "error"
+    assert (f"{message}, over the budget of 6000000"
+            in record["details"]["error"])
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("n,nu,size", [
     # one degree-1 factor at n = 2000: dim 2000
     (2000, [1], 4000000),
@@ -318,3 +352,122 @@ def test_main_check_override_and_list(tmp_path, capsys):
     assert cli.main(["--list-checks"]) == 0
     listing = json.loads(capsys.readouterr().out)
     assert any(c["name"] == "rtt" for c in listing)
+
+
+# ---------------------------------------------------------------------------
+# config fuzzer: every valid config ends in bounded time with exit 0 or 1
+
+
+class _Timeout(BaseException):
+    """Raised by the alarm; not an Exception, so no handler swallows it."""
+
+
+def _smallest(start, over):
+    """The least k >= start with over(k)."""
+    k = start
+    while not over(k):
+        k += 1
+    return k
+
+
+def _generic_mu(draw, m):
+    residues = draw(st.permutations(range(1, 7)))[:m]
+    return [f"{r + 7 * draw(st.integers(-3, 3))}/7" for r in residues]
+
+
+CHECKS = [c["name"] for c in list_checks()]
+OPERATOR_CHECKS = ["e-relations", "zeta-hom", "alpha-series"]
+
+
+@st.composite
+def small_configs(draw):
+    """A valid config small enough to finish in well under a second."""
+    theta = draw(st.sampled_from((1, -1)))
+    n = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 3))
+    p = draw(st.integers(0, m))
+    top = 2 if theta == 1 else n
+    cfg = {"theta": theta, "n": n, "p": p, "q": m - p,
+           "nu": draw(st.lists(st.integers(0, top), min_size=m, max_size=m)),
+           "word": draw(st.lists(st.integers(1, m - 1), max_size=3)
+                        if m > 1 else st.just([])),
+           "truncation": draw(st.integers(1, 4)),
+           "order": draw(st.integers(2, 4)),
+           "checks": draw(st.lists(st.sampled_from(CHECKS), min_size=1,
+                                   max_size=4, unique=True))}
+    if draw(st.booleans()):
+        cfg["mu"] = _generic_mu(draw, m)
+    else:
+        cfg["mu"] = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+        cfg["allow_resonant"] = True
+    return cfg
+
+
+@st.composite
+def over_budget_configs(draw):
+    """A valid config just over one budget, run with checks that meet it."""
+    kind = draw(st.sampled_from(("module", "rtt", "hom", "basis",
+                                 "canonical", "series")))
+    if kind == "module":
+        # one factor with n * dim just over MODULE_MAX_SIZE
+        n = draw(st.integers(2, 4))
+        d = _smallest(1, lambda d: n * math.comb(n + d - 1, d) > 1024)
+        cfg = {"theta": 1, "n": n, "nu": [d]}
+        checks = CHECKS
+    elif kind == "rtt":
+        # n = 2, dim 196 to 256: n^2 dim over RTT_MAX_SIZE, n dim under 1024
+        d = draw(st.integers(13, 15))
+        cfg = {"theta": 1, "n": 2, "nu": [d, d]}
+        checks = ["rtt"]
+    elif kind == "hom":
+        # dim 14 to 18: 196 to 324 unknowns, over HOM_SPACE_MAX_UNKNOWNS
+        cfg = {"theta": 1, "n": 2, "nu": [1, draw(st.integers(6, 8))]}
+        checks = ["kernel-quotient"]
+    elif kind == "basis":
+        # one block of n variables, C(n + t, t) just over BASIS_MAX_SIZE
+        t = draw(st.integers(3, 6))
+        n = _smallest(2, lambda n: math.comb(n + t, t) > 20000)
+        cfg = {"theta": 1, "n": n, "nu": [1], "truncation": t}
+        checks = OPERATOR_CHECKS
+    elif kind == "canonical":
+        # 13 or 14 exterior variables: 6 (m n)^2 2^(m n) over WORK_MAX
+        m = draw(st.sampled_from((1, 2)))
+        cfg = {"theta": -1, "n": 13 if m == 1 else 7, "nu": [1] * m}
+        checks = OPERATOR_CHECKS
+    else:
+        # the least series order over WORK_MAX for m factors
+        m = draw(st.integers(1, 3))
+        order = _smallest(2, lambda k: (math.comb(k + 2, 2) - 1)
+                          * (m ** 2 + m ** 4) * m > 6_000_000)
+        cfg = {"theta": draw(st.sampled_from((1, -1))), "n": 1,
+               "nu": [1] * m, "order": order}
+        checks = ["alpha-series", "appendix-x-identities"]
+    m = len(cfg["nu"])
+    p = draw(st.integers(0, m))
+    return {**cfg, "p": p, "q": m - p, "mu": _generic_mu(draw, m),
+            "checks": draw(st.lists(st.sampled_from(checks), min_size=1,
+                                    max_size=4, unique=True))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_configs(), over_budget_configs()))
+def test_valid_configs_finish_with_a_report(cfg):
+    def alarm(signum, frame):
+        raise _Timeout(f"config ran over 10 s: {cfg}")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(10)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            out = Path(tmp) / "report.json"
+            path.write_text(json.dumps(cfg))
+            code = cli.main(["--config", str(path), "--output", str(out)])
+            report = json.loads(out.read_text())
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == (0 if report["status"] == "pass" else 1)
+    for record in report["checks"]:
+        if record["status"] == "error":
+            assert re.fullmatch(r"\w+: \S.*", record["details"]["error"])

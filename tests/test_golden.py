@@ -1,0 +1,40 @@
+"""Golden reports: fixed configs whose reports must not change.
+
+Each `tests/data/golden/NAME.config.json` has its report, with every
+`time` field stripped, in `NAME.report.json`.  Together the configs run
+all registered checks, a generic and a resonant `kernel-quotient`, the
+theta = -1 patterns and a budget-error record.  A refactor that changes a
+verdict, a witness or the serialization shows up here byte for byte.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from yangian import cli
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+NAMES = sorted(p.name[:-len(".config.json")]
+               for p in GOLDEN.glob("*.config.json"))
+
+
+def test_golden_configs_cover_every_check():
+    ran = {name for stem in NAMES
+           for name in json.loads((GOLDEN / f"{stem}.config.json")
+                                  .read_text())["checks"]}
+    assert ran == {spec["name"] for spec in cli.list_checks()}
+
+
+@pytest.mark.parametrize("stem", NAMES)
+def test_golden_report_is_byte_identical(stem, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = cli.main(["--config", str(GOLDEN / f"{stem}.config.json"),
+                     "--output", str(out)])
+    report = json.loads(out.read_text())
+    for record in report["checks"]:
+        record.pop("time")
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert text == (GOLDEN / f"{stem}.report.json").read_text()
+    assert code == (0 if report["status"] == "pass" else 1)
+    capsys.readouterr()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from yangian import hd
 from yangian.fock import apply_word, block_basis
 from yangian.hd import (
     Operator,
@@ -248,3 +249,38 @@ def test_window_keys_shrink_with_raising_atoms():
     assert all(sum(e) <= 2 for e in window)
     g = OperatorRealization(-1, 2, 2)
     assert len(g.window_keys(4)) == 2 ** 4
+
+
+@pytest.mark.parametrize("theta,m,n,p,order", [
+    (1, 2, 1, 1, 3),
+    (-1, 2, 2, 1, 3),
+    (1, 1, 2, 0, 2),
+    (-1, 3, 1, 1, 2),
+])
+def test_work_counts_are_the_evaluations_made(monkeypatch, theta, m, n, p,
+                                              order):
+    # each budget count is identities x window keys x rep_dim, recorded here
+    # in place of the budget check and compared with what the suites did
+    counted = {}
+
+    def record(what, identities, keys=1, rep_dim=1):
+        counted[what.split()[0]] = (identities, keys * rep_dim)
+
+    monkeypatch.setattr(hd, "_check_work", record)
+    real = realize(theta, m, n, p)
+    series = x_series(theta, m, order)
+    alpha = check_alpha(real, order, series=series)
+    reports = {
+        "canonical-relations": (check_canonical_relations(real), 2, 1),
+        "e-relations": (check_e_relations(real), 4, 1),
+        "zeta-hom": (check_zeta(real), 4, 1),
+        "appendix-x-identities": (check_x_identities(series), None, m),
+    }
+    for what, (rep, raise_count, rep_dim) in reports.items():
+        keys = 1 if raise_count is None else len(real.window_keys(raise_count))
+        assert rep.ok and counted[what] == (rep.checked, keys * rep_dim)
+    assert counted["x_series"] == counted["appendix-x-identities"]
+    assert counted["alpha-series"] == (
+        alpha.yangian.checked + alpha.commutant.checked,
+        len(real.window_keys(4, series.rep_dim)))
+    assert len(counted) == 6

@@ -1,6 +1,7 @@
 """Tests for swap intertwiners, their scalars, kernels and quotients."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from yangian import intertwine
 from yangian.intertwine import (
     Intertwiner,
-    _column,
     _cyclic_span,
     NonGenericStepError,
     ResonanceError,
@@ -30,11 +30,12 @@ from yangian.intertwine import (
     zeta_factors_for_word,
     zeta_product,
 )
-from yangian.linalg import MatPoly, RatMatrix, poly_gcd
+from yangian.linalg import RatMatrix, poly_gcd
 from yangian.modules import (
     ModuleParams,
     YangianModule,
     coefficient_pairs,
+    distinguished_vector,
     dual_evaluation_module,
     evaluation_module,
     fock_module,
@@ -47,24 +48,14 @@ from yangian.modules import (
     trivial_module,
 )
 
+from reference import coefficient, column, entry_matpoly
+
 
 def params_for(theta, n, p, q, nu, mu_ints):
     """Generic parameters: integer offsets plus distinct sevenths."""
     m = p + q
     mu = [Fraction(mu_ints[b]) + Fraction(b + 1, 7) for b in range(m)]
     return ModuleParams(theta, n, p, q, mu, nu)
-
-
-def coefficient(mod, i, j, k):
-    """The u^k coefficient of P_ij(u) as a RatMatrix."""
-    return RatMatrix([[Fraction(int(x), mod.scale) for x in row]
-                      for row in mod.num[i, j, k]])
-
-
-def entry_matpoly(mod, i, j):
-    """P_ij(u) as a MatPoly, read off the coefficient array."""
-    return MatPoly((mod.dim, mod.dim), [coefficient(mod, i, j, k)
-                                        for k in range(mod.num.shape[2])])
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +157,25 @@ def test_step_resonant_parameters_refused():
     params = ModuleParams(1, 2, 0, 2, [0, 2], [1, 1], allow_resonant=True)
     with pytest.raises(ResonanceError, match="resonant parameters"):
         step(params, 1)
+
+
+def test_check_hw_image_rejects_scaled_and_non_proportional_images():
+    params = params_for(1, 2, 1, 1, (1, 2), [0, 2])
+    intw = step(params, 1)
+    closed = check_hw_image(intw, params).closed_form
+    scaled = check_hw_image(replace(intw, matrix=intw.matrix * 2), params)
+    assert not scaled.ok and scaled.computed == 2 * closed
+    # one more entry in the column of the source distinguished vector,
+    # in a row where the target distinguished vector is zero
+    v_src = distinguished_vector(params, intw.source_factors)
+    v_tgt = distinguished_vector(params, intw.target_factors)
+    s = next(i for i in range(v_src.nrows) if v_src[i, 0])
+    r = next(i for i in range(v_tgt.nrows) if not v_tgt[i, 0])
+    dim = intw.matrix.nrows
+    bump = RatMatrix([[int((i, j) == (r, s)) for j in range(dim)]
+                      for i in range(dim)])
+    tampered = check_hw_image(replace(intw, matrix=intw.matrix + bump), params)
+    assert not tampered.ok and tampered.computed is None
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +337,8 @@ def whole_denominator_hom_space(m1, m2):
                 blocks.append([eye2.kron(q1.coeff(k).transpose())
                                - q2.coeff(k).kron(eye1)])
     basis = RatMatrix.stack(blocks).nullspace()
-    return [RatMatrix.from_flat(d2, d1, vec) for vec in basis]
+    return [RatMatrix([[basis[r * d1 + s, t] for s in range(d1)]
+                       for r in range(d2)]) for t in range(basis.ncols)]
 
 
 PARAMS = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1), Fraction(4, 3)])
@@ -521,27 +532,27 @@ def test_irreducibility_examples():
 
 
 def reference_span(gens, start, carried):
-    """One vector at a time breadth-first search, replaying words on carried."""
+    """One column at a time breadth-first search, replaying words on carried."""
     kept, words, queue = [], [], []
-    if any(start):
-        kept, words, queue = [list(start)], [()], [((), list(start))]
+    if not start.is_zero():
+        kept, words, queue = [start], [()], [((), start)]
     qi = 0
-    while qi < len(queue) and len(kept) < len(start):
+    while qi < len(queue) and len(kept) < start.nrows:
         word, v = queue[qi]
         qi += 1
         for idx, (g, _) in enumerate(gens):
-            w = g.apply(v)
-            if RatMatrix(kept + [w]).rank() > len(kept):
+            w = g * v
+            if RatMatrix.stack([kept + [w]]).rank() > len(kept):
                 kept.append(w)
                 words.append(word + (idx,))
                 queue.append((word + (idx,), w))
-                if len(kept) == len(start):
+                if len(kept) == start.nrows:
                     break
     replayed = []
     for word in words:
-        v = list(carried)
+        v = carried
         for idx in word:
-            v = gens[idx][1].apply(v)
+            v = gens[idx][1] * v
         replayed.append(v)
     return kept, replayed
 
@@ -556,14 +567,13 @@ def test_cyclic_span_matches_one_vector_search():
             pair = [RatMatrix([[rng.choice((0, 0, 0, 1, -2)) for _ in range(dim)]
                                for _ in range(dim)]) for _ in range(2)]
             gens.append(tuple(pair))
-        start = [rng.choice((0, 1, Fraction(1, 3))) for _ in range(dim)]
-        carried = [rng.randint(-3, 3) for _ in range(dim)]
+        start = column([rng.choice((0, 1, Fraction(1, 3))) for _ in range(dim)])
+        carried = column([rng.randint(-3, 3) for _ in range(dim)])
         kept, replayed = reference_span(gens, start, carried)
-        got, got_carried = _cyclic_span(gens, (_column(start), _column(carried)))
+        got, got_carried = _cyclic_span(gens, (start, carried))
         assert got.ncols == len(kept)
-        assert [got[:, [c]] for c in range(got.ncols)] == [_column(v) for v in kept]
-        assert [got_carried[:, [c]] for c in range(got.ncols)] == \
-            [_column(v) for v in replayed]
+        assert [got[:, [c]] for c in range(got.ncols)] == kept
+        assert [got_carried[:, [c]] for c in range(got.ncols)] == replayed
 
 
 # ---------------------------------------------------------------------------

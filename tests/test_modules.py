@@ -27,14 +27,9 @@ from yangian.modules import (
     twist_module,
 )
 
+from reference import entry_matpoly
+
 THIRD = Fraction(1, 3)
-
-
-def entry_matpoly(mod, i, j):
-    """P_ij(u) as a MatPoly, read off the coefficient array."""
-    return MatPoly((mod.dim, mod.dim), [
-        RatMatrix([[Fraction(int(x), mod.scale) for x in row] for row in coeff])
-        for coeff in mod.num[i, j]])
 
 
 def same_array(m1, m2):
@@ -247,19 +242,19 @@ def test_distinguished_vector_positions_and_signs():
     space = pattern_space(params, factors)
     v = distinguished_vector(params, factors)
     idx = space.index[(0, 2, 1, 0)]  # x_{1,2}^2 * x_{2,1}
-    assert v[idx] == 1  # (-1)^2
-    assert sum(1 for x in v if x != 0) == 1
+    assert v[idx, 0] == 1  # (-1)^2
+    assert sum(1 for x in v.data[:, 0] if x != 0) == 1
 
     params2 = ModuleParams(1, 2, 1, 1, mu=(THIRD, Fraction(8, 5)), nu=(1, 1))
     v2 = distinguished_vector(params2, source_pattern(params2))
     space2 = pattern_space(params2, source_pattern(params2))
-    assert v2[space2.index[(0, 1, 1, 0)]] == -1  # (-1)^1
+    assert v2[space2.index[(0, 1, 1, 0)], 0] == -1  # (-1)^1
 
     # theta = -1 never carries signs; tilde slot uses the top variables
     params3 = ModuleParams(-1, 3, 1, 1, mu=(THIRD, Fraction(8, 5)), nu=(2, 1))
     v3 = distinguished_vector(params3, source_pattern(params3))
     space3 = pattern_space(params3, source_pattern(params3))
-    assert v3[space3.index[(0, 1, 1, 1, 0, 0)]] == 1
+    assert v3[space3.index[(0, 1, 1, 1, 0, 0)], 0] == 1
 
 
 def test_trivial_slots_are_transparent():

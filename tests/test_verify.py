@@ -48,22 +48,12 @@ from yangian.verify import (
     scalar_twist_between,
 )
 
+from reference import coefficient, column, entry_matpoly
+
 
 def ratfunc(num_coeffs, den_coeffs):
     return RatFunc(Poly([F(c) for c in num_coeffs]),
                    Poly([F(c) for c in den_coeffs]))
-
-
-def coefficient(mod, i, j, k):
-    """The u^k coefficient of P_ij(u) as a RatMatrix."""
-    return RatMatrix([[F(int(x), mod.scale) for x in row]
-                      for row in mod.num[i, j, k]])
-
-
-def entry_matpoly(mod, i, j):
-    """P_ij(u) as a MatPoly, read off the coefficient array."""
-    return MatPoly((mod.dim, mod.dim), [coefficient(mod, i, j, k)
-                                        for k in range(mod.num.shape[2])])
 
 
 def blocks_at(mod, points):
@@ -362,9 +352,9 @@ def test_evaluation_highest_weight():
     z = F(3, 2)
     mod = evaluation_module(2, z)
     basis = highest_weight_vectors(mod)
-    assert basis == [[F(1), F(0)]]
-    assert is_highest_weight(mod, basis[0])
-    assert hw_eigenvalues(mod, basis[0]) == [
+    assert basis == column([F(1), F(0)])
+    assert is_highest_weight(mod, basis)
+    assert hw_eigenvalues(mod, basis) == [
         ratfunc([z + 1, 1], [z, 1]),
         ratfunc([1], [1]),
     ]
@@ -373,9 +363,9 @@ def test_evaluation_highest_weight():
 def test_eigenvalue_of_rejects_non_eigenvector():
     mod = evaluation_module(2, F(3, 2))
     with pytest.raises(ValueError):
-        eigenvalue_of(mod, 0, [F(1), F(1)])
+        eigenvalue_of(mod, 0, column([F(1), F(1)]))
     with pytest.raises(ValueError):
-        eigenvalue_of(mod, 0, [F(0), F(0)])
+        eigenvalue_of(mod, 0, column([F(0), F(0)]))
 
 
 def params_for(theta, n, p, q, nu, seed=None, rng=None):
@@ -395,7 +385,7 @@ def test_pattern_closed_form_deterministic(theta):
     mod = pattern_module(params, factors)
     vec = distinguished_vector(params, factors)
     assert is_highest_weight(mod, vec)
-    assert len(highest_weight_vectors(mod)) == 1
+    assert highest_weight_vectors(mod).ncols == 1
     assert hw_eigenvalues(mod, vec) == closed_form_eigenvalues(params)
 
 
