@@ -9,16 +9,9 @@ quadratic elements E^_{ai,bj} = q_{ai} p_{bj}, the gl_m action zeta_n, and
 the generating-series homomorphism T_ij(u) -> delta_ij + sum_ab X_ab(u) (x)
 E^_{ai,bj} with X(u) the inverse-matrix series of u + theta E^t.
 
-An operator is a list of (coefficient, rep columns | None, atom word)
-terms; `Operator` wraps one with a cache of its exact image columns, each
-filled on first use by `apply_operator` on a single basis key.  Every
-identity is a signed sum of operator products, applied right to left,
-column by column, to each key of an assertion window; a nonzero image is
-a failure.  Columns are exact sparse dictionaries and never truncated
-(atoms act on exponent tuples of any degree), so by linearity the result
-equals applying the expanded term list to the key, and verdicts, checked
-counts and window caps are those of the term-by-term expansion.  Column
-caches belong to the operators one check call builds and die with it.
+Each suite states its identities as index arrays over a list of operators
+and checks them through `compiled.CompiledOperators`, exactly and in a few
+numpy passes.
 
 For theta=+1 the assertion set is the "safe window" of monomials whose
 degree leaves room for the raising atoms of the identity inside the
@@ -37,22 +30,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fock import apply_word, block_basis
-
-_MAX_FAILURES = 5
+from .compiled import MAX_FAILURES, CompiledOperators, IdentityReport
+from .fock import block_basis
 
 # Largest theta = +1 basis a realization enumerates: the
 # C(m n + truncation, truncation) monomials of degree <= truncation in m n
 # variables.  The tests and the benchmark reach 924 (m = 3, n = 2,
-# truncation 6); at 18564 (m = 4, n = 3, truncation 6) e-relations and
-# alpha-series at order 6 take 9-10 s each on a 2-core x86 VM.
+# truncation 6); at 18564 (m = 4, n = 3, truncation 6) realize,
+# e-relations and alpha-series at order 6 take 0.6, 1.0 and 1.7 s on a
+# 2-core x86 VM.
 BASIS_MAX_SIZE = 20000
 
 # Largest number of identity evaluations, identities x window keys x
 # rep_dim, that one suite or series expansion takes on.  The tests and the
 # benchmark reach 2.5e5; e-relations at m = 4, n = 3, truncation 6 needs
-# 5.7e6 (about 10 s on a 2-core x86 VM), while the theta = -1 alpha-series
-# at m = n = 3, order 10 would need 9.5e6 (104 s) and is refused.
+# 5.7e6 (1.0 s on a 2-core x86 VM), while the theta = -1 alpha-series at
+# m = n = 3, order 10 would need 9.5e6 (12 s) and is refused.
 WORK_MAX = 6_000_000
 
 
@@ -170,128 +163,6 @@ def realize(theta: int, m: int, n: int, p: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# operators: a term list of (coefficient, rep columns | None, atom word)
-# triples acting on sparse vectors keyed by (rep index, exponent tuple).
-
-
-def _matrix_cols(mat: np.ndarray) -> dict:
-    """Sparse column map {col: ((row, value), ...)} of a dense matrix."""
-    cols = {}
-    nrows, ncols = mat.shape
-    for c in range(ncols):
-        pairs = tuple((r, mat[r, c]) for r in range(nrows) if mat[r, c] != 0)
-        if pairs:
-            cols[c] = pairs
-    return cols
-
-
-def apply_operator(real: OperatorRealization, terms: list, vec: dict) -> dict:
-    out: dict = {}
-    theta, n = real.theta, real.n
-    for coeff, cols, word in terms:
-        for (w, exps), c0 in vec.items():
-            res = apply_word(theta, n, word, exps)
-            if res is None:
-                continue
-            cw, e2 = res
-            base = coeff * cw * c0
-            for w2, val in ((w, 1),) if cols is None else cols.get(w, ()):
-                out[w2, e2] = out.get((w2, e2), 0) + base * val
-    return {key: v for key, v in out.items() if v != 0}
-
-
-class Operator:
-    """A term list with a lazily filled cache of its exact image columns."""
-
-    __slots__ = ("real", "terms", "cols")
-
-    def __init__(self, real: OperatorRealization, terms: list):
-        self.real = real
-        self.terms = terms
-        self.cols: dict = {}
-
-    def column(self, key) -> dict:
-        col = self.cols.get(key)
-        if col is None:
-            col = self.cols[key] = apply_operator(self.real, self.terms,
-                                                  {key: 1})
-        return col
-
-    def apply(self, vec: dict, out: dict | None = None, scale=1) -> dict:
-        """Add scale times the image of a sparse vector to out (a new dict
-        by default); entries may cancel to zero."""
-        out = {} if out is None else out
-        cols = self.cols
-        for key, c in vec.items():
-            col = cols.get(key)
-            if col is None:
-                col = self.column(key)
-            c *= scale
-            for key2, v in col.items():
-                out[key2] = out.get(key2, 0) + c * v
-        return out
-
-
-def _commutator(a: Operator, b: Operator, sign=1) -> list:
-    """a b - sign b a as a signed sum of products."""
-    return [(1, (a, b)), (-sign, (b, a))]
-
-
-@dataclass
-class IdentityReport:
-    name: str
-    ok: bool
-    checked: int
-    window_cap: int | None  # degree cap of the assertion set; None = whole space
-    failures: list
-
-
-class _Checker:
-    """Accumulates identity checks over a shared assertion window."""
-
-    def __init__(self, real: OperatorRealization, name: str,
-                 raise_budget: int, rep_dim: int = 1):
-        self.name = name
-        self.keys = real.window_keys(raise_budget, rep_dim)
-        self.cap = (None if real.theta == -1
-                    else max(real.max_degree - raise_budget, 0))
-        self.checked = 0
-        self.failures: list = []
-
-    def expect_zero(self, expr: list, witness: dict) -> None:
-        """Assert that a signed sum [(coefficient, (A, B, ...)), ...] of
-        operator products vanishes on every window key."""
-        self.checked += 1
-        if len(self.failures) >= _MAX_FAILURES:
-            return
-        # (coefficient, rightmost factor, middle factors rightmost first,
-        #  leftmost factor or None), so the key loop does no slicing
-        expr = [(c, ops[-1], ops[-2:0:-1], ops[0] if len(ops) > 1 else None)
-                for c, ops in expr if c != 0]
-        for key in self.keys:
-            acc: dict = {}
-            for coeff, right, middle, left in expr:
-                vec = right.column(key)
-                for op in middle:
-                    vec = op.apply(vec)
-                if left is not None:
-                    left.apply(vec, acc, coeff)
-                    continue
-                for key2, v in vec.items():
-                    acc[key2] = acc.get(key2, 0) + coeff * v
-            if any(acc.values()):
-                bad = dict(witness)
-                bad["vector"] = key
-                bad["image"] = min(item for item in acc.items() if item[1] != 0)
-                self.failures.append(bad)
-                return
-
-    def report(self) -> IdentityReport:
-        return IdentityReport(self.name, not self.failures, self.checked,
-                              self.cap, self.failures)
-
-
-# ---------------------------------------------------------------------------
 # relation suites
 
 
@@ -302,84 +173,100 @@ def check_canonical_relations(real: OperatorRealization) -> IdentityReport:
     automorphism x -> q, d -> p, so this suite also certifies that the
     automorphism preserves the relations.
     """
-    th = real.theta
-    chk = _Checker(real, "canonical-relations", raise_budget=2)
+    th, nv = real.theta, real.nvars
     pairs = [(a, i) for a in range(real.m) for i in range(real.n)]
+    # x_v, d_v, p_v, q_v at kind * nv + v, then the unit
+    ops = ([[(1, None, (("x", *v),))] for v in pairs]
+           + [[(1, None, (("d", *v),))] for v in pairs]
+           + [[(c, None, (atom,))] for c, atom in (real.p_atom(*v) for v in pairs)]
+           + [[(c, None, (atom,))] for c, atom in (real.q_atom(*v) for v in pairs)]
+           + [[(1, None, ())]])
+    tags = ("xx", "dd", "dx", "qq", "pp", "pq")
+    kind_left = np.array([0, 1, 1, 3, 2, 2])
+    kind_right = np.array([0, 1, 0, 3, 2, 3])
+    shift = np.array([0, 0, 1, 0, 0, 1])
+    shape = (nv, nv, len(tags))
 
-    def single(coeff, atom):
-        return Operator(real, [(coeff, None, (atom,))])
+    def rows(t):
+        # [left_u, right_v]_theta - shift delta_uv
+        u, v, case = np.unravel_index(t, shape)
+        lo, ro = kind_left[case] * nv + u, kind_right[case] * nv + v
+        ones = np.ones_like(u)
+        return (np.stack([ones, -th * ones], 1), np.stack([lo, ro], 1),
+                np.stack([ro, lo], 1), (-shift[case] * (u == v))[:, None],
+                np.full((len(t), 1), 4 * nv))
 
-    unit = Operator(real, [(1, None, ())])
-    x = {v: single(1, ("x", *v)) for v in pairs}
-    d = {v: single(1, ("d", *v)) for v in pairs}
-    p = {v: single(*real.p_atom(*v)) for v in pairs}
-    q = {v: single(*real.q_atom(*v)) for v in pairs}
-    cases = [("xx", x, x, 0), ("dd", d, d, 0), ("dx", d, x, 1),
-             ("qq", q, q, 0), ("pp", p, p, 0), ("pq", p, q, 1)]
-    for a, i in pairs:
-        for b, j in pairs:
-            delta = 1 if (a == b and i == j) else 0
-            witness = {"a": a, "i": i, "b": b, "j": j}
-            for tag, left, right, shift in cases:
-                expr = _commutator(left[a, i], right[b, j], th)
-                expr.append((-shift * delta, (unit,)))
-                chk.expect_zero(expr, {"relation": tag, **witness})
-    return chk.report()
+    def witness(t):
+        u, v, case = (int(x) for x in np.unravel_index(t, shape))
+        (a, i), (b, j) = pairs[u], pairs[v]
+        return {"relation": tags[case], "a": a, "i": i, "b": b, "j": j}
+
+    return CompiledOperators(real, 2, 1, ops, (2, 1)).check(
+        "canonical-relations", math.prod(shape), rows, witness)
 
 
 def check_e_relations(real: OperatorRealization) -> IdentityReport:
     """The three displayed exchange relations of the E^ elements."""
-    th = real.theta
-    _check_work("e-relations", 3 * real.nvars ** 4, real.window_size(4))
-    chk = _Checker(real, "quadratic-relations", raise_budget=4)
+    th, nv = real.theta, real.nvars
+    _check_work("e-relations", 3 * nv ** 4, real.window_size(4))
     idx = [(a, i) for a in range(real.m) for i in range(real.n)]
-    e = {}
-    for u in idx:
-        for v in idx:
-            c, word = real.e_hat(*u, *v)
-            e[u, v] = Operator(real, [(c, None, word)])
-    for a, i in idx:
-        for b, j in idx:
-            e1 = e[(a, i), (b, j)]
-            for c, k in idx:
-                dbc_jk = 1 if (b == c and j == k) else 0
-                dab_ij = 1 if (a == b and i == j) else 0
-                cross1 = e[(c, k), (b, j)]
-                for d, l in idx:
-                    dad_il = 1 if (a == d and i == l) else 0
-                    e2 = e[(c, k), (d, l)]
-                    cross2 = e[(a, i), (d, l)]
-                    witness = {"ai": (a, i), "bj": (b, j),
-                               "ck": (c, k), "dl": (d, l)}
-                    rel1 = _commutator(e1, e2) + [(-dbc_jk, (cross2,)),
-                                                  (dad_il, (cross1,))]
-                    tail = [(-th, (cross1, cross2)), (th * dab_ij, (e2,))]
-                    rel2 = [(1, (e1, e2)), (-dbc_jk, (cross2,))] + tail
-                    rel3 = [(1, (e2, e1)), (-dad_il, (cross1,))] + tail
-                    chk.expect_zero(rel1, {"relation": "commutator", **witness})
-                    chk.expect_zero(rel2, {"relation": "straighten-left", **witness})
-                    chk.expect_zero(rel3, {"relation": "straighten-right", **witness})
-    return chk.report()
+    # E^_{u,v} at u nv + v
+    ops = [[(c, None, word)] for c, word in
+           (real.e_hat(*x, *y) for x in idx for y in idx)]
+    shape = (nv, nv, nv, nv, 3)
+    names = ("commutator", "straighten-left", "straighten-right")
+
+    def rows(t):
+        # commutator:       [E_uv, E_wz] - d_vw E_uz + d_uz E_wv
+        # straighten-left:  E_uv E_wz - d_vw E_uz - th E_wv E_uz + th d_uv E_wz
+        # straighten-right: E_wz E_uv - d_uz E_wv - th E_wv E_uz + th d_uv E_wz
+        u, v, w, z, rel = np.unravel_index(t, shape)
+        e_uv, e_wz, e_uz, e_wv = u * nv + v, w * nv + z, u * nv + z, w * nv + v
+        d_vw, d_uz, d_uv = 1 * (v == w), 1 * (u == z), 1 * (u == v)
+        first, third = rel == 0, rel == 2
+        return (
+            np.stack([np.ones_like(u), np.where(first, -1, -th)], 1),
+            np.stack([np.where(third, e_wz, e_uv),
+                      np.where(first, e_wz, e_wv)], 1),
+            np.stack([np.where(third, e_uv, e_wz),
+                      np.where(first, e_uv, e_uz)], 1),
+            np.stack([np.where(third, -d_uz, -d_vw),
+                      np.where(first, d_uz, th * d_uv)], 1),
+            np.stack([np.where(third, e_wv, e_uz),
+                      np.where(first, e_wv, e_wz)], 1))
+
+    def witness(t):
+        ai, bj, ck, dl, rel = (int(x) for x in np.unravel_index(t, shape))
+        return {"relation": names[rel], "ai": idx[ai], "bj": idx[bj],
+                "ck": idx[ck], "dl": idx[dl]}
+
+    return CompiledOperators(real, 4, 1, ops, (2, 2)).check(
+        "quadratic-relations", math.prod(shape), rows, witness)
 
 
 def check_zeta(real: OperatorRealization) -> IdentityReport:
     """zeta_n is a gl_m homomorphism: [z(E_ab), z(E_cd)] matches gl_m."""
     m = real.m
     _check_work("zeta-hom", m ** 4, real.window_size(4))
-    chk = _Checker(real, "zeta-homomorphism", raise_budget=4)
-    zeta = {(a, b): Operator(real, real.zeta_terms(a, b))
-            for a in range(m) for b in range(m)}
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                for d in range(m):
-                    expr = _commutator(zeta[a, b], zeta[c, d])
-                    if b == c:
-                        expr.append((-1, (zeta[a, d],)))
-                    if d == a:
-                        expr.append((1, (zeta[c, b],)))
-                    chk.expect_zero(expr, {"abcd": (a, b, c, d)})
-    return chk.report()
+    # zeta(E_ab) at a m + b
+    ops = [real.zeta_terms(a, b) for a in range(m) for b in range(m)]
+    shape = (m, m, m, m)
+
+    def rows(t):
+        # [z_ab, z_cd] - d_bc z_ad + d_da z_cb
+        a, b, c, d = np.unravel_index(t, shape)
+        ones = np.ones_like(a)
+        return (np.stack([ones, -ones], 1),
+                np.stack([a * m + b, c * m + d], 1),
+                np.stack([c * m + d, a * m + b], 1),
+                np.stack([-1 * (b == c), 1 * (d == a)], 1),
+                np.stack([a * m + d, c * m + b], 1))
+
+    def witness(t):
+        return {"abcd": tuple(int(x) for x in np.unravel_index(t, shape))}
+
+    return CompiledOperators(real, 4, 1, ops, (2, 2)).check(
+        "zeta-homomorphism", math.prod(shape), rows, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +305,6 @@ class XSeries:
     rep: dict
     rep_dim: int
     coeffs: list
-
-    def cols(self, k: int, a: int, b: int):
-        return _matrix_cols(self.coeffs[k][a, b])
 
 
 def _series_identities(m: int, order: int) -> int:
@@ -509,20 +393,28 @@ def check_x_identities(series: XSeries) -> IdentityReport:
             generator_bad = (lhs != rhs).any(axis=(4, 5))
             for identity, label, bad in (("exchange", "ab", exchange_bad),
                                          ("generator", "abcd", generator_bad)):
-                for idx in np.ndindex(bad.shape):
-                    checked += 1
-                    if bad[idx]:
-                        failures.append({"identity": identity, "rs": (r, s),
-                                         label: idx})
-                    if len(failures) >= _MAX_FAILURES:
-                        return IdentityReport("series-identities", False,
-                                              checked, None, failures)
+                hits = np.flatnonzero(bad)[:MAX_FAILURES - len(failures)]
+                for flat in hits:
+                    idx = np.unravel_index(flat, bad.shape)
+                    failures.append({"identity": identity, "rs": (r, s),
+                                     label: tuple(int(x) for x in idx)})
+                if len(failures) >= MAX_FAILURES:
+                    return IdentityReport("series-identities", False,
+                                          checked + int(hits[-1]) + 1, None,
+                                          failures)
+                checked += bad.size
     return IdentityReport("series-identities", not failures, checked, None,
                           failures)
 
 
 # ---------------------------------------------------------------------------
 # the generating-series homomorphism
+
+
+def _no_singles(count: int) -> tuple:
+    """The (coefficients, operators) of identities without single factors."""
+    empty = np.zeros((count, 0), dtype=np.int64)
+    return empty, empty
 
 
 def alpha_coefficient(real: OperatorRealization, series: XSeries,
@@ -533,11 +425,11 @@ def alpha_coefficient(real: OperatorRealization, series: XSeries,
     terms = []
     for a in range(real.m):
         for b in range(real.m):
-            cols = series.cols(r - 1, a, b)
-            if not cols:
+            mat = series.coeffs[r - 1][a, b]
+            if not mat.any():
                 continue
             ce, word = real.e_hat(a, i, b, j)
-            terms.append((ce, cols, word))
+            terms.append((ce, mat, word))
     return terms
 
 
@@ -564,46 +456,53 @@ def check_alpha(real: OperatorRealization, order: int,
     _check_work("alpha-series",
                 math.comb(order + 2, 2) * n ** 4 + m * m * order * n * n,
                 real.window_size(4), series.rep_dim)
-    tcache = {}
+    # T(r)_ij at (r n + i) n + j, then the gl_m embeddings at gl + c m + d
+    ops = [alpha_coefficient(real, series, r, i, j)
+           for r in range(order + 2) for i in range(n) for j in range(n)]
+    gl = len(ops)
+    ops += [[(1, series.rep[c, d], ())] + real.zeta_terms(c, d)
+            for c in range(m) for d in range(m)]
 
     def t(r, i, j):
-        key = (r, i, j)
-        if key not in tcache:
-            tcache[key] = Operator(
-                real, alpha_coefficient(real, series, r, i, j))
-        return tcache[key]
+        return (r * n + i) * n + j
 
-    yang = _Checker(real, "generator-exchange", raise_budget=4,
-                    rep_dim=series.rep_dim)
-    for r in range(order + 1):
-        for s in range(order + 1 - r):
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        for l in range(n):
-                            # [T(r+1)_ij, T(s)_kl] - [T(r)_ij, T(s+1)_kl]
-                            #     = T(r)_kj T(s)_il - T(s)_kj T(r)_il
-                            expr = (_commutator(t(r + 1, i, j), t(s, k, l))
-                                    + _commutator(t(s + 1, k, l), t(r, i, j))
-                                    + [(-1, (t(r, k, j), t(s, i, l))),
-                                       (1, (t(s, k, j), t(r, i, l)))])
-                            yang.expect_zero(
-                                expr, {"rs": (r, s), "ijkl": (i, j, k, l)})
+    rs = np.array([(r, s) for r in range(order + 1)
+                   for s in range(order + 1 - r)])
+    exchange = (len(rs), n, n, n, n)
+    commutant = (m, m, order, n, n)
+    def exchange_rows(x):
+        # [T(r+1)_ij, T(s)_kl] - [T(r)_ij, T(s+1)_kl]
+        #     = T(r)_kj T(s)_il - T(s)_kj T(r)_il
+        w, i, j, k, l = np.unravel_index(x, exchange)
+        r, s = rs[w].T
+        ones = np.ones_like(r)
+        return (np.stack([ones, -ones, ones, -ones, -ones, ones], 1),
+                np.stack([t(r + 1, i, j), t(s, k, l), t(s + 1, k, l),
+                          t(r, i, j), t(r, k, j), t(s, k, j)], 1),
+                np.stack([t(s, k, l), t(r + 1, i, j), t(r, i, j),
+                          t(s + 1, k, l), t(s, i, l), t(r, i, l)], 1),
+                *_no_singles(len(x)))
 
-    comm = _Checker(real, "gl-commutant", raise_budget=4,
-                    rep_dim=series.rep_dim)
-    for c in range(m):
-        for d in range(m):
-            glemb = Operator(real, [(1, _matrix_cols(series.rep[c, d]), ())]
-                             + real.zeta_terms(c, d))
-            for r in range(1, order + 1):
-                for i in range(n):
-                    for j in range(n):
-                        comm.expect_zero(
-                            _commutator(glemb, t(r, i, j)),
-                            {"cd": (c, d), "r": r, "ij": (i, j)})
+    def commutant_rows(x):
+        # [gl(E_cd), T(r)_ij] for r = 1..order
+        c, d, r, i, j = np.unravel_index(x, commutant)
+        glemb, coeff = gl + c * m + d, t(r + 1, i, j)
+        ones = np.ones_like(c)
+        return (np.stack([ones, -ones], 1), np.stack([glemb, coeff], 1),
+                np.stack([coeff, glemb], 1), *_no_singles(len(x)))
 
-    yang_report = yang.report()
-    comm_report = comm.report()
+    def exchange_witness(x):
+        w, *ijkl = (int(y) for y in np.unravel_index(x, exchange))
+        return {"rs": tuple(int(y) for y in rs[w]), "ijkl": tuple(ijkl)}
+
+    def commutant_witness(x):
+        c, d, r, i, j = (int(y) for y in np.unravel_index(x, commutant))
+        return {"cd": (c, d), "r": r + 1, "ij": (i, j)}
+
+    compiled = CompiledOperators(real, 4, series.rep_dim, ops, (6, 0))
+    yang_report = compiled.check("generator-exchange", math.prod(exchange),
+                                 exchange_rows, exchange_witness)
+    comm_report = compiled.check("gl-commutant", math.prod(commutant),
+                                 commutant_rows, commutant_witness)
     return AlphaReport(yang_report.ok and comm_report.ok,
                        yang_report, comm_report)

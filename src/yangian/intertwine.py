@@ -315,6 +315,32 @@ def _verify_intertwiner(mat: RatMatrix, src: YangianModule,
     return pairs[p][0] + (r, s)
 
 
+# Largest cyclic-span work a swap step takes on, counted before any module
+# is built as pair_dim^3 x generators: each of the at most pair_dim kept
+# columns spawns one candidate per generator (T_ij, i > j, at u^0 and u^1),
+# and each candidate is reduced against at most pair_dim pivots of pair_dim
+# rows.  The tests and the benchmark reach 35k (pair dim 18, n = 3).  On a
+# 2-core x86 VM, hw-scalar on two factors of degree d took: n = 2, d = 7
+# (dim 64, 5.2e5) 1.0 s; n = 3, d = 2 (dim 36, 2.8e5) 0.1 s; refused now:
+# n = 2, d = 9 (dim 100, 2.0e6) 8.6 s; n = 3, d = 3 (dim 100, 6.0e6) 2.5 s;
+# n = 3, d = 4 (dim 225) over 60 s; n = 2, d = 15 (dim 256) over 290 s.
+STEP_MAX_WORK = 1_000_000
+
+
+def _check_step_work(params: ModuleParams, fa: PatternFactor,
+                     fb: PatternFactor) -> None:
+    """Refuse a swap of fa and fb whose cyclic span exceeds STEP_MAX_WORK."""
+    theta, n = params.theta, params.n
+    dim = (len(block_basis(theta, n, fa.degree))
+           * len(block_basis(theta, n, fb.degree)))
+    gens = n * (n - 1)
+    work = dim ** 3 * gens
+    if work > STEP_MAX_WORK:
+        raise ValueError(f"swap step on a pair of dim {dim} with {gens} "
+                         f"generators: cyclic-span work {work}, over the "
+                         f"budget of {STEP_MAX_WORK}")
+
+
 def step(params: ModuleParams, a: int,
          factors: Sequence[PatternFactor] | None = None,
          source: YangianModule | None = None) -> Intertwiner:
@@ -328,6 +354,8 @@ def step(params: ModuleParams, a: int,
     vector maps to the swapped monomial times the closed-form normalization
     fraction, and the full matrix identity is re-verified exactly.  source,
     when given, is the already built pattern_module(params, factors).
+    Raises ValueError, before any module is built, when the pair's
+    cyclic-span work exceeds STEP_MAX_WORK.
     """
     factors = list(factors) if factors is not None else source_pattern(params)
     m = len(factors)
@@ -335,6 +363,7 @@ def step(params: ModuleParams, a: int,
         raise ValueError(f"position {a} out of range for {m} slots")
     fa, fb = factors[a - 1], factors[a]
     frac = _swap_fraction(params, fa, fb)   # also rejects out-of-order origins
+    _check_step_work(params, fa, fb)
     theta, n = params.theta, params.n
 
     mod_a = fock_module(theta, n, fa.kind, fa.param, fa.degree)
@@ -393,16 +422,18 @@ def compose_word(params: ModuleParams, word: Sequence[int],
 
     The word must be reduced: every step must swap factors that are still in
     source order, equivalently the word's length equals the inversion count
-    of the permutation it realizes.
+    of the permutation it realizes.  Every step's STEP_MAX_WORK budget is
+    checked before the source module is built.
     """
     factors = list(factors) if factors is not None else source_pattern(params)
     m = len(factors)
-    arr = [f.origin for f in factors]
+    arr = list(factors)
     for a in word:
         if not 1 <= a <= m - 1:
             raise ValueError(f"position {a} out of range for {m} slots")
-        if arr[a - 1] > arr[a]:
+        if arr[a - 1].origin > arr[a].origin:
             raise ValueError("non-reduced word")
+        _check_step_work(params, arr[a - 1], arr[a])
         arr[a - 1], arr[a] = arr[a], arr[a - 1]
 
     src_mod = pattern_module(params, factors)

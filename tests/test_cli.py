@@ -5,6 +5,7 @@ import math
 import re
 import signal
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -297,6 +298,23 @@ def test_module_budget_fails_cleanly(tmp_path, capsys, n, nu, size):
     capsys.readouterr()
 
 
+def test_step_budget_fails_cleanly(tmp_path, capsys):
+    # dim 256, inside the module budget; the parent did not finish in 290 s
+    path = write_config(tmp_path, {
+        "theta": 1, "n": 2, "p": 0, "q": 2, "mu": ["1/7", "3/7"],
+        "nu": [15, 15], "checks": ["hw-scalar"]})
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    assert cli.main(["--config", path, "--output", str(out)]) == 1
+    assert time.perf_counter() - start < 1
+    record = json.loads(out.read_text())["checks"][0]
+    assert record["status"] == "error"
+    assert record["details"]["error"] == (
+        "ValueError: swap step on a pair of dim 256 with 2 generators: "
+        "cyclic-span work 33554432, over the budget of 1000000")
+    capsys.readouterr()
+
+
 def test_run_parameters_have_no_command_line_flags(tmp_path, capsys):
     path = write_config(tmp_path, GENERIC)
     for flag in ("--order", "--truncation"):
@@ -407,7 +425,7 @@ def small_configs(draw):
 def over_budget_configs(draw):
     """A valid config just over one budget, run with checks that meet it."""
     kind = draw(st.sampled_from(("module", "rtt", "hom", "basis",
-                                 "canonical", "series")))
+                                 "canonical", "series", "step")))
     if kind == "module":
         # one factor with n * dim just over MODULE_MAX_SIZE
         n = draw(st.integers(2, 4))
@@ -434,6 +452,14 @@ def over_budget_configs(draw):
         m = draw(st.sampled_from((1, 2)))
         cfg = {"theta": -1, "n": 13 if m == 1 else 7, "nu": [1] * m}
         checks = OPERATOR_CHECKS
+    elif kind == "step":
+        # two factors whose swap has pair_dim^3 n (n - 1) just over
+        # STEP_MAX_WORK; the other budgets hold, so any check may run
+        n = draw(st.integers(2, 3))
+        d = _smallest(1, lambda d: math.comb(n + d - 1, d) ** 6 * n * (n - 1)
+                      > 1_000_000)
+        cfg = {"theta": 1, "n": n, "nu": [d, d]}
+        checks = CHECKS
     else:
         # the least series order over WORK_MAX for m factors
         m = draw(st.integers(1, 3))

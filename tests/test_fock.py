@@ -15,8 +15,10 @@ from yangian.fock import (
     first_variables_monomial,
     last_variables_monomial,
 )
-from yangian.hd import OperatorRealization, apply_operator
+from yangian.hd import OperatorRealization
 from yangian.linalg import RatMatrix
+
+from reference import apply_operator
 
 
 def word_image(space, atoms, b):

@@ -4,16 +4,15 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from yangian import hd
+from yangian import compiled, hd
+from yangian.compiled import CompiledOperators
 from yangian.fock import apply_word, block_basis
 from yangian.hd import (
-    Operator,
     OperatorRealization,
     alpha_coefficient,
-    apply_operator,
     check_alpha,
     check_canonical_relations,
     check_e_relations,
@@ -24,6 +23,9 @@ from yangian.hd import (
     tensor_square_rep,
     x_series,
 )
+
+import reference
+from reference import Operator, apply_operator
 
 
 def test_realization_validation():
@@ -284,3 +286,129 @@ def test_work_counts_are_the_evaluations_made(monkeypatch, theta, m, n, p,
         alpha.yangian.checked + alpha.commutant.checked,
         len(real.window_keys(4, series.rep_dim)))
     assert len(counted) == 6
+
+
+def _flip_sign(real, kind, a, i):
+    """Negate the coefficient of one p or q atom of this realization."""
+    original = getattr(real, f"{kind}_atom")
+
+    def atom(b, j):
+        c, word = original(b, j)
+        return (-c if (b, j) == (a, i) else c), word
+
+    setattr(real, f"{kind}_atom", atom)
+
+
+def _assert_suites_match_reference(real, order, series):
+    assert (check_canonical_relations(real)
+            == reference.canonical_relations(real))
+    assert check_e_relations(real) == reference.e_relations(real)
+    assert check_zeta(real) == reference.zeta(real)
+    alpha = check_alpha(real, order, series=series)
+    assert (alpha.yangian, alpha.commutant) == reference.alpha(real, order,
+                                                               series)
+    assert alpha.ok == (alpha.yangian.ok and alpha.commutant.ok)
+
+
+@st.composite
+def perturbed_realizations(draw):
+    theta = draw(st.sampled_from((1, -1)))
+    m = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 2))
+    # truncations 2 and 3 sit below the raise budget of 4
+    truncation = draw(st.sampled_from((2, 3, 4, 6)))
+    real = OperatorRealization(theta, m, n, draw(st.integers(0, m)),
+                               truncation)
+    flip = draw(st.none() | st.tuples(st.sampled_from("pq"),
+                                      st.integers(0, m - 1),
+                                      st.integers(0, n - 1)))
+    if flip:
+        _flip_sign(real, *flip)
+    order = draw(st.integers(2, 3))
+    series = x_series(theta, m, order)
+    bump = draw(st.none() | st.tuples(st.integers(1, order + 1),
+                                      st.integers(0, m - 1),
+                                      st.integers(0, m - 1),
+                                      st.integers(0, m - 1),
+                                      st.integers(0, m - 1),
+                                      st.sampled_from((-2, 1, 3))))
+    if bump:
+        _bump(series, *bump)
+    return real, order, series
+
+
+def _bump(series, k, a, b, row, col, delta):
+    """Add delta to one entry of one series coefficient; returns series."""
+    series.coeffs[k][a, b] = series.coeffs[k][a, b].copy()
+    series.coeffs[k][a, b][row, col] += delta
+    return series
+
+
+@settings(max_examples=30, deadline=None)
+@given(perturbed_realizations())
+# truncation 2 at theta = +1, below the raise budget of 4
+@example((OperatorRealization(1, 2, 2, 1, 2), 3, x_series(1, 2, 3)))
+# failing keys whose images have two nonzero entries
+@example((OperatorRealization(1, 2, 1, 0), 3,
+          _bump(x_series(1, 2, 3), 2, 0, 0, 0, 0, 1)))
+# the int64 bound: the last order below it and the first order above it
+@example((OperatorRealization(1, 2, 1, 1), 22,
+          x_series(1, 2, 22, tensor_square_rep(2))))
+@example((OperatorRealization(1, 2, 1, 1), 24,
+          x_series(1, 2, 24, tensor_square_rep(2))))
+def test_compiled_suites_match_reference(case):
+    # verdicts, checked counts, window caps and every failure dict
+    _assert_suites_match_reference(*case)
+
+
+@pytest.mark.parametrize("truncation", [2, 3])
+def test_truncation_below_raise_budget_matches_reference(truncation):
+    # the window is the constant monomial, and the compiled basis must reach
+    # degree 0 + 4 although the realization's budget stops at 2 or 3
+    real = OperatorRealization(1, 2, 2, 1, truncation)
+    series = x_series(1, 2, 3)
+    _assert_suites_match_reference(real, 3, series)
+    assert check_e_relations(real).window_cap == 0
+    _flip_sign(real, "p", 1, 1)
+    _assert_suites_match_reference(real, 3, series)
+
+
+@pytest.mark.parametrize("theta,m,n,p", [(-1, 2, 2, 1), (1, 2, 1, 0)])
+def test_small_chunks_match_reference(monkeypatch, theta, m, n, p):
+    # passes of a few entries split the identities and the window keys
+    monkeypatch.setattr(compiled, "_CHUNK", 8)
+    real = OperatorRealization(theta, m, n, p)
+    _flip_sign(real, "q", 0, 0)
+    _assert_suites_match_reference(real, 3,
+                                   _bump(x_series(theta, m, 3), 2, 0, 0, 0, 0, 1))
+
+
+def _compiled_dtypes(monkeypatch):
+    seen = []
+    original = CompiledOperators.__init__
+
+    def record(self, *args):
+        original(self, *args)
+        seen.append(self.dtype)
+
+    monkeypatch.setattr(CompiledOperators, "__init__", record)
+    return seen
+
+
+@pytest.mark.parametrize("order,bump,dtype", [
+    (22, 0, np.int64),      # the last order whose bound fits int64
+    (24, 0, object),
+    (3, 1, np.int64),
+    (3, 2 ** 70, object),   # a coefficient past int64 itself
+])
+def test_int64_bound_both_sides(monkeypatch, order, bump, dtype):
+    seen = _compiled_dtypes(monkeypatch)
+    real = OperatorRealization(1, 2, 1, 1)
+    series = x_series(1, 2, order, tensor_square_rep(2))
+    if bump:
+        _bump(series, 2, 0, 1, 1, 2, bump)
+    alpha = check_alpha(real, order, series=series)
+    assert seen == [dtype]
+    assert (alpha.yangian, alpha.commutant) == reference.alpha(real, order,
+                                                               series)
+    assert alpha.ok == (not bump)

@@ -606,3 +606,19 @@ def test_zeta_factors_for_word_cover_inversions():
     zetas = zeta_factors_for_word(params, (1, 2, 1))
     assert sorted(z.eta for z in zetas) == [(0, 1), (0, 2), (1, 2)]
     assert zeta_product(params, ()) == 1
+
+
+def test_swap_budget_refuses_before_any_module_is_built(monkeypatch):
+    # dim-256 pair, n = 2: work 256^3 * 2 over STEP_MAX_WORK
+    params = ModuleParams(1, 2, 0, 2, [Fraction(1, 7), Fraction(3, 7)],
+                          [15, 15])
+
+    def built(*args, **kwargs):
+        raise AssertionError("a module was built")
+
+    for name in ("pattern_module", "fock_module", "tensor_module"):
+        monkeypatch.setattr(intertwine, name, built)
+    for swap in (lambda: step(params, 1), lambda: compose_word(params, [1])):
+        with pytest.raises(ValueError, match="cyclic-span work 33554432, "
+                                             "over the budget of 1000000"):
+            swap()
