@@ -19,6 +19,7 @@ matrices here and the operator realization in `hd` both go through it.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -49,6 +50,15 @@ def block_basis(theta: int, n: int, degree: int) -> list[tuple[int, ...]]:
     # commuting: all compositions of `degree` into n parts, highest variable
     # powers first
     return sorted(_compositions(degree, n), reverse=True)
+
+
+def block_dim(theta: int, n: int, degree: int) -> int:
+    """len(block_basis(theta, n, degree)), counted without listing it."""
+    if theta == -1:
+        if degree > n:
+            raise ValueError(f"degree {degree} exceeds {n} anticommuting variables")
+        return math.comb(n, degree)
+    return math.comb(n + degree - 1, degree)
 
 
 def _compositions(total: int, parts: int):

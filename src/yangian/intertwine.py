@@ -31,12 +31,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import PLAIN, TILDE, block_basis
+from .fock import PLAIN, TILDE, block_dim
 from .linalg import RatMatrix, _ratmatrix, int_matmul
 from .modules import (
     ModuleParams,
     PatternFactor,
     YangianModule,
+    check_pattern_size,
     coefficient_pairs,
     distinguished_vector,
     fock_module,
@@ -329,10 +330,11 @@ STEP_MAX_WORK = 1_000_000
 
 def _check_step_work(params: ModuleParams, fa: PatternFactor,
                      fb: PatternFactor) -> None:
-    """Refuse a swap of fa and fb whose cyclic span exceeds STEP_MAX_WORK."""
+    """Refuse a swap of fa and fb whose pair module is over MODULE_MAX_SIZE
+    or whose cyclic span exceeds STEP_MAX_WORK, counting without building."""
+    check_pattern_size(params, [fa, fb])
     theta, n = params.theta, params.n
-    dim = (len(block_basis(theta, n, fa.degree))
-           * len(block_basis(theta, n, fb.degree)))
+    dim = block_dim(theta, n, fa.degree) * block_dim(theta, n, fb.degree)
     gens = n * (n - 1)
     work = dim ** 3 * gens
     if work > STEP_MAX_WORK:
@@ -354,8 +356,8 @@ def step(params: ModuleParams, a: int,
     vector maps to the swapped monomial times the closed-form normalization
     fraction, and the full matrix identity is re-verified exactly.  source,
     when given, is the already built pattern_module(params, factors).
-    Raises ValueError, before any module is built, when the pair's
-    cyclic-span work exceeds STEP_MAX_WORK.
+    Raises ValueError, before any module is built, when the pair module is
+    over MODULE_MAX_SIZE or its cyclic-span work exceeds STEP_MAX_WORK.
     """
     factors = list(factors) if factors is not None else source_pattern(params)
     m = len(factors)
@@ -388,7 +390,7 @@ def step(params: ModuleParams, a: int,
             "non-generic step: the distinguished vector is not cyclic in the pair")
     pair_map = b_tgt * b_src.inverse() * (frac * _swap_sign(theta, fa.degree, fb.degree))
 
-    dims = [len(block_basis(theta, n, f.degree)) for f in factors]
+    dims = [block_dim(theta, n, f.degree) for f in factors]
     left = 1
     for d in dims[:a - 1]:
         left *= d
@@ -422,19 +424,24 @@ def compose_word(params: ModuleParams, word: Sequence[int],
 
     The word must be reduced: every step must swap factors that are still in
     source order, equivalently the word's length equals the inversion count
-    of the permutation it realizes.  Every step's STEP_MAX_WORK budget is
-    checked before the source module is built.
+    of the permutation it realizes.  The source module's MODULE_MAX_SIZE
+    budget and then every step's STEP_MAX_WORK budget are checked before
+    anything is built.
     """
     factors = list(factors) if factors is not None else source_pattern(params)
     m = len(factors)
     arr = list(factors)
+    pairs = []
     for a in word:
         if not 1 <= a <= m - 1:
             raise ValueError(f"position {a} out of range for {m} slots")
         if arr[a - 1].origin > arr[a].origin:
             raise ValueError("non-reduced word")
-        _check_step_work(params, arr[a - 1], arr[a])
+        pairs.append((arr[a - 1], arr[a]))
         arr[a - 1], arr[a] = arr[a], arr[a - 1]
+    check_pattern_size(params, factors)
+    for fa, fb in pairs:
+        _check_step_work(params, fa, fb)
 
     src_mod = pattern_module(params, factors)
     total = RatMatrix.identity(src_mod.dim)

@@ -28,6 +28,7 @@ from .fock import (
     PRIME,
     TILDE,
     FockSpace,
+    block_dim,
     first_variables_monomial,
     last_variables_monomial,
 )
@@ -192,8 +193,7 @@ def fock_module(theta: int, n: int, flavor: str, z, degree: int) -> YangianModul
         raise ValueError(f"unknown flavor {flavor!r}")
     if degree == 0:
         return trivial_module(n)
-    _check_module_size(n, math.comb(n + degree - 1, degree) if theta == 1
-                       else math.comb(n, degree))
+    _check_module_size(n, block_dim(theta, n, degree))
     z = rat(z)
     z_eff = z - 1 if flavor == PRIME else z
     den = Poly([theta * z_eff, 1])
@@ -411,6 +411,17 @@ def prime_form(factors: Sequence[PatternFactor]) -> list[PatternFactor]:
 
 def pattern_space(params: ModuleParams, factors: Sequence[PatternFactor]) -> FockSpace:
     return FockSpace(params.theta, params.n, tuple(f.degree for f in factors))
+
+
+def check_pattern_size(params: ModuleParams,
+                       factors: Sequence[PatternFactor]) -> None:
+    """Raise the ValueError that pattern_module(params, factors) raises on a
+    module over MODULE_MAX_SIZE, counting dimensions without building."""
+    dims = [block_dim(params.theta, params.n, f.degree) for f in factors]
+    for f, d in zip(factors, dims):
+        if f.degree:
+            _check_module_size(params.n, d)
+    _check_module_size(params.n, math.prod(dims))
 
 
 def pattern_module(params: ModuleParams, factors: Sequence[PatternFactor]) -> YangianModule:

@@ -315,6 +315,30 @@ def test_step_budget_fails_cleanly(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("n,nu,check,size", [
+    # C(2003, 3) monomials in the first factor: counted, never listed
+    (4, [2000, 1], "hw-scalar", 4 * math.comb(2003, 3)),
+    (4, [2000, 1, 1], "braid", 4 * math.comb(2003, 3)),
+    # degree-1 factors at n = 2000: the module budget is met before the
+    # step budget
+    (2000, [1, 1], "hw-scalar", 4000000),
+])
+def test_swap_module_budget_fails_at_once(tmp_path, capsys, n, nu, check,
+                                          size):
+    path = write_config(tmp_path, {
+        "theta": 1, "n": n, "p": 0, "q": len(nu), "nu": nu,
+        "mu": [f"{b + 1}/7" for b in range(len(nu))], "checks": [check]})
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    assert cli.main(["--config", path, "--output", str(out)]) == 1
+    assert time.perf_counter() - start < 1
+    record = json.loads(out.read_text())["checks"][0]
+    assert record["status"] == "error"
+    assert record["details"]["error"] == (
+        f"ValueError: module of n * dim = {size}, over the budget of 1024")
+    capsys.readouterr()
+
+
 def test_run_parameters_have_no_command_line_flags(tmp_path, capsys):
     path = write_config(tmp_path, GENERIC)
     for flag in ("--order", "--truncation"):
@@ -427,10 +451,11 @@ def over_budget_configs(draw):
     kind = draw(st.sampled_from(("module", "rtt", "hom", "basis",
                                  "canonical", "series", "step")))
     if kind == "module":
-        # one factor with n * dim just over MODULE_MAX_SIZE
+        # one factor with n * dim just over MODULE_MAX_SIZE, alone or
+        # followed by a degree-1 factor so that hw-scalar swaps them
         n = draw(st.integers(2, 4))
         d = _smallest(1, lambda d: n * math.comb(n + d - 1, d) > 1024)
-        cfg = {"theta": 1, "n": n, "nu": [d]}
+        cfg = {"theta": 1, "n": n, "nu": [d] + [1] * draw(st.integers(0, 1))}
         checks = CHECKS
     elif kind == "rtt":
         # n = 2, dim 196 to 256: n^2 dim over RTT_MAX_SIZE, n dim under 1024

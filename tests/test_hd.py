@@ -297,12 +297,18 @@ def _flip_sign(real, kind, a, i):
         return (-c if (b, j) == (a, i) else c), word
 
     setattr(real, f"{kind}_atom", atom)
+    return real
 
 
 def _assert_suites_match_reference(real, order, series):
     assert (check_canonical_relations(real)
             == reference.canonical_relations(real))
-    assert check_e_relations(real) == reference.e_relations(real)
+    e = check_e_relations(real)
+    assert e == reference.e_relations(real)
+    # below the raise budget of 4 the window is the constant monomial, and
+    # the compiled basis must still reach degree 0 + 4
+    assert e.window_cap == (None if real.theta == -1
+                            else max(real.max_degree - 4, 0))
     assert check_zeta(real) == reference.zeta(real)
     alpha = check_alpha(real, order, series=series)
     assert (alpha.yangian, alpha.commutant) == reference.alpha(real, order,
@@ -346,31 +352,21 @@ def _bump(series, k, a, b, row, col, delta):
 
 @settings(max_examples=30, deadline=None)
 @given(perturbed_realizations())
-# truncation 2 at theta = +1, below the raise budget of 4
+# truncations 2 and 3 at theta = +1, below the raise budget of 4, plain
+# and with a flipped atom sign
 @example((OperatorRealization(1, 2, 2, 1, 2), 3, x_series(1, 2, 3)))
+@example((OperatorRealization(1, 2, 2, 1, 3), 3, x_series(1, 2, 3)))
+@example((_flip_sign(OperatorRealization(1, 2, 2, 1, 2), "p", 1, 1), 3,
+          x_series(1, 2, 3)))
+@example((_flip_sign(OperatorRealization(1, 2, 2, 1, 3), "p", 1, 1), 3,
+          x_series(1, 2, 3)))
 # failing keys whose images have two nonzero entries
 @example((OperatorRealization(1, 2, 1, 0), 3,
           _bump(x_series(1, 2, 3), 2, 0, 0, 0, 0, 1)))
-# the int64 bound: the last order below it and the first order above it
-@example((OperatorRealization(1, 2, 1, 1), 22,
-          x_series(1, 2, 22, tensor_square_rep(2))))
-@example((OperatorRealization(1, 2, 1, 1), 24,
-          x_series(1, 2, 24, tensor_square_rep(2))))
 def test_compiled_suites_match_reference(case):
-    # verdicts, checked counts, window caps and every failure dict
+    # verdicts, checked counts, window caps and every failure dict; the
+    # int64 bound's two sides are in test_int64_bound_both_sides
     _assert_suites_match_reference(*case)
-
-
-@pytest.mark.parametrize("truncation", [2, 3])
-def test_truncation_below_raise_budget_matches_reference(truncation):
-    # the window is the constant monomial, and the compiled basis must reach
-    # degree 0 + 4 although the realization's budget stops at 2 or 3
-    real = OperatorRealization(1, 2, 2, 1, truncation)
-    series = x_series(1, 2, 3)
-    _assert_suites_match_reference(real, 3, series)
-    assert check_e_relations(real).window_cap == 0
-    _flip_sign(real, "p", 1, 1)
-    _assert_suites_match_reference(real, 3, series)
 
 
 @pytest.mark.parametrize("theta,m,n,p", [(-1, 2, 2, 1), (1, 2, 1, 0)])
