@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 from . import hd
@@ -595,7 +595,10 @@ def run(config: RunConfig) -> Report:
 # entry point
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="yangian",
         description="Run exact checks on rational modules described by a "

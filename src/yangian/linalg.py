@@ -1,16 +1,19 @@
 """Exact rational arithmetic: polynomials, rational functions, dense matrices.
 
-Nothing in this module ever rounds.  Polynomial and rational-function
-coefficients are `fractions.Fraction`s.  `poly_rational_roots` isolates
-the real roots of an integer-scaled square-free part by Sturm sequences on
-integer intervals and verifies every candidate exactly, so it factors no
-integer and its work is polynomial in the degree and the coefficient
-sizes.  A matrix is one array of Python-int numerators over one positive
-denominator, in lowest terms; its arithmetic runs on the integers, every
+Nothing in this module ever rounds.  A polynomial is a tuple of Python-int
+numerators over one positive denominator and a matrix one array of
+Python-int numerators over one positive denominator, both in lowest terms,
+so equal values have equal fields; all their arithmetic runs on the
+integers.  Polynomial division is integer pseudo-division, and the gcds
+that keep rational functions in lowest terms are primitive
+pseudo-remainder sequences.  `poly_rational_roots` isolates the real roots
+of the square-free part of the numerators by Sturm sequences on integer
+intervals and verifies every candidate exactly, so it factors no integer
+and its work is polynomial in the degree and the coefficient sizes.  Every
 `RatMatrix` product goes through `int_matmul`, and `rref`, `rank`,
 `nullspace`, `solve` and `inverse` all read one fraction-free Gauss-Jordan
 elimination.  A vector is a one-column `RatMatrix` and a basis one column
-per vector; single entries are read back as Fractions.
+per vector; single coefficients and entries are read back as Fractions.
 `residue_primes` picks the word-size primes for exact float64 products
 modulo p.
 """
@@ -38,81 +41,108 @@ def rat(x) -> Fraction:
 
 
 class Poly:
-    """Dense univariate polynomial over Fraction, low-degree-first coefficients.
+    """Dense univariate polynomial with rational coefficients.
 
-    Immutable; trailing zero coefficients are stripped, the zero polynomial
-    has an empty coefficient tuple and degree -1.
+    Stored as `RatMatrix` stores a matrix: `num` is a tuple of Python-int
+    numerators, low degree first, over one positive int `den`, in lowest
+    terms (no trailing zero numerator, and no prime divides den and every
+    numerator), so equal polynomials have equal fields.  The zero
+    polynomial is () over 1, of degree -1.  All arithmetic runs on the
+    integers; `coeffs` reads the coefficients back as Fractions.  Immutable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = [_rational(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        p = _poly([c.numerator * (den // c.denominator) for c in cs], den)
+        object.__setattr__(self, "num", p.num)
+        object.__setattr__(self, "den", p.den)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, low degree first."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     @staticmethod
     def const(c) -> "Poly":
-        return Poly([rat(c)])
+        c = _rational(c)
+        return _poly([c.numerator], c.denominator)
 
     @staticmethod
     def x(power: int = 1) -> "Poly":
-        return Poly([0] * power + [1])
+        return _poly([0] * power + [1], 1)
 
     @staticmethod
     def from_roots(roots: Iterable) -> "Poly":
-        p = Poly([1])
+        """The product of u - r over the roots, as the product of the
+        integer linear factors b u - a over b, for r = a / b."""
+        num, den = [1], 1
         for r in roots:
-            p = p * Poly([-rat(r), 1])
-        return p
+            r = _rational(r)
+            a, b = r.numerator, r.denominator
+            num = ([-a * num[0]]
+                   + [b * num[k - 1] - a * num[k] for k in range(1, len(num))]
+                   + [b * num[-1]])
+            den *= b
+        return _poly(num, den)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def is_one(self) -> bool:
-        return self.coeffs == (Fraction(1),)
+        return self.num == (1,) and self.den == 1
 
     def lead(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.num):
+            return Fraction(self.num[k], self.den)
         return Fraction(0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __add__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             other = Poly.const(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[k] + other[k] for k in range(n)])
+        a, b, den = self.num, other.num, self.den
+        if den != other.den:
+            den = math.lcm(den, other.den)
+            a = [x * (den // self.den) for x in a]
+            b = [x * (den // other.den) for x in b]
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for k, x in enumerate(b):
+            out[k] += x
+        return _poly(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return _poly([-c for c in self.num], self.den)
 
     def __sub__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             other = Poly.const(other)
         return self + (-other)
 
@@ -120,44 +150,42 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        if not isinstance(other, Poly):
+            c = _rational(other)
+            return _poly([x * c.numerator for x in self.num],
+                         self.den * c.denominator)
+        if not self.num or not other.num:
+            return _poly((), 1)
+        out = [0] * (len(self.num) + len(other.num) - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(other.num):
+                    out[i + j] += a * b
+        return _poly(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __call__(self, u) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * u + c
-        return acc
+        """The value at a rational u = a / b: the sum of num[k] a^k b^(d-k)
+        over den b^d, by Horner's rule on the integers."""
+        u = _rational(u)
+        a, b = u.numerator, u.denominator
+        acc = 0
+        for k, c in enumerate(reversed(self.num)):
+            acc = acc * a + c * b ** k
+        return Fraction(acc, self.den * b ** max(self.degree, 0))
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
+        """Quotient and remainder, by integer pseudo-division of the
+        numerators: s num = quo other.num + rem gives self = (quo other.den
+        / (s den)) other + rem / (s den)."""
+        if not other.num:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d, lead = other.degree, other.lead()
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] / lead
-            quo[k] = f
-            for i in range(len(other.coeffs)):
-                rem[k + i] -= f * other.coeffs[i]
-            rem.pop()
-        return Poly(quo), Poly(rem)
+        quo, rem, s = _pseudo_divmod(self.num, other.num)
+        den = s * self.den
+        if other.den != 1:
+            quo = [q * other.den for q in quo]
+        return _poly(quo, den), _poly(rem, den)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[0]
@@ -166,28 +194,120 @@ class Poly:
         return self.divmod(other)[1]
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if not self.num:
             return self
-        return self * (1 / self.lead())
+        return _poly(self.num, self.num[-1])
 
     def shift(self, c) -> "Poly":
-        """Return p(u + c)."""
-        c = rat(c)
-        out = Poly()
-        base = Poly([c, 1])
-        for k in reversed(range(len(self.coeffs))):
-            out = out * base + Poly.const(self.coeffs[k])
-        return out
+        """Return p(u + c).  For c = a / b and degree d, b^d p(u + c) is the
+        sum of num[k] (b u + a)^k b^(d-k), an integer polynomial that
+        Horner's rule in b u + a builds."""
+        c = _rational(c)
+        a, b = c.numerator, c.denominator
+        out: list[int] = []
+        for k, x in enumerate(reversed(self.num)):
+            # out <- out (b u + a) + x b^k
+            step = [a * y for y in out] + [0]
+            for t, y in enumerate(out):
+                step[t + 1] += b * y
+            step[0] += x * b ** k
+            out = step
+        return _poly(out, self.den * b ** max(self.degree, 0))
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)})"
 
 
+def _rational(x) -> int | Fraction:
+    """An int or Fraction as it is; anything else through Fraction."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def _poly(num: Sequence[int], den: int) -> Poly:
+    """The polynomial with integer numerators num, low degree first, over
+    den != 0, in lowest terms."""
+    k = len(num)
+    while k and not num[k - 1]:
+        k -= 1
+    if not k:
+        num, den = (), 1
+    else:
+        num = tuple(num[:k])
+        if den < 0:
+            num, den = tuple(-c for c in num), -den
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g > 1:
+                num, den = tuple(c // g for c in num), den // g
+    out = object.__new__(Poly)
+    object.__setattr__(out, "num", num)
+    object.__setattr__(out, "den", den)
+    return out
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]
+                   ) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division: (quo, rem, s) with s a = quo b + rem, s > 0
+    and deg rem < deg b, for integer coefficient sequences a and b != 0,
+    low degree first (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).
+
+    Each step multiplies through by |lead b| / gcd(top, lead b) only, so s
+    is 1 whenever every step divides exactly, as when b divides a in Z[u];
+    s > 0 keeps rem a positive multiple of the remainder over Q.
+    """
+    n, lead = len(b) - 1, b[-1]
+    low = b[:-1]
+    rem = list(a)
+    quo = [0] * max(len(a) - n, 0)
+    s = 1
+    for k in reversed(range(len(quo))):
+        top = rem.pop()
+        if not top:
+            continue
+        g = math.gcd(top, lead)
+        mult = abs(lead) // g
+        if mult != 1:
+            rem = [x * mult for x in rem]
+            quo = [x * mult for x in quo]
+            s *= mult
+        q = quo[k] = top // g if lead > 0 else -(top // g)
+        for i, x in enumerate(low):
+            rem[k + i] -= q * x
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem, s
+
+
+def _primitive(ints: Sequence[int]) -> list[int]:
+    """The integer coefficients divided by their positive gcd."""
+    g = math.gcd(*ints)
+    return list(ints) if g == 1 else [c // g for c in ints]
+
+
+def _primitive_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A primitive gcd, unique up to sign, of two nonzero integer
+    polynomials, by the primitive pseudo-remainder sequence (Knuth, TAOCP
+    vol. 2, 4.6.1; Collins 1967): each step replaces (a, b) by b and the
+    primitive part of the pseudo-remainder of a by b, which keeps the gcd
+    over Q and stops the coefficient growth of plain pseudo-remainders."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        rem = _pseudo_divmod(a, b)[1]
+        if not rem:
+            return b
+        a, b = b, _primitive(rem)
+    return [1]
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    """Monic gcd, by the primitive pseudo-remainder sequence of the
+    numerators; the gcd of two zero polynomials is zero."""
+    if not a.num or not b.num:
+        return (a if a.num else b).monic()
+    g = _primitive_gcd(a.num, b.num)
+    return _poly(g, g[-1])
 
 
 def format_poly(p: Poly, var: str = "u") -> str:
@@ -219,8 +339,8 @@ def poly_rational_roots(p: Poly) -> tuple[list[Fraction], Poly]:
 
     Roots are returned sorted ascending; the cofactor is p divided by
     (u - r) once per returned root, so it has no rational root.  Nothing is
-    factored.  With the roots at 0 stripped, the square-free part of p is
-    cleared to a primitive integer polynomial f of degree d with leading
+    factored.  With the roots at 0 stripped, the square-free part of p's
+    numerators is a primitive integer polynomial f of degree d with leading
     coefficient L.  A rational root of f in lowest terms has a denominator
     dividing L, so y = |L| r is an integer root of the monic integer
     polynomial g(y) = sgn(L) |L|^(d-1) f(y / |L|).  Sturm's theorem gives
@@ -233,18 +353,24 @@ def poly_rational_roots(p: Poly) -> tuple[list[Fraction], Poly]:
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every root")
-    k = next(i for i, c in enumerate(p.coeffs) if c != 0)
+    k = next(i for i, c in enumerate(p.num) if c)
     roots = [Fraction(0)] * k
-    q = Poly(p.coeffs[k:])
+    q = _poly(p.num[k:], p.den)
     if q.degree < 1:
         return roots, q
-    f = _primitive(q // poly_gcd(q, _derivative(q)))
+    ints = _primitive(q.num)
+    # the gcd is primitive, so the quotient is exact and primitive (Gauss's
+    # lemma)
+    f = _pseudo_divmod(ints, _primitive_gcd(ints, _derivative(ints)))[0]
     d, lead = len(f) - 1, abs(f[-1])
     sign = 1 if f[-1] > 0 else -1
     g = [sign * c * lead ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
-    chain = [g, _primitive(_derivative(Poly(g)))]
+    # each pseudo-remainder is a positive multiple of the remainder over Q,
+    # so the negated primitive remainders form a Sturm chain
+    chain = [g, _primitive(_derivative(g))]
     while len(chain[-1]) > 1:
-        chain.append(_primitive(-(Poly(chain[-2]) % Poly(chain[-1]))))
+        rem = _pseudo_divmod(chain[-2], chain[-1])[1]
+        chain.append(_primitive([-c for c in rem]))
     top = _fujiwara_bound(g)
     # (a, V(a), b, V(b)) for the intervals (a, b] still holding a root
     todo = [(-top - 1, _sign_changes(chain, -top - 1), top,
@@ -261,20 +387,12 @@ def poly_rational_roots(p: Poly) -> tuple[list[Fraction], Poly]:
             r = Fraction(b, lead)
             while q.degree >= 1 and q(r) == 0:
                 roots.append(r)
-                q = q // Poly([-r, 1])
+                q = q // Poly.from_roots([r])
     return sorted(roots), q
 
 
-def _derivative(p: Poly) -> Poly:
-    return Poly([k * c for k, c in enumerate(p.coeffs)][1:])
-
-
-def _primitive(p: Poly) -> list[int]:
-    """The coprime integer coefficients of a positive multiple of p."""
-    scale = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (scale // c.denominator) for c in p.coeffs]
-    g = math.gcd(*ints)
-    return [c // g for c in ints]
+def _derivative(ints: Sequence[int]) -> list[int]:
+    return [k * c for k, c in enumerate(ints)][1:]
 
 
 def _int_eval(coeffs: list[int], y: int) -> int:
@@ -397,6 +515,14 @@ class RatFunc:
         return f"RatFunc(({format_poly(self.num)}) / ({format_poly(self.den)}))"
 
 
+def _ratfunc(num: Poly, den: Poly) -> RatFunc:
+    """The rational function num / den, for coprime num and monic den."""
+    out = object.__new__(RatFunc)
+    object.__setattr__(out, "num", num)
+    object.__setattr__(out, "den", den)
+    return out
+
+
 def _as_ratfunc(x) -> RatFunc:
     if isinstance(x, RatFunc):
         return x
@@ -406,16 +532,22 @@ def _as_ratfunc(x) -> RatFunc:
 
 
 def ratfunc_normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Lowest terms with monic denominator; zero is 0/1."""
+    """Lowest terms with monic denominator; zero is 0/1.
+
+    The common factor is the primitive gcd of the two numerator tuples,
+    divided out of both exactly on the integers; a constant side has none.
+    """
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():
-        return Poly(), Poly([1])
-    g = poly_gcd(num, den)
-    if g.degree > 0:
-        num, den = num // g, den // g
-    lead = den.lead()
-    return num * (1 / lead), den * (1 / lead)
+        return _poly((), 1), _poly([1], 1)
+    a, b = num.num, den.num
+    if len(a) > 1 and len(b) > 1:
+        g = _primitive_gcd(a, b)
+        if len(g) > 1:
+            a, b = _pseudo_divmod(a, g)[0], _pseudo_divmod(b, g)[0]
+    # (a / num.den) / (b / den.den), over the lead of b
+    return _poly([x * den.den for x in a], num.den * b[-1]), _poly(b, b[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .fock import (
     first_variables_monomial,
     last_variables_monomial,
 )
-from .linalg import (_INT64_LIMIT, Poly, RatFunc, RatMatrix, _ratmatrix,
+from .linalg import (_INT64_LIMIT, Poly, RatFunc, RatMatrix, _poly, _ratmatrix,
                      poly_gcd, rat)
 
 # The largest n * dim of a module that fock_module or tensor_module builds:
@@ -87,8 +87,8 @@ class YangianModule:
 
     def entry_ratfunc(self, i: int, j: int, r: int, s: int) -> RatFunc:
         """The (r, s) matrix element of T_ij(u) as a reduced rational function."""
-        return RatFunc(Poly([Fraction(int(x), self.scale)
-                             for x in self.num[i, j, :, r, s]]), self.den)
+        return RatFunc(_poly(self.num[i, j, :, r, s].tolist(), self.scale),
+                       self.den)
 
     def equal_entrywise(self, other: "YangianModule") -> bool:
         """Same action entrywise, denominators may differ."""
@@ -99,17 +99,16 @@ class YangianModule:
 
 def _cleared(mod: YangianModule, cofactor: Poly) -> tuple[np.ndarray, int]:
     """The coefficients of P_ij(u) cofactor(u), for a monic cofactor, as
-    integers over a positive int, by one convolution along the power axis."""
+    integers over a positive int, by one convolution of the cofactor's
+    numerators along the power axis."""
     if cofactor.degree == 0:
         return mod.num, mod.scale
-    lcd = math.lcm(*(c.denominator for c in cofactor.coeffs))
-    ints = [c.numerator * (lcd // c.denominator) for c in cofactor.coeffs]
     n, _, powers, dim, _ = mod.num.shape
     out = np.zeros((n, n, powers + cofactor.degree, dim, dim), dtype=object)
-    for t, c in enumerate(ints):
+    for t, c in enumerate(cofactor.num):
         if c:
             out[:, :, t:t + powers] += mod.num * c
-    return out, mod.scale * lcd
+    return out, mod.scale * cofactor.den
 
 
 def coefficient_pairs(m1: YangianModule, m2: YangianModule
@@ -149,12 +148,10 @@ def scalar_module(n: int, num: Poly, den: Poly) -> YangianModule:
     """One-dimensional module T_ij(u) = delta_ij num(u)/den(u), num/den -> 1."""
     if num.degree != den.degree or num.lead() != 1 or den.lead() != 1:
         raise ValueError("scalar action must be a ratio of monic polynomials of equal degree")
-    scale = math.lcm(*(c.denominator for c in num.coeffs))
     arr = np.zeros((n, n, num.degree + 1, 1, 1), dtype=object)
     for i in range(n):
-        arr[i, i, :, 0, 0] = [c.numerator * (scale // c.denominator)
-                              for c in num.coeffs]
-    return YangianModule(den, arr, scale)
+        arr[i, i, :, 0, 0] = num.num
+    return YangianModule(den, arr, num.den)
 
 
 def omega_module(n: int, z) -> YangianModule:
@@ -268,21 +265,23 @@ def twist_module(mod: YangianModule, g: RatFunc) -> YangianModule:
     # cancel the common polynomial factor, if any, to keep degrees low
     common = out.den
     for i, j, r, s in np.ndindex(out.num.shape[:2] + out.num.shape[3:]):
-        common = poly_gcd(common, Poly(out.num[i, j, :, r, s]))
+        common = poly_gcd(common, _poly(out.num[i, j, :, r, s].tolist(), 1))
         if common.degree == 0:
             return out
-    # exact division by the monic common factor, one power at a time
-    rem = out.num * Fraction(1)
-    m, powers = common.degree, out.num.shape[2]
+    # the monic common factor is G / c, G its primitive numerators and c > 0
+    # their lead, so out.num = scale P = scale (G / c) P' gives the new
+    # numerators scale P' = c (out.num / G); G divides every entry in Z[u]
+    # (Gauss's lemma), so the division is exact on the integers, one power
+    # at a time
+    rem = out.num.copy()
+    m, powers, lead = common.degree, out.num.shape[2], common.num[-1]
     quo = np.zeros(out.num.shape[:2] + (powers - m,) + out.num.shape[3:],
                    dtype=object)
     for t in reversed(range(powers - m)):
-        quo[:, :, t] = rem[:, :, t + m]
-        for e, c in enumerate(common.coeffs):
+        quo[:, :, t] = rem[:, :, t + m] // lead
+        for e, c in enumerate(common.num[:-1]):
             rem[:, :, t + e] -= quo[:, :, t] * c
-    lcd = math.lcm(*(x.denominator for x in quo.flat))
-    ints = np.frompyfunc(int, 1, 1)(quo * lcd)   # integral Fractions to ints
-    return YangianModule(out.den // common, ints, out.scale * lcd)
+    return YangianModule(out.den // common, quo * lead, out.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -33,14 +33,15 @@ entries that fail.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .fock import PLAIN, PRIME, TILDE
-from .linalg import (Poly, RatFunc, RatMatrix, _ratmatrix, poly_rational_roots,
-                     rat, residue_primes)
+from .linalg import (Poly, RatFunc, RatMatrix, _poly, _ratfunc, _ratmatrix,
+                     poly_rational_roots, residue_primes)
 from .modules import (ModuleParams, PatternFactor, YangianModule,
                       scalar_module, source_pattern, tensor_module)
 
@@ -83,7 +84,7 @@ def _grid_points(den: Poly, count: int) -> list[int]:
     pts = []
     u0 = GRID_START
     while len(pts) < count:
-        if den(Fraction(u0)) != 0:
+        if den(u0) != 0:
             pts.append(u0)
         u0 += 1
     return pts
@@ -226,8 +227,8 @@ def eigenvalue_of(mod: YangianModule, i: int, vec: RatMatrix) -> RatFunc:
         # img = scale * c * ints, for c the eigenvalue's u^k coefficient
         if (img * ints[pivot] != ints * img[pivot]).any():
             raise ValueError(f"vector is not an eigenvector of entry {i}")
-        coeffs.append(Fraction(int(img[pivot]), mod.scale * int(ints[pivot])))
-    return RatFunc(Poly(coeffs), mod.den)
+        coeffs.append(int(img[pivot]))
+    return RatFunc(_poly(coeffs, mod.scale * int(ints[pivot])), mod.den)
 
 
 def hw_eigenvalues(mod: YangianModule, vec: RatMatrix) -> list[RatFunc]:
@@ -331,41 +332,32 @@ def scalar_twist_between(m1: YangianModule, m2: YangianModule) -> RatFunc | None
 # closed-form eigenvalue products
 
 
-def factor_hw_eigenvalue(theta: int, n: int, factor: PatternFactor,
-                         i: int) -> RatFunc:
-    """Closed-form T_ii(u) eigenvalue of one pattern factor (0-based i).
+def _factor_shifts(theta: int, n: int, factor: PatternFactor,
+                   i: int) -> tuple[Fraction, Fraction] | None:
+    """The shifts (a, b) of one pattern factor's closed-form T_ii(u)
+    eigenvalue (u + a) / (u + b) (0-based i), or None where it is 1.
 
     The eigenvector is the factor's extreme monomial: the top-variable
     monomial for tilde/prime kinds and the bottom-variable monomial for the
     plain kind.  Degree-zero factors are trivial and contribute 1.
     """
-    nu = factor.degree
-    one = RatFunc(Poly.const(1), Poly.const(1))
+    nu, z = factor.degree, factor.param
     if nu == 0:
-        return one
-
-    def lin(c) -> Poly:
-        return Poly([rat(c), 1])
-
-    z = factor.param
+        return None
     if theta == 1:
         if factor.kind == PLAIN:
-            return RatFunc(lin(z + nu), lin(z)) if i == 0 else one
+            return (z + nu, z) if i == 0 else None
         if factor.kind == TILDE:
-            if i == n - 1:
-                return RatFunc(lin(z - nu - 1), lin(z))
-            return RatFunc(lin(z - 1), lin(z))
+            return (z - nu - 1 if i == n - 1 else z - 1), z
         if factor.kind == PRIME:
-            if i == n - 1:
-                return RatFunc(lin(z - 1 - nu), lin(z - 1))
-            return one
+            return (z - 1 - nu, z - 1) if i == n - 1 else None
     else:
         if factor.kind == PLAIN:
-            return RatFunc(lin(1 - z), lin(-z)) if i < nu else one
+            return (1 - z, -z) if i < nu else None
         if factor.kind == TILDE:
-            return RatFunc(lin(1 - z), lin(-z)) if i < n - nu else one
+            return (1 - z, -z) if i < n - nu else None
         if factor.kind == PRIME:
-            return RatFunc(lin(-z), lin(1 - z)) if i >= n - nu else one
+            return (-z, 1 - z) if i >= n - nu else None
     raise ValueError(f"unknown factor kind {factor.kind!r}")
 
 
@@ -376,14 +368,23 @@ def closed_form_eigenvalues(params: ModuleParams,
 
     These are the eigenvalues of T_ii(u) on the distinguished vector of the
     pattern module; with the default factor list they describe the source
-    pattern itself.
+    pattern itself.  Each is one product of linear factors u + a over
+    u + b: equal factors on the two sides cancel, and the rest are
+    distinct, so the product is already in lowest terms.
     """
     if factors is None:
         factors = source_pattern(params)
     out = []
     for i in range(params.n):
-        val = RatFunc(Poly.const(1), Poly.const(1))
+        tops: Counter[Fraction] = Counter()
+        bottoms: Counter[Fraction] = Counter()
         for f in factors:
-            val = val * factor_hw_eigenvalue(params.theta, params.n, f, i)
-        out.append(val)
+            shifts = _factor_shifts(params.theta, params.n, f, i)
+            if shifts is not None:
+                tops[shifts[0]] += 1
+                bottoms[shifts[1]] += 1
+        common = tops & bottoms
+        tops, bottoms = tops - common, bottoms - common
+        out.append(_ratfunc(Poly.from_roots(-a for a in tops.elements()),
+                            Poly.from_roots(-b for b in bottoms.elements())))
     return out

@@ -2,11 +2,12 @@
 
 Modules store one integer coefficient array; the first helpers read it back
 as `RatMatrix` coefficients and `MatPoly` entries, the slow forms the tests
-compare the array code against.  The rest is the term-by-term interpreter
-of the operator realization that the compiled suites of `yangian.hd` are
-compared against.
+compare the array code against.  Next come polynomials over Fraction
+coefficients, by long division and Euclid's algorithm over the rationals,
+which `yangian.linalg.Poly`'s integer arithmetic is compared against.  The
+rest is the term-by-term interpreter of the operator realization that the
+compiled suites of `yangian.hd` are compared against.
 """
-
 from fractions import Fraction
 
 from yangian.compiled import MAX_FAILURES, IdentityReport
@@ -30,6 +31,97 @@ def entry_matpoly(mod, i, j):
 def column(values):
     """The one-column RatMatrix of a list of rationals."""
     return RatMatrix([[x] for x in values])
+
+
+# ---------------------------------------------------------------------------
+# polynomials over Fractions: coefficient tuples, low degree first, with no
+# trailing zero
+
+
+def ref_poly(coeffs):
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref_poly((a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
+                    for k in range(n))
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_poly(out)
+
+
+def ref_eval(a, u):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * u + c
+    return acc
+
+
+def ref_divmod(a, b):
+    """Quotient and remainder by long division over the rationals."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    quo = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    d, lead = len(b) - 1, b[-1]
+    while len(rem) - 1 >= d and any(c != 0 for c in rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < d:
+            break
+        k = len(rem) - 1 - d
+        f = rem[-1] / lead
+        quo[k] = f
+        for i in range(len(b)):
+            rem[k + i] -= f * b[i]
+        rem.pop()
+    return ref_poly(quo), ref_poly(rem)
+
+
+def ref_monic(a):
+    return tuple(c / a[-1] for c in a) if a else a
+
+
+def ref_gcd(a, b):
+    """Monic gcd by the Euclidean algorithm over the rationals."""
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a)
+
+
+def ref_shift(a, c):
+    """a(u + c), by Horner's rule in u + c."""
+    out = ()
+    for k in reversed(range(len(a))):
+        out = ref_add(ref_mul(out, (Fraction(c), Fraction(1))), (a[k],))
+    return out
+
+
+def ref_from_roots(roots):
+    out = (Fraction(1),)
+    for r in roots:
+        out = ref_mul(out, (-Fraction(r), Fraction(1)))
+    return out
+
+
+def ref_normalize(num, den):
+    """num / den in lowest terms with monic denominator; zero is 0 / 1."""
+    if not num:
+        return (), (Fraction(1),)
+    g = ref_gcd(num, den)
+    num, den = ref_divmod(num, g)[0], ref_divmod(den, g)[0]
+    return tuple(c / den[-1] for c in num), ref_monic(den)
 
 
 # ---------------------------------------------------------------------------

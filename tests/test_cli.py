@@ -396,6 +396,29 @@ def test_main_check_override_and_list(tmp_path, capsys):
     assert any(c["name"] == "rtt" for c in listing)
 
 
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    outputs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--bogus"])
+        assert exc.value.code == 2
+        assert cli.main([]) == 2
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out.startswith("usage: yangian [-h] [--config PATH]")
+    # a --check list from one call does not carry over to the next
+    path = write_config(tmp_path, {**GENERIC, "checks": ["rtt"]})
+    assert cli.main(["--config", path, "--check", "hw-scalar"]) == 0
+    capsys.readouterr()
+    assert cli.main(["--config", path]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [r["name"] for r in data["checks"]] == ["rtt"]
+
+
 # ---------------------------------------------------------------------------
 # config fuzzer: every valid config ends in bounded time with exit 0 or 1
 

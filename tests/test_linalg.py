@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yangian.linalg import (
@@ -18,10 +18,23 @@ from yangian.linalg import (
     nullspace,
     poly_gcd,
     poly_rational_roots,
+    ratfunc_normalize,
     residue_primes,
 )
 
-from reference import column
+from reference import (
+    column,
+    ref_add,
+    ref_divmod,
+    ref_eval,
+    ref_from_roots,
+    ref_gcd,
+    ref_monic,
+    ref_mul,
+    ref_normalize,
+    ref_poly,
+    ref_shift,
+)
 
 
 def rand_frac(rng, span=9):
@@ -475,3 +488,63 @@ def test_mat_poly_matches_entrywise_poly_reference(triple, q, u):
         # trailing zero coefficients are stripped, so equal values are equal
         assert got == from_entry_polys(shape, want)
     assert ref_entries(a(u)) == [[x(u) for x in r] for r in pa]
+
+
+def assert_canonical(p, want):
+    """p holds the reference coefficients want, in its one canonical form:
+    int numerators without a trailing zero over a positive int denominator
+    sharing no prime with all of them, and () over 1 for zero."""
+    assert p.coeffs == want
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int for c in p.num)
+    assert not p.num or p.num[-1] != 0
+    assert math.gcd(p.den, *p.num) == 1
+    assert p == Poly(want) and hash(p) == hash(Poly(want))
+
+
+# coefficient tuples: zero, constants, negative leads, non-monic divisors
+ref_polys = st.lists(fractions, max_size=5).map(ref_poly)
+
+
+@st.composite
+def common_factor_pairs(draw):
+    """(g x, g y) for a drawn g of degree up to 2, so gcds are nontrivial."""
+    g = draw(st.lists(fractions, min_size=1, max_size=3).map(ref_poly))
+    return ref_mul(g, draw(ref_polys)), ref_mul(g, draw(ref_polys))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ref_polys, ref_polys, common_factor_pairs(), fractions,
+       st.lists(fractions, max_size=4))
+@example((), (), ((), ()), Fraction(0), [])
+@example((Fraction(-3, 4),), (Fraction(2),), ((Fraction(1, 3),), ()),
+         Fraction(5, 2), [Fraction(0)])
+@example((Fraction(1), Fraction(0), Fraction(-2, 3)),
+         (Fraction(5, 7), Fraction(-6, 7)),
+         ((Fraction(-2), Fraction(2)), (Fraction(3), Fraction(-3))),
+         Fraction(-1, 10007), [Fraction(1, 2), Fraction(1, 2)])
+def test_poly_matches_fraction_reference(a, b, pair, u, roots):
+    pa, pb = Poly(a), Poly(b)
+    assert_canonical(pa, a)
+    assert_canonical(pa + pb, ref_add(a, b))
+    assert_canonical(pa - pb, ref_add(a, tuple(-c for c in b)))
+    assert_canonical(pa * pb, ref_mul(a, b))
+    assert_canonical(pa * u, ref_mul(a, ref_poly([u])))
+    assert_canonical(pa.shift(u), ref_shift(a, u))
+    assert_canonical(pa.monic(), ref_monic(a))
+    assert_canonical(Poly.from_roots(roots), ref_from_roots(roots))
+    assert pa(u) == ref_eval(a, u)
+    if b:
+        q, r = pa.divmod(pb)
+        want_q, want_r = ref_divmod(a, b)
+        assert_canonical(q, want_q)
+        assert_canonical(r, want_r)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            pa.divmod(pb)
+    for x, y in ((a, b), pair):
+        assert_canonical(poly_gcd(Poly(x), Poly(y)), ref_gcd(x, y))
+        if y:
+            got = ratfunc_normalize(Poly(x), Poly(y))
+            for p, want in zip(got, ref_normalize(x, y)):
+                assert_canonical(p, want)

@@ -40,7 +40,6 @@ from yangian.verify import (
     closed_form_eigenvalues,
     drinfeld_data,
     eigenvalue_of,
-    factor_hw_eigenvalue,
     highest_weight_vectors,
     hw_eigenvalues,
     is_highest_weight,
@@ -431,17 +430,19 @@ def test_closed_form_permuted_and_prime_patterns():
 
 def test_zero_degree_factor_contributes_one():
     factor = PatternFactor(TILDE, 0, F(1, 3), 0)
-    assert factor_hw_eigenvalue(1, 2, factor, 0).is_one()
-    assert factor_hw_eigenvalue(-1, 2, factor, 1).is_one()
+    for theta in (1, -1):
+        params = ModuleParams(theta, 2, 1, 0, [F(1, 3)], [0])
+        assert all(f.is_one()
+                   for f in closed_form_eigenvalues(params, [factor]))
 
 
 def test_tilde_and_prime_closed_forms_differ_by_scalar_character():
     # tilde = scalar character * prime, with the same character at every i
     theta, n, nu, z = 1, 3, 2, F(2, 7)
-    tilde = PatternFactor(TILDE, nu, z, 0)
-    prime = PatternFactor(PRIME, nu, z, 0)
-    ratios = [factor_hw_eigenvalue(theta, n, tilde, i)
-              / factor_hw_eigenvalue(theta, n, prime, i) for i in range(n)]
+    params = ModuleParams(theta, n, 1, 0, [z], [nu])
+    tilde = closed_form_eigenvalues(params, [PatternFactor(TILDE, nu, z, 0)])
+    prime = closed_form_eigenvalues(params, [PatternFactor(PRIME, nu, z, 0)])
+    ratios = [t / p for t, p in zip(tilde, prime)]
     assert all(r == ratios[0] for r in ratios)
     assert ratios[0] == ratfunc([z - 1, 1], [z, 1])
 
