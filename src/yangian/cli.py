@@ -16,9 +16,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cache, cached_property
+from math import gcd
 from typing import Callable
 
 from . import hd
@@ -85,10 +86,7 @@ class RunConfig:
         return self.p + self.q
 
 
-_CONFIG_FIELDS = {
-    "theta", "n", "p", "q", "mu", "nu", "word", "checks",
-    "truncation", "order", "output", "allow_resonant",
-}
+_CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
 
 
 def _parse_rational(value, where: str) -> Fraction:
@@ -218,7 +216,9 @@ def _frac_str(x: Fraction) -> str:
 
 
 def _poly_coeffs(poly: Poly) -> list[str]:
-    return [_frac_str(c) for c in poly.coeffs]
+    """Each coefficient num / den of poly as "a/b" in lowest terms."""
+    den = poly.den
+    return [f"{c // g}/{den // g}" for c in poly.num for g in (gcd(c, den),)]
 
 
 def _ratfunc_dict(f: RatFunc) -> dict:
@@ -351,7 +351,7 @@ def _check_hw_eigenvalues(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
 def _check_drinfeld(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
     eigen = shared.eigenvalues
     polys = drinfeld_polynomials(eigen)
-    monic = all(p.coeffs[-1] == 1 for p in polys)
+    monic = all(p.num[-1] == p.den for p in polys)
     details = {
         "polynomials": [_poly_coeffs(p) for p in polys],
         "eigenvalues": [_ratfunc_dict(f) for f in eigen],
@@ -640,16 +640,13 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = config_from_dict(raw)
-        overrides = {}
         if args.check:
             for name in args.check:
                 if name not in _REGISTRY:
                     raise ConfigError(f"--check: unknown check {name!r}")
-            overrides["checks"] = tuple(args.check)
+            cfg = replace(cfg, checks=tuple(args.check))
         if args.output is not None:
-            overrides["output"] = args.output
-        if overrides:
-            cfg = RunConfig(**{**cfg.__dict__, **overrides})
+            cfg = replace(cfg, output=args.output)
         report = run(cfg)
     except ConfigError as exc:
         print(f"yangian: config error: {exc}", file=sys.stderr)

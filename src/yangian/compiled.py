@@ -102,20 +102,14 @@ class CompiledOperators:
         self.index = {e: k for k, e in enumerate(window)}
         self.nwin = len(window) * rep_dim
 
-        # per distinct rep matrix: (denominator, largest column abs sum)
-        reps: dict = {}
         f = 1
         for terms in ops:
-            for c, rep, _ in terms:
+            for c, _, _ in terms:
                 f = math.lcm(f, getattr(c, "denominator", 1))
-                if rep is not None and id(rep) not in reps:
-                    den = math.lcm(*(getattr(x, "denominator", 1)
-                                     for x in rep.flat))
-                    reps[id(rep)] = den, max(np.abs(rep).sum(axis=0))
-                    f = math.lcm(f, den)
         self.f = f
+        # a rep matrix scales a column's abs sum by its largest column abs sum
         top = max((sum(abs(c) * f * grow ** len(word)
-                       * (1 if rep is None else reps[id(rep)][1])
+                       * (1 if rep is None else max(np.abs(rep).sum(axis=0)))
                        for c, rep, word in terms) for terms in ops), default=0)
         # identities have at most slots = (products, single factors) terms
         # with coefficients in {-1, 0, 1}
@@ -132,13 +126,7 @@ class CompiledOperators:
             for c, rep, word in terms:
                 rows.append((o, self.words.setdefault(word, len(self.words))))
                 scale = c * f
-                if rep is None:
-                    mats.append(eye * _integral(scale))
-                elif reps[id(rep)][0] == 1:
-                    mats.append(rep.T * _integral(scale))
-                else:
-                    mats.append(np.vectorize(_integral, otypes=[object])(
-                        rep.T * Fraction(scale)))
+                mats.append((eye if rep is None else rep.T) * _integral(scale))
         self.term_op, self.term_word = np.array(
             rows, dtype=np.int64).reshape(-1, 2).T
         self.mats = np.array(mats, dtype=self.dtype).reshape(

@@ -273,38 +273,38 @@ def check_zeta(real: OperatorRealization) -> IdentityReport:
 # the inverse-matrix series and its identities in a gl_m representation
 
 
-def defining_rep(m: int) -> dict:
-    rep = {}
-    for a in range(m):
-        for b in range(m):
-            mat = np.zeros((m, m), dtype=object)
-            mat[a, b] = 1
-            rep[a, b] = mat
+def defining_rep(m: int) -> np.ndarray:
+    """rep[a, b] is the matrix unit E_ab of gl_m."""
+    rep = np.zeros((m, m, m, m), dtype=object)
+    a, b = np.indices((m, m))
+    rep[a, b, a, b] = 1
     return rep
 
 
-def tensor_square_rep(m: int) -> dict:
+def tensor_square_rep(m: int) -> np.ndarray:
+    """rep[a, b] = E_ab (x) 1 + 1 (x) E_ab on C^m (x) C^m."""
     eye = np.eye(m, dtype=object)
     base = defining_rep(m)
-    return {key: np.kron(mat, eye) + np.kron(eye, mat)
-            for key, mat in base.items()}
+    return np.kron(base, eye) + np.kron(eye, base)
 
 
 @dataclass
 class XSeries:
     """Coefficients of the inverse-matrix series in a representation.
 
-    coeffs[k][a, b] is the representing matrix of the u^{-k-1} coefficient
-    of entry (a, b); coeffs[0] is the identity coefficient and
-    coeffs[1][a, b] = -theta rep(E_ba).
+    rep is the (m, m, rep_dim, rep_dim) integer array of the gl_m action,
+    rep[a, b] representing E_ab.  coeffs is one (order + 2, m, m, rep_dim,
+    rep_dim) integer array: coeffs[k][a, b] is the representing matrix of
+    the u^{-k-1} coefficient of entry (a, b); coeffs[0] is the identity
+    coefficient and coeffs[1][a, b] = -theta rep(E_ba).
     """
 
     theta: int
     m: int
     order: int
-    rep: dict
+    rep: np.ndarray
     rep_dim: int
-    coeffs: list
+    coeffs: np.ndarray
 
 
 def _series_identities(m: int, order: int) -> int:
@@ -313,32 +313,33 @@ def _series_identities(m: int, order: int) -> int:
     return (math.comb(order + 2, 2) - 1) * (m ** 2 + m ** 4)
 
 
-def x_series(theta: int, m: int, order: int, rep: dict | None = None) -> XSeries:
+def x_series(theta: int, m: int, order: int,
+             rep: np.ndarray | None = None) -> XSeries:
     """Expand (u + theta E^t)^{-1} order by order in a representation,
-    after counting the identities the expansion is checked on."""
-    rep = defining_rep(m) if rep is None else rep
-    dim = rep[0, 0].shape[0]
+    after counting the identities the expansion is checked on.
+
+    With R the (m rep_dim)^2 block matrix holding rep[c, a] at block
+    (a, c), coefficient k + 1 is -theta R times coefficient k, each read as
+    the block matrix of its m x m blocks.  rep is an (m, m, d, d) array;
+    a non-integer entry raises ValueError, where converting it to an
+    integer array would truncate it.
+    """
+    rep = defining_rep(m) if rep is None else np.asarray(rep, dtype=object)
+    ints = [int(x) for x in rep.flat]
+    if ints != list(rep.flat):
+        raise ValueError("rep must have integer entries")
+    rep = np.array(ints, dtype=object).reshape(rep.shape)
+    dim = rep.shape[2]
     _check_work(f"x_series to order {order}", _series_identities(m, order),
                 rep_dim=dim)
-    eye = np.eye(dim, dtype=object)
-    zero = np.zeros((dim, dim), dtype=object)
-    coeffs = []
-    first = {}
-    for a in range(m):
-        for b in range(m):
-            first[a, b] = eye.copy() if a == b else zero.copy()
-    coeffs.append(first)
-    for _ in range(order + 1):
-        prev = coeffs[-1]
-        nxt = {}
-        for a in range(m):
-            for b in range(m):
-                acc = zero.copy()
-                for c in range(m):
-                    acc = acc + rep[c, a] @ prev[c, b]
-                nxt[a, b] = -theta * acc
-        coeffs.append(nxt)
-    return XSeries(theta, m, order, rep, dim, coeffs)
+    size = m * dim
+    step = -theta * rep.transpose(1, 2, 0, 3).reshape(size, size)
+    flat = np.empty((order + 2, size, size), dtype=object)
+    flat[0] = np.eye(size, dtype=object)
+    for k in range(order + 1):
+        flat[k + 1] = step @ flat[k]
+    coeffs = flat.reshape(order + 2, m, dim, m, dim).transpose(0, 1, 3, 2, 4)
+    return XSeries(theta, m, order, rep, dim, coeffs.copy())
 
 
 def check_x_identities(series: XSeries) -> IdentityReport:
@@ -352,8 +353,7 @@ def check_x_identities(series: XSeries) -> IdentityReport:
     dim = series.rep_dim
     _check_work("appendix-x-identities", _series_identities(m, K),
                 rep_dim=dim)
-    blocks = [np.array([[c[a, b] for b in range(m)] for a in range(m)],
-                       dtype=object) for c in series.coeffs]
+    blocks = series.coeffs
     zero = np.zeros((m, m, dim, dim), dtype=object)
     zero_pair = np.zeros((m, m, m, m, dim, dim), dtype=object)
     pairs = {}

@@ -25,6 +25,7 @@ to right.  All arithmetic is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -343,38 +344,24 @@ def _check_step_work(params: ModuleParams, fa: PatternFactor,
                          f"budget of {STEP_MAX_WORK}")
 
 
-def step(params: ModuleParams, a: int,
-         factors: Sequence[PatternFactor] | None = None,
-         source: YangianModule | None = None) -> Intertwiner:
-    """The normalized swap of tensor slots a and a+1 (1-based position a).
+def _swap_pair(params: ModuleParams, fa: PatternFactor,
+               fb: PatternFactor) -> tuple[RatMatrix, Fraction]:
+    """The normalized swap of the pair module fa (x) fb and its fraction.
 
-    The operator is found on the two swapped factors alone (it acts as the
-    identity on the others), by matching the images of spanning generator
-    words on the two distinguished vectors; this pins it uniquely because
-    both two-factor modules have one-dimensional highest-weight spaces and
-    the source one is cyclic.  The scale is fixed so the distinguished
-    vector maps to the swapped monomial times the closed-form normalization
-    fraction, and the full matrix identity is re-verified exactly.  source,
-    when given, is the already built pattern_module(params, factors).
-    Raises ValueError, before any module is built, when the pair module is
-    over MODULE_MAX_SIZE or its cyclic-span work exceeds STEP_MAX_WORK.
+    The map is found on the two swapped factors alone, by matching the
+    images of spanning generator words on the two distinguished vectors;
+    this pins it uniquely because both pair modules have one-dimensional
+    highest-weight spaces and the source one is cyclic.  Its scale sends
+    the distinguished vector to the swapped monomial times the closed-form
+    normalization fraction.  Raises ResonanceError at a pole of the
+    fraction and NonGenericStepError on a degenerate pair.
     """
-    factors = list(factors) if factors is not None else source_pattern(params)
-    m = len(factors)
-    if not 1 <= a <= m - 1:
-        raise ValueError(f"position {a} out of range for {m} slots")
-    fa, fb = factors[a - 1], factors[a]
-    frac = _swap_fraction(params, fa, fb)   # also rejects out-of-order origins
-    _check_step_work(params, fa, fb)
+    frac = _swap_fraction(params, fa, fb)
     theta, n = params.theta, params.n
-
     mod_a = fock_module(theta, n, fa.kind, fa.param, fa.degree)
     mod_b = fock_module(theta, n, fb.kind, fb.param, fb.degree)
     pair_src = tensor_module(mod_a, mod_b)
     pair_tgt = tensor_module(mod_b, mod_a)
-    if pair_src.den != pair_tgt.den:
-        raise StepError("swapped pair changed the denominator; factors corrupted")
-
     if highest_weight_vectors(pair_src).ncols != 1 \
             or highest_weight_vectors(pair_tgt).ncols != 1:
         raise NonGenericStepError(
@@ -388,34 +375,15 @@ def step(params: ModuleParams, a: int,
     if b_src.ncols < pair_src.dim:
         raise NonGenericStepError(
             "non-generic step: the distinguished vector is not cyclic in the pair")
-    pair_map = b_tgt * b_src.inverse() * (frac * _swap_sign(theta, fa.degree, fb.degree))
+    sign = _swap_sign(theta, fa.degree, fb.degree)
+    return b_tgt * b_src.inverse() * (frac * sign), frac
 
-    dims = [block_dim(theta, n, f.degree) for f in factors]
-    left = 1
-    for d in dims[:a - 1]:
-        left *= d
-    right = 1
-    for d in dims[a + 1:]:
-        right *= d
-    full = pair_map
-    if left > 1:
-        full = RatMatrix.identity(left).kron(full)
-    if right > 1:
-        full = full.kron(RatMatrix.identity(right))
 
-    target_factors = list(factors)
-    target_factors[a - 1], target_factors[a] = fb, fa
-    src_mod = source if source is not None else pattern_module(params, factors)
-    tgt_mod = pattern_module(params, target_factors)
-    witness = _verify_intertwiner(full, src_mod, tgt_mod)
-    if witness is not None:
-        raise NonGenericStepError(
-            "non-generic step: the candidate map fails the exact module "
-            f"identity at (i, j, k, r, s) = {witness}")
-    return Intertwiner(source=src_mod, target=tgt_mod, matrix=full,
-                       hw_scalar=frac, word=(a,),
-                       source_factors=tuple(factors),
-                       target_factors=tuple(target_factors))
+def step(params: ModuleParams, a: int,
+         factors: Sequence[PatternFactor] | None = None) -> Intertwiner:
+    """The normalized swap of tensor slots a and a+1 (1-based position a):
+    the one-letter compose_word."""
+    return compose_word(params, (a,), factors)
 
 
 def compose_word(params: ModuleParams, word: Sequence[int],
@@ -426,7 +394,10 @@ def compose_word(params: ModuleParams, word: Sequence[int],
     source order, equivalently the word's length equals the inversion count
     of the permutation it realizes.  The source module's MODULE_MAX_SIZE
     budget and then every step's STEP_MAX_WORK budget are checked before
-    anything is built.
+    anything is built.  Each letter contributes its pair map (`_swap_pair`,
+    which refuses non-generic data at that letter), acting as the identity
+    on the other slots; the product is then verified exactly once, on the
+    source and target pattern modules.
     """
     factors = list(factors) if factors is not None else source_pattern(params)
     m = len(factors)
@@ -443,21 +414,31 @@ def compose_word(params: ModuleParams, word: Sequence[int],
     for fa, fb in pairs:
         _check_step_work(params, fa, fb)
 
-    src_mod = pattern_module(params, factors)
-    total = RatMatrix.identity(src_mod.dim)
+    dims = [block_dim(params.theta, params.n, f.degree) for f in factors]
+    total = RatMatrix.identity(math.prod(dims))
     scalar = Fraction(1)
-    cur_factors = list(factors)
-    cur_mod = src_mod
-    for a in word:
-        st = step(params, a, cur_factors, cur_mod)
-        total = st.matrix * total
-        scalar *= st.hw_scalar
-        cur_factors = list(st.target_factors)
-        cur_mod = st.target
-    return Intertwiner(source=src_mod, target=cur_mod, matrix=total,
+    for a, (fa, fb) in zip(word, pairs):
+        pair_map, frac = _swap_pair(params, fa, fb)
+        left, right = math.prod(dims[:a - 1]), math.prod(dims[a + 1:])
+        if left > 1:
+            pair_map = RatMatrix.identity(left).kron(pair_map)
+        if right > 1:
+            pair_map = pair_map.kron(RatMatrix.identity(right))
+        total = pair_map * total
+        scalar *= frac
+        dims[a - 1], dims[a] = dims[a], dims[a - 1]
+
+    src_mod = pattern_module(params, factors)
+    tgt_mod = pattern_module(params, arr)
+    witness = _verify_intertwiner(total, src_mod, tgt_mod)
+    if witness is not None:
+        raise NonGenericStepError(
+            "non-generic step: the candidate map fails the exact module "
+            f"identity at (i, j, k, r, s) = {witness}")
+    return Intertwiner(source=src_mod, target=tgt_mod, matrix=total,
                        hw_scalar=scalar, word=tuple(word),
                        source_factors=tuple(factors),
-                       target_factors=tuple(cur_factors))
+                       target_factors=tuple(arr))
 
 
 @dataclass(frozen=True)

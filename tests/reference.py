@@ -4,16 +4,26 @@ Modules store one integer coefficient array; the first helpers read it back
 as `RatMatrix` coefficients and `MatPoly` entries, the slow forms the tests
 compare the array code against.  Next come polynomials over Fraction
 coefficients, by long division and Euclid's algorithm over the rationals,
-which `yangian.linalg.Poly`'s integer arithmetic is compared against.  The
-rest is the term-by-term interpreter of the operator realization that the
-compiled suites of `yangian.hd` are compared against.
+which `yangian.linalg.Poly`'s integer arithmetic is compared against.
+Then the swap intertwiners of a reduced word, built from the hom solver
+instead of `yangian.intertwine`'s cyclic spans.  The rest is the
+term-by-term interpreter of the operator realization that the compiled
+suites of `yangian.hd` are compared against.
 """
+import math
 from fractions import Fraction
 
 from yangian.compiled import MAX_FAILURES, IdentityReport
-from yangian.fock import apply_word
+from yangian.fock import apply_word, block_dim
 from yangian.hd import alpha_coefficient
+from yangian.intertwine import hom_space, zeta_factor
 from yangian.linalg import MatPoly, RatMatrix
+from yangian.modules import (
+    distinguished_vector,
+    fock_module,
+    source_pattern,
+    tensor_module,
+)
 
 
 def coefficient(mod, i, j, k):
@@ -122,6 +132,45 @@ def ref_normalize(num, den):
     g = ref_gcd(num, den)
     num, den = ref_divmod(num, g)[0], ref_divmod(den, g)[0]
     return tuple(c / den[-1] for c in num), ref_monic(den)
+
+
+# ---------------------------------------------------------------------------
+# swap intertwiners from the hom solver
+
+
+def swap_word_matrix(params, word):
+    """The matrix of compose_word(params, word) on the source pattern.
+
+    Each letter's pair map is the one-dimensional hom space between its two
+    pair modules, scaled so the pair's distinguished vector goes to the
+    closed-form zeta factor of the two origins times the block-reordering
+    sign times the swapped distinguished vector; it acts as the identity on
+    the other slots, and the letters multiply left to right.
+    """
+    theta, n = params.theta, params.n
+    factors = source_pattern(params)
+    dims = [block_dim(theta, n, f.degree) for f in factors]
+    total = RatMatrix.identity(math.prod(dims))
+    for a in word:
+        fa, fb = factors[a - 1], factors[a]
+        mod_a = fock_module(theta, n, fa.kind, fa.param, fa.degree)
+        mod_b = fock_module(theta, n, fb.kind, fb.param, fb.degree)
+        basis = hom_space(tensor_module(mod_a, mod_b),
+                          tensor_module(mod_b, mod_a))
+        assert len(basis) == 1
+        sign = -1 if theta == -1 and fa.degree * fb.degree % 2 else 1
+        want = (distinguished_vector(params, [fb, fa])
+                * (zeta_factor(params, (fa.origin, fb.origin)).value * sign))
+        image = basis[0] * distinguished_vector(params, [fa, fb])
+        row = next(r for r in range(want.nrows) if want[r, 0])
+        pair_map = basis[0] * (want[row, 0] / image[row, 0])
+        assert pair_map * distinguished_vector(params, [fa, fb]) == want
+        left = RatMatrix.identity(math.prod(dims[:a - 1]))
+        right = RatMatrix.identity(math.prod(dims[a + 1:]))
+        total = left.kron(pair_map).kron(right) * total
+        factors[a - 1], factors[a] = fb, fa
+        dims[a - 1], dims[a] = dims[a], dims[a - 1]
+    return total
 
 
 # ---------------------------------------------------------------------------

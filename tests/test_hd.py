@@ -138,6 +138,21 @@ def test_x_identities(theta):
     assert check_x_identities(x_series(theta, 2, 3, tensor_square_rep(2))).ok
 
 
+def test_x_series_rejects_a_non_integer_rep():
+    # an int64 conversion would truncate 1/2 to 0 without a word
+    half = defining_rep(2) * F(1, 2)
+    with pytest.raises(ValueError, match="integer entries"):
+        x_series(1, 2, 3, half)
+    with pytest.raises(ValueError, match="integer entries"):
+        x_series(1, 2, 3, defining_rep(2) * 0.5)
+    # integral Fractions and int64 entries are integers
+    want = x_series(1, 2, 3).coeffs
+    for rep in (half * 2, defining_rep(2).astype(np.int64)):
+        series = x_series(1, 2, 3, rep)
+        assert series.coeffs.dtype == object
+        assert (series.coeffs == want).all()
+
+
 def test_x_identities_detect_perturbation():
     s = x_series(1, 2, 3)
     s.coeffs[1][0, 0] = s.coeffs[1][0, 0].copy()
@@ -226,7 +241,7 @@ def test_alpha_single_block_matches_module_action():
     c = 3
     for theta in (1, -1):
         real = OperatorRealization(theta, 1, 2, p=0, max_degree=4)
-        rep = {(0, 0): np.array([[c]], dtype=object)}
+        rep = np.full((1, 1, 1, 1), c, dtype=object)
         series = x_series(theta, 1, 4, rep)
         for r in (1, 2, 3):
             for i in range(2):

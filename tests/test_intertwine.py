@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yangian import intertwine
+from yangian.fock import block_dim
 from yangian.intertwine import (
     Intertwiner,
     _cyclic_span,
@@ -48,6 +49,7 @@ from yangian.modules import (
     trivial_module,
 )
 
+import reference
 from reference import coefficient, column, entry_matpoly
 
 
@@ -120,15 +122,21 @@ def test_step_is_exact_module_map():
     mat.inverse()
 
 
-def test_step_names_the_failing_identity_of_a_tampered_source():
+def test_step_names_the_failing_identity_of_a_tampered_source(monkeypatch):
     params = params_for(1, 2, 0, 2, (1, 1), [0, 2])
-    src = pattern_module(params, source_pattern(params))
+    factors = source_pattern(params)
+    src = pattern_module(params, factors)
     num = src.num.copy()
     num[0, 1, 0, 0, 0] += src.scale   # P_01(u) + E_00
     tampered = YangianModule(src.den, num, src.scale)
+    # the certificate runs on the modules pattern_module returns, so a
+    # tampered source fails it even though every pair check passes
+    monkeypatch.setattr(
+        intertwine, "pattern_module",
+        lambda p, fs: tampered if list(fs) == factors else pattern_module(p, fs))
     with pytest.raises(NonGenericStepError,
                        match=r"fails the exact module identity at .* = \(0, 1, 0, 0, 0\)"):
-        step(params, 1, source=tampered)
+        step(params, 1)
 
 
 def test_step_rejects_bad_positions_and_unordered_factors():
@@ -199,27 +207,34 @@ def test_compose_word_rejects_non_reduced():
         compose_word(params, (1, 2, 1, 2))
 
 
-def test_composition_is_stepwise_product(monkeypatch):
+def test_composition_is_stepwise_product():
     params = params_for(1, 2, 1, 2, (1, 1, 2), [0, 2, -2])
     whole = compose_word(params, (1, 2))
     first = step(params, 1)
     second = step(params, 2, first.target_factors)
     assert whole.matrix == second.matrix * first.matrix
     assert whole.hw_scalar == first.hw_scalar * second.hw_scalar
-    # given the built source module, a step uses it and finds the same map
-    reused = step(params, 2, first.target_factors, first.target)
-    assert reused.source is first.target and reused.matrix == second.matrix
-    # so a w-letter word builds w + 1 pattern modules: its source, then
-    # one target per letter
-    built = []
-    monkeypatch.setattr(intertwine, "pattern_module",
-                        lambda *args: built.append(args) or pattern_module(*args))
-    compose_word(params, (1, 2))
-    assert len(built) == 3
+    assert whole.target_factors == second.target_factors
     # a mid-word step carries its own single-inversion closed form
     mid = check_hw_image(second, params)
     assert mid.ok
     assert [z.eta for z in mid.factors] == [(0, 2)]
+
+
+@pytest.mark.parametrize("word", [(), (1,), (1, 2), (1, 2, 1)])
+def test_word_builds_two_pattern_modules_and_one_certificate(monkeypatch, word):
+    params = params_for(1, 2, 1, 2, (1, 1, 2), [0, 2, -2])
+    built, certified = [], []
+    verify = intertwine._verify_intertwiner
+    monkeypatch.setattr(intertwine, "pattern_module",
+                        lambda *args: built.append(args) or pattern_module(*args))
+    monkeypatch.setattr(intertwine, "_verify_intertwiner",
+                        lambda *args: certified.append(args) or verify(*args))
+    intw = compose_word(params, word)
+    assert len(built) == 2 and len(certified) == 1
+    # the one certificate is on the returned map and its own modules
+    mat, src, tgt = certified[0]
+    assert mat is intw.matrix and src is intw.source and tgt is intw.target
 
 
 LONGEST_CASES = [
@@ -250,6 +265,58 @@ def test_braid_relation(theta, p):
     assert left.matrix == right.matrix
     assert left.hw_scalar == right.hw_scalar
     assert left.target_factors == right.target_factors
+
+
+def _pair_dims_fit(theta, n, nu):
+    """Whether every two factors make a pair module of dim at most 12, so
+    each letter's reference hom space has at most 144 unknowns."""
+    dims = sorted(block_dim(theta, n, d) for d in nu)
+    return dims[-1] * dims[-2] <= 12
+
+
+@st.composite
+def swap_words(draw):
+    """Generic patterns and a random reduced word: three factors of small
+    degree at n = 2 or 3, or four degree-1 factors at n = 2, mu = a / 7."""
+    theta = draw(st.sampled_from((1, -1)))
+    if draw(st.booleans()):
+        n, nu = 2, (1, 1, 1, 1)
+    else:
+        n = draw(st.sampled_from((2, 3)))
+        top = n if theta == -1 else (3 if n == 2 else 1)
+        nu = tuple(draw(st.lists(st.integers(1, top), min_size=3, max_size=3)
+                        .filter(lambda nu: _pair_dims_fit(theta, n, nu))))
+    m = len(nu)
+    p = draw(st.integers(0, m))
+    # distinct residues mod 7 keep every difference of mu non-integral
+    residues = draw(st.permutations(range(1, 7)))[:m]
+    mu = [Fraction(7 * draw(st.integers(-2, 2)) + r, 7) for r in residues]
+    params = ModuleParams(theta, n, p, m - p, mu, nu)
+    # a reduced word for a random permutation: each letter swaps two
+    # adjacent factors that the permutation puts in the other order
+    slot = draw(st.permutations(range(m)))
+    order, word = list(range(m)), []
+    while True:
+        swaps = [a for a in range(1, m) if slot[order[a - 1]] > slot[order[a]]]
+        if not swaps:
+            return params, tuple(word)
+        a = draw(st.sampled_from(swaps))
+        order[a - 1], order[a] = order[a], order[a - 1]
+        word.append(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(swap_words())
+# the largest pairs (dim 12 and dim 9) and an odd-odd reordering sign
+@example((ModuleParams(1, 2, 1, 2, [Fraction(1, 7), Fraction(-3, 7),
+                                    Fraction(12, 7)], (3, 2, 1)), (1, 2, 1)))
+@example((ModuleParams(-1, 3, 2, 1, [Fraction(2, 7), Fraction(-8, 7),
+                                     Fraction(4, 7)], (1, 3, 1)), (2, 1, 2)))
+def test_compose_word_matches_hom_space_reference(case):
+    params, word = case
+    intw = compose_word(params, word)
+    assert intw.matrix == reference.swap_word_matrix(params, word)
+    assert intw.hw_scalar == zeta_product(params, word)
 
 
 def test_random_configurations_match_closed_forms():
