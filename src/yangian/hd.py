@@ -30,6 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import compiled
 from .compiled import MAX_FAILURES, CompiledOperators, IdentityReport
 from .fock import block_basis
 
@@ -346,63 +347,60 @@ def check_x_identities(series: XSeries) -> IdentityReport:
     """Exchange identity (u-v) X(u)X(v) = X(v) - X(u) and the induced
     generator relation, coefficient-by-coefficient through the order.
 
-    All products x(k)_ab x(l)_cd of two coefficient blocks come from one
-    stacked product per pair of orders (k, l), formed once per call.
+    Each (r, s) != (0, 0) with r + s <= order has m^2 exchange, then m^4
+    generator identities, read r-major in passes of at most compiled._CHUNK
+    generator entries (and at least one (r, s)); a pass forms its products
+    x(k)_ab x(l)_cd by one batched matmul.  They are int64 when
+    max(4, 2 m) dim T^2 < 2^63, T the largest |entry| of x(0..order), as a
+    compared value sums at most four products (generator) or two m-term sums
+    of them (exchange), each a dim-term sum; else Python ints.
     """
-    th, m, K = series.theta, series.m, series.order
-    dim = series.rep_dim
+    th, m, K, dim = series.theta, series.m, series.order, series.rep_dim
     _check_work("appendix-x-identities", _series_identities(m, K),
                 rep_dim=dim)
-    blocks = series.coeffs
-    zero = np.zeros((m, m, dim, dim), dtype=object)
-    zero_pair = np.zeros((m, m, m, m, dim, dim), dtype=object)
-    pairs = {}
-
-    def x(k):
-        return zero if k < 0 else blocks[k]
-
-    def pair(k, l):
-        """pair(k, l)[a, b, c, d] = x(k)_ab x(l)_cd, matrix indices last."""
-        if k < 0 or l < 0:
-            return zero_pair
-        if (k, l) not in pairs:
-            stacked = (blocks[k].reshape(m * m * dim, dim)
-                       @ blocks[l].transpose(2, 0, 1, 3).reshape(dim, m * m * dim))
-            pairs[k, l] = stacked.reshape(m, m, dim, m, m, dim).transpose(
-                0, 1, 3, 4, 2, 5)
-        return pairs[k, l]
-
-    def prod(k, l):
-        """prod(k, l)[a, b] = sum_c x(k)_ac x(l)_cb."""
-        return np.diagonal(pair(k, l), axis1=1, axis2=2).sum(axis=-1)
-
-    swap = (2, 3, 0, 1, 4, 5)   # [a, b, c, d] -> [c, d, a, b]
-    checked = 0
-    failures = []
-    for r in range(K + 1):
-        for s in range(K + 1 - r):
-            if r == 0 and s == 0:
-                continue
-            lhs = prod(r, s - 1) - prod(r - 1, s)
-            rhs = ((x(s - 1) if r == 0 else zero)
-                   - (x(r - 1) if s == 0 else zero))
-            exchange_bad = (lhs != rhs).any(axis=(2, 3))
-            lhs = ((pair(r, s - 1) - pair(s - 1, r).transpose(swap))
-                   - (pair(r - 1, s) - pair(s, r - 1).transpose(swap)))
-            rhs = th * (pair(r - 1, s - 1) - pair(s - 1, r - 1)).swapaxes(0, 2)
-            generator_bad = (lhs != rhs).any(axis=(4, 5))
-            for identity, label, bad in (("exchange", "ab", exchange_bad),
-                                         ("generator", "abcd", generator_bad)):
-                hits = np.flatnonzero(bad)[:MAX_FAILURES - len(failures)]
-                for flat in hits:
-                    idx = np.unravel_index(flat, bad.shape)
-                    failures.append({"identity": identity, "rs": (r, s),
-                                     label: tuple(int(x) for x in idx)})
-                if len(failures) >= MAX_FAILURES:
-                    return IdentityReport("series-identities", False,
-                                          checked + int(hits[-1]) + 1, None,
-                                          failures)
-                checked += bad.size
+    top = int(np.abs(series.coeffs[:K + 1]).max(initial=0))
+    kind = np.int64 if max(4, 2 * m) * dim * top ** 2 < 2 ** 63 else object
+    # x(0..K), then the zero block that index -1 reads as x(-1)
+    x = np.concatenate([series.coeffs[:K + 1], np.zeros(
+        (1, m, m, dim, dim), dtype=object)]).astype(kind)
+    orders = np.arange(K + 1)
+    rs = np.argwhere(np.add.outer(orders, orders) <= K)[1:]
+    width = m ** 2 + m ** 4
+    per = max(1, compiled._CHUNK // max(m ** 4 * dim ** 2, 1))
+    swap = (0, 3, 4, 1, 2, 5, 6)   # [row, a, b, c, d] -> [row, c, d, a, b]
+    hits = []
+    for w0 in range(0, len(rs), per):
+        r, s = rs[w0:w0 + per].T
+        rows = len(r)
+        # p[j][row, a, b, c, d] = x(k_j)_ab x(l_j)_cd, matrix indices last,
+        # (k, l): (r,s-1) (s-1,r) (r-1,s) (s,r-1) (r-1,s-1) (s-1,r-1)
+        k = np.stack([r, s - 1, r - 1, s, r - 1, s - 1])
+        p = (x[k].reshape(6, rows, m * m * dim, dim)
+             @ x[k[[1, 0, 3, 2, 5, 4]]].transpose(0, 1, 4, 2, 3, 5).reshape(
+                 6, rows, dim, m * m * dim))
+        p = p.reshape(6, rows, m, m, dim, m, m, dim).transpose(
+            0, 1, 2, 3, 5, 6, 4, 7)
+        # (x(r) x(s-1) - x(r-1) x(s))_ab = ([r=0] x(s-1) - [s=0] x(r-1))_ab
+        exchange = (np.diagonal(p[0] - p[2], axis1=2, axis2=3).sum(axis=-1)
+                    != x[np.where(r == 0, s - 1, -1)]
+                    - x[np.where(s == 0, r - 1, -1)])
+        generator = (p[0] - p[1].transpose(swap) - p[2] + p[3].transpose(swap)
+                     != th * (p[4] - p[5]).swapaxes(1, 3))
+        del p   # before the next pass forms its products
+        bad = np.hstack([exchange.any(axis=(3, 4)).reshape(rows, m * m),
+                         generator.any(axis=(5, 6)).reshape(rows, m ** 4)])
+        flags = np.flatnonzero(bad)[:MAX_FAILURES - len(hits)]
+        hits += (w0 * width + flags).tolist()
+        if len(hits) == MAX_FAILURES:
+            break
+    failures = [
+        {"identity": "exchange", "rs": tuple(rs[h // width].tolist()),
+         "ab": divmod(h % width, m)} if h % width < m * m else
+        {"identity": "generator", "rs": tuple(rs[h // width].tolist()),
+         "abcd": tuple(int(i) for i in
+                       np.unravel_index(h % width - m * m, (m,) * 4))}
+        for h in hits]
+    checked = hits[-1] + 1 if len(hits) == MAX_FAILURES else len(rs) * width
     return IdentityReport("series-identities", not failures, checked, None,
                           failures)
 
@@ -499,10 +497,10 @@ def check_alpha(real: OperatorRealization, order: int,
         c, d, r, i, j = (int(y) for y in np.unravel_index(x, commutant))
         return {"cd": (c, d), "r": r + 1, "ij": (i, j)}
 
-    compiled = CompiledOperators(real, 4, series.rep_dim, ops, (6, 0))
-    yang_report = compiled.check("generator-exchange", math.prod(exchange),
-                                 exchange_rows, exchange_witness)
-    comm_report = compiled.check("gl-commutant", math.prod(commutant),
-                                 commutant_rows, commutant_witness)
+    suite = CompiledOperators(real, 4, series.rep_dim, ops, (6, 0))
+    yang_report = suite.check("generator-exchange", math.prod(exchange),
+                              exchange_rows, exchange_witness)
+    comm_report = suite.check("gl-commutant", math.prod(commutant),
+                              commutant_rows, commutant_witness)
     return AlphaReport(yang_report.ok and comm_report.ok,
                        yang_report, comm_report)

@@ -8,14 +8,17 @@ which `yangian.linalg.Poly`'s integer arithmetic is compared against.
 Then the swap intertwiners of a reduced word, built from the hom solver
 instead of `yangian.intertwine`'s cyclic spans.  The rest is the
 term-by-term interpreter of the operator realization that the compiled
-suites of `yangian.hd` are compared against.
+suites of `yangian.hd` are compared against, and last the series
+identities checked one pair of orders at a time.
 """
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from yangian.compiled import MAX_FAILURES, IdentityReport
 from yangian.fock import apply_word, block_dim
-from yangian.hd import alpha_coefficient
+from yangian.hd import _check_work, _series_identities, alpha_coefficient
 from yangian.intertwine import hom_space, zeta_factor
 from yangian.linalg import MatPoly, RatMatrix
 from yangian.modules import (
@@ -381,3 +384,74 @@ def alpha(real, order, series):
                             _commutator(glemb, t(r, i, j)),
                             {"cd": (c, d), "r": r, "ij": (i, j)})
     return yang.report(), comm.report()
+
+
+# ---------------------------------------------------------------------------
+# the series identities one (r, s) at a time, each product x(k)_ab x(l)_cd
+# formed once per call and kept in a dict; yangian.hd.check_x_identities
+# must agree with it on the verdict, the checked count and every failure.
+
+
+def x_identities(series):
+    """Exchange identity (u-v) X(u)X(v) = X(v) - X(u) and the induced
+    generator relation, coefficient-by-coefficient through the order.
+
+    All products x(k)_ab x(l)_cd of two coefficient blocks come from one
+    stacked product per pair of orders (k, l), formed once per call.
+    """
+    th, m, K = series.theta, series.m, series.order
+    dim = series.rep_dim
+    _check_work("appendix-x-identities", _series_identities(m, K),
+                rep_dim=dim)
+    blocks = series.coeffs
+    zero = np.zeros((m, m, dim, dim), dtype=object)
+    zero_pair = np.zeros((m, m, m, m, dim, dim), dtype=object)
+    pairs = {}
+
+    def x(k):
+        return zero if k < 0 else blocks[k]
+
+    def pair(k, l):
+        """pair(k, l)[a, b, c, d] = x(k)_ab x(l)_cd, matrix indices last."""
+        if k < 0 or l < 0:
+            return zero_pair
+        if (k, l) not in pairs:
+            stacked = (blocks[k].reshape(m * m * dim, dim)
+                       @ blocks[l].transpose(2, 0, 1, 3).reshape(dim, m * m * dim))
+            pairs[k, l] = stacked.reshape(m, m, dim, m, m, dim).transpose(
+                0, 1, 3, 4, 2, 5)
+        return pairs[k, l]
+
+    def prod(k, l):
+        """prod(k, l)[a, b] = sum_c x(k)_ac x(l)_cb."""
+        return np.diagonal(pair(k, l), axis1=1, axis2=2).sum(axis=-1)
+
+    swap = (2, 3, 0, 1, 4, 5)   # [a, b, c, d] -> [c, d, a, b]
+    checked = 0
+    failures = []
+    for r in range(K + 1):
+        for s in range(K + 1 - r):
+            if r == 0 and s == 0:
+                continue
+            lhs = prod(r, s - 1) - prod(r - 1, s)
+            rhs = ((x(s - 1) if r == 0 else zero)
+                   - (x(r - 1) if s == 0 else zero))
+            exchange_bad = (lhs != rhs).any(axis=(2, 3))
+            lhs = ((pair(r, s - 1) - pair(s - 1, r).transpose(swap))
+                   - (pair(r - 1, s) - pair(s, r - 1).transpose(swap)))
+            rhs = th * (pair(r - 1, s - 1) - pair(s - 1, r - 1)).swapaxes(0, 2)
+            generator_bad = (lhs != rhs).any(axis=(4, 5))
+            for identity, label, bad in (("exchange", "ab", exchange_bad),
+                                         ("generator", "abcd", generator_bad)):
+                hits = np.flatnonzero(bad)[:MAX_FAILURES - len(failures)]
+                for flat in hits:
+                    idx = np.unravel_index(flat, bad.shape)
+                    failures.append({"identity": identity, "rs": (r, s),
+                                     label: tuple(int(x) for x in idx)})
+                if len(failures) >= MAX_FAILURES:
+                    return IdentityReport("series-identities", False,
+                                          checked + int(hits[-1]) + 1, None,
+                                          failures)
+                checked += bad.size
+    return IdentityReport("series-identities", not failures, checked, None,
+                          failures)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yangian import cli
+from yangian import cli, hd
 from yangian.cli import ConfigError, config_from_dict, list_checks, run
 from yangian.intertwine import zeta_factor
 from yangian.modules import ModuleParams
@@ -523,9 +523,8 @@ def over_budget_configs(draw):
                                     max_size=4, unique=True))}
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.one_of(small_configs(), over_budget_configs()))
-def test_valid_configs_finish_with_a_report(cfg):
+def _run_within_10s(cfg):
+    """cli.main on cfg under a 10 s alarm: (exit code, report)."""
     def alarm(signum, frame):
         raise _Timeout(f"config ran over 10 s: {cfg}")
 
@@ -537,11 +536,32 @@ def test_valid_configs_finish_with_a_report(cfg):
             out = Path(tmp) / "report.json"
             path.write_text(json.dumps(cfg))
             code = cli.main(["--config", str(path), "--output", str(out)])
-            report = json.loads(out.read_text())
+            return code, json.loads(out.read_text())
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_configs(), over_budget_configs()))
+def test_valid_configs_finish_with_a_report(cfg):
+    code, report = _run_within_10s(cfg)
     assert code == (0 if report["status"] == "pass" else 1)
     for record in report["checks"]:
         if record["status"] == "error":
             assert re.fullmatch(r"\w+: \S.*", record["details"]["error"])
+
+
+@pytest.mark.parametrize("m,order", [(1, 2447), (2, 546), (3, 209)])
+def test_series_identities_at_the_budget_edge(m, order, capsys):
+    # the largest orders whose series count, at rep_dim m, meets WORK_MAX;
+    # a check one pair of orders at a time ran past the alarm at m = 1, 2
+    count = hd._series_identities
+    assert count(m, order) * m <= hd.WORK_MAX < count(m, order + 1) * m
+    code, report = _run_within_10s({
+        "theta": 1, "n": 1, "p": 0, "q": m, "nu": [1] * m,
+        "mu": [f"{b + 1}/7" for b in range(m)], "order": order,
+        "checks": ["appendix-x-identities"]})
+    assert code == 0
+    assert report["checks"][0]["details"]["checked"] == count(m, order)
+    capsys.readouterr()

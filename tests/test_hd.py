@@ -155,7 +155,6 @@ def test_x_series_rejects_a_non_integer_rep():
 
 def test_x_identities_detect_perturbation():
     s = x_series(1, 2, 3)
-    s.coeffs[1][0, 0] = s.coeffs[1][0, 0].copy()
     s.coeffs[1][0, 0][0, 0] += 1
     report = check_x_identities(s)
     assert not report.ok and report.failures
@@ -360,9 +359,44 @@ def perturbed_realizations(draw):
 
 def _bump(series, k, a, b, row, col, delta):
     """Add delta to one entry of one series coefficient; returns series."""
-    series.coeffs[k][a, b] = series.coeffs[k][a, b].copy()
     series.coeffs[k][a, b][row, col] += delta
     return series
+
+
+@st.composite
+def bumped_series(draw):
+    theta = draw(st.sampled_from((1, -1)))
+    m = draw(st.integers(1, 3))
+    order = draw(st.integers(2, 7))
+    series = x_series(theta, m, order,
+                      tensor_square_rep(m) if draw(st.booleans()) else None)
+    d = series.rep_dim
+    # a 2^62 entry takes the Python-int path
+    for bump in draw(st.lists(st.tuples(
+            st.integers(0, order + 1), st.integers(0, m - 1),
+            st.integers(0, m - 1), st.integers(0, d - 1),
+            st.integers(0, d - 1), st.sampled_from((-2, 1, 3, 2 ** 62))),
+            max_size=4)):
+        _bump(series, *bump)
+    return series
+
+
+@settings(max_examples=60, deadline=None)
+@given(bumped_series())
+@example(x_series(1, 0, 3))
+# more than MAX_FAILURES failures, in two (r, s) and so two passes of size 1
+@example(_bump(x_series(-1, 2, 5), 1, 0, 1, 1, 0, 1))
+def test_x_identities_match_reference(series):
+    want = reference.x_identities(series)
+    # passes of one (r, s), of a few, and of the default size
+    for chunk in (1, 200, compiled._CHUNK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(compiled, "_CHUNK", chunk)
+            got = check_x_identities(series)
+        assert (got.ok, got.checked, got.failures) == (
+            want.ok, want.checked, want.failures)
+        # the report prints each failure dict
+        assert list(map(str, got.failures)) == list(map(str, want.failures))
 
 
 @settings(max_examples=30, deadline=None)
