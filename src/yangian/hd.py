@@ -314,6 +314,13 @@ def _series_identities(m: int, order: int) -> int:
     return (math.comb(order + 2, 2) - 1) * (m ** 2 + m ** 4)
 
 
+def _order_pairs(order: int) -> np.ndarray:
+    """The (r, s) with r, s >= 0 and r + s <= order as the rows of one
+    integer array, r-major then s ascending."""
+    orders = np.arange(order + 1)
+    return np.argwhere(np.add.outer(orders, orders) <= order)
+
+
 def x_series(theta: int, m: int, order: int,
              rep: np.ndarray | None = None) -> XSeries:
     """Expand (u + theta E^t)^{-1} order by order in a representation,
@@ -363,8 +370,7 @@ def check_x_identities(series: XSeries) -> IdentityReport:
     # x(0..K), then the zero block that index -1 reads as x(-1)
     x = np.concatenate([series.coeffs[:K + 1], np.zeros(
         (1, m, m, dim, dim), dtype=object)]).astype(kind)
-    orders = np.arange(K + 1)
-    rs = np.argwhere(np.add.outer(orders, orders) <= K)[1:]
+    rs = _order_pairs(K)[1:]
     width = m ** 2 + m ** 4
     per = max(1, compiled._CHUNK // max(m ** 4 * dim ** 2, 1))
     swap = (0, 3, 4, 1, 2, 5, 6)   # [row, a, b, c, d] -> [row, c, d, a, b]
@@ -464,8 +470,7 @@ def check_alpha(real: OperatorRealization, order: int,
     def t(r, i, j):
         return (r * n + i) * n + j
 
-    rs = np.array([(r, s) for r in range(order + 1)
-                   for s in range(order + 1 - r)])
+    rs = _order_pairs(order)
     exchange = (len(rs), n, n, n, n)
     commutant = (m, m, order, n, n)
     def exchange_rows(x):

@@ -12,11 +12,12 @@ per-inversion closed forms (`zeta_factor`).
 It also provides the generic machinery the degenerate (resonant) cases need:
 an honest solver for the full space of intertwiners between two modules
 (`hom_space`), kernels and quotient modules of a given intertwiner
-(`kernel_quotient`, which certifies quotient = image with the intertwiner's
-own columns at the coordinates complementary to the kernel), and an
-irreducibility test combining endomorphism count with cyclicity of the
-highest-weight vector.  Swap operators and the cyclicity test share one
-breadth-first span of exact columns under the coefficient matrices.
+(`kernel_quotient`, which reads the quotient off the column-row
+factorization A = A[:, pivots] . rref(A) and certifies quotient = image with
+the pivot columns), and an irreducibility test combining endomorphism count
+with cyclicity of the highest-weight vector.  Swap operators and the
+cyclicity test share one breadth-first span of exact columns under the
+coefficient matrices.
 
 Conventions.  Words are tuples of positions a with 1 <= a <= m-1; position a
 swaps tensor slots a and a+1 (slots counted from 1).  A word is applied left
@@ -589,44 +590,36 @@ class QuotientModule:
 
 
 def kernel_quotient(intw: Intertwiner) -> QuotientModule:
-    """Exact kernel of the intertwiner and the quotient action beside it.
+    """Exact kernel of the intertwiner and the quotient action, read off
+    its echelon form.
 
-    In the adapted basis (the kernel basis, then the standard coordinates
-    away from its pivot positions) every numerator coefficient of the
-    source action must be block upper triangular: the lower-left block is
-    the kernel's stability test, and the lower-right block is the quotient
-    action Q_k.  The quotient is then certified with the intertwiner
-    itself: its columns at the complement coordinates form an injective map
-    emb onto the image, and emb . T_quotient(u) = T_target(u) . emb is
-    checked exactly on every coefficient pair (`coefficient_pairs`), so the
-    quotient is isomorphic to the image, a submodule of the target.  The
-    errors name the failing (i, j, k) of an unstable kernel, or the failing
-    (i, j, k, r, s) of the certificate.
+    With R the nonzero rows of rref(A) and C = A[:, pivots], A = C . R
+    (column-row factorization), so ker A = ker R, R maps the source onto
+    the quotient coordinates and C embeds the quotient onto the image.
+    The kernel K is stable under a numerator coefficient N_k exactly when
+    R . N_k . K = 0, and then R . N_k = Q_k . R with
+    Q_k = (R . N_k)[:, pivots], since R is the identity at its pivot
+    columns.  The quotient is certified with C:
+    C . T_quotient(u) = T_target(u) . C is checked exactly on every
+    coefficient pair (`coefficient_pairs`), so the quotient is isomorphic
+    to the image, a submodule of the target.  The errors name the failing
+    (i, j, k) of an unstable kernel, or the failing (i, j, k, r, s) of the
+    certificate.
     """
     src, mat = intw.source, intw.matrix
-    kernel = mat.nullspace()
-    k, dim = kernel.ncols, src.dim
-    if k == dim:
+    red, pivots = mat.rref()
+    if not pivots:
         raise ValueError("intertwiner is zero; the quotient would be the zero module")
-
-    complement = list(range(dim))
-    change = RatMatrix.identity(dim)
-    if k:
-        pivot_coords = set(kernel.transpose().rref()[1])
-        complement = [c for c in complement if c not in pivot_coords]
-        change = RatMatrix.stack([[kernel, change[:, complement]]])
-    change_inv = change.inverse()
-
-    # every coefficient in the adapted basis, over scale * change dens
-    adapted = change_inv.data @ src.num @ change.data
-    unstable = np.argwhere((adapted[..., k:, :k] != 0).any(axis=(3, 4)))
+    kernel = mat.nullspace()
+    # R . N_k for every coefficient, over scale * red.den
+    moved = red.data[:len(pivots)] @ src.num
+    unstable = np.argwhere((moved @ kernel.data != 0).any(axis=(3, 4)))
     if len(unstable):
         raise ValueError("kernel is not stable under the module action at "
                          f"(i, j, k) = {tuple(int(x) for x in unstable[0])}")
-    quotient = YangianModule(src.den, adapted[..., k:, k:],
-                             src.scale * change_inv.den * change.den)
+    quotient = YangianModule(src.den, moved[..., pivots], src.scale * red.den)
 
-    witness = _verify_intertwiner(mat[:, complement], quotient, intw.target)
+    witness = _verify_intertwiner(mat[:, pivots], quotient, intw.target)
     if witness is not None:
         raise ValueError("quotient is not isomorphic to the image module: "
                          f"fails at (i, j, k, r, s) = {witness}")
@@ -662,8 +655,9 @@ def irreducibility_test(mod: YangianModule) -> IrreducibilityReport:
     hw_dim = hw.ncols
     cyclic_dim = 0
     if hw_dim >= 1:
-        gens = [(b,) for (_, _, k), b, _ in coefficient_pairs(mod, mod)
-                if k < mod.den.degree and not b.is_zero()]
+        gens = [(_ratmatrix(b, 1),)
+                for b in mod.num[:, :, :-1].reshape(-1, mod.dim, mod.dim)
+                if b.any()]
         cyclic_dim = _cyclic_span(gens, (hw[:, :1],))[0].ncols
     verdict = endo_dim == 1 and hw_dim == 1 and cyclic_dim == mod.dim
     return IrreducibilityReport(irreducible=verdict, dim=mod.dim,

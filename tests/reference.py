@@ -6,7 +6,9 @@ compare the array code against.  Next come polynomials over Fraction
 coefficients, by long division and Euclid's algorithm over the rationals,
 which `yangian.linalg.Poly`'s integer arithmetic is compared against.
 Then the swap intertwiners of a reduced word, built from the hom solver
-instead of `yangian.intertwine`'s cyclic spans.  The rest is the
+instead of `yangian.intertwine`'s cyclic spans, and the kernel and quotient
+of an intertwiner by a change to a basis adapted to the kernel, instead of
+`yangian.intertwine.kernel_quotient`'s echelon form.  The rest is the
 term-by-term interpreter of the operator realization that the compiled
 suites of `yangian.hd` are compared against, and last the series
 identities checked one pair of orders at a time.
@@ -19,9 +21,15 @@ import numpy as np
 from yangian.compiled import MAX_FAILURES, IdentityReport
 from yangian.fock import apply_word, block_dim
 from yangian.hd import _check_work, _series_identities, alpha_coefficient
-from yangian.intertwine import hom_space, zeta_factor
+from yangian.intertwine import (
+    QuotientModule,
+    _verify_intertwiner,
+    hom_space,
+    zeta_factor,
+)
 from yangian.linalg import MatPoly, RatMatrix
 from yangian.modules import (
+    YangianModule,
     distinguished_vector,
     fock_module,
     source_pattern,
@@ -174,6 +182,48 @@ def swap_word_matrix(params, word):
         factors[a - 1], factors[a] = fb, fa
         dims[a - 1], dims[a] = dims[a], dims[a - 1]
     return total
+
+
+def reference_kernel_quotient(intw):
+    """Kernel and quotient of an intertwiner in a basis adapted to the kernel.
+
+    The adapted basis is the kernel basis, then the standard coordinates
+    away from the pivots of its transposed rref.  Every numerator
+    coefficient of the source action must be block upper triangular there:
+    the lower-left block is the stability test, the lower-right block the
+    quotient action.  The quotient is certified with the intertwiner's
+    columns at the complement coordinates.  Raises the ValueErrors of
+    `yangian.intertwine.kernel_quotient`, naming the same (i, j, k) for an
+    unstable kernel.
+    """
+    src, mat = intw.source, intw.matrix
+    kernel = mat.nullspace()
+    k, dim = kernel.ncols, src.dim
+    if k == dim:
+        raise ValueError("intertwiner is zero; the quotient would be the zero module")
+    complement = list(range(dim))
+    change = RatMatrix.identity(dim)
+    if k:
+        pivot_coords = set(kernel.transpose().rref()[1])
+        complement = [c for c in complement if c not in pivot_coords]
+        change = RatMatrix.stack([[kernel, change[:, complement]]])
+    change_inv = change.inverse()
+    adapted = change_inv.data @ src.num @ change.data
+    unstable = np.argwhere((adapted[..., k:, :k] != 0).any(axis=(3, 4)))
+    if len(unstable):
+        raise ValueError("kernel is not stable under the module action at "
+                         f"(i, j, k) = {tuple(int(x) for x in unstable[0])}")
+    quotient = YangianModule(src.den, adapted[..., k:, k:],
+                             src.scale * change_inv.den * change.den)
+    witness = _verify_intertwiner(mat[:, complement], quotient, intw.target)
+    if witness is not None:
+        raise ValueError("quotient is not isomorphic to the image module: "
+                         f"fails at (i, j, k, r, s) = {witness}")
+    return QuotientModule(parent=src,
+                          kernel_basis=tuple(
+                              tuple(Fraction(x, kernel.den) for x in col)
+                              for col in kernel.data.T),
+                          quotient=quotient)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the operator realization and the series-homomorphism checks."""
 
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -151,6 +152,25 @@ def test_x_series_rejects_a_non_integer_rep():
         series = x_series(1, 2, 3, rep)
         assert series.coeffs.dtype == object
         assert (series.coeffs == want).all()
+
+
+def test_order_pairs_match_the_nested_enumeration():
+    for order in range(13):
+        want = [(r, s) for r in range(order + 1) for s in range(order + 1 - r)]
+        assert hd._order_pairs(order).tolist() == [list(rs) for rs in want]
+
+
+def test_order_pairs_at_the_alpha_budget_edge_stay_small():
+    # theta = -1, m = n = 1, order 2446 is the largest alpha-series order
+    # within WORK_MAX: 3.0M pairs, which a list of tuples holds in 394 MB
+    tracemalloc.start()
+    try:
+        rs = hd._order_pairs(2446)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rs) == 2447 * 2448 // 2
+    assert peak < 150 * 2 ** 20
 
 
 def test_x_identities_detect_perturbation():
