@@ -16,8 +16,8 @@ an honest solver for the full space of intertwiners between two modules
 factorization A = A[:, pivots] . rref(A) and certifies quotient = image with
 the pivot columns), and an irreducibility test combining endomorphism count
 with cyclicity of the highest-weight vector.  Swap operators and the
-cyclicity test share one breadth-first span of exact columns under the
-coefficient matrices.
+cyclicity test grow one span under the coefficient matrices, kept as its
+own echelon form; a swap's pair map is the right block of that form.
 
 Conventions.  Words are tuples of positions a with 1 <= a <= m-1; position a
 swaps tensor slots a and a+1 (slots counted from 1).  A word is applied left
@@ -34,7 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .fock import PLAIN, TILDE, block_dim
-from .linalg import RatMatrix, _ratmatrix, int_matmul
+from .linalg import (RatMatrix, _gauss_jordan, _nullspace_from_rref,
+                     _ratmatrix, int_matmul)
 from .modules import (
     ModuleParams,
     PatternFactor,
@@ -234,37 +235,39 @@ def _swap_sign(theta: int, deg_a: int, deg_b: int) -> Fraction:
 # cyclic spans
 
 
-def _cyclic_span(gens: Sequence[tuple[RatMatrix, ...]],
-                 start: tuple[RatMatrix, ...]) -> tuple[RatMatrix, ...]:
-    """Breadth-first span of a start column under words in the generators.
+def _cyclic_span(gens: Sequence[tuple[np.ndarray, ...]],
+                 start: tuple[np.ndarray, ...]
+                 ) -> tuple[np.ndarray, list[int], int]:
+    """The span of a start vector under words in the generators, kept as
+    its own reduced row echelon form R / d (R is d I at its pivots).
 
-    Each generator is a tuple of matrices, one per side, and start holds one
-    column per side.  A layer applies every generator to the frontier and
-    orders the candidates word-major (frontier column first, generator
-    second); the pivots of the rref of [kept | candidates] on side 0 pick the
-    candidates that enlarge its span, so the kept columns are the first
-    independent ones in breadth-first order.  Every other side keeps the
-    same columns, built by the same words.  Stops when side 0's span is the
-    whole space or a layer adds nothing; returns the kept columns per side.
+    A generator holds one integer matrix per side and start one integer
+    column per side; a vector of the span is one word applied on every side,
+    as one integer row.  Each layer applies every generator to the rows the
+    last layer added, clears the span's pivots from them (cands . d -
+    cands[:, pivots] . R), eliminates only what remains and folds the new
+    rows into R.  Returns (R, pivots, d) once side 0 has full rank or a
+    layer adds no pivot.
     """
-    dim = start[0].nrows
-    kept = tuple(col[:, :0] for col in start)
-    cands = start
+    sides, dim = len(start), len(start[0])
+    red, pivots, d = np.zeros((0, sides * dim), dtype=object), [], 1
+    cands = np.concatenate(start).reshape(1, -1)
     while True:
-        width = kept[0].ncols
-        _, pivots = RatMatrix.stack([[kept[0], cands[0]]]).rref()
-        new = [c - width for c in pivots[width:]]
-        if not new:
-            return kept
-        frontier = tuple(c[:, new] for c in cands)
-        kept = tuple(RatMatrix.stack([[k, f]]) for k, f in zip(kept, frontier))
-        if kept[0].ncols == dim or not gens:
-            return kept
-        f, g = len(new), len(gens)
-        order = [i * f + j for j in range(f) for i in range(g)]
-        cands = tuple(
-            RatMatrix.stack([[gen[side] * frontier[side] for gen in gens]])[:, order]
-            for side in range(len(start)))
+        new, added, e = _gauss_jordan(cands * d - int_matmul(cands[:, pivots], red))
+        if not added:
+            break
+        # the new rows vanish at the old pivots; clear theirs from R
+        red = np.vstack([red * e - int_matmul(red[:, added], new), new * d])
+        pivots, d = pivots + added, d * e
+        g = math.gcd(d, *red.flat)
+        red, d = red // g, d // g
+        if not gens or sum(c < dim for c in pivots) == dim:
+            break
+        cands = np.vstack([np.hstack([int_matmul(side, mat.T) for side, mat
+                                      in zip(np.hsplit(new, sides), gen)])
+                           for gen in gens])
+    order = np.argsort(pivots)
+    return red[order], [pivots[r] for r in order], d
 
 
 # ---------------------------------------------------------------------------
@@ -318,44 +321,38 @@ def _verify_intertwiner(mat: RatMatrix, src: YangianModule,
     return pairs[p][0] + (r, s)
 
 
-# Largest cyclic-span work a swap step takes on, counted before any module
-# is built as pair_dim^3 x generators: each of the at most pair_dim kept
-# columns spawns one candidate per generator (T_ij, i > j, at u^0 and u^1),
-# and each candidate is reduced against at most pair_dim pivots of pair_dim
-# rows.  The tests and the benchmark reach 35k (pair dim 18, n = 3).  On a
-# 2-core x86 VM, hw-scalar on two factors of degree d took: n = 2, d = 7
-# (dim 64, 5.2e5) 1.0 s; n = 3, d = 2 (dim 36, 2.8e5) 0.1 s; refused now:
-# n = 2, d = 9 (dim 100, 2.0e6) 8.6 s; n = 3, d = 3 (dim 100, 6.0e6) 2.5 s;
-# n = 3, d = 4 (dim 225) over 60 s; n = 2, d = 15 (dim 256) over 290 s.
-STEP_MAX_WORK = 1_000_000
+# Largest work a swap step takes on, pair_dim^3 x n, counted before any
+# module is built (span, hw spaces and certificate all grow with it).  CLI
+# hw-scalar on a 2-core x86 VM, (n, degrees) dim work: (2, 9 9) 100 2.0e6
+# 1.2 s; (3, 3 3) 100 3.0e6 1.5 s; (2, 10 10) 121 3.5e6 2.3 s; (4, 2 2) 100
+# 4.0e6 2.2 s; refused: (2, 11 11) 144 6.0e6 3.7 s; (10, 1 1) 100 1e7 5.3 s.
+STEP_MAX_WORK = 4_000_000
 
 
 def _check_step_work(params: ModuleParams, fa: PatternFactor,
                      fb: PatternFactor) -> None:
     """Refuse a swap of fa and fb whose pair module is over MODULE_MAX_SIZE
-    or whose cyclic span exceeds STEP_MAX_WORK, counting without building."""
+    or whose work exceeds STEP_MAX_WORK, counting without building."""
     check_pattern_size(params, [fa, fb])
     theta, n = params.theta, params.n
     dim = block_dim(theta, n, fa.degree) * block_dim(theta, n, fb.degree)
-    gens = n * (n - 1)
-    work = dim ** 3 * gens
+    work = dim ** 3 * n
     if work > STEP_MAX_WORK:
-        raise ValueError(f"swap step on a pair of dim {dim} with {gens} "
-                         f"generators: cyclic-span work {work}, over the "
-                         f"budget of {STEP_MAX_WORK}")
+        raise ValueError(f"swap step on a pair of dim {dim} at n = {n}: "
+                         f"work {work}, over the budget of {STEP_MAX_WORK}")
 
 
 def _swap_pair(params: ModuleParams, fa: PatternFactor,
                fb: PatternFactor) -> tuple[RatMatrix, Fraction]:
     """The normalized swap of the pair module fa (x) fb and its fraction.
 
-    The map is found on the two swapped factors alone, by matching the
-    images of spanning generator words on the two distinguished vectors;
-    this pins it uniquely because both pair modules have one-dimensional
-    highest-weight spaces and the source one is cyclic.  Its scale sends
-    the distinguished vector to the swapped monomial times the closed-form
-    normalization fraction.  Raises ResonanceError at a pole of the
-    fraction and NonGenericStepError on a degenerate pair.
+    A pair map M sends the source distinguished vector to the target one
+    and commutes with the generators, so the cyclic span of the two (one
+    word on both sides) is its graph, rows [x | M x]: the span is its own
+    rref [d I | d M^T] and the pair map is its right block.  M is unique
+    because the source vector is cyclic, so no basis choice shows.  Scaled
+    by the closed-form fraction and the block sign.  Raises ResonanceError
+    at a pole of the fraction and NonGenericStepError on a degenerate pair.
     """
     frac = _swap_fraction(params, fa, fb)
     theta, n = params.theta, params.n
@@ -367,17 +364,21 @@ def _swap_pair(params: ModuleParams, fa: PatternFactor,
             or highest_weight_vectors(pair_tgt).ncols != 1:
         raise NonGenericStepError(
             "non-generic step: a swapped pair has a degenerate highest-weight space")
-
-    # below-diagonal coefficients generate everything from a highest-weight vector
-    gens = [(b, c) for (i, j, _), b, c in coefficient_pairs(pair_src, pair_tgt)
-            if i > j and not b.is_zero()]
-    b_src, b_tgt = _cyclic_span(gens, (distinguished_vector(params, [fa, fb]),
-                                       distinguished_vector(params, [fb, fa])))
-    if b_src.ncols < pair_src.dim:
+    # lowering coefficients generate everything from the (integer) hw vectors
+    gens = [(b.data, c.data) for (i, j, _), b, c
+            in coefficient_pairs(pair_src, pair_tgt) if i > j and not b.is_zero()]
+    red, pivots, d = _cyclic_span(gens, tuple(
+        distinguished_vector(params, f).data[:, 0] for f in ([fa, fb], [fb, fa])))
+    dim = pair_src.dim
+    if pivots[:dim] != list(range(dim)):
         raise NonGenericStepError(
             "non-generic step: the distinguished vector is not cyclic in the pair")
+    if len(pivots) > dim:
+        raise NonGenericStepError(
+            "non-generic step: the span has a pivot on the target side, so no "
+            "pair map sends the source vector to the target one")
     sign = _swap_sign(theta, fa.degree, fb.degree)
-    return b_tgt * b_src.inverse() * (frac * sign), frac
+    return _ratmatrix(red[:, dim:].T, d) * (frac * sign), frac
 
 
 def step(params: ModuleParams, a: int,
@@ -610,7 +611,7 @@ def kernel_quotient(intw: Intertwiner) -> QuotientModule:
     red, pivots = mat.rref()
     if not pivots:
         raise ValueError("intertwiner is zero; the quotient would be the zero module")
-    kernel = mat.nullspace()
+    kernel = _nullspace_from_rref(red.data, pivots, red.den, mat.ncols)
     # R . N_k for every coefficient, over scale * red.den
     moved = red.data[:len(pivots)] @ src.num
     unstable = np.argwhere((moved @ kernel.data != 0).any(axis=(3, 4)))
@@ -655,10 +656,9 @@ def irreducibility_test(mod: YangianModule) -> IrreducibilityReport:
     hw_dim = hw.ncols
     cyclic_dim = 0
     if hw_dim >= 1:
-        gens = [(_ratmatrix(b, 1),)
-                for b in mod.num[:, :, :-1].reshape(-1, mod.dim, mod.dim)
+        gens = [(b,) for b in mod.num[:, :, :-1].reshape(-1, mod.dim, mod.dim)
                 if b.any()]
-        cyclic_dim = _cyclic_span(gens, (hw[:, :1],))[0].ncols
+        cyclic_dim = len(_cyclic_span(gens, (hw.data[:, 0],))[1])
     verdict = endo_dim == 1 and hw_dim == 1 and cyclic_dim == mod.dim
     return IrreducibilityReport(irreducible=verdict, dim=mod.dim,
                                 endo_dim=endo_dim, hw_dim=hw_dim,

@@ -691,6 +691,11 @@ class RatMatrix:
         return _ratmatrix(x, d)
 
     def inverse(self) -> "RatMatrix":
+        """The inverse of a square nonsingular matrix.
+
+        No caller in the package; kept because the per-layer tracer in
+        perfbench/tracer.py wraps it by name.
+        """
         if self.nrows != self.ncols:
             raise ValueError("not square")
         n = self.nrows
@@ -725,11 +730,18 @@ def nullspace(mat: RatMatrix) -> RatMatrix:
     order, with an identity block on the free columns; the basis is unique,
     so the output is deterministic.
     """
-    red, pivots, d = _gauss_jordan(mat.data)
-    free = sorted(set(range(mat.ncols)) - set(pivots))
-    basis = np.zeros((mat.ncols, len(free)), dtype=object)
+    return _nullspace_from_rref(*_gauss_jordan(mat.data), mat.ncols)
+
+
+def _nullspace_from_rref(red: np.ndarray, pivots: list[int], d: int,
+                         ncols: int) -> RatMatrix:
+    """The canonical nullspace basis read off an echelon form: red / d is
+    the reduced row echelon form of a matrix with ncols columns, its first
+    len(pivots) rows nonzero; -red at the pivot rows, d at the free ones."""
+    free = sorted(set(range(ncols)) - set(pivots))
+    basis = np.zeros((ncols, len(free)), dtype=object)
     basis[free, range(len(free))] = d
-    basis[pivots] = -red[:, free]
+    basis[pivots] = -red[:len(pivots), free]
     return _ratmatrix(basis, d)
 
 

@@ -6,7 +6,9 @@ compare the array code against.  Next come polynomials over Fraction
 coefficients, by long division and Euclid's algorithm over the rationals,
 which `yangian.linalg.Poly`'s integer arithmetic is compared against.
 Then the swap intertwiners of a reduced word, built from the hom solver
-instead of `yangian.intertwine`'s cyclic spans, and the kernel and quotient
+instead of `yangian.intertwine`'s cyclic spans, one swap's pair map as
+b_tgt . b_src^-1 over spanning columns kept breadth first, and the kernel
+and quotient
 of an intertwiner by a change to a basis adapted to the kernel, instead of
 `yangian.intertwine.kernel_quotient`'s echelon form.  The rest is the
 term-by-term interpreter of the operator realization that the compiled
@@ -22,7 +24,10 @@ from yangian.compiled import MAX_FAILURES, IdentityReport
 from yangian.fock import apply_word, block_dim
 from yangian.hd import _check_work, _series_identities, alpha_coefficient
 from yangian.intertwine import (
+    NonGenericStepError,
     QuotientModule,
+    _swap_fraction,
+    _swap_sign,
     _verify_intertwiner,
     hom_space,
     zeta_factor,
@@ -30,6 +35,7 @@ from yangian.intertwine import (
 from yangian.linalg import MatPoly, RatMatrix
 from yangian.modules import (
     YangianModule,
+    coefficient_pairs,
     distinguished_vector,
     fock_module,
     source_pattern,
@@ -182,6 +188,65 @@ def swap_word_matrix(params, word):
         factors[a - 1], factors[a] = fb, fa
         dims[a - 1], dims[a] = dims[a], dims[a - 1]
     return total
+
+
+def kept_columns(gens, start):
+    """Breadth-first span of a start column under words in the generators.
+
+    Each generator is a tuple of RatMatrix, one per side, and start holds
+    one column per side.  A layer applies every generator to the frontier
+    and orders the candidates word-major (frontier column first, generator
+    second); the pivots of the rref of [kept | candidates] on side 0 pick
+    the candidates that enlarge its span, so the kept columns are the first
+    independent ones in breadth-first order.  Every other side keeps the
+    same columns, built by the same words.  Stops when side 0's span is the
+    whole space or a layer adds nothing; returns the kept columns per side.
+    """
+    dim = start[0].nrows
+    kept = tuple(col[:, :0] for col in start)
+    cands = start
+    while True:
+        width = kept[0].ncols
+        _, pivots = RatMatrix.stack([[kept[0], cands[0]]]).rref()
+        new = [c - width for c in pivots[width:]]
+        if not new:
+            return kept
+        frontier = tuple(c[:, new] for c in cands)
+        kept = tuple(RatMatrix.stack([[k, f]]) for k, f in zip(kept, frontier))
+        if kept[0].ncols == dim or not gens:
+            return kept
+        f, g = len(new), len(gens)
+        order = [i * f + j for j in range(f) for i in range(g)]
+        cands = tuple(
+            RatMatrix.stack([[gen[side] * frontier[side] for gen in gens]])[:, order]
+            for side in range(len(start)))
+
+
+def lowering_pairs(params, fa, fb):
+    """The coefficient pairs (key, B, C) of the pair modules fa (x) fb and
+    fb (x) fa below the diagonal with B nonzero: the swap's generators."""
+    theta, n = params.theta, params.n
+    mods = [fock_module(theta, n, f.kind, f.param, f.degree) for f in (fa, fb)]
+    return [(key, b, c) for key, b, c in coefficient_pairs(
+                tensor_module(*mods), tensor_module(*mods[::-1]))
+            if key[0] > key[1] and not b.is_zero()]
+
+
+def reference_swap_pair(params, fa, fb):
+    """The normalized swap of the pair module fa (x) fb and its fraction,
+    as b_tgt . b_src^-1 with b_src and b_tgt the kept columns of the two
+    distinguished vectors under the lowering coefficients, times the
+    closed-form fraction and the block sign.  Raises NonGenericStepError
+    when the source vector is not cyclic."""
+    frac = _swap_fraction(params, fa, fb)
+    gens = [(b, c) for _, b, c in lowering_pairs(params, fa, fb)]
+    b_src, b_tgt = kept_columns(gens, (distinguished_vector(params, [fa, fb]),
+                                       distinguished_vector(params, [fb, fa])))
+    if b_src.ncols < b_src.nrows:
+        raise NonGenericStepError(
+            "non-generic step: the distinguished vector is not cyclic in the pair")
+    sign = _swap_sign(params.theta, fa.degree, fb.degree)
+    return b_tgt * b_src.inverse() * (frac * sign), frac
 
 
 def reference_kernel_quotient(intw):

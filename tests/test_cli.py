@@ -310,8 +310,8 @@ def test_step_budget_fails_cleanly(tmp_path, capsys):
     record = json.loads(out.read_text())["checks"][0]
     assert record["status"] == "error"
     assert record["details"]["error"] == (
-        "ValueError: swap step on a pair of dim 256 with 2 generators: "
-        "cyclic-span work 33554432, over the budget of 1000000")
+        "ValueError: swap step on a pair of dim 256 at n = 2: "
+        "work 33554432, over the budget of 4000000")
     capsys.readouterr()
 
 
@@ -501,11 +501,11 @@ def over_budget_configs(draw):
         cfg = {"theta": -1, "n": 13 if m == 1 else 7, "nu": [1] * m}
         checks = OPERATOR_CHECKS
     elif kind == "step":
-        # two factors whose swap has pair_dim^3 n (n - 1) just over
-        # STEP_MAX_WORK; the other budgets hold, so any check may run
+        # two factors whose swap has pair_dim^3 n just over STEP_MAX_WORK;
+        # the other budgets hold, so any check may run
         n = draw(st.integers(2, 3))
-        d = _smallest(1, lambda d: math.comb(n + d - 1, d) ** 6 * n * (n - 1)
-                      > 1_000_000)
+        d = _smallest(1, lambda d: math.comb(n + d - 1, d) ** 6 * n
+                      > 4_000_000)
         cfg = {"theta": 1, "n": n, "nu": [d, d]}
         checks = CHECKS
     else:
@@ -564,4 +564,17 @@ def test_series_identities_at_the_budget_edge(m, order, capsys):
         "checks": ["appendix-x-identities"]})
     assert code == 0
     assert report["checks"][0]["details"]["checked"] == count(m, order)
+    capsys.readouterr()
+
+
+def test_pair_dim_100_swap_is_admitted_and_passes(capsys):
+    # n = 2, nu = (9, 9): pair dim 100, work 2.0e6, under STEP_MAX_WORK;
+    # refused before the span was kept as its own echelon form
+    code, report = _run_within_10s({
+        "theta": 1, "n": 2, "p": 1, "q": 1, "mu": ["1/7", "12/7"],
+        "nu": [9, 9], "checks": ["hw-scalar"]})
+    assert code == 0
+    record = report["checks"][0]
+    assert record["status"] == "pass"
+    assert record["details"]["scalar"] == record["details"]["closed_form"]
     capsys.readouterr()

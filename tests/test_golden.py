@@ -3,7 +3,7 @@
 Each `tests/data/golden/NAME.config.json` has its report, with every
 `time` field stripped, in `NAME.report.json`.  Together the configs run
 all registered checks, a generic and a resonant `kernel-quotient`, the
-theta = -1 patterns and a budget-error record.  A refactor that changes a
+theta = -1 patterns, a budget-error record and a swap of pair dim 64.  A refactor that changes a
 verdict, a witness or the serialization shows up here byte for byte.
 """
 

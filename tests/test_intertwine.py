@@ -11,11 +11,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from yangian import intertwine
+from yangian import intertwine, linalg
 from yangian.fock import block_dim
 from yangian.intertwine import (
     Intertwiner,
     _cyclic_span,
+    _swap_pair,
     NonGenericStepError,
     ResonanceError,
     check_hw_image,
@@ -33,7 +34,7 @@ from yangian.intertwine import (
     zeta_factors_for_word,
     zeta_product,
 )
-from yangian.linalg import RatMatrix, poly_gcd
+from yangian.linalg import RatMatrix, _ratmatrix, int_matmul, poly_gcd
 from yangian.modules import (
     ModuleParams,
     YangianModule,
@@ -539,6 +540,18 @@ def test_degenerate_instance_kernel_and_quotient(theta):
     assert verdict.cyclic_dim == quot.quotient.dim
 
 
+def test_kernel_quotient_eliminates_once(monkeypatch):
+    params = ModuleParams(1, 2, 0, 2, [0, 2], [1, 1], allow_resonant=True)
+    src = source_pattern(params)
+    intw = hom_intertwiner(pattern_module(params, src),
+                           pattern_module(params, [src[1], src[0]]))
+    gauss, rows = linalg._gauss_jordan, []
+    monkeypatch.setattr(linalg, "_gauss_jordan",
+                        lambda m: rows.append(len(m)) or gauss(m))
+    quot = kernel_quotient(intw)
+    assert rows == [intw.source.dim] and quot.kernel_basis
+
+
 def test_kernel_invariance_guard():
     params = params_for(1, 2, 0, 2, (1, 1), [0, 2])
     mod = pattern_module(params, source_pattern(params))
@@ -729,23 +742,113 @@ def reference_span(gens, start, carried):
     return kept, replayed
 
 
-def test_cyclic_span_matches_one_vector_search():
-    rng = random.Random(20261018)
-    for _ in range(40):
+def unimodular(rng, dim):
+    """A random integer matrix of determinant 1 and its integer inverse."""
+    s = RatMatrix.identity(dim)
+    for _ in range(2 * dim if dim > 1 else 0):
+        i, j = rng.sample(range(dim), 2)
+        shear = np.eye(dim, dtype=np.int64).astype(object)
+        shear[i, j] = rng.choice((-2, -1, 1, 2))
+        s = _ratmatrix(shear, 1) * s
+    inv = s.inverse()
+    assert s.den == inv.den == 1
+    return s, inv
+
+
+def test_cyclic_span_is_the_rref_of_the_one_vector_search():
+    rng = random.Random(20261019)
+    for _ in range(60):
         dim = rng.randint(1, 5)
-        gens = []
-        for _ in range(rng.randint(0, 3)):
-            # sparse integer matrices, so that some spans stay proper
-            pair = [RatMatrix([[rng.choice((0, 0, 0, 1, -2)) for _ in range(dim)]
-                               for _ in range(dim)]) for _ in range(2)]
-            gens.append(tuple(pair))
-        start = column([rng.choice((0, 1, Fraction(1, 3))) for _ in range(dim)])
-        carried = column([rng.randint(-3, 3) for _ in range(dim)])
-        kept, replayed = reference_span(gens, start, carried)
-        got, got_carried = _cyclic_span(gens, (start, carried))
-        assert got.ncols == len(kept)
-        assert [got[:, [c]] for c in range(got.ncols)] == kept
-        assert [got_carried[:, [c]] for c in range(got.ncols)] == replayed
+        gens = [RatMatrix([[rng.choice((0, 0, 0, 1, -2)) for _ in range(dim)]
+                           for _ in range(dim)])
+                for _ in range(rng.randint(0, 3))]
+        start = column([rng.choice((0, 1, 3)) for _ in range(dim)])
+        kept, _ = reference_span([(g, g) for g in gens], start, start)
+        red, pivots, d = _cyclic_span([(g.data,) for g in gens],
+                                      (start.data[:, 0],))
+        assert len(pivots) == len(red) == len(kept)
+        if kept:
+            want, want_pivots = RatMatrix.stack([kept]).transpose().rref()
+            assert _ratmatrix(red, d) == want[:len(kept), :]
+            assert pivots == want_pivots
+        # side 1 is S . (side 0) under the conjugated generators: the span
+        # is the graph of S, so its right block reads back S
+        s, inv = unimodular(rng, dim)
+        red2, pivots2, d2 = _cyclic_span(
+            [(g.data, (s * g * inv).data) for g in gens],
+            (start.data[:, 0], (s * start).data[:, 0]))
+        assert pivots2 == pivots
+        assert _ratmatrix(red2[:, :dim], d2) == _ratmatrix(red, d)
+        assert (red2[:, dim:] == int_matmul(red2[:, :dim], s.data.T)).all()
+        if len(pivots) == dim:
+            assert _ratmatrix(red2[:, dim:].T, d2) == s
+
+
+@pytest.mark.parametrize("theta,n,nu", [(1, 2, (3, 4)), (1, 3, (2, 1)),
+                                        (-1, 3, (1, 2))])
+def test_each_span_layer_eliminates_only_its_candidates(monkeypatch, theta,
+                                                        n, nu):
+    params = params_for(theta, n, 1, 1, nu, [0, 1])
+    fa, fb = source_pattern(params)
+    gens = len(reference.lowering_pairs(params, fa, fb))
+    gauss, calls = intertwine._gauss_jordan, []
+
+    def counted(m):
+        out = gauss(m)
+        calls.append((m.shape, len(out[1])))
+        return out
+
+    def forbidden(*args):
+        raise AssertionError("the pair map needs no stack and no inverse")
+
+    monkeypatch.setattr(intertwine, "_gauss_jordan", counted)
+    monkeypatch.setattr(RatMatrix, "inverse", forbidden)
+    monkeypatch.setattr(RatMatrix, "stack", forbidden)
+    mat, _ = _swap_pair(params, fa, fb)
+    monkeypatch.undo()
+    assert mat == reference.reference_swap_pair(params, fa, fb)[0]
+    # the start row, then every generator on each row the last layer added
+    dim = mat.nrows
+    assert calls[0][0] == (1, 2 * dim)
+    for (_, added), (shape, _) in zip(calls, calls[1:]):
+        assert shape == (gens * added, 2 * dim)
+    assert sum(added for _, added in calls) == dim
+
+
+@st.composite
+def generic_pairs(draw):
+    """Generic two-factor parameters with small degrees, n = 2 or 3."""
+    theta = draw(st.sampled_from((1, -1)))
+    n = draw(st.integers(2, 3))
+    top = (3 if n == 2 else 2) if theta == 1 else n
+    nu = draw(st.lists(st.integers(0, top), min_size=2, max_size=2))
+    p = draw(st.integers(0, 2))
+    ints = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+    return params_for(theta, n, p, 2 - p, nu, ints)
+
+
+@settings(max_examples=30, deadline=None)
+@given(generic_pairs())
+# pair dim 64, where the inverse used to cost more than the span
+@example(params_for(1, 2, 1, 1, (7, 7), [0, 1]))
+def test_swap_pair_matches_the_kept_column_inverse(params):
+    fa, fb = source_pattern(params)
+    assert _swap_pair(params, fa, fb) == reference.reference_swap_pair(
+        params, fa, fb)
+
+
+def test_target_side_pivot_is_refused(monkeypatch):
+    # an extra generator whose source matrix repeats the first lowering
+    # coefficient and whose target matrix is the second: the hw checks
+    # still pass, but no map sends the source vector to the target one
+    params = params_for(1, 2, 0, 2, (1, 1), [0, 2])
+    fa, fb = source_pattern(params)
+    (key, b, _), (_, _, c) = reference.lowering_pairs(params, fa, fb)[:2]
+    pairs = intertwine.coefficient_pairs
+    monkeypatch.setattr(intertwine, "coefficient_pairs",
+                        lambda m1, m2: [*pairs(m1, m2), (key, b, c)])
+    with pytest.raises(NonGenericStepError, match="pivot on the target side"):
+        _swap_pair(params, fa, fb)
 
 
 # ---------------------------------------------------------------------------
@@ -791,6 +894,6 @@ def test_swap_budget_refuses_before_any_module_is_built(monkeypatch):
     for name in ("pattern_module", "fock_module", "tensor_module"):
         monkeypatch.setattr(intertwine, name, built)
     for swap in (lambda: step(params, 1), lambda: compose_word(params, [1])):
-        with pytest.raises(ValueError, match="cyclic-span work 33554432, "
-                                             "over the budget of 1000000"):
+        with pytest.raises(ValueError, match="at n = 2: work 33554432, "
+                                             "over the budget of 4000000"):
             swap()
