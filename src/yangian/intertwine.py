@@ -11,7 +11,8 @@ per-inversion closed forms (`zeta_factor`).
 
 It also provides the generic machinery the degenerate (resonant) cases need:
 an honest solver for the full space of intertwiners between two modules
-(`hom_space`), kernels and quotient modules of a given intertwiner
+(`hom_space`, on the entries that the diagonal coefficient pairs allow),
+kernels and quotient modules of a given intertwiner
 (`kernel_quotient`, which reads the quotient off the column-row
 factorization A = A[:, pivots] . rref(A) and certifies quotient = image with
 the pivot columns), and an irreducibility test combining endomorphism count
@@ -34,8 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .fock import PLAIN, TILDE, block_dim
-from .linalg import (RatMatrix, _gauss_jordan, _nullspace_from_rref,
-                     _ratmatrix, int_matmul)
+from .linalg import (_INT64_LIMIT, RatMatrix, _gauss_jordan,
+                     _nullspace_from_rref, _ratmatrix, int_matmul)
 from .modules import (
     ModuleParams,
     PatternFactor,
@@ -493,48 +494,117 @@ def check_hw_image(intw: Intertwiner, params: ModuleParams) -> HwImageReport:
 # ---------------------------------------------------------------------------
 # hom spaces, kernels, quotients
 
-# Largest number of unknowns d1 * d2 that hom_space solves for.  Its first
-# defect block has (d1 d2)^2 exact entries, so dim-81 patterns (6561
-# unknowns) would need gigabytes.  The tests reach 100 unknowns and the
-# benchmark 64; at 144 (a dim-12 pattern mapped to itself) one solve takes
-# about 0.3 s on a 2-core x86 VM.
-HOM_SPACE_MAX_UNKNOWNS = 144
+# Largest number of graded unknowns that hom_space solves for: the entries
+# of A that the diagonal coefficient pairs leave free, counted before the
+# first elimination.  Time grows faster than the count, with the d1 d2
+# rows of each defect.  hom_space between a pattern and its reversal on a
+# 2-core x86 VM, (n, degrees) dim graded: resonant (3, 1 1 1) 27 93
+# 0.05 s; (2, 5 5) 36 146 0.16 s; (2, 1 1 1 3) 32 196 0.64 s; refused:
+# (3, 2 3) 60 204 0.47 s; (2, 1 1 1 1 1) 32 252 4.0 s; resonant
+# (3, 1 1 1 1) 81 639 21 s.
+HOM_SPACE_MAX_UNKNOWNS = 200
+
+# Entries of the defects that one batched product forms (pairs x span
+# columns x d2 x d1), at least one pair's worth; bounds the working arrays.
+# A round stops at its first nonzero defect, so larger batches waste work:
+# the dim-27 solve above took 0.2 s at 1 << 20.
+_DEFECT_CHUNK = 1 << 16
+
+
+def _is_diagonal(m: np.ndarray) -> bool:
+    return not m[~np.eye(len(m), dtype=bool)].any()
+
+
+def _first_defect(span: RatMatrix, unknowns: np.ndarray,
+                  pairs: list[tuple[np.ndarray, np.ndarray]], d1: int, d2: int
+                  ) -> tuple[np.ndarray | None, list]:
+    """The first nonzero defect among pairs, as a (d2 d1) x k integer
+    matrix, and the pairs after it whose defect is nonzero or not formed.
+
+    Column t of span, scattered to the unknowns and reshaped, is a d2 x d1
+    map A_t; its defect for a pair (B, C) has the row-major entries of
+    A_t B - C A_t.  Each chunk of pairs takes one product per side for
+    every pair and every column, in int64 when
+    max|A| (max|B| d1 + max|C| d2) < _INT64_LIMIT proves it exact.  A pair
+    whose defect is zero is dropped: it stays zero on any subspace.
+    """
+    k = span.ncols
+    maps = np.zeros((k, d2 * d1), dtype=object)
+    maps[:, unknowns] = span.data.T
+    top = int(np.abs(span.data).max())
+    per = max(1, _DEFECT_CHUNK // (k * d2 * d1))
+    for c0 in range(0, len(pairs), per):
+        chunk = pairs[c0:c0 + per]
+        # [B_1 B_2 ...] and [C_1; C_2; ...]
+        bs = np.hstack([b for b, _ in chunk])
+        cs = np.vstack([c for _, c in chunk])
+        a = maps
+        if top * (int(np.abs(bs).max()) * d1
+                  + int(np.abs(cs).max()) * d2) < _INT64_LIMIT:
+            a, bs, cs = (x.astype(np.int64) for x in (a, bs, cs))
+        a = a.reshape(k, d2, d1)
+        size = len(chunk)
+        # defect[t, s, p, r] = (A_t B_p - C_p A_t)[s, r]
+        defect = (a.reshape(k * d2, d1) @ bs).reshape(k, d2, size, d1)
+        defect -= (cs @ a.transpose(1, 0, 2).reshape(d2, k * d1)
+                   ).reshape(size, d2, k, d1).transpose(2, 1, 0, 3)
+        nonzero = np.flatnonzero(defect.any(axis=(0, 1, 3)))
+        if len(nonzero):
+            first = nonzero[0]
+            out = defect[:, :, first].reshape(k, d2 * d1).T.astype(object)
+            return out, [chunk[p] for p in nonzero[1:]] + pairs[c0 + per:]
+    return None, []
 
 
 def hom_space(m1: YangianModule, m2: YangianModule) -> list[RatMatrix]:
     """Deterministic basis of all A with A . T1_ij(u) = T2_ij(u) . A.
 
-    The unknowns are the row-major entries of the d2 x d1 matrix A.  The
-    columns of span solve the coefficient pairs (B, C) of
-    `coefficient_pairs(m1, m2)` so far; for the next pair, column t of
-    span, reshaped to A_t, has the defect A_t B - C A_t, whose row-major
-    entries are (I ⊗ Bᵀ - C ⊗ I) vec(A_t), and span is restricted to the
-    nullspace of the defects.  The free columns of the whole system are the
+    The unknowns are the row-major entries of the d2 x d1 matrix A that the
+    diagonal coefficient pairs (B, C) of `coefficient_pairs(m1, m2)` allow:
+    such a pair forces A[s, r] = 0 wherever B[r, r] != C[s, s] and holds
+    on every other entry.  On modules graded by weight these are the weight
+    blocks.  The columns of span solve the pairs applied so far, starting
+    from the identity on the allowed entries; each round forms the defects
+    of the remaining pairs in batched products (`_first_defect`), restricts
+    span to the nullspace of the first nonzero one and drops the pairs
+    whose defect was zero.  The free columns of the whole system are the
     last coordinates independent on its solutions, so the rref of span
     with reversed rows is the system's canonical echelon nullspace basis,
-    one basis map per row.  Raises ValueError when d1 d2 exceeds
+    one basis map per row, whatever order the pairs were applied in.
+    Raises ValueError when the allowed entries exceed
     HOM_SPACE_MAX_UNKNOWNS.
     """
     d1, d2 = m1.dim, m2.dim
-    if d1 * d2 > HOM_SPACE_MAX_UNKNOWNS:
-        raise ValueError(
-            f"hom_space: {d1} x {d2} maps give {d1 * d2} unknowns, over the "
-            f"budget of {HOM_SPACE_MAX_UNKNOWNS}")
-    span = RatMatrix.identity(d1 * d2)
+    allowed = np.ones((d2, d1), dtype=bool)
+    pairs = []
     for _, b, c in coefficient_pairs(m1, m2):
-        # span's numerators as k stacked d2 x d1 maps; its den drops out
-        k = span.ncols
-        maps = span.data.T.reshape(k, d2, d1)
-        ab = int_matmul(maps.reshape(k * d2, d1), b.data).reshape(k, d2, d1)
-        ca = int_matmul(c.data, maps.transpose(1, 0, 2).reshape(d2, k * d1))
-        defect = ab - ca.reshape(d2, k, d1).transpose(1, 0, 2)
-        kept = _ratmatrix(defect.reshape(k, d2 * d1).T, 1).nullspace()
+        if _is_diagonal(b.data) and _is_diagonal(c.data):
+            allowed &= np.diagonal(c.data)[:, None] == np.diagonal(b.data)
+        else:
+            pairs.append((b.data, c.data))
+    unknowns = np.flatnonzero(allowed)
+    if len(unknowns) > HOM_SPACE_MAX_UNKNOWNS:
+        raise ValueError(
+            f"hom_space: {d1} x {d2} maps give {d1 * d2} unknowns, "
+            f"{len(unknowns)} after the diagonal pairs, over the budget of "
+            f"{HOM_SPACE_MAX_UNKNOWNS}")
+    if not len(unknowns):
+        return []
+    span = RatMatrix.identity(len(unknowns))
+    while pairs:
+        defect, pairs = _first_defect(span, unknowns, pairs, d1, d2)
+        if defect is None:
+            break
+        kept = _ratmatrix(defect, 1).nullspace()
         if not kept.ncols:
             return []
         span = span * kept
     red, pivots = span[::-1, :].transpose().rref()
-    return [_ratmatrix(red.data[r, ::-1].reshape(d2, d1), red.den)
-            for r in reversed(range(len(pivots)))]
+    rows = len(pivots)
+    maps = np.zeros((rows, d2 * d1), dtype=object)
+    maps[:, unknowns] = red.data[:rows, ::-1]
+    return [_ratmatrix(maps[r].reshape(d2, d1), red.den)
+            for r in reversed(range(rows))]
 
 
 def hom_intertwiner(m1: YangianModule, m2: YangianModule) -> Intertwiner:

@@ -5,7 +5,10 @@ as `RatMatrix` coefficients and `MatPoly` entries, the slow forms the tests
 compare the array code against.  Next come polynomials over Fraction
 coefficients, by long division and Euclid's algorithm over the rationals,
 which `yangian.linalg.Poly`'s integer arithmetic is compared against.
-Then the swap intertwiners of a reduced word, built from the hom solver
+Then the hom space of two modules as the nullspace of one dense
+whole-denominator system on all d1 d2 unknowns, which
+`yangian.intertwine.hom_space`'s graded solver is compared against, and the
+swap intertwiners of a reduced word, built from the hom solver
 instead of `yangian.intertwine`'s cyclic spans, one swap's pair map as
 b_tgt . b_src^-1 over spanning columns kept breadth first, and the kernel
 and quotient
@@ -149,6 +152,29 @@ def ref_normalize(num, den):
     g = ref_gcd(num, den)
     num, den = ref_divmod(num, g)[0], ref_divmod(den, g)[0]
     return tuple(c / den[-1] for c in num), ref_monic(den)
+
+
+# ---------------------------------------------------------------------------
+# hom spaces by one dense system
+
+
+def whole_denominator_hom_space(m1, m2):
+    """hom_space by the whole-denominator system: A P1 d2 = P2 d1 A, every
+    u^k coefficient as the Kronecker block I ⊗ B^T - C ⊗ I on the d2 x d1
+    row-major entries of A, solved as one canonical nullspace."""
+    d1, d2 = m1.dim, m2.dim
+    eye1, eye2 = RatMatrix.identity(d1), RatMatrix.identity(d2)
+    blocks = []
+    for i in range(m1.n):
+        for j in range(m1.n):
+            q1 = entry_matpoly(m1, i, j) * m2.den
+            q2 = entry_matpoly(m2, i, j) * m1.den
+            for k in range(max(q1.degree, q2.degree) + 1):
+                blocks.append([eye2.kron(q1.coeff(k).transpose())
+                               - q2.coeff(k).kron(eye1)])
+    basis = RatMatrix.stack(blocks).nullspace()
+    return [RatMatrix([[basis[r * d1 + s, t] for s in range(d1)]
+                       for r in range(d2)]) for t in range(basis.ncols)]
 
 
 # ---------------------------------------------------------------------------

@@ -209,15 +209,17 @@ def test_main_exit_one_on_failing_run(tmp_path, capsys):
 
 
 def test_hom_space_budget_fails_cleanly(tmp_path, capsys):
-    # four degree-1 factors with n = 2 span dim 16: 256 unknowns per map
+    # degrees (2, 3) with n = 3 span dim 60: 3600 unknowns per map, 204
+    # of them left by the diagonal coefficient pairs
     path = write_config(tmp_path, {
-        "theta": 1, "n": 2, "p": 0, "q": 4, "nu": [1, 1, 1, 1],
-        "mu": ["1/7", "2/7", "3/7", "4/7"], "checks": ["kernel-quotient"]})
+        "theta": 1, "n": 3, "p": 1, "q": 1, "nu": [2, 3],
+        "mu": ["1/7", "2/7"], "checks": ["kernel-quotient"]})
     out = tmp_path / "report.json"
     assert cli.main(["--config", path, "--output", str(out)]) == 1
     record = json.loads(out.read_text())["checks"][0]
     assert record["status"] == "error"
-    assert "256 unknowns, over the budget" in record["details"]["error"]
+    assert ("3600 unknowns, 204 after the diagonal pairs, over the budget "
+            "of 200") in record["details"]["error"]
     capsys.readouterr()
 
 
@@ -486,8 +488,11 @@ def over_budget_configs(draw):
         cfg = {"theta": 1, "n": 2, "nu": [d, d]}
         checks = ["rtt"]
     elif kind == "hom":
-        # dim 14 to 18: 196 to 324 unknowns, over HOM_SPACE_MAX_UNKNOWNS
-        cfg = {"theta": 1, "n": 2, "nu": [1, draw(st.integers(6, 8))]}
+        # dims 60, 36 and 49: 204, 220 and 231 unknowns after the diagonal
+        # coefficient pairs, just over HOM_SPACE_MAX_UNKNOWNS
+        n, nu = draw(st.sampled_from(((3, [2, 3]), (2, [2, 2, 3]),
+                                      (2, [6, 6]))))
+        cfg = {"theta": 1, "n": n, "nu": nu}
         checks = ["kernel-quotient"]
     elif kind == "basis":
         # one block of n variables, C(n + t, t) just over BASIS_MAX_SIZE
@@ -577,4 +582,20 @@ def test_pair_dim_100_swap_is_admitted_and_passes(capsys):
     record = report["checks"][0]
     assert record["status"] == "pass"
     assert record["details"]["scalar"] == record["details"]["closed_form"]
+    capsys.readouterr()
+
+
+def test_resonant_dim_27_kernel_quotient_is_admitted_and_passes(capsys):
+    # 729 unknowns, 93 after the diagonal coefficient pairs, within
+    # HOM_SPACE_MAX_UNKNOWNS; kernel 3 and an irreducible quotient of dim 24
+    code, report = _run_within_10s({
+        "theta": 1, "n": 3, "p": 1, "q": 2, "mu": ["1/7", "-4/7", "8/7"],
+        "nu": [1, 1, 1], "allow_resonant": True,
+        "checks": ["kernel-quotient"]})
+    assert code == 0
+    record = report["checks"][0]
+    assert record["status"] == "pass"
+    assert record["details"]["kernel_dim"] == 3
+    assert record["details"]["quotient_dim"] == 24
+    assert record["details"]["quotient_irreducible"] is True
     capsys.readouterr()

@@ -3,8 +3,11 @@
 Each `tests/data/golden/NAME.config.json` has its report, with every
 `time` field stripped, in `NAME.report.json`.  Together the configs run
 all registered checks, a generic and a resonant `kernel-quotient`, the
-theta = -1 patterns, a budget-error record and a swap of pair dim 64.  A refactor that changes a
-verdict, a witness or the serialization shows up here byte for byte.
+resonant dim-27 `kernel-quotient` (kernel 3, irreducible quotient 24,
+generated before `hom_space` solved on the weight blocks), the theta = -1
+patterns, a budget-error record and a swap of pair dim 64.  A refactor
+that changes a verdict, a witness or the serialization shows up here byte
+for byte.
 """
 
 import json

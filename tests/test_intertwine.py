@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -54,7 +55,8 @@ from yangian.modules import (
 )
 
 import reference
-from reference import coefficient, column, entry_matpoly
+from reference import (coefficient, column, entry_matpoly,
+                       whole_denominator_hom_space)
 
 
 def params_for(theta, n, p, q, nu, mu_ints):
@@ -395,23 +397,6 @@ def test_modules_isomorphic_raises_when_undecided():
         modules_isomorphic(c, c)
 
 
-def whole_denominator_hom_space(m1, m2):
-    """hom_space by the whole-denominator system: A P1 d2 = P2 d1 A."""
-    d1, d2 = m1.dim, m2.dim
-    eye1, eye2 = RatMatrix.identity(d1), RatMatrix.identity(d2)
-    blocks = []
-    for i in range(m1.n):
-        for j in range(m1.n):
-            q1 = entry_matpoly(m1, i, j) * m2.den
-            q2 = entry_matpoly(m2, i, j) * m1.den
-            for k in range(max(q1.degree, q2.degree) + 1):
-                blocks.append([eye2.kron(q1.coeff(k).transpose())
-                               - q2.coeff(k).kron(eye1)])
-    basis = RatMatrix.stack(blocks).nullspace()
-    return [RatMatrix([[basis[r * d1 + s, t] for s in range(d1)]
-                       for r in range(d2)]) for t in range(basis.ncols)]
-
-
 PARAMS = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1), Fraction(4, 3)])
 
 
@@ -507,6 +492,104 @@ def test_coefficient_pairs_match_whole_denominator_reference(pair):
         for i in range(m1.n) for j in range(m1.n)
         for r in range(m1.dim) for s in range(m1.dim))
     assert m1.equal_entrywise(m2) == same
+
+
+def conjugated(mod, s, s_inv):
+    """The module S T(u) S^-1, for an integer S with integer inverse."""
+    return YangianModule(mod.den, s @ mod.num @ s_inv, mod.scale)
+
+
+def rescaled(mod, big):
+    """mod conjugated by diag(1, big, ..., big): its (r, 0) entries, r > 0,
+    grow by the factor big, which for big = 2^62 puts the coefficient pairs
+    past the int64 bound of the defect products."""
+    rest = [big] * (mod.dim - 1)
+    s = np.diag(np.array([1] + rest, dtype=object))
+    # big diag(1, big, ...)^-1, so the scale takes the factor big
+    s_inv = np.diag(np.array([big] + [1] * len(rest), dtype=object))
+    return YangianModule(mod.den, s @ mod.num @ s_inv, mod.scale * big)
+
+
+@st.composite
+def hom_pairs(draw):
+    """module_pairs with either side possibly conjugated by a random
+    unimodular matrix (so only its leading coefficient stays diagonal and
+    no entry of A is graded away) or by diag(1, 2^62, ...)."""
+    out = []
+    for mod in draw(module_pairs()):
+        how = draw(st.sampled_from(("as drawn", "unimodular", "large")))
+        if how == "unimodular":
+            s, inv = unimodular(random.Random(draw(st.integers(0, 2 ** 32))),
+                                mod.dim)
+            mod = conjugated(mod, s.data, inv.data)
+        elif how == "large" and mod.dim > 1:
+            mod = rescaled(mod, 2 ** 62)
+        out.append(mod)
+    return tuple(out)
+
+
+def _bench_kernel_quotient_pair():
+    """Source and target of the dim-8 kernel-quotient in the benchmark's
+    intertwine-chain workload: theta = 1, n = 2, degrees (1, 1, 1)."""
+    params = params_for(1, 2, 1, 2, (1, 1, 1), [0, 1, -1])
+    factors = source_pattern(params)
+    return (pattern_module(params, factors),
+            pattern_module(params, permute_pattern(
+                factors, intertwine.word_permutation(3, (1, 2, 1)))))
+
+
+_TWISTED = np.array([[1, 2], [0, 1]], dtype=object)
+_UNTWISTED = np.array([[1, -2], [0, 1]], dtype=object)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hom_pairs())
+@example(_bench_kernel_quotient_pair())
+# every unknown kept: the twisted module's u^0 coefficients are not diagonal
+@example((conjugated(evaluation_module(2, 0), _TWISTED, _UNTWISTED),
+          evaluation_module(2, 0)))
+def test_hom_space_matches_the_whole_denominator_reference(pair):
+    m1, m2 = pair
+    assert hom_space(m1, m2) == whole_denominator_hom_space(m1, m2)
+
+
+def test_grading_that_leaves_no_unknowns_returns_at_once(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a defect was formed with no unknowns left")
+
+    monkeypatch.setattr(intertwine, "_first_defect", refuse)
+    m1, m2 = evaluation_module(2, 0), evaluation_module(2, 1)
+    assert hom_space(m1, m2) == [] == whole_denominator_hom_space(m1, m2)
+
+
+def test_large_entries_take_the_object_path():
+    m1, m2 = rescaled(evaluation_module(2, 0), 2 ** 62), evaluation_module(2, 0)
+    # the start span is the identity (max |A| = 1), so its first defect
+    # already fails the int64 bound
+    top = max(int(np.abs(b.data).max()) for _, b, _ in coefficient_pairs(m1, m2))
+    assert top * m1.dim >= linalg._INT64_LIMIT
+    basis = hom_space(m1, m2)
+    assert len(basis) == 1 and basis == whole_denominator_hom_space(m1, m2)
+
+
+def test_hom_space_at_the_budget_edge_stays_small():
+    # theta = 1, n = 2, degrees (1, 1, 1, 3): dim 32, 1024 unknowns, 196
+    # after the diagonal pairs, just under HOM_SPACE_MAX_UNKNOWNS; with
+    # every pair in one batched product the defects peaked at 48 MB
+    params = params_for(1, 2, 1, 3, (1, 1, 1, 3), [0, 0, 0, 0])
+    factors = source_pattern(params)
+    src = pattern_module(params, factors)
+    tgt = pattern_module(params, permute_pattern(
+        factors, intertwine.word_permutation(4, (1, 2, 1, 3, 2, 1))))
+    tracemalloc.start()
+    try:
+        basis = hom_space(src, tgt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == 1
+    assert intertwine._verify_intertwiner(basis[0], src, tgt) is None
+    assert peak < 16 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
