@@ -19,6 +19,8 @@ the pivot columns), and an irreducibility test combining endomorphism count
 with cyclicity of the highest-weight vector.  Swap operators and the
 cyclicity test grow one span under the coefficient matrices, kept as its
 own echelon form; a swap's pair map is the right block of that form.
+The hom-space solver and both certificates evaluate every identity
+A B = C A of `coefficient_pairs` through one defect kernel, `_first_defect`.
 
 Conventions.  Words are tuples of positions a with 1 <= a <= m-1; position a
 swaps tensor slots a and a+1 (slots counted from 1).  A word is applied left
@@ -236,21 +238,24 @@ def _swap_sign(theta: int, deg_a: int, deg_b: int) -> Fraction:
 # cyclic spans
 
 
-def _cyclic_span(gens: Sequence[tuple[np.ndarray, ...]],
-                 start: tuple[np.ndarray, ...]
+def _cyclic_span(gens: Sequence[np.ndarray], start: Sequence[np.ndarray]
                  ) -> tuple[np.ndarray, list[int], int]:
     """The span of a start vector under words in the generators, kept as
     its own reduced row echelon form R / d (R is d I at its pivots).
 
-    A generator holds one integer matrix per side and start one integer
-    column per side; a vector of the span is one word applied on every side,
-    as one integer row.  Each layer applies every generator to the rows the
-    last layer added, clears the span's pivots from them (cands . d -
-    cands[:, pivots] . R), eliminates only what remains and folds the new
-    rows into R.  Returns (R, pivots, d) once side 0 has full rank or a
-    layer adds no pivot.
+    gens holds one (G, dim, dim) stack of integer matrices per side and
+    start one integer column per side; a vector of the span is one word
+    applied on every side, as one integer row.  Each layer applies every
+    generator to the rows the last layer added, in one product per side
+    against [g_1^T g_2^T ...] (candidate rows generator-major), clears the
+    span's pivots from them (cands . d - cands[:, pivots] . R), eliminates
+    only what remains and folds the new rows into R.  Returns (R, pivots,
+    d) once side 0 has full rank or a layer adds no pivot.
     """
     sides, dim = len(start), len(start[0])
+    count = len(gens[0])
+    # [g_1^T g_2^T ...], one dim x (G dim) block row per side
+    moves = [g.transpose(2, 0, 1).reshape(dim, count * dim) for g in gens]
     red, pivots, d = np.zeros((0, sides * dim), dtype=object), [], 1
     cands = np.concatenate(start).reshape(1, -1)
     while True:
@@ -262,11 +267,12 @@ def _cyclic_span(gens: Sequence[tuple[np.ndarray, ...]],
         pivots, d = pivots + added, d * e
         g = math.gcd(d, *red.flat)
         red, d = red // g, d // g
-        if not gens or sum(c < dim for c in pivots) == dim:
+        if not count or sum(c < dim for c in pivots) == dim:
             break
-        cands = np.vstack([np.hstack([int_matmul(side, mat.T) for side, mat
-                                      in zip(np.hsplit(new, sides), gen)])
-                           for gen in gens])
+        cands = np.hstack([
+            int_matmul(side, move).reshape(len(new), count, dim)
+            .transpose(1, 0, 2).reshape(count * len(new), dim)
+            for side, move in zip(np.hsplit(new, sides), moves)])
     order = np.argsort(pivots)
     return red[order], [pivots[r] for r in order], d
 
@@ -300,26 +306,18 @@ def _verify_intertwiner(mat: RatMatrix, src: YangianModule,
                         tgt: YangianModule) -> tuple[int, ...] | None:
     """Exact check of mat . T_src(u) = T_tgt(u) . mat: None or a witness.
 
-    The witness of the first failing pair ((i, j, k), B, C) of
-    `coefficient_pairs(src, tgt)` is (i, j, k, r, s), k indexing u^k in the
-    cleared identity and (r, s) the first nonzero entry of mat B - C mat
-    in row-major order.
+    The witness of the first failing pair p of
+    `coefficient_pairs(src, tgt)` is keys[p] + (r, s) = (i, j, k, r, s),
+    k indexing u^k in the cleared identity and (r, s) the first nonzero
+    entry of mat B - C mat in row-major order.  The pairs share mat's
+    denominator, so its integer numerator goes through `_first_defect`.
     """
-    pairs = list(coefficient_pairs(src, tgt))
-    if not pairs:
+    keys, bs, cs = coefficient_pairs(src, tgt)
+    p, defect, _ = _first_defect(mat.data[None], bs, cs, np.arange(len(keys)))
+    if p is None:
         return None
-    # B and C are integer matrices, so both sides share mat's denominator:
-    # mat [B_1 B_2 ...] and [C_1; C_2; ...] mat are the two products
-    rows, cols = mat.shape
-    left = int_matmul(mat.data, np.hstack([b.data for _, b, _ in pairs]))
-    right = int_matmul(np.vstack([c.data for _, _, c in pairs]), mat.data)
-    diff = (left.reshape(rows, len(pairs), cols).transpose(1, 0, 2)
-            - right.reshape(len(pairs), rows, cols))
-    bad = np.argwhere(diff)
-    if not len(bad):
-        return None
-    p, r, s = (int(x) for x in bad[0])
-    return pairs[p][0] + (r, s)
+    r, s = np.argwhere(defect[0])[0]
+    return tuple(int(x) for x in (*keys[p], r, s))
 
 
 # Largest work a swap step takes on, pair_dim^3 x n, counted before any
@@ -366,9 +364,9 @@ def _swap_pair(params: ModuleParams, fa: PatternFactor,
         raise NonGenericStepError(
             "non-generic step: a swapped pair has a degenerate highest-weight space")
     # lowering coefficients generate everything from the (integer) hw vectors
-    gens = [(b.data, c.data) for (i, j, _), b, c
-            in coefficient_pairs(pair_src, pair_tgt) if i > j and not b.is_zero()]
-    red, pivots, d = _cyclic_span(gens, tuple(
+    keys, bs, cs = coefficient_pairs(pair_src, pair_tgt)
+    lowering = (keys[:, 0] > keys[:, 1]) & (bs != 0).any(axis=(1, 2))
+    red, pivots, d = _cyclic_span((bs[lowering], cs[lowering]), tuple(
         distinguished_vector(params, f).data[:, 0] for f in ([fa, fb], [fb, fa])))
     dim = pair_src.dim
     if pivots[:dim] != list(range(dim)):
@@ -504,56 +502,49 @@ def check_hw_image(intw: Intertwiner, params: ModuleParams) -> HwImageReport:
 # (3, 1 1 1 1) 81 639 21 s.
 HOM_SPACE_MAX_UNKNOWNS = 200
 
-# Entries of the defects that one batched product forms (pairs x span
-# columns x d2 x d1), at least one pair's worth; bounds the working arrays.
+# Entries of the defects that one batched product forms (pairs x maps x
+# d2 x d1), at least one pair's worth; bounds the working arrays.
 # A round stops at its first nonzero defect, so larger batches waste work:
 # the dim-27 solve above took 0.2 s at 1 << 20.
 _DEFECT_CHUNK = 1 << 16
 
 
-def _is_diagonal(m: np.ndarray) -> bool:
-    return not m[~np.eye(len(m), dtype=bool)].any()
+def _first_defect(maps: np.ndarray, bs: np.ndarray, cs: np.ndarray,
+                  pairs: np.ndarray) -> tuple[int | None, np.ndarray | None,
+                                              np.ndarray]:
+    """The first pair p of pairs whose defect is nonzero, that defect, and
+    the pairs after p whose defect is nonzero or not formed.
 
-
-def _first_defect(span: RatMatrix, unknowns: np.ndarray,
-                  pairs: list[tuple[np.ndarray, np.ndarray]], d1: int, d2: int
-                  ) -> tuple[np.ndarray | None, list]:
-    """The first nonzero defect among pairs, as a (d2 d1) x k integer
-    matrix, and the pairs after it whose defect is nonzero or not formed.
-
-    Column t of span, scattered to the unknowns and reshaped, is a d2 x d1
-    map A_t; its defect for a pair (B, C) has the row-major entries of
-    A_t B - C A_t.  Each chunk of pairs takes one product per side for
-    every pair and every column, in int64 when
-    max|A| (max|B| d1 + max|C| d2) < _INT64_LIMIT proves it exact.  A pair
-    whose defect is zero is dropped: it stays zero on any subspace.
+    maps is a (k, d2, d1) stack of integer maps A_t, bs and cs the
+    (P, d1, d1) and (P, d2, d2) stacks of `coefficient_pairs` and pairs an
+    index array into them.  The defect of pair p is the (k, d2, d1) stack
+    of A_t B_p - C_p A_t.  Each chunk of pairs takes one product per side
+    for every pair and every map, in int64 when
+    max|A| (max|B| d1 + max|C| d2) < _INT64_LIMIT proves it exact.
+    Returns (None, None, no pairs) when every defect is zero.
     """
-    k = span.ncols
-    maps = np.zeros((k, d2 * d1), dtype=object)
-    maps[:, unknowns] = span.data.T
-    top = int(np.abs(span.data).max())
+    k, d2, d1 = maps.shape
+    top = int(np.abs(maps).max())
     per = max(1, _DEFECT_CHUNK // (k * d2 * d1))
     for c0 in range(0, len(pairs), per):
         chunk = pairs[c0:c0 + per]
         # [B_1 B_2 ...] and [C_1; C_2; ...]
-        bs = np.hstack([b for b, _ in chunk])
-        cs = np.vstack([c for _, c in chunk])
+        b = bs[chunk].transpose(1, 0, 2).reshape(d1, -1)
+        c = cs[chunk].reshape(-1, d2)
         a = maps
-        if top * (int(np.abs(bs).max()) * d1
-                  + int(np.abs(cs).max()) * d2) < _INT64_LIMIT:
-            a, bs, cs = (x.astype(np.int64) for x in (a, bs, cs))
-        a = a.reshape(k, d2, d1)
-        size = len(chunk)
+        if top * (int(np.abs(b).max()) * d1
+                  + int(np.abs(c).max()) * d2) < _INT64_LIMIT:
+            a, b, c = (x.astype(np.int64) for x in (a, b, c))
         # defect[t, s, p, r] = (A_t B_p - C_p A_t)[s, r]
-        defect = (a.reshape(k * d2, d1) @ bs).reshape(k, d2, size, d1)
-        defect -= (cs @ a.transpose(1, 0, 2).reshape(d2, k * d1)
-                   ).reshape(size, d2, k, d1).transpose(2, 1, 0, 3)
+        defect = (a.reshape(k * d2, d1) @ b).reshape(k, d2, -1, d1)
+        defect -= (c @ a.transpose(1, 0, 2).reshape(d2, k * d1)
+                   ).reshape(-1, d2, k, d1).transpose(2, 1, 0, 3)
         nonzero = np.flatnonzero(defect.any(axis=(0, 1, 3)))
         if len(nonzero):
             first = nonzero[0]
-            out = defect[:, :, first].reshape(k, d2 * d1).T.astype(object)
-            return out, [chunk[p] for p in nonzero[1:]] + pairs[c0 + per:]
-    return None, []
+            return (int(chunk[first]), defect[:, :, first].astype(object),
+                    np.concatenate([chunk[nonzero[1:]], pairs[c0 + per:]]))
+    return None, None, pairs[:0]
 
 
 def hom_space(m1: YangianModule, m2: YangianModule) -> list[RatMatrix]:
@@ -567,21 +558,20 @@ def hom_space(m1: YangianModule, m2: YangianModule) -> list[RatMatrix]:
     from the identity on the allowed entries; each round forms the defects
     of the remaining pairs in batched products (`_first_defect`), restricts
     span to the nullspace of the first nonzero one and drops the pairs
-    whose defect was zero.  The free columns of the whole system are the
-    last coordinates independent on its solutions, so the rref of span
-    with reversed rows is the system's canonical echelon nullspace basis,
-    one basis map per row, whatever order the pairs were applied in.
-    Raises ValueError when the allowed entries exceed
-    HOM_SPACE_MAX_UNKNOWNS.
+    whose defect was zero: it stays zero on any subspace.  The free
+    columns of the whole system are the last coordinates independent on
+    its solutions, so the rref of span with reversed rows is the system's
+    canonical echelon nullspace basis, one basis map per row, whatever
+    order the pairs were applied in.  Raises ValueError when the allowed
+    entries exceed HOM_SPACE_MAX_UNKNOWNS.
     """
     d1, d2 = m1.dim, m2.dim
-    allowed = np.ones((d2, d1), dtype=bool)
-    pairs = []
-    for _, b, c in coefficient_pairs(m1, m2):
-        if _is_diagonal(b.data) and _is_diagonal(c.data):
-            allowed &= np.diagonal(c.data)[:, None] == np.diagonal(b.data)
-        else:
-            pairs.append((b.data, c.data))
+    _, bs, cs = coefficient_pairs(m1, m2)
+    diagonal = ~((bs[:, ~np.eye(d1, dtype=bool)] != 0).any(axis=1)
+                 | (cs[:, ~np.eye(d2, dtype=bool)] != 0).any(axis=1))
+    allowed = (np.diagonal(cs[diagonal], axis1=1, axis2=2)[:, :, None]
+               == np.diagonal(bs[diagonal], axis1=1, axis2=2)[:, None, :]
+               ).all(axis=0)
     unknowns = np.flatnonzero(allowed)
     if len(unknowns) > HOM_SPACE_MAX_UNKNOWNS:
         raise ValueError(
@@ -591,11 +581,14 @@ def hom_space(m1: YangianModule, m2: YangianModule) -> list[RatMatrix]:
     if not len(unknowns):
         return []
     span = RatMatrix.identity(len(unknowns))
-    while pairs:
-        defect, pairs = _first_defect(span, unknowns, pairs, d1, d2)
+    pairs = np.flatnonzero(~diagonal)
+    while len(pairs):
+        maps = np.zeros((span.ncols, d2 * d1), dtype=object)
+        maps[:, unknowns] = span.data.T
+        _, defect, pairs = _first_defect(maps.reshape(-1, d2, d1), bs, cs, pairs)
         if defect is None:
             break
-        kept = _ratmatrix(defect, 1).nullspace()
+        kept = _ratmatrix(defect.reshape(span.ncols, -1).T, 1).nullspace()
         if not kept.ncols:
             return []
         span = span * kept
@@ -682,13 +675,19 @@ def kernel_quotient(intw: Intertwiner) -> QuotientModule:
     if not pivots:
         raise ValueError("intertwiner is zero; the quotient would be the zero module")
     kernel = _nullspace_from_rref(red.data, pivots, red.den, mat.ncols)
-    # R . N_k for every coefficient, over scale * red.den
-    moved = red.data[:len(pivots)] @ src.num
-    unstable = np.argwhere((moved @ kernel.data != 0).any(axis=(3, 4)))
+    # R . N_k for every coefficient, over scale * red.den, as (row, i, j,
+    # k, column): one product against the coefficients side by side
+    n, _, powers, dim, _ = src.num.shape
+    shape = (len(pivots), n, n, powers)
+    moved = int_matmul(red.data[:len(pivots)], src.num.transpose(
+        3, 0, 1, 2, 4).reshape(dim, -1)).reshape(*shape, dim)
+    unstable = np.argwhere((int_matmul(moved.reshape(-1, dim), kernel.data) != 0)
+                           .reshape(*shape, kernel.ncols).any(axis=(0, 4)))
     if len(unstable):
         raise ValueError("kernel is not stable under the module action at "
                          f"(i, j, k) = {tuple(int(x) for x in unstable[0])}")
-    quotient = YangianModule(src.den, moved[..., pivots], src.scale * red.den)
+    quotient = YangianModule(src.den, moved.transpose(1, 2, 3, 0, 4)[..., pivots],
+                             src.scale * red.den)
 
     witness = _verify_intertwiner(mat[:, pivots], quotient, intw.target)
     if witness is not None:
@@ -726,9 +725,9 @@ def irreducibility_test(mod: YangianModule) -> IrreducibilityReport:
     hw_dim = hw.ncols
     cyclic_dim = 0
     if hw_dim >= 1:
-        gens = [(b,) for b in mod.num[:, :, :-1].reshape(-1, mod.dim, mod.dim)
-                if b.any()]
-        cyclic_dim = len(_cyclic_span(gens, (hw.data[:, 0],))[1])
+        gens = mod.num[:, :, :-1].reshape(-1, mod.dim, mod.dim)
+        gens = gens[(gens != 0).any(axis=(1, 2))]
+        cyclic_dim = len(_cyclic_span((gens,), (hw.data[:, 0],))[1])
     verdict = endo_dim == 1 and hw_dim == 1 and cyclic_dim == mod.dim
     return IrreducibilityReport(irreducible=verdict, dim=mod.dim,
                                 endo_dim=endo_dim, hw_dim=hw_dim,

@@ -882,15 +882,16 @@ _INT64_LIMIT = 2 ** 62
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product of integer object-dtype matrices.
 
-    Uses numpy int64 matmul when k * max|a| * max|b| provably fits, else
-    falls back to big-int object matmul.
+    Returns object zeros when either operand is empty or zero, uses numpy
+    int64 matmul when k * max|a| * max|b| provably fits, else falls back to
+    big-int object matmul.
     """
-    if a.size == 0 or b.size == 0:
+    ma = int(np.abs(a).max(initial=0))
+    mb = int(np.abs(b).max(initial=0))
+    if not ma or not mb:
         return np.zeros((a.shape[0], b.shape[1]), dtype=object)
-    ma = int(np.abs(a).max())
-    mb = int(np.abs(b).max())
     k = a.shape[1]
-    if ma and mb and k * ma * mb < _INT64_LIMIT:
+    if k * ma * mb < _INT64_LIMIT:
         prod = a.astype(np.int64) @ b.astype(np.int64)
         return prod.astype(object)
     return a @ b

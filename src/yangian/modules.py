@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,8 +32,8 @@ from .fock import (
     first_variables_monomial,
     last_variables_monomial,
 )
-from .linalg import (_INT64_LIMIT, Poly, RatFunc, RatMatrix, _poly, _ratmatrix,
-                     poly_gcd, rat)
+from .linalg import (_INT64_LIMIT, Poly, RatFunc, RatMatrix, _poly, poly_gcd,
+                     rat)
 
 # The largest n * dim of a module that fock_module or tensor_module builds:
 # its n^2 numerator entries are dense dim x dim matrices.
@@ -94,7 +94,7 @@ class YangianModule:
         """Same action entrywise, denominators may differ."""
         if (self.n, self.dim) != (other.n, other.dim):
             return False
-        return all(b == c for _, b, c in coefficient_pairs(self, other))
+        return np.array_equal(*coefficient_pairs(self, other)[1:])
 
 
 def _cleared(mod: YangianModule, cofactor: Poly) -> tuple[np.ndarray, int]:
@@ -112,17 +112,16 @@ def _cleared(mod: YangianModule, cofactor: Poly) -> tuple[np.ndarray, int]:
 
 
 def coefficient_pairs(m1: YangianModule, m2: YangianModule
-                      ) -> Iterator[tuple[tuple[int, int, int], RatMatrix, RatMatrix]]:
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The coefficient pairs of the identity A . T1_ij(u) = T2_ij(u) . A.
 
     With T = P/d and g = gcd(d1, d2), the identity times d1 d2 / g is
     A . P1_ij (d2/g) = P2_ij (d1/g) . A, an equivalent identity of matrix
-    polynomials since Q[u] has no zero divisors.  Yields ((i, j, k), B, C)
-    for every i, j and every power k with B or C nonzero, B and C the u^k
-    coefficients of the two sides' factors times one positive factor common
-    to every pair, which makes them integer matrices (den 1) and changes no
-    identity A B = C A; A is a module map exactly when A B = C A for all of
-    them.
+    polynomials since Q[u] has no zero divisors.  Returns (keys, B, C):
+    the (P, 3) row-major (i, j, k) with B or C nonzero, and the (P, d1, d1)
+    and (P, d2, d2) Python-int stacks of the u^k coefficients of the two
+    sides' factors times one positive factor common to every pair, which
+    changes no identity; A is a module map exactly when A B = C A for all.
     """
     if m1.n != m2.n:
         raise ValueError("rank mismatch")
@@ -133,9 +132,10 @@ def coefficient_pairs(m1: YangianModule, m2: YangianModule
         b = b * (common // sb)
     if common != sc:
         c = c * (common // sc)
-    for key in np.ndindex(b.shape[:3]):
-        if b[key].any() or c[key].any():
-            yield key, _ratmatrix(b[key], 1), _ratmatrix(c[key], 1)
+    # both sides have deg d1 + deg d2 - deg g + 1 powers
+    b, c = b.reshape(-1, m1.dim, m1.dim), c.reshape(-1, m2.dim, m2.dim)
+    keep = (b != 0).any(axis=(1, 2)) | (c != 0).any(axis=(1, 2))
+    return np.argwhere(keep.reshape(m1.n, m1.n, -1)), b[keep], c[keep]
 
 
 def trivial_module(n: int, dim: int = 1) -> YangianModule:

@@ -10,8 +10,9 @@ whole-denominator system on all d1 d2 unknowns, which
 `yangian.intertwine.hom_space`'s graded solver is compared against, and the
 swap intertwiners of a reduced word, built from the hom solver
 instead of `yangian.intertwine`'s cyclic spans, one swap's pair map as
-b_tgt . b_src^-1 over spanning columns kept breadth first, and the kernel
-and quotient
+b_tgt . b_src^-1 over spanning columns kept breadth first, the module-map
+certificate as two whole products instead of
+`yangian.intertwine._first_defect`'s chunks, and the kernel and quotient
 of an intertwiner by a change to a basis adapted to the kernel, instead of
 `yangian.intertwine.kernel_quotient`'s echelon form.  The rest is the
 term-by-term interpreter of the operator realization that the compiled
@@ -31,11 +32,10 @@ from yangian.intertwine import (
     QuotientModule,
     _swap_fraction,
     _swap_sign,
-    _verify_intertwiner,
     hom_space,
     zeta_factor,
 )
-from yangian.linalg import MatPoly, RatMatrix
+from yangian.linalg import MatPoly, RatMatrix, _ratmatrix, int_matmul
 from yangian.modules import (
     YangianModule,
     coefficient_pairs,
@@ -249,13 +249,15 @@ def kept_columns(gens, start):
 
 
 def lowering_pairs(params, fa, fb):
-    """The coefficient pairs (key, B, C) of the pair modules fa (x) fb and
+    """The coefficient pairs (keys, B, C) of the pair modules fa (x) fb and
     fb (x) fa below the diagonal with B nonzero: the swap's generators."""
     theta, n = params.theta, params.n
     mods = [fock_module(theta, n, f.kind, f.param, f.degree) for f in (fa, fb)]
-    return [(key, b, c) for key, b, c in coefficient_pairs(
-                tensor_module(*mods), tensor_module(*mods[::-1]))
-            if key[0] > key[1] and not b.is_zero()]
+    keys, bs, cs = coefficient_pairs(tensor_module(*mods),
+                                     tensor_module(*mods[::-1]))
+    low = [p for p, (i, j, _) in enumerate(keys.tolist())
+           if i > j and bs[p].any()]
+    return keys[low], bs[low], cs[low]
 
 
 def reference_swap_pair(params, fa, fb):
@@ -265,7 +267,8 @@ def reference_swap_pair(params, fa, fb):
     closed-form fraction and the block sign.  Raises NonGenericStepError
     when the source vector is not cyclic."""
     frac = _swap_fraction(params, fa, fb)
-    gens = [(b, c) for _, b, c in lowering_pairs(params, fa, fb)]
+    _, bs, cs = lowering_pairs(params, fa, fb)
+    gens = [(_ratmatrix(b, 1), _ratmatrix(c, 1)) for b, c in zip(bs, cs)]
     b_src, b_tgt = kept_columns(gens, (distinguished_vector(params, [fa, fb]),
                                        distinguished_vector(params, [fb, fa])))
     if b_src.ncols < b_src.nrows:
@@ -273,6 +276,26 @@ def reference_swap_pair(params, fa, fb):
             "non-generic step: the distinguished vector is not cyclic in the pair")
     sign = _swap_sign(params.theta, fa.degree, fb.degree)
     return b_tgt * b_src.inverse() * (frac * sign), frac
+
+
+def verify_intertwiner(mat, src, tgt):
+    """Exact check of mat . T_src(u) = T_tgt(u) . mat: None or the witness
+    (i, j, k, r, s) of `yangian.intertwine._verify_intertwiner`, from the
+    two whole products mat [B_1 B_2 ...] and [C_1; C_2; ...] mat compared
+    on every pair at once."""
+    keys, bs, cs = coefficient_pairs(src, tgt)
+    if not len(keys):
+        return None
+    rows, cols = mat.shape
+    left = int_matmul(mat.data, np.hstack(list(bs)))
+    right = int_matmul(np.vstack(list(cs)), mat.data)
+    diff = (left.reshape(rows, len(keys), cols).transpose(1, 0, 2)
+            - right.reshape(len(keys), rows, cols))
+    bad = np.argwhere(diff)
+    if not len(bad):
+        return None
+    p, r, s = (int(x) for x in bad[0])
+    return tuple(int(x) for x in keys[p]) + (r, s)
 
 
 def reference_kernel_quotient(intw):
@@ -306,7 +329,7 @@ def reference_kernel_quotient(intw):
                          f"(i, j, k) = {tuple(int(x) for x in unstable[0])}")
     quotient = YangianModule(src.den, adapted[..., k:, k:],
                              src.scale * change_inv.den * change.den)
-    witness = _verify_intertwiner(mat[:, complement], quotient, intw.target)
+    witness = verify_intertwiner(mat[:, complement], quotient, intw.target)
     if witness is not None:
         raise ValueError("quotient is not isomorphic to the image module: "
                          f"fails at (i, j, k, r, s) = {witness}")

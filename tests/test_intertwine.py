@@ -469,18 +469,22 @@ def test_coefficient_pairs_match_whole_denominator_reference(pair):
             for k in range(max(q1.degree, q2.degree) + 1):
                 if not (q1.coeff(k).is_zero() and q2.coeff(k).is_zero()):
                     want[i, j, k] = q1.coeff(k), q2.coeff(k)
-    # the nonzero pairs in (i, j, k) order, as integer matrices times one
-    # positive factor common to all of them
-    pairs = list(coefficient_pairs(m1, m2))
-    assert [key for key, _, _ in pairs] == sorted(want)
+    # the nonzero pairs in (i, j, k) order, as stacks of integer matrices
+    # times one positive factor common to all of them
+    keys, bs, cs = coefficient_pairs(m1, m2)
+    assert [tuple(key) for key in keys.tolist()] == sorted(want)
+    assert bs.shape == (len(keys), m1.dim, m1.dim)
+    assert cs.shape == (len(keys), m2.dim, m2.dim)
+    assert all(type(x) is int for x in (*bs.flat, *cs.flat))
     factors = set()
-    for key, b, c in pairs:
-        rb, rc = want[key]
+    for key, b, c in zip(keys.tolist(), bs, cs):
+        b, c = _ratmatrix(b, 1), _ratmatrix(c, 1)
+        rb, rc = want[tuple(key)]
         ref, got = (rb, b) if not rb.is_zero() else (rc, c)
         r, s = next((r, s) for r in range(ref.nrows) for s in range(ref.ncols)
                     if ref[r, s])
         factor = got[r, s] / ref[r, s]
-        assert b.den == c.den == 1 and factor > 0
+        assert factor > 0
         assert (b, c) == (rb * factor, rc * factor)
         factors.add(factor)
     assert len(factors) <= 1
@@ -548,9 +552,48 @@ _UNTWISTED = np.array([[1, -2], [0, 1]], dtype=object)
 # every unknown kept: the twisted module's u^0 coefficients are not diagonal
 @example((conjugated(evaluation_module(2, 0), _TWISTED, _UNTWISTED),
           evaluation_module(2, 0)))
+# a one-dimensional side has no off-diagonal entries to test
+@example((omega_module(2, Fraction(1, 3)), evaluation_module(2, Fraction(1, 3))))
+@example((omega_module(2, Fraction(1, 3)), omega_module(2, Fraction(1, 3))))
 def test_hom_space_matches_the_whole_denominator_reference(pair):
     m1, m2 = pair
     assert hom_space(m1, m2) == whole_denominator_hom_space(m1, m2)
+
+
+def _certificate_candidates(m1, m2, spot):
+    """The hom-space basis maps, the shear I + N (rectangular when the
+    dimensions differ) and every one of them with the entry (0, 0) and
+    the entry at spot bumped by one."""
+    d1, d2 = m1.dim, m2.dim
+    shear = RatMatrix([[int(c in (r, r + 1)) for c in range(d1)]
+                       for r in range(d2)])
+    out = [*hom_space(m1, m2), shear]
+    for mat in list(out):
+        for r, s in ((0, 0), (spot % d2, spot // d2 % d1)):
+            bumped = mat.data.copy()
+            bumped[r, s] += mat.den
+            out.append(_ratmatrix(bumped, mat.den))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(hom_pairs(), st.integers(0, 2 ** 16))
+@example((evaluation_module(2, 0), evaluation_module(2, 0)), 0)
+@example(_bench_kernel_quotient_pair(), 11)
+@example((rescaled(evaluation_module(3, 0), 2 ** 62),
+          rescaled(evaluation_module(3, 0), 2 ** 62)), 5)
+def test_certificate_matches_the_two_product_reference(pair, spot):
+    # one pair per chunk and the default chunk: the first failing pair is
+    # the same however the pairs are split
+    m1, m2 = pair
+    cands = _certificate_candidates(m1, m2, spot)
+    want = [reference.verify_intertwiner(mat, m1, m2) for mat in cands]
+    for chunk in (1, intertwine._DEFECT_CHUNK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(intertwine, "_DEFECT_CHUNK", chunk)
+            got = [intertwine._verify_intertwiner(mat, m1, m2)
+                   for mat in cands]
+        assert got == want
 
 
 def test_grading_that_leaves_no_unknowns_returns_at_once(monkeypatch):
@@ -566,7 +609,7 @@ def test_large_entries_take_the_object_path():
     m1, m2 = rescaled(evaluation_module(2, 0), 2 ** 62), evaluation_module(2, 0)
     # the start span is the identity (max |A| = 1), so its first defect
     # already fails the int64 bound
-    top = max(int(np.abs(b.data).max()) for _, b, _ in coefficient_pairs(m1, m2))
+    top = int(np.abs(coefficient_pairs(m1, m2)[1]).max())
     assert top * m1.dim >= linalg._INT64_LIMIT
     basis = hom_space(m1, m2)
     assert len(basis) == 1 and basis == whole_denominator_hom_space(m1, m2)
@@ -697,7 +740,8 @@ def test_stable_kernel_with_non_intertwining_image_rejected(theta):
 def pattern_maps(draw):
     """Resonant two-factor patterns and small three-factor ones of either
     theta, at most 12-dimensional, a non-identity slot permutation, a pick
-    among the hom-space basis maps and 144 signs for a tampering matrix."""
+    among the hom-space basis maps, 144 signs for a tampering matrix and a
+    factor for `rescaled` (1 keeps the modules as built)."""
     theta = draw(st.sampled_from([1, -1]))
     n = draw(st.integers(2, 3))
     m = draw(st.sampled_from([2, 3]))
@@ -716,7 +760,8 @@ def pattern_maps(draw):
     perm = draw(st.permutations(range(m)).filter(lambda q: q != sorted(q)))
     signs = draw(st.lists(st.sampled_from((0, 0, 0, 1, -1)),
                           min_size=144, max_size=144))
-    return params, tuple(perm), draw(st.integers(0, 3)), tuple(signs)
+    return (params, tuple(perm), draw(st.integers(0, 3)), tuple(signs),
+            draw(st.sampled_from((1, 2 ** 62))))
 
 
 def _kernel_quotient_outcome(build, intw):
@@ -733,18 +778,21 @@ _SIGNS = tuple((0, 1, 0, -1, 1)[i % 5] for i in range(144))
 @given(pattern_maps())
 # kernels of dimension 1, 8, 6 and 2
 @example((ModuleParams(1, 2, 0, 2, [0, 2], [1, 1], allow_resonant=True),
-          (1, 0), 0, _SIGNS))
+          (1, 0), 0, _SIGNS, 1))
 @example((ModuleParams(-1, 3, 1, 1, [0, 2], [2, 2], allow_resonant=True),
-          (1, 0), 0, _SIGNS))
+          (1, 0), 0, _SIGNS, 1))
 @example((ModuleParams(1, 2, 0, 3, [0, 0, 1], [1, 1, 1], allow_resonant=True),
-          (2, 1, 0), 0, _SIGNS))
+          (2, 1, 0), 0, _SIGNS, 1))
 @example((ModuleParams(1, 2, 0, 3, [0, 2, 0], [1, 1, 1], allow_resonant=True),
-          (1, 0, 2), 0, _SIGNS))
+          (1, 0, 2), 0, _SIGNS, 1))
+# past the int64 bound of every product
+@example((ModuleParams(1, 2, 0, 2, [0, 2], [1, 1], allow_resonant=True),
+          (1, 0), 0, _SIGNS, 2 ** 62))
 def test_kernel_quotient_matches_adapted_basis_reference(case):
-    params, perm, pick, signs = case
+    params, perm, pick, signs, big = case
     factors = source_pattern(params)
-    src = pattern_module(params, factors)
-    tgt = pattern_module(params, permute_pattern(factors, perm))
+    src = rescaled(pattern_module(params, factors), big)
+    tgt = rescaled(pattern_module(params, permute_pattern(factors, perm)), big)
     basis = hom_space(src, tgt)
     assume(basis)
     mat = basis[pick % len(basis)]
@@ -847,8 +895,9 @@ def test_cyclic_span_is_the_rref_of_the_one_vector_search():
                 for _ in range(rng.randint(0, 3))]
         start = column([rng.choice((0, 1, 3)) for _ in range(dim)])
         kept, _ = reference_span([(g, g) for g in gens], start, start)
-        red, pivots, d = _cyclic_span([(g.data,) for g in gens],
-                                      (start.data[:, 0],))
+        stack = np.array([g.data for g in gens], dtype=object
+                         ).reshape(-1, dim, dim)
+        red, pivots, d = _cyclic_span((stack,), (start.data[:, 0],))
         assert len(pivots) == len(red) == len(kept)
         if kept:
             want, want_pivots = RatMatrix.stack([kept]).transpose().rref()
@@ -857,9 +906,10 @@ def test_cyclic_span_is_the_rref_of_the_one_vector_search():
         # side 1 is S . (side 0) under the conjugated generators: the span
         # is the graph of S, so its right block reads back S
         s, inv = unimodular(rng, dim)
+        conj = np.array([(s * g * inv).data for g in gens], dtype=object
+                        ).reshape(-1, dim, dim)
         red2, pivots2, d2 = _cyclic_span(
-            [(g.data, (s * g * inv).data) for g in gens],
-            (start.data[:, 0], (s * start).data[:, 0]))
+            (stack, conj), (start.data[:, 0], (s * start).data[:, 0]))
         assert pivots2 == pivots
         assert _ratmatrix(red2[:, :dim], d2) == _ratmatrix(red, d)
         assert (red2[:, dim:] == int_matmul(red2[:, :dim], s.data.T)).all()
@@ -873,7 +923,7 @@ def test_each_span_layer_eliminates_only_its_candidates(monkeypatch, theta,
                                                         n, nu):
     params = params_for(theta, n, 1, 1, nu, [0, 1])
     fa, fb = source_pattern(params)
-    gens = len(reference.lowering_pairs(params, fa, fb))
+    gens = len(reference.lowering_pairs(params, fa, fb)[0])
     gauss, calls = intertwine._gauss_jordan, []
 
     def counted(m):
@@ -926,10 +976,15 @@ def test_target_side_pivot_is_refused(monkeypatch):
     # still pass, but no map sends the source vector to the target one
     params = params_for(1, 2, 0, 2, (1, 1), [0, 2])
     fa, fb = source_pattern(params)
-    (key, b, _), (_, _, c) = reference.lowering_pairs(params, fa, fb)[:2]
+    keys, bs, cs = reference.lowering_pairs(params, fa, fb)
     pairs = intertwine.coefficient_pairs
-    monkeypatch.setattr(intertwine, "coefficient_pairs",
-                        lambda m1, m2: [*pairs(m1, m2), (key, b, c)])
+
+    def with_extra(m1, m2):
+        got = pairs(m1, m2)
+        return tuple(np.concatenate([x, extra[None]])
+                     for x, extra in zip(got, (keys[0], bs[0], cs[1])))
+
+    monkeypatch.setattr(intertwine, "coefficient_pairs", with_extra)
     with pytest.raises(NonGenericStepError, match="pivot on the target side"):
         _swap_pair(params, fa, fb)
 

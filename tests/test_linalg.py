@@ -272,6 +272,22 @@ def test_int_matmul_exact_across_fast_and_big_paths():
         assert (got == ref).all()
 
 
+@pytest.mark.parametrize("a_shape,b_shape,big", [
+    ((2, 3), (3, 4), "b"), ((2, 3), (3, 4), "a"), ((3, 0), (0, 4), ""),
+    ((0, 3), (3, 4), "b"), ((2, 3), (3, 0), "a")],
+    ids=["zero-by-big", "big-by-zero", "empty-inner", "no-rows-by-big",
+         "big-by-no-columns"])
+def test_int_matmul_zero_or_empty_operand_gives_object_zeros(a_shape, b_shape,
+                                                             big):
+    # the other operand holds entries past int64, so no int64 cast of it
+    # may be tried once one side is known to be zero
+    a = np.full(a_shape, 2 ** 70 if big == "a" else 0, dtype=object)
+    b = np.full(b_shape, -2 ** 70 if big == "b" else 0, dtype=object)
+    got = int_matmul(a, b)
+    assert got.dtype == object and got.shape == (a_shape[0], b_shape[1])
+    assert all(type(x) is int and x == 0 for x in got.flat)
+
+
 def is_prime_by_trial_division(p):
     return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
