@@ -33,6 +33,7 @@ import numpy as np
 from . import compiled
 from .compiled import MAX_FAILURES, CompiledOperators, IdentityReport
 from .fock import block_basis
+from .linalg import int_matmul
 
 # Largest theta = +1 basis a realization enumerates: the
 # C(m n + truncation, truncation) monomials of degree <= truncation in m n
@@ -345,7 +346,7 @@ def x_series(theta: int, m: int, order: int,
     flat = np.empty((order + 2, size, size), dtype=object)
     flat[0] = np.eye(size, dtype=object)
     for k in range(order + 1):
-        flat[k + 1] = step @ flat[k]
+        flat[k + 1] = int_matmul(step, flat[k])
     coeffs = flat.reshape(order + 2, m, dim, m, dim).transpose(0, 1, 3, 2, 4)
     return XSeries(theta, m, order, rep, dim, coeffs.copy())
 
@@ -357,8 +358,8 @@ def check_x_identities(series: XSeries) -> IdentityReport:
     Each (r, s) != (0, 0) with r + s <= order has m^2 exchange, then m^4
     generator identities, read r-major in passes of at most compiled._CHUNK
     generator entries (and at least one (r, s)); a pass forms its products
-    x(k)_ab x(l)_cd by one batched matmul.  They are int64 when
-    max(4, 2 m) dim T^2 < 2^63, T the largest |entry| of x(0..order), as a
+    x(k)_ab x(l)_cd by one batched matmul.  They are float64 when
+    max(4, 2 m) dim T^2 < 2^53, T the largest |entry| of x(0..order), as a
     compared value sums at most four products (generator) or two m-term sums
     of them (exchange), each a dim-term sum; else Python ints.
     """
@@ -366,7 +367,7 @@ def check_x_identities(series: XSeries) -> IdentityReport:
     _check_work("appendix-x-identities", _series_identities(m, K),
                 rep_dim=dim)
     top = int(np.abs(series.coeffs[:K + 1]).max(initial=0))
-    kind = np.int64 if max(4, 2 * m) * dim * top ** 2 < 2 ** 63 else object
+    kind = np.float64 if max(4, 2 * m) * dim * top ** 2 < 2 ** 53 else object
     # x(0..K), then the zero block that index -1 reads as x(-1)
     x = np.concatenate([series.coeffs[:K + 1], np.zeros(
         (1, m, m, dim, dim), dtype=object)]).astype(kind)

@@ -37,8 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from .fock import PLAIN, TILDE, block_dim
-from .linalg import (_INT64_LIMIT, RatMatrix, _gauss_jordan,
-                     _nullspace_from_rref, _ratmatrix, int_matmul)
+from .linalg import (RatMatrix, _gauss_jordan, _nullspace_from_rref,
+                     _ratmatrix, int_matmul)
 from .modules import (
     ModuleParams,
     PatternFactor,
@@ -519,9 +519,9 @@ def _first_defect(maps: np.ndarray, bs: np.ndarray, cs: np.ndarray,
     (P, d1, d1) and (P, d2, d2) stacks of `coefficient_pairs` and pairs an
     index array into them.  The defect of pair p is the (k, d2, d1) stack
     of A_t B_p - C_p A_t.  Each chunk of pairs takes one product per side
-    for every pair and every map, in int64 when
-    max|A| (max|B| d1 + max|C| d2) < _INT64_LIMIT proves it exact.
-    Returns (None, None, no pairs) when every defect is zero.
+    for every pair and every map: float64 when max|A| (largest column sum of
+    |B| + largest row sum of |C|), a bound on each partial sum, is below 2^53,
+    else Python ints.  Returns (None, None, no pairs) if every defect is zero.
     """
     k, d2, d1 = maps.shape
     top = int(np.abs(maps).max())
@@ -532,17 +532,18 @@ def _first_defect(maps: np.ndarray, bs: np.ndarray, cs: np.ndarray,
         b = bs[chunk].transpose(1, 0, 2).reshape(d1, -1)
         c = cs[chunk].reshape(-1, d2)
         a = maps
-        if top * (int(np.abs(b).max()) * d1
-                  + int(np.abs(c).max()) * d2) < _INT64_LIMIT:
-            a, b, c = (x.astype(np.int64) for x in (a, b, c))
+        if top * (int(np.abs(b).sum(axis=0).max())
+                  + int(np.abs(c).sum(axis=1).max())) < 2 ** 53:
+            a, b, c = (x.astype(np.float64) for x in (a, b, c))
         # defect[t, s, p, r] = (A_t B_p - C_p A_t)[s, r]
         defect = (a.reshape(k * d2, d1) @ b).reshape(k, d2, -1, d1)
         defect -= (c @ a.transpose(1, 0, 2).reshape(d2, k * d1)
                    ).reshape(-1, d2, k, d1).transpose(2, 1, 0, 3)
         nonzero = np.flatnonzero(defect.any(axis=(0, 1, 3)))
         if len(nonzero):
-            first = nonzero[0]
-            return (int(chunk[first]), defect[:, :, first].astype(object),
+            kind = np.int64 if defect.dtype == np.float64 else object
+            return (int(chunk[nonzero[0]]),
+                    defect[:, :, nonzero[0]].astype(kind).astype(object),
                     np.concatenate([chunk[nonzero[1:]], pairs[c0 + per:]]))
     return None, None, pairs[:0]
 

@@ -10,12 +10,12 @@ pseudo-remainder sequences.  `poly_rational_roots` isolates the real roots
 of the square-free part of the numerators by Sturm sequences on integer
 intervals and verifies every candidate exactly, so it factors no integer
 and its work is polynomial in the degree and the coefficient sizes.  Every
-`RatMatrix` product goes through `int_matmul`, and `rref`, `rank`,
-`nullspace`, `solve` and `inverse` all read one fraction-free Gauss-Jordan
-elimination.  A vector is a one-column `RatMatrix` and a basis one column
-per vector; single coefficients and entries are read back as Fractions.
-`residue_primes` picks the word-size primes for exact float64 products
-modulo p.
+`RatMatrix` product goes through `int_matmul`, the package's one integer
+product kernel, and `rref`, `rank`, `nullspace`, `solve` and `inverse` all
+read one fraction-free Gauss-Jordan elimination.  A vector is a one-column
+`RatMatrix` and a basis one column per vector; single coefficients and
+entries are read back as Fractions.  `residue_primes` picks the word-size
+primes for exact float64 products modulo p.
 """
 
 from __future__ import annotations
@@ -874,27 +874,25 @@ class MatPoly:
 
 
 # ---------------------------------------------------------------------------
-# integer matrix kernels (exact; int64 fast path under a proven bound)
-
-_INT64_LIMIT = 2 ** 62
+# the exact integer product kernel
 
 
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of integer object-dtype matrices.
-
-    Returns object zeros when either operand is empty or zero, uses numpy
-    int64 matmul when k * max|a| * max|b| provably fits, else falls back to
-    big-int object matmul.
-    """
-    ma = int(np.abs(a).max(initial=0))
-    mb = int(np.abs(b).max(initial=0))
-    if not ma or not mb:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=object)
-    k = a.shape[1]
-    if k * ma * mb < _INT64_LIMIT:
-        prod = a.astype(np.int64) @ b.astype(np.int64)
-        return prod.astype(object)
-    return a @ b
+    """Exact a @ b of integer arrays, 2-d or stacked, as Python ints: float64
+    BLAS when k max|a| max|b| < 2^53 (k the inner dimension), as every
+    partial sum is then an integer float64 holds, else Python-int matmul.
+    The maxima are read off the float64 casts: rounding to nearest is
+    monotone and 2^53 is a float64, so the test never passes wrongly."""
+    try:
+        fa, fb = a.astype(np.float64), b.astype(np.float64)
+    except OverflowError:   # an entry past 2^1024 is past the bound too
+        fa = fb = np.array(np.inf)
+    ma, mb = np.abs(fa).max(initial=0), np.abs(fb).max(initial=0)
+    if a.shape[-1] * ma * mb < 2 ** 53:
+        # rebinding frees the casts and the float64 product before the copy
+        fa = fb = (fa @ fb).astype(np.int64)
+        return fa.astype(object)
+    return a.astype(object, copy=False) @ b.astype(object, copy=False)
 
 
 # ---------------------------------------------------------------------------

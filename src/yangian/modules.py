@@ -32,7 +32,7 @@ from .fock import (
     first_variables_monomial,
     last_variables_monomial,
 )
-from .linalg import (_INT64_LIMIT, Poly, RatFunc, RatMatrix, _poly, poly_gcd,
+from .linalg import (Poly, RatFunc, RatMatrix, _poly, int_matmul, poly_gcd,
                      rat)
 
 # The largest n * dim of a module that fock_module or tensor_module builds:
@@ -207,28 +207,27 @@ def fock_module(theta: int, n: int, flavor: str, z, degree: int) -> YangianModul
 
 
 def tensor_module(a: YangianModule, b: YangianModule) -> YangianModule:
-    """Tensor product via the coproduct: P_ij = sum_l P_il (x) Q_lj, one
-    einsum per pair of u-powers, in the row-major Kronecker convention.
-    Raises ValueError, before any product, when n * dim is over budget."""
+    """Tensor product via the coproduct: P_ij = sum_l P_il (x) Q_lj, in the
+    row-major Kronecker convention: per u-power k, to bound the temporaries,
+    one `int_matmul` over (power s, l) against b's powers stacked
+    Toeplitz-wise (Q_lj's u^(k - s) coefficient at row (s, l)).  Raises
+    ValueError, before any product, when n * dim is over budget."""
     if a.n != b.n:
         raise ValueError("rank mismatch")
-    n = a.n
-    dim = a.dim * b.dim
+    n, dim = a.n, a.dim * b.dim
     _check_module_size(n, dim)
     ka, kb = a.num.shape[2], b.num.shape[2]
-    # every output entry is a sum of at most min(ka, kb) n products, so
-    # int64 holds it when that many maximal products stay below 2^62
-    top = min(ka, kb) * n * int(np.abs(a.num).max()) * int(np.abs(b.num).max())
-    kind = np.int64 if top < _INT64_LIMIT else object
-    x, y = a.num.astype(kind), b.num.astype(kind)
-    # one u-power at a time, so that only one power is held in int64
-    num = np.empty((n, n, ka + kb - 1, dim, dim), dtype=object)
+    right = b.num[:, :, ::-1].transpose(2, 0, 1, 3, 4).reshape(kb * n, -1)
+    num = np.empty((n, n, ka + kb - 1, a.dim, b.dim, a.dim, b.dim), object)
     for k in range(ka + kb - 1):
-        num[:, :, k] = sum(
-            np.einsum("ilRS,ljTU->ijRTSU", x[:, :, s], y[:, :, k - s])
-            for s in range(max(0, k - kb + 1), min(ka, k + 1))
-        ).reshape(n, n, dim, dim)
-    return YangianModule(a.den * b.den, num, a.scale * b.scale)
+        # the s with 0 <= k - s < kb; right holds b's k - s at kb - 1 - k + s
+        lo, hi = max(0, k - kb + 1), min(ka, k + 1)
+        left = a.num[:, :, lo:hi].transpose(0, 3, 4, 2, 1)
+        num[:, :, k] = int_matmul(left.reshape(-1, (hi - lo) * n), right[
+            (kb - 1 - k + lo) * n:(kb - 1 - k + hi) * n]).reshape(
+            n, a.dim, a.dim, n, b.dim, b.dim).transpose(0, 3, 1, 4, 2, 5)
+    return YangianModule(a.den * b.den, num.reshape(n, n, -1, dim, dim),
+                         a.scale * b.scale)
 
 
 def tensor_all(mods: Sequence[YangianModule]) -> YangianModule:
@@ -252,8 +251,9 @@ def shift_module(mod: YangianModule, w) -> YangianModule:
     mix = np.array([[math.comb(k, t) * (-a) ** (k - t) * b ** (top - k + t)
                      if k >= t else 0 for k in range(top + 1)]
                     for t in range(top + 1)], dtype=object)
-    num = np.tensordot(mix, mod.num, axes=(1, 2)).transpose(1, 2, 0, 3, 4)
-    return YangianModule(mod.den.shift(-w), num, mod.scale * b ** top)
+    num = int_matmul(mix, mod.num.reshape(*mod.num.shape[:3], -1))
+    return YangianModule(mod.den.shift(-w), num.reshape(mod.num.shape),
+                         mod.scale * b ** top)
 
 
 def twist_module(mod: YangianModule, g: RatFunc) -> YangianModule:

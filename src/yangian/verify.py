@@ -41,7 +41,7 @@ import numpy as np
 
 from .fock import PLAIN, PRIME, TILDE
 from .linalg import (Poly, RatFunc, RatMatrix, _poly, _ratfunc, _ratmatrix,
-                     poly_rational_roots, residue_primes)
+                     int_matmul, poly_rational_roots, residue_primes)
 from .modules import (ModuleParams, PatternFactor, YangianModule,
                       scalar_module, source_pattern, tensor_module)
 
@@ -94,14 +94,13 @@ def _grid_stacks(mod: YangianModule, pts: list[int]) -> list[np.ndarray]:
     """The numerators of the blocks P_ij(u0) at every grid point, each over
     the one common denominator of its lowest terms, as a vertical stack
     (rows (i, j, r)): one contraction of num with the Vandermonde matrix."""
-    vander = np.array([[u0 ** k for k in range(mod.den.degree + 1)]
-                       for u0 in pts], dtype=object)
-    values = np.tensordot(vander, mod.num, axes=(1, 2))
-    rows = mod.n * mod.n * mod.dim
+    vander = np.vander(np.array(pts, dtype=object), mod.num.shape[2], True)
+    values = int_matmul(vander, np.moveaxis(mod.num, 2, 0).reshape(
+        len(vander[0]), -1)).reshape(len(pts), -1, mod.dim)
     stacks = []
     for vals in values:
         g = math.gcd(mod.scale, *vals.flat)
-        stacks.append((vals // g if g > 1 else vals).reshape(rows, mod.dim))
+        stacks.append(vals // g if g > 1 else vals)
     return stacks
 
 
@@ -219,16 +218,17 @@ def eigenvalue_of(mod: YangianModule, i: int, vec: RatMatrix) -> RatFunc:
     """T_ii(u) eigenvalue on a column vec as a rational function; raises
     if vec is not an eigenvector."""
     ints = vec.data[:, 0]
-    pivot = next((r for r, x in enumerate(ints) if x != 0), None)
-    if pivot is None:
+    support = np.flatnonzero(ints)
+    if not len(support):
         raise ValueError("zero vector")
-    coeffs = []
-    for img in mod.num[i, i] @ ints:
-        # img = scale * c * ints, for c the eigenvalue's u^k coefficient
-        if (img * ints[pivot] != ints * img[pivot]).any():
-            raise ValueError(f"vector is not an eigenvector of entry {i}")
-        coeffs.append(int(img[pivot]))
-    return RatFunc(_poly(coeffs, mod.scale * int(ints[pivot])), mod.den)
+    pivot = support[0]
+    # imgs[k] = scale * c_k * ints, c_k the eigenvalue's u^k coefficient
+    imgs = int_matmul(mod.num[i, i][:, :, support].reshape(-1, len(support)),
+                      ints[support, None]).reshape(-1, mod.dim)
+    if (imgs * ints[pivot] != np.outer(imgs[:, pivot], ints)).any():
+        raise ValueError(f"vector is not an eigenvector of entry {i}")
+    return RatFunc(_poly(imgs[:, pivot].tolist(),
+                         mod.scale * int(ints[pivot])), mod.den)
 
 
 def hw_eigenvalues(mod: YangianModule, vec: RatMatrix) -> list[RatFunc]:
@@ -237,7 +237,7 @@ def hw_eigenvalues(mod: YangianModule, vec: RatMatrix) -> list[RatFunc]:
 
 def is_highest_weight(mod: YangianModule, vec: RatMatrix) -> bool:
     upper = mod.num[np.triu_indices(mod.n, 1)]
-    return not (upper @ vec.data).any()
+    return not int_matmul(upper.reshape(-1, mod.dim), vec.data).any()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the operator realization and the series-homomorphism checks."""
 
+import math
 import tracemalloc
 from fractions import Fraction as F
 
@@ -391,11 +392,16 @@ def bumped_series(draw):
     series = x_series(theta, m, order,
                       tensor_square_rep(m) if draw(st.booleans()) else None)
     d = series.rep_dim
-    # a 2^62 entry takes the Python-int path
+    # check_x_identities runs in float64 while max(4, 2 m) d T^2 < 2^53, T
+    # the largest |entry|: bumped by +-edge, a zero entry takes T to the
+    # last value on the float64 side, and by +-(edge + 1) past it; a 2^62
+    # entry has products that float64 would round
+    edge = math.isqrt((2 ** 53 - 1) // (max(4, 2 * m) * d))
     for bump in draw(st.lists(st.tuples(
             st.integers(0, order + 1), st.integers(0, m - 1),
             st.integers(0, m - 1), st.integers(0, d - 1),
-            st.integers(0, d - 1), st.sampled_from((-2, 1, 3, 2 ** 62))),
+            st.integers(0, d - 1), st.sampled_from(
+                (-2, 1, 3, edge, -edge, edge + 1, -edge - 1, 2 ** 62))),
             max_size=4)):
         _bump(series, *bump)
     return series

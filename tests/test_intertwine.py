@@ -506,7 +506,7 @@ def conjugated(mod, s, s_inv):
 def rescaled(mod, big):
     """mod conjugated by diag(1, big, ..., big): its (r, 0) entries, r > 0,
     grow by the factor big, which for big = 2^62 puts the coefficient pairs
-    past the int64 bound of the defect products."""
+    past the float64 bound (2^53) of the defect products."""
     rest = [big] * (mod.dim - 1)
     s = np.diag(np.array([1] + rest, dtype=object))
     # big diag(1, big, ...)^-1, so the scale takes the factor big
@@ -606,13 +606,19 @@ def test_grading_that_leaves_no_unknowns_returns_at_once(monkeypatch):
 
 
 def test_large_entries_take_the_object_path():
-    m1, m2 = rescaled(evaluation_module(2, 0), 2 ** 62), evaluation_module(2, 0)
-    # the start span is the identity (max |A| = 1), so its first defect
-    # already fails the int64 bound
-    top = int(np.abs(coefficient_pairs(m1, m2)[1]).max())
-    assert top * m1.dim >= linalg._INT64_LIMIT
-    basis = hom_space(m1, m2)
-    assert len(basis) == 1 and basis == whole_denominator_hom_space(m1, m2)
+    # the start span is the identity (max |A| = 1), so the first defect's
+    # bound is the largest column sum of |B| plus the largest row sum of
+    # |C| over the pairs: for m1 rescaled by big it is just below 2^53 at
+    # big = 94906265 (float64) and just above at 94906266 (Python ints)
+    for big in (94906265, 94906266):
+        m1 = rescaled(evaluation_module(2, 0), big)
+        m2 = evaluation_module(2, 0)
+        _, bs, cs = coefficient_pairs(m1, m2)
+        bound = (int(np.abs(bs).sum(axis=1).max())
+                 + int(np.abs(cs).sum(axis=2).max()))
+        assert (bound < 2 ** 53) == (big == 94906265)
+        basis = hom_space(m1, m2)
+        assert len(basis) == 1 and basis == whole_denominator_hom_space(m1, m2)
 
 
 def test_hom_space_at_the_budget_edge_stays_small():
@@ -785,7 +791,7 @@ _SIGNS = tuple((0, 1, 0, -1, 1)[i % 5] for i in range(144))
           (2, 1, 0), 0, _SIGNS, 1))
 @example((ModuleParams(1, 2, 0, 3, [0, 2, 0], [1, 1, 1], allow_resonant=True),
           (1, 0, 2), 0, _SIGNS, 1))
-# past the int64 bound of every product
+# past the float64 bound (2^53) of every product
 @example((ModuleParams(1, 2, 0, 2, [0, 2], [1, 1], allow_resonant=True),
           (1, 0), 0, _SIGNS, 2 ** 62))
 def test_kernel_quotient_matches_adapted_basis_reference(case):

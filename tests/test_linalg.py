@@ -1,14 +1,17 @@
 """Exactness checks for the rational linear algebra layer."""
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import yangian
 from yangian.linalg import (
     MatPoly,
     Poly,
@@ -261,15 +264,17 @@ def test_kron_acts_on_tensor_vectors():
 
 
 def test_int_matmul_exact_across_fast_and_big_paths():
+    # k max|a| max|b| = 2^53 - 2^27 takes the float64 product, 2^53 the
+    # Python-int one; with every entry at +-max, the sums reach the bound
     rng = random.Random(112)
-    for scale in (1, 10 ** 12):  # second case overflows int64 mid-product
-        a = np.array([[rng.randint(-9, 9) * scale for _ in range(4)] for _ in range(3)],
-                     dtype=object)
-        b = np.array([[rng.randint(-9, 9) * scale for _ in range(5)] for _ in range(4)],
-                     dtype=object)
+    for top in (2 ** 26 - 1, 2 ** 26):
+        a = np.array([[rng.choice((-1, 1)) * 2 ** 25 for _ in range(4)]
+                      for _ in range(3)], dtype=object)
+        b = np.array([[rng.choice((-1, 1)) * top for _ in range(5)]
+                      for _ in range(4)], dtype=object)
         got = int_matmul(a, b)
-        ref = a @ b
-        assert (got == ref).all()
+        assert (got == a @ b).all()
+        assert all(type(x) is int for x in got.flat)
 
 
 @pytest.mark.parametrize("a_shape,b_shape,big", [
@@ -279,13 +284,119 @@ def test_int_matmul_exact_across_fast_and_big_paths():
          "big-by-no-columns"])
 def test_int_matmul_zero_or_empty_operand_gives_object_zeros(a_shape, b_shape,
                                                              big):
-    # the other operand holds entries past int64, so no int64 cast of it
-    # may be tried once one side is known to be zero
-    a = np.full(a_shape, 2 ** 70 if big == "a" else 0, dtype=object)
-    b = np.full(b_shape, -2 ** 70 if big == "b" else 0, dtype=object)
+    # the other operand holds entries past the float64 range, whose cast
+    # raises: the product still gives Python-int zeros
+    a = np.full(a_shape, 2 ** 1100 if big == "a" else 0, dtype=object)
+    b = np.full(b_shape, -2 ** 1100 if big == "b" else 0, dtype=object)
     got = int_matmul(a, b)
     assert got.dtype == object and got.shape == (a_shape[0], b_shape[1])
     assert all(type(x) is int and x == 0 for x in got.flat)
+
+
+# (k, max|a|, max|b|) with k max|a| max|b| exactly 2^53 - 1, 2^53 and
+# 2^53 + 1: 2^53 - 1 = 6361 * 69431 * 20394401, 2^53 + 1 = 3 * 107 *
+# 28059810762433
+_EXACT_EDGES = [(1, 6361 * 69431, 20394401), (1, 2 ** 26, 2 ** 27),
+                (64, 2 ** 23, 2 ** 24), (1, 107, 3 * 28059810762433),
+                (3, 107, 28059810762433)]
+
+
+def _edge_entries(rnd: random.Random, shape, top: int) -> np.ndarray:
+    """Integers in [-top, top], mostly +-top so that sums reach the bound,
+    with the first entry +-top."""
+    size = math.prod(shape)
+    flat = [rnd.choice((top, -top, top, -top, 0, rnd.randint(-top, top)))
+            for _ in range(size)]
+    if flat:
+        flat[0] = rnd.choice((top, -top))
+    return np.array(flat, dtype=object).reshape(shape)
+
+
+@st.composite
+def matmul_operands(draw):
+    """Operands of int_matmul, 2-d or stacked (a's stack broadcast against
+    b's), inner dimension k in {0, 1, 3, 64}, with k max|a| max|b| at or
+    next to 2^53 - 1, 2^53 or 2^53 + 1: exact where k divides it, else
+    the nearest value on either side.  Sometimes one operand is zero and
+    the other holds entries of +-2^1100."""
+    if draw(st.booleans()):
+        k, ma, mb = draw(st.sampled_from(_EXACT_EDGES))
+    else:
+        k = draw(st.sampled_from((0, 1, 3, 64)))
+        target = draw(st.sampled_from((2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1)))
+        ma = draw(st.integers(1, 2 ** 27))
+        mb = max(1, target // (max(k, 1) * ma) + draw(st.integers(0, 1)))
+    if draw(st.booleans()):
+        ma, mb = mb, ma
+    stack_a = draw(st.sampled_from(((), (2,), (3, 1))))
+    stack_b = draw(st.sampled_from(((), (1,), (2,))))
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    zero = draw(st.sampled_from((None, None, "a", "b")))
+    rnd = draw(st.randoms(use_true_random=False))
+    a = _edge_entries(rnd, stack_a + (rows, k),
+                      2 ** 1100 if zero == "b" else ma)
+    b = _edge_entries(rnd, stack_b + (k, cols),
+                      2 ** 1100 if zero == "a" else mb)
+    if zero:
+        (a if zero == "a" else b)[...] = 0
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(matmul_operands())
+@example((np.full((2, 1), 3 * 107, dtype=object),
+          np.full((1, 2), 28059810762433, dtype=object)))
+@example((np.full((2, 2, 0), 2 ** 1100, dtype=object),
+          np.zeros((2, 0, 3), dtype=object)))
+def test_int_matmul_matches_object_matmul_at_the_float64_edge(operands):
+    a, b = operands
+    got = int_matmul(a, b)
+    want = a @ b
+    assert got.dtype == object and got.shape == want.shape
+    assert (got == want).all()
+    assert all(type(x) is int for x in got.flat)
+
+
+# The functions that may contract integer arrays themselves: the kernel,
+# and the three fused checks that hold float64 across a signed sum under
+# their own 2^53 bounds.
+_OWN_PRODUCTS = {("linalg", "int_matmul"), ("intertwine", "_first_defect"),
+                 ("hd", "check_x_identities"), ("verify", "_pair_failures")}
+_CONTRACTIONS = {"matmul", "dot", "tensordot", "einsum"}
+
+
+def _contractions(node, func=None):
+    """(function, line) of every @, @= and call of a function or method
+    named matmul, dot, tensordot or einsum below node; function is the
+    innermost enclosing def, None at module level."""
+    for child in ast.iter_child_nodes(node):
+        inner = (child.name if isinstance(child, (ast.FunctionDef,
+                                                  ast.AsyncFunctionDef))
+                 else func)
+        if isinstance(child, (ast.BinOp, ast.AugAssign)):
+            if isinstance(child.op, ast.MatMult):
+                yield func, child.lineno
+        elif isinstance(child, ast.Call):
+            callee = child.func
+            name = (callee.attr if isinstance(callee, ast.Attribute)
+                    else getattr(callee, "id", None))
+            if name in _CONTRACTIONS:
+                yield func, child.lineno
+        yield from _contractions(child, inner)
+
+
+def test_every_integer_contraction_goes_through_int_matmul():
+    package = Path(yangian.__file__).parent
+    stray = [f"{path.name}:{line} in {func}"
+             for path in sorted(package.glob("*.py"))
+             for func, line in _contractions(ast.parse(path.read_text()))
+             if (path.stem, func) not in _OWN_PRODUCTS]
+    assert not stray
+    # the rule sees what it looks for
+    found = {func for func, _ in _contractions(ast.parse(
+        "def f(a, b):\n    a @= b\n    return np.einsum('ij,jk', a, b)\n"
+        "def g(a, b):\n    return a.dot(b) @ np.tensordot(a, b)\n"))}
+    assert found == {"f", "g"}
 
 
 def is_prime_by_trial_division(p):

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from yangian import verify
 from yangian.fock import PLAIN, PRIME, TILDE
-from yangian.linalg import MatPoly, Poly, RatFunc, RatMatrix, poly_gcd, residue_primes
+from yangian.linalg import (MatPoly, Poly, RatFunc, RatMatrix, _ratmatrix,
+                            poly_gcd, residue_primes)
 from yangian.modules import (
     ModuleParams,
     PatternFactor,
@@ -321,10 +322,14 @@ def tensor_factors(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(tensor_factors())
-# tensor_module's bound min(ka, kb) n max|a| max|b| is 4 (2^30 - 1)^2, just
-# below 2^62 (int64 path), then 2^62 (object path); the degree-2 blocks over
-# 2^31 - 1 and 2147483629 have entries whose int64 sums wrap (bound < 2^67),
-# and the last factor takes the product to about 2^105
+# the u^1 product of tensor_module has k max|a| max|b| = 4 (q + 1)^2 on two
+# evaluation modules at 1/q: 2^53 - 308303296 at q = 47453131 (float64
+# path), 2^53 + 71321764 at q = 47453132 (Python ints).  The examples
+# after them are far past 2^53: the same bound just below and at 2^62, and
+# degree-2 blocks over 2^31 - 1 and 2147483629, whose entries' int64 sums
+# would wrap, with a last factor that takes the product to about 2^105
+@example([evaluation_module(2, F(1, 47453131))] * 2)
+@example([evaluation_module(2, F(1, 47453132))] * 2)
 @example([evaluation_module(2, F(1, 2 ** 30 - 2))] * 2)
 @example([evaluation_module(2, F(1, 2 ** 30 - 1))] * 2)
 @example([fock_module(1, 2, PLAIN, F(1, 2147483647), 2),
@@ -365,6 +370,22 @@ def test_eigenvalue_of_rejects_non_eigenvector():
         eigenvalue_of(mod, 0, column([F(1), F(1)]))
     with pytest.raises(ValueError):
         eigenvalue_of(mod, 0, column([F(0), F(0)]))
+
+
+def test_eigenvalues_survive_conjugation():
+    # S T(u) S^-1 has the highest-weight vector S v with the eigenvalues of
+    # v; with S lower triangular of ones, S v has every entry nonzero, so
+    # the eigenvalue product runs over the whole support of the vector
+    mod = tensor_module(evaluation_module(2, F(1, 3)),
+                        evaluation_module(2, F(2, 5)))
+    s = np.tril(np.ones((mod.dim, mod.dim), dtype=object))
+    s_inv = np.eye(mod.dim, dtype=object) - np.eye(mod.dim, k=-1, dtype=object)
+    conj = YangianModule(mod.den, s @ mod.num @ s_inv, mod.scale)
+    vec = highest_weight_vectors(mod)
+    moved = _ratmatrix(s @ vec.data, vec.den)
+    assert moved.data.all()
+    assert is_highest_weight(conj, moved)
+    assert hw_eigenvalues(conj, moved) == hw_eigenvalues(mod, vec)
 
 
 def params_for(theta, n, p, q, nu, seed=None, rng=None):
