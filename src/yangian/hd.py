@@ -33,7 +33,7 @@ import numpy as np
 from . import compiled
 from .compiled import MAX_FAILURES, CompiledOperators, IdentityReport
 from .fock import block_basis
-from .linalg import int_matmul
+from .linalg import FLOAT64_EXACT_LIMIT, _as_float64, int_matmul
 
 # Largest theta = +1 basis a realization enumerates: the
 # C(m n + truncation, truncation) monomials of degree <= truncation in m n
@@ -359,18 +359,23 @@ def check_x_identities(series: XSeries) -> IdentityReport:
     generator identities, read r-major in passes of at most compiled._CHUNK
     generator entries (and at least one (r, s)); a pass forms its products
     x(k)_ab x(l)_cd by one batched matmul.  They are float64 when
-    max(4, 2 m) dim T^2 < 2^53, T the largest |entry| of x(0..order), as a
-    compared value sums at most four products (generator) or two m-term sums
-    of them (exchange), each a dim-term sum; else Python ints.
+    max(4, 2 m) dim T^2 < `FLOAT64_EXACT_LIMIT`, T the largest |entry| of
+    x(0..order), as a compared value sums at most four products (generator)
+    or two m-term sums of them (exchange), each a dim-term sum; else Python
+    ints.  The series is cast once, by `_as_float64`, and T read off the
+    cast, which can only pass the bound when the exact T does.
     """
     th, m, K, dim = series.theta, series.m, series.order, series.rep_dim
     _check_work("appendix-x-identities", _series_identities(m, K),
                 rep_dim=dim)
-    top = int(np.abs(series.coeffs[:K + 1]).max(initial=0))
-    kind = np.float64 if max(4, 2 * m) * dim * top ** 2 < 2 ** 53 else object
     # x(0..K), then the zero block that index -1 reads as x(-1)
     x = np.concatenate([series.coeffs[:K + 1], np.zeros(
-        (1, m, m, dim, dim), dtype=object)]).astype(kind)
+        (1, m, m, dim, dim), dtype=object)])
+    cast = _as_float64(x)
+    if cast is not None and (max(4, 2 * m) * dim
+                             * np.abs(cast).max(initial=0) ** 2
+                             < FLOAT64_EXACT_LIMIT):
+        x = cast
     rs = _order_pairs(K)[1:]
     width = m ** 2 + m ** 4
     per = max(1, compiled._CHUNK // max(m ** 4 * dim ** 2, 1))

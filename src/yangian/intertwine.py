@@ -37,8 +37,9 @@ from typing import Sequence
 import numpy as np
 
 from .fock import PLAIN, TILDE, block_dim
-from .linalg import (RatMatrix, _gauss_jordan, _nullspace_from_rref,
-                     _ratmatrix, int_matmul)
+from .linalg import (FLOAT64_EXACT_LIMIT, RatMatrix, _as_float64,
+                     _gauss_jordan, _nullspace_from_rref, _ratmatrix,
+                     int_matmul)
 from .modules import (
     ModuleParams,
     PatternFactor,
@@ -395,10 +396,12 @@ def compose_word(params: ModuleParams, word: Sequence[int],
     source order, equivalently the word's length equals the inversion count
     of the permutation it realizes.  The source module's MODULE_MAX_SIZE
     budget and then every step's STEP_MAX_WORK budget are checked before
-    anything is built.  Each letter contributes its pair map (`_swap_pair`,
-    which refuses non-generic data at that letter), acting as the identity
-    on the other slots; the product is then verified exactly once, on the
-    source and target pattern modules.
+    anything is built.  Each letter applies its pair map (`_swap_pair`,
+    which refuses non-generic data at that letter) to the two slots it
+    swaps: one stacked product over the rows of the running matrix grouped
+    as (slots before, the pair, slots after), so the other slots are never
+    touched; the product is then verified exactly once, on the source and
+    target pattern modules.
     """
     factors = list(factors) if factors is not None else source_pattern(params)
     m = len(factors)
@@ -416,16 +419,16 @@ def compose_word(params: ModuleParams, word: Sequence[int],
         _check_step_work(params, fa, fb)
 
     dims = [block_dim(params.theta, params.n, f.degree) for f in factors]
-    total = RatMatrix.identity(math.prod(dims))
+    size = math.prod(dims)
+    total = RatMatrix.identity(size)
     scalar = Fraction(1)
     for a, (fa, fb) in zip(word, pairs):
         pair_map, frac = _swap_pair(params, fa, fb)
-        left, right = math.prod(dims[:a - 1]), math.prod(dims[a + 1:])
-        if left > 1:
-            pair_map = RatMatrix.identity(left).kron(pair_map)
-        if right > 1:
-            pair_map = pair_map.kron(RatMatrix.identity(right))
-        total = pair_map * total
+        # rows of total as (left, pair, rest): the letter acts on the pair
+        left, pair = math.prod(dims[:a - 1]), dims[a - 1] * dims[a]
+        rows = total.data.reshape(left, pair, -1)
+        total = _ratmatrix(int_matmul(pair_map.data, rows).reshape(size, size),
+                           total.den * pair_map.den)
         scalar *= frac
         dims[a - 1], dims[a] = dims[a], dims[a - 1]
 
@@ -520,21 +523,27 @@ def _first_defect(maps: np.ndarray, bs: np.ndarray, cs: np.ndarray,
     index array into them.  The defect of pair p is the (k, d2, d1) stack
     of A_t B_p - C_p A_t.  Each chunk of pairs takes one product per side
     for every pair and every map: float64 when max|A| (largest column sum of
-    |B| + largest row sum of |C|), a bound on each partial sum, is below 2^53,
-    else Python ints.  Returns (None, None, no pairs) if every defect is zero.
+    |B| + largest row sum of |C|), a bound on each partial sum, is below
+    `FLOAT64_EXACT_LIMIT`, else Python ints.  maps is cast once per call and
+    each chunk's B and C stacks once, by `_as_float64`, and the bound is read
+    off those casts: rounding to nearest is monotone and the limit is a
+    float64, so the computed bound is below it only when the exact one is.
+    Returns (None, None, no pairs) if every defect is zero.
     """
     k, d2, d1 = maps.shape
-    top = int(np.abs(maps).max())
+    fmaps = _as_float64(maps)
+    top = None if fmaps is None else np.abs(fmaps).max(initial=0)
     per = max(1, _DEFECT_CHUNK // (k * d2 * d1))
     for c0 in range(0, len(pairs), per):
         chunk = pairs[c0:c0 + per]
         # [B_1 B_2 ...] and [C_1; C_2; ...]
         b = bs[chunk].transpose(1, 0, 2).reshape(d1, -1)
         c = cs[chunk].reshape(-1, d2)
-        a = maps
-        if top * (int(np.abs(b).sum(axis=0).max())
-                  + int(np.abs(c).sum(axis=1).max())) < 2 ** 53:
-            a, b, c = (x.astype(np.float64) for x in (a, b, c))
+        a, fb, fc = maps, _as_float64(b), _as_float64(c)
+        if top is not None and fb is not None and fc is not None and top * (
+                np.abs(fb).sum(axis=0).max() + np.abs(fc).sum(axis=1).max()
+                ) < FLOAT64_EXACT_LIMIT:
+            a, b, c = fmaps, fb, fc
         # defect[t, s, p, r] = (A_t B_p - C_p A_t)[s, r]
         defect = (a.reshape(k * d2, d1) @ b).reshape(k, d2, -1, d1)
         defect -= (c @ a.transpose(1, 0, 2).reshape(d2, k * d1)

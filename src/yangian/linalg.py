@@ -15,7 +15,10 @@ product kernel, and `rref`, `rank`, `nullspace`, `solve` and `inverse` all
 read one fraction-free Gauss-Jordan elimination.  A vector is a one-column
 `RatMatrix` and a basis one column per vector; single coefficients and
 entries are read back as Fractions.  `residue_primes` picks the word-size
-primes for exact float64 products modulo p.
+primes for exact float64 products modulo p.  Whether integers are exact in
+float64 is decided here alone: one limit, `FLOAT64_EXACT_LIMIT`, and one
+cast, `_as_float64`, serve `int_matmul`, `residue_primes` and the fused
+checks of `intertwine` and `hd`.
 """
 
 from __future__ import annotations
@@ -654,6 +657,11 @@ class RatMatrix:
         return _ratmatrix(self.data.T, self.den)
 
     def kron(self, other: "RatMatrix") -> "RatMatrix":
+        """The Kronecker product.  No code in the package calls it (a swap
+        letter acts on its two slots in `intertwine.compose_word`); the
+        tests' references, directly and through `MatPoly.kron`, and the
+        per-layer tracer in perfbench/tracer.py, which wraps it by name,
+        keep it."""
         a, b = self.data, other.data
         (r1, c1), (r2, c2) = a.shape, b.shape
         # out[i r2 + k, j c2 + l] = a[i, j] b[k, l], as one broadcast product
@@ -877,18 +885,34 @@ class MatPoly:
 # the exact integer product kernel
 
 
+# float64 holds every integer below this exactly, so a product or signed sum
+# whose partial sums all stay below it is exact in any summation order
+FLOAT64_EXACT_LIMIT = 2 ** 53
+
+
+def _as_float64(ints: np.ndarray) -> np.ndarray | None:
+    """The float64 cast of an integer array, or None when an entry is past
+    float64's range (about 2^1024), and so past FLOAT64_EXACT_LIMIT too.
+
+    Rounding to nearest is monotone and FLOAT64_EXACT_LIMIT is a float64,
+    so a sum, maximum or product of the casts' absolute values, all
+    nonnegative, is below the limit only when the exact value is: the
+    gates on the limit read their bounds off these casts."""
+    try:
+        return ints.astype(np.float64)
+    except OverflowError:
+        return None
+
+
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact a @ b of integer arrays, 2-d or stacked, as Python ints: float64
     BLAS when k max|a| max|b| < 2^53 (k the inner dimension), as every
     partial sum is then an integer float64 holds, else Python-int matmul.
-    The maxima are read off the float64 casts: rounding to nearest is
-    monotone and 2^53 is a float64, so the test never passes wrongly."""
-    try:
-        fa, fb = a.astype(np.float64), b.astype(np.float64)
-    except OverflowError:   # an entry past 2^1024 is past the bound too
-        fa = fb = np.array(np.inf)
-    ma, mb = np.abs(fa).max(initial=0), np.abs(fb).max(initial=0)
-    if a.shape[-1] * ma * mb < 2 ** 53:
+    The maxima are read off the `_as_float64` casts."""
+    fa, fb = _as_float64(a), _as_float64(b)
+    if fa is not None and fb is not None and (
+            a.shape[-1] * np.abs(fa).max(initial=0) * np.abs(fb).max(initial=0)
+            < FLOAT64_EXACT_LIMIT):
         # rebinding frees the casts and the float64 product before the copy
         fa = fb = (fa @ fb).astype(np.int64)
         return fa.astype(object)
@@ -924,16 +948,16 @@ def _is_prime(p: int) -> bool:
 
 def residue_primes(bound: int, inner: int) -> list[int]:
     """The fewest primes whose product exceeds bound, taking the largest
-    primes p with inner * (p - 1)**2 < 2**53, in decreasing order; at least
-    one, even for bound 0.
+    primes p with inner * (p - 1)**2 < FLOAT64_EXACT_LIMIT, in decreasing
+    order; at least one, even for bound 0.
 
     A float64 product of two matrices with entries in [0, p) and inner
     dimension `inner` is then exact, since every partial sum is an integer
-    below 2**53; and an integer x with |x| <= bound that vanishes modulo
+    below the limit; and an integer x with |x| <= bound that vanishes modulo
     every returned prime is 0 (Chinese remainder theorem).
     """
-    # the largest c with inner * (c - 1)**2 < 2**53
-    c = math.isqrt((2 ** 53 - 1) // inner) + 1
+    # the largest c with inner * (c - 1)**2 < FLOAT64_EXACT_LIMIT
+    c = math.isqrt((FLOAT64_EXACT_LIMIT - 1) // inner) + 1
     primes: list[int] = []
     product = 1
     while not primes or product <= bound:

@@ -412,6 +412,11 @@ def bumped_series(draw):
 @example(x_series(1, 0, 3))
 # more than MAX_FAILURES failures, in two (r, s) and so two passes of size 1
 @example(_bump(x_series(-1, 2, 5), 1, 0, 1, 1, 0, 1))
+# x(k) = c^k with c = 2^27 + 1 and x(2) lowered by 1 to 2^54 + 2^28: the
+# exchange identities at (1, 2) and (2, 1) fail by 1, but float64 rounds
+# x(1) x(1) = 2^54 + 2^28 + 1 to x(2), so only exact products see it
+@example(_bump(x_series(1, 1, 3, np.full((1, 1, 1, 1), -(2 ** 27 + 1),
+                                        dtype=object)), 2, 0, 0, 0, 0, -1))
 def test_x_identities_match_reference(series):
     want = reference.x_identities(series)
     # passes of one (r, s), of a few, and of the default size

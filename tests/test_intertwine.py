@@ -318,6 +318,11 @@ def swap_words(draw):
                                     Fraction(12, 7)], (3, 2, 1)), (1, 2, 1)))
 @example((ModuleParams(-1, 3, 2, 1, [Fraction(2, 7), Fraction(-8, 7),
                                      Fraction(4, 7)], (1, 3, 1)), (2, 1, 2)))
+# four factors of block dims 2, 3, 2, 2: the letters group the rows as
+# (left, pair, rest) = (2, 6, 2), (4, 6, 1), (1, 4, 6) and (2, 4, 3)
+@example((ModuleParams(1, 2, 2, 2, [Fraction(1, 7), Fraction(3, 7),
+                                    Fraction(-2, 7), Fraction(9, 7)],
+                       (1, 2, 1, 1)), (2, 3, 1, 2)))
 def test_compose_word_matches_hom_space_reference(case):
     params, word = case
     intw = compose_word(params, word)
@@ -544,6 +549,9 @@ def _bench_kernel_quotient_pair():
 
 _TWISTED = np.array([[1, 2], [0, 1]], dtype=object)
 _UNTWISTED = np.array([[1, -2], [0, 1]], dtype=object)
+# [[1 + k j, k], [j, 1]] and its inverse, k = 12345, j = 6789
+_UNIMODULAR_BIG = np.array([[83810206, 12345], [6789, 1]], dtype=object)
+_UNIMODULAR_BIG_INV = np.array([[1, -12345], [-6789, 83810206]], dtype=object)
 
 
 @settings(max_examples=60, deadline=None)
@@ -555,6 +563,11 @@ _UNTWISTED = np.array([[1, -2], [0, 1]], dtype=object)
 # a one-dimensional side has no off-diagonal entries to test
 @example((omega_module(2, Fraction(1, 3)), evaluation_module(2, Fraction(1, 3))))
 @example((omega_module(2, Fraction(1, 3)), omega_module(2, Fraction(1, 3))))
+# C has entries near 2^53 and |B| sums are small: the first defect's bound
+# is past 2^53 only through its |C| term
+@example((evaluation_module(2, 0),
+          conjugated(evaluation_module(2, 0), _UNIMODULAR_BIG,
+                     _UNIMODULAR_BIG_INV)))
 def test_hom_space_matches_the_whole_denominator_reference(pair):
     m1, m2 = pair
     assert hom_space(m1, m2) == whole_denominator_hom_space(m1, m2)
@@ -582,6 +595,21 @@ def _certificate_candidates(m1, m2, spot):
 @example(_bench_kernel_quotient_pair(), 11)
 @example((rescaled(evaluation_module(3, 0), 2 ** 62),
           rescaled(evaluation_module(3, 0), 2 ** 62)), 5)
+# the shear's bound max|A| (largest column sum of |B| + largest row sum of
+# |C|) over all pairs is 2 z + 1 against the dual module at z and 2 z + 2
+# against the evaluation module: 2^53 - 1 (float64) and 2^53 (Python ints)
+@example((evaluation_module(2, 0), dual_evaluation_module(2, 2 ** 52 - 1)), 1)
+@example((evaluation_module(2, 0), evaluation_module(2, 2 ** 52 - 1)), 1)
+# the map S onto S T(u) S^-1, S = _UNIMODULAR_BIG: max|A| times the |B|
+# sums stays under 2^27, but C has entries near 2^53, so only the |C| term
+# of the bound (near 2^79) keeps C S off float64, where rounding gives the
+# intertwiner S a nonzero defect
+@example((evaluation_module(2, 0),
+          conjugated(evaluation_module(2, 0), _UNIMODULAR_BIG,
+                     _UNIMODULAR_BIG_INV)), 3)
+# the hom-space map has an entry 2^1100, past float64's range
+@example((rescaled(evaluation_module(2, 0), 2 ** 1100), evaluation_module(2, 0)),
+         2)
 def test_certificate_matches_the_two_product_reference(pair, spot):
     # one pair per chunk and the default chunk: the first failing pair is
     # the same however the pairs are split

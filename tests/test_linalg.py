@@ -399,6 +399,29 @@ def test_every_integer_contraction_goes_through_int_matmul():
     assert found == {"f", "g"}
 
 
+def _float64_gates(tree):
+    """Every `except OverflowError` handler and `2 ** 53` literal below
+    tree, as source text."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None \
+                and "OverflowError" in ast.unparse(node.type):
+            yield "except OverflowError"
+        elif isinstance(node, ast.BinOp) and ast.unparse(node) == "2 ** 53":
+            yield "2 ** 53"
+
+
+def test_the_float64_limit_and_cast_live_in_linalg():
+    # the limit is one constant and the cast one helper, and every float64
+    # gate of the package reads both
+    package = Path(yangian.__file__).parent
+    found = sorted((path.stem, gate) for path in package.glob("*.py")
+                   for gate in _float64_gates(ast.parse(path.read_text())))
+    assert found == [("linalg", "2 ** 53"), ("linalg", "except OverflowError")]
+    assert sorted(_float64_gates(ast.parse(
+        "try:\n    x = 2 ** 53\nexcept (ValueError, OverflowError):\n    pass\n"))
+    ) == ["2 ** 53", "except OverflowError"]
+
+
 def is_prime_by_trial_division(p):
     return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
