@@ -3,7 +3,8 @@
 An operator is a list of (coefficient, rep matrix | None, atom word)
 terms: the word acts on a monomial through `fock.apply_word`, the matrix on
 the index of a gl_m representation.  Every identity of a suite is a signed
-sum of products of at most two operators.  `CompiledOperators` compiles a
+sum of products of two operators; a linear term c X is the product c X 1
+with the unit operator 1 = [(1, None, ())].  `CompiledOperators` compiles a
 suite's operators once to padded integer columns over (monomial, rep index)
 states, right factors on the assertion window and left factors on the
 states those reach, so a product term is two gathers.  `check` then sums
@@ -74,18 +75,18 @@ class CompiledOperators:
     window's monomials come first, in window order, so window state s is the
     s-th window key.  Each operator is compiled once, to padded columns of
     (target key, value) on the window's states, the states its words reach
-    from there and the sink: right and single factors read the window rows,
-    left factors the row right_pos gives for each target.  A key of
+    from there and the sink: right factors read the window rows, left
+    factors the row right_pos gives for each target.  A key of
     monomial -1 is the sink of words that annihilate a monomial.
 
-    Coefficients are scaled by one integer f that clears every denominator,
-    and single factors by f once more, so every identity sum carries f^2.
+    Coefficients, the unit's too, are scaled by one integer f that clears
+    every denominator, so every product and identity sum carries f^2.
     Values are int64 when a bound on every column, product and identity sum
     stays below 2^63, and Python ints otherwise.
     """
 
     def __init__(self, real: OperatorRealization, raise_budget: int,
-                 rep_dim: int, ops: list, slots: tuple[int, int]):
+                 rep_dim: int, ops: list, slots: int):
         self.real = real
         self.rep_dim = rep_dim
         if real.theta == -1:
@@ -111,10 +112,10 @@ class CompiledOperators:
         top = max((sum(abs(c) * f * grow ** len(word)
                        * (1 if rep is None else max(np.abs(rep).sum(axis=0)))
                        for c, rep, word in terms) for terms in ops), default=0)
-        # identities have at most slots = (products, single factors) terms
-        # with coefficients in {-1, 0, 1}
+        # identities have at most `slots` product terms with coefficients
+        # in {-1, 0, 1}
         self.slots = slots
-        bound = slots[0] * top * top + slots[1] * f * top
+        bound = slots * top * top
         self.dtype = np.int64 if bound < 2 ** 63 else object
 
         # one row per term: operator, word, and the integer rep matrix
@@ -142,13 +143,14 @@ class CompiledOperators:
         self.left_k, self.left_v = self._compile(
             np.concatenate((cw, more[0]), axis=1),
             np.concatenate((tgt, more[1]), axis=1))
-        self.right_k = self.left_k[:, :self.nwin]
         self.right_v = self.left_v[:, :self.nwin]
+        right_k = self.left_k[:, :self.nwin]
         where = np.full(len(self.monos) + 1, nw + len(extra))
         where[:nw] = np.arange(nw)
         where[extra] = np.arange(nw, nw + len(extra))
-        self.right_pos = (where[self.right_k // rep_dim] * rep_dim
-                          + self.right_k % rep_dim)
+        # flat over (window state, column slot), as _failing reads it
+        self.right_pos = (where[right_k // rep_dim] * rep_dim
+                          + right_k % rep_dim).reshape(self.nops, -1)
 
     def _word_maps(self, src: np.ndarray):
         """apply_word of every word on each source monomial: coefficients
@@ -213,33 +215,24 @@ class CompiledOperators:
             vals.reshape(-1, width)[row, slot] = sums
         return keys, vals
 
-    def _failing(self, coef2, left, right, coef1, single, w0: int, w1: int):
+    def _failing(self, coef, left, right, w0: int, w1: int):
         """Each identity of the chunk with a nonzero residual on window keys
         w0..w1-1, in order: (identity, first failing key, its nonzero
         (target key, value) entries)."""
-        nkeys = w1 - w0
+        nkeys, width = w1 - w0, self.right_v.shape[2]
         span = len(self.monos) * self.rep_dim
-        keys, vals = [], []
-        if coef2.shape[1]:
-            # the right factor's live entries first, then the left factor's
-            # column at each of them
-            val = self.right_v[right, w0:w1] * coef2[:, :, None, None]
-            t, j, key, slot = np.nonzero(val)
-            op = right[t, j]
-            pos = self.right_pos[op, w0 + key, slot]
-            lop = left[t, j]
-            val = self.left_v[lop, pos] * val[t, j, key, slot][:, None]
-            live = val != 0
-            keys.append(((t * nkeys + key)[:, None] * span
-                         + self.left_k[lop, pos])[live])
-            vals.append(val[live])
-        if coef1.shape[1]:
-            val = self.right_v[single, w0:w1] * coef1[:, :, None, None]
-            t, j, key, slot = np.nonzero(val)
-            keys.append((t * nkeys + key) * span
-                        + self.right_k[single[t, j], w0 + key, slot])
-            vals.append(val[t, j, key, slot])
-        ukeys, sums = _group_sums(np.concatenate(keys), np.concatenate(vals))
+        # each live right entry, at a term tj and a flat (window key, column
+        # slot) cell, meets the left factor's column at its target
+        val = self.right_v[right, w0:w1] * coef[:, :, None, None]
+        hit = np.flatnonzero(val)
+        tj, cell = np.divmod(hit, nkeys * width)
+        pos = self.right_pos[right.ravel()[tj], w0 * width + cell]
+        lop = left.ravel()[tj]
+        val = self.left_v[lop, pos] * val.ravel()[hit][:, None]
+        row = tj // coef.shape[1] * nkeys + cell // width
+        live = val != 0
+        ukeys, sums = _group_sums(
+            (row[:, None] * span + self.left_k[lop, pos])[live], val[live])
         row, target = np.divmod(ukeys, span)
         ident = row // nkeys
         out = []
@@ -254,33 +247,27 @@ class CompiledOperators:
         """Evaluate identities 0..count-1 on every window key.
 
         rows(t) gives, for an array t of identity indices, the arrays
-        (coef2, left, right, coef1, single) with a row per identity:
-        identity t is the sum over slots j of coef2[t, j] times the product
-        left[t, j] right[t, j] and of coef1[t, j] times single[t, j],
+        (coef, left, right) with a row per identity: identity t is the sum
+        over slots j of coef[t, j] times the product left[t, j] right[t, j],
         operators given by index.  witness(t) names identity t.  Failures
         come in index order, each at its first failing window key, with the
         image entry of the smallest (rep index, exponents) key.
         """
         r, scale = self.rep_dim, self.f * self.f
-        per_key = self.right_k.shape[2] * (
-            self.slots[0] * self.left_k.shape[2] + self.slots[1])
+        per_key = self.right_v.shape[2] * self.slots * self.left_k.shape[2]
         keys_per = max(1, min(self.nwin, _CHUNK // max(per_key, 1)))
         step = max(1, _CHUNK // max(per_key * self.nwin, 1))
         failures: list = []
         for i0 in range(0, count, step):
             if len(failures) >= MAX_FAILURES:
                 break
-            coef2, left, right, coef1, single = rows(
-                np.arange(i0, min(i0 + step, count)))
+            coef, left, right = rows(np.arange(i0, min(i0 + step, count)))
             # the int64 bound holds for these shapes and coefficients only
-            assert coef2.shape[1] <= self.slots[0]
-            assert coef1.shape[1] <= self.slots[1]
-            assert max(np.abs(coef2).max(initial=0),
-                       np.abs(coef1).max(initial=0)) <= 1
-            coef2 = coef2.astype(self.dtype)
-            coef1 = coef1.astype(self.dtype) * self.f
+            assert coef.shape[1] <= self.slots
+            assert np.abs(coef).max(initial=0) <= 1
+            coef = coef.astype(self.dtype)
             for w0 in range(0, self.nwin, keys_per):
-                found = self._failing(coef2, left, right, coef1, single, w0,
+                found = self._failing(coef, left, right, w0,
                                       min(w0 + keys_per, self.nwin))
                 for t, key, entries in found[:MAX_FAILURES - len(failures)]:
                     bad = witness(i0 + t)

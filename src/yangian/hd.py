@@ -9,9 +9,9 @@ quadratic elements E^_{ai,bj} = q_{ai} p_{bj}, the gl_m action zeta_n, and
 the generating-series homomorphism T_ij(u) -> delta_ij + sum_ab X_ab(u) (x)
 E^_{ai,bj} with X(u) the inverse-matrix series of u + theta E^t.
 
-Each suite states its identities as index arrays over a list of operators
-and checks them through `compiled.CompiledOperators`, exactly and in a few
-numpy passes.
+Each suite states its identities as index arrays of operator products,
+a linear term c X as c X 1 with the unit operator, and checks them through
+`compiled.CompiledOperators`, exactly and in a few numpy passes.
 
 For theta=+1 the assertion set is the "safe window" of monomials whose
 degree leaves room for the raising atoms of the identity inside the
@@ -193,17 +193,16 @@ def check_canonical_relations(real: OperatorRealization) -> IdentityReport:
         # [left_u, right_v]_theta - shift delta_uv
         u, v, case = np.unravel_index(t, shape)
         lo, ro = kind_left[case] * nv + u, kind_right[case] * nv + v
-        ones = np.ones_like(u)
-        return (np.stack([ones, -th * ones], 1), np.stack([lo, ro], 1),
-                np.stack([ro, lo], 1), (-shift[case] * (u == v))[:, None],
-                np.full((len(t), 1), 4 * nv))
+        ones, unit = np.ones_like(u), np.full_like(u, 4 * nv)
+        return (np.stack([ones, -th * ones, -shift[case] * (u == v)], 1),
+                np.stack([lo, ro, unit], 1), np.stack([ro, lo, unit], 1))
 
     def witness(t):
         u, v, case = (int(x) for x in np.unravel_index(t, shape))
         (a, i), (b, j) = pairs[u], pairs[v]
         return {"relation": tags[case], "a": a, "i": i, "b": b, "j": j}
 
-    return CompiledOperators(real, 2, 1, ops, (2, 1)).check(
+    return CompiledOperators(real, 2, 1, ops, 3).check(
         "canonical-relations", math.prod(shape), rows, witness)
 
 
@@ -212,9 +211,9 @@ def check_e_relations(real: OperatorRealization) -> IdentityReport:
     th, nv = real.theta, real.nvars
     _check_work("e-relations", 3 * nv ** 4, real.window_size(4))
     idx = [(a, i) for a in range(real.m) for i in range(real.n)]
-    # E^_{u,v} at u nv + v
+    # E^_{u,v} at u nv + v, then the unit
     ops = [[(c, None, word)] for c, word in
-           (real.e_hat(*x, *y) for x in idx for y in idx)]
+           (real.e_hat(*x, *y) for x in idx for y in idx)] + [[(1, None, ())]]
     shape = (nv, nv, nv, nv, 3)
     names = ("commutator", "straighten-left", "straighten-right")
 
@@ -226,23 +225,24 @@ def check_e_relations(real: OperatorRealization) -> IdentityReport:
         e_uv, e_wz, e_uz, e_wv = u * nv + v, w * nv + z, u * nv + z, w * nv + v
         d_vw, d_uz, d_uv = 1 * (v == w), 1 * (u == z), 1 * (u == v)
         first, third = rel == 0, rel == 2
+        unit = np.full_like(u, nv * nv)
         return (
-            np.stack([np.ones_like(u), np.where(first, -1, -th)], 1),
-            np.stack([np.where(third, e_wz, e_uv),
-                      np.where(first, e_wz, e_wv)], 1),
-            np.stack([np.where(third, e_uv, e_wz),
-                      np.where(first, e_uv, e_uz)], 1),
-            np.stack([np.where(third, -d_uz, -d_vw),
+            np.stack([np.ones_like(u), np.where(first, -1, -th),
+                      np.where(third, -d_uz, -d_vw),
                       np.where(first, d_uz, th * d_uv)], 1),
-            np.stack([np.where(third, e_wv, e_uz),
-                      np.where(first, e_wv, e_wz)], 1))
+            np.stack([np.where(third, e_wz, e_uv),
+                      np.where(first, e_wz, e_wv),
+                      np.where(third, e_wv, e_uz),
+                      np.where(first, e_wv, e_wz)], 1),
+            np.stack([np.where(third, e_uv, e_wz),
+                      np.where(first, e_uv, e_uz), unit, unit], 1))
 
     def witness(t):
         ai, bj, ck, dl, rel = (int(x) for x in np.unravel_index(t, shape))
         return {"relation": names[rel], "ai": idx[ai], "bj": idx[bj],
                 "ck": idx[ck], "dl": idx[dl]}
 
-    return CompiledOperators(real, 4, 1, ops, (2, 2)).check(
+    return CompiledOperators(real, 4, 1, ops, 4).check(
         "quadratic-relations", math.prod(shape), rows, witness)
 
 
@@ -250,24 +250,23 @@ def check_zeta(real: OperatorRealization) -> IdentityReport:
     """zeta_n is a gl_m homomorphism: [z(E_ab), z(E_cd)] matches gl_m."""
     m = real.m
     _check_work("zeta-hom", m ** 4, real.window_size(4))
-    # zeta(E_ab) at a m + b
-    ops = [real.zeta_terms(a, b) for a in range(m) for b in range(m)]
+    # zeta(E_ab) at a m + b, then the unit
+    ops = ([real.zeta_terms(a, b) for a in range(m) for b in range(m)]
+           + [[(1, None, ())]])
     shape = (m, m, m, m)
 
     def rows(t):
         # [z_ab, z_cd] - d_bc z_ad + d_da z_cb
         a, b, c, d = np.unravel_index(t, shape)
-        ones = np.ones_like(a)
-        return (np.stack([ones, -ones], 1),
-                np.stack([a * m + b, c * m + d], 1),
-                np.stack([c * m + d, a * m + b], 1),
-                np.stack([-1 * (b == c), 1 * (d == a)], 1),
-                np.stack([a * m + d, c * m + b], 1))
+        ones, unit = np.ones_like(a), np.full_like(a, m * m)
+        return (np.stack([ones, -ones, -1 * (b == c), 1 * (d == a)], 1),
+                np.stack([a * m + b, c * m + d, a * m + d, c * m + b], 1),
+                np.stack([c * m + d, a * m + b, unit, unit], 1))
 
     def witness(t):
         return {"abcd": tuple(int(x) for x in np.unravel_index(t, shape))}
 
-    return CompiledOperators(real, 4, 1, ops, (2, 2)).check(
+    return CompiledOperators(real, 4, 1, ops, 4).check(
         "zeta-homomorphism", math.prod(shape), rows, witness)
 
 
@@ -421,12 +420,6 @@ def check_x_identities(series: XSeries) -> IdentityReport:
 # the generating-series homomorphism
 
 
-def _no_singles(count: int) -> tuple:
-    """The (coefficients, operators) of identities without single factors."""
-    empty = np.zeros((count, 0), dtype=np.int64)
-    return empty, empty
-
-
 def alpha_coefficient(real: OperatorRealization, series: XSeries,
                       r: int, i: int, j: int) -> list:
     """Image of the u^{-r} generator coefficient as operator terms."""
@@ -489,8 +482,7 @@ def check_alpha(real: OperatorRealization, order: int,
                 np.stack([t(r + 1, i, j), t(s, k, l), t(s + 1, k, l),
                           t(r, i, j), t(r, k, j), t(s, k, j)], 1),
                 np.stack([t(s, k, l), t(r + 1, i, j), t(r, i, j),
-                          t(s + 1, k, l), t(s, i, l), t(r, i, l)], 1),
-                *_no_singles(len(x)))
+                          t(s + 1, k, l), t(s, i, l), t(r, i, l)], 1))
 
     def commutant_rows(x):
         # [gl(E_cd), T(r)_ij] for r = 1..order
@@ -498,7 +490,7 @@ def check_alpha(real: OperatorRealization, order: int,
         glemb, coeff = gl + c * m + d, t(r + 1, i, j)
         ones = np.ones_like(c)
         return (np.stack([ones, -ones], 1), np.stack([glemb, coeff], 1),
-                np.stack([coeff, glemb], 1), *_no_singles(len(x)))
+                np.stack([coeff, glemb], 1))
 
     def exchange_witness(x):
         w, *ijkl = (int(y) for y in np.unravel_index(x, exchange))
@@ -508,7 +500,7 @@ def check_alpha(real: OperatorRealization, order: int,
         c, d, r, i, j = (int(y) for y in np.unravel_index(x, commutant))
         return {"cd": (c, d), "r": r + 1, "ij": (i, j)}
 
-    suite = CompiledOperators(real, 4, series.rep_dim, ops, (6, 0))
+    suite = CompiledOperators(real, 4, series.rep_dim, ops, 6)
     yang_report = suite.check("generator-exchange", math.prod(exchange),
                               exchange_rows, exchange_witness)
     comm_report = suite.check("gl-commutant", math.prod(commutant),

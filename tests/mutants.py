@@ -114,6 +114,10 @@ MUTANTS = (
            "if sum(exps[:v]) & 1:",
            "if not sum(exps[:v]) & 1:",
            ("tests/test_fock.py::test_anticommuting_signs",)),
+    Mutant("zeta-unit-at-operator-zero", "hd.py",
+           "ones, unit = np.ones_like(a), np.full_like(a, m * m)",
+           "ones, unit = np.ones_like(a), np.full_like(a, 0)",
+           ("tests/test_hd.py::test_zeta_homomorphism",)),
     Mutant("compiled-int64-without-bound", "compiled.py",
            "self.dtype = np.int64 if bound < 2 ** 63 else object",
            "self.dtype = np.int64",

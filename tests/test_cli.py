@@ -386,6 +386,20 @@ def test_main_exit_two_on_config_problems(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("target", ["missing/report.json", ""])
+def test_unwritable_report_path_exits_two(tmp_path, capsys, where, target):
+    # a file in a missing directory, and the directory tmp_path itself
+    out = str(tmp_path / target)
+    extra = {"output": out} if where == "config" else {}
+    path = write_config(tmp_path, {**GENERIC, "checks": ["rtt"], **extra})
+    argv = ["--config", path] + (["--output", out] if where == "flag" else [])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("yangian: cannot write report: ")
+    assert out in err and "Traceback" not in err
+
+
 def test_main_check_override_and_list(tmp_path, capsys):
     path = write_config(tmp_path, {**GENERIC, "checks": ["braid"]})
     code = cli.main(["--config", path, "--check", "rtt", "--check",

@@ -443,6 +443,12 @@ def test_x_identities_match_reference(series):
 # failing keys whose images have two nonzero entries
 @example((OperatorRealization(1, 2, 1, 0), 3,
           _bump(x_series(1, 2, 3), 2, 0, 0, 0, 0, 1)))
+# n = 1: zeta's theta n / 2 = +-1/2 makes f = 2, so the failing zeta
+# identities carry images scaled by f^2 = 4, through the unit operator too
+@example((_flip_sign(OperatorRealization(1, 2, 1, 1, 3), "p", 1, 0), 3,
+          x_series(1, 2, 3)))
+@example((_flip_sign(OperatorRealization(-1, 2, 1, 1, 3), "p", 1, 0), 3,
+          x_series(-1, 2, 3)))
 def test_compiled_suites_match_reference(case):
     # verdicts, checked counts, window caps and every failure dict; the
     # int64 bound's two sides are in test_int64_bound_both_sides
