@@ -32,7 +32,6 @@ from .intertwine import (
     kernel_quotient,
     modules_isomorphic,
     word_permutation,
-    zeta_product,
 )
 from .linalg import Poly, RatFunc
 from .modules import (
@@ -365,7 +364,6 @@ def _check_hw_scalar(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
     word = cfg.word or _default_word(cfg.factor_count)
     intw = shared.composed(word)
     report = check_hw_image(intw, params)
-    product = zeta_product(params, word)
     details = {
         "word": list(word),
         "scalar": _frac_str(intw.hw_scalar),
@@ -374,7 +372,7 @@ def _check_hw_scalar(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
                      "value": _frac_str(z.value),
                      "case": z.case} for z in report.factors],
     }
-    return report.ok and intw.hw_scalar == product, details
+    return report.ok and intw.hw_scalar == report.closed_form, details
 
 
 def _check_braid(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:

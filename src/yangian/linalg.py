@@ -6,10 +6,10 @@ Python-int numerators over one positive denominator, both in lowest terms,
 so equal values have equal fields; all their arithmetic runs on the
 integers.  Polynomial division is integer pseudo-division, and the gcds
 that keep rational functions in lowest terms are primitive
-pseudo-remainder sequences.  `poly_rational_roots` isolates the real roots
-of the square-free part of the numerators by Sturm sequences on integer
-intervals and verifies every candidate exactly, so it factors no integer
-and its work is polynomial in the degree and the coefficient sizes.  Every
+pseudo-remainder sequences.  `poly_rational_roots` lifts the roots of the
+square-free part of the numerators from one small prime by Newton's step
+and verifies every candidate exactly, so it factors no integer and its
+work is polynomial in the degree and the coefficient sizes.  Every
 `RatMatrix` product goes through `int_matmul`, the package's one integer
 product kernel, and `rref`, `rank`, `nullspace`, `solve` and `inverse` all
 read one fraction-free Gauss-Jordan elimination.  A vector is a one-column
@@ -346,13 +346,21 @@ def poly_rational_roots(p: Poly) -> tuple[list[Fraction], Poly]:
     numerators is a primitive integer polynomial f of degree d with leading
     coefficient L.  A rational root of f in lowest terms has a denominator
     dividing L, so y = |L| r is an integer root of the monic integer
-    polynomial g(y) = sgn(L) |L|^(d-1) f(y / |L|).  Sturm's theorem gives
-    the number of roots of g in (a, b] as V(a) - V(b), V counting the sign
-    changes of its Sturm chain; bisection from the Fujiwara bound prunes
-    every interval without a root, down to unit intervals (b - 1, b], whose
-    b is kept when g(b) = 0.  Each r = b / |L| is then checked on p itself
-    and divided out while it is a root, which gives its multiplicity.  The
-    work is polynomial in the degree and the coefficient sizes.
+    polynomial g(y) = sgn(L) |L|^(d-1) f(y / |L|).  Its integer roots are
+    found by p-adic lifting (Loos 1983).  Take the least prime q modulo
+    which every root of g is simple (g'(y) != 0 mod q), found by evaluating
+    g at 0, ..., q - 1.  Every integer root of g reduces to one of those
+    roots, and Newton's step y - g(y) / g'(y) lifts each uniquely from
+    modulo q^e to modulo q^(2e).  An integer root has |y| <= 1 + max |g_i|
+    (Cauchy), so once the modulus passes twice that bound the symmetric
+    residue is the root itself, and it is kept when g(y) = 0.  Each
+    r = y / |L| is then checked on p itself and divided out while it is a
+    root, which gives its multiplicity.
+
+    The work is polynomial in the degree and the coefficient sizes.  g is
+    square-free, so its discriminant is a nonzero integer, and every prime
+    that fails divides it: at most log2 |disc g| primes are tried, and
+    `_is_prime` is exact far beyond any q reached.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every root")
@@ -368,26 +376,25 @@ def poly_rational_roots(p: Poly) -> tuple[list[Fraction], Poly]:
     d, lead = len(f) - 1, abs(f[-1])
     sign = 1 if f[-1] > 0 else -1
     g = [sign * c * lead ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
-    # each pseudo-remainder is a positive multiple of the remainder over Q,
-    # so the negated primitive remainders form a Sturm chain
-    chain = [g, _primitive(_derivative(g))]
-    while len(chain[-1]) > 1:
-        rem = _pseudo_divmod(chain[-2], chain[-1])[1]
-        chain.append(_primitive([-c for c in rem]))
-    top = _fujiwara_bound(g)
-    # (a, V(a), b, V(b)) for the intervals (a, b] still holding a root
-    todo = [(-top - 1, _sign_changes(chain, -top - 1), top,
-             _sign_changes(chain, top))]
-    while todo:
-        a, va, b, vb = todo.pop()
-        if va == vb:
-            continue
-        if b - a > 1:
-            m = (a + b) // 2
-            vm = _sign_changes(chain, m)
-            todo += [(a, va, m, vm), (m, vm, b, vb)]
-        elif _int_eval(g, b) == 0:
-            r = Fraction(b, lead)
+    dg = _derivative(g)
+    prime = 1
+    while True:
+        prime += 1
+        if _is_prime(prime):
+            low = [c % prime for c in g]
+            starts = [y for y in range(prime) if not _int_eval(low, y) % prime]
+            if all(_int_eval(dg, y) % prime for y in starts):
+                break
+    bound = 2 * (1 + max(map(abs, g)))
+    for y in starts:
+        m = prime
+        while m <= bound:
+            m *= m
+            y = (y - _int_eval(g, y) * pow(_int_eval(dg, y), -1, m)) % m
+        if 2 * y > m:
+            y -= m
+        if _int_eval(g, y) == 0:
+            r = Fraction(y, lead)
             while q.degree >= 1 and q(r) == 0:
                 roots.append(r)
                 q = q // Poly.from_roots([r])
@@ -403,32 +410,6 @@ def _int_eval(coeffs: list[int], y: int) -> int:
     for c in reversed(coeffs):
         acc = acc * y + c
     return acc
-
-
-def _sign_changes(chain: list[list[int]], y: int) -> int:
-    """Sign changes along the chain evaluated at y, zeros skipped."""
-    signs = [v > 0 for v in (_int_eval(c, y) for c in chain) if v]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
-
-
-def _ceil_root(c: int, k: int) -> int:
-    """The least integer x >= 0 with x**k >= c, for c >= 0."""
-    if c <= 1:
-        return c
-    x = 1 << -(-c.bit_length() // k)
-    # integer Newton steps from above reach the floor of the k-th root
-    while (y := ((k - 1) * x + c // x ** (k - 1)) // k) < x:
-        x = y
-    return x if x ** k >= c else x + 1
-
-
-def _fujiwara_bound(g: list[int]) -> int:
-    """An integer bound on |y| over the complex roots y of the monic g:
-    2 max(|g[d-1]|, |g[d-2]|^(1/2), ..., |g[1]|^(1/(d-1)), |g[0] / 2|^(1/d))
-    (Fujiwara 1916), each root rounded up."""
-    d = len(g) - 1
-    terms = [_ceil_root(abs(g[d - k]), k) for k in range(1, d)]
-    return 2 * max(terms + [_ceil_root(-(-abs(g[0]) // 2), d)])
 
 
 # ---------------------------------------------------------------------------

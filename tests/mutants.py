@@ -97,11 +97,20 @@ MUTANTS = (
            "q = quo[k] = top // g if lead > 0 else -(top // g)",
            "q = quo[k] = -(top // g) if lead > 0 else top // g",
            ("tests/test_linalg.py::test_poly_divmod_roundtrip",)),
-    Mutant("fujiwara-bound-halved", "linalg.py",
-           "return 2 * max(terms + [_ceil_root(-(-abs(g[0]) // 2), d)])",
-           "return max(terms + [_ceil_root(-(-abs(g[0]) // 2), d)])",
-           ("tests/test_linalg.py::test_rational_roots_zero_root_and_repeats",
-            "tests/test_linalg.py::test_rational_roots_of_split_polynomials")),
+    Mutant("lifting-bound-without-factor-2", "linalg.py",
+           "bound = 2 * (1 + max(map(abs, g)))",
+           "bound = 1 + max(map(abs, g))",
+           ("tests/test_linalg.py::"
+            "test_rational_roots_recovered_with_multiplicity",
+            "tests/test_linalg.py::test_rational_roots_of_split_polynomials",
+            "tests/test_verify.py::test_drinfeld_plain_powers",
+            "tests/test_verify.py::test_drinfeld_tilde_strings")),
+    Mutant("lifting-prime-not-checked-simple", "linalg.py",
+           "if all(_int_eval(dg, y) % prime for y in starts):",
+           "if True:",
+           ("tests/test_linalg.py::test_rational_roots_of_split_polynomials",
+            "tests/test_verify.py::test_drinfeld_twist_invariance",
+            "tests/test_verify.py::test_ratio_to_drinfeld_poly_errors")),
     Mutant("rtt-first-residue-prime-only", "verify.py",
            "for p, res in zip(primes, residues):",
            "for p, res in zip(primes[:1], residues):",

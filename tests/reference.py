@@ -5,8 +5,10 @@ as `RatMatrix` coefficients and `MatPoly` entries, the slow forms the tests
 compare the array code against.  Next come polynomials over Fraction
 coefficients, by long division and Euclid's algorithm over the rationals,
 which `yangian.linalg.Poly`'s integer arithmetic is compared against.
-Then the hom space of two modules as the nullspace of one dense
-whole-denominator system on all d1 d2 unknowns, which
+Then the rational roots of an integer polynomial by the rational root
+theorem, which `yangian.linalg.poly_rational_roots`'s p-adic lifting is
+compared against.  Then the hom space of two modules as the nullspace of
+one dense whole-denominator system on all d1 d2 unknowns, which
 `yangian.intertwine.hom_space`'s graded solver is compared against, and the
 swap intertwiners of a reduced word, built from the hom solver
 instead of `yangian.intertwine`'s cyclic spans, one swap's pair map as
@@ -152,6 +154,33 @@ def ref_normalize(num, den):
     g = ref_gcd(num, den)
     num, den = ref_divmod(num, g)[0], ref_divmod(den, g)[0]
     return tuple(c / den[-1] for c in num), ref_monic(den)
+
+
+def _divisors(n):
+    """The positive divisors of the nonzero integer n, by trial division."""
+    n = abs(n)
+    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    return sorted(set(small + [n // k for k in small]))
+
+
+def divisor_rational_roots(coeffs):
+    """The rational roots, with multiplicity and sorted, and the cofactor of
+    the nonzero integer polynomial `coeffs`, by the rational root theorem:
+    past the roots at 0, every rational root is +-a/b with a dividing the
+    constant and b the leading coefficient, and each such candidate is
+    divided out over the rationals while it is a root."""
+    poly = ref_poly(coeffs)
+    roots = []
+    while poly[0] == 0:
+        roots.append(Fraction(0))
+        poly = poly[1:]
+    candidates = {Fraction(s * a, b) for a in _divisors(int(poly[0]))
+                  for b in _divisors(int(poly[-1])) for s in (1, -1)}
+    for r in sorted(candidates):
+        while len(poly) > 1 and ref_eval(poly, r) == 0:
+            roots.append(r)
+            poly = ref_divmod(poly, (-r, Fraction(1)))[0]
+    return sorted(roots), poly
 
 
 # ---------------------------------------------------------------------------

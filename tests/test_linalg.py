@@ -27,6 +27,7 @@ from yangian.linalg import (
 
 from reference import (
     column,
+    divisor_rational_roots,
     ref_add,
     ref_divmod,
     ref_eval,
@@ -138,13 +139,54 @@ def split_polynomials(draw):
     return Poly.from_roots(roots) * h * c, sorted(roots), h
 
 
+# the product of the first 50 primes, 2 * 3 * ... * 229
+PRIMORIAL_50 = math.prod(p for p in range(2, 230)
+                         if all(p % k for k in range(2, p)))
+# 304-bit roots, one over 3; 0 is stripped and -P/7 is an integer, so the
+# search fails at 2, 3 and 5 and lifts modulo 7
+WIDE = [Fraction(0), Fraction(PRIMORIAL_50),
+        Fraction(2 * PRIMORIAL_50 + 1, 3), Fraction(-PRIMORIAL_50, 7)]
+# P and 2P collide modulo every prime below 233
+COLLIDING = [Fraction(0), Fraction(PRIMORIAL_50), Fraction(2 * PRIMORIAL_50),
+             Fraction(2 * PRIMORIAL_50 + 1, 3)]
+
+
 @settings(deadline=None)
 @given(split_polynomials())
+# the lifting runs modulo 2, and -200 lies past half the root bound
+@example((Poly.from_roots([-200]), [Fraction(-200)], Poly([1])))
+@example((Poly.from_roots(WIDE) * ROOTLESS[1], sorted(WIDE), ROOTLESS[1]))
+@example((Poly.from_roots(COLLIDING) * ROOTLESS[1], sorted(COLLIDING),
+          ROOTLESS[1]))
 def test_rational_roots_of_split_polynomials(case):
     p, roots, h = case
     got, residual = poly_rational_roots(p)
     assert got == roots
     assert residual.monic() == h.monic()
+
+
+@st.composite
+def integer_polynomials(draw):
+    """A nonzero integer polynomial of degree <= 6, low degree first: up
+    to three planted linear factors b u - a times a random cofactor, every
+    drawn coefficient at most 30 in size."""
+    planted = draw(st.lists(st.tuples(st.integers(-30, 30),
+                                      st.integers(1, 30)), max_size=3))
+    coeffs = draw(st.lists(st.integers(-30, 30), min_size=1,
+                           max_size=7 - len(planted)).filter(any))
+    for a, b in planted:
+        coeffs = [x - y for x, y in zip([0] + [b * c for c in coeffs],
+                                        [a * c for c in coeffs] + [0])]
+    return coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_polynomials())
+def test_rational_roots_match_the_divisor_reference(coeffs):
+    got, residual = poly_rational_roots(Poly(coeffs))
+    roots, cofactor = divisor_rational_roots(coeffs)
+    assert got == roots
+    assert residual.coeffs == cofactor
 
 
 def test_ratfunc_normal_form():
