@@ -17,17 +17,20 @@ stacked as integer numerators over one common denominator; both sides are
 bilinear in the blocks at u0 and v0, so the denominators cancel, and the
 two products that compare (u0, v0) also compare (v0, u0).
 
-The two sides are compared by residues.  With M the largest absolute
-numerator of any stack and spread the largest |u0 - v0|, every entry of
-every product of two blocks is at most dim M^2, so every entry of
-lhs - rhs is at most D = 2 (spread + 1) dim M^2.  The stacks are reduced
-modulo the fewest word-size primes whose product exceeds D, and both
-sides are formed with float64 matrix products, exact because every
-partial sum is an integer below 2^53 (Dumas, Giorgi & Pernet, FFLAS-FFPACK,
-ACM TOMS 35(3), 2008).  An entry of lhs - rhs that vanishes modulo every
-prime is 0 by the Chinese remainder theorem, and one that does not vanish
-is nonzero, so the entries that fail modulo some prime are exactly the
-entries that fail.
+The two sides are compared exactly in one of two tiers.  With M the
+largest absolute numerator of any stack and spread the largest |u0 - v0|,
+every entry of every product of two blocks is at most dim M^2, so every
+entry of lhs - rhs is at most D = 2 (spread + 1) dim M^2.  Both tiers form
+the products with float64 matrix products, exact because every partial sum
+is an integer below 2^53 (Dumas, Giorgi & Pernet, FFLAS-FFPACK, ACM TOMS
+35(3), 2008), and compare in int64.  When dim M^2 < 2^53 and D < 2^63 (the
+exact tier) the stacks are used as they are: the products are exact, and
+every compared entry fits int64, so each is tested for zero directly.
+Above that the stacks are reduced modulo the fewest word-size primes whose
+product exceeds D (the residue tier).  An entry of lhs - rhs that vanishes
+modulo every prime is 0 by the Chinese remainder theorem, and one that does
+not vanish is nonzero, so the entries that fail modulo some prime are
+exactly the entries that fail.
 """
 
 from __future__ import annotations
@@ -40,17 +43,19 @@ from fractions import Fraction
 import numpy as np
 
 from .fock import PLAIN, PRIME, TILDE
-from .linalg import (Poly, RatFunc, RatMatrix, _poly, _ratfunc, _ratmatrix,
-                     int_matmul, poly_rational_roots, residue_primes)
+from .linalg import (FLOAT64_EXACT_LIMIT, Poly, RatFunc, RatMatrix, _poly,
+                     _ratfunc, _ratmatrix, int_matmul, poly_rational_roots,
+                     residue_primes)
 from .modules import (ModuleParams, PatternFactor, YangianModule,
                       scalar_module, source_pattern, tensor_module)
 
 # Largest n^2 dim that check_rtt takes on.  Each unordered grid pair
-# {u, v}, u != v, forms two (n^2 dim)-square products per prime, which
+# {u, v}, u != v, forms two (n^2 dim)-square products per modulus, which
 # serve both (u, v) and (v, u), so the work per pair grows as
 # (n^2 dim)^2 dim: the 4-factor n = 3 pattern (dim 81, 729) takes
-# 1.1-1.5 s on a 2-core x86 VM, and a 5-factor one (dim 243, 2187) would
-# need 9x the memory and 27x the work per pair.
+# 0.6-0.8 s on three residue primes on a 2-core x86 VM (n = 2, nu =
+# (12, 12), 676, 0.17 s on the exact tier), and a 5-factor one (dim 243,
+# 2187) would need 9x the memory and 27x the work per pair.
 RTT_MAX_SIZE = 729
 
 # The grid's sample points are the first integers from GRID_START on that
@@ -67,7 +72,8 @@ class RttReport:
 
     bound is the proven bound D on |lhs - rhs| over every entry of every
     grid pair, and primes are the residue primes, largest first, whose
-    product exceeds it."""
+    product exceeds it; primes is empty on the exact tier, where dim M^2 <
+    2^53 and D < 2^63 and the grid is compared without residues."""
 
     ok: bool
     n: int
@@ -90,63 +96,60 @@ def _grid_points(den: Poly, count: int) -> list[int]:
     return pts
 
 
-def _grid_stacks(mod: YangianModule, pts: list[int]) -> list[np.ndarray]:
-    """The numerators of the blocks P_ij(u0) at every grid point, each over
-    the one common denominator of its lowest terms, as a vertical stack
-    (rows (i, j, r)): one contraction of num with the Vandermonde matrix."""
+def _grid_stacks(mod: YangianModule, pts: list[int]) -> np.ndarray:
+    """The numerators of the blocks P_ij(u0) at every grid point, each point
+    over the one common denominator of its lowest terms, as one array of
+    vertical stacks (points, rows (i, j, r), columns s): one contraction of
+    num with the Vandermonde matrix."""
     vander = np.vander(np.array(pts, dtype=object), mod.num.shape[2], True)
     values = int_matmul(vander, np.moveaxis(mod.num, 2, 0).reshape(
         len(vander[0]), -1)).reshape(len(pts), -1, mod.dim)
-    stacks = []
     for vals in values:
         g = math.gcd(mod.scale, *vals.flat)
-        stacks.append(vals // g if g > 1 else vals)
-    return stacks
-
-
-def _residue_stacks(ints: np.ndarray, p: int, n: int,
-                    dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """A stack modulo p as float64, vertical (rows (i, j, r)) and
-    horizontal (columns (i, j, s))."""
-    vert = (ints % p).astype(np.float64)
-    return vert, (vert.reshape(n, n, dim, dim).transpose(2, 0, 1, 3)
-                  .reshape(dim, n * n * dim))
+        if g > 1:
+            vals //= g
+    return values
 
 
 # (i, j, r, k, l, s) -> (k, l, r, i, j, s): swaps the two generators
 _SWAP = (3, 4, 2, 0, 1, 5)
 
 
-def _pair_failures(residues, primes, a: int, b: int, w: int, n: int,
+def _pair_failures(stacks, moduli, a: int, b: int, w: int, n: int,
                    dim: int) -> tuple[tuple | None, tuple | None]:
     """The first failing entries (i, j, k, l, r, s) of the grid pairs
     (u0, v0) and (v0, u0), points a and b with w = u0 - v0, or None.
 
-    With A = P(u0), B = P(v0) modulo p, ab[i, j, r, k, l, s] =
-    (A_ij B_kl)[r, s] and ba[i, j, r, k, l, s] = (B_ij A_kl)[r, s] are
-    integers in [0, 2^53), held exactly by float64, and so are their
-    differences.  With C = ab - ba with the generators swapped and S =
-    ab - ba with axes 0 and 3 exchanged, the pair (u0, v0) needs
-    w C - S = 0 and the pair (v0, u0) needs w C' + S = 0 modulo p, C' being
-    C with the generators swapped; so one ab and one ba serve both pairs.
-    C is reduced to [0, p) before it is scaled by w, |w| < p, so the int64
-    sums stay below 2^54.
+    Per modulus p, with A = P(u0) and B = P(v0) as held by its stacks,
+    ab[i, j, r, k, l, s] = (A_ij B_kl)[r, s] and ba[i, j, r, k, l, s] =
+    (B_ij A_kl)[r, s] are exact integers below 2^53 in absolute value, so
+    they cast to int64 exactly.  With C = ab - ba with the generators
+    swapped and S = ab - ba with axes 0 and 3 exchanged, the pair (u0, v0)
+    needs w C - S = 0 and the pair (v0, u0) needs w C' + S = 0, C' being C
+    with the generators swapped; so one ab and one ba serve both pairs.
+    For a prime p the stacks hold residues in [0, p), the tests are modulo
+    p, and C is reduced to [0, p) before it is scaled by w, |w| < p, so the
+    sums stay below 2^54.  For p None the stacks are the numerators
+    themselves and both tests are exact, every entry being at most the
+    bound D < 2^63.
     """
     shape = (n, n, dim, n, n, dim)
     bad_uv = np.zeros(shape, dtype=bool)
     bad_vu = np.zeros(shape, dtype=bool)
-    for p, res in zip(primes, residues):
-        ab = (res[a][0] @ res[b][1]).reshape(shape)
-        ba = (res[b][0] @ res[a][1]).reshape(shape)
+    for p, (vert, horiz) in zip(moduli, stacks):
+        ab = (vert[a] @ horiz[b]).astype(np.int64).reshape(shape)
+        ba = (vert[b] @ horiz[a]).astype(np.int64).reshape(shape)
+        comm = ab - ba.transpose(_SWAP)
         # x - x // p * p is x % p; numpy divides by a scalar much faster
         # than it takes remainders
-        comm = (ab - ba.transpose(_SWAP)).astype(np.int64)
-        comm -= comm // p * p
+        if p is not None:
+            comm -= comm // p * p
         comm *= w
-        cross = (ab - ba).astype(np.int64).swapaxes(0, 3)
+        ab -= ba
+        cross = ab.swapaxes(0, 3)
         for bad, diff in ((bad_uv, comm - cross),
                           (bad_vu, comm.transpose(_SWAP) + cross)):
-            bad |= diff // p * p != diff
+            bad |= diff != 0 if p is None else diff // p * p != diff
     return _first_entry(bad_uv), _first_entry(bad_vu)
 
 
@@ -157,34 +160,51 @@ def _first_entry(bad: np.ndarray) -> tuple | None:
     return tuple(int(x) for x in np.argwhere(bad.transpose(0, 1, 3, 4, 2, 5))[0])
 
 
-def _rtt_grid(mod: YangianModule) -> tuple[list[int], int, list[int], list]:
-    """The grid points, the bound D, the residue primes and, per prime and
-    point, the vertical and horizontal residue stacks."""
+def _rtt_grid(mod: YangianModule) -> tuple[list[int], int, list, list]:
+    """The grid points, the bound D, the moduli and, per modulus, the
+    vertical (points, rows (i, j, r), s) and horizontal (points, r,
+    columns (i, j, s)) float64 stacks.
+
+    The moduli are [None], with the numerators themselves as the stacks,
+    when dim M^2 < 2^53 and D < 2^63 (the exact tier); else they are the
+    residue primes, largest first, with the residues as the stacks.  The
+    residues come from one int64 cast of the numerators when M < 2^63."""
     n, dim = mod.n, mod.dim
     pts = _grid_points(mod.den, mod.den.degree + 2)
-    stacks = _grid_stacks(mod, pts)
-    top = max(int(np.abs(ints).max()) for ints in stacks)
+    ints = _grid_stacks(mod, pts)
+    top = int(np.abs(ints).max())
     bound = 2 * (pts[-1] - pts[0] + 1) * dim * top * top
-    primes = residue_primes(bound, dim)
-    residues = [[_residue_stacks(ints, p, n, dim) for ints in stacks]
-                for p in primes]
-    return pts, bound, primes, residues
+    # for a module the first test implies the second (a spread over 511
+    # needs deg d > 255, and then the monic P_00 alone has M >= d!/2^d),
+    # but the int64 proof should not lean on that
+    if dim * top * top < FLOAT64_EXACT_LIMIT and bound < 2 ** 63:
+        moduli = [None]
+    else:
+        moduli = residue_primes(bound, dim)
+    if top < 2 ** 63:
+        ints = ints.astype(np.int64)
+    stacks = []
+    for p in moduli:
+        vert = (ints if p is None else ints % p).astype(np.float64)
+        stacks.append((vert, vert.reshape(len(pts), n, n, dim, dim)
+                       .transpose(0, 3, 1, 2, 4).reshape(len(pts), dim, -1)))
+    return pts, bound, moduli, stacks
 
 
 def check_rtt(mod: YangianModule) -> RttReport:
     """Prove the defining relation for the module by grid evaluation.
 
     The relation holds identically on the diagonal u0 = v0, so only the
-    pairs u0 != v0 are compared, each unordered pair once per prime.
+    pairs u0 != v0 are compared, each unordered pair once per modulus.
     Raises ValueError when n^2 dim exceeds RTT_MAX_SIZE.
     """
     n, dim = mod.n, mod.dim
     if n * n * dim > RTT_MAX_SIZE:
         raise ValueError(f"rtt check on n^2 * dim = {n * n * dim}, over the "
                          f"budget of {RTT_MAX_SIZE}")
-    pts, bound, primes, residues = _rtt_grid(mod)
+    pts, bound, moduli, stacks = _rtt_grid(mod)
     report = RttReport(True, n, dim, mod.den.degree, list(pts), list(pts),
-                       bound=bound, primes=primes)
+                       bound=bound, primes=[p for p in moduli if p])
     # pairs (a, b) with a > b were settled with (b, a), earlier in the scan
     later: dict[tuple[int, int], tuple | None] = {}
     for a, u0 in enumerate(pts):
@@ -192,7 +212,7 @@ def check_rtt(mod: YangianModule) -> RttReport:
             if a == b:
                 continue
             if a < b:
-                entry, later[b, a] = _pair_failures(residues, primes, a, b,
+                entry, later[b, a] = _pair_failures(stacks, moduli, a, b,
                                                     u0 - v0, n, dim)
             else:
                 entry = later.pop((a, b))

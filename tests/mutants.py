@@ -112,9 +112,17 @@ MUTANTS = (
             "tests/test_verify.py::test_drinfeld_twist_invariance",
             "tests/test_verify.py::test_ratio_to_drinfeld_poly_errors")),
     Mutant("rtt-first-residue-prime-only", "verify.py",
-           "for p, res in zip(primes, residues):",
-           "for p, res in zip(primes[:1], residues):",
+           "for p, (vert, horiz) in zip(moduli, stacks):",
+           "for p, (vert, horiz) in zip(moduli[:1], stacks):",
            ("tests/test_verify.py::test_rtt_failure_missed_by_first_prime",)),
+    Mutant("rtt-exact-gate-without-dim", "verify.py",
+           "if dim * top * top < FLOAT64_EXACT_LIMIT and bound < 2 ** 63:",
+           "if top * top < FLOAT64_EXACT_LIMIT and bound < 2 ** 63:",
+           ("tests/test_verify.py::test_rtt_at_the_exact_tier_edge",)),
+    Mutant("rtt-residue-cast-without-bound", "verify.py",
+           "    if top < 2 ** 63:\n        ints = ints.astype(np.int64)",
+           "    if True:\n        ints = ints.astype(np.int64)",
+           ("tests/test_verify.py::test_rtt_at_the_exact_tier_edge",)),
     Mutant("rtt-swapped-pair-sign", "verify.py",
            "(bad_vu, comm.transpose(_SWAP) + cross)",
            "(bad_vu, comm.transpose(_SWAP) - cross)",

@@ -599,6 +599,20 @@ def test_pair_dim_100_swap_is_admitted_and_passes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("n,nu,mu", [
+    (3, [1, 1, 1, 1], ["1/7", "2/7", "3/7", "5/7"]),
+    (2, [12, 12], ["1/7", "12/7"])])
+def test_rtt_just_under_its_budget_passes(n, nu, mu, capsys):
+    # n^2 dim = 729 (dim 81, at RTT_MAX_SIZE, on residues) and 676 (dim
+    # 169, on the exact tier), the largest shapes the rtt check takes on
+    code, report = _run_within_10s({
+        "theta": 1, "n": n, "p": 1, "q": len(nu) - 1, "mu": mu, "nu": nu,
+        "checks": ["rtt"]})
+    assert code == 0
+    assert report["checks"][0]["status"] == "pass"
+    capsys.readouterr()
+
+
 def test_resonant_dim_27_kernel_quotient_is_admitted_and_passes(capsys):
     # 729 unknowns, 93 after the diagonal coefficient pairs, within
     # HOM_SPACE_MAX_UNKNOWNS; kernel 3 and an irreducible quotient of dim 24

@@ -149,15 +149,22 @@ def component_rtt_failures(mod, points):
     return first, values
 
 
-def test_rtt_failure_missed_by_first_prime():
-    # adding c E_00 to P_01 makes every entry of lhs - rhs a multiple of c,
-    # so with c the first residue prime that prime alone sees no failure
+def first_prime_module():
+    """Adding c E_00 to P_01 of an evaluation module makes every entry of
+    lhs - rhs a multiple of c; c is the first residue prime."""
     good = evaluation_module(2, F(3, 2))
-    first_prime = residue_primes(0, good.dim)[0]
     num = good.num.copy()
-    num[0, 1, 0, 0, 0] += first_prime * good.scale
-    bad = YangianModule(good.den, num, good.scale)
+    num[0, 1, 0, 0, 0] += residue_primes(0, good.dim)[0] * good.scale
+    return YangianModule(good.den, num, good.scale)
+
+
+def test_rtt_failure_missed_by_first_prime():
+    # the first prime alone sees no failure; c ~ 2^26 puts dim M^2 past
+    # 2^53, so the check runs on the residue tier
+    bad = first_prime_module()
+    first_prime = residue_primes(0, bad.dim)[0]
     report = check_rtt(bad)
+    assert bad.dim * stacked_top(bad, report.points_u) ** 2 >= 2 ** 53
     assert report.primes[0] == first_prime and len(report.primes) > 1
     first, values = component_rtt_failures(bad, report.points_u)
     assert values and all(x.numerator % first_prime == 0 for x in values)
@@ -249,6 +256,125 @@ def noncommuting_module():
     return YangianModule(Poly([2, 3, 1]), num)
 
 
+def stacked_top(mod, points):
+    """Reference M: the largest |numerator| of the evaluated blocks, each
+    point's blocks in lowest terms over one denominator."""
+    return max(int(np.abs(RatMatrix.stack(
+        [[m] for row in blocks for m in row]).data).max())
+        for blocks in blocks_at(mod, points).values())
+
+
+def reference_grid(mod):
+    """The first deg d + 2 integers from 10 on that are not roots of d."""
+    return list(itertools.islice((u for u in itertools.count(10)
+                                  if mod.den(u) != 0), mod.den.degree + 2))
+
+
+def tier_primes(mod, top, bound):
+    """The residue primes the check takes: none on the exact tier, dim M^2 <
+    2^53 and D < 2^63, where the products and the compared entries fit
+    float64 and int64 as they are; else the fewest whose product exceeds D."""
+    if mod.dim * top * top < 2 ** 53 and bound < 2 ** 63:
+        return []
+    return residue_primes(bound, mod.dim)
+
+
+def commuting_module(n, q):
+    """P_ij(u) = delta_ij (u I + q K + L) over u, with K the circulant
+    matrix of 1, 2, 3 and L fixed: the blocks at any two points commute, so
+    the relation holds, and their products come near dim M^2."""
+    dense = np.array([[1, 2, 3], [3, 1, 2], [2, 3, 1]], dtype=object)
+    lower = np.array([[1, -2, 3], [0, 2, -1], [-3, 1, 0]], dtype=object)
+    num = np.zeros((n, n, 2, 3, 3), dtype=object)
+    for i in range(n):
+        num[i, i, 1] = np.eye(3, dtype=int)
+        num[i, i, 0] = q * dense + lower
+    return YangianModule(Poly([0, 1]), num)
+
+
+EDGE_FAMILIES = {
+    "evaluation": lambda n, q: evaluation_module(n, F(1, q)),
+    "dual": lambda n, q: dual_evaluation_module(n, F(1, q)),
+    "commuting": commuting_module,
+}
+
+# the exact tier's gate, the same gate without its dim factor (just under
+# it the products of a dense module pass 2^53), and the bound under which
+# the residue stacks come from one int64 cast
+EDGE_BOUNDS = {
+    "dim M^2": lambda dim, top: dim * top * top < 2 ** 53,
+    "M^2": lambda dim, top: top * top < 2 ** 53,
+    "M": lambda dim, top: top < 2 ** 63,
+}
+
+
+def edge_module(family, n, bound, above, tamper):
+    """The family's module at q, found by bisection so that it lies just
+    under the bound and at q + 1 just over it; the q + 1 module if above.
+    tamper (i, j, r, s, delta) adds delta to the constant coefficient of
+    P_ij at (r, s) before the search."""
+    def build(q):
+        mod = EDGE_FAMILIES[family](n, q)
+        if tamper is None:
+            return mod
+        i, j, r, s, delta = tamper
+        num = mod.num.copy()
+        num[i, j, 0, r, s] += delta * mod.scale
+        return YangianModule(mod.den, num, mod.scale)
+
+    def under(q):
+        mod = build(q)
+        return EDGE_BOUNDS[bound](mod.dim,
+                                  stacked_top(mod, reference_grid(mod)))
+
+    lo, hi = 1, 2 ** 70
+    assert under(lo) and not under(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if under(mid) else (lo, mid)
+    return build(hi if above else lo)
+
+
+@st.composite
+def edge_modules(draw):
+    """A module just under or just over one bound, as built or tampered;
+    returns the module and whether it was tampered."""
+    family = draw(st.sampled_from(sorted(EDGE_FAMILIES)))
+    n = draw(st.sampled_from((2, 3)))
+    dim = EDGE_FAMILIES[family](n, 1).dim
+    tamper = draw(st.none() | st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, dim - 1),
+        st.integers(0, dim - 1), st.sampled_from((1, -1))))
+    mod = edge_module(family, n, draw(st.sampled_from(sorted(EDGE_BOUNDS))),
+                      draw(st.booleans()), tamper)
+    return mod, tamper is not None
+
+
+@settings(max_examples=12, deadline=None)
+@given(edge_modules())
+# just under the gate, as built and tampered (the tampered one fails)
+@example((edge_module("evaluation", 2, "dim M^2", False, None), False))
+@example((edge_module("evaluation", 2, "dim M^2", False, (0, 1, 0, 1, 1)),
+          True))
+@example((edge_module("evaluation", 3, "dim M^2", True, None), False))
+# M^2 < 2^53 <= dim M^2, products past 2^53: in float64 the products in
+# the two orders round apart, and the relation would read as failing
+@example((edge_module("commuting", 2, "M^2", False, None), False))
+# M just under and at 2^63: residues from the int64 cast, then from ints
+@example((edge_module("dual", 2, "M", False, None), False))
+@example((edge_module("evaluation", 2, "M", True, (1, 0, 1, 0, -1)), True))
+def test_rtt_at_the_exact_tier_edge(case):
+    mod, tampered = case
+    report = check_rtt(mod)
+    pts = report.points_u
+    assert pts == reference_grid(mod)
+    assert report.ok == dense_rtt_holds(mod)
+    assert report.ok or tampered
+    assert report.failure == component_rtt_failures(mod, pts)[0]
+    assert report.primes == tier_primes(mod, stacked_top(mod, pts),
+                                        report.bound)
+
+
 @settings(max_examples=30, deadline=None)
 @given(small_modules())
 @example((noncommuting_module(), True))
@@ -263,25 +389,27 @@ def test_rtt_matches_dense_reference(case):
     assert report.failure == component_rtt_failures(mod, report.points_u)[0]
     # the bound reads the stacks of the evaluated blocks in lowest terms
     pts = report.points_u
-    top = max(int(np.abs(RatMatrix.stack(
-        [[m] for row in blocks for m in row]).data).max())
-        for blocks in blocks_at(mod, pts).values())
+    top = stacked_top(mod, pts)
     assert report.bound == 2 * (pts[-1] - pts[0] + 1) * mod.dim * top * top
-    assert report.primes == residue_primes(report.bound, mod.dim)
+    assert report.primes == tier_primes(mod, top, report.bound)
 
 
 @settings(max_examples=10, deadline=None)
 @given(small_modules())
 @example((noncommuting_module(), True))
+# the residue tier, tampered and as built
+@example((first_prime_module(), True))
+@example((edge_module("evaluation", 2, "dim M^2", True, None), False))
 def test_rtt_pairs_match_component_reference(case):
-    # one product pair per prime settles both (u, v) and (v, u): every
-    # ordered pair's first failing entry matches the reference
+    # one product pair per modulus settles both (u, v) and (v, u): every
+    # ordered pair's first failing entry matches the reference, on the
+    # exact tier (modulus None) and on residues
     mod, _ = case
-    pts, _, primes, residues = verify._rtt_grid(mod)
+    pts, _, moduli, stacks = verify._rtt_grid(mod)
     ref = pair_rtt_failures(mod, pts)
     for a, b in itertools.combinations(range(len(pts)), 2):
         u, v = pts[a], pts[b]
-        got = verify._pair_failures(residues, primes, a, b, u - v,
+        got = verify._pair_failures(stacks, moduli, a, b, u - v,
                                     mod.n, mod.dim)
         assert got == (ref[u, v][0], ref[v, u][0])
     assert all(not ref[u, u][1] for u in pts)   # the diagonal holds
