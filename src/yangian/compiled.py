@@ -4,23 +4,35 @@ An operator is a list of (coefficient, rep matrix | None, atom word)
 terms: the word acts on a monomial through `fock.apply_word`, the matrix on
 the index of a gl_m representation.  Every identity of a suite is a signed
 sum of products of two operators; a linear term c X is the product c X 1
-with the unit operator 1 = [(1, None, ())].  `CompiledOperators` compiles a
-suite's operators once to padded integer columns over (monomial, rep index)
-states, right factors on the assertion window and left factors on the
-states those reach, so a product term is two gathers.  `check` then sums
-the terms of a chunk of identities per (identity, window key, image state)
-by one sort, and an identity fails at its first window key with a nonzero
-sum.  Values are int64 below a proven bound and Python ints above it, one
-factor clears every denominator, and the compiled states reach every degree
-the window plus the identity's raising atoms reach, so nothing is
-truncated: verdicts, checked counts, window caps and witnesses are those of
-applying the expanded terms to each key one by one.
+with the unit operator 1 = [(1, None, ())].  `CompiledOperators` builds a
+suite's term table in array passes and chains each word's map on monomials
+from one map per atom, each atom applied by `apply_word` once per monomial
+it meets.  It compiles every operator once, to its nonzero integer column
+entries over (monomial, rep index) states: the assertion window's, and
+those the words reach from there.
+
+`check` reads the identities in passes.  A pass finds the distinct (left,
+right) products among its terms and forms each one's image on the window
+keys once: every nonzero window entry of the right factor times the left
+factor's column at its target.  Each identity is then the signed sum of
+its products' images, summed per (identity, window key, image state) by
+one sort, and fails at its first window key with a nonzero sum.
+
+Every column has abs sum at most top, so an image entry, a right entry
+times a left entry, is at most top^2, and an identity sum, over at most
+`slots` products with coefficients in {-1, 0, 1}, is at most slots top^2,
+as is each partial sum on the way: values are int64 when slots top^2 <
+2^63 and Python ints otherwise.  One factor clears every denominator, and
+the states reach every degree the window plus the identity's raising atoms
+reach, so nothing is truncated: verdicts, checked counts, window caps and
+witnesses are those of applying the expanded terms to each key one by one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -33,8 +45,9 @@ if TYPE_CHECKING:
 
 MAX_FAILURES = 5
 
-# entries one evaluation pass gathers: product terms x window keys x column
-# slots; it bounds the working arrays of every suite
+# entries one pass holds: the terms a compile pass expands, and the product
+# entries a check pass gathers and its identities expand to; it bounds the
+# working arrays of every suite
 _CHUNK = 1 << 15
 
 
@@ -62,10 +75,11 @@ def _group_sums(keys: np.ndarray, vals: np.ndarray):
     return keys[starts[nonzero]], sums[nonzero]
 
 
-def _integral(x) -> int:
-    x = Fraction(x)
-    assert x.denominator == 1
-    return x.numerator
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The runs starts[i], ..., starts[i] + lengths[i] - 1, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(
+        ends[-1] if len(ends) else 0)
 
 
 class CompiledOperators:
@@ -73,16 +87,18 @@ class CompiledOperators:
 
     A state (monomial k, rep index w) has the key k * rep_dim + w; the
     window's monomials come first, in window order, so window state s is the
-    s-th window key.  Each operator is compiled once, to padded columns of
-    (target key, value) on the window's states, the states its words reach
-    from there and the sink: right factors read the window rows, left
-    factors the row right_pos gives for each target.  A key of
-    monomial -1 is the sink of words that annihilate a monomial.
+    s-th window key, and the states are the window's, then those its words
+    reach.  Each operator is compiled once, to the nonzero entries (target
+    key, value) of its columns on the states, row op * nstates + state at
+    ptr[row]..ptr[row + 1] - 1.  A right factor reads its rows on the
+    window, a left factor the row of each of their targets; `cost`
+    counts the entries a product holds in a pass.
 
     Coefficients, the unit's too, are scaled by one integer f that clears
-    every denominator, so every product and identity sum carries f^2.
-    Values are int64 when a bound on every column, product and identity sum
-    stays below 2^63, and Python ints otherwise.
+    every denominator, so every product and identity sum carries f^2.  top
+    bounds the abs sum of every column: values are int64 when slots top^2
+    < 2^63, the bound on every image entry and identity sum, and Python
+    ints otherwise.
     """
 
     def __init__(self, real: OperatorRealization, raise_budget: int,
@@ -102,145 +118,246 @@ class CompiledOperators:
         self.monos = list(window)
         self.index = {e: k for k, e in enumerate(window)}
         self.nwin = len(window) * rep_dim
+        self.nops = len(ops)
 
-        f = 1
-        for terms in ops:
-            for c, _, _ in terms:
-                f = math.lcm(f, getattr(c, "denominator", 1))
-        self.f = f
-        # a rep matrix scales a column's abs sum by its largest column abs sum
-        top = max((sum(abs(c) * f * grow ** len(word)
-                       * (1 if rep is None else max(np.abs(rep).sum(axis=0)))
-                       for c, rep, word in terms) for terms in ops), default=0)
+        # one row per term: operator, word, coefficient and rep matrix (the
+        # identity for a plain term)
+        terms = [term for op in ops for term in op]
+        coefs, reps, words = zip(*terms) if terms else ((), (), ())
+        sizes = np.array([len(op) for op in ops], dtype=np.int64)
+        self.term_op = np.repeat(np.arange(self.nops), sizes)
+        ids: dict = {}
+        self.term_word = np.array([ids.setdefault(w, len(ids)) for w in words],
+                                  dtype=np.int64)
+        self.words = list(ids)
+        eye = np.eye(rep_dim, dtype=object)
+        mats = np.array([eye if rep is None else rep for rep in reps],
+                        dtype=object).reshape(-1, rep_dim, rep_dim)
+        # c f = numerator (f / denominator), an integer
+        dens = np.array([getattr(c, "denominator", 1) for c in coefs],
+                        dtype=object)
+        self.f = math.lcm(*dens)
+        scale = np.array([getattr(c, "numerator", c) for c in coefs],
+                         dtype=object) * (self.f // dens)
+        # a term's columns have abs sums at most |c f| times grow per atom
+        # times its matrix's largest column abs sum; an operator's, the sum
+        # over its terms
+        growth = np.array([grow ** len(w) for w in self.words], dtype=object)
+        reach = (np.abs(scale) * growth[self.term_word]
+                 * np.abs(mats).sum(axis=1).max(axis=1, initial=0))
+        first = (np.cumsum(sizes) - sizes)[sizes > 0]
+        top = max(np.add.reduceat(reach, first).tolist() if len(first)
+                  else (), default=0)
         # identities have at most `slots` product terms with coefficients
         # in {-1, 0, 1}
         self.slots = slots
         bound = slots * top * top
         self.dtype = np.int64 if bound < 2 ** 63 else object
+        # transposed and scaled: state (k, w) goes to (tgt[k], w2) with
+        # coefficient c f rep[w2, w]
+        self.mats = (mats.transpose(0, 2, 1)
+                     * scale[:, None, None]).astype(self.dtype)
 
-        # one row per term: operator, word, and the integer rep matrix
-        # transposed (the coefficient times the identity for a plain term)
-        self.words: dict = {}
-        rows, mats = [], []
-        eye = np.eye(rep_dim, dtype=self.dtype)
-        for o, terms in enumerate(ops):
-            for c, rep, word in terms:
-                rows.append((o, self.words.setdefault(word, len(self.words))))
-                scale = c * f
-                mats.append((eye if rep is None else rep.T) * _integral(scale))
-        self.term_op, self.term_word = np.array(
-            rows, dtype=np.int64).reshape(-1, 2).T
-        self.mats = np.array(mats, dtype=self.dtype).reshape(
-            -1, rep_dim, rep_dim)
-        self.nops = len(ops)
+        # each word as its atoms, right-aligned so that the last column is
+        # every word's rightmost atom, -1 where a word is shorter
+        atoms: dict = {}
+        seq = [[atoms.setdefault(a, len(atoms)) for a in w] for w in self.words]
+        # one-atom words
+        self.atom_words = [(a,) for a in atoms]
+        longest = max(map(len, seq), default=0)
+        self.word_atoms = np.array([[-1] * (longest - len(w)) + w
+                                    for w in seq], dtype=np.int64)
+        # apply_word of atom a on monomial k, filled in as monomials meet
+        # atoms: coefficient, and target (-1 where it annihilates, -2 where
+        # not yet applied); the last row is the empty word, the last column
+        # the sink
+        self.atom_coef = np.zeros((len(atoms) + 1, 1), dtype=np.int64)
+        self.atom_tgt = np.full((len(atoms) + 1, 1), -1, dtype=np.int64)
 
-        # the window's monomials, those its words reach beyond it, the sink
+        # the states: the window's, then those its words reach beyond it
         nw = len(window)
         cw, tgt = self._word_maps(np.arange(nw))
         # (np.unique would import numpy.ma, a megabyte of RSS)
         extra = np.flatnonzero(np.bincount(tgt[tgt >= nw]))
-        more = self._word_maps(np.append(extra, -1))
-        self.left_k, self.left_v = self._compile(
+        more = self._word_maps(extra)
+        self.nstates = (nw + len(extra)) * rep_dim
+        self.ptr, self.state, self.key, self.val = self._compile(
             np.concatenate((cw, more[0]), axis=1),
             np.concatenate((tgt, more[1]), axis=1))
-        self.right_v = self.left_v[:, :self.nwin]
-        right_k = self.left_k[:, :self.nwin]
-        where = np.full(len(self.monos) + 1, nw + len(extra))
+        # the state of each entry's target, where it is one (as it is for
+        # every entry on the window)
+        where = np.full(len(self.monos), -1)
         where[:nw] = np.arange(nw)
         where[extra] = np.arange(nw, nw + len(extra))
-        # flat over (window state, column slot), as _failing reads it
-        self.right_pos = (where[right_k // rep_dim] * rep_dim
-                          + right_k % rep_dim).reshape(self.nops, -1)
+        self.pos = where[self.key // rep_dim] * rep_dim + self.key % rep_dim
+
+        # operator o's right_nnz[o] window entries start at right_start[o]
+        self.width = int((self.ptr[1:] - self.ptr[:-1]).max(initial=0))
+        starts = np.arange(self.nops) * self.nstates
+        self.right_start = self.ptr[starts]
+        self.right_nnz = self.ptr[starts + self.nwin] - self.right_start
+
+    @cached_property
+    def cost(self) -> np.ndarray:
+        """cost[L, R]: the entries the product L R holds on the window, the
+        right factor's window entries and, for each, the left factor's
+        entries at its target; counted by runs of right factors of about
+        _CHUNK entries."""
+        counts = (self.ptr[1:] - self.ptr[:-1]).reshape(self.nops, -1)
+        cost = np.zeros((self.nops, self.nops), dtype=np.int64)
+        per = max(1, _CHUNK // max(self.nops * int(self.right_nnz.max(
+            initial=0)), 1))
+        for r0 in range(0, self.nops, per):
+            n = self.right_nnz[r0:r0 + per]
+            pos = self.pos[_ranges(self.right_start[r0:r0 + per], n)]
+            sums = np.zeros((self.nops, len(pos) + 1), dtype=np.int64)
+            np.cumsum(counts[:, pos], axis=1, out=sums[:, 1:])
+            end = np.cumsum(n)
+            cost[:, r0:r0 + per] = sums[:, end] - sums[:, end - n] + n
+        return cost
 
     def _word_maps(self, src: np.ndarray):
         """apply_word of every word on each source monomial: coefficients
         and target monomials, each (words, sources), with coefficient 0 and
-        target -1 where a word annihilates and on the sink -1."""
-        theta, n = self.real.theta, self.real.n
+        target -1 where a word annihilates and on the sink -1.  The atoms
+        act rightmost first, each through its map."""
+        coef = np.repeat((src >= 0)[None], len(self.words), axis=0).astype(
+            np.int64)
+        tgt = np.repeat(src[None], len(self.words), axis=0)
+        for atom in self.word_atoms.T[::-1, :, None] if len(src) else ():
+            self._apply_atoms(atom, tgt)
+            coef *= self.atom_coef[atom, tgt]
+            tgt = self.atom_tgt[atom, tgt]
+        return coef, tgt
+
+    def _apply_atoms(self, atom: np.ndarray, tgt: np.ndarray) -> None:
+        """Fill in the maps of each atom[w] on the monomials tgt[w], each
+        (atom, monomial) pair once."""
         monos, index = self.monos, self.index
-        coef, tgt = [], []
-        for word in self.words:
-            for k in src.tolist():
-                hit = apply_word(theta, n, word, monos[k]) if k >= 0 else None
+        have = self.atom_tgt.shape[1] - 1
+        if have < len(monos):
+            # room for every monomial found so far, and as many more
+            room = 2 * len(monos)
+            coef = np.zeros((len(self.atom_tgt), room + 1), dtype=np.int64)
+            step = np.full(coef.shape, -2)
+            coef[:, :have] = self.atom_coef[:, :-1]
+            step[:, :have] = self.atom_tgt[:, :-1]
+            coef[-1, have:], step[-1, have:] = 1, np.arange(have, room + 1)
+            coef[:, -1], step[:, -1] = 0, -1
+            self.atom_coef, self.atom_tgt = coef, step
+        # the (atom, monomial) pairs met here and not yet applied, by atom
+        todo = np.zeros(self.atom_tgt.shape, dtype=bool)
+        todo[atom, tgt] = True
+        a, k = np.nonzero(todo & (self.atom_tgt == -2))
+        theta, n = self.real.theta, self.real.n
+        coefs, targets = [], []
+        ends = np.searchsorted(a, np.arange(len(self.atom_words) + 1)).tolist()
+        k_list = k.tolist()
+        for word, b0, b1 in zip(self.atom_words, ends, ends[1:]):
+            for mono in k_list[b0:b1]:
+                hit = apply_word(theta, n, word, monos[mono])
                 if hit is None:
-                    coef.append(0)
-                    tgt.append(-1)
+                    coefs.append(0)
+                    targets.append(-1)
                     continue
                 c, exps = hit
                 t = index.get(exps)
                 if t is None:
                     t = index[exps] = len(monos)
                     monos.append(exps)
-                coef.append(c)
-                tgt.append(t)
-        shape = (len(self.words), len(src))
-        return (np.array(coef, dtype=np.int64).reshape(shape),
-                np.array(tgt, dtype=np.int64).reshape(shape))
+                coefs.append(c)
+                targets.append(t)
+        self.atom_coef[a, k] = coefs
+        self.atom_tgt[a, k] = targets
 
     def _compile(self, cw: np.ndarray, tgt: np.ndarray):
         """Columns of every operator on the states of the source monomials
-        of the word maps (cw, tgt), as (keys, values), each of shape
-        (operators, states, width)."""
+        of the word maps (cw, tgt): (ptr, state, key, val), with the
+        entries of row op * nstates + state at ptr[row]..ptr[row + 1] - 1,
+        ascending by target key."""
         r = self.rep_dim
-        nsrc = cw.shape[1]
-        nstates = nsrc * r
         span = len(self.monos) * r
-        # runs of operators whose raw entries stay near _CHUNK
-        bounds = np.searchsorted(self.term_op, np.arange(self.nops + 1))
-        per = max(1, _CHUNK // (nstates * r * max(np.diff(bounds).max(), 1)))
-        blocks = []
-        for o0 in range(0, self.nops, per):
-            terms = slice(bounds[o0], bounds[min(o0 + per, self.nops)])
-            op, word = self.term_op[terms], self.term_word[terms]
-            # state (k, w) goes to (tgt[k], w2) with rep[w2, w]
-            val = (cw[word].astype(self.dtype)[:, :, None, None]
-                   * self.mats[terms, None])
-            live = val != 0
-            row = (op - o0)[:, None, None] * nstates + np.arange(
-                nstates).reshape(nsrc, r)
+        # the sources each word reaches, word by word
+        word, src = np.nonzero(cw)
+        reached = np.searchsorted(word, np.arange(len(self.words) + 1))
+        # state (k, w) goes to (tgt[k], w2) with the nonzero mats[t, w, w2]
+        t, w, w2 = np.nonzero(self.mats)
+        mval, op, word = self.mats[t, w, w2], self.term_op[t], self.term_word[t]
+        n = reached[word + 1] - reached[word]
+        # runs of operators whose entries stay near _CHUNK
+        at = np.zeros(len(n) + 1, dtype=np.int64)
+        np.cumsum(n, out=at[1:])
+        at = at[np.searchsorted(op, np.arange(self.nops + 1))]
+        rows, keys, vals = [], [], []
+        o0 = 0
+        while o0 < self.nops:
+            o1 = max(o0 + 1, int(np.searchsorted(at, at[o0] + _CHUNK,
+                                                 side="right")) - 1)
+            m = slice(*np.searchsorted(op, (o0, o1)))
+            hit = _ranges(reached[word[m]], n[m])
+            each = np.repeat(np.arange(m.start, m.stop), n[m])
+            k = src[hit]
             ukeys, sums = _group_sums(
-                np.broadcast_to(row[..., None], live.shape)[live] * span
-                + np.broadcast_to(tgt[word][:, :, None, None] * r
-                                  + np.arange(r), live.shape)[live],
-                val[live])
+                ((op[each] * self.nstates + k * r + w[each]) * span
+                 + tgt[word[each], k] * r + w2[each]),
+                cw[word[each], k].astype(self.dtype) * mval[each])
             row, key = np.divmod(ukeys, span)
-            slot = np.arange(len(row)) - np.searchsorted(row, row)
-            blocks.append((row + o0 * nstates, slot, key, sums))
-        width = max((int(b[1].max()) + 1 for b in blocks if len(b[1])),
-                    default=1)
-        keys = np.full((self.nops, nstates, width), -1, dtype=np.int64)
-        vals = np.zeros(keys.shape, dtype=self.dtype)
-        for row, slot, key, sums in blocks:
-            keys.reshape(-1, width)[row, slot] = key
-            vals.reshape(-1, width)[row, slot] = sums
-        return keys, vals
+            rows.append(row)
+            keys.append(key)
+            vals.append(sums)
+            o0 = o1
+        row = np.concatenate(rows)
+        ptr = np.zeros(self.nops * self.nstates + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=len(ptr) - 1), out=ptr[1:])
+        return (ptr, row % self.nstates, np.concatenate(keys),
+                np.concatenate(vals))
 
     def _failing(self, coef, left, right, w0: int, w1: int):
-        """Each identity of the chunk with a nonzero residual on window keys
+        """Each identity of the pass with a nonzero residual on window keys
         w0..w1-1, in order: (identity, first failing key, its nonzero
         (target key, value) entries)."""
-        nkeys, width = w1 - w0, self.right_v.shape[2]
         span = len(self.monos) * self.rep_dim
-        # each live right entry, at a term tj and a flat (window key, column
-        # slot) cell, meets the left factor's column at its target
-        val = self.right_v[right, w0:w1] * coef[:, :, None, None]
-        hit = np.flatnonzero(val)
-        tj, cell = np.divmod(hit, nkeys * width)
-        pos = self.right_pos[right.ravel()[tj], w0 * width + cell]
-        lop = left.ravel()[tj]
-        val = self.left_v[lop, pos] * val.ravel()[hit][:, None]
-        row = tj // coef.shape[1] * nkeys + cell // width
-        live = val != 0
+        # the distinct products of the live terms, ascending, and the
+        # product of each term
+        ti, tj = np.nonzero(coef)
+        pair = left[ti, tj] * self.nops + right[ti, tj]
+        seen = np.zeros(self.nops * self.nops, dtype=bool)
+        seen[pair] = True
+        pairs = np.flatnonzero(seen)
+        which = np.searchsorted(pairs, pair)
+        lop, rop = np.divmod(pairs, self.nops)
+        # each product's image: its right factor's entries on the keys,
+        # times the left factor's entries at their targets
+        nnz = self.right_nnz[rop]
+        cells = _ranges(self.right_start[rop], nnz)
+        prod = np.repeat(np.arange(len(pairs)), nnz)
+        key = self.state[cells]
+        if w1 - w0 < self.nwin:
+            keep = (key >= w0) & (key < w1)
+            cells, prod, key = cells[keep], prod[keep], key[keep]
+        row = lop[prod] * self.nstates + self.pos[cells]
+        run = self.ptr[row + 1] - self.ptr[row]
+        hit = _ranges(self.ptr[row], run)
+        val = self.val[hit] * np.repeat(self.val[cells], run)
+        image = np.repeat(key * span, run) + self.key[hit]
+        # product p's entries are start[p]..start[p + 1] - 1 of image
+        start = np.searchsorted(np.repeat(prod, run),
+                                np.arange(len(pairs) + 1))
+        # each term's signed image, summed per (identity, key, image state)
+        count = (start[1:] - start[:-1])[which]
+        src = _ranges(start[which], count)
         ukeys, sums = _group_sums(
-            (row[:, None] * span + self.left_k[lop, pos])[live], val[live])
+            np.repeat(ti * (self.nwin * span), count) + image[src],
+            val[src] * np.repeat(coef[ti, tj], count))
         row, target = np.divmod(ukeys, span)
-        ident = row // nkeys
+        ident, key = np.divmod(row, self.nwin)
         out = []
-        for a in np.flatnonzero(np.r_[True, ident[1:] != ident[:-1]])[
-                :MAX_FAILURES] if len(ident) else ():
-            b = a + int(np.searchsorted(row[a:], row[a], side="right"))
-            out.append((int(ident[a]), w0 + int(row[a] % nkeys),
-                        list(zip(target[a:b].tolist(), sums[a:b].tolist()))))
+        if len(ident):
+            firsts = np.flatnonzero(ident[1:] != ident[:-1]) + 1
+            for a in [0, *firsts[:MAX_FAILURES - 1].tolist()]:
+                b = a + int(np.searchsorted(row[a:], row[a], side="right"))
+                out.append((int(ident[a]), int(key[a]), list(zip(
+                    target[a:b].tolist(), sums[a:b].tolist()))))
         return out
 
     def check(self, name: str, count: int, rows, witness) -> IdentityReport:
@@ -252,32 +369,53 @@ class CompiledOperators:
         operators given by index.  witness(t) names identity t.  Failures
         come in index order, each at its first failing window key, with the
         image entry of the smallest (rep index, exponents) key.
+
+        A pass takes the most identities whose terms' products hold at
+        most _CHUNK entries on the window, as `cost` counts them (or all
+        of them, when a cruder bound already fits); an identity over that
+        alone is read on windows of keys whose products hold at most
+        _CHUNK entries however they fall.
         """
         r, scale = self.rep_dim, self.f * self.f
-        per_key = self.right_v.shape[2] * self.slots * self.left_k.shape[2]
-        keys_per = max(1, min(self.nwin, _CHUNK // max(per_key, 1)))
-        step = max(1, _CHUNK // max(per_key * self.nwin, 1))
+        keys_per = max(1, _CHUNK // max(
+            self.slots * self.width * (self.width + 1), 1))
+        fetch = max(1, _CHUNK // self.slots)
         failures: list = []
-        for i0 in range(0, count, step):
-            if len(failures) >= MAX_FAILURES:
-                break
-            coef, left, right = rows(np.arange(i0, min(i0 + step, count)))
+        for i0 in range(0, count, fetch):
+            coef, left, right = rows(np.arange(i0, min(i0 + fetch, count)))
             # the int64 bound holds for these shapes and coefficients only
             assert coef.shape[1] <= self.slots
             assert np.abs(coef).max(initial=0) <= 1
             coef = coef.astype(self.dtype)
-            for w0 in range(0, self.nwin, keys_per):
-                found = self._failing(coef, left, right, w0,
-                                      min(w0 + keys_per, self.nwin))
-                for t, key, entries in found[:MAX_FAILURES - len(failures)]:
-                    bad = witness(i0 + t)
-                    bad["vector"] = (key % r, self.monos[key // r])
-                    bad["image"] = min(
-                        ((k % r, self.monos[k // r]),
-                         v if scale == 1 else Fraction(v, scale))
-                        for k, v in entries)
-                    failures.append(bad)
-                if found:
-                    # one identity per chunk when the window is split
-                    break
+            # a term's product holds at most (1 + width) entries per right
+            # entry; when those bounds pass _CHUNK, count them exactly
+            live = coef != 0
+            held = live * self.right_nnz[right] * (1 + self.width)
+            if held.sum() > _CHUNK:
+                held = live * self.cost[left, right]
+            reach = np.cumsum(held.sum(axis=1))
+            a = 0
+            while a < len(reach) and len(failures) < MAX_FAILURES:
+                done = int(reach[a - 1]) if a else 0
+                b = max(a + 1, int(np.searchsorted(reach, done + _CHUNK,
+                                                   side="right")))
+                step = keys_per if reach[a] - done > _CHUNK else self.nwin
+                for w0 in range(0, self.nwin, step):
+                    found = self._failing(coef[a:b], left[a:b], right[a:b],
+                                          w0, min(w0 + step, self.nwin))
+                    for t, key, entries in found[:MAX_FAILURES
+                                                 - len(failures)]:
+                        bad = witness(i0 + a + t)
+                        bad["vector"] = (key % r, self.monos[key // r])
+                        bad["image"] = min(
+                            ((k % r, self.monos[k // r]),
+                             v if scale == 1 else Fraction(v, scale))
+                            for k, v in entries)
+                        failures.append(bad)
+                    if found:
+                        # a split window holds one identity
+                        break
+                a = b
+            if len(failures) >= MAX_FAILURES:
+                break
         return IdentityReport(name, not failures, count, self.cap, failures)

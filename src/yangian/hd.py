@@ -39,15 +39,15 @@ from .linalg import FLOAT64_EXACT_LIMIT, _as_float64, int_matmul
 # C(m n + truncation, truncation) monomials of degree <= truncation in m n
 # variables.  The tests and the benchmark reach 924 (m = 3, n = 2,
 # truncation 6); at 18564 (m = 4, n = 3, truncation 6) realize,
-# e-relations and alpha-series at order 6 take 0.6, 1.0 and 1.7 s on a
+# e-relations and alpha-series at order 6 take 0.25, 0.2 and 0.4 s on a
 # 2-core x86 VM.
 BASIS_MAX_SIZE = 20000
 
 # Largest number of identity evaluations, identities x window keys x
 # rep_dim, that one suite or series expansion takes on.  The tests and the
 # benchmark reach 2.5e5; e-relations at m = 4, n = 3, truncation 6 needs
-# 5.7e6 (1.0 s on a 2-core x86 VM), while the theta = -1 alpha-series at
-# m = n = 3, order 10 would need 9.5e6 (12 s) and is refused.
+# 5.7e6 (0.2 s on a 2-core x86 VM), while the theta = -1 alpha-series at
+# m = n = 3, order 10 would need 9.5e6 (2.2 s) and is refused.
 WORK_MAX = 6_000_000
 
 

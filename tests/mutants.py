@@ -139,6 +139,14 @@ MUTANTS = (
            "self.dtype = np.int64 if bound < 2 ** 63 else object",
            "self.dtype = np.int64",
            ("tests/test_hd.py::test_int64_bound_both_sides",)),
+    Mutant("compiled-pair-key-without-left", "compiled.py",
+           "pair = left[ti, tj] * self.nops + right[ti, tj]",
+           "pair = right[ti, tj]",
+           ("tests/test_hd.py::test_e_relations_exhaustive_small",)),
+    Mutant("atom-maps-chained-leftmost-first", "compiled.py",
+           "for atom in self.word_atoms.T[::-1, :, None] if len(src) else ():",
+           "for atom in self.word_atoms.T[:, :, None] if len(src) else ():",
+           ("tests/test_hd.py::test_word_maps_match_apply_word",)),
 )
 
 

@@ -586,6 +586,29 @@ def test_series_identities_at_the_budget_edge(m, order, capsys):
     capsys.readouterr()
 
 
+def test_operator_checks_just_under_the_basis_budget(capsys):
+    # m = 4, n = 3, truncation 6: 18564 monomials, the largest basis under
+    # BASIS_MAX_SIZE; e-relations needs 5.7e6 evaluations, under WORK_MAX
+    m, n, order = 4, 3, 6
+    assert math.comb(m * n + 6, 6) <= hd.BASIS_MAX_SIZE
+    code, report = _run_within_10s({
+        "theta": 1, "n": n, "p": 1, "q": m - 1, "nu": [1] * m,
+        "mu": ["1/7", "2/7", "3/7", "5/7"], "truncation": 6, "order": order,
+        "checks": ["e-relations", "zeta-hom", "alpha-series",
+                   "appendix-x-identities"]})
+    assert code == 0
+    details = {r["name"]: r["details"] for r in report["checks"]}
+    pairs = math.comb(order + 2, 2)
+    assert details["e-relations"]["checked"] == 3 * (m * n) ** 4
+    assert details["zeta-hom"]["checked"] == m ** 4
+    alpha = details["alpha-series"]
+    assert alpha["generator_exchange"]["checked"] == pairs * n ** 4
+    assert alpha["commutant"]["checked"] == m * m * order * n * n
+    assert details["appendix-x-identities"]["checked"] == (
+        (pairs - 1) * (m * m + m ** 4))
+    capsys.readouterr()
+
+
 def test_pair_dim_100_swap_is_admitted_and_passes(capsys):
     # n = 2, nu = (9, 9): pair dim 100, work 2.0e6, under STEP_MAX_WORK;
     # refused before the span was kept as its own echelon form

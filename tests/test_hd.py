@@ -449,6 +449,12 @@ def test_x_identities_match_reference(series):
           x_series(1, 2, 3)))
 @example((_flip_sign(OperatorRealization(-1, 2, 1, 1, 3), "p", 1, 0), 3,
           x_series(-1, 2, 3)))
+# e-relations in two passes: identity 85 (straighten-left at 0, 0, 4, 4)
+# in the first and identity 504 (the commutator at 0, 4, 4, 0) in the
+# second both hold the product E_40 E_04, with signs +1 and -1, and the
+# flipped p atom makes 504 fail with no failure before it
+@example((_flip_sign(OperatorRealization(-1, 2, 3, 1, 6), "p", 1, 1), 3,
+          x_series(-1, 2, 3)))
 def test_compiled_suites_match_reference(case):
     # verdicts, checked counts, window caps and every failure dict; the
     # int64 bound's two sides are in test_int64_bound_both_sides
@@ -456,13 +462,70 @@ def test_compiled_suites_match_reference(case):
 
 
 @pytest.mark.parametrize("theta,m,n,p", [(-1, 2, 2, 1), (1, 2, 1, 0)])
-def test_small_chunks_match_reference(monkeypatch, theta, m, n, p):
-    # passes of a few entries split the identities and the window keys
-    monkeypatch.setattr(compiled, "_CHUNK", 8)
-    real = OperatorRealization(theta, m, n, p)
-    _flip_sign(real, "q", 0, 0)
-    _assert_suites_match_reference(real, 3,
-                                   _bump(x_series(theta, m, 3), 2, 0, 0, 0, 0, 1))
+def test_small_chunks_match_reference(theta, m, n, p):
+    # passes of one or a few entries split the identities and the window
+    # keys; at the default size each suite takes one pass
+    for chunk in (1, 8, compiled._CHUNK):
+        real = OperatorRealization(theta, m, n, p)
+        _flip_sign(real, "q", 0, 0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(compiled, "_CHUNK", chunk)
+            _assert_suites_match_reference(
+                real, 3, _bump(x_series(theta, m, 3), 2, 0, 0, 0, 0, 1))
+
+
+@st.composite
+def words_on_monomials(draw):
+    """A suite of random words, 0 to 4 atoms over few distinct atoms, and
+    indices of window monomials, of monomials beyond the window and of the
+    sink -1 for its word maps to act on."""
+    theta = draw(st.sampled_from((1, -1)))
+    m = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 2))
+    real = OperatorRealization(theta, m, n, draw(st.integers(0, m)),
+                               draw(st.sampled_from((2, 4, 6))))
+    atom = st.tuples(st.sampled_from("xd"), st.integers(0, m - 1),
+                     st.integers(0, n - 1))
+    words = draw(st.lists(st.lists(atom, max_size=4).map(tuple), min_size=1,
+                          max_size=6))
+    picks = st.lists(st.integers(0, 10 ** 6), max_size=6)
+    return (real, draw(st.sampled_from((2, 4))), words, draw(picks),
+            draw(picks), draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(words_on_monomials())
+# theta = 1: d_01 and d_00 d_00 annihilate 1 and x_01, x_00 d_00 d_00
+# repeats an atom, and the sink -1 is a source
+@example((OperatorRealization(1, 1, 2, 0, 4), 2,
+          [(("d", 0, 1),), (("x", 0, 0), ("d", 0, 0), ("d", 0, 0))], [0, 1],
+          [0], True))
+# theta = -1: d_01 on x_00 x_01 takes the sign of the odd prefix x_00, and
+# x_01 x_01 repeats an atom and annihilates
+@example((OperatorRealization(-1, 1, 2, 0), 2,
+          [(("d", 0, 1),), (("x", 0, 1), ("d", 0, 0), ("x", 0, 0)),
+           (("x", 0, 1), ("x", 0, 1))], [0, 1, 2, 3], [], True))
+def test_word_maps_match_apply_word(case):
+    # each word map of a suite, chained from one map per atom, against
+    # apply_word of the whole word on each monomial
+    real, budget, words, window, beyond, sink = case
+    ops = [[(1, None, word)] for word in words] + [[(1, None, ())]]
+    suite = CompiledOperators(real, budget, 1, ops, 2)
+    nw = len(real.basis_exps(suite.cap))
+    src = [k % nw for k in window]
+    if len(suite.monos) > nw:
+        src += [nw + k % (len(suite.monos) - nw) for k in beyond]
+    src += [-1] * sink
+    coef, tgt = suite._word_maps(np.array(src, dtype=np.int64))
+    assert coef.shape == tgt.shape == (len(suite.words), len(src))
+    for w, word in enumerate(suite.words):
+        for s, k in enumerate(src):
+            hit = (apply_word(real.theta, real.n, word, suite.monos[k])
+                   if k >= 0 else None)
+            if hit is None:
+                assert (coef[w, s], tgt[w, s]) == (0, -1)
+            else:
+                assert (coef[w, s], suite.monos[tgt[w, s]]) == hit
 
 
 def _compiled_dtypes(monkeypatch):
