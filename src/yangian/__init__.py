@@ -4,7 +4,7 @@ Finite-dimensional modules are stored with rational-function matrix entries
 held exactly (integer numerators over one denominator per coefficient
 matrix).  Subpackages:
 
-- linalg: polynomials, rational functions, fraction-free linear algebra
+- linalg: polynomials, rational functions, certified modular linear algebra
 - fock: polynomial / Grassmann multiparticle spaces and gl_n operators
 - modules: module constructors (evaluation, one-dimensional, tensor, shifts)
 - verify: defining-relation checks, highest weights, Drinfeld polynomials

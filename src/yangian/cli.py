@@ -45,6 +45,7 @@ from .modules import (
     pattern_module,
     permute_pattern,
     resonant_pair,
+    run_memo,
     source_pattern,
     tensor_module,
 )
@@ -581,9 +582,12 @@ def _run_one(cfg: RunConfig, name: str, shared: _Shared) -> dict:
 
 
 def run(config: RunConfig) -> Report:
-    """Execute the configured checks in their declared order."""
+    """Execute the configured checks in their declared order, building
+    each pattern module and swap pair map once (`modules.run_memo`)."""
     shared = _Shared(config)
-    records = tuple(_run_one(config, name, shared) for name in config.checks)
+    with run_memo():
+        records = tuple(_run_one(config, name, shared)
+                        for name in config.checks)
     status = "pass" if all(r["status"] == "pass" for r in records) else "fail"
     return Report(config=config_to_dict(config), records=records,
                   status=status)

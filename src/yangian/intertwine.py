@@ -32,13 +32,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .fock import PLAIN, TILDE, block_dim
 from .linalg import (FLOAT64_EXACT_LIMIT, RatMatrix, _as_float64,
-                     _gauss_jordan, _nullspace_from_rref, _ratmatrix,
+                     _modular_rref, _nullspace_from_rref, _ratmatrix,
                      int_matmul)
 from .modules import (
     ModuleParams,
@@ -48,6 +49,7 @@ from .modules import (
     coefficient_pairs,
     distinguished_vector,
     fock_module,
+    memoized,
     pattern_module,
     source_pattern,
     tensor_module,
@@ -260,7 +262,7 @@ def _cyclic_span(gens: Sequence[np.ndarray], start: Sequence[np.ndarray]
     red, pivots, d = np.zeros((0, sides * dim), dtype=object), [], 1
     cands = np.concatenate(start).reshape(1, -1)
     while True:
-        new, added, e = _gauss_jordan(cands * d - int_matmul(cands[:, pivots], red))
+        new, added, e = _modular_rref(cands * d - int_matmul(cands[:, pivots], red))
         if not added:
             break
         # the new rows vanish at the old pivots; clear theirs from R
@@ -324,8 +326,10 @@ def _verify_intertwiner(mat: RatMatrix, src: YangianModule,
 # Largest work a swap step takes on, pair_dim^3 x n, counted before any
 # module is built (span, hw spaces and certificate all grow with it).  CLI
 # hw-scalar on a 2-core x86 VM, (n, degrees) dim work: (2, 9 9) 100 2.0e6
-# 1.2 s; (3, 3 3) 100 3.0e6 1.5 s; (2, 10 10) 121 3.5e6 2.3 s; (4, 2 2) 100
-# 4.0e6 2.2 s; refused: (2, 11 11) 144 6.0e6 3.7 s; (10, 1 1) 100 1e7 5.3 s.
+# 0.57 s; (3, 3 3) 100 3.0e6 0.53 s; (2, 10 10) 121 3.5e6 1.05 s; (4, 2 2)
+# 100 4.0e6 0.31 s; refused: (2, 11 11) 144 6.0e6 1.6 s; (10, 1 1) 100 1e7
+# 0.9 s.  The budget was set when Bareiss elimination made these 1.2-5.3 s,
+# and has not been raised since.
 STEP_MAX_WORK = 4_000_000
 
 
@@ -397,7 +401,8 @@ def compose_word(params: ModuleParams, word: Sequence[int],
     of the permutation it realizes.  The source module's MODULE_MAX_SIZE
     budget and then every step's STEP_MAX_WORK budget are checked before
     anything is built.  Each letter applies its pair map (`_swap_pair`,
-    which refuses non-generic data at that letter) to the two slots it
+    which refuses non-generic data at that letter, built once per
+    `modules.run_memo` for each pair of factors) to the two slots it
     swaps: one stacked product over the rows of the running matrix grouped
     as (slots before, the pair, slots after), so the other slots are never
     touched; the product is then verified exactly once, on the source and
@@ -423,7 +428,8 @@ def compose_word(params: ModuleParams, word: Sequence[int],
     total = RatMatrix.identity(size)
     scalar = Fraction(1)
     for a, (fa, fb) in zip(word, pairs):
-        pair_map, frac = _swap_pair(params, fa, fb)
+        pair_map, frac = memoized(("swap", fa, fb),
+                                  partial(_swap_pair, params, fa, fb))
         # rows of total as (left, pair, rest): the letter acts on the pair
         left, pair = math.prod(dims[:a - 1]), dims[a - 1] * dims[a]
         rows = total.data.reshape(left, pair, -1)
@@ -499,10 +505,12 @@ def check_hw_image(intw: Intertwiner, params: ModuleParams) -> HwImageReport:
 # of A that the diagonal coefficient pairs leave free, counted before the
 # first elimination.  Time grows faster than the count, with the d1 d2
 # rows of each defect.  hom_space between a pattern and its reversal on a
-# 2-core x86 VM, (n, degrees) dim graded: resonant (3, 1 1 1) 27 93
-# 0.05 s; (2, 5 5) 36 146 0.16 s; (2, 1 1 1 3) 32 196 0.64 s; refused:
-# (3, 2 3) 60 204 0.47 s; (2, 1 1 1 1 1) 32 252 4.0 s; resonant
-# (3, 1 1 1 1) 81 639 21 s.
+# 2-core x86 VM (p = 0 or 1), (n, degrees) dim graded: resonant
+# (3, 1 1 1) 27 93 0.02 s; (2, 5 5) 36 146 0.03-0.18 s; (2, 1 1 1 3) 32
+# 196 0.04-0.05 s; refused: (3, 2 3) 60 204 0.18-0.25 s; (2, 1 1 1 1 1)
+# 32 252 0.32-0.36 s; resonant (3, 1 1 1 1) 81 639 2.1 s.  The budget was
+# set when Bareiss elimination took 0.05-0.64 s, 0.47-4.0 s and 21 s on
+# these shapes, and has not been raised since.
 HOM_SPACE_MAX_UNKNOWNS = 200
 
 # Entries of the defects that one batched product forms (pairs x maps x

@@ -12,20 +12,26 @@ and verifies every candidate exactly, so it factors no integer and its
 work is polynomial in the degree and the coefficient sizes.  Every
 `RatMatrix` product goes through `int_matmul`, the package's one integer
 product kernel, and `rref`, `rank`, `nullspace`, `solve` and `inverse` all
-read one fraction-free Gauss-Jordan elimination.  A vector is a one-column
-`RatMatrix` and a basis one column per vector; single coefficients and
-entries are read back as Fractions.  `residue_primes` picks the word-size
-primes for exact float64 products modulo p.  Whether integers are exact in
-float64 is decided here alone: one limit, `FLOAT64_EXACT_LIMIT`, and one
-cast, `_as_float64`, serve `int_matmul`, `residue_primes` and the fused
-checks of `intertwine` and `hd`.
+read one certified modular elimination, `_modular_rref`: the matrix is
+reduced in int64 modulo primes below 2^31, the echelon form is rebuilt from
+as few primes as the answer needs by CRT and rational reconstruction, and
+it is accepted only when an exact check (one `int_matmul` and the echelon
+shape) proves it the canonical one.  A vector is a one-column `RatMatrix`
+and a basis one column per vector; single coefficients and entries are read
+back as Fractions.  `residue_primes` picks the word-size primes for exact
+float64 products modulo p.  Whether integers are exact in float64 is
+decided here alone: one limit, `FLOAT64_EXACT_LIMIT`, and one cast,
+`_as_float64`, serve `int_matmul`, `residue_primes` and the fused checks of
+`intertwine` and `hd`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cache
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -651,20 +657,21 @@ class RatMatrix:
 
     def rref(self) -> tuple["RatMatrix", list[int]]:
         """Reduced row echelon form and its pivot columns."""
-        red, pivots, d = _gauss_jordan(self.data)
+        red, pivots, d = _modular_rref(self.data)
         full = np.zeros(self.shape, dtype=object)
         full[:len(pivots)] = red
         return _ratmatrix(full, d), pivots
 
     def rank(self) -> int:
-        return len(_gauss_jordan(self.data)[1])
+        return len(_modular_rref(self.data)[1])
 
     def nullspace(self) -> "RatMatrix":
         return nullspace(self)
 
     def solve(self, rhs: "RatMatrix") -> "RatMatrix | None":
         """One exact solution column x of A x = rhs, for a column rhs, or
-        None if the system is inconsistent.
+        None if the system is inconsistent: the rref of [A | rhs] read at
+        its pivots.
 
         No caller in the package; kept because the per-layer tracer in
         perfbench/tracer.py wraps it by name.
@@ -672,15 +679,16 @@ class RatMatrix:
         if rhs.shape != (self.nrows, 1):
             raise ValueError("rhs must be one column with a row per matrix row")
         cols = self.ncols
-        red, pivots, d = _gauss_jordan(RatMatrix.stack([[self, rhs]]).data)
+        red, pivots = RatMatrix.stack([[self, rhs]]).rref()
         if cols in pivots:
             return None
         x = np.zeros((cols, 1), dtype=object)
-        x[pivots, 0] = red[:, cols]
-        return _ratmatrix(x, d)
+        x[pivots, 0] = red.data[:len(pivots), cols]
+        return _ratmatrix(x, red.den)
 
     def inverse(self) -> "RatMatrix":
-        """The inverse of a square nonsingular matrix.
+        """The inverse of a square nonsingular matrix: the right block of
+        the rref of [A | I].
 
         No caller in the package; kept because the per-layer tracer in
         perfbench/tracer.py wraps it by name.
@@ -688,11 +696,10 @@ class RatMatrix:
         if self.nrows != self.ncols:
             raise ValueError("not square")
         n = self.nrows
-        aug = RatMatrix.stack([[self, RatMatrix.identity(n)]])
-        red, pivots, d = _gauss_jordan(aug.data)
+        red, pivots = RatMatrix.stack([[self, RatMatrix.identity(n)]]).rref()
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return _ratmatrix(red[:, n:], d)
+        return red[:, n:]
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.nrows}x{self.ncols})"
@@ -719,7 +726,7 @@ def nullspace(mat: RatMatrix) -> RatMatrix:
     order, with an identity block on the free columns; the basis is unique,
     so the output is deterministic.
     """
-    return _nullspace_from_rref(*_gauss_jordan(mat.data), mat.ncols)
+    return _nullspace_from_rref(*_modular_rref(mat.data), mat.ncols)
 
 
 def _nullspace_from_rref(red: np.ndarray, pivots: list[int], d: int,
@@ -734,40 +741,67 @@ def _nullspace_from_rref(red: np.ndarray, pivots: list[int], d: int,
     return _ratmatrix(basis, d)
 
 
-def _gauss_jordan(m: np.ndarray) -> tuple[np.ndarray, list[int], int]:
-    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+def _modular_rref(ints: np.ndarray) -> tuple[np.ndarray, list[int], int]:
+    """The reduced row echelon form of an integer matrix A, certified.
 
-    Zero rows are dropped and the others made primitive, which changes no
-    row space and keeps the entries small.  Bareiss's one-step update then
-    runs on every row except the pivot row, so each division by the
-    previous pivot is exact and every earlier pivot becomes the current one
-    (Nakos, Turner & Williams 1997).  Returns the nonzero rows R, the pivot
-    columns and the last pivot d: R / d is the nonzero part of the reduced
-    row echelon form.
+    Returns (R, P, d): R / d is the nonzero part of rref(A), in lowest
+    terms, and P its pivot columns.  A is eliminated modulo word-size
+    primes (`_rref_mod`).  Only the primes of the best key are kept: the
+    highest rank, then the earliest pivot set, since modulo a prime that
+    divides a minor the rank drops or the pivots move right, never the
+    other way.  The block X = R[:, F] on the free columns F is combined
+    over the kept primes by CRT and rebuilt by rational reconstruction
+    (`_reconstruct`); until both succeed and X passes the certificate,
+    another prime is added.  The certificate is exact:
+
+    - A N = 0 for N, d I at F and -X at P, by one `int_matmul`: with R
+      the identity at P this is A[:, P] X = d A[:, F], or A = A[:, P] R;
+    - X[i, j] = 0 where F[j] < P[i]: R is in reduced echelon form, and
+      column f of N is nonzero only at f and at pivot columns below f.
+
+    The columns of N are then len(F) independent vectors of ker A, so
+    rank A <= len(P), and the rank modulo a prime never exceeds the rank
+    over Q, so rank A = len(P).  By the second condition every free
+    column is a combination of earlier columns, so F is the true free
+    set, and N and R are the unique canonical nullspace basis and rref.
+    Only primes that divide a nonzero minor are unlucky, and Hadamard's
+    bound caps both their number and the primes reconstruction needs, so
+    the loop ends.
     """
-    m = m[m.any(axis=1)]
-    m = m // np.array([math.gcd(*r) for r in m], dtype=object).reshape(-1, 1)
-    rows, cols = m.shape
-    pivots: list[int] = []
-    prev = 1
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        pr = next((i for i in range(r, rows) if m[i, c]), None)
-        if pr is None:
+    cols = ints.shape[1]
+    # below 2^53 the float64 cast is exact, and its int64 copy spares the
+    # residues and the certificate's product a pass over Python ints
+    cast = _as_float64(ints)
+    if cast is not None and np.abs(cast).max(initial=0) < FLOAT64_EXACT_LIMIT:
+        ints = cast.astype(np.int64)
+    best = None
+    for p in _elimination_primes():
+        red, pivots = _rref_mod(_residues(ints, p), p)
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, modulus = key, p
+            free = sorted(set(range(cols)) - set(pivots))
+            x = red[:, free]
+        elif key == best:
+            x = _crt(x, modulus, red[:, free], p)
+            modulus *= p
+        else:
             continue
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        # left of column c the pivot row is zero, so there the update only
-        # scales the rows above it (the rows below are zero)
-        p, row = m[r, c], m[r, c:].copy()
-        m[:, c:] = (m[:, c:] * p - np.outer(m[:, c], row)) // prev
-        m[r, c:] = row
-        m[:r, :c] = m[:r, :c] * p // prev
-        prev = p
-        pivots.append(c)
-    return m[:len(pivots)], pivots, prev
+        got = _reconstruct(x, modulus)
+        if got is None:
+            continue
+        num, d = got
+        if num[np.greater.outer(pivots, free)].any():
+            continue
+        null = np.zeros((cols, len(free)), dtype=object)
+        null[pivots] = -num
+        null[free, range(len(free))] = d
+        if int_matmul(ints, null).any():
+            continue
+        out = np.zeros((len(pivots), cols), dtype=object)
+        out[range(len(pivots)), pivots] = d
+        out[:, free] = num
+        return out, pivots, d
 
 
 # ---------------------------------------------------------------------------
@@ -951,3 +985,121 @@ def residue_primes(bound: int, inner: int) -> list[int]:
         product *= c
         c -= 1
     return primes
+
+
+# ---------------------------------------------------------------------------
+# exact elimination modulo primes below 2^31
+
+
+def _elimination_primes() -> Iterator[int]:
+    """The primes below 2^31, largest first.  Residues are below 2^31, so
+    every product of two fits int64, below 2^62."""
+    return map(_elimination_prime, itertools.count())
+
+
+@cache
+def _elimination_prime(k: int) -> int:
+    """The k-th prime below 2^31, largest first, from k = 0."""
+    p = 2 ** 31 - 1 if k == 0 else _elimination_prime(k - 1) - 2
+    while not _is_prime(p):
+        p -= 2
+    return p
+
+
+def _residues(ints: np.ndarray, p: int) -> np.ndarray:
+    """An integer array, int64 or Python ints, modulo p, in [0, p), as
+    int64."""
+    return (ints % p).astype(np.int64)
+
+
+def _crt(x: np.ndarray, modulus: int, r: np.ndarray, p: int) -> np.ndarray:
+    """Garner's step: the array in [0, modulus p) of Python ints congruent
+    to x modulo modulus and to the int64 residues r modulo p."""
+    t = (r - _residues(x, p)) % p * pow(modulus, -1, p) % p
+    return x.astype(object) + modulus * t.astype(object)
+
+
+def _rref_mod(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """The nonzero rows of the reduced row echelon form of an int64 matrix
+    with entries in [0, p) modulo the prime p, and its pivot columns; m is
+    overwritten.  Each pivot updates only the rows nonzero in its column,
+    from that column on, since left of it the pivot row is zero; rows are
+    not swapped, the pivot rows are gathered in order at the end."""
+    open_rows = np.ones(len(m), dtype=bool)
+    rows: list[int] = []
+    pivots: list[int] = []
+    for c in range(m.shape[1]):
+        hit = m[:, c].nonzero()[0]
+        candidates = hit[open_rows[hit]]
+        if not len(candidates):
+            continue
+        r = candidates[0]
+        row = m[r, c:] * pow(int(m[r, c]), -1, p) % p
+        # a + (p - b) row < p^2 < 2^62; the pivot row becomes 0, then row
+        if len(hit) > 1:
+            m[hit, c:] = (m[hit, c:] + (p - m[hit, c, None]) * row) % p
+        m[r, c:] = row
+        open_rows[r] = False
+        rows.append(r)
+        pivots.append(c)
+        if len(rows) == len(m):
+            break
+    return m[rows], pivots
+
+
+def _wang(x: int, modulus: int, bound: int) -> tuple[int, int] | None:
+    """The fraction a / b in lowest terms with a = b x modulo modulus,
+    |a| <= bound and 0 < b <= bound, or None; for 2 bound^2 < modulus it
+    is unique (Wang 1981), found by the extended Euclidean algorithm on
+    (modulus, x) stopped at the first remainder <= bound."""
+    r0, r1, t0, t1 = modulus, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > bound or math.gcd(r1, t1) != 1:
+        return None
+    return r1, t1
+
+
+def _reconstruct(x: np.ndarray, modulus: int) -> tuple[np.ndarray, int] | None:
+    """The fractions a / b = x modulo modulus with |a|, b <= sqrt(modulus /
+    2), as Python-int numerators over their least common denominator, or
+    None when an entry has none.
+
+    x holds residues in [0, modulus).  While the common denominator D is
+    within the bound, every entry whose symmetric residue of D x is within
+    it too is read off at once (by uniqueness that residue over D is its
+    fraction); the first entry left is reconstructed alone (`_wang`) and
+    its denominator joins D.  When that adds nothing, or D passes the
+    bound, the entries left are reconstructed one by one.
+    """
+    bound, half = math.isqrt(modulus // 2), modulus // 2
+    flat = x.ravel()
+    num, den = flat, 1
+    while True:
+        num = np.where(num > half, num - modulus, num)
+        todo = (abs(num) > bound).nonzero()[0]
+        if not len(todo):
+            return num.astype(object).reshape(x.shape), den
+        got = _wang(int(flat[todo[0]]), modulus, bound)
+        if got is None:
+            return None
+        grown = math.lcm(den, got[1])
+        if grown == den or grown > bound:
+            break
+        den = grown
+        num = flat * den % modulus
+    num = num.astype(object)
+    for i in todo:
+        got = _wang(int(flat[i]), modulus, bound)
+        if got is None:
+            return None
+        a, b = got
+        if den % b:
+            grown = math.lcm(den, b)
+            num *= grown // den
+            den = grown
+        num[i] = a * (den // b)
+    return num.reshape(x.shape), den

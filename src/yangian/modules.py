@@ -17,9 +17,12 @@ integer coefficient arrays.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, Hashable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -38,6 +41,8 @@ from .linalg import (Poly, RatFunc, RatMatrix, _poly, int_matmul, poly_gcd,
 # The largest n * dim of a module that fock_module or tensor_module builds:
 # its n^2 numerator entries are dense dim x dim matrices.
 MODULE_MAX_SIZE = 1024
+
+T = TypeVar("T")
 
 
 def _check_module_size(n: int, dim: int) -> None:
@@ -423,10 +428,42 @@ def check_pattern_size(params: ModuleParams,
     _check_module_size(params.n, math.prod(dims))
 
 
+# The memo of the current run (see run_memo), or None outside one.
+_RUN_MEMO: ContextVar[dict | None] = ContextVar("run_memo", default=None)
+
+
+@contextmanager
+def run_memo() -> Iterator[None]:
+    """Within the block, `memoized` builds each result once: the block is
+    one run, on one ModuleParams.  The memo is dropped at exit, so nothing
+    outlives the block."""
+    token = _RUN_MEMO.set({})
+    try:
+        yield
+    finally:
+        _RUN_MEMO.reset(token)
+
+
+def memoized(key: Hashable, build: Callable[[], T]) -> T:
+    """build(), kept under key inside `run_memo` and built once there; a
+    build that raises keeps nothing.  The key names everything the result
+    depends on beyond the run's ModuleParams."""
+    memo = _RUN_MEMO.get()
+    if memo is None:
+        return build()
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 def pattern_module(params: ModuleParams, factors: Sequence[PatternFactor]) -> YangianModule:
-    mods = [fock_module(params.theta, params.n, f.kind, f.param, f.degree)
-            for f in factors]
-    return tensor_all(mods)
+    """The tensor product of the factors' Fock modules; per `run_memo`,
+    each pattern and each factor's module is built once."""
+    return memoized(("pattern", tuple(factors)), lambda: tensor_all([
+        memoized(("factor", f.kind, f.param, f.degree),
+                 partial(fock_module, params.theta, params.n, f.kind,
+                         f.param, f.degree))
+        for f in factors]))
 
 
 def distinguished_vector(params: ModuleParams,

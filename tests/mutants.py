@@ -93,6 +93,35 @@ MUTANTS = (
            "            <= FLOAT64_EXACT_LIMIT):",
            ("tests/test_linalg.py::"
             "test_int_matmul_matches_object_matmul_at_the_float64_edge",)),
+    Mutant("echelon-identity-unchecked", "linalg.py",
+           "        if int_matmul(ints, null).any():\n"
+           "            continue\n",
+           "",
+           ("tests/test_linalg.py::"
+            "test_modular_elimination_matches_bareiss_reference",
+            "tests/test_linalg.py::"
+            "test_certificate_rejects_forged_echelon_forms")),
+    Mutant("echelon-shape-unchecked", "linalg.py",
+           "        if num[np.greater.outer(pivots, free)].any():\n"
+           "            continue\n",
+           "",
+           ("tests/test_linalg.py::"
+            "test_certificate_rejects_forged_echelon_forms",)),
+    Mutant("elimination-int64-copy-without-bound", "linalg.py",
+           "if cast is not None and np.abs(cast).max(initial=0) < FLOAT64_EXACT_LIMIT:",
+           "if cast is not None:",
+           ("tests/test_linalg.py::"
+            "test_modular_elimination_matches_bareiss_reference",)),
+    Mutant("unlucky-first-prime-kept", "linalg.py",
+           "if best is None or key < best:",
+           "if best is None:",
+           ("tests/test_linalg.py::"
+            "test_primes_are_added_until_the_certificate_holds",)),
+    Mutant("pivot-order-ignored", "linalg.py",
+           "key = (-len(pivots), pivots)",
+           "key = (-len(pivots), [])",
+           ("tests/test_linalg.py::"
+            "test_primes_are_added_until_the_certificate_holds",)),
     Mutant("pseudo-division-quotient-sign", "linalg.py",
            "q = quo[k] = top // g if lead > 0 else -(top // g)",
            "q = quo[k] = -(top // g) if lead > 0 else top // g",

@@ -2,7 +2,8 @@
 
 Modules store one integer coefficient array; the first helpers read it back
 as `RatMatrix` coefficients and `MatPoly` entries, the slow forms the tests
-compare the array code against.  Next come polynomials over Fraction
+compare the array code against.  Bareiss's fraction-free elimination is the
+reference for `yangian.linalg`'s certified modular one.  Next come polynomials over Fraction
 coefficients, by long division and Euclid's algorithm over the rationals,
 which `yangian.linalg.Poly`'s integer arithmetic is compared against.
 Then the rational roots of an integer polynomial by the rational root
@@ -63,6 +64,42 @@ def entry_matpoly(mod, i, j):
 def column(values):
     """The one-column RatMatrix of a list of rationals."""
     return RatMatrix([[x] for x in values])
+
+
+def bareiss_gauss_jordan(m):
+    """Fraction-free Gauss-Jordan elimination of an integer object array.
+
+    Zero rows are dropped and the others made primitive, which changes no
+    row space and keeps the entries small.  Bareiss's one-step update then
+    runs on every row except the pivot row, so each division by the
+    previous pivot is exact and every earlier pivot becomes the current one
+    (Nakos, Turner & Williams 1997).  Returns the nonzero rows R, the pivot
+    columns and the last pivot d: R / d is the nonzero part of the reduced
+    row echelon form.
+    """
+    m = m[m.any(axis=1)]
+    m = m // np.array([math.gcd(*r) for r in m], dtype=object).reshape(-1, 1)
+    rows, cols = m.shape
+    pivots = []
+    prev = 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if m[i, c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        # left of column c the pivot row is zero, so there the update only
+        # scales the rows above it (the rows below are zero)
+        p, row = m[r, c], m[r, c:].copy()
+        m[:, c:] = (m[:, c:] * p - np.outer(m[:, c], row)) // prev
+        m[r, c:] = row
+        m[:r, :c] = m[:r, :c] * p // prev
+        prev = p
+        pivots.append(c)
+    return m[:len(pivots)], pivots, prev
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yangian import cli, hd
+from yangian import cli, hd, intertwine, modules
 from yangian.cli import ConfigError, config_from_dict, list_checks, run
 from yangian.intertwine import zeta_factor
 from yangian.modules import ModuleParams
@@ -109,6 +109,43 @@ def test_braid_check_passes_for_three_factors():
     report = run(cfg)
     assert report.ok
     assert report.records[0]["details"]["matrices_equal"]
+
+
+def test_run_builds_each_pattern_module_and_pair_map_once(monkeypatch):
+    # the words (1, 2, 1) and (2, 1, 2) swap the same three factor pairs
+    # and reach the same target; hw-eigenvalues reads the source module
+    cfg = config_from_dict({
+        "theta": 1, "n": 2, "p": 1, "q": 2,
+        "mu": ["1/7", "12/7", "-12/7"], "nu": [1, 1, 1],
+        "checks": ["hw-eigenvalues", "hw-scalar", "braid"],
+    })
+    swaps, patterns = [], []
+    swap_pair, tensor_all = intertwine._swap_pair, modules.tensor_all
+    monkeypatch.setattr(intertwine, "_swap_pair", lambda params, fa, fb: (
+        swaps.append((fa, fb)) or swap_pair(params, fa, fb)))
+    monkeypatch.setattr(modules, "tensor_all", lambda mods: (
+        patterns.append(len(mods)) or tensor_all(mods)))
+    for _ in range(2):
+        swaps.clear()
+        patterns.clear()
+        assert run(cfg).ok
+        # nothing outlives a run: the second run builds everything again
+        assert len(swaps) == len(set(swaps)) == 3
+        assert patterns == [3, 3]
+        assert modules._RUN_MEMO.get() is None
+
+
+def test_run_memo_keeps_only_successful_builds():
+    def failing():
+        raise ValueError("not built")
+
+    with modules.run_memo():
+        with pytest.raises(ValueError):
+            modules.memoized("key", failing)
+        assert modules.memoized("key", lambda: 1) == 1
+        assert modules.memoized("key", failing) == 1
+    with pytest.raises(ValueError):
+        modules.memoized("key", failing)
 
 
 def test_braid_check_errors_for_two_factors():
@@ -633,6 +670,23 @@ def test_rtt_just_under_its_budget_passes(n, nu, mu, capsys):
         "checks": ["rtt"]})
     assert code == 0
     assert report["checks"][0]["status"] == "pass"
+    capsys.readouterr()
+
+
+def test_largest_admitted_module_passes_its_hw_checks(capsys):
+    # theta = 1, n = 2, nu = (15, 31): dim 512, n dim = MODULE_MAX_SIZE;
+    # the highest-weight space is the nullspace of a 1536 x 512 matrix.  The
+    # golden report was generated before the modular elimination, when the
+    # run took 21-29 s
+    golden = Path(__file__).parent / "data" / "golden"
+    config = json.loads((golden / "hw-eigenvalues-dim-512.config.json")
+                        .read_text())
+    code, report = _run_within_10s(config)
+    assert code == 0
+    for record in report["checks"]:
+        record.pop("time")
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == (
+        golden / "hw-eigenvalues-dim-512.report.json").read_text()
     capsys.readouterr()
 
 

@@ -5,7 +5,9 @@ Each `tests/data/golden/NAME.config.json` has its report, with every
 all registered checks, a generic and a resonant `kernel-quotient`, the
 resonant dim-27 `kernel-quotient` (kernel 3, irreducible quotient 24,
 generated before `hom_space` solved on the weight blocks), the theta = -1
-patterns, a budget-error record and a swap of pair dim 64.  A refactor
+patterns, a budget-error record, a swap of pair dim 64 and the dim-512
+highest-weight checks at n dim = MODULE_MAX_SIZE (generated before the
+modular elimination).  A refactor
 that changes a verdict, a witness or the serialization shows up here byte
 for byte.
 """

@@ -705,9 +705,9 @@ def test_kernel_quotient_eliminates_once(monkeypatch):
     src = source_pattern(params)
     intw = hom_intertwiner(pattern_module(params, src),
                            pattern_module(params, [src[1], src[0]]))
-    gauss, rows = linalg._gauss_jordan, []
-    monkeypatch.setattr(linalg, "_gauss_jordan",
-                        lambda m: rows.append(len(m)) or gauss(m))
+    rref, rows = linalg._modular_rref, []
+    monkeypatch.setattr(linalg, "_modular_rref",
+                        lambda m: rows.append(len(m)) or rref(m))
     quot = kernel_quotient(intw)
     assert rows == [intw.source.dim] and quot.kernel_basis
 
@@ -958,17 +958,17 @@ def test_each_span_layer_eliminates_only_its_candidates(monkeypatch, theta,
     params = params_for(theta, n, 1, 1, nu, [0, 1])
     fa, fb = source_pattern(params)
     gens = len(reference.lowering_pairs(params, fa, fb)[0])
-    gauss, calls = intertwine._gauss_jordan, []
+    rref, calls = intertwine._modular_rref, []
 
     def counted(m):
-        out = gauss(m)
+        out = rref(m)
         calls.append((m.shape, len(out[1])))
         return out
 
     def forbidden(*args):
         raise AssertionError("the pair map needs no stack and no inverse")
 
-    monkeypatch.setattr(intertwine, "_gauss_jordan", counted)
+    monkeypatch.setattr(intertwine, "_modular_rref", counted)
     monkeypatch.setattr(RatMatrix, "inverse", forbidden)
     monkeypatch.setattr(RatMatrix, "stack", forbidden)
     mat, _ = _swap_pair(params, fa, fb)

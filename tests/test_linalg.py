@@ -1,6 +1,7 @@
 """Exactness checks for the rational linear algebra layer."""
 
 import ast
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import yangian
+from yangian import linalg
 from yangian.linalg import (
     MatPoly,
     Poly,
@@ -26,6 +28,7 @@ from yangian.linalg import (
 )
 
 from reference import (
+    bareiss_gauss_jordan,
     column,
     divisor_rational_roots,
     ref_add,
@@ -623,6 +626,106 @@ def test_elimination_matches_fraction_reference(a, rhs):
         else:
             with pytest.raises(ValueError, match="singular"):
                 ma.inverse()
+
+
+# the first prime of the modular elimination
+P1 = 2 ** 31 - 1
+wide_ints = st.one_of(st.integers(-9, 9), st.sampled_from([P1, -P1, 2 * P1]),
+                      st.integers(-2 ** 70, 2 ** 70))
+
+
+@st.composite
+def integer_matrices(draw):
+    """Sparse or low-rank integer matrices up to 6 x 6 (zero included),
+    with multiples of the first prime and entries past 2^62."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        # sparse: about one entry in three nonzero
+        cell = st.one_of(st.just(0), st.just(0), wide_ints)
+        return draw(st.lists(st.lists(cell, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+    k = draw(st.integers(0, min(rows, cols)))
+    left = draw(st.lists(st.lists(wide_ints, min_size=k, max_size=k),
+                         min_size=rows, max_size=rows))
+    right = draw(st.lists(st.lists(st.integers(-9, 9), min_size=cols,
+                                   max_size=cols), min_size=k, max_size=k))
+    return [[sum(left[i][t] * right[t][j] for t in range(k))
+             for j in range(cols)] for i in range(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+# the first pivot is divisible by the first prime
+@example([[P1, 2], [3, 1]])
+# the rank drops modulo the first prime
+@example([[1, 1], [1, 1 + P1]])
+# the pivot moves right modulo the first prime
+@example([[P1, 1]])
+@example([[2 ** 70 + 1, 3, 2 ** 63], [5, 2 ** 65, 7]])
+# rref (1, (2^20 + 1) / 3): one prime reconstructs numerators up to 2^15
+@example([[3, 2 ** 20 + 1]])
+def test_modular_elimination_matches_bareiss_reference(a):
+    ints = np.array(a, dtype=object).reshape(len(a), len(a[0]))
+    red, pivots, d = bareiss_gauss_jordan(ints.copy())
+    # Bareiss's last pivot may be negative
+    g = math.gcd(d, *red.flat) * (1 if d > 0 else -1)
+    got, got_pivots, got_d = linalg._modular_rref(ints)
+    # the same echelon form in lowest terms, as Python ints
+    assert got_pivots == pivots and got_d == d // g
+    assert got.shape == red.shape and (got == red // g).all()
+    assert all(type(x) is int for x in got.flat)
+    fractions_a = [[Fraction(x) for x in r] for r in a]
+    want, want_pivots = ref_rref(fractions_a)
+    ma = RatMatrix(a)
+    assert ma.rref() == (RatMatrix(want), want_pivots)
+    assert ma.rank() == len(want_pivots)
+    assert nullspace(ma) == ref_nullspace(fractions_a)
+
+
+def test_primes_are_added_until_the_certificate_holds(monkeypatch):
+    first = list(itertools.islice(linalg._elimination_primes(), 6))
+    assert first[0] == P1
+    used = []
+
+    def primes():
+        for p in first:
+            used.append(p)
+            yield p
+
+    monkeypatch.setattr(linalg, "_elimination_primes", primes)
+    for a, count in (([[1, 2]], 1),
+                     # rank 0 modulo P1; the second prime has the rank
+                     ([[P1]], 2),
+                     ([[1, 1], [1, 1 + P1]], 2),
+                     # a numerator past 2^15 needs a second prime
+                     ([[3, 2 ** 20 + 1]], 2),
+                     # the pivot moves right modulo P1, and the entry 1 / P1
+                     # needs three more primes
+                     ([[P1, 1]], 4)):
+        used.clear()
+        want, want_pivots = ref_rref([[Fraction(x) for x in r] for r in a])
+        assert RatMatrix(a).rref() == (RatMatrix(want), want_pivots)
+        assert len(used) == count
+
+
+def test_certificate_rejects_forged_echelon_forms(monkeypatch):
+    genuine = linalg._rref_mod
+    for a, forged, pivots, want in (
+            # A N = 0 holds, but column 0 of N is nonzero at pivot column 1
+            ([[1, 1]], [[1, 1]], [1], [[-1], [1]]),
+            # echelon shape, but A N != 0
+            ([[1, 2]], [[0, 1]], [1], [[-2], [1]])):
+        calls = []
+
+        def rref_mod(m, p):
+            calls.append(p)
+            if len(calls) == 1:
+                return np.array(forged, dtype=np.int64), pivots
+            return genuine(m, p)
+
+        monkeypatch.setattr(linalg, "_rref_mod", rref_mod)
+        assert nullspace(RatMatrix(a)) == RatMatrix(want)
+        assert len(calls) == 2
 
 
 def entry_polys(mp):
