@@ -11,16 +11,17 @@ per-inversion closed forms (`zeta_factor`).
 
 It also provides the generic machinery the degenerate (resonant) cases need:
 an honest solver for the full space of intertwiners between two modules
-(`hom_space`, on the entries that the diagonal coefficient pairs allow),
-kernels and quotient modules of a given intertwiner
-(`kernel_quotient`, which reads the quotient off the column-row
-factorization A = A[:, pivots] . rref(A) and certifies quotient = image with
-the pivot columns), and an irreducibility test combining endomorphism count
-with cyclicity of the highest-weight vector.  Swap operators and the
-cyclicity test grow one span under the coefficient matrices, kept as its
-own echelon form; a swap's pair map is the right block of that form.
-The hom-space solver and both certificates evaluate every identity
-A B = C A of `coefficient_pairs` through one defect kernel, `_first_defect`.
+(`hom_space`, on the entries that the diagonal coefficient pairs allow:
+the span is the answer; each chunk's rows restrict it once), kernels and
+quotient modules of a given intertwiner (`kernel_quotient`, which reads
+the quotient off the column-row factorization A = A[:, pivots] . rref(A)
+and certifies quotient = image with the pivot columns), and an
+irreducibility test combining endomorphism count with cyclicity of the
+highest-weight vector.  Swap operators and the cyclicity test grow one
+span under the coefficient matrices, kept as its own echelon form; a
+swap's pair map is the right block of that form.  Both certificates
+check every identity A B = C A of `coefficient_pairs` on one map, in
+`_verify_intertwiner`.
 
 Conventions.  Words are tuples of positions a with 1 <= a <= m-1; position a
 swaps tensor slots a and a+1 (slots counted from 1).  A word is applied left
@@ -312,15 +313,38 @@ def _verify_intertwiner(mat: RatMatrix, src: YangianModule,
     The witness of the first failing pair p of
     `coefficient_pairs(src, tgt)` is keys[p] + (r, s) = (i, j, k, r, s),
     k indexing u^k in the cleared identity and (r, s) the first nonzero
-    entry of mat B - C mat in row-major order.  The pairs share mat's
-    denominator, so its integer numerator goes through `_first_defect`.
+    entry of A B_p - C_p A in row-major order, A the integer numerator of
+    mat (the pairs share its denominator).  Each chunk of pairs takes one
+    product per side: float64 when max|A| (largest column sum of |B| +
+    largest row sum of |C|), a bound on each partial sum, is below
+    `FLOAT64_EXACT_LIMIT`, else Python ints.  A is cast once and each
+    chunk's B and C stacks once, by `_as_float64`, and the bound is read
+    off those casts: rounding to nearest is monotone and the limit is a
+    float64, so the computed bound is below it only when the exact one is.
     """
     keys, bs, cs = coefficient_pairs(src, tgt)
-    p, defect, _ = _first_defect(mat.data[None], bs, cs, np.arange(len(keys)))
-    if p is None:
-        return None
-    r, s = np.argwhere(defect[0])[0]
-    return tuple(int(x) for x in (*keys[p], r, s))
+    a = mat.data
+    d2, d1 = a.shape
+    fa = _as_float64(a)
+    top = None if fa is None else np.abs(fa).max(initial=0)
+    per = max(1, _DEFECT_CHUNK // (d2 * d1))
+    for c0 in range(0, len(keys), per):
+        # [B_1 B_2 ...] and [C_1; C_2; ...]
+        b = bs[c0:c0 + per].transpose(1, 0, 2).reshape(d1, -1)
+        c = cs[c0:c0 + per].reshape(-1, d2)
+        x, fb, fc = a, _as_float64(b), _as_float64(c)
+        if top is not None and fb is not None and fc is not None and top * (
+                np.abs(fb).sum(axis=0).max() + np.abs(fc).sum(axis=1).max()
+                ) < FLOAT64_EXACT_LIMIT:
+            x, b, c = fa, fb, fc
+        # defect[p, s, r] = (A B_p - C_p A)[s, r]
+        defect = (x @ b).reshape(d2, -1, d1).transpose(1, 0, 2)
+        defect -= (c @ x).reshape(-1, d2, d1)
+        bad = np.argwhere(defect)
+        if len(bad):
+            p, r, s = bad[0]
+            return tuple(int(v) for v in (*keys[c0 + p], r, s))
+    return None
 
 
 # Largest work a swap step takes on, pair_dim^3 x n, counted before any
@@ -503,66 +527,20 @@ def check_hw_image(intw: Intertwiner, params: ModuleParams) -> HwImageReport:
 
 # Largest number of graded unknowns that hom_space solves for: the entries
 # of A that the diagonal coefficient pairs leave free, counted before the
-# first elimination.  Time grows faster than the count, with the d1 d2
-# rows of each defect.  hom_space between a pattern and its reversal on a
-# 2-core x86 VM (p = 0 or 1), (n, degrees) dim graded: resonant
-# (3, 1 1 1) 27 93 0.02 s; (2, 5 5) 36 146 0.03-0.18 s; (2, 1 1 1 3) 32
-# 196 0.04-0.05 s; refused: (3, 2 3) 60 204 0.18-0.25 s; (2, 1 1 1 1 1)
-# 32 252 0.32-0.36 s; resonant (3, 1 1 1 1) 81 639 2.1 s.  The budget was
-# set when Bareiss elimination took 0.05-0.64 s, 0.47-4.0 s and 21 s on
-# these shapes, and has not been raised since.
+# first elimination.  Time grows faster than the count, with the rows of
+# each pair.  hom_space between a pattern and its reversal on a 2-core x86
+# VM (p = 0 or 1), (n, degrees) dim graded: resonant (3, 1 1 1) 27 93
+# 0.02 s; (2, 5 5) 36 146 0.06-0.15 s; (2, 1 1 1 3) 32 196 0.05-0.12 s;
+# refused: (3, 2 3) 60 204 0.05-0.06 s; (2, 1 1 1 1 1) 32 252 0.21-0.25
+# s; resonant (3, 1 1 1 1) 81 639 0.57-0.64 s.  The budget was set when
+# Bareiss elimination took 0.05-0.64 s, 0.47-4.0 s and 21 s on these
+# shapes, and has not been raised since.
 HOM_SPACE_MAX_UNKNOWNS = 200
 
-# Entries of the defects that one batched product forms (pairs x maps x
-# d2 x d1), at least one pair's worth; bounds the working arrays.
-# A round stops at its first nonzero defect, so larger batches waste work:
-# the dim-27 solve above took 0.2 s at 1 << 20.
+# The one chunk bound: rows x unknowns of the equations that hom_space
+# restricts its span by at once, and entries of the defects that one
+# certificate product forms (pairs x d2 x d1), at least one pair's worth.
 _DEFECT_CHUNK = 1 << 16
-
-
-def _first_defect(maps: np.ndarray, bs: np.ndarray, cs: np.ndarray,
-                  pairs: np.ndarray) -> tuple[int | None, np.ndarray | None,
-                                              np.ndarray]:
-    """The first pair p of pairs whose defect is nonzero, that defect, and
-    the pairs after p whose defect is nonzero or not formed.
-
-    maps is a (k, d2, d1) stack of integer maps A_t, bs and cs the
-    (P, d1, d1) and (P, d2, d2) stacks of `coefficient_pairs` and pairs an
-    index array into them.  The defect of pair p is the (k, d2, d1) stack
-    of A_t B_p - C_p A_t.  Each chunk of pairs takes one product per side
-    for every pair and every map: float64 when max|A| (largest column sum of
-    |B| + largest row sum of |C|), a bound on each partial sum, is below
-    `FLOAT64_EXACT_LIMIT`, else Python ints.  maps is cast once per call and
-    each chunk's B and C stacks once, by `_as_float64`, and the bound is read
-    off those casts: rounding to nearest is monotone and the limit is a
-    float64, so the computed bound is below it only when the exact one is.
-    Returns (None, None, no pairs) if every defect is zero.
-    """
-    k, d2, d1 = maps.shape
-    fmaps = _as_float64(maps)
-    top = None if fmaps is None else np.abs(fmaps).max(initial=0)
-    per = max(1, _DEFECT_CHUNK // (k * d2 * d1))
-    for c0 in range(0, len(pairs), per):
-        chunk = pairs[c0:c0 + per]
-        # [B_1 B_2 ...] and [C_1; C_2; ...]
-        b = bs[chunk].transpose(1, 0, 2).reshape(d1, -1)
-        c = cs[chunk].reshape(-1, d2)
-        a, fb, fc = maps, _as_float64(b), _as_float64(c)
-        if top is not None and fb is not None and fc is not None and top * (
-                np.abs(fb).sum(axis=0).max() + np.abs(fc).sum(axis=1).max()
-                ) < FLOAT64_EXACT_LIMIT:
-            a, b, c = fmaps, fb, fc
-        # defect[t, s, p, r] = (A_t B_p - C_p A_t)[s, r]
-        defect = (a.reshape(k * d2, d1) @ b).reshape(k, d2, -1, d1)
-        defect -= (c @ a.transpose(1, 0, 2).reshape(d2, k * d1)
-                   ).reshape(-1, d2, k, d1).transpose(2, 1, 0, 3)
-        nonzero = np.flatnonzero(defect.any(axis=(0, 1, 3)))
-        if len(nonzero):
-            kind = np.int64 if defect.dtype == np.float64 else object
-            return (int(chunk[nonzero[0]]),
-                    defect[:, :, nonzero[0]].astype(kind).astype(object),
-                    np.concatenate([chunk[nonzero[1:]], pairs[c0 + per:]]))
-    return None, None, pairs[:0]
 
 
 def hom_space(m1: YangianModule, m2: YangianModule) -> list[RatMatrix]:
@@ -571,17 +549,18 @@ def hom_space(m1: YangianModule, m2: YangianModule) -> list[RatMatrix]:
     The unknowns are the row-major entries of the d2 x d1 matrix A that the
     diagonal coefficient pairs (B, C) of `coefficient_pairs(m1, m2)` allow:
     such a pair forces A[s, r] = 0 wherever B[r, r] != C[s, s] and holds
-    on every other entry.  On modules graded by weight these are the weight
-    blocks.  The columns of span solve the pairs applied so far, starting
-    from the identity on the allowed entries; each round forms the defects
-    of the remaining pairs in batched products (`_first_defect`), restricts
-    span to the nullspace of the first nonzero one and drops the pairs
-    whose defect was zero: it stays zero on any subspace.  The free
-    columns of the whole system are the last coordinates independent on
-    its solutions, so the rref of span with reversed rows is the system's
-    canonical echelon nullspace basis, one basis map per row, whatever
-    order the pairs were applied in.  Raises ValueError when the allowed
-    entries exceed HOM_SPACE_MAX_UNKNOWNS.
+    on every other entry (on modules graded by weight, the weight blocks).
+    The span is the answer; each chunk's rows restrict it once.  It starts
+    as the identity on the unknowns.  For each chunk of the other pairs the
+    nonzero rows of A B_p - C_p A are assembled from the nonzeros of B_p
+    and C_p (row (p, s', r') holds B_p[r, r'] at A[s', r] and -C_p[s', s]
+    at A[s, r']), and span becomes span . K, K the canonical nullspace of
+    rows . span.  The span stays the canonical nullspace basis of the rows
+    read so far, whatever their order: the identity on its free unknowns F
+    with each column zero past its own free unknown, which span . K keeps
+    since K's free columns come in F's order.  Its columns are the basis
+    maps.  Raises ValueError when the allowed entries exceed
+    HOM_SPACE_MAX_UNKNOWNS.
     """
     d1, d2 = m1.dim, m2.dim
     _, bs, cs = coefficient_pairs(m1, m2)
@@ -598,24 +577,40 @@ def hom_space(m1: YangianModule, m2: YangianModule) -> list[RatMatrix]:
             f"{HOM_SPACE_MAX_UNKNOWNS}")
     if not len(unknowns):
         return []
+    # the unknown that is A[s, r], or -1
+    col = np.full((d2, d1), -1)
+    col[allowed] = range(len(unknowns))
     span = RatMatrix.identity(len(unknowns))
     pairs = np.flatnonzero(~diagonal)
-    while len(pairs):
-        maps = np.zeros((span.ncols, d2 * d1), dtype=object)
-        maps[:, unknowns] = span.data.T
-        _, defect, pairs = _first_defect(maps.reshape(-1, d2, d1), bs, cs, pairs)
-        if defect is None:
-            break
-        kept = _ratmatrix(defect.reshape(span.ncols, -1).T, 1).nullspace()
+    per = max(1, _DEFECT_CHUNK // (d2 * d1 * len(unknowns)))
+    for c0 in range(0, len(pairs), per):
+        chunk = pairs[c0:c0 + per]
+        b, c = bs[chunk], cs[chunk]
+        # B_p[r, r'] at A[s', r] in row (p, s', r'), for every allowed s'
+        p, r, r2 = np.nonzero(b)
+        s2, e = np.nonzero(col[:, r] >= 0)
+        b_rows = (p[e] * d2 + s2) * d1 + r2[e]
+        b_at, b_val = col[s2, r[e]], b[p[e], r[e], r2[e]]
+        # -C_p[s', s] at A[s, r'] in row (p, s', r'), for every allowed r'
+        p, s2, s = np.nonzero(c)
+        e, r2 = np.nonzero(col[s] >= 0)
+        c_rows = (p[e] * d2 + s2[e]) * d1 + r2
+        c_at, c_val = col[s[e], r2], c[p[e], s2[e], s[e]]
+        ids, row = np.unique(np.concatenate([b_rows, c_rows]),
+                             return_inverse=True)
+        rows = np.zeros((len(ids), len(unknowns)), dtype=object)
+        rows[row[:len(b_rows)], b_at] = b_val
+        np.subtract.at(rows, (row[len(b_rows):], c_at), c_val)
+        defect = int_matmul(rows, span.data)
+        if not defect.any():
+            continue
+        kept = _nullspace_from_rref(*_modular_rref(defect), span.ncols)
         if not kept.ncols:
             return []
         span = span * kept
-    red, pivots = span[::-1, :].transpose().rref()
-    rows = len(pivots)
-    maps = np.zeros((rows, d2 * d1), dtype=object)
-    maps[:, unknowns] = red.data[:rows, ::-1]
-    return [_ratmatrix(maps[r].reshape(d2, d1), red.den)
-            for r in reversed(range(rows))]
+    maps = np.zeros((d2 * d1, span.ncols), dtype=object)
+    maps[unknowns] = span.data
+    return [_ratmatrix(m.reshape(d2, d1), span.den) for m in maps.T]
 
 
 def hom_intertwiner(m1: YangianModule, m2: YangianModule) -> Intertwiner:

@@ -51,26 +51,34 @@ MUTANTS = (
            "left, pair = math.prod(dims[a + 1:]), dims[a - 1] * dims[a]",
            ("tests/test_intertwine.py::"
             "test_compose_word_matches_hom_space_reference",)),
-    Mutant("first-defect-bound-without-c", "intertwine.py",
+    Mutant("certificate-bound-without-c", "intertwine.py",
            "np.abs(fb).sum(axis=0).max() + np.abs(fc).sum(axis=1).max()",
            "np.abs(fb).sum(axis=0).max()",
            ("tests/test_intertwine.py::"
-            "test_certificate_matches_the_two_product_reference",
-            "tests/test_intertwine.py::"
-            "test_hom_space_matches_the_whole_denominator_reference")),
+            "test_certificate_matches_the_two_product_reference",)),
     Mutant("certificate-skipped", "intertwine.py",
            "    keys, bs, cs = coefficient_pairs(src, tgt)\n"
-           "    p, defect, _ = _first_defect(",
+           "    a = mat.data\n",
            "    return None\n"
            "    keys, bs, cs = coefficient_pairs(src, tgt)\n"
-           "    p, defect, _ = _first_defect(",
+           "    a = mat.data\n",
            ("tests/test_intertwine.py::"
             "test_certificate_matches_the_two_product_reference",)),
     Mutant("defect-chunk-uncapped", "intertwine.py",
-           "per = max(1, _DEFECT_CHUNK // (k * d2 * d1))",
+           "per = max(1, _DEFECT_CHUNK // (d2 * d1))",
+           "per = len(keys)",
+           ("tests/test_intertwine.py::"
+            "test_certificate_at_dim_81_stays_small",)),
+    Mutant("hom-chunk-uncapped", "intertwine.py",
+           "per = max(1, _DEFECT_CHUNK // (d2 * d1 * len(unknowns)))",
            "per = len(pairs)",
            ("tests/test_intertwine.py::"
             "test_hom_space_at_the_budget_edge_stays_small",)),
+    Mutant("hom-rows-c-overwrites-b", "intertwine.py",
+           "np.subtract.at(rows, (row[len(b_rows):], c_at), c_val)",
+           "rows[row[len(b_rows):], c_at] = -c_val",
+           ("tests/test_intertwine.py::"
+            "test_hom_space_matches_the_whole_denominator_reference",)),
     Mutant("grading-from-one-diagonal-side", "intertwine.py",
            "diagonal = ~((bs[:, ~np.eye(d1, dtype=bool)] != 0).any(axis=1)\n"
            "                 | (cs[:, ~np.eye(d2, dtype=bool)] != 0).any(axis=1))",

@@ -15,7 +15,7 @@ swap intertwiners of a reduced word, built from the hom solver
 instead of `yangian.intertwine`'s cyclic spans, one swap's pair map as
 b_tgt . b_src^-1 over spanning columns kept breadth first, the module-map
 certificate as two whole products instead of
-`yangian.intertwine._first_defect`'s chunks, and the kernel and quotient
+`yangian.intertwine._verify_intertwiner`'s chunks, and the kernel and quotient
 of an intertwiner by a change to a basis adapted to the kernel, instead of
 `yangian.intertwine.kernel_quotient`'s echelon form.  The rest is the
 term-by-term interpreter of the operator realization that the compiled

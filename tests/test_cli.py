@@ -572,6 +572,32 @@ def over_budget_configs(draw):
         cfg = {"theta": draw(st.sampled_from((1, -1))), "n": 1,
                "nu": [1] * m, "order": order}
         checks = ["alpha-series", "appendix-x-identities"]
+    return _with_mu_and_checks(draw, cfg, checks)
+
+
+@st.composite
+def under_budget_configs(draw):
+    """A valid config at or just under one budget, run with checks that
+    its other budgets admit."""
+    kind = draw(st.sampled_from(("module", "hom")))
+    if kind == "module":
+        # n = 2, two factors of dims a and 512 / a: n dim = MODULE_MAX_SIZE;
+        # rtt, the swap steps and the hom solver refuse a module this size
+        a = draw(st.sampled_from((2, 4, 8, 16, 32, 64, 128, 256)))
+        cfg = {"theta": 1, "n": 2, "nu": [a - 1, 512 // a - 1]}
+        checks = ["hw-eigenvalues", "drinfeld"]
+    else:
+        # dim 32, 196 unknowns after the diagonal coefficient pairs for
+        # every p and every order of the degrees: the most that
+        # HOM_SPACE_MAX_UNKNOWNS admits among the shapes measured
+        cfg = {"theta": 1, "n": 2,
+               "nu": draw(st.permutations([1, 1, 1, 3]))}
+        checks = ["kernel-quotient"]
+    return _with_mu_and_checks(draw, cfg, checks)
+
+
+def _with_mu_and_checks(draw, cfg, checks):
+    """cfg with a drawn tilde count p, generic mu and some of checks."""
     m = len(cfg["nu"])
     p = draw(st.integers(0, m))
     return {**cfg, "p": p, "q": m - p, "mu": _generic_mu(draw, m),
@@ -599,7 +625,8 @@ def _run_within_10s(cfg):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.one_of(small_configs(), over_budget_configs()))
+@given(st.one_of(small_configs(), over_budget_configs(),
+                under_budget_configs()))
 def test_valid_configs_finish_with_a_report(cfg):
     code, report = _run_within_10s(cfg)
     assert code == (0 if report["status"] == "pass" else 1)

@@ -563,14 +563,20 @@ _UNIMODULAR_BIG_INV = np.array([[1, -12345], [-6789, 83810206]], dtype=object)
 # a one-dimensional side has no off-diagonal entries to test
 @example((omega_module(2, Fraction(1, 3)), evaluation_module(2, Fraction(1, 3))))
 @example((omega_module(2, Fraction(1, 3)), omega_module(2, Fraction(1, 3))))
-# C has entries near 2^53 and |B| sums are small: the first defect's bound
-# is past 2^53 only through its |C| term
+# C has entries near 2^53 and B small ones: the rows' product with the
+# span leaves float64 through the entries of C alone
 @example((evaluation_module(2, 0),
           conjugated(evaluation_module(2, 0), _UNIMODULAR_BIG,
                      _UNIMODULAR_BIG_INV)))
 def test_hom_space_matches_the_whole_denominator_reference(pair):
+    # one pair per chunk and the default chunk: the span is canonical
+    # however the pairs are split
     m1, m2 = pair
-    assert hom_space(m1, m2) == whole_denominator_hom_space(m1, m2)
+    want = whole_denominator_hom_space(m1, m2)
+    for chunk in (1, intertwine._DEFECT_CHUNK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(intertwine, "_DEFECT_CHUNK", chunk)
+            assert hom_space(m1, m2) == want
 
 
 def _certificate_candidates(m1, m2, spot):
@@ -628,31 +634,77 @@ def test_grading_that_leaves_no_unknowns_returns_at_once(monkeypatch):
     def refuse(*args):
         raise AssertionError("a defect was formed with no unknowns left")
 
-    monkeypatch.setattr(intertwine, "_first_defect", refuse)
+    monkeypatch.setattr(intertwine, "int_matmul", refuse)
+    monkeypatch.setattr(intertwine, "_modular_rref", refuse)
     m1, m2 = evaluation_module(2, 0), evaluation_module(2, 1)
     assert hom_space(m1, m2) == [] == whole_denominator_hom_space(m1, m2)
 
 
-def test_large_entries_take_the_object_path():
-    # the start span is the identity (max |A| = 1), so the first defect's
-    # bound is the largest column sum of |B| plus the largest row sum of
-    # |C| over the pairs: for m1 rescaled by big it is just below 2^53 at
-    # big = 94906265 (float64) and just above at 94906266 (Python ints)
-    for big in (94906265, 94906266):
+@pytest.mark.parametrize("chunk", [1, intertwine._DEFECT_CHUNK])
+def test_hom_space_eliminates_once_per_chunk_with_nonzero_rows(
+        monkeypatch, chunk):
+    # each chunk's rows are multiplied into the span once and only a
+    # nonzero product is eliminated, for the canonical nullspace that
+    # restricts the span; no elimination runs after the loop
+    m1, m2 = _bench_kernel_quotient_pair()
+    want = whole_denominator_hom_space(m1, m2)
+    widths, products, eliminated = [], [], []
+
+    def product(a, b):
+        widths.append(a.shape[1])
+        products.append(int_matmul(a, b))
+        return products[-1]
+
+    def elimination(ints):
+        eliminated.append(ints)
+        return modular_rref(ints)
+
+    modular_rref = linalg._modular_rref
+    monkeypatch.setattr(intertwine, "_DEFECT_CHUNK", chunk)
+    monkeypatch.setattr(intertwine, "int_matmul", product)
+    # every elimination, in intertwine or behind RatMatrix.rref and nullspace
+    monkeypatch.setattr(intertwine, "_modular_rref", elimination)
+    monkeypatch.setattr(linalg, "_modular_rref", elimination)
+    assert hom_space(m1, m2) == want
+    _, bs, cs = coefficient_pairs(m1, m2)
+    off_diagonal = sum((b != np.diag(np.diagonal(b))).any()
+                       or (c != np.diag(np.diagonal(c))).any()
+                       for b, c in zip(bs, cs))
+    # one product per chunk of pairs, on the rows over the graded unknowns
+    per = max(1, chunk // (m1.dim * m2.dim * widths[0]))
+    assert len(products) == -(-off_diagonal // per)
+    nonzero = [x for x in products if x.any()]
+    assert len(eliminated) == len(nonzero) >= 1
+    assert all(x is y for x, y in zip(eliminated, nonzero))
+
+
+def test_large_entries_take_the_object_path(monkeypatch):
+    # for m1 rescaled by big the rows of hom_space's one chunk have entries
+    # up to big^2 on 2 unknowns, and the start span is the identity, so
+    # `int_matmul` forms their product in float64 exactly when 2 big^2 is
+    # below 2^53: at big = 2^26 - 1, and on Python ints at big = 2^26
+    operands = []
+
+    def product(a, b):
+        operands.append((a, b))
+        return int_matmul(a, b)
+
+    monkeypatch.setattr(intertwine, "int_matmul", product)
+    for big in (2 ** 26 - 1, 2 ** 26):
+        operands.clear()
         m1 = rescaled(evaluation_module(2, 0), big)
         m2 = evaluation_module(2, 0)
-        _, bs, cs = coefficient_pairs(m1, m2)
-        bound = (int(np.abs(bs).sum(axis=1).max())
-                 + int(np.abs(cs).sum(axis=2).max()))
-        assert (bound < 2 ** 53) == (big == 94906265)
         basis = hom_space(m1, m2)
         assert len(basis) == 1 and basis == whole_denominator_hom_space(m1, m2)
+        (rows, span), = operands
+        bound = rows.shape[1] * np.abs(rows).max() * np.abs(span).max()
+        assert (bound < 2 ** 53) == (big < 2 ** 26)
 
 
 def test_hom_space_at_the_budget_edge_stays_small():
     # theta = 1, n = 2, degrees (1, 1, 1, 3): dim 32, 1024 unknowns, 196
-    # after the diagonal pairs, just under HOM_SPACE_MAX_UNKNOWNS; with
-    # every pair in one batched product the defects peaked at 48 MB
+    # after the diagonal pairs, just under HOM_SPACE_MAX_UNKNOWNS; one pair
+    # per chunk peaks at 2.9 MB, and every pair's rows in one chunk at 26 MB
     params = params_for(1, 2, 1, 3, (1, 1, 1, 3), [0, 0, 0, 0])
     factors = source_pattern(params)
     src = pattern_module(params, factors)
@@ -667,6 +719,23 @@ def test_hom_space_at_the_budget_edge_stays_small():
     assert len(basis) == 1
     assert intertwine._verify_intertwiner(basis[0], src, tgt) is None
     assert peak < 16 * 2 ** 20
+
+
+def test_certificate_at_dim_81_stays_small():
+    # theta = 1, n = 3, degrees (1, 1, 1, 1): 39 coefficient pairs of
+    # 81 x 81 matrices; nine pairs per chunk peak at 6.7 MB, and every
+    # pair in one batched product at 11.9 MB
+    params = params_for(1, 3, 1, 3, (1, 1, 1, 1), [0, 0, 0, 0])
+    intw = compose_word(params, (1,))
+    tracemalloc.start()
+    try:
+        witness = intertwine._verify_intertwiner(intw.matrix, intw.source,
+                                                 intw.target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness is None
+    assert peak < 9 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -405,7 +405,7 @@ def test_int_matmul_matches_object_matmul_at_the_float64_edge(operands):
 # The functions that may contract integer arrays themselves: the kernel,
 # and the three fused checks that hold float64 across a signed sum under
 # their own 2^53 bounds.
-_OWN_PRODUCTS = {("linalg", "int_matmul"), ("intertwine", "_first_defect"),
+_OWN_PRODUCTS = {("linalg", "int_matmul"), ("intertwine", "_verify_intertwiner"),
                  ("hd", "check_x_identities"), ("verify", "_pair_failures")}
 _CONTRACTIONS = {"matmul", "dot", "tensordot", "einsum"}
 
