@@ -20,17 +20,19 @@ two products that compare (u0, v0) also compare (v0, u0).
 The two sides are compared exactly in one of two tiers.  With M the
 largest absolute numerator of any stack and spread the largest |u0 - v0|,
 every entry of every product of two blocks is at most dim M^2, so every
-entry of lhs - rhs is at most D = 2 (spread + 1) dim M^2.  Both tiers form
-the products with float64 matrix products, exact because every partial sum
-is an integer below 2^53 (Dumas, Giorgi & Pernet, FFLAS-FFPACK, ACM TOMS
-35(3), 2008), and compare in int64.  When dim M^2 < 2^53 and D < 2^63 (the
-exact tier) the stacks are used as they are: the products are exact, and
-every compared entry fits int64, so each is tested for zero directly.
-Above that the stacks are reduced modulo the fewest word-size primes whose
-product exceeds D (the residue tier).  An entry of lhs - rhs that vanishes
-modulo every prime is 0 by the Chinese remainder theorem, and one that does
-not vanish is nonzero, so the entries that fail modulo some prime are
-exactly the entries that fail.
+entry of lhs - rhs is at most D = 2 (spread + 1) dim M^2.  When D < 2^63
+(the int64 tier) every compared entry fits int64, so each is tested for
+zero directly.  The products are formed with float64 matrix products,
+exact because every partial sum is an integer below 2^53 (Dumas, Giorgi &
+Pernet, FFLAS-FFPACK, ACM TOMS 35(3), 2008): in one piece when dim M^2 <
+2^53, else from two limbs per stack, X = hi 2^h + lo, whose four limb
+products are each exact and are combined in int64 (the error-free product
+of Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012).  When D >=
+2^63 the stacks are reduced modulo the fewest word-size primes whose
+product exceeds D (the residue tier).  An entry of lhs - rhs that
+vanishes modulo every prime is 0 by the Chinese remainder theorem, and one
+that does not vanish is nonzero, so the entries that fail modulo some
+prime are exactly the entries that fail.
 """
 
 from __future__ import annotations
@@ -43,19 +45,21 @@ from fractions import Fraction
 import numpy as np
 
 from .fock import PLAIN, PRIME, TILDE
-from .linalg import (FLOAT64_EXACT_LIMIT, Poly, RatFunc, RatMatrix, _poly,
-                     _ratfunc, _ratmatrix, int_matmul, poly_rational_roots,
-                     residue_primes)
+from .linalg import (FLOAT64_EXACT_LIMIT, Poly, RatFunc, RatMatrix,
+                     _as_float64, _poly, _ratfunc, _ratmatrix, int_matmul,
+                     poly_rational_roots, residue_primes)
 from .modules import (ModuleParams, PatternFactor, YangianModule,
                       scalar_module, source_pattern, tensor_module)
 
 # Largest n^2 dim that check_rtt takes on.  Each unordered grid pair
-# {u, v}, u != v, forms two (n^2 dim)-square products per modulus, which
-# serve both (u, v) and (v, u), so the work per pair grows as
-# (n^2 dim)^2 dim: the 4-factor n = 3 pattern (dim 81, 729) takes
-# 0.6-0.8 s on three residue primes on a 2-core x86 VM (n = 2, nu =
-# (12, 12), 676, 0.17 s on the exact tier), and a 5-factor one (dim 243,
-# 2187) would need 9x the memory and 27x the work per pair.
+# {u, v}, u != v, forms two (n^2 dim)-square products per modulus and pair
+# of limbs, which serve both (u, v) and (v, u), so the work per pair grows
+# as (n^2 dim)^2 dim.  On a 2-core x86 VM the 4-factor n = 3 pattern (dim
+# 81, 729) takes 0.2 s on the int64 tier in one piece (mu = 1/2, 1/3, 1/5,
+# 1/7), 0.47-0.55 s in two limbs (mu = 1/3, 2/3, 1/5, 1/7) and 0.65-0.70 s
+# on three residue primes (mu = 1/7, 2/7, 3/7, 5/7); n = 2, nu = (12, 12)
+# (676) takes 0.1 s in one piece.  A 5-factor pattern (dim 243, 2187)
+# would need 9x the memory and 27x the work per pair.
 RTT_MAX_SIZE = 729
 
 # The grid's sample points are the first integers from GRID_START on that
@@ -72,8 +76,8 @@ class RttReport:
 
     bound is the proven bound D on |lhs - rhs| over every entry of every
     grid pair, and primes are the residue primes, largest first, whose
-    product exceeds it; primes is empty on the exact tier, where dim M^2 <
-    2^53 and D < 2^63 and the grid is compared without residues."""
+    product exceeds it; primes is empty on the int64 tier, where D < 2^63
+    and the grid is compared without residues."""
 
     ok: bool
     n: int
@@ -96,19 +100,30 @@ def _grid_points(den: Poly, count: int) -> list[int]:
     return pts
 
 
-def _grid_stacks(mod: YangianModule, pts: list[int]) -> np.ndarray:
+def _grid_stacks(mod: YangianModule, pts: list[int]) -> tuple[np.ndarray, int]:
     """The numerators of the blocks P_ij(u0) at every grid point, each point
     over the one common denominator of its lowest terms, as one array of
-    vertical stacks (points, rows (i, j, r), columns s): one contraction of
-    num with the Vandermonde matrix."""
+    vertical stacks (points, rows (i, j, r), columns s), and their largest
+    absolute value M: one contraction of num with the Vandermonde matrix.
+
+    The values are int64 when the contraction's entries are below
+    FLOAT64_EXACT_LIMIT, so that the float64 cast holds them exactly, and
+    Python ints otherwise; M is exact either way."""
     vander = np.vander(np.array(pts, dtype=object), mod.num.shape[2], True)
     values = int_matmul(vander, np.moveaxis(mod.num, 2, 0).reshape(
         len(vander[0]), -1)).reshape(len(pts), -1, mod.dim)
+    cast = _as_float64(values)
+    if cast is not None and np.abs(cast).max() < FLOAT64_EXACT_LIMIT:
+        ints = cast.astype(np.int64)
+        gcds = np.gcd.reduce(ints.reshape(len(pts), -1), axis=1)
+        ints //= np.array([math.gcd(mod.scale, int(g)) for g in gcds],
+                          dtype=np.int64)[:, None, None]
+        return ints, int(np.abs(ints).max())
     for vals in values:
         g = math.gcd(mod.scale, *vals.flat)
         if g > 1:
             vals //= g
-    return values
+    return values, int(np.abs(values).max())
 
 
 # (i, j, r, k, l, s) -> (k, l, r, i, j, s): swaps the two generators
@@ -122,35 +137,70 @@ def _pair_failures(stacks, moduli, a: int, b: int, w: int, n: int,
 
     Per modulus p, with A = P(u0) and B = P(v0) as held by its stacks,
     ab[i, j, r, k, l, s] = (A_ij B_kl)[r, s] and ba[i, j, r, k, l, s] =
-    (B_ij A_kl)[r, s] are exact integers below 2^53 in absolute value, so
-    they cast to int64 exactly.  With C = ab - ba with the generators
+    (B_ij A_kl)[r, s] are formed in int64 from exact float64 products of
+    the limbs (see _rtt_grid).  With C = ab - ba with the generators
     swapped and S = ab - ba with axes 0 and 3 exchanged, the pair (u0, v0)
     needs w C - S = 0 and the pair (v0, u0) needs w C' + S = 0, C' being C
     with the generators swapped; so one ab and one ba serve both pairs.
-    For a prime p the stacks hold residues in [0, p), the tests are modulo
-    p, and C is reduced to [0, p) before it is scaled by w, |w| < p, so the
-    sums stay below 2^54.  For p None the stacks are the numerators
-    themselves and both tests are exact, every entry being at most the
-    bound D < 2^63.
+    The products, C and the two differences, in turn, go to the grid's
+    work buffers, so a pair allocates only its failure masks.
+
+    For p None (the int64 tier) both tests are exact, every entry of ab and
+    ba being at most dim M^2 and every difference at most D < 2^63.  With
+    one limb the float64 products are ab and ba themselves.  With two
+    limbs of shift h, hi and lo, ab = (hi hi) 2^2h + (hi lo + lo hi) 2^h +
+    lo lo, and every intermediate is at most 4 dim M^2 < 2^63 (see
+    _rtt_grid).  For a prime p the stacks hold residues in [0, p), one
+    limb, so ab and ba are below 2^53; the tests are modulo p, and C is
+    reduced to [0, p) before it is scaled by w, |w| < p, so the sums stay
+    below 2^54.
     """
     shape = (n, n, dim, n, n, dim)
-    bad_uv = np.zeros(shape, dtype=bool)
-    bad_vu = np.zeros(shape, dtype=bool)
-    for p, (vert, horiz) in zip(moduli, stacks):
-        ab = (vert[a] @ horiz[b]).astype(np.int64).reshape(shape)
-        ba = (vert[b] @ horiz[a]).astype(np.int64).reshape(shape)
-        comm = ab - ba.transpose(_SWAP)
+    bad: list[np.ndarray | None] = [None, None]
+    for p, (vert, horiz, shift, (flt, prods)) in zip(moduli, stacks):
+        # per limb, the rows of A and B and the columns of B and A
+        rows, cols = vert[:, [a, b]], horiz[:, [b, a]]
+        # the last float64 slot, read as int64, takes what is cast out of
+        # the first, and then C
+        spare = flt[-1].view(np.int64)
+        np.copyto(prods, np.matmul(rows[0], cols[0], out=flt[0]),
+                  casting="unsafe")
+        if shift:
+            prods <<= 2 * shift
+            np.add(np.matmul(rows[0], cols[1], out=flt[0]),
+                   np.matmul(rows[1], cols[0], out=flt[1]), out=flt[0])
+            np.copyto(spare, flt[0], casting="unsafe")
+            spare <<= shift
+            prods += spare
+            np.copyto(spare, np.matmul(rows[1], cols[1], out=flt[0]),
+                      casting="unsafe")
+            prods += spare
+        ab, ba = prods.reshape(2, *shape)
+        comm, mult = spare.reshape(2, *shape)
+        np.subtract(ab, ba.transpose(_SWAP), out=comm)
         # x - x // p * p is x % p; numpy divides by a scalar much faster
         # than it takes remainders
         if p is not None:
-            comm -= comm // p * p
+            np.floor_divide(comm, p, out=mult)
+            mult *= p
+            comm -= mult
         comm *= w
         ab -= ba
         cross = ab.swapaxes(0, 3)
-        for bad, diff in ((bad_uv, comm - cross),
-                          (bad_vu, comm.transpose(_SWAP) + cross)):
-            bad |= diff != 0 if p is None else diff // p * p != diff
-    return _first_entry(bad_uv), _first_entry(bad_vu)
+        for k, (op, left) in enumerate(((np.subtract, comm),
+                                        (np.add, comm.transpose(_SWAP)))):
+            diff = op(left, cross, out=ba)
+            if p is None:
+                test = diff != 0
+            else:
+                np.floor_divide(diff, p, out=mult)
+                mult *= p
+                test = mult != diff
+            if bad[k] is None:
+                bad[k] = test
+            else:
+                bad[k] |= test
+    return _first_entry(bad[0]), _first_entry(bad[1])
 
 
 def _first_entry(bad: np.ndarray) -> tuple | None:
@@ -162,32 +212,54 @@ def _first_entry(bad: np.ndarray) -> tuple | None:
 
 def _rtt_grid(mod: YangianModule) -> tuple[list[int], int, list, list]:
     """The grid points, the bound D, the moduli and, per modulus, the
-    vertical (points, rows (i, j, r), s) and horizontal (points, r,
-    columns (i, j, s)) float64 stacks.
+    vertical (limbs, points, rows (i, j, r), s) and horizontal (limbs,
+    points, r, columns (i, j, s)) float64 stacks with their limb shift h
+    and the work buffers that every pair reuses.
 
-    The moduli are [None], with the numerators themselves as the stacks,
-    when dim M^2 < 2^53 and D < 2^63 (the exact tier); else they are the
-    residue primes, largest first, with the residues as the stacks.  The
-    residues come from one int64 cast of the numerators when M < 2^63."""
+    When D < 2^63 (the int64 tier) the moduli are [None], and the stacks
+    hold the numerators X themselves, in one limb (h = 0) when dim M^2 <
+    2^53, else in two, hi = X >> h and lo = X - hi 2^h, with h = ceil(b/2)
+    for b the bit length of M.  Then 0 <= lo < 2^h and |hi| <= 2^(b-h) <=
+    2^h, so every partial sum of a limb product is at most dim 2^2h <=
+    dim 2^(b+1) <= 4 dim M.  D < 2^63 and spread >= 1 give dim M^2 < 2^61,
+    so (4 dim M)^2 < 2^65 dim, below 2^106 as dim < 2^41 (a block, an
+    array, has dim^2 < 2^63 entries): the limb products are exact in
+    float64, and so is their sum hi lo + lo hi, below 2 dim 2^b <= 4 dim M.
+    In int64, hi hi 2^2h and (hi lo + lo hi) 2^h are each at most dim 2^2b
+    <= 4 dim M^2 < 2^63, as b + h <= 2b - 1 (here M^2 > 2^53 / dim > 2^12),
+    and their sum is ab - lo lo, at most dim M^2 + 4 dim M.
+
+    When D >= 2^63 (the residue tier) the moduli are the residue primes,
+    largest first, and the stacks the residues in one limb.  The residues
+    come from one int64 cast of the numerators when M < 2^63."""
     n, dim = mod.n, mod.dim
     pts = _grid_points(mod.den, mod.den.degree + 2)
-    ints = _grid_stacks(mod, pts)
-    top = int(np.abs(ints).max())
+    ints, top = _grid_stacks(mod, pts)
     bound = 2 * (pts[-1] - pts[0] + 1) * dim * top * top
-    # for a module the first test implies the second (a spread over 511
-    # needs deg d > 255, and then the monic P_00 alone has M >= d!/2^d),
-    # but the int64 proof should not lean on that
-    if dim * top * top < FLOAT64_EXACT_LIMIT and bound < 2 ** 63:
+    if top < 2 ** 63:
+        ints = ints.astype(np.int64, copy=False)
+    if bound < 2 ** 63:
         moduli = [None]
+        shift = (0 if dim * top * top < FLOAT64_EXACT_LIMIT
+                 else (top.bit_length() + 1) // 2)
+        limbs = [[ints >> shift, ints & ((1 << shift) - 1)] if shift
+                 else [ints]]
     else:
         moduli = residue_primes(bound, dim)
-    if top < 2 ** 63:
-        ints = ints.astype(np.int64)
+        shift = 0
+        limbs = [[ints % p] for p in moduli]
+    # every pair reuses these buffers, one float64 slot per limb for the
+    # limb products and int64 for ab and ba: a fresh array past malloc's
+    # mmap threshold costs a page fault per page each time it is touched
+    size = n * n * dim
+    work = (np.empty((2 if shift else 1, 2, size, size)),
+            np.empty((2, size, size), dtype=np.int64))
     stacks = []
-    for p in moduli:
-        vert = (ints if p is None else ints % p).astype(np.float64)
-        stacks.append((vert, vert.reshape(len(pts), n, n, dim, dim)
-                       .transpose(0, 3, 1, 2, 4).reshape(len(pts), dim, -1)))
+    for parts in limbs:
+        vert = np.array(parts, dtype=np.float64)
+        horiz = vert.reshape(len(parts), len(pts), n, n, dim, dim).transpose(
+            0, 1, 4, 2, 3, 5).reshape(len(parts), len(pts), dim, -1)
+        stacks.append((vert, horiz, shift, work))
     return pts, bound, moduli, stacks
 
 

@@ -149,20 +149,35 @@ MUTANTS = (
             "tests/test_verify.py::test_drinfeld_twist_invariance",
             "tests/test_verify.py::test_ratio_to_drinfeld_poly_errors")),
     Mutant("rtt-first-residue-prime-only", "verify.py",
-           "for p, (vert, horiz) in zip(moduli, stacks):",
-           "for p, (vert, horiz) in zip(moduli[:1], stacks):",
+           "for p, (vert, horiz, shift, (flt, prods)) in zip(moduli, stacks):",
+           "for p, (vert, horiz, shift, (flt, prods)) in zip(moduli[:1], stacks):",
            ("tests/test_verify.py::test_rtt_failure_missed_by_first_prime",)),
     Mutant("rtt-exact-gate-without-dim", "verify.py",
-           "if dim * top * top < FLOAT64_EXACT_LIMIT and bound < 2 ** 63:",
-           "if top * top < FLOAT64_EXACT_LIMIT and bound < 2 ** 63:",
+           "shift = (0 if dim * top * top < FLOAT64_EXACT_LIMIT",
+           "shift = (0 if top * top < FLOAT64_EXACT_LIMIT",
            ("tests/test_verify.py::test_rtt_at_the_exact_tier_edge",)),
+    Mutant("rtt-one-piece-below-int64-gate", "verify.py",
+           "        shift = (0 if dim * top * top < FLOAT64_EXACT_LIMIT\n"
+           "                 else (top.bit_length() + 1) // 2)",
+           "        shift = 0",
+           ("tests/test_verify.py::test_rtt_at_the_exact_tier_edge",)),
+    Mutant("rtt-int64-gate-at-2-64", "verify.py",
+           "if bound < 2 ** 63:",
+           "if bound < 2 ** 64:",
+           ("tests/test_verify.py::test_rtt_at_the_exact_tier_edge",)),
+    Mutant("rtt-limb-cross-unshifted", "verify.py",
+           "            spare <<= shift\n",
+           "",
+           ("tests/test_verify.py::test_rtt_pairs_match_component_reference",)),
     Mutant("rtt-residue-cast-without-bound", "verify.py",
-           "    if top < 2 ** 63:\n        ints = ints.astype(np.int64)",
-           "    if True:\n        ints = ints.astype(np.int64)",
+           "    if top < 2 ** 63:\n"
+           "        ints = ints.astype(np.int64, copy=False)",
+           "    if True:\n"
+           "        ints = ints.astype(np.int64, copy=False)",
            ("tests/test_verify.py::test_rtt_at_the_exact_tier_edge",)),
     Mutant("rtt-swapped-pair-sign", "verify.py",
-           "(bad_vu, comm.transpose(_SWAP) + cross)",
-           "(bad_vu, comm.transpose(_SWAP) - cross)",
+           "(np.add, comm.transpose(_SWAP))",
+           "(np.subtract, comm.transpose(_SWAP))",
            ("tests/test_verify.py::test_rtt_atoms",)),
     Mutant("odd-parity-flipped", "fock.py",
            "if sum(exps[:v]) & 1:",

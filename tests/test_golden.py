@@ -7,7 +7,8 @@ resonant dim-27 `kernel-quotient` (kernel 3, irreducible quotient 24,
 generated before `hom_space` solved on the weight blocks), the theta = -1
 patterns, a budget-error record, a swap of pair dim 64 and the dim-512
 highest-weight checks at n dim = MODULE_MAX_SIZE (generated before the
-modular elimination).  A refactor
+modular elimination), and a dim-16 `rtt` whose bound D is just under 2^63
+(generated while it still ran on three residue primes).  A refactor
 that changes a verdict, a witness or the serialization shows up here byte
 for byte.
 """

@@ -151,20 +151,20 @@ def component_rtt_failures(mod, points):
 
 def first_prime_module():
     """Adding c E_00 to P_01 of an evaluation module makes every entry of
-    lhs - rhs a multiple of c; c is the first residue prime."""
+    lhs - rhs a multiple of c; c is 2^6 times the first residue prime."""
     good = evaluation_module(2, F(3, 2))
     num = good.num.copy()
-    num[0, 1, 0, 0, 0] += residue_primes(0, good.dim)[0] * good.scale
+    num[0, 1, 0, 0, 0] += residue_primes(0, good.dim)[0] * 2 ** 6 * good.scale
     return YangianModule(good.den, num, good.scale)
 
 
 def test_rtt_failure_missed_by_first_prime():
-    # the first prime alone sees no failure; c ~ 2^26 puts dim M^2 past
-    # 2^53, so the check runs on the residue tier
+    # the first prime alone sees no failure; c ~ 2^32 puts D past 2^63, so
+    # the check runs on the residue tier
     bad = first_prime_module()
     first_prime = residue_primes(0, bad.dim)[0]
     report = check_rtt(bad)
-    assert bad.dim * stacked_top(bad, report.points_u) ** 2 >= 2 ** 53
+    assert report.bound >= 2 ** 63
     assert report.primes[0] == first_prime and len(report.primes) > 1
     first, values = component_rtt_failures(bad, report.points_u)
     assert values and all(x.numerator % first_prime == 0 for x in values)
@@ -270,11 +270,11 @@ def reference_grid(mod):
                                   if mod.den(u) != 0), mod.den.degree + 2))
 
 
-def tier_primes(mod, top, bound):
-    """The residue primes the check takes: none on the exact tier, dim M^2 <
-    2^53 and D < 2^63, where the products and the compared entries fit
-    float64 and int64 as they are; else the fewest whose product exceeds D."""
-    if mod.dim * top * top < 2 ** 53 and bound < 2 ** 63:
+def tier_primes(mod, bound):
+    """The residue primes the check takes: none on the int64 tier, D <
+    2^63, where every compared entry fits int64; else the fewest whose
+    product exceeds D."""
+    if bound < 2 ** 63:
         return []
     return residue_primes(bound, mod.dim)
 
@@ -298,13 +298,16 @@ EDGE_FAMILIES = {
     "commuting": commuting_module,
 }
 
-# the exact tier's gate, the same gate without its dim factor (just under
-# it the products of a dense module pass 2^53), and the bound under which
-# the residue stacks come from one int64 cast
+# each bound reads (dim, M, spread): the int64 tier's gate D < 2^63; in
+# it, the one-piece gate (past it the stacks split into two limbs) and the
+# same gate without its dim factor (just under it the products of a dense
+# module pass 2^53); and the bound under which the residue stacks come from
+# one int64 cast
 EDGE_BOUNDS = {
-    "dim M^2": lambda dim, top: dim * top * top < 2 ** 53,
-    "M^2": lambda dim, top: top * top < 2 ** 53,
-    "M": lambda dim, top: top < 2 ** 63,
+    "D": lambda dim, top, spread: 2 * (spread + 1) * dim * top * top < 2 ** 63,
+    "dim M^2": lambda dim, top, spread: dim * top * top < 2 ** 53,
+    "M^2": lambda dim, top, spread: top * top < 2 ** 53,
+    "M": lambda dim, top, spread: top < 2 ** 63,
 }
 
 
@@ -324,8 +327,9 @@ def edge_module(family, n, bound, above, tamper):
 
     def under(q):
         mod = build(q)
-        return EDGE_BOUNDS[bound](mod.dim,
-                                  stacked_top(mod, reference_grid(mod)))
+        pts = reference_grid(mod)
+        return EDGE_BOUNDS[bound](mod.dim, stacked_top(mod, pts),
+                                  pts[-1] - pts[0])
 
     lo, hi = 1, 2 ** 70
     assert under(lo) and not under(hi)
@@ -352,7 +356,8 @@ def edge_modules(draw):
 
 @settings(max_examples=12, deadline=None)
 @given(edge_modules())
-# just under the gate, as built and tampered (the tampered one fails)
+# just under the one-piece gate, as built and tampered (the tampered one
+# fails); just over it, two limbs
 @example((edge_module("evaluation", 2, "dim M^2", False, None), False))
 @example((edge_module("evaluation", 2, "dim M^2", False, (0, 1, 0, 1, 1)),
           True))
@@ -360,6 +365,11 @@ def edge_modules(draw):
 # M^2 < 2^53 <= dim M^2, products past 2^53: in float64 the products in
 # the two orders round apart, and the relation would read as failing
 @example((edge_module("commuting", 2, "M^2", False, None), False))
+# D just under 2^63, two limbs whose int64 sums come nearest 2^63, as
+# built and tampered (the tampered one fails); D at 2^63, three primes
+@example((edge_module("commuting", 3, "D", False, None), False))
+@example((edge_module("evaluation", 2, "D", False, (0, 1, 0, 1, 1)), True))
+@example((edge_module("dual", 2, "D", True, None), False))
 # M just under and at 2^63: residues from the int64 cast, then from ints
 @example((edge_module("dual", 2, "M", False, None), False))
 @example((edge_module("evaluation", 2, "M", True, (1, 0, 1, 0, -1)), True))
@@ -371,8 +381,7 @@ def test_rtt_at_the_exact_tier_edge(case):
     assert report.ok == dense_rtt_holds(mod)
     assert report.ok or tampered
     assert report.failure == component_rtt_failures(mod, pts)[0]
-    assert report.primes == tier_primes(mod, stacked_top(mod, pts),
-                                        report.bound)
+    assert report.primes == tier_primes(mod, report.bound)
 
 
 @settings(max_examples=30, deadline=None)
@@ -391,7 +400,7 @@ def test_rtt_matches_dense_reference(case):
     pts = report.points_u
     top = stacked_top(mod, pts)
     assert report.bound == 2 * (pts[-1] - pts[0] + 1) * mod.dim * top * top
-    assert report.primes == tier_primes(mod, top, report.bound)
+    assert report.primes == tier_primes(mod, report.bound)
 
 
 @settings(max_examples=10, deadline=None)
@@ -399,11 +408,14 @@ def test_rtt_matches_dense_reference(case):
 @example((noncommuting_module(), True))
 # the residue tier, tampered and as built
 @example((first_prime_module(), True))
+@example((edge_module("dual", 2, "D", True, None), False))
+# two limbs, as built and tampered
 @example((edge_module("evaluation", 2, "dim M^2", True, None), False))
+@example((edge_module("evaluation", 2, "D", False, (0, 1, 0, 1, 1)), True))
 def test_rtt_pairs_match_component_reference(case):
     # one product pair per modulus settles both (u, v) and (v, u): every
     # ordered pair's first failing entry matches the reference, on the
-    # exact tier (modulus None) and on residues
+    # int64 tier (modulus None) in one limb and in two, and on residues
     mod, _ = case
     pts, _, moduli, stacks = verify._rtt_grid(mod)
     ref = pair_rtt_failures(mod, pts)
