@@ -690,9 +690,9 @@ def kernel_quotient(intw: Intertwiner) -> QuotientModule:
     kernel = _nullspace_from_rref(red.data, pivots, red.den, mat.ncols)
     # R . N_k for every coefficient, over scale * red.den, as (row, i, j,
     # k, column): one product against the coefficients side by side
-    n, _, powers, dim, _ = src.num.shape
+    n, _, powers, dim, _ = src.ints.shape
     shape = (len(pivots), n, n, powers)
-    moved = int_matmul(red.data[:len(pivots)], src.num.transpose(
+    moved = int_matmul(red.data[:len(pivots)], src.ints.transpose(
         3, 0, 1, 2, 4).reshape(dim, -1)).reshape(*shape, dim)
     unstable = np.argwhere((int_matmul(moved.reshape(-1, dim), kernel.data) != 0)
                            .reshape(*shape, kernel.ncols).any(axis=(0, 4)))

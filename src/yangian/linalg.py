@@ -21,8 +21,10 @@ and a basis one column per vector; single coefficients and entries are read
 back as Fractions.  `residue_primes` picks the word-size primes for exact
 float64 products modulo p.  Whether integers are exact in float64 is
 decided here alone: one limit, `FLOAT64_EXACT_LIMIT`, and one cast,
-`_as_float64`, serve `int_matmul`, `residue_primes` and the fused checks of
-`intertwine` and `hd`.
+`_as_float64`, serve `int_matmul`, `residue_primes`, the int64 numerators
+of `modules` and the fused checks of `intertwine`, `hd` and `verify`.
+`int_matmul` returns int64 for two int64 operands under its gate, so
+int64 values stay int64 through it, and Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -920,17 +922,21 @@ def _as_float64(ints: np.ndarray) -> np.ndarray | None:
 
 
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact a @ b of integer arrays, 2-d or stacked, as Python ints: float64
-    BLAS when k max|a| max|b| < 2^53 (k the inner dimension), as every
-    partial sum is then an integer float64 holds, else Python-int matmul.
-    The maxima are read off the `_as_float64` casts."""
+    """Exact a @ b of integer arrays, 2-d or stacked: float64 BLAS when
+    k max|a| max|b| < 2^53 (k the inner dimension), as every partial sum
+    is then an integer float64 holds, else Python-int matmul.  The maxima
+    are read off the `_as_float64` casts; a bound past float64's range
+    reads inf and fails the gate.  The result is int64 when both operands
+    are int64 and the gate passes, and Python ints in every other case."""
     fa, fb = _as_float64(a), _as_float64(b)
-    if fa is not None and fb is not None and (
-            a.shape[-1] * np.abs(fa).max(initial=0) * np.abs(fb).max(initial=0)
-            < FLOAT64_EXACT_LIMIT):
-        # rebinding frees the casts and the float64 product before the copy
-        fa = fb = (fa @ fb).astype(np.int64)
-        return fa.astype(object)
+    if fa is not None and fb is not None:
+        # Python floats overflow to inf without numpy's RuntimeWarning
+        bound = (a.shape[-1] * float(np.abs(fa).max(initial=0))
+                 * float(np.abs(fb).max(initial=0)))
+        if bound < FLOAT64_EXACT_LIMIT:
+            # rebinding frees the casts and the float64 product before the copy
+            fa = fb = (fa @ fb).astype(np.int64)
+            return fa if a.dtype == b.dtype == np.int64 else fa.astype(object)
     return a.astype(object, copy=False) @ b.astype(object, copy=False)
 
 

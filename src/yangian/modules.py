@@ -6,9 +6,14 @@ matrix polynomials P_ij(u) over one monic scalar denominator d(u):
     T_ij(u) acts by P_ij(u) / d(u),
 
 with deg P_ii = deg d, leading coefficient the identity, and deg P_ij < deg d
-off the diagonal.  The only stored form is one object array of Python ints,
+off the diagonal.  The numerators form one integer array,
 num[i, j, k, r, s] = scale * (u^k coefficient of P_ij)[r, s], over one
-positive integer scale and kept in lowest terms.  This normal form survives
+positive integer scale and kept in lowest terms.  A module stores that
+array once, exactly: in int64 (`num64`) when every |entry| is below
+`linalg.FLOAT64_EXACT_LIMIT`, else as Python ints.  Fock modules are
+filled and tensor products multiplied in int64 while a bound keeps every
+entry below the limit, so the Python ints of `num` are made only for the
+readers that need them, once per module.  This normal form survives
 tensor products (denominators multiply), parameter shifts and scalar
 twists, and makes every verification in this package a statement about
 integer coefficient arrays.
@@ -35,12 +40,14 @@ from .fock import (
     first_variables_monomial,
     last_variables_monomial,
 )
-from .linalg import (Poly, RatFunc, RatMatrix, _poly, int_matmul, poly_gcd,
-                     rat)
+from .linalg import (FLOAT64_EXACT_LIMIT, Poly, RatFunc, RatMatrix,
+                     _as_float64, _poly, int_matmul, poly_gcd, rat)
 
 # The largest n * dim of a module that fock_module or tensor_module builds:
 # its n^2 numerator entries are dense dim x dim matrices.
 MODULE_MAX_SIZE = 1024
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 T = TypeVar("T")
 
@@ -54,10 +61,14 @@ def _check_module_size(n: int, dim: int) -> None:
 class YangianModule:
     """Exact finite-dimensional module in the P_ij(u) / d(u) normal form.
 
-    num has shape (n, n, deg d + 1, dim, dim); num / scale holds the u^k
-    coefficients of the P_ij, so num[i, i, deg d] = scale I and
-    num[i, j, deg d] = 0 for i != j.  The constructor divides num and scale
-    by their gcd and makes the stored array read-only.
+    The numerators have shape (n, n, deg d + 1, dim, dim); num / scale
+    holds the u^k coefficients of the P_ij, so num[i, i, deg d] = scale I
+    and num[i, j, deg d] = 0 for i != j.  The constructor takes int64 or
+    Python-int numerators, divides them and scale by their gcd and keeps
+    one exact form: int64 when every |entry| < FLOAT64_EXACT_LIMIT, read as
+    `num64`, else Python ints, and then num64 is None.  `num` is the
+    Python-int form, made from num64 on its first read and kept.  Both are
+    read-only: a module is a value, as RatMatrix.
     """
 
     def __init__(self, den: Poly, num: np.ndarray, scale: int = 1):
@@ -71,10 +82,14 @@ class YangianModule:
         if scale < 1:
             raise ValueError("scale must be a positive integer")
         n, dim = num.shape[0], num.shape[3]
-        num = num.astype(object, copy=False)
-        lead = np.zeros((n, n, dim, dim), dtype=object)
-        lead[range(n), range(n)] = RatMatrix.identity(dim).data * scale
-        if not (num[:, :, -1] == lead).all():
+        # int64 numerators lead with scale, so one past int64 cannot match
+        if num.dtype != np.int64 or scale > _INT64_MAX:
+            num = num.astype(object, copy=False)
+        # the u^deg d coefficients as one (n dim)-square block matrix must be
+        # scale I: n dim entries on the diagonal, each scale, and no other
+        lead = num[:, :, -1].transpose(0, 2, 1, 3).reshape(n * dim, n * dim)
+        if np.count_nonzero(lead) != n * dim \
+                or not (lead.diagonal() == scale).all():
             raise ValueError("P_ij must lead with u^deg d I on the diagonal "
                              "and have a lower degree off it")
         # row by row: the gcd is almost always 1 after a few rows
@@ -83,16 +98,39 @@ class YangianModule:
             if g == 1:
                 break
             g = math.gcd(g, *num[row])
+        if g > 1:
+            num = num // g
         self.n = n
         self.dim = dim
         self.den = den
-        self.num = num // g if g > 1 else num
-        self.num.flags.writeable = False   # a module is a value, as RatMatrix
         self.scale = scale // g
+        self.num64 = self._num = None
+        cast = _as_float64(num)
+        if cast is not None and (np.abs(cast).max(initial=0)
+                                 < FLOAT64_EXACT_LIMIT):
+            self.num64 = num if num.dtype == np.int64 else cast.astype(np.int64)
+            self.num64.flags.writeable = False
+        if self.num64 is None or num.dtype == object:
+            self._num = num.astype(object, copy=False)
+            self._num.flags.writeable = False
+
+    @property
+    def num(self) -> np.ndarray:
+        """The numerators as Python ints, made once from num64 if need be."""
+        if self._num is None:
+            self._num = self.num64.astype(object)
+            self._num.flags.writeable = False
+        return self._num
+
+    @property
+    def ints(self) -> np.ndarray:
+        """The numerators in their stored exact form, num64 or else num: for
+        readers of a slice, which cast only what they read."""
+        return self.num if self.num64 is None else self.num64
 
     def entry_ratfunc(self, i: int, j: int, r: int, s: int) -> RatFunc:
         """The (r, s) matrix element of T_ij(u) as a reduced rational function."""
-        return RatFunc(_poly(self.num[i, j, :, r, s].tolist(), self.scale),
+        return RatFunc(_poly(self.ints[i, j, :, r, s].tolist(), self.scale),
                        self.den)
 
     def equal_entrywise(self, other: "YangianModule") -> bool:
@@ -144,8 +182,8 @@ def coefficient_pairs(m1: YangianModule, m2: YangianModule
 
 
 def trivial_module(n: int, dim: int = 1) -> YangianModule:
-    num = np.zeros((n, n, 1, dim, dim), dtype=object)
-    num[range(n), range(n), 0] = RatMatrix.identity(dim).data
+    num = np.zeros((n, n, 1, dim, dim), dtype=np.int64)
+    num[range(n), range(n), 0] = np.eye(dim, dtype=np.int64)
     return YangianModule(Poly([1]), num)
 
 
@@ -188,8 +226,10 @@ def fock_module(theta: int, n: int, flavor: str, z, degree: int) -> YangianModul
     delta_ij - theta d_i x_j/(u + theta z); 'prime' is
     delta_ij - x_j d_i/(u + theta (z - 1)).  A degree-0 component of 'plain'
     or 'prime' is trivial by inspection; for uniformity degree 0 always
-    returns the trivial one-dimensional module.  Raises ValueError when
-    n * dim exceeds MODULE_MAX_SIZE, before any matrix is built.
+    returns the trivial one-dimensional module.  The array is filled in
+    int64 when a bound on its entries is below FLOAT64_EXACT_LIMIT, else in
+    Python ints.  Raises ValueError when n * dim exceeds MODULE_MAX_SIZE,
+    before any matrix is built.
     """
     if flavor not in (PLAIN, TILDE, PRIME):
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -200,13 +240,20 @@ def fock_module(theta: int, n: int, flavor: str, z, degree: int) -> YangianModul
     z_eff = z - 1 if flavor == PRIME else z
     den = Poly([theta * z_eff, 1])
     space = FockSpace(theta, n, (degree,))
-    # scale = the denominator of z_eff: P_ij = K_ij + delta_ij (theta z_eff + u)
-    scale, eye = z_eff.denominator, RatMatrix.identity(space.dim).data
-    num = np.zeros((n, n, 2, space.dim, space.dim), dtype=object)
+    # scale = the denominator of z_eff: P_ij = K_ij + delta_ij (theta z_eff + u).
+    # x_i d_j and x_j d_i multiply a monomial by one of its exponents and
+    # d_i x_j by at most one more, so |K| <= degree + 1, and every |entry|,
+    # scale included, is at most scale (degree + 1) + |theta z_eff numerator|
+    scale, shift = z_eff.denominator, theta * z_eff.numerator
+    dtype = (np.int64 if scale * (degree + 1) + abs(shift) < FLOAT64_EXACT_LIMIT
+             else object)
+    ks = np.array([space.gl_action_matrix(flavor, i, j).data
+                   for i in range(n) for j in range(n)], dtype=dtype)
+    eye = np.eye(space.dim, dtype=dtype)
+    num = np.zeros((n, n, 2, space.dim, space.dim), dtype=dtype)
+    num[:, :, 0] = ks.reshape(n, n, space.dim, space.dim) * scale
     for i in range(n):
-        for j in range(n):
-            num[i, j, 0] = space.gl_action_matrix(flavor, i, j).data * scale
-        num[i, i, 0] += eye * (theta * z_eff.numerator)
+        num[i, i, 0] += eye * shift
         num[i, i, 1] = eye * scale
     return YangianModule(den, num, scale)
 
@@ -215,22 +262,34 @@ def tensor_module(a: YangianModule, b: YangianModule) -> YangianModule:
     """Tensor product via the coproduct: P_ij = sum_l P_il (x) Q_lj, in the
     row-major Kronecker convention: per u-power k, to bound the temporaries,
     one `int_matmul` over (power s, l) against b's powers stacked
-    Toeplitz-wise (Q_lj's u^(k - s) coefficient at row (s, l)).  Raises
-    ValueError, before any product, when n * dim is over budget."""
+    Toeplitz-wise (Q_lj's u^(k - s) coefficient at row (s, l)).  When both
+    factors have int64 numerators the products take them, and a power's
+    product stays int64 while `int_matmul`'s float64 gate passes; from the
+    first power past it the result holds Python ints.  Otherwise both
+    factors' Python ints are multiplied.  Raises ValueError, before any
+    product, when n * dim is over budget."""
     if a.n != b.n:
         raise ValueError("rank mismatch")
     n, dim = a.n, a.dim * b.dim
     _check_module_size(n, dim)
-    ka, kb = a.num.shape[2], b.num.shape[2]
-    right = b.num[:, :, ::-1].transpose(2, 0, 1, 3, 4).reshape(kb * n, -1)
-    num = np.empty((n, n, ka + kb - 1, a.dim, b.dim, a.dim, b.dim), object)
+    an, bn = a.num64, b.num64
+    if an is None or bn is None:
+        an, bn = a.num, b.num
+    ka, kb = an.shape[2], bn.shape[2]
+    right = bn[:, :, ::-1].transpose(2, 0, 1, 3, 4).reshape(kb * n, -1)
+    num = np.empty((n, n, ka + kb - 1, a.dim, b.dim, a.dim, b.dim), an.dtype)
     for k in range(ka + kb - 1):
         # the s with 0 <= k - s < kb; right holds b's k - s at kb - 1 - k + s
         lo, hi = max(0, k - kb + 1), min(ka, k + 1)
-        left = a.num[:, :, lo:hi].transpose(0, 3, 4, 2, 1)
-        num[:, :, k] = int_matmul(left.reshape(-1, (hi - lo) * n), right[
-            (kb - 1 - k + lo) * n:(kb - 1 - k + hi) * n]).reshape(
-            n, a.dim, a.dim, n, b.dim, b.dim).transpose(0, 3, 1, 4, 2, 5)
+        left = an[:, :, lo:hi].transpose(0, 3, 4, 2, 1)
+        prod = int_matmul(left.reshape(-1, (hi - lo) * n), right[
+            (kb - 1 - k + lo) * n:(kb - 1 - k + hi) * n])
+        if prod.dtype != num.dtype:
+            # this power is past int_matmul's float64 gate: the result
+            # holds Python ints from here on
+            num = num.astype(object)
+        num[:, :, k] = prod.reshape(n, a.dim, a.dim, n, b.dim, b.dim
+                                    ).transpose(0, 3, 1, 4, 2, 5)
     return YangianModule(a.den * b.den, num.reshape(n, n, -1, dim, dim),
                          a.scale * b.scale)
 
@@ -256,8 +315,8 @@ def shift_module(mod: YangianModule, w) -> YangianModule:
     mix = np.array([[math.comb(k, t) * (-a) ** (k - t) * b ** (top - k + t)
                      if k >= t else 0 for k in range(top + 1)]
                     for t in range(top + 1)], dtype=object)
-    num = int_matmul(mix, mod.num.reshape(*mod.num.shape[:3], -1))
-    return YangianModule(mod.den.shift(-w), num.reshape(mod.num.shape),
+    num = int_matmul(mix, mod.ints.reshape(*mod.ints.shape[:3], -1))
+    return YangianModule(mod.den.shift(-w), num.reshape(mod.ints.shape),
                          mod.scale * b ** top)
 
 
@@ -269,8 +328,8 @@ def twist_module(mod: YangianModule, g: RatFunc) -> YangianModule:
     out = tensor_module(scalar_module(mod.n, g.num, g.den), mod)
     # cancel the common polynomial factor, if any, to keep degrees low
     common = out.den
-    for i, j, r, s in np.ndindex(out.num.shape[:2] + out.num.shape[3:]):
-        common = poly_gcd(common, _poly(out.num[i, j, :, r, s].tolist(), 1))
+    for i, j, r, s in np.ndindex(out.ints.shape[:2] + out.ints.shape[3:]):
+        common = poly_gcd(common, _poly(out.ints[i, j, :, r, s].tolist(), 1))
         if common.degree == 0:
             return out
     # the monic common factor is G / c, G its primitive numerators and c > 0

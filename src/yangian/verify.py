@@ -104,21 +104,34 @@ def _grid_stacks(mod: YangianModule, pts: list[int]) -> tuple[np.ndarray, int]:
     """The numerators of the blocks P_ij(u0) at every grid point, each point
     over the one common denominator of its lowest terms, as one array of
     vertical stacks (points, rows (i, j, r), columns s), and their largest
-    absolute value M: one contraction of num with the Vandermonde matrix.
+    absolute value M: one contraction of the numerators with the
+    Vandermonde matrix.
 
-    The values are int64 when the contraction's entries are below
-    FLOAT64_EXACT_LIMIT, so that the float64 cast holds them exactly, and
-    Python ints otherwise; M is exact either way."""
-    vander = np.vander(np.array(pts, dtype=object), mod.num.shape[2], True)
-    values = int_matmul(vander, np.moveaxis(mod.num, 2, 0).reshape(
-        len(vander[0]), -1)).reshape(len(pts), -1, mod.dim)
-    cast = _as_float64(values)
-    if cast is not None and np.abs(cast).max() < FLOAT64_EXACT_LIMIT:
-        ints = cast.astype(np.int64)
-        gcds = np.gcd.reduce(ints.reshape(len(pts), -1), axis=1)
-        ints //= np.array([math.gcd(mod.scale, int(g)) for g in gcds],
-                          dtype=np.int64)[:, None, None]
-        return ints, int(np.abs(ints).max())
+    A module with `num64` is contracted with an int64 Vandermonde matrix,
+    and `int_matmul` returns int64 whenever its float64 gate passes, so no
+    Python int is made; a module without it, or a Vandermonde entry at or
+    past FLOAT64_EXACT_LIMIT (which fails that gate anyway), takes the
+    Python-int numerators.  The values are int64 when every entry is below
+    the limit (a Python-int result is cast exactly through float64), else
+    Python ints; M is exact either way."""
+    powers = mod.den.degree + 1
+    num = mod.num64
+    if num is not None and pts[-1] ** (powers - 1) < FLOAT64_EXACT_LIMIT:
+        vander = np.vander(np.array(pts, dtype=np.int64), powers, True)
+    else:
+        num, vander = mod.num, np.vander(np.array(pts, dtype=object), powers,
+                                         True)
+    values = int_matmul(vander, np.moveaxis(num, 2, 0).reshape(
+        powers, -1)).reshape(len(pts), -1, mod.dim)
+    if values.dtype != np.int64:
+        cast = _as_float64(values)
+        if cast is not None and np.abs(cast).max() < FLOAT64_EXACT_LIMIT:
+            values = cast.astype(np.int64)
+    if values.dtype == np.int64:
+        gcds = np.gcd.reduce(values.reshape(len(pts), -1), axis=1)
+        values //= np.array([math.gcd(mod.scale, int(g)) for g in gcds],
+                            dtype=np.int64)[:, None, None]
+        return values, int(np.abs(values).max())
     for vals in values:
         g = math.gcd(mod.scale, *vals.flat)
         if g > 1:
@@ -302,8 +315,9 @@ def check_rtt(mod: YangianModule) -> RttReport:
 def highest_weight_vectors(mod: YangianModule) -> RatMatrix:
     """Basis of the space killed by every T_ij(u) with i < j, one column
     per vector."""
-    upper = mod.num[np.triu_indices(mod.n, 1)]
-    return _ratmatrix(upper.reshape(-1, mod.dim), 1).nullspace()
+    upper = mod.ints[np.triu_indices(mod.n, 1)]
+    return _ratmatrix(upper.reshape(-1, mod.dim).astype(object, copy=False),
+                      1).nullspace()
 
 
 def eigenvalue_of(mod: YangianModule, i: int, vec: RatMatrix) -> RatFunc:
@@ -315,7 +329,7 @@ def eigenvalue_of(mod: YangianModule, i: int, vec: RatMatrix) -> RatFunc:
         raise ValueError("zero vector")
     pivot = support[0]
     # imgs[k] = scale * c_k * ints, c_k the eigenvalue's u^k coefficient
-    imgs = int_matmul(mod.num[i, i][:, :, support].reshape(-1, len(support)),
+    imgs = int_matmul(mod.ints[i, i][:, :, support].reshape(-1, len(support)),
                       ints[support, None]).reshape(-1, mod.dim)
     if (imgs * ints[pivot] != np.outer(imgs[:, pivot], ints)).any():
         raise ValueError(f"vector is not an eigenvector of entry {i}")
@@ -328,7 +342,7 @@ def hw_eigenvalues(mod: YangianModule, vec: RatMatrix) -> list[RatFunc]:
 
 
 def is_highest_weight(mod: YangianModule, vec: RatMatrix) -> bool:
-    upper = mod.num[np.triu_indices(mod.n, 1)]
+    upper = mod.ints[np.triu_indices(mod.n, 1)]
     return not int_matmul(upper.reshape(-1, mod.dim), vec.data).any()
 
 

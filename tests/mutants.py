@@ -97,10 +97,26 @@ MUTANTS = (
            "    if cast is not None:",
            ("tests/test_hd.py::test_x_identities_match_reference",)),
     Mutant("int-matmul-gate-at-le", "linalg.py",
-           "            < FLOAT64_EXACT_LIMIT):",
-           "            <= FLOAT64_EXACT_LIMIT):",
+           "        if bound < FLOAT64_EXACT_LIMIT:",
+           "        if bound <= FLOAT64_EXACT_LIMIT:",
            ("tests/test_linalg.py::"
             "test_int_matmul_matches_object_matmul_at_the_float64_edge",)),
+    Mutant("int-matmul-int64-for-mixed-pair", "linalg.py",
+           "return fa if a.dtype == b.dtype == np.int64 else fa.astype(object)",
+           "return fa if np.int64 in (a.dtype, b.dtype) else fa.astype(object)",
+           ("tests/test_linalg.py::"
+            "test_int_matmul_int64_result_only_for_int64_pairs_under_the_gate",)),
+    Mutant("num64-gate-at-le", "modules.py",
+           "        if cast is not None and (np.abs(cast).max(initial=0)\n"
+           "                                 < FLOAT64_EXACT_LIMIT):",
+           "        if cast is not None and (np.abs(cast).max(initial=0)\n"
+           "                                 <= FLOAT64_EXACT_LIMIT):",
+           ("tests/test_modules.py::test_num64_gate_at_the_float64_limit",)),
+    Mutant("fock-int64-gate-without-shift", "modules.py",
+           "scale * (degree + 1) + abs(shift) < FLOAT64_EXACT_LIMIT",
+           "scale * (degree + 1) < FLOAT64_EXACT_LIMIT",
+           ("tests/test_modules.py::"
+            "test_fock_module_fills_int64_only_below_the_limit",)),
     Mutant("echelon-identity-unchecked", "linalg.py",
            "        if int_matmul(ints, null).any():\n"
            "            continue\n",

@@ -8,7 +8,11 @@ generated before `hom_space` solved on the weight blocks), the theta = -1
 patterns, a budget-error record, a swap of pair dim 64 and the dim-512
 highest-weight checks at n dim = MODULE_MAX_SIZE (generated before the
 modular elimination), and a dim-16 `rtt` whose bound D is just under 2^63
-(generated while it still ran on three residue primes).  A refactor
+(generated while it still ran on three residue primes), and a dim-16
+`rtt`, `hw-eigenvalues` and `drinfeld` on five-digit prime denominators
+whose tensor chain leaves int64 at its last product, with partial
+products of 29, 43 and 58 bits (generated while modules were stored as
+Python ints only).  A refactor
 that changes a verdict, a witness or the serialization shows up here byte
 for byte.
 """

@@ -402,6 +402,40 @@ def test_int_matmul_matches_object_matmul_at_the_float64_edge(operands):
     assert all(type(x) is int for x in got.flat)
 
 
+@pytest.mark.parametrize("k,ma,mb,int64_out", [
+    (1, 6361 * 69431, 20394401, True), (1, 2 ** 26, 2 ** 27, False),
+    (64, 2 ** 23, 2 ** 24 - 1, True), (64, 2 ** 23, 2 ** 24, False)],
+    ids=["one-under", "one-at", "inner-64-under", "inner-64-at"])
+def test_int_matmul_int64_result_only_for_int64_pairs_under_the_gate(
+        k, ma, mb, int64_out):
+    # k max|a| max|b| just under or at 2^53, every entry +-max so that the
+    # sums reach the bound: int64 operands give int64 only under it, and a
+    # mixed or object pair gives Python ints either way
+    rnd = random.Random(k * ma)
+    a = _edge_entries(rnd, (3, k), ma)
+    b = _edge_entries(rnd, (k, 2), mb)
+    want = a @ b
+    for left, right in itertools.product((a, a.astype(np.int64)),
+                                         (b, b.astype(np.int64))):
+        got = int_matmul(left, right)
+        both = left.dtype == right.dtype == np.int64
+        assert got.dtype == (np.int64 if both and int64_out else object)
+        assert got.shape == want.shape and (got == want).all()
+        if got.dtype == object:
+            assert all(type(x) is int for x in got.flat)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_int_matmul_gate_on_300_digit_entries_raises_no_warning():
+    # k max|a| max|b| is about 2^1993, past float64's range although every
+    # entry casts: the bound reads inf, fails the gate, and the Python-int
+    # product runs without a numpy overflow warning
+    a = np.array([[10 ** 300, -3], [7, 10 ** 299]], dtype=object)
+    b = np.array([[-(10 ** 300)], [11]], dtype=object)
+    got = int_matmul(a, b)
+    assert got.dtype == object and (got == a @ b).all()
+
+
 # The functions that may contract integer arrays themselves: the kernel,
 # and the three fused checks that hold float64 across a signed sum under
 # their own 2^53 bounds.

@@ -2,12 +2,16 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from yangian.fock import PLAIN, PRIME, TILDE
-from yangian.linalg import MatPoly, Poly, RatFunc, RatMatrix
+from yangian.fock import PLAIN, PRIME, TILDE, FockSpace
+from yangian.linalg import FLOAT64_EXACT_LIMIT, MatPoly, Poly, RatFunc, RatMatrix
 from yangian.modules import (
     ModuleParams,
+    PatternFactor,
     YangianModule,
     distinguished_vector,
     dual_evaluation_module,
@@ -269,3 +273,180 @@ def test_trivial_slots_are_transparent():
 def test_tensor_all_empty_raises():
     with pytest.raises(ValueError):
         tensor_all([])
+
+
+def assert_exact_forms(mod):
+    """num64 is num, as int64, exactly when every |entry| is below the
+    float64 limit, and both forms are read-only."""
+    top = max((abs(int(x)) for x in mod.num.flat), default=0)
+    assert all(type(x) is int for x in mod.num.flat)
+    assert not mod.num.flags.writeable
+    if top < FLOAT64_EXACT_LIMIT:
+        assert mod.num64 is not None and mod.num64.dtype == np.int64
+        assert not mod.num64.flags.writeable
+        assert (mod.num64 == mod.num).all()
+    else:
+        assert mod.num64 is None
+
+
+def fock_reference(theta, n, flavor, z, degree):
+    """The denominator and MatPoly entries of a Fock module, entry by entry:
+    P_ij = K_ij + delta_ij (theta z_eff + u) over u + theta z_eff."""
+    z_eff = Fraction(z) - 1 if flavor == PRIME else Fraction(z)
+    space = FockSpace(theta, n, (degree,))
+    eye = RatMatrix.identity(space.dim)
+    entries = [[MatPoly((space.dim, space.dim),
+                        [space.gl_action_matrix(flavor, i, j)
+                         + eye * (theta * z_eff if i == j else 0)]
+                        + ([eye] if i == j else []))
+                for j in range(n)] for i in range(n)]
+    return Poly([theta * z_eff, 1]), entries
+
+
+def coproduct_reference(left, right):
+    """The coproduct sum_l P_il (x) Q_lj of two reference entry arrays."""
+    n = len(left)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = left[i][0].kron(right[0][j])
+            for l in range(1, n):
+                acc = acc + left[i][l].kron(right[l][j])
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def entries(mod):
+    return [[entry_matpoly(mod, i, j) for j in range(mod.n)]
+            for i in range(mod.n)]
+
+
+# denominators of the parameters: small, and about 2^26, 2^40 and 2^52, so
+# that single factors and the partial products of two or three fall on
+# both sides of the int64 gate
+_DENOMINATORS = (1, 7, 10007, 2 ** 26 + 15, 2 ** 40 + 15, 2 ** 52 + 21)
+
+
+@st.composite
+def pattern_factors(draw):
+    theta = draw(st.sampled_from((1, -1)))
+    n = draw(st.integers(1, 2))
+    count = draw(st.integers(1, 3))
+    factors = []
+    for origin in range(count):
+        den = draw(st.sampled_from(_DENOMINATORS))
+        z = Fraction(draw(st.integers(-3 * den, 3 * den)), den)
+        top = n if theta == -1 else 2
+        factors.append(PatternFactor(draw(st.sampled_from((PLAIN, TILDE, PRIME))),
+                                     draw(st.integers(0, top)), z, origin))
+    return theta, n, factors
+
+
+@settings(max_examples=40, deadline=None)
+@given(pattern_factors())
+def test_modules_match_the_coproduct_reference(drawn):
+    theta, n, factors = drawn
+    want = None
+    for f in factors:
+        mod = fock_module(theta, n, f.kind, f.param, f.degree)
+        assert_exact_forms(mod)
+        if f.degree:
+            den, ref = fock_reference(theta, n, f.kind, f.param, f.degree)
+        else:
+            den, ref = Poly([1]), entries(trivial_module(n))
+        assert mod.den == den and entries(mod) == ref
+        # the partial tensor product against the coproduct of the references
+        if want is None:
+            want, prod = (den, ref), mod
+        else:
+            want = (want[0] * den, coproduct_reference(want[1], ref))
+            prod = tensor_module(prod, mod)
+            assert_exact_forms(prod)
+            assert prod.den == want[0] and entries(prod) == want[1]
+    params = ModuleParams(theta, n, 0, len(factors),
+                          [f.param for f in factors],
+                          [f.degree for f in factors], allow_resonant=True)
+    pattern = pattern_module(params, factors)
+    assert_exact_forms(pattern)
+    assert pattern.den == want[0] and entries(pattern) == want[1]
+
+
+def _linear_module(c, scale=1, dtype=object):
+    """The one-dimensional module with numerators (c, scale) over
+    u + c / scale, which acts by 1."""
+    num = np.array([c, scale], dtype=dtype).reshape(1, 1, 2, 1, 1)
+    return YangianModule(Poly([Fraction(c, scale), 1]), num, scale)
+
+
+@pytest.mark.parametrize("dtype", [object, np.int64])
+def test_num64_gate_at_the_float64_limit(dtype):
+    for c in (FLOAT64_EXACT_LIMIT - 1, -(FLOAT64_EXACT_LIMIT - 1)):
+        mod = _linear_module(c, dtype=dtype)
+        assert mod.num64 is not None and mod.num64.dtype == np.int64
+        assert mod.num64.tolist() == mod.num.tolist() == [[[[[c]], [[1]]]]]
+        assert_exact_forms(mod)
+    for c in (FLOAT64_EXACT_LIMIT, -FLOAT64_EXACT_LIMIT):
+        mod = _linear_module(c, dtype=dtype)
+        assert mod.num64 is None
+        assert mod.num.tolist() == [[[[[c]], [[1]]]]]
+        assert_exact_forms(mod)
+    # the gcd is taken before the gate: 2 (2^53 - 1) over 2 is stored whole
+    # in int64, and 2^54 + 2 over 2 is not
+    halved = _linear_module(2 * (FLOAT64_EXACT_LIMIT - 1), 2, dtype)
+    assert halved.scale == 1 and halved.num64 is not None
+    assert _linear_module(2 * FLOAT64_EXACT_LIMIT + 2, 2, dtype).num64 is None
+
+
+def test_both_forms_are_read_only():
+    mod = fock_module(1, 2, TILDE, Fraction(5, 7), 2)
+    assert_exact_forms(mod)
+    for form in (mod.num64, mod.num):
+        with pytest.raises(ValueError):
+            form[0, 0, 0, 0, 0] = 1
+    # num is made once, and a Python-int module stores only num
+    assert mod.num is mod.num
+    big = fock_module(1, 2, TILDE, Fraction(1, 2 ** 60 + 33), 2)
+    assert big.num64 is None and big.num is big.num
+    with pytest.raises(ValueError):
+        big.num[0, 0, 0, 0, 0] = 1
+
+
+def test_int64_numerators_are_validated_as_python_ints():
+    m = fock_module(1, 2, PLAIN, THIRD, 1)
+    num = m.num64.copy()
+    num[0, 1, 1, 0, 0] = 1        # a leading coefficient off 0
+    for bad in (num, num.astype(object)):
+        with pytest.raises(ValueError):
+            YangianModule(m.den, bad, m.scale)
+    # a scale past int64 cannot lead int64 numerators
+    with pytest.raises(ValueError):
+        YangianModule(m.den, m.num64, 2 ** 63 + m.scale)
+    assert same_array(YangianModule(m.den, m.num64 * 6, m.scale * 6), m)
+
+
+@pytest.mark.parametrize("z", [
+    FLOAT64_EXACT_LIMIT - 2, FLOAT64_EXACT_LIMIT - 1, 2 ** 63 - 1, 2 ** 64,
+    Fraction(FLOAT64_EXACT_LIMIT // 2 - 2, 2)])
+def test_fock_module_fills_int64_only_below_the_limit(z):
+    # degree 1, so max|K| = 1 and the bound is scale + |theta z_eff
+    # numerator|: just under the limit, at it, and where an int64 fill
+    # would overflow (2^63 - 1 + 1) or not convert at all (2^64)
+    for theta, flavor in ((1, PLAIN), (-1, TILDE), (1, PRIME)):
+        zz = z + 1 if flavor == PRIME else z
+        mod = fock_module(theta, 2, flavor, zz, 1)
+        den, ref = fock_reference(theta, 2, flavor, zz, 1)
+        assert mod.den == den and entries(mod) == ref
+        assert_exact_forms(mod)
+
+
+def test_gl_action_entries_are_at_most_degree_plus_one():
+    # the bound fock_module's int64 fill rests on, reached by d_i x_i
+    for theta, n, degree in ((1, 1, 5), (1, 2, 4), (1, 3, 3), (-1, 3, 2)):
+        space = FockSpace(theta, n, (degree,))
+        tops = {flavor: max(abs(int(x)) for i in range(n) for j in range(n)
+                            for x in space.gl_action_matrix(flavor, i, j).data.flat)
+                for flavor in (PLAIN, TILDE, PRIME)}
+        assert max(tops.values()) <= degree + 1
+        assert tops[TILDE] == (degree + 1 if theta == 1 else 1)
