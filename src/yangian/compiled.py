@@ -4,12 +4,14 @@ An operator is a list of (coefficient, rep matrix | None, atom word)
 terms: the word acts on a monomial through `fock.apply_word`, the matrix on
 the index of a gl_m representation.  Every identity of a suite is a signed
 sum of products of two operators; a linear term c X is the product c X 1
-with the unit operator 1 = [(1, None, ())].  `CompiledOperators` builds a
-suite's term table in array passes and chains each word's map on monomials
-from one map per atom, each atom applied by `apply_word` once per monomial
-it meets.  It compiles every operator once, to its nonzero integer column
-entries over (monomial, rep index) states: the assertion window's, and
-those the words reach from there.
+with the unit operator 1 = [(1, None, ())].  `CompiledOperators` builds one
+term table for named groups of operators on one assertion window, so the
+suites that assert on that window share it, each reading its own group by
+offset.  It builds the table in array passes and chains each word's map on
+monomials from one map per atom, each atom applied by `apply_word` once per
+monomial it meets.  It compiles every operator once, to its nonzero integer
+column entries over (monomial, rep index) states: the assertion window's,
+and those the words reach from there.
 
 `check` reads the identities in passes.  A pass finds the distinct (left,
 right) products among its terms and forms each one's image on the window
@@ -22,10 +24,12 @@ Every column has abs sum at most top, so an image entry, a right entry
 times a left entry, is at most top^2, and an identity sum, over at most
 `slots` products with coefficients in {-1, 0, 1}, is at most slots top^2,
 as is each partial sum on the way: values are int64 when slots top^2 <
-2^63 and Python ints otherwise.  One factor clears every denominator, and
-the states reach every degree the window plus the identity's raising atoms
-reach, so nothing is truncated: verdicts, checked counts, window caps and
-witnesses are those of applying the expanded terms to each key one by one.
+2^63 and Python ints otherwise.  One factor f clears every denominator of
+the table, and the states reach every degree the window plus the identity's
+raising atoms reach, so nothing is truncated: verdicts, checked counts,
+window caps and witnesses are those of applying the expanded terms to each
+key one by one.  A witness prints its image over its own group's factor,
+so it reads the same whatever other groups share the table.
 """
 
 from __future__ import annotations
@@ -82,86 +86,22 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         ends[-1] if len(ends) else 0)
 
 
-class CompiledOperators:
-    """The operators of one or more suites, compiled on one assertion window.
+class _WordMaps:
+    """apply_word of a list of words on monomials, chained from one map per
+    atom, each atom applied by `fock.apply_word` once per monomial it meets.
 
-    A state (monomial k, rep index w) has the key k * rep_dim + w; the
-    window's monomials come first, in window order, so window state s is the
-    s-th window key, and the states are the window's, then those its words
-    reach.  Each operator is compiled once, to the nonzero entries (target
-    key, value) of its columns on the states, row op * nstates + state at
-    ptr[row]..ptr[row + 1] - 1.  A right factor reads its rows on the
-    window, a left factor the row of each of their targets; `cost`
-    counts the entries a product holds in a pass.
-
-    Coefficients, the unit's too, are scaled by one integer f that clears
-    every denominator, so every product and identity sum carries f^2.  top
-    bounds the abs sum of every column: values are int64 when slots top^2
-    < 2^63, the bound on every image entry and identity sum, and Python
-    ints otherwise.
+    monos starts as the given monomials and grows by every monomial a word
+    reaches, index[e] being the position of e in it.
     """
 
-    def __init__(self, real: OperatorRealization, raise_budget: int,
-                 rep_dim: int, ops: list, slots: int):
-        self.real = real
-        self.rep_dim = rep_dim
-        if real.theta == -1:
-            self.cap = None
-            window = real.basis_exps()
-            grow = 1
-        else:
-            self.cap = max(real.max_degree - raise_budget, 0)
-            window = real.basis_exps(self.cap)
-            # a derivation's coefficient is an exponent: at most the degree
-            # that the window plus the raising atoms reach
-            grow = self.cap + raise_budget
-        self.monos = list(window)
-        self.index = {e: k for k, e in enumerate(window)}
-        self.nwin = len(window) * rep_dim
-        self.nops = len(ops)
-
-        # one row per term: operator, word, coefficient and rep matrix (the
-        # identity for a plain term)
-        terms = [term for op in ops for term in op]
-        coefs, reps, words = zip(*terms) if terms else ((), (), ())
-        sizes = np.array([len(op) for op in ops], dtype=np.int64)
-        self.term_op = np.repeat(np.arange(self.nops), sizes)
-        ids: dict = {}
-        self.term_word = np.array([ids.setdefault(w, len(ids)) for w in words],
-                                  dtype=np.int64)
-        self.words = list(ids)
-        eye = np.eye(rep_dim, dtype=object)
-        mats = np.array([eye if rep is None else rep for rep in reps],
-                        dtype=object).reshape(-1, rep_dim, rep_dim)
-        # c f = numerator (f / denominator), an integer
-        dens = np.array([getattr(c, "denominator", 1) for c in coefs],
-                        dtype=object)
-        self.f = math.lcm(*dens)
-        scale = np.array([getattr(c, "numerator", c) for c in coefs],
-                         dtype=object) * (self.f // dens)
-        # a term's columns have abs sums at most |c f| times grow per atom
-        # times its matrix's largest column abs sum; an operator's, the sum
-        # over its terms
-        growth = np.array([grow ** len(w) for w in self.words], dtype=object)
-        reach = (np.abs(scale) * growth[self.term_word]
-                 * np.abs(mats).sum(axis=1).max(axis=1, initial=0))
-        first = (np.cumsum(sizes) - sizes)[sizes > 0]
-        top = max(np.add.reduceat(reach, first).tolist() if len(first)
-                  else (), default=0)
-        # identities have at most `slots` product terms with coefficients
-        # in {-1, 0, 1}
-        self.slots = slots
-        bound = slots * top * top
-        self.dtype = np.int64 if bound < 2 ** 63 else object
-        # transposed and scaled: state (k, w) goes to (tgt[k], w2) with
-        # coefficient c f rep[w2, w]
-        self.mats = (mats.transpose(0, 2, 1)
-                     * scale[:, None, None]).astype(self.dtype)
-
+    def __init__(self, theta: int, n: int, words: list, monos: list):
+        self.theta, self.n = theta, n
+        self.monos = list(monos)
+        self.index = {e: k for k, e in enumerate(self.monos)}
         # each word as its atoms, right-aligned so that the last column is
         # every word's rightmost atom, -1 where a word is shorter
         atoms: dict = {}
-        seq = [[atoms.setdefault(a, len(atoms)) for a in w] for w in self.words]
+        seq = [[atoms.setdefault(a, len(atoms)) for a in w] for w in words]
         # one-atom words
         self.atom_words = [(a,) for a in atoms]
         longest = max(map(len, seq), default=0)
@@ -174,16 +114,153 @@ class CompiledOperators:
         self.atom_coef = np.zeros((len(atoms) + 1, 1), dtype=np.int64)
         self.atom_tgt = np.full((len(atoms) + 1, 1), -1, dtype=np.int64)
 
+    def __call__(self, src: np.ndarray):
+        """apply_word of every word on each source monomial: coefficients
+        and target monomials, each (words, sources), with coefficient 0 and
+        target -1 where a word annihilates and on the sink -1.  The atoms
+        act rightmost first, each through its map."""
+        coef = np.repeat((src >= 0)[None], len(self.word_atoms),
+                         axis=0).astype(np.int64)
+        tgt = np.repeat(src[None], len(self.word_atoms), axis=0)
+        for atom in self.word_atoms.T[::-1, :, None] if len(src) else ():
+            self._apply_atoms(atom, tgt)
+            coef *= self.atom_coef[atom, tgt]
+            tgt = self.atom_tgt[atom, tgt]
+        return coef, tgt
+
+    def _apply_atoms(self, atom: np.ndarray, tgt: np.ndarray) -> None:
+        """Fill in the maps of each atom[w] on the monomials tgt[w], each
+        (atom, monomial) pair once."""
+        monos, index = self.monos, self.index
+        have = self.atom_tgt.shape[1] - 1
+        if have < len(monos):
+            # room for every monomial found so far, and as many more
+            room = 2 * len(monos)
+            coef = np.zeros((len(self.atom_tgt), room + 1), dtype=np.int64)
+            step = np.full(coef.shape, -2)
+            coef[:, :have] = self.atom_coef[:, :-1]
+            step[:, :have] = self.atom_tgt[:, :-1]
+            coef[-1, have:], step[-1, have:] = 1, np.arange(have, room + 1)
+            coef[:, -1], step[:, -1] = 0, -1
+            self.atom_coef, self.atom_tgt = coef, step
+        # the (atom, monomial) pairs met here and not yet applied, by atom
+        todo = np.zeros(self.atom_tgt.shape, dtype=bool)
+        todo[atom, tgt] = True
+        a, k = np.nonzero(todo & (self.atom_tgt == -2))
+        theta, n = self.theta, self.n
+        coefs, targets = [], []
+        ends = np.searchsorted(a, np.arange(len(self.atom_words) + 1)).tolist()
+        k_list = k.tolist()
+        for word, b0, b1 in zip(self.atom_words, ends, ends[1:]):
+            for mono in k_list[b0:b1]:
+                hit = apply_word(theta, n, word, monos[mono])
+                if hit is None:
+                    coefs.append(0)
+                    targets.append(-1)
+                    continue
+                c, exps = hit
+                t = index.get(exps)
+                if t is None:
+                    t = index[exps] = len(monos)
+                    monos.append(exps)
+                coefs.append(c)
+                targets.append(t)
+        self.atom_coef[a, k] = coefs
+        self.atom_tgt[a, k] = targets
+
+
+class CompiledOperators:
+    """Groups of operators, compiled together on one assertion window.
+
+    groups maps a name to a list of operators; the groups' operators are
+    numbered one after another, group g's from offset[g] on, and the
+    identities of `check` name them by these indices, so suites on one
+    window share one table.  A state (monomial k, rep index w) has the key
+    k * rep_dim + w; the window's monomials come first, in window order, so
+    window state s is the s-th window key, and the states are the window's,
+    then those its words reach.  Each operator is compiled once, to the
+    nonzero entries (target key, value) of its columns on the states, row
+    op * nstates + state at ptr[row]..ptr[row + 1] - 1.  A right factor
+    reads its rows on the window, a left factor the row of each of their
+    targets; `cost` counts the entries a product holds in a pass.  The word
+    maps and the term rows that build the table are dropped once it exists.
+
+    Coefficients, the unit's too, are scaled by one integer f that clears
+    every denominator, so every product and identity sum carries f^2;
+    group_f[g] is the factor that clears group g's own denominators, over
+    which `check` prints its images.  top bounds the abs sum of every
+    column: values are int64 when slots top^2 < 2^63, the bound on every
+    image entry and identity sum, and Python ints otherwise.
+    """
+
+    def __init__(self, real: OperatorRealization, raise_budget: int,
+                 rep_dim: int, groups: dict[str, list], slots: int):
+        self.rep_dim = rep_dim
+        self.cap = real.window_cap(raise_budget)
+        window = real.basis_exps(self.cap)
+        # a derivation's coefficient is an exponent: at most the degree
+        # that the window plus the raising atoms reach (1 for theta=-1)
+        grow = 1 if self.cap is None else self.cap + raise_budget
+        self.nwin = len(window) * rep_dim
+        self.offset: dict[str, int] = {}
+        ops: list = []
+        for name, group in groups.items():
+            self.offset[name] = len(ops)
+            ops += group
+        self.nops = len(ops)
+
+        # one row per term: operator, word, coefficient and rep matrix (the
+        # identity for a plain term)
+        terms = [term for op in ops for term in op]
+        coefs, reps, words = zip(*terms) if terms else ((), (), ())
+        sizes = np.array([len(op) for op in ops], dtype=np.int64)
+        term_op = np.repeat(np.arange(self.nops), sizes)
+        ids: dict = {}
+        term_word = np.array([ids.setdefault(w, len(ids)) for w in words],
+                             dtype=np.int64)
+        eye = np.eye(rep_dim, dtype=object)
+        mats = np.array([eye if rep is None else rep for rep in reps],
+                        dtype=object).reshape(-1, rep_dim, rep_dim)
+        # c f = numerator (f / denominator), an integer
+        dens = np.array([getattr(c, "denominator", 1) for c in coefs],
+                        dtype=object)
+        self.f = math.lcm(*dens)
+        self.group_f = {name: math.lcm(*(getattr(c, "denominator", 1)
+                                         for op in group for c, _, _ in op))
+                        for name, group in groups.items()}
+        scale = np.array([getattr(c, "numerator", c) for c in coefs],
+                         dtype=object) * (self.f // dens)
+        # a term's columns have abs sums at most |c f| times grow per atom
+        # times its matrix's largest column abs sum; an operator's, the sum
+        # over its terms
+        growth = np.array([grow ** len(w) for w in ids], dtype=object)
+        reach = (np.abs(scale) * growth[term_word]
+                 * np.abs(mats).sum(axis=1).max(axis=1, initial=0))
+        first = (np.cumsum(sizes) - sizes)[sizes > 0]
+        top = max(np.add.reduceat(reach, first).tolist() if len(first)
+                  else (), default=0)
+        # identities have at most `slots` product terms with coefficients
+        # in {-1, 0, 1}
+        self.slots = slots
+        bound = slots * top * top
+        self.dtype = np.int64 if bound < 2 ** 63 else object
+        # transposed and scaled: state (k, w) goes to (tgt[k], w2) with
+        # coefficient c f rep[w2, w]
+        mats = (mats.transpose(0, 2, 1) * scale[:, None, None]).astype(
+            self.dtype)
+
         # the states: the window's, then those its words reach beyond it
+        maps = _WordMaps(real.theta, real.n, list(ids), window)
         nw = len(window)
-        cw, tgt = self._word_maps(np.arange(nw))
+        cw, tgt = maps(np.arange(nw))
         # (np.unique would import numpy.ma, a megabyte of RSS)
         extra = np.flatnonzero(np.bincount(tgt[tgt >= nw]))
-        more = self._word_maps(extra)
+        more = maps(extra)
+        self.monos = maps.monos
         self.nstates = (nw + len(extra)) * rep_dim
         self.ptr, self.state, self.key, self.val = self._compile(
             np.concatenate((cw, more[0]), axis=1),
-            np.concatenate((tgt, more[1]), axis=1))
+            np.concatenate((tgt, more[1]), axis=1), mats, term_op, term_word)
         # the state of each entry's target, where it is one (as it is for
         # every entry on the window)
         where = np.full(len(self.monos), -1)
@@ -216,73 +293,21 @@ class CompiledOperators:
             cost[:, r0:r0 + per] = sums[:, end] - sums[:, end - n] + n
         return cost
 
-    def _word_maps(self, src: np.ndarray):
-        """apply_word of every word on each source monomial: coefficients
-        and target monomials, each (words, sources), with coefficient 0 and
-        target -1 where a word annihilates and on the sink -1.  The atoms
-        act rightmost first, each through its map."""
-        coef = np.repeat((src >= 0)[None], len(self.words), axis=0).astype(
-            np.int64)
-        tgt = np.repeat(src[None], len(self.words), axis=0)
-        for atom in self.word_atoms.T[::-1, :, None] if len(src) else ():
-            self._apply_atoms(atom, tgt)
-            coef *= self.atom_coef[atom, tgt]
-            tgt = self.atom_tgt[atom, tgt]
-        return coef, tgt
-
-    def _apply_atoms(self, atom: np.ndarray, tgt: np.ndarray) -> None:
-        """Fill in the maps of each atom[w] on the monomials tgt[w], each
-        (atom, monomial) pair once."""
-        monos, index = self.monos, self.index
-        have = self.atom_tgt.shape[1] - 1
-        if have < len(monos):
-            # room for every monomial found so far, and as many more
-            room = 2 * len(monos)
-            coef = np.zeros((len(self.atom_tgt), room + 1), dtype=np.int64)
-            step = np.full(coef.shape, -2)
-            coef[:, :have] = self.atom_coef[:, :-1]
-            step[:, :have] = self.atom_tgt[:, :-1]
-            coef[-1, have:], step[-1, have:] = 1, np.arange(have, room + 1)
-            coef[:, -1], step[:, -1] = 0, -1
-            self.atom_coef, self.atom_tgt = coef, step
-        # the (atom, monomial) pairs met here and not yet applied, by atom
-        todo = np.zeros(self.atom_tgt.shape, dtype=bool)
-        todo[atom, tgt] = True
-        a, k = np.nonzero(todo & (self.atom_tgt == -2))
-        theta, n = self.real.theta, self.real.n
-        coefs, targets = [], []
-        ends = np.searchsorted(a, np.arange(len(self.atom_words) + 1)).tolist()
-        k_list = k.tolist()
-        for word, b0, b1 in zip(self.atom_words, ends, ends[1:]):
-            for mono in k_list[b0:b1]:
-                hit = apply_word(theta, n, word, monos[mono])
-                if hit is None:
-                    coefs.append(0)
-                    targets.append(-1)
-                    continue
-                c, exps = hit
-                t = index.get(exps)
-                if t is None:
-                    t = index[exps] = len(monos)
-                    monos.append(exps)
-                coefs.append(c)
-                targets.append(t)
-        self.atom_coef[a, k] = coefs
-        self.atom_tgt[a, k] = targets
-
-    def _compile(self, cw: np.ndarray, tgt: np.ndarray):
+    def _compile(self, cw: np.ndarray, tgt: np.ndarray, mats: np.ndarray,
+                 term_op: np.ndarray, term_word: np.ndarray):
         """Columns of every operator on the states of the source monomials
-        of the word maps (cw, tgt): (ptr, state, key, val), with the
-        entries of row op * nstates + state at ptr[row]..ptr[row + 1] - 1,
-        ascending by target key."""
+        of the word maps (cw, tgt), from each term's operator, word and
+        scaled transposed matrix: (ptr, state, key, val), with the entries
+        of row op * nstates + state at ptr[row]..ptr[row + 1] - 1, ascending
+        by target key."""
         r = self.rep_dim
         span = len(self.monos) * r
         # the sources each word reaches, word by word
         word, src = np.nonzero(cw)
-        reached = np.searchsorted(word, np.arange(len(self.words) + 1))
+        reached = np.searchsorted(word, np.arange(len(cw) + 1))
         # state (k, w) goes to (tgt[k], w2) with the nonzero mats[t, w, w2]
-        t, w, w2 = np.nonzero(self.mats)
-        mval, op, word = self.mats[t, w, w2], self.term_op[t], self.term_word[t]
+        t, w, w2 = np.nonzero(mats)
+        mval, op, word = mats[t, w, w2], term_op[t], term_word[t]
         n = reached[word + 1] - reached[word]
         # runs of operators whose entries stay near _CHUNK
         at = np.zeros(len(n) + 1, dtype=np.int64)
@@ -360,7 +385,8 @@ class CompiledOperators:
                     target[a:b].tolist(), sums[a:b].tolist()))))
         return out
 
-    def check(self, name: str, count: int, rows, witness) -> IdentityReport:
+    def check(self, name: str, count: int, rows, witness,
+              group: str | None = None) -> IdentityReport:
         """Evaluate identities 0..count-1 on every window key.
 
         rows(t) gives, for an array t of identity indices, the arrays
@@ -368,7 +394,9 @@ class CompiledOperators:
         over slots j of coef[t, j] times the product left[t, j] right[t, j],
         operators given by index.  witness(t) names identity t.  Failures
         come in index order, each at its first failing window key, with the
-        image entry of the smallest (rep index, exponents) key.
+        image entry of the smallest (rep index, exponents) key: an int when
+        group's own factor (the table's f when group is None) is 1, else a
+        Fraction, as a table of that group alone prints it.
 
         A pass takes the most identities whose terms' products hold at
         most _CHUNK entries on the window, as `cost` counts them (or all
@@ -377,6 +405,7 @@ class CompiledOperators:
         _CHUNK entries however they fall.
         """
         r, scale = self.rep_dim, self.f * self.f
+        own = self.f if group is None else self.group_f[group]
         keys_per = max(1, _CHUNK // max(
             self.slots * self.width * (self.width + 1), 1))
         fetch = max(1, _CHUNK // self.slots)
@@ -409,7 +438,7 @@ class CompiledOperators:
                         bad["vector"] = (key % r, self.monos[key // r])
                         bad["image"] = min(
                             ((k % r, self.monos[k // r]),
-                             v if scale == 1 else Fraction(v, scale))
+                             v // scale if own == 1 else Fraction(v, scale))
                             for k, v in entries)
                         failures.append(bad)
                     if found:

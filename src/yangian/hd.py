@@ -11,7 +11,14 @@ E^_{ai,bj} with X(u) the inverse-matrix series of u + theta E^t.
 
 Each suite states its identities as index arrays of operator products,
 a linear term c X as c X 1 with the unit operator, and checks them through
-`compiled.CompiledOperators`, exactly and in a few numpy passes.
+`compiled.CompiledOperators`, exactly and in a few numpy passes.  The
+canonical relations, e-relations and zeta-hom read the realization's own
+operators, which it compiles once per assertion window on first use: one
+table at theta=-1, where the three share the whole space, and at theta=+1
+one for the canonical window and one for the raise-4 window of the other
+two (a single one at truncation 2, where the windows coincide).  Each suite
+reads its group by offset and prints its witnesses over its own
+denominators.  alpha-series compiles its own table, on rep_dim = m.
 
 For theta=+1 the assertion set is the "safe window" of monomials whose
 degree leaves room for the raising atoms of the identity inside the
@@ -19,7 +26,8 @@ realization's degree budget, and for theta=-1 it is the whole space.
 
 Every suite, and the series expansion, first counts its identity
 evaluations, identities x window keys x rep_dim, as integers and refuses
-more than WORK_MAX of them before anything is enumerated.
+more than WORK_MAX of them before anything is enumerated; a shared table
+compiles only the groups of the suites within that budget.
 """
 
 from __future__ import annotations
@@ -39,15 +47,17 @@ from .linalg import FLOAT64_EXACT_LIMIT, _as_float64, int_matmul
 # C(m n + truncation, truncation) monomials of degree <= truncation in m n
 # variables.  The tests and the benchmark reach 924 (m = 3, n = 2,
 # truncation 6); at 18564 (m = 4, n = 3, truncation 6) realize,
-# e-relations and alpha-series at order 6 take 0.25, 0.2 and 0.4 s on a
-# 2-core x86 VM.
+# e-relations, zeta-hom and alpha-series at order 6 take 0.21, 0.21, 0.004
+# and 0.45 s on a 2-core x86 VM (zeta-hom reads the table e-relations
+# compiled).
 BASIS_MAX_SIZE = 20000
 
 # Largest number of identity evaluations, identities x window keys x
 # rep_dim, that one suite or series expansion takes on.  The tests and the
 # benchmark reach 2.5e5; e-relations at m = 4, n = 3, truncation 6 needs
-# 5.7e6 (0.2 s on a 2-core x86 VM), while the theta = -1 alpha-series at
-# m = n = 3, order 10 would need 9.5e6 (2.2 s) and is refused.
+# 5.7e6 (0.21 s on a 2-core x86 VM, compiling zeta-hom's operators beside
+# its own), while the theta = -1 alpha-series at m = n = 3, order 10 would
+# need 9.5e6 (2.1 s) and is refused.
 WORK_MAX = 6_000_000
 
 
@@ -62,8 +72,21 @@ def _check_work(what: str, identities: int, keys: int = 1,
                          f"budget of {WORK_MAX}")
 
 
+# The suites that read the realization's own operators: the raise budget of
+# each one's assertion window, and its identity count from nvars and m.
+_SUITES = {
+    "canonical-relations": (2, lambda nv, m: 6 * nv ** 2),
+    "e-relations": (4, lambda nv, m: 3 * nv ** 4),
+    "zeta-hom": (4, lambda nv, m: m ** 4),
+}
+
+
 class OperatorRealization:
-    """Monomial space of m blocks of n variables and the derived operators."""
+    """Monomial space of m blocks of n variables and the derived operators.
+
+    Its own operators, x_v, d_v, p_v, q_v, E^_uv, zeta(E_ab) and the unit,
+    are compiled once per assertion window, on first use (`operators`).
+    """
 
     def __init__(self, theta: int, m: int, n: int, p: int = 0,
                  max_degree: int = 6):
@@ -89,8 +112,10 @@ class OperatorRealization:
         self.nvars = m * n
         self.max_degree = m * n if theta == -1 else max_degree
         # the canonical relations that realize checks
-        _check_work("canonical-relations", 6 * self.nvars ** 2,
-                    self.window_size(2))
+        _check_work("canonical-relations", *self.suite_work(
+            "canonical-relations"))
+        # window cap -> the compiled operators kept for a later suite
+        self._tables: dict[int | None, CompiledOperators] = {}
 
     # -- conjugate coordinates and quadratic elements ----------------------
 
@@ -131,27 +156,81 @@ class OperatorRealization:
         return sorted(e for d in range(cap + 1)
                       for e in block_basis(self.theta, self.nvars, d))
 
-    def window_keys(self, raise_count: int, rep_dim: int = 1) -> list:
-        """(rep index, exponents) pairs forming the assertion set.
-
-        raise_count is the worst number of degree-raising atoms in the
-        identity; for theta=+1 the window keeps that much headroom below
-        the degree budget so the identity is asserted where a truncated
-        realization would agree with the exact one.
-        """
+    def window_cap(self, raise_count: int) -> int | None:
+        """The degree cap of the assertion set of an identity with
+        raise_count degree-raising atoms: for theta=+1 the window keeps that
+        much headroom below the degree budget so the identity is asserted
+        where a truncated realization would agree with the exact one; for
+        theta=-1 it is the whole space (None)."""
         if self.theta == -1:
-            exps = self.basis_exps()
-        else:
-            exps = self.basis_exps(max(self.max_degree - raise_count, 0))
-        return [(w, e) for e in exps for w in range(rep_dim)]
+            return None
+        return max(self.max_degree - raise_count, 0)
+
+    def window_keys(self, raise_count: int, rep_dim: int = 1) -> list:
+        """(rep index, exponents) pairs forming the assertion set."""
+        return [(w, e) for e in self.basis_exps(self.window_cap(raise_count))
+                for w in range(rep_dim)]
 
     def window_size(self, raise_count: int) -> int:
         """The number of exponent tuples in window_keys(raise_count),
         counted without enumerating them."""
-        if self.theta == -1:
+        cap = self.window_cap(raise_count)
+        if cap is None:
             return 2 ** self.nvars
-        cap = max(self.max_degree - raise_count, 0)
         return math.comb(self.nvars + cap, cap)
+
+    # -- the suites' compiled operators ----------------------------------------
+
+    def suite_work(self, suite: str) -> tuple[int, int]:
+        """(identities, window monomials) of one of the _SUITES; their
+        product is the suite's identity evaluations."""
+        raise_count, identities = _SUITES[suite]
+        return identities(self.nvars, self.m), self.window_size(raise_count)
+
+    def suite_ops(self, suite: str) -> list:
+        """The operators of one of the _SUITES, in the order its identities
+        index them."""
+        pairs = [(a, i) for a in range(self.m) for i in range(self.n)]
+        if suite == "canonical-relations":
+            # x_v, d_v, p_v, q_v at kind * nvars + v
+            return ([[(1, None, (("x", *v),))] for v in pairs]
+                    + [[(1, None, (("d", *v),))] for v in pairs]
+                    + [[(c, None, (atom,))] for c, atom in
+                       (self.p_atom(*v) for v in pairs)]
+                    + [[(c, None, (atom,))] for c, atom in
+                       (self.q_atom(*v) for v in pairs)])
+        if suite == "e-relations":
+            # E^_{u,v} at u nvars + v
+            return [[(c, None, word)] for c, word in
+                    (self.e_hat(*u, *v) for u in pairs for v in pairs)]
+        # zeta(E_ab) at a m + b
+        return [self.zeta_terms(a, b) for a in range(self.m)
+                for b in range(self.m)]
+
+    def operators(self, suite: str) -> CompiledOperators:
+        """The compiled operators of suite's assertion window.
+
+        On first use the window's table compiles, as named groups, the
+        operators of every one of the _SUITES that asserts on that window
+        and whose identity evaluations are within WORK_MAX, then the unit
+        (group "unit").  A suite over the budget is refused before it asks,
+        so no table holds its operators.  The table is kept for a later
+        suite when it holds another group than the canonical relations',
+        which only `realize` reads.
+        """
+        cap = self.window_cap(_SUITES[suite][0])
+        table = self._tables.get(cap)
+        if table is None:
+            names = [name for name, (raise_count, _) in _SUITES.items()
+                     if self.window_cap(raise_count) == cap
+                     and math.prod(self.suite_work(name)) <= WORK_MAX]
+            groups = {name: self.suite_ops(name) for name in names}
+            groups["unit"] = [[(1, None, ())]]
+            table = CompiledOperators(
+                self, max(_SUITES[name][0] for name in names), 1, groups, 4)
+            if names != ["canonical-relations"]:
+                self._tables[cap] = table
+        return table
 
 
 def realize(theta: int, m: int, n: int, p: int = 0,
@@ -176,13 +255,10 @@ def check_canonical_relations(real: OperatorRealization) -> IdentityReport:
     automorphism preserves the relations.
     """
     th, nv = real.theta, real.nvars
+    table = real.operators("canonical-relations")
+    # x_v, d_v, p_v, q_v at base + kind * nv + v
+    base, unit = table.offset["canonical-relations"], table.offset["unit"]
     pairs = [(a, i) for a in range(real.m) for i in range(real.n)]
-    # x_v, d_v, p_v, q_v at kind * nv + v, then the unit
-    ops = ([[(1, None, (("x", *v),))] for v in pairs]
-           + [[(1, None, (("d", *v),))] for v in pairs]
-           + [[(c, None, (atom,))] for c, atom in (real.p_atom(*v) for v in pairs)]
-           + [[(c, None, (atom,))] for c, atom in (real.q_atom(*v) for v in pairs)]
-           + [[(1, None, ())]])
     tags = ("xx", "dd", "dx", "qq", "pp", "pq")
     kind_left = np.array([0, 1, 1, 3, 2, 2])
     kind_right = np.array([0, 1, 0, 3, 2, 3])
@@ -192,28 +268,29 @@ def check_canonical_relations(real: OperatorRealization) -> IdentityReport:
     def rows(t):
         # [left_u, right_v]_theta - shift delta_uv
         u, v, case = np.unravel_index(t, shape)
-        lo, ro = kind_left[case] * nv + u, kind_right[case] * nv + v
-        ones, unit = np.ones_like(u), np.full_like(u, 4 * nv)
+        lo = base + kind_left[case] * nv + u
+        ro = base + kind_right[case] * nv + v
+        ones, units = np.ones_like(u), np.full_like(u, unit)
         return (np.stack([ones, -th * ones, -shift[case] * (u == v)], 1),
-                np.stack([lo, ro, unit], 1), np.stack([ro, lo, unit], 1))
+                np.stack([lo, ro, units], 1), np.stack([ro, lo, units], 1))
 
     def witness(t):
         u, v, case = (int(x) for x in np.unravel_index(t, shape))
         (a, i), (b, j) = pairs[u], pairs[v]
         return {"relation": tags[case], "a": a, "i": i, "b": b, "j": j}
 
-    return CompiledOperators(real, 2, 1, ops, 3).check(
-        "canonical-relations", math.prod(shape), rows, witness)
+    return table.check("canonical-relations", math.prod(shape), rows,
+                       witness, "canonical-relations")
 
 
 def check_e_relations(real: OperatorRealization) -> IdentityReport:
     """The three displayed exchange relations of the E^ elements."""
     th, nv = real.theta, real.nvars
-    _check_work("e-relations", 3 * nv ** 4, real.window_size(4))
+    _check_work("e-relations", *real.suite_work("e-relations"))
+    table = real.operators("e-relations")
+    # E^_{u,v} at base + u nv + v
+    base, unit = table.offset["e-relations"], table.offset["unit"]
     idx = [(a, i) for a in range(real.m) for i in range(real.n)]
-    # E^_{u,v} at u nv + v, then the unit
-    ops = [[(c, None, word)] for c, word in
-           (real.e_hat(*x, *y) for x in idx for y in idx)] + [[(1, None, ())]]
     shape = (nv, nv, nv, nv, 3)
     names = ("commutator", "straighten-left", "straighten-right")
 
@@ -222,10 +299,11 @@ def check_e_relations(real: OperatorRealization) -> IdentityReport:
         # straighten-left:  E_uv E_wz - d_vw E_uz - th E_wv E_uz + th d_uv E_wz
         # straighten-right: E_wz E_uv - d_uz E_wv - th E_wv E_uz + th d_uv E_wz
         u, v, w, z, rel = np.unravel_index(t, shape)
-        e_uv, e_wz, e_uz, e_wv = u * nv + v, w * nv + z, u * nv + z, w * nv + v
+        e_uv, e_wz = base + u * nv + v, base + w * nv + z
+        e_uz, e_wv = base + u * nv + z, base + w * nv + v
         d_vw, d_uz, d_uv = 1 * (v == w), 1 * (u == z), 1 * (u == v)
         first, third = rel == 0, rel == 2
-        unit = np.full_like(u, nv * nv)
+        units = np.full_like(u, unit)
         return (
             np.stack([np.ones_like(u), np.where(first, -1, -th),
                       np.where(third, -d_uz, -d_vw),
@@ -235,39 +313,40 @@ def check_e_relations(real: OperatorRealization) -> IdentityReport:
                       np.where(third, e_wv, e_uz),
                       np.where(first, e_wv, e_wz)], 1),
             np.stack([np.where(third, e_uv, e_wz),
-                      np.where(first, e_uv, e_uz), unit, unit], 1))
+                      np.where(first, e_uv, e_uz), units, units], 1))
 
     def witness(t):
         ai, bj, ck, dl, rel = (int(x) for x in np.unravel_index(t, shape))
         return {"relation": names[rel], "ai": idx[ai], "bj": idx[bj],
                 "ck": idx[ck], "dl": idx[dl]}
 
-    return CompiledOperators(real, 4, 1, ops, 4).check(
-        "quadratic-relations", math.prod(shape), rows, witness)
+    return table.check("quadratic-relations", math.prod(shape), rows,
+                       witness, "e-relations")
 
 
 def check_zeta(real: OperatorRealization) -> IdentityReport:
     """zeta_n is a gl_m homomorphism: [z(E_ab), z(E_cd)] matches gl_m."""
     m = real.m
-    _check_work("zeta-hom", m ** 4, real.window_size(4))
-    # zeta(E_ab) at a m + b, then the unit
-    ops = ([real.zeta_terms(a, b) for a in range(m) for b in range(m)]
-           + [[(1, None, ())]])
+    _check_work("zeta-hom", *real.suite_work("zeta-hom"))
+    table = real.operators("zeta-hom")
+    # zeta(E_ab) at base + a m + b
+    base, unit = table.offset["zeta-hom"], table.offset["unit"]
     shape = (m, m, m, m)
 
     def rows(t):
         # [z_ab, z_cd] - d_bc z_ad + d_da z_cb
         a, b, c, d = np.unravel_index(t, shape)
-        ones, unit = np.ones_like(a), np.full_like(a, m * m)
+        ones, units = np.ones_like(a), np.full_like(a, unit)
+        z_ab, z_cd = base + a * m + b, base + c * m + d
         return (np.stack([ones, -ones, -1 * (b == c), 1 * (d == a)], 1),
-                np.stack([a * m + b, c * m + d, a * m + d, c * m + b], 1),
-                np.stack([c * m + d, a * m + b, unit, unit], 1))
+                np.stack([z_ab, z_cd, base + a * m + d, base + c * m + b], 1),
+                np.stack([z_cd, z_ab, units, units], 1))
 
     def witness(t):
         return {"abcd": tuple(int(x) for x in np.unravel_index(t, shape))}
 
-    return CompiledOperators(real, 4, 1, ops, 4).check(
-        "zeta-homomorphism", math.prod(shape), rows, witness)
+    return table.check("zeta-homomorphism", math.prod(shape), rows, witness,
+                       "zeta-hom")
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +579,8 @@ def check_alpha(real: OperatorRealization, order: int,
         c, d, r, i, j = (int(y) for y in np.unravel_index(x, commutant))
         return {"cd": (c, d), "r": r + 1, "ij": (i, j)}
 
-    suite = CompiledOperators(real, 4, series.rep_dim, ops, 6)
+    suite = CompiledOperators(real, 4, series.rep_dim, {"alpha-series": ops},
+                              6)
     yang_report = suite.check("generator-exchange", math.prod(exchange),
                               exchange_rows, exchange_witness)
     comm_report = suite.check("gl-commutant", math.prod(commutant),

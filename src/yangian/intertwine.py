@@ -49,7 +49,7 @@ from .modules import (
     check_pattern_size,
     coefficient_pairs,
     distinguished_vector,
-    fock_module,
+    factor_module,
     memoized,
     pattern_module,
     source_pattern,
@@ -383,9 +383,7 @@ def _swap_pair(params: ModuleParams, fa: PatternFactor,
     at a pole of the fraction and NonGenericStepError on a degenerate pair.
     """
     frac = _swap_fraction(params, fa, fb)
-    theta, n = params.theta, params.n
-    mod_a = fock_module(theta, n, fa.kind, fa.param, fa.degree)
-    mod_b = fock_module(theta, n, fb.kind, fb.param, fb.degree)
+    mod_a, mod_b = factor_module(params, fa), factor_module(params, fb)
     pair_src = tensor_module(mod_a, mod_b)
     pair_tgt = tensor_module(mod_b, mod_a)
     if highest_weight_vectors(pair_src).ncols != 1 \
@@ -405,7 +403,7 @@ def _swap_pair(params: ModuleParams, fa: PatternFactor,
         raise NonGenericStepError(
             "non-generic step: the span has a pivot on the target side, so no "
             "pair map sends the source vector to the target one")
-    sign = _swap_sign(theta, fa.degree, fb.degree)
+    sign = _swap_sign(params.theta, fa.degree, fb.degree)
     return _ratmatrix(red[:, dim:].T, d) * (frac * sign), frac
 
 

@@ -515,14 +515,18 @@ def memoized(key: Hashable, build: Callable[[], T]) -> T:
     return memo[key]
 
 
+def factor_module(params: ModuleParams, f: PatternFactor) -> YangianModule:
+    """The Fock module of one pattern factor; per `run_memo`, built once."""
+    return memoized(("factor", f.kind, f.param, f.degree),
+                    partial(fock_module, params.theta, params.n, f.kind,
+                            f.param, f.degree))
+
+
 def pattern_module(params: ModuleParams, factors: Sequence[PatternFactor]) -> YangianModule:
     """The tensor product of the factors' Fock modules; per `run_memo`,
     each pattern and each factor's module is built once."""
     return memoized(("pattern", tuple(factors)), lambda: tensor_all([
-        memoized(("factor", f.kind, f.param, f.degree),
-                 partial(fock_module, params.theta, params.n, f.kind,
-                         f.param, f.degree))
-        for f in factors]))
+        factor_module(params, f) for f in factors]))
 
 
 def distinguished_vector(params: ModuleParams,

@@ -200,9 +200,21 @@ MUTANTS = (
            "if not sum(exps[:v]) & 1:",
            ("tests/test_fock.py::test_anticommuting_signs",)),
     Mutant("zeta-unit-at-operator-zero", "hd.py",
-           "ones, unit = np.ones_like(a), np.full_like(a, m * m)",
-           "ones, unit = np.ones_like(a), np.full_like(a, 0)",
+           "ones, units = np.ones_like(a), np.full_like(a, unit)",
+           "ones, units = np.ones_like(a), np.full_like(a, 0)",
            ("tests/test_hd.py::test_zeta_homomorphism",)),
+    Mutant("zeta-group-offset-shifted", "hd.py",
+           'base, unit = table.offset["zeta-hom"], table.offset["unit"]',
+           'base, unit = table.offset["zeta-hom"] + 1, table.offset["unit"]',
+           ("tests/test_hd.py::test_zeta_homomorphism",)),
+    Mutant("e-hat-compiled-over-budget", "hd.py",
+           "                     and math.prod(self.suite_work(name)) <= WORK_MAX]",
+           "                     ]",
+           ("tests/test_hd.py::test_e_relations_over_budget_compile_no_e_hat",)),
+    Mutant("images-over-the-shared-factor", "compiled.py",
+           "own = self.f if group is None else self.group_f[group]",
+           "own = self.f",
+           ("tests/test_hd.py::test_witnesses_print_as_a_per_suite_compile",)),
     Mutant("compiled-int64-without-bound", "compiled.py",
            "self.dtype = np.int64 if bound < 2 ** 63 else object",
            "self.dtype = np.int64",

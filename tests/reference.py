@@ -19,17 +19,24 @@ certificate as two whole products instead of
 of an intertwiner by a change to a basis adapted to the kernel, instead of
 `yangian.intertwine.kernel_quotient`'s echelon form.  The rest is the
 term-by-term interpreter of the operator realization that the compiled
-suites of `yangian.hd` are compared against, and last the series
-identities checked one pair of orders at a time.
+suites of `yangian.hd` are compared against, each suite compiled on a
+table of its own, whose witness text the shared tables must print, and
+last the series identities checked one pair of orders at a time.
 """
+import copy
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from yangian.compiled import MAX_FAILURES, IdentityReport
+from yangian.compiled import MAX_FAILURES, CompiledOperators, IdentityReport
 from yangian.fock import apply_word, block_dim
-from yangian.hd import _check_work, _series_identities, alpha_coefficient
+from yangian.hd import (
+    _SUITES,
+    _check_work,
+    _series_identities,
+    alpha_coefficient,
+)
 from yangian.intertwine import (
     NonGenericStepError,
     QuotientModule,
@@ -499,6 +506,20 @@ class Checker:
     def report(self):
         return IdentityReport(self.name, not self.failures, self.checked,
                               self.cap, self.failures)
+
+
+def per_suite_compile(real, check):
+    """check(real), with the suite on a table of its own operators and the
+    unit alone, as each suite compiled before the suites of one window
+    shared a table: the text its witnesses print must not change."""
+    alone = copy.copy(real)
+
+    def operators(suite):
+        return CompiledOperators(real, _SUITES[suite][0], 1, {
+            suite: real.suite_ops(suite), "unit": [[(1, None, ())]]}, 4)
+
+    alone.operators = operators
+    return check(alone)
 
 
 def canonical_relations(real):

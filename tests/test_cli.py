@@ -4,6 +4,7 @@ import json
 import math
 import re
 import signal
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -133,6 +134,30 @@ def test_run_builds_each_pattern_module_and_pair_map_once(monkeypatch):
         assert len(swaps) == len(set(swaps)) == 3
         assert patterns == [3, 3]
         assert modules._RUN_MEMO.get() is None
+
+
+def test_run_builds_each_factor_module_once(monkeypatch):
+    # the source pattern and both modules of every swap pair are built from
+    # the three factors' Fock modules, wherever fock_module is bound
+    cfg = config_from_dict({
+        "theta": 1, "n": 2, "p": 1, "q": 2,
+        "mu": ["1/7", "12/7", "-12/7"], "nu": [1, 1, 1],
+        "checks": ["hw-scalar", "braid"],
+    })
+    built = []
+    original = modules.fock_module
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    for mod in [m for name, m in sys.modules.items()
+                if name.startswith("yangian.")]:
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, counting)
+    assert run(cfg).ok
+    assert len(built) == len(set(built)) == 3
 
 
 def test_run_memo_keeps_only_successful_builds():

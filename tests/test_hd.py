@@ -1,6 +1,7 @@
 """Tests for the operator realization and the series-homomorphism checks."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction as F
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from yangian import compiled, hd
+from yangian import cli, compiled, hd
 from yangian.compiled import CompiledOperators
 from yangian.fock import apply_word, block_basis
 from yangian.hd import (
@@ -509,23 +510,26 @@ def test_word_maps_match_apply_word(case):
     # each word map of a suite, chained from one map per atom, against
     # apply_word of the whole word on each monomial
     real, budget, words, window, beyond, sink = case
-    ops = [[(1, None, word)] for word in words] + [[(1, None, ())]]
-    suite = CompiledOperators(real, budget, 1, ops, 2)
-    nw = len(real.basis_exps(suite.cap))
+    words = [*dict.fromkeys(words), ()]   # and the unit's empty word
+    monos = [e for _, e in real.window_keys(budget)]
+    maps = compiled._WordMaps(real.theta, real.n, words, monos)
+    # the monomials beyond the window, as a table's words reach them
+    nw = len(monos)
+    maps(np.arange(nw))
     src = [k % nw for k in window]
-    if len(suite.monos) > nw:
-        src += [nw + k % (len(suite.monos) - nw) for k in beyond]
+    if len(maps.monos) > nw:
+        src += [nw + k % (len(maps.monos) - nw) for k in beyond]
     src += [-1] * sink
-    coef, tgt = suite._word_maps(np.array(src, dtype=np.int64))
-    assert coef.shape == tgt.shape == (len(suite.words), len(src))
-    for w, word in enumerate(suite.words):
+    coef, tgt = maps(np.array(src, dtype=np.int64))
+    assert coef.shape == tgt.shape == (len(words), len(src))
+    for w, word in enumerate(words):
         for s, k in enumerate(src):
-            hit = (apply_word(real.theta, real.n, word, suite.monos[k])
+            hit = (apply_word(real.theta, real.n, word, maps.monos[k])
                    if k >= 0 else None)
             if hit is None:
                 assert (coef[w, s], tgt[w, s]) == (0, -1)
             else:
-                assert (coef[w, s], suite.monos[tgt[w, s]]) == hit
+                assert (coef[w, s], maps.monos[tgt[w, s]]) == hit
 
 
 def _compiled_dtypes(monkeypatch):
@@ -557,3 +561,93 @@ def test_int64_bound_both_sides(monkeypatch, order, bump, dtype):
     assert (alpha.yangian, alpha.commutant) == reference.alpha(real, order,
                                                                series)
     assert alpha.ok == (not bump)
+
+
+@pytest.mark.parametrize("theta", [1, -1])
+@pytest.mark.parametrize("n", [1, 2])
+def test_witnesses_print_as_a_per_suite_compile(monkeypatch, theta, n):
+    # a flipped p atom fails all three suites; at odd n zeta's theta n / 2
+    # gives a table that holds it f = 2, where the canonical relations and
+    # e-relations have f = 1, and each suite must print over its own f
+    real = _flip_sign(OperatorRealization(theta, 2, n, 1, 3), "p", 1, 0)
+    for check in (check_canonical_relations, check_e_relations, check_zeta):
+        got = check(real)
+        assert not got.ok
+        assert str(got.failures) == str(
+            reference.per_suite_compile(real, check).failures)
+    # realize's error quotes the first canonical witness
+    flipped = _flip_sign(OperatorRealization(theta, 2, n, 1, 3), "p", 1, 0)
+    monkeypatch.setattr(OperatorRealization, "p_atom",
+                        staticmethod(flipped.p_atom))
+    want = reference.per_suite_compile(flipped, check_canonical_relations)
+    with pytest.raises(ValueError) as err:
+        realize(theta, 2, n, 1, 3)
+    assert str(err.value) == f"canonical relations failed: {want.failures[:1]}"
+
+
+def _compiled_groups(monkeypatch):
+    built = []
+    original = CompiledOperators.__init__
+
+    def record(self, real, raise_budget, rep_dim, groups, slots):
+        original(self, real, raise_budget, rep_dim, groups, slots)
+        built.append(list(groups))
+
+    monkeypatch.setattr(CompiledOperators, "__init__", record)
+    return built
+
+
+@pytest.mark.parametrize("theta,truncation,tables", [
+    # one window for the three suites, and alpha-series' own table
+    (-1, 6, [["canonical-relations", "e-relations", "zeta-hom", "unit"],
+             ["alpha-series"]]),
+    # the canonical window (cap 4), the raise-4 window (cap 2), alpha's
+    (1, 6, [["canonical-relations", "unit"],
+            ["e-relations", "zeta-hom", "unit"], ["alpha-series"]]),
+    # truncation 2: both windows are the constant monomial
+    (1, 2, [["canonical-relations", "e-relations", "zeta-hom", "unit"],
+            ["alpha-series"]]),
+])
+def test_operator_checks_compile_each_window_once(monkeypatch, theta,
+                                                   truncation, tables):
+    built = _compiled_groups(monkeypatch)
+    cfg = cli.config_from_dict({
+        "theta": theta, "n": 1, "p": 1, "q": 2, "mu": ["1/7", "3/7", "5/7"],
+        "nu": [1, 1, 1], "order": 3, "truncation": truncation,
+        "checks": ["e-relations", "zeta-hom", "alpha-series",
+                   "appendix-x-identities"]})
+    assert cli.run(cfg).ok
+    assert built == tables
+
+
+def test_the_canonical_window_table_is_not_kept():
+    # theta = +1 above truncation 2: realize's table has no later reader
+    real = realize(1, 2, 1, 1, 6)
+    assert real._tables == {}
+    check_zeta(real)
+    assert list(real._tables) == [2]
+    # the word maps and the monomial index are compile-only
+    kept = vars(real._tables[2])
+    assert "index" not in kept
+    assert not any(isinstance(v, compiled._WordMaps) for v in kept.values())
+
+
+@pytest.mark.parametrize("theta,over", [(1, 0), (1, 1), (-1, 0), (-1, 1)])
+def test_e_relations_over_budget_compile_no_e_hat(monkeypatch, theta, over):
+    # WORK_MAX at and just below the e-relations' work count: over it, the
+    # suite refuses with the budget message and no table holds an E^
+    args = (theta, 2, 2, 1, 6)
+    work = math.prod(OperatorRealization(*args).suite_work("e-relations"))
+    monkeypatch.setattr(hd, "WORK_MAX", work - over)
+    built = _compiled_groups(monkeypatch)
+    real = realize(*args)
+    assert check_zeta(real).ok
+    if over:
+        with pytest.raises(ValueError, match=re.escape(
+                f"e-relations: {work} identity evaluations, over the "
+                f"budget of {work - 1}")):
+            check_e_relations(real)
+        assert not any("e-relations" in groups for groups in built)
+    else:
+        assert check_e_relations(real).ok
+        assert sum("e-relations" in groups for groups in built) == 1

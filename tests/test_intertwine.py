@@ -1132,7 +1132,7 @@ def test_swap_budget_refuses_before_any_module_is_built(monkeypatch):
     def built(*args, **kwargs):
         raise AssertionError("a module was built")
 
-    for name in ("pattern_module", "fock_module", "tensor_module"):
+    for name in ("pattern_module", "factor_module", "tensor_module"):
         monkeypatch.setattr(intertwine, name, built)
     for swap in (lambda: step(params, 1), lambda: compose_word(params, [1])):
         with pytest.raises(ValueError, match="at n = 2: work 33554432, "
