@@ -41,7 +41,7 @@ import numpy as np
 from . import compiled
 from .compiled import MAX_FAILURES, CompiledOperators, IdentityReport
 from .fock import block_basis
-from .linalg import FLOAT64_EXACT_LIMIT, _as_float64, int_matmul
+from .linalg import ZeroTest, int_matmul
 
 # Largest theta = +1 basis a realization enumerates: the
 # C(m n + truncation, truncation) monomials of degree <= truncation in m n
@@ -436,12 +436,10 @@ def check_x_identities(series: XSeries) -> IdentityReport:
     Each (r, s) != (0, 0) with r + s <= order has m^2 exchange, then m^4
     generator identities, read r-major in passes of at most compiled._CHUNK
     generator entries (and at least one (r, s)); a pass forms its products
-    x(k)_ab x(l)_cd by one batched matmul.  They are float64 when
-    max(4, 2 m) dim T^2 < `FLOAT64_EXACT_LIMIT`, T the largest |entry| of
-    x(0..order), as a compared value sums at most four products (generator)
-    or two m-term sums of them (exchange), each a dim-term sum; else Python
-    ints.  The series is cast once, by `_as_float64`, and T read off the
-    cast, which can only pass the bound when the exact T does.
+    x(k)_ab x(l)_cd by one batched product, a linear term as its product
+    with the unit, and one `linalg.ZeroTest`, told that a partial sum is at
+    most dim T^2 (T the largest |entry| of x(0..order), or 1) and a value
+    sums at most max(6, 2 m + 2) products, finds the identities that fail.
     """
     th, m, K, dim = series.theta, series.m, series.order, series.rep_dim
     _check_work("appendix-x-identities", _series_identities(m, K),
@@ -449,36 +447,38 @@ def check_x_identities(series: XSeries) -> IdentityReport:
     # x(0..K), then the zero block that index -1 reads as x(-1)
     x = np.concatenate([series.coeffs[:K + 1], np.zeros(
         (1, m, m, dim, dim), dtype=object)])
-    cast = _as_float64(x)
-    if cast is not None and (max(4, 2 * m) * dim
-                             * np.abs(cast).max(initial=0) ** 2
-                             < FLOAT64_EXACT_LIMIT):
-        x = cast
+    top = max(int(np.abs(x).max(initial=0)), 1)
+    test = ZeroTest(top, dim, dim * top * top, max(6, 2 * m + 2))
+    xs, unit = test.operand(x, top), test.operand(np.eye(dim, dtype=int), 1)
     rs = _order_pairs(K)[1:]
     width = m ** 2 + m ** 4
     per = max(1, compiled._CHUNK // max(m ** 4 * dim ** 2, 1))
     swap = (0, 3, 4, 1, 2, 5, 6)   # [row, a, b, c, d] -> [row, c, d, a, b]
-    hits = []
-    for w0 in range(0, len(rs), per):
-        r, s = rs[w0:w0 + per].T
-        rows = len(r)
+
+    def differences(xs, unit):
+        rows = len(r)   # r and s are the pass's, set in the loop below
         # p[j][row, a, b, c, d] = x(k_j)_ab x(l_j)_cd, matrix indices last,
         # (k, l): (r,s-1) (s-1,r) (r-1,s) (s,r-1) (r-1,s-1) (s-1,r-1)
         k = np.stack([r, s - 1, r - 1, s, r - 1, s - 1])
-        p = (x[k].reshape(6, rows, m * m * dim, dim)
-             @ x[k[[1, 0, 3, 2, 5, 4]]].transpose(0, 1, 4, 2, 3, 5).reshape(
-                 6, rows, dim, m * m * dim))
+        p = test.product(
+            xs[:, k].reshape(len(xs), 6, rows, m * m * dim, dim),
+            xs[:, k[[1, 0, 3, 2, 5, 4]]].transpose(0, 1, 2, 5, 3, 4, 6)
+            .reshape(len(xs), 6, rows, dim, m * m * dim))
         p = p.reshape(6, rows, m, m, dim, m, m, dim).transpose(
             0, 1, 2, 3, 5, 6, 4, 7)
         # (x(r) x(s-1) - x(r-1) x(s))_ab = ([r=0] x(s-1) - [s=0] x(r-1))_ab
-        exchange = (np.diagonal(p[0] - p[2], axis1=2, axis2=3).sum(axis=-1)
-                    != x[np.where(r == 0, s - 1, -1)]
-                    - x[np.where(s == 0, r - 1, -1)])
-        generator = (p[0] - p[1].transpose(swap) - p[2] + p[3].transpose(swap)
-                     != th * (p[4] - p[5]).swapaxes(1, 3))
-        del p   # before the next pass forms its products
-        bad = np.hstack([exchange.any(axis=(3, 4)).reshape(rows, m * m),
-                         generator.any(axis=(5, 6)).reshape(rows, m ** 4)])
+        yield (np.diagonal(p[0] - p[2], axis1=2, axis2=3).sum(axis=-1)
+               - test.product(xs[:, np.where(r == 0, s - 1, -1)], unit)
+               + test.product(xs[:, np.where(s == 0, r - 1, -1)], unit))
+        yield (p[0] - p[1].transpose(swap) - p[2] + p[3].transpose(swap)
+               - th * (p[4] - p[5]).swapaxes(1, 3))
+
+    hits = []
+    for w0 in range(0, len(rs), per):
+        r, s = rs[w0:w0 + per].T
+        exchange, generator = test.nonzero(differences, xs, unit)
+        bad = np.hstack([exchange.any(axis=(3, 4)).reshape(len(r), m * m),
+                         generator.any(axis=(5, 6)).reshape(len(r), m ** 4)])
         flags = np.flatnonzero(bad)[:MAX_FAILURES - len(hits)]
         hits += (w0 * width + flags).tolist()
         if len(hits) == MAX_FAILURES:

@@ -39,9 +39,8 @@ from typing import Sequence
 import numpy as np
 
 from .fock import PLAIN, TILDE, block_dim
-from .linalg import (FLOAT64_EXACT_LIMIT, RatMatrix, _as_float64,
-                     _modular_rref, _nullspace_from_rref, _ratmatrix,
-                     int_matmul)
+from .linalg import (RatMatrix, ZeroTest, _modular_rref,
+                     _nullspace_from_rref, _ratmatrix, int_matmul)
 from .modules import (
     ModuleParams,
     PatternFactor,
@@ -315,32 +314,31 @@ def _verify_intertwiner(mat: RatMatrix, src: YangianModule,
     k indexing u^k in the cleared identity and (r, s) the first nonzero
     entry of A B_p - C_p A in row-major order, A the integer numerator of
     mat (the pairs share its denominator).  Each chunk of pairs takes one
-    product per side: float64 when max|A| (largest column sum of |B| +
-    largest row sum of |C|), a bound on each partial sum, is below
-    `FLOAT64_EXACT_LIMIT`, else Python ints.  A is cast once and each
-    chunk's B and C stacks once, by `_as_float64`, and the bound is read
-    off those casts: rounding to nearest is monotone and the limit is a
-    float64, so the computed bound is below it only when the exact one is.
+    product per side, and one `linalg.ZeroTest` finds the nonzero entries
+    of the defects, differences of two products, told that a partial sum
+    of A B_p is at most d1 max|A| max|B| and of C_p A d2 max|C| max|A|.  A
+    is prepared for it once and each chunk's B and C stacks once.
     """
     keys, bs, cs = coefficient_pairs(src, tgt)
-    a = mat.data
-    d2, d1 = a.shape
-    fa = _as_float64(a)
-    top = None if fa is None else np.abs(fa).max(initial=0)
+    d2, d1 = mat.shape
+    top_a, top_b, top_c = (max(x.max(initial=0), -x.min(initial=0))
+                           for x in (mat.data, bs, cs))
+    test = ZeroTest(max(top_a, top_b, top_c), max(d1, d2),
+                    max(d1 * top_b, d2 * top_c) * top_a, 2)
+
+    def defect(a, b, c):
+        # defect[p, s, r] = (A B_p - C_p A)[s, r]
+        yield (test.product(a, b).reshape(d2, -1, d1).transpose(1, 0, 2)
+               - test.product(c, a).reshape(-1, d2, d1))
+
+    a = test.operand(mat.data, top_a)
     per = max(1, _DEFECT_CHUNK // (d2 * d1))
     for c0 in range(0, len(keys), per):
         # [B_1 B_2 ...] and [C_1; C_2; ...]
         b = bs[c0:c0 + per].transpose(1, 0, 2).reshape(d1, -1)
         c = cs[c0:c0 + per].reshape(-1, d2)
-        x, fb, fc = a, _as_float64(b), _as_float64(c)
-        if top is not None and fb is not None and fc is not None and top * (
-                np.abs(fb).sum(axis=0).max() + np.abs(fc).sum(axis=1).max()
-                ) < FLOAT64_EXACT_LIMIT:
-            x, b, c = fa, fb, fc
-        # defect[p, s, r] = (A B_p - C_p A)[s, r]
-        defect = (x @ b).reshape(d2, -1, d1).transpose(1, 0, 2)
-        defect -= (c @ x).reshape(-1, d2, d1)
-        bad = np.argwhere(defect)
+        bad = np.argwhere(test.nonzero(defect, a, test.operand(b, top_b),
+                                       test.operand(c, top_c))[0])
         if len(bad):
             p, r, s = bad[0]
             return tuple(int(v) for v in (*keys[c0 + p], r, s))

@@ -18,13 +18,13 @@ as few primes as the answer needs by CRT and rational reconstruction, and
 it is accepted only when an exact check (one `int_matmul` and the echelon
 shape) proves it the canonical one.  A vector is a one-column `RatMatrix`
 and a basis one column per vector; single coefficients and entries are read
-back as Fractions.  `residue_primes` picks the word-size primes for exact
-float64 products modulo p.  Whether integers are exact in float64 is
-decided here alone: one limit, `FLOAT64_EXACT_LIMIT`, and one cast,
-`_as_float64`, serve `int_matmul`, `residue_primes`, the int64 numerators
-of `modules` and the fused checks of `intertwine`, `hd` and `verify`.
-`int_matmul` returns int64 for two int64 operands under its gate, so
-int64 values stay int64 through it, and Python ints otherwise.
+back as Fractions.  `int_matmul` returns int64 for two int64 operands
+under its gate, so int64 values stay int64 through it, and Python ints
+otherwise.  `ZeroTest` tells the fused checks of `intertwine`, `hd` and
+`verify` which entries of a signed sum of integer matrix products are
+nonzero, from float64 products in one piece, in two limbs or modulo the
+`residue_primes`.  Whether integers are exact in float64 is decided here
+alone, by one limit, `FLOAT64_EXACT_LIMIT`, and one cast, `_as_float64`.
 """
 
 from __future__ import annotations
@@ -938,6 +938,126 @@ def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             fa = fb = (fa @ fb).astype(np.int64)
             return fa if a.dtype == b.dtype == np.int64 else fa.astype(object)
     return a.astype(object, copy=False) @ b.astype(object, copy=False)
+
+
+# ---------------------------------------------------------------------------
+# the exact zero test of signed sums of products
+
+
+class ZeroTest:
+    """Which entries of signed sums of integer matrix products are nonzero,
+    decided exactly on float64 matrix products.
+
+    The caller states M, the largest |entry| of an operand; k, the largest
+    inner dimension; P, a bound on every partial sum of a product; and w,
+    the largest sum of absolute coefficients of a value formed from the
+    products, which is so at most D = w P (`bound`).  Operands are prepared
+    once (`operand`), one float64 array per modulus with a leading axis of
+    parts.  `nonzero(combine, *operands)` hands combine the parts of each
+    modulus; combine indexes behind that axis, forms exact products by
+    `product` and yields the arrays to test, each tested before the next is
+    asked for.  The tests are ORed over the moduli.
+
+    When D < 2^63 (the int64 tier) every value is tested for zero in int64,
+    from float64 matrix products, exact as every partial sum is an integer
+    below 2^53 (Dumas, Giorgi & Pernet, FFLAS-FFPACK, ACM TOMS 35(3), 2008):
+    in one piece when M, P < 2^53, else from two limbs per operand, X = hi
+    2^h + lo, whose four limb products are each exact and are combined in
+    int64 (the error-free product of Ozaki, Ogita, Oishi & Rump, Numer.
+    Algorithms 59, 2012).  For b the bit length of M and h = ceil(b/2), 0 <=
+    lo < 2^h and |hi| <= 2^(b-h) <= 2^h, so the partial sums of the limb
+    products and of hi lo + lo hi are at most 2 k 2^2h, which must be below
+    2^53; in int64, hi hi 2^2h and (hi lo + lo hi) 2^h are at most k 2^2b
+    and their sum, the product less lo lo, at most P + k 2^2h, which must be
+    below 2^63.  Otherwise (the residue tier) the operands are reduced
+    modulo the fewest word-size primes whose product exceeds D
+    (`residue_primes`), which keep a product of residues below 2^53, and
+    below 2^(63 - bits of w) when w >= 2^10; a value is nonzero exactly
+    when it fails modulo some prime (the Chinese remainder theorem).
+    """
+
+    def __init__(self, top: int, inner: int, product: int, weight: int):
+        self.bound = weight * product
+        # below 2^53 every value formed is exact in float64 too
+        self.flat = max(top, product, self.bound) < FLOAT64_EXACT_LIMIT
+        self.moduli: list[int | None] = [None]
+        self.shift = 0
+        self._work: dict = {}
+        b = top.bit_length()
+        h = (b + 1) // 2
+        fits = self.bound < 2 ** 63
+        if fits and max(top, product) < FLOAT64_EXACT_LIMIT:
+            return
+        if (fits and inner << 2 * b < 2 ** 63
+                and product + (inner << 2 * h) < 2 ** 63
+                and inner << 2 * h + 1 < FLOAT64_EXACT_LIMIT):
+            self.shift = h
+        else:
+            self.moduli = residue_primes(
+                self.bound, inner << max(weight.bit_length() - 10, 0))
+
+    def operand(self, ints: np.ndarray, top: int) -> list[np.ndarray]:
+        """The parts of integers X, |X| <= top: X, hi and lo, or X mod p."""
+        if self.moduli[0] is None and not self.shift:
+            return [ints.astype(np.float64)[None]]
+        if top < 2 ** 63:
+            ints = ints.astype(np.int64, copy=False)
+        if self.shift:
+            return [np.array([ints >> self.shift,
+                              ints & ((1 << self.shift) - 1)], dtype=np.float64)]
+        return [(ints % p).astype(np.float64)[None] for p in self.moduli]
+
+    def _buffer(self, shape: tuple, count: int) -> np.ndarray:
+        """count float64 arrays of this shape, kept to spare page faults."""
+        if (shape, count) not in self._work:
+            self._work[shape, count] = np.empty((count, *shape))
+        return self._work[shape, count]
+
+    def product(self, x: np.ndarray, y: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """The product of parts x and y, equal stacks, exact or congruent on
+        residues: float64 if `flat` and out is None, else int64, into out."""
+        if out is None and self.flat:
+            return np.matmul(x[0], y[0])
+        shape = x.shape[1:-1] + y.shape[-1:]
+        out = np.empty(shape, dtype=np.int64) if out is None else out
+        # in out's own memory, cast in place by one forward 1-d copy
+        np.matmul(x[0], y[0], out=out.view(np.float64))
+        np.copyto(out.reshape(-1), out.view(np.float64).reshape(-1),
+                  casting="unsafe")
+        if self.shift:
+            # the last float64 slot, read as int64, takes the casts
+            flt = self._buffer(shape, 2)
+            spare = flt[-1].view(np.int64)
+            out <<= 2 * self.shift
+            np.add(np.matmul(x[0], y[1], out=flt[0]),
+                   np.matmul(x[1], y[0], out=flt[1]), out=flt[0])
+            np.copyto(spare, flt[0], casting="unsafe")
+            spare <<= self.shift
+            out += spare
+            np.copyto(spare, np.matmul(x[1], y[1], out=flt[0]),
+                      casting="unsafe")
+            out += spare
+        return out
+
+    def nonzero(self, combine, *operands) -> list[np.ndarray]:
+        """One boolean array per array combine yields, set where nonzero."""
+        bad: list[np.ndarray] = []
+        for k, p in enumerate(self.moduli):
+            for t, diff in enumerate(combine(*[op[k] for op in operands])):
+                if p is None:
+                    test = diff != 0
+                else:
+                    # x - x // p * p is x % p, and divides much faster
+                    mult = self._buffer(diff.shape, 1)[0].view(np.int64)
+                    np.floor_divide(diff, p, out=mult)
+                    mult *= p
+                    test = mult != diff
+                if k:
+                    bad[t] |= test
+                else:
+                    bad.append(test)
+        return bad
 
 
 # ---------------------------------------------------------------------------

@@ -17,37 +17,27 @@ stacked as integer numerators over one common denominator; both sides are
 bilinear in the blocks at u0 and v0, so the denominators cancel, and the
 two products that compare (u0, v0) also compare (v0, u0).
 
-The two sides are compared exactly in one of two tiers.  With M the
-largest absolute numerator of any stack and spread the largest |u0 - v0|,
-every entry of every product of two blocks is at most dim M^2, so every
-entry of lhs - rhs is at most D = 2 (spread + 1) dim M^2.  When D < 2^63
-(the int64 tier) every compared entry fits int64, so each is tested for
-zero directly.  The products are formed with float64 matrix products,
-exact because every partial sum is an integer below 2^53 (Dumas, Giorgi &
-Pernet, FFLAS-FFPACK, ACM TOMS 35(3), 2008): in one piece when dim M^2 <
-2^53, else from two limbs per stack, X = hi 2^h + lo, whose four limb
-products are each exact and are combined in int64 (the error-free product
-of Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012).  When D >=
-2^63 the stacks are reduced modulo the fewest word-size primes whose
-product exceeds D (the residue tier).  An entry of lhs - rhs that
-vanishes modulo every prime is 0 by the Chinese remainder theorem, and one
-that does not vanish is nonzero, so the entries that fail modulo some
-prime are exactly the entries that fail.
+The two sides are compared exactly by one `linalg.ZeroTest` per grid,
+which picks float64 in one piece, two limbs or residue primes from the
+bound D = 2 (spread + 1) dim M^2 on every entry of lhs - rhs, M the
+largest absolute numerator of any stack and spread the largest |u0 - v0|.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from .fock import PLAIN, PRIME, TILDE
 from .linalg import (FLOAT64_EXACT_LIMIT, Poly, RatFunc, RatMatrix,
-                     _as_float64, _poly, _ratfunc, _ratmatrix, int_matmul,
-                     poly_rational_roots, residue_primes)
+                     ZeroTest, _poly, _ratfunc, _ratmatrix, int_matmul,
+                     poly_rational_roots)
 from .modules import (ModuleParams, PatternFactor, YangianModule,
                       scalar_module, source_pattern, tensor_module)
 
@@ -55,8 +45,8 @@ from .modules import (ModuleParams, PatternFactor, YangianModule,
 # {u, v}, u != v, forms two (n^2 dim)-square products per modulus and pair
 # of limbs, which serve both (u, v) and (v, u), so the work per pair grows
 # as (n^2 dim)^2 dim.  On a 2-core x86 VM the 4-factor n = 3 pattern (dim
-# 81, 729) takes 0.2 s on the int64 tier in one piece (mu = 1/2, 1/3, 1/5,
-# 1/7), 0.47-0.55 s in two limbs (mu = 1/3, 2/3, 1/5, 1/7) and 0.65-0.70 s
+# 81, 729) takes 0.1 s on the int64 tier in one piece (mu = 1/2, 1/3, 1/5,
+# 1/7), 0.25-0.3 s in two limbs (mu = 1/3, 2/3, 1/5, 1/7) and 0.37-0.45 s
 # on three residue primes (mu = 1/7, 2/7, 3/7, 5/7); n = 2, nu = (12, 12)
 # (676) takes 0.1 s in one piece.  A 5-factor pattern (dim 243, 2187)
 # would need 9x the memory and 27x the work per pair.
@@ -90,16 +80,6 @@ class RttReport:
     primes: list = field(default_factory=list)
 
 
-def _grid_points(den: Poly, count: int) -> list[int]:
-    pts = []
-    u0 = GRID_START
-    while len(pts) < count:
-        if den(u0) != 0:
-            pts.append(u0)
-        u0 += 1
-    return pts
-
-
 def _grid_stacks(mod: YangianModule, pts: list[int]) -> tuple[np.ndarray, int]:
     """The numerators of the blocks P_ij(u0) at every grid point, each point
     over the one common denominator of its lowest terms, as one array of
@@ -111,9 +91,8 @@ def _grid_stacks(mod: YangianModule, pts: list[int]) -> tuple[np.ndarray, int]:
     and `int_matmul` returns int64 whenever its float64 gate passes, so no
     Python int is made; a module without it, or a Vandermonde entry at or
     past FLOAT64_EXACT_LIMIT (which fails that gate anyway), takes the
-    Python-int numerators.  The values are int64 when every entry is below
-    the limit (a Python-int result is cast exactly through float64), else
-    Python ints; M is exact either way."""
+    Python-int numerators.  Each point is divided by its gcd with the
+    scale, and M is exact."""
     powers = mod.den.degree + 1
     num = mod.num64
     if num is not None and pts[-1] ** (powers - 1) < FLOAT64_EXACT_LIMIT:
@@ -123,97 +102,14 @@ def _grid_stacks(mod: YangianModule, pts: list[int]) -> tuple[np.ndarray, int]:
                                          True)
     values = int_matmul(vander, np.moveaxis(num, 2, 0).reshape(
         powers, -1)).reshape(len(pts), -1, mod.dim)
-    if values.dtype != np.int64:
-        cast = _as_float64(values)
-        if cast is not None and np.abs(cast).max() < FLOAT64_EXACT_LIMIT:
-            values = cast.astype(np.int64)
-    if values.dtype == np.int64:
-        gcds = np.gcd.reduce(values.reshape(len(pts), -1), axis=1)
-        values //= np.array([math.gcd(mod.scale, int(g)) for g in gcds],
-                            dtype=np.int64)[:, None, None]
-        return values, int(np.abs(values).max())
-    for vals in values:
-        g = math.gcd(mod.scale, *vals.flat)
-        if g > 1:
-            vals //= g
+    gcds = np.gcd.reduce(values.reshape(len(pts), -1), axis=1)
+    values //= np.array([math.gcd(mod.scale, int(g)) for g in gcds],
+                        dtype=values.dtype)[:, None, None]
     return values, int(np.abs(values).max())
 
 
 # (i, j, r, k, l, s) -> (k, l, r, i, j, s): swaps the two generators
 _SWAP = (3, 4, 2, 0, 1, 5)
-
-
-def _pair_failures(stacks, moduli, a: int, b: int, w: int, n: int,
-                   dim: int) -> tuple[tuple | None, tuple | None]:
-    """The first failing entries (i, j, k, l, r, s) of the grid pairs
-    (u0, v0) and (v0, u0), points a and b with w = u0 - v0, or None.
-
-    Per modulus p, with A = P(u0) and B = P(v0) as held by its stacks,
-    ab[i, j, r, k, l, s] = (A_ij B_kl)[r, s] and ba[i, j, r, k, l, s] =
-    (B_ij A_kl)[r, s] are formed in int64 from exact float64 products of
-    the limbs (see _rtt_grid).  With C = ab - ba with the generators
-    swapped and S = ab - ba with axes 0 and 3 exchanged, the pair (u0, v0)
-    needs w C - S = 0 and the pair (v0, u0) needs w C' + S = 0, C' being C
-    with the generators swapped; so one ab and one ba serve both pairs.
-    The products, C and the two differences, in turn, go to the grid's
-    work buffers, so a pair allocates only its failure masks.
-
-    For p None (the int64 tier) both tests are exact, every entry of ab and
-    ba being at most dim M^2 and every difference at most D < 2^63.  With
-    one limb the float64 products are ab and ba themselves.  With two
-    limbs of shift h, hi and lo, ab = (hi hi) 2^2h + (hi lo + lo hi) 2^h +
-    lo lo, and every intermediate is at most 4 dim M^2 < 2^63 (see
-    _rtt_grid).  For a prime p the stacks hold residues in [0, p), one
-    limb, so ab and ba are below 2^53; the tests are modulo p, and C is
-    reduced to [0, p) before it is scaled by w, |w| < p, so the sums stay
-    below 2^54.
-    """
-    shape = (n, n, dim, n, n, dim)
-    bad: list[np.ndarray | None] = [None, None]
-    for p, (vert, horiz, shift, (flt, prods)) in zip(moduli, stacks):
-        # per limb, the rows of A and B and the columns of B and A
-        rows, cols = vert[:, [a, b]], horiz[:, [b, a]]
-        # the last float64 slot, read as int64, takes what is cast out of
-        # the first, and then C
-        spare = flt[-1].view(np.int64)
-        np.copyto(prods, np.matmul(rows[0], cols[0], out=flt[0]),
-                  casting="unsafe")
-        if shift:
-            prods <<= 2 * shift
-            np.add(np.matmul(rows[0], cols[1], out=flt[0]),
-                   np.matmul(rows[1], cols[0], out=flt[1]), out=flt[0])
-            np.copyto(spare, flt[0], casting="unsafe")
-            spare <<= shift
-            prods += spare
-            np.copyto(spare, np.matmul(rows[1], cols[1], out=flt[0]),
-                      casting="unsafe")
-            prods += spare
-        ab, ba = prods.reshape(2, *shape)
-        comm, mult = spare.reshape(2, *shape)
-        np.subtract(ab, ba.transpose(_SWAP), out=comm)
-        # x - x // p * p is x % p; numpy divides by a scalar much faster
-        # than it takes remainders
-        if p is not None:
-            np.floor_divide(comm, p, out=mult)
-            mult *= p
-            comm -= mult
-        comm *= w
-        ab -= ba
-        cross = ab.swapaxes(0, 3)
-        for k, (op, left) in enumerate(((np.subtract, comm),
-                                        (np.add, comm.transpose(_SWAP)))):
-            diff = op(left, cross, out=ba)
-            if p is None:
-                test = diff != 0
-            else:
-                np.floor_divide(diff, p, out=mult)
-                mult *= p
-                test = mult != diff
-            if bad[k] is None:
-                bad[k] = test
-            else:
-                bad[k] |= test
-    return _first_entry(bad[0]), _first_entry(bad[1])
 
 
 def _first_entry(bad: np.ndarray) -> tuple | None:
@@ -223,84 +119,69 @@ def _first_entry(bad: np.ndarray) -> tuple | None:
     return tuple(int(x) for x in np.argwhere(bad.transpose(0, 1, 3, 4, 2, 5))[0])
 
 
-def _rtt_grid(mod: YangianModule) -> tuple[list[int], int, list, list]:
-    """The grid points, the bound D, the moduli and, per modulus, the
-    vertical (limbs, points, rows (i, j, r), s) and horizontal (limbs,
-    points, r, columns (i, j, s)) float64 stacks with their limb shift h
-    and the work buffers that every pair reuses.
+def _rtt_grid(mod: YangianModule) -> tuple[list[int], ZeroTest, Callable]:
+    """The grid points, the zero test of the grid and the check of one grid
+    pair, `pair(a, b)`: the first failing entries (i, j, k, l, r, s) of the
+    pairs (u0, v0) and (v0, u0), points a < b, or None.
 
-    When D < 2^63 (the int64 tier) the moduli are [None], and the stacks
-    hold the numerators X themselves, in one limb (h = 0) when dim M^2 <
-    2^53, else in two, hi = X >> h and lo = X - hi 2^h, with h = ceil(b/2)
-    for b the bit length of M.  Then 0 <= lo < 2^h and |hi| <= 2^(b-h) <=
-    2^h, so every partial sum of a limb product is at most dim 2^2h <=
-    dim 2^(b+1) <= 4 dim M.  D < 2^63 and spread >= 1 give dim M^2 < 2^61,
-    so (4 dim M)^2 < 2^65 dim, below 2^106 as dim < 2^41 (a block, an
-    array, has dim^2 < 2^63 entries): the limb products are exact in
-    float64, and so is their sum hi lo + lo hi, below 2 dim 2^b <= 4 dim M.
-    In int64, hi hi 2^2h and (hi lo + lo hi) 2^h are each at most dim 2^2b
-    <= 4 dim M^2 < 2^63, as b + h <= 2b - 1 (here M^2 > 2^53 / dim > 2^12),
-    and their sum is ab - lo lo, at most dim M^2 + 4 dim M.
-
-    When D >= 2^63 (the residue tier) the moduli are the residue primes,
-    largest first, and the stacks the residues in one limb.  The residues
-    come from one int64 cast of the numerators when M < 2^63."""
+    With A = P(u0) and B = P(v0), one product of the vertical (points, rows
+    (i, j, r), s) and horizontal (points, r, columns (i, j, s)) stacks
+    forms ab[i, j, r, k, l, s] = (A_ij B_kl)[r, s] and ba, A and B
+    exchanged.  With C = ab - ba, generators swapped, and S = ab - ba, axes
+    0 and 3 exchanged, (u0, v0) needs w C - S = 0 and (v0, u0) w C' + S =
+    0, C' being C with the generators swapped and w = u0 - v0: sums of at
+    most 2 (spread + 1) products of entries at most dim M^2, all formed in
+    work buffers."""
     n, dim = mod.n, mod.dim
-    pts = _grid_points(mod.den, mod.den.degree + 2)
+    pts = list(itertools.islice((u0 for u0 in itertools.count(GRID_START)
+                                 if mod.den(u0) != 0), mod.den.degree + 2))
     ints, top = _grid_stacks(mod, pts)
-    bound = 2 * (pts[-1] - pts[0] + 1) * dim * top * top
-    if top < 2 ** 63:
-        ints = ints.astype(np.int64, copy=False)
-    if bound < 2 ** 63:
-        moduli = [None]
-        shift = (0 if dim * top * top < FLOAT64_EXACT_LIMIT
-                 else (top.bit_length() + 1) // 2)
-        limbs = [[ints >> shift, ints & ((1 << shift) - 1)] if shift
-                 else [ints]]
-    else:
-        moduli = residue_primes(bound, dim)
-        shift = 0
-        limbs = [[ints % p] for p in moduli]
-    # every pair reuses these buffers, one float64 slot per limb for the
-    # limb products and int64 for ab and ba: a fresh array past malloc's
-    # mmap threshold costs a page fault per page each time it is touched
-    size = n * n * dim
-    work = (np.empty((2 if shift else 1, 2, size, size)),
-            np.empty((2, size, size), dtype=np.int64))
-    stacks = []
-    for parts in limbs:
-        vert = np.array(parts, dtype=np.float64)
-        horiz = vert.reshape(len(parts), len(pts), n, n, dim, dim).transpose(
-            0, 1, 4, 2, 3, 5).reshape(len(parts), len(pts), dim, -1)
-        stacks.append((vert, horiz, shift, work))
-    return pts, bound, moduli, stacks
+    test = ZeroTest(top, dim, dim * top * top, 2 * (pts[-1] - pts[0] + 1))
+    vert = test.operand(ints, top)
+    horiz = test.operand(ints.reshape(len(pts), n, n, dim, dim).transpose(
+        0, 3, 1, 2, 4).reshape(len(pts), dim, -1), top)
+    shape = (n, n, dim, n, n, dim)
+    prods = np.empty((2, n * n * dim, n * n * dim), dtype=np.int64)
+    comm = np.empty(shape, dtype=np.int64)
+
+    def pair(a: int, b: int) -> tuple[tuple | None, tuple | None]:
+        def combine(vert, horiz):
+            # the rows of A and B against the columns of B and A
+            ab, ba = test.product(vert[:, [a, b]], horiz[:, [b, a]],
+                                  prods).reshape(2, *shape)
+            np.subtract(ab, ba.transpose(_SWAP), out=comm)
+            np.multiply(comm, pts[a] - pts[b], out=comm)
+            ab -= ba
+            cross = ab.swapaxes(0, 3)
+            yield np.subtract(comm, cross, out=ba)
+            yield np.add(comm.transpose(_SWAP), cross, out=ba)
+
+        return tuple(map(_first_entry, test.nonzero(combine, vert, horiz)))
+
+    return pts, test, pair
 
 
 def check_rtt(mod: YangianModule) -> RttReport:
     """Prove the defining relation for the module by grid evaluation.
 
     The relation holds identically on the diagonal u0 = v0, so only the
-    pairs u0 != v0 are compared, each unordered pair once per modulus.
+    pairs u0 != v0 are compared, each unordered pair once.
     Raises ValueError when n^2 dim exceeds RTT_MAX_SIZE.
     """
     n, dim = mod.n, mod.dim
     if n * n * dim > RTT_MAX_SIZE:
         raise ValueError(f"rtt check on n^2 * dim = {n * n * dim}, over the "
                          f"budget of {RTT_MAX_SIZE}")
-    pts, bound, moduli, stacks = _rtt_grid(mod)
+    pts, test, pair = _rtt_grid(mod)
     report = RttReport(True, n, dim, mod.den.degree, list(pts), list(pts),
-                       bound=bound, primes=[p for p in moduli if p])
+                       bound=test.bound, primes=[p for p in test.moduli if p])
     # pairs (a, b) with a > b were settled with (b, a), earlier in the scan
-    later: dict[tuple[int, int], tuple | None] = {}
+    found: dict[tuple[int, int], tuple | None] = {}
     for a, u0 in enumerate(pts):
         for b, v0 in enumerate(pts):
-            if a == b:
-                continue
             if a < b:
-                entry, later[b, a] = _pair_failures(stacks, moduli, a, b,
-                                                    u0 - v0, n, dim)
-            else:
-                entry = later.pop((a, b))
+                found[a, b], found[b, a] = pair(a, b)
+            entry = found.get((a, b))
             if entry is not None:
                 report.ok = False
                 report.failure = {"u": u0, "v": v0, "entry": entry}

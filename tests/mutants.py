@@ -52,16 +52,16 @@ MUTANTS = (
            ("tests/test_intertwine.py::"
             "test_compose_word_matches_hom_space_reference",)),
     Mutant("certificate-bound-without-c", "intertwine.py",
-           "np.abs(fb).sum(axis=0).max() + np.abs(fc).sum(axis=1).max()",
-           "np.abs(fb).sum(axis=0).max()",
+           "max(d1 * top_b, d2 * top_c) * top_a",
+           "d1 * top_b * top_a",
            ("tests/test_intertwine.py::"
             "test_certificate_matches_the_two_product_reference",)),
     Mutant("certificate-skipped", "intertwine.py",
            "    keys, bs, cs = coefficient_pairs(src, tgt)\n"
-           "    a = mat.data\n",
+           "    d2, d1 = mat.shape\n",
            "    return None\n"
            "    keys, bs, cs = coefficient_pairs(src, tgt)\n"
-           "    a = mat.data\n",
+           "    d2, d1 = mat.shape\n",
            ("tests/test_intertwine.py::"
             "test_certificate_matches_the_two_product_reference",)),
     Mutant("defect-chunk-uncapped", "intertwine.py",
@@ -91,10 +91,8 @@ MUTANTS = (
            ("tests/test_intertwine.py::"
             "test_kernel_quotient_matches_adapted_basis_reference",)),
     Mutant("x-identities-always-float64", "hd.py",
-           "    if cast is not None and (max(4, 2 * m) * dim\n"
-           "                             * np.abs(cast).max(initial=0) ** 2\n"
-           "                             < FLOAT64_EXACT_LIMIT):",
-           "    if cast is not None:",
+           "ZeroTest(top, dim, dim * top * top, max(6, 2 * m + 2))",
+           "ZeroTest(0, dim, 0, max(6, 2 * m + 2))",
            ("tests/test_hd.py::test_x_identities_match_reference",)),
     Mutant("int-matmul-gate-at-le", "linalg.py",
            "        if bound < FLOAT64_EXACT_LIMIT:",
@@ -164,37 +162,53 @@ MUTANTS = (
            ("tests/test_linalg.py::test_rational_roots_of_split_polynomials",
             "tests/test_verify.py::test_drinfeld_twist_invariance",
             "tests/test_verify.py::test_ratio_to_drinfeld_poly_errors")),
-    Mutant("rtt-first-residue-prime-only", "verify.py",
-           "for p, (vert, horiz, shift, (flt, prods)) in zip(moduli, stacks):",
-           "for p, (vert, horiz, shift, (flt, prods)) in zip(moduli[:1], stacks):",
+    Mutant("rtt-first-residue-prime-only", "linalg.py",
+           "for k, p in enumerate(self.moduli):",
+           "for k, p in enumerate(self.moduli[:1]):",
            ("tests/test_verify.py::test_rtt_failure_missed_by_first_prime",)),
     Mutant("rtt-exact-gate-without-dim", "verify.py",
-           "shift = (0 if dim * top * top < FLOAT64_EXACT_LIMIT",
-           "shift = (0 if top * top < FLOAT64_EXACT_LIMIT",
+           "ZeroTest(top, dim, dim * top * top,",
+           "ZeroTest(top, dim, top * top,",
            ("tests/test_verify.py::test_rtt_at_the_exact_tier_edge",)),
-    Mutant("rtt-one-piece-below-int64-gate", "verify.py",
-           "        shift = (0 if dim * top * top < FLOAT64_EXACT_LIMIT\n"
-           "                 else (top.bit_length() + 1) // 2)",
-           "        shift = 0",
+    Mutant("rtt-one-piece-below-int64-gate", "linalg.py",
+           "            self.shift = h\n",
+           "            self.shift = 0\n",
            ("tests/test_verify.py::test_rtt_at_the_exact_tier_edge",)),
-    Mutant("rtt-int64-gate-at-2-64", "verify.py",
-           "if bound < 2 ** 63:",
-           "if bound < 2 ** 64:",
+    Mutant("rtt-int64-gate-at-2-64", "linalg.py",
+           "fits = self.bound < 2 ** 63",
+           "fits = self.bound < 2 ** 64",
            ("tests/test_verify.py::test_rtt_at_the_exact_tier_edge",)),
-    Mutant("rtt-limb-cross-unshifted", "verify.py",
-           "            spare <<= shift\n",
+    Mutant("rtt-limb-cross-unshifted", "linalg.py",
+           "            spare <<= self.shift\n",
            "",
            ("tests/test_verify.py::test_rtt_pairs_match_component_reference",)),
-    Mutant("rtt-residue-cast-without-bound", "verify.py",
-           "    if top < 2 ** 63:\n"
-           "        ints = ints.astype(np.int64, copy=False)",
-           "    if True:\n"
-           "        ints = ints.astype(np.int64, copy=False)",
+    Mutant("rtt-residue-cast-without-bound", "linalg.py",
+           "        if top < 2 ** 63:\n"
+           "            ints = ints.astype(np.int64, copy=False)",
+           "        if True:\n"
+           "            ints = ints.astype(np.int64, copy=False)",
            ("tests/test_verify.py::test_rtt_at_the_exact_tier_edge",)),
     Mutant("rtt-swapped-pair-sign", "verify.py",
-           "(np.add, comm.transpose(_SWAP))",
-           "(np.subtract, comm.transpose(_SWAP))",
+           "yield np.add(comm.transpose(_SWAP), cross, out=ba)",
+           "yield np.subtract(comm.transpose(_SWAP), cross, out=ba)",
            ("tests/test_verify.py::test_rtt_atoms",)),
+    Mutant("zero-test-one-residue-prime-too-few", "linalg.py",
+           "self.bound, inner << max(weight.bit_length() - 10, 0))",
+           "self.bound, inner << max(weight.bit_length() - 10, 0))[:-1]",
+           ("tests/test_linalg.py::test_zero_test_needs_every_residue_prime",)),
+    Mutant("zero-test-primes-without-weight", "linalg.py",
+           "self.bound, inner << max(weight.bit_length() - 10, 0))",
+           "self.bound, inner)",
+           ("tests/test_linalg.py::test_zero_test_matches_python_ints",)),
+    Mutant("zero-test-float-values-past-2-53", "linalg.py",
+           "self.flat = max(top, product, self.bound) < FLOAT64_EXACT_LIMIT",
+           "self.flat = max(top, product) < FLOAT64_EXACT_LIMIT",
+           ("tests/test_linalg.py::"
+            "test_zero_test_keeps_values_past_2_53_exact",)),
+    Mutant("zero-test-limb-shift-one-bit-short", "linalg.py",
+           "            out <<= 2 * self.shift\n",
+           "            out <<= 2 * self.shift - 1\n",
+           ("tests/test_linalg.py::test_zero_test_matches_python_ints",)),
     Mutant("odd-parity-flipped", "fock.py",
            "if sum(exps[:v]) & 1:",
            "if not sum(exps[:v]) & 1:",

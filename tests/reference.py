@@ -15,7 +15,8 @@ swap intertwiners of a reduced word, built from the hom solver
 instead of `yangian.intertwine`'s cyclic spans, one swap's pair map as
 b_tgt . b_src^-1 over spanning columns kept breadth first, the module-map
 certificate as two whole products instead of
-`yangian.intertwine._verify_intertwiner`'s chunks, and the kernel and quotient
+`yangian.intertwine._verify_intertwiner`'s chunks and once more as a loop
+over the Python-int entries of the two products, and the kernel and quotient
 of an intertwiner by a change to a basis adapted to the kernel, instead of
 `yangian.intertwine.kernel_quotient`'s echelon form.  The rest is the
 term-by-term interpreter of the operator realization that the compiled
@@ -369,6 +370,22 @@ def verify_intertwiner(mat, src, tgt):
         return None
     p, r, s = (int(x) for x in bad[0])
     return tuple(int(x) for x in keys[p]) + (r, s)
+
+
+def two_product_loop(mat, src, tgt):
+    """The witness (i, j, k, r, s) of `verify_intertwiner`, or None, from
+    the entries of A B_p and C_p A summed term by term on Python ints, pair
+    by pair and row-major."""
+    keys, bs, cs = coefficient_pairs(src, tgt)
+    a = mat.data.tolist()
+    rows, cols = mat.shape
+    for key, b, c in zip(keys.tolist(), bs.tolist(), cs.tolist()):
+        for r in range(rows):
+            for s in range(cols):
+                left = sum(a[r][t] * b[t][s] for t in range(cols))
+                if left != sum(c[r][t] * a[t][s] for t in range(rows)):
+                    return (*key, r, s)
+    return None
 
 
 def reference_kernel_quotient(intw):

@@ -12,7 +12,10 @@ modular elimination), and a dim-16 `rtt` whose bound D is just under 2^63
 `rtt`, `hw-eigenvalues` and `drinfeld` on five-digit prime denominators
 whose tensor chain leaves int64 at its last product, with partial
 products of 29, 43 and 58 bits (generated while modules were stored as
-Python ints only).  A refactor
+Python ints only), and an `hw-scalar` swap on five-digit prime
+denominators whose 85-bit map the module-map certificate checked on
+Python ints (generated then; its `braid` record is the error of a
+two-factor config).  A refactor
 that changes a verdict, a witness or the serialization shows up here byte
 for byte.
 """

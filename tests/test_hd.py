@@ -393,11 +393,11 @@ def bumped_series(draw):
     series = x_series(theta, m, order,
                       tensor_square_rep(m) if draw(st.booleans()) else None)
     d = series.rep_dim
-    # check_x_identities runs in float64 while max(4, 2 m) d T^2 < 2^53, T
-    # the largest |entry|: bumped by +-edge, a zero entry takes T to the
-    # last value on the float64 side, and by +-(edge + 1) past it; a 2^62
-    # entry has products that float64 would round
-    edge = math.isqrt((2 ** 53 - 1) // (max(4, 2 * m) * d))
+    # check_x_identities forms its products in one float64 piece while
+    # d T^2 < 2^53, T the largest |entry|: bumped by +-edge, a zero entry
+    # takes T to the last value on that side, and by +-(edge + 1) past it,
+    # to two limbs; a 2^62 entry takes the products to residue primes
+    edge = math.isqrt((2 ** 53 - 1) // d)
     for bump in draw(st.lists(st.tuples(
             st.integers(0, order + 1), st.integers(0, m - 1),
             st.integers(0, m - 1), st.integers(0, d - 1),

@@ -601,15 +601,15 @@ def _certificate_candidates(m1, m2, spot):
 @example(_bench_kernel_quotient_pair(), 11)
 @example((rescaled(evaluation_module(3, 0), 2 ** 62),
           rescaled(evaluation_module(3, 0), 2 ** 62)), 5)
-# the shear's bound max|A| (largest column sum of |B| + largest row sum of
-# |C|) over all pairs is 2 z + 1 against the dual module at z and 2 z + 2
-# against the evaluation module: 2^53 - 1 (float64) and 2^53 (Python ints)
+# the shear's product bound max(2 max|A| max|B|, 2 max|C| max|A|) is 2^53,
+# just past one float64 piece, against the dual and the evaluation module
+# at z = 2^52 - 1
 @example((evaluation_module(2, 0), dual_evaluation_module(2, 2 ** 52 - 1)), 1)
 @example((evaluation_module(2, 0), evaluation_module(2, 2 ** 52 - 1)), 1)
-# the map S onto S T(u) S^-1, S = _UNIMODULAR_BIG: max|A| times the |B|
-# sums stays under 2^27, but C has entries near 2^53, so only the |C| term
-# of the bound (near 2^79) keeps C S off float64, where rounding gives the
-# intertwiner S a nonzero defect
+# the map S onto S T(u) S^-1, S = _UNIMODULAR_BIG: 2 max|A| max|B| stays
+# under 2^28, but C has entries near 2^53, so only the C term of the
+# product bound (near 2^80) keeps C S off one float64 piece, where rounding
+# gives the intertwiner S a nonzero defect
 @example((evaluation_module(2, 0),
           conjugated(evaluation_module(2, 0), _UNIMODULAR_BIG,
                      _UNIMODULAR_BIG_INV)), 3)
@@ -628,6 +628,33 @@ def test_certificate_matches_the_two_product_reference(pair, spot):
             got = [intertwine._verify_intertwiner(mat, m1, m2)
                    for mat in cands]
         assert got == want
+
+
+def test_certificate_past_float64_matches_the_python_int_loop(monkeypatch):
+    # the swap of the certificate-past-float64 golden has an 85-bit map, so
+    # the certificate runs on residue primes; a tampered entry fails at the
+    # witness of the Python-int loop over the two products
+    params = ModuleParams(1, 2, 1, 1, [Fraction(1, 10007),
+                                       Fraction(2, 10009)], [3, 3])
+    intw = compose_word(params, (1,))
+    src, tgt, mat = intw.source, intw.target, intw.matrix
+    assert max(abs(x) for x in mat.data.flat).bit_length() >= 64
+    tests = []
+
+    def recorded(*bounds):
+        tests.append(linalg.ZeroTest(*bounds))
+        return tests[-1]
+
+    monkeypatch.setattr(intertwine, "ZeroTest", recorded)
+    assert intertwine._verify_intertwiner(mat, src, tgt) is None
+    assert len(tests[0].moduli) > 1
+    for spot, delta in ((0, 1), (37, -1), (255, 2 ** 70)):
+        data = mat.data.copy()
+        data.flat[spot] += delta
+        bad = _ratmatrix(data, mat.den)
+        want = reference.two_product_loop(bad, src, tgt)
+        assert want is not None
+        assert intertwine._verify_intertwiner(bad, src, tgt) == want
 
 
 def test_grading_that_leaves_no_unknowns_returns_at_once(monkeypatch):

@@ -19,6 +19,7 @@ from yangian.linalg import (
     Poly,
     RatFunc,
     RatMatrix,
+    ZeroTest,
     int_matmul,
     nullspace,
     poly_gcd,
@@ -436,11 +437,10 @@ def test_int_matmul_gate_on_300_digit_entries_raises_no_warning():
     assert got.dtype == object and (got == a @ b).all()
 
 
-# The functions that may contract integer arrays themselves: the kernel,
-# and the three fused checks that hold float64 across a signed sum under
-# their own 2^53 bounds.
-_OWN_PRODUCTS = {("linalg", "int_matmul"), ("intertwine", "_verify_intertwiner"),
-                 ("hd", "check_x_identities"), ("verify", "_pair_failures")}
+# The functions that may contract integer arrays themselves: the product
+# kernel, and the product of the exact zero test behind the fused checks,
+# which keeps float64 partial sums under 2^53 by the bounds it is given.
+_OWN_PRODUCTS = {("linalg", "int_matmul"), ("linalg", "product")}
 _CONTRACTIONS = {"matmul", "dot", "tensordot", "einsum"}
 
 
@@ -523,6 +523,130 @@ def test_residue_primes_certify_bound(inner, bound):
     while inner * (c - 1) ** 2 < 2 ** 53:
         assert not is_prime_by_trial_division(c)
         c += 1
+
+
+# ---------------------------------------------------------------------------
+# the exact zero test against Python ints
+
+
+# X Y12 - X Y1 - X Y2, operands (X, Y12, Y1, Y2): it vanishes for Y12 = Y1 +
+# Y2, and a tampered entry of any operand makes it fail where the
+# Python-int sum does
+_TERMS = ((1, 0, 1), (-1, 0, 2), (-1, 0, 3))
+
+
+def zero_test_masks(ops, top=None, product=None, scale=1):
+    """The nonzero entries of scale times the signed sum of _TERMS by a
+    ZeroTest told the largest |entry| top, the inner dimension k, the
+    product bound (by default k top^2) and weight 3 scale, and the test."""
+    if top is None:
+        top = max(max(x.max(), -x.min()) for x in ops)
+    inner = ops[0].shape[-1]
+    test = ZeroTest(top, inner, product or inner * top * top, 3 * scale)
+
+    def combine(*parts):
+        yield scale * sum(c * test.product(parts[i], parts[j])
+                          for c, i, j in _TERMS)
+
+    mask, = test.nonzero(combine, *(test.operand(x, top) for x in ops))
+    return mask, test
+
+
+def python_int_sum(ops):
+    """The signed sum of _TERMS on Python ints."""
+    return sum(c * (ops[i] @ ops[j]) for c, i, j in _TERMS)
+
+
+def tier(test):
+    return ("residues" if test.moduli[0] is not None
+            else "two limbs" if test.shift else "one piece")
+
+
+def dense_sum(bits, tamper=None):
+    """Operands of (3, 3, 3) stacks, X and Y1 = Y2 full of 2^bits - 1, with
+    delta added at X's flat index at for tamper (at, delta)."""
+    x = np.full((3, 3, 3), 2 ** bits - 1, dtype=object)
+    ops = [x, 2 * x, x.copy(), x.copy()]
+    if tamper:
+        ops[0].flat[tamper[0]] += tamper[1]
+    return ops
+
+
+@st.composite
+def signed_sums(draw):
+    """Stacked Python-int operands (X, Y1 + Y2, Y1, Y2) of up to 2^200, as
+    built or with one entry tampered."""
+    s, r, k, c = (draw(st.integers(1, 3)) for _ in range(4))
+    bits = draw(st.sampled_from((0, 8, 24, 28, 30, 40, 70, 199)))
+
+    def stack(*shape):
+        return np.array(draw(st.lists(
+            st.integers(-2 ** bits, 2 ** bits), min_size=math.prod(shape),
+            max_size=math.prod(shape))), dtype=object).reshape(shape)
+
+    y1, y2 = stack(s, k, c), stack(s, k, c)
+    ops = [stack(s, r, k), y1 + y2, y1, y2]
+    tamper = draw(st.none() | st.tuples(
+        st.integers(0, 3), st.integers(0, 26),
+        st.sampled_from((1, -1, 2 ** bits, -3 * 2 ** bits))))
+    if tamper:
+        i, at, delta = tamper
+        ops[i].flat[at % ops[i].size] += delta
+    return ops
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_sums(), st.sampled_from((1, 2 ** 11)))
+# all zero, and each tier as built and tampered
+@example([np.zeros((2, 2, 2), dtype=object)] * 4, 1)
+@example(dense_sum(24), 1)
+@example(dense_sum(24, (13, -1)), 1)
+@example(dense_sum(28), 1)
+@example(dense_sum(28, (26, 1)), 1)
+@example(dense_sum(30), 1)
+@example(dense_sum(199, (0, 2 ** 150)), 1)
+# weight 3 2^11: products of residues must stay below 2^63 / 2^13
+@example(dense_sum(199, (5, 1)), 2 ** 11)
+def test_zero_test_matches_python_ints(ops, scale):
+    mask, _ = zero_test_masks(ops, scale=scale)
+    value = python_int_sum(ops)
+    assert (mask == (value != 0)).all()
+    assert np.argwhere(mask)[:1].tolist() == np.argwhere(value != 0)[:1].tolist()
+
+
+@pytest.mark.parametrize("bits,want", [(24, "one piece"), (28, "two limbs"),
+                                       (30, "residues"), (199, "residues")])
+def test_zero_test_takes_each_tier(bits, want):
+    # 3 (2^(bits+1))^2 against 2^53 for one piece, and 9 of them against
+    # 2^63 for the int64 tier
+    mask, test = zero_test_masks(dense_sum(bits))
+    assert tier(test) == want and not mask.any()
+    assert test.bound == 3 * 3 * (2 ** (bits + 1) - 2) ** 2
+
+
+def test_zero_test_keeps_values_past_2_53_exact():
+    # six products of a = 2^52 + 1, each exact in float64, whose running sum
+    # 3 a is not: only in int64 does a + a + a - a - a - a vanish
+    a = 2 ** 52 + 1
+    test = ZeroTest(a, 1, a, 6)
+    x, y = (test.operand(np.array([[v]], dtype=object), a) for v in (1, a))
+
+    def combine(x, y):
+        yield sum(c * test.product(x, y) for c in (1, 1, 1, -1, -1, -1))
+
+    mask, = test.nonzero(combine, x, y)
+    assert not mask.any()
+
+
+def test_zero_test_needs_every_residue_prime():
+    # the sum is delta, the product of the first three of the four residue
+    # primes that its bound 3 delta takes, so only the last prime sees it
+    p = residue_primes(2 ** 200, 1)
+    delta = p[0] * p[1] * p[2]
+    ops = [np.full((1, 1, 1), v, dtype=object) for v in (delta, 1, 0, 0)]
+    mask, test = zero_test_masks(ops, delta, delta)
+    assert mask.tolist() == [[[True]]]
+    assert test.moduli == p[:4]
 
 
 # ---------------------------------------------------------------------------

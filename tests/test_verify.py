@@ -417,13 +417,11 @@ def test_rtt_pairs_match_component_reference(case):
     # ordered pair's first failing entry matches the reference, on the
     # int64 tier (modulus None) in one limb and in two, and on residues
     mod, _ = case
-    pts, _, moduli, stacks = verify._rtt_grid(mod)
+    pts, _, pair = verify._rtt_grid(mod)
     ref = pair_rtt_failures(mod, pts)
     for a, b in itertools.combinations(range(len(pts)), 2):
         u, v = pts[a], pts[b]
-        got = verify._pair_failures(stacks, moduli, a, b, u - v,
-                                    mod.n, mod.dim)
-        assert got == (ref[u, v][0], ref[v, u][0])
+        assert pair(a, b) == (ref[u, v][0], ref[v, u][0])
     assert all(not ref[u, u][1] for u in pts)   # the diagonal holds
 
 
