@@ -41,7 +41,7 @@ import numpy as np
 from . import compiled
 from .compiled import MAX_FAILURES, CompiledOperators, IdentityReport
 from .fock import block_basis
-from .linalg import ZeroTest, int_matmul
+from .linalg import ZeroTest, int_matmul, stored_ints
 
 # Largest theta = +1 basis a realization enumerates: the
 # C(m n + truncation, truncation) monomials of degree <= truncation in m n
@@ -376,7 +376,8 @@ class XSeries:
     rep[a, b] representing E_ab.  coeffs is one (order + 2, m, m, rep_dim,
     rep_dim) integer array: coeffs[k][a, b] is the representing matrix of
     the u^{-k-1} coefficient of entry (a, b); coeffs[0] is the identity
-    coefficient and coeffs[1][a, b] = -theta rep(E_ba).
+    coefficient and coeffs[1][a, b] = -theta rep(E_ba).  coeffs is stored
+    as `linalg.stored_ints` stores it, with its largest |entry| `top`.
     """
 
     theta: int
@@ -385,6 +386,9 @@ class XSeries:
     rep: np.ndarray
     rep_dim: int
     coeffs: np.ndarray
+
+    def __post_init__(self):
+        self.coeffs, self.top = stored_ints(self.coeffs)
 
 
 def _series_identities(m: int, order: int) -> int:
@@ -420,12 +424,11 @@ def x_series(theta: int, m: int, order: int,
     _check_work(f"x_series to order {order}", _series_identities(m, order),
                 rep_dim=dim)
     size = m * dim
-    step = -theta * rep.transpose(1, 2, 0, 3).reshape(size, size)
-    flat = np.empty((order + 2, size, size), dtype=object)
-    flat[0] = np.eye(size, dtype=object)
+    step = stored_ints(-theta * rep.transpose(1, 2, 0, 3).reshape(size, size))[0]
+    flat = [np.eye(size, dtype=np.int64)]
     for k in range(order + 1):
-        flat[k + 1] = int_matmul(step, flat[k])
-    coeffs = flat.reshape(order + 2, m, dim, m, dim).transpose(0, 1, 3, 2, 4)
+        flat.append(int_matmul(step, flat[k]))
+    coeffs = np.reshape(flat, (order + 2, m, dim, m, dim)).transpose(0, 1, 3, 2, 4)
     return XSeries(theta, m, order, rep, dim, coeffs.copy())
 
 
@@ -438,7 +441,7 @@ def check_x_identities(series: XSeries) -> IdentityReport:
     generator entries (and at least one (r, s)); a pass forms its products
     x(k)_ab x(l)_cd by one batched product, a linear term as its product
     with the unit, and one `linalg.ZeroTest`, told that a partial sum is at
-    most dim T^2 (T the largest |entry| of x(0..order), or 1) and a value
+    most dim T^2 (T the series' stored largest |entry|, or 1) and a value
     sums at most max(6, 2 m + 2) products, finds the identities that fail.
     """
     th, m, K, dim = series.theta, series.m, series.order, series.rep_dim
@@ -446,8 +449,8 @@ def check_x_identities(series: XSeries) -> IdentityReport:
                 rep_dim=dim)
     # x(0..K), then the zero block that index -1 reads as x(-1)
     x = np.concatenate([series.coeffs[:K + 1], np.zeros(
-        (1, m, m, dim, dim), dtype=object)])
-    top = max(int(np.abs(x).max(initial=0)), 1)
+        (1, m, m, dim, dim), dtype=series.coeffs.dtype)])
+    top = max(series.top, 1)
     test = ZeroTest(top, dim, dim * top * top, max(6, 2 * m + 2))
     xs, unit = test.operand(x, top), test.operand(np.eye(dim, dtype=int), 1)
     rs = _order_pairs(K)[1:]

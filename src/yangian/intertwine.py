@@ -39,8 +39,8 @@ from typing import Sequence
 import numpy as np
 
 from .fock import PLAIN, TILDE, block_dim
-from .linalg import (RatMatrix, ZeroTest, _modular_rref,
-                     _nullspace_from_rref, _ratmatrix, int_matmul)
+from .linalg import (RatMatrix, ZeroTest, _lifted, _modular_rref,
+                     _nullspace_from_rref, _ratmatrix, int_matmul, stored_ints)
 from .modules import (
     ModuleParams,
     PatternFactor,
@@ -252,24 +252,33 @@ def _cyclic_span(gens: Sequence[np.ndarray], start: Sequence[np.ndarray]
     generator to the rows the last layer added, in one product per side
     against [g_1^T g_2^T ...] (candidate rows generator-major), clears the
     span's pivots from them (cands . d - cands[:, pivots] . R), eliminates
-    only what remains and folds the new rows into R.  Returns (R, pivots,
-    d) once side 0 has full rank or a layer adds no pivot.
+    only what remains and folds the new rows into R, every array stored by
+    `stored_ints` and each term in int64 only under its bound below 2^63.
+    Returns (R, pivots, d) once side 0 has full rank or a layer adds no
+    pivot.
     """
     sides, dim = len(start), len(start[0])
     count = len(gens[0])
     # [g_1^T g_2^T ...], one dim x (G dim) block row per side
     moves = [g.transpose(2, 0, 1).reshape(dim, count * dim) for g in gens]
-    red, pivots, d = np.zeros((0, sides * dim), dtype=object), [], 1
+    red, top_r, pivots, d = np.zeros((0, sides * dim), dtype=np.int64), 0, [], 1
     cands = np.concatenate(start).reshape(1, -1)
     while True:
-        new, added, e = _modular_rref(cands * d - int_matmul(cands[:, pivots], red))
+        cands, top = stored_ints(cands)
+        rows = _lifted(cands, max(top, 1) * (d + len(pivots) * top_r)) * d
+        new, added, e = _modular_rref(stored_ints(
+            rows - int_matmul(cands[:, pivots], red))[0])
         if not added:
             break
+        new, top_n = stored_ints(new)
         # the new rows vanish at the old pivots; clear theirs from R
-        red = np.vstack([red * e - int_matmul(red[:, added], new), new * d])
+        bound = max(top_r * (e + len(added) * top_n), top_n * d)
+        red = np.vstack([_lifted(red, bound) * e
+                         - int_matmul(red[:, added], new),
+                         _lifted(new, bound) * d])
         pivots, d = pivots + added, d * e
         g = math.gcd(d, *red.flat)
-        red, d = red // g, d // g
+        (red, top_r), d = stored_ints(red // g), d // g
         if not count or sum(c < dim for c in pivots) == dim:
             break
         cands = np.hstack([
@@ -319,10 +328,9 @@ def _verify_intertwiner(mat: RatMatrix, src: YangianModule,
     of A B_p is at most d1 max|A| max|B| and of C_p A d2 max|C| max|A|.  A
     is prepared for it once and each chunk's B and C stacks once.
     """
-    keys, bs, cs = coefficient_pairs(src, tgt)
+    keys, (bs, top_b), (cs, top_c) = coefficient_pairs(src, tgt)
     d2, d1 = mat.shape
-    top_a, top_b, top_c = (max(x.max(initial=0), -x.min(initial=0))
-                           for x in (mat.data, bs, cs))
+    top_a = mat.top
     test = ZeroTest(max(top_a, top_b, top_c), max(d1, d2),
                     max(d1 * top_b, d2 * top_c) * top_a, 2)
 
@@ -389,7 +397,7 @@ def _swap_pair(params: ModuleParams, fa: PatternFactor,
         raise NonGenericStepError(
             "non-generic step: a swapped pair has a degenerate highest-weight space")
     # lowering coefficients generate everything from the (integer) hw vectors
-    keys, bs, cs = coefficient_pairs(pair_src, pair_tgt)
+    keys, (bs, _), (cs, _) = coefficient_pairs(pair_src, pair_tgt)
     lowering = (keys[:, 0] > keys[:, 1]) & (bs != 0).any(axis=(1, 2))
     red, pivots, d = _cyclic_span((bs[lowering], cs[lowering]), tuple(
         distinguished_vector(params, f).data[:, 0] for f in ([fa, fb], [fb, fa])))
@@ -559,7 +567,7 @@ def hom_space(m1: YangianModule, m2: YangianModule) -> list[RatMatrix]:
     HOM_SPACE_MAX_UNKNOWNS.
     """
     d1, d2 = m1.dim, m2.dim
-    _, bs, cs = coefficient_pairs(m1, m2)
+    _, (bs, _), (cs, _) = coefficient_pairs(m1, m2)
     diagonal = ~((bs[:, ~np.eye(d1, dtype=bool)] != 0).any(axis=1)
                  | (cs[:, ~np.eye(d2, dtype=bool)] != 0).any(axis=1))
     allowed = (np.diagonal(cs[diagonal], axis1=1, axis2=2)[:, :, None]
@@ -594,17 +602,19 @@ def hom_space(m1: YangianModule, m2: YangianModule) -> list[RatMatrix]:
         c_at, c_val = col[s[e], r2], c[p[e], s2[e], s[e]]
         ids, row = np.unique(np.concatenate([b_rows, c_rows]),
                              return_inverse=True)
-        rows = np.zeros((len(ids), len(unknowns)), dtype=object)
+        # entries at most max|B| + max|C| < 2^54 when B and C are int64
+        rows = np.zeros((len(ids), len(unknowns)), dtype=np.result_type(bs, cs))
         rows[row[:len(b_rows)], b_at] = b_val
         np.subtract.at(rows, (row[len(b_rows):], c_at), c_val)
-        defect = int_matmul(rows, span.data)
+        defect = int_matmul(stored_ints(rows)[0], span.data)
         if not defect.any():
             continue
-        kept = _nullspace_from_rref(*_modular_rref(defect), span.ncols)
+        kept = _nullspace_from_rref(*_modular_rref(stored_ints(defect)[0]),
+                                    span.ncols)
         if not kept.ncols:
             return []
         span = span * kept
-    maps = np.zeros((d2 * d1, span.ncols), dtype=object)
+    maps = np.zeros((d2 * d1, span.ncols), dtype=span.data.dtype)
     maps[unknowns] = span.data
     return [_ratmatrix(m.reshape(d2, d1), span.den) for m in maps.T]
 
@@ -686,9 +696,9 @@ def kernel_quotient(intw: Intertwiner) -> QuotientModule:
     kernel = _nullspace_from_rref(red.data, pivots, red.den, mat.ncols)
     # R . N_k for every coefficient, over scale * red.den, as (row, i, j,
     # k, column): one product against the coefficients side by side
-    n, _, powers, dim, _ = src.ints.shape
+    n, _, powers, dim, _ = src.num.shape
     shape = (len(pivots), n, n, powers)
-    moved = int_matmul(red.data[:len(pivots)], src.ints.transpose(
+    moved = int_matmul(red.data[:len(pivots)], src.num.transpose(
         3, 0, 1, 2, 4).reshape(dim, -1)).reshape(*shape, dim)
     unstable = np.argwhere((int_matmul(moved.reshape(-1, dim), kernel.data) != 0)
                            .reshape(*shape, kernel.ncols).any(axis=(0, 4)))
@@ -704,7 +714,7 @@ def kernel_quotient(intw: Intertwiner) -> QuotientModule:
                          f"fails at (i, j, k, r, s) = {witness}")
     return QuotientModule(parent=src,
                           kernel_basis=tuple(
-                              tuple(Fraction(x, kernel.den) for x in col)
+                              tuple(Fraction(int(x), kernel.den) for x in col)
                               for col in kernel.data.T),
                           quotient=quotient)
 

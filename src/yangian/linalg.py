@@ -1,30 +1,34 @@
 """Exact rational arithmetic: polynomials, rational functions, dense matrices.
 
 Nothing in this module ever rounds.  A polynomial is a tuple of Python-int
-numerators over one positive denominator and a matrix one array of
-Python-int numerators over one positive denominator, both in lowest terms,
-so equal values have equal fields; all their arithmetic runs on the
-integers.  Polynomial division is integer pseudo-division, and the gcds
-that keep rational functions in lowest terms are primitive
-pseudo-remainder sequences.  `poly_rational_roots` lifts the roots of the
-square-free part of the numerators from one small prime by Newton's step
-and verifies every candidate exactly, so it factors no integer and its
-work is polynomial in the degree and the coefficient sizes.  Every
-`RatMatrix` product goes through `int_matmul`, the package's one integer
-product kernel, and `rref`, `rank`, `nullspace`, `solve` and `inverse` all
-read one certified modular elimination, `_modular_rref`: the matrix is
-reduced in int64 modulo primes below 2^31, the echelon form is rebuilt from
-as few primes as the answer needs by CRT and rational reconstruction, and
-it is accepted only when an exact check (one `int_matmul` and the echelon
-shape) proves it the canonical one.  A vector is a one-column `RatMatrix`
-and a basis one column per vector; single coefficients and entries are read
-back as Fractions.  `int_matmul` returns int64 for two int64 operands
-under its gate, so int64 values stay int64 through it, and Python ints
-otherwise.  `ZeroTest` tells the fused checks of `intertwine`, `hd` and
-`verify` which entries of a signed sum of integer matrix products are
-nonzero, from float64 products in one piece, in two limbs or modulo the
-`residue_primes`.  Whether integers are exact in float64 is decided here
-alone, by one limit, `FLOAT64_EXACT_LIMIT`, and one cast, `_as_float64`.
+numerators over one positive denominator and a matrix one integer array of
+numerators over one positive denominator, both in lowest terms, so equal
+values have equal fields; all their arithmetic runs on the integers.
+Polynomial division is integer pseudo-division, and the gcds that keep
+rational functions in lowest terms are primitive pseudo-remainder
+sequences.  `poly_rational_roots` lifts the roots of the square-free part
+of the numerators from one small prime by Newton's step and verifies every
+candidate exactly, so it factors no integer and its work is polynomial in
+the degree and the coefficient sizes.  Every integer matrix the package
+keeps or hands between layers is in the one form `stored_ints` decides,
+read-only int64 when every |entry| < 2^53 and else Python ints, with its
+largest |entry|; as int64 arithmetic wraps silently, an elementwise
+operation on them states a bound below 2^63 or lifts them (`_lifted`).
+Every `RatMatrix` product goes through `int_matmul`, the package's one
+integer product kernel, and `rref`, `rank`, `nullspace`, `solve` and
+`inverse` all read one certified modular elimination, `_modular_rref`: the
+matrix is reduced in int64 modulo primes below 2^31, the echelon form is
+rebuilt from as few primes as the answer needs by CRT and rational
+reconstruction, and it is accepted only when an exact check (one
+`int_matmul` and the echelon shape) proves it the canonical one.  A vector
+is a one-column `RatMatrix` and a basis one column per vector; single
+coefficients and entries are read back as Fractions.  `int_matmul` returns
+int64 for two int64 operands under its gate, and Python ints otherwise.
+`ZeroTest` tells the fused checks of `intertwine`, `hd` and `verify` which
+entries of a signed sum of integer matrix products are nonzero, from
+float64 products in one piece, in two limbs or modulo the `residue_primes`.
+Whether integers are exact in float64 is decided here alone, by one limit,
+`FLOAT64_EXACT_LIMIT`.
 """
 
 from __future__ import annotations
@@ -549,14 +553,15 @@ def ratfunc_normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 class RatMatrix:
     """Dense exact rational matrix: integer numerators over one denominator.
 
-    `data` is a 2-d numpy object array of Python ints and `den` a positive
-    int; the matrix is data / den, kept in lowest terms (no prime divides
-    den and every numerator, and the zero matrix has den 1), so equal
-    matrices have equal fields.  Entries are read back as Fractions.
-    Treated as a value: public operations never mutate in place.
+    `data` is a 2-d integer array in the stored form of `stored_ints`,
+    `top` its largest |entry| and `den` a positive int; the matrix is
+    data / den, kept in lowest terms (no prime divides den and every
+    numerator, and the zero matrix has den 1), so equal matrices have equal
+    fields.  Entries are read back as Fractions.  A value: data is
+    read-only, and operations build new matrices.
     """
 
-    __slots__ = ("data", "den")
+    __slots__ = ("data", "top", "den")
 
     def __init__(self, rows):
         rows = [[rat(x) for x in r] for r in rows]
@@ -568,26 +573,27 @@ class RatMatrix:
         den = math.lcm(*(x.denominator for r in rows for x in r))
         data = np.array([[x.numerator * (den // x.denominator) for x in r]
                          for r in rows], dtype=object).reshape(len(rows), width)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "den", den)
+        for name, value in zip(self.__slots__, (*stored_ints(data), den)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("RatMatrix is immutable; build a new one")
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return _ratmatrix(np.eye(n, dtype=np.int64).astype(object), 1)
+        return _ratmatrix(np.eye(n, dtype=np.int64), 1)
 
     @staticmethod
     def zeros(r: int, c: int) -> "RatMatrix":
-        return _ratmatrix(np.zeros((r, c), dtype=object), 1)
+        return _ratmatrix(np.zeros((r, c), dtype=np.int64), 1)
 
     @staticmethod
     def stack(blocks: Sequence[Sequence["RatMatrix"]]) -> "RatMatrix":
         """The block matrix with these rows of blocks, as `np.block`."""
         den = math.lcm(*(b.den for row in blocks for b in row))
-        return _ratmatrix(np.block([[b.data * (den // b.den) for b in row]
-                                    for row in blocks]), den)
+        return _ratmatrix(np.block([
+            [_lifted(b.data, max(b.top, 1) * (den // b.den)) * (den // b.den)
+             for b in row] for row in blocks]), den)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -605,7 +611,7 @@ class RatMatrix:
         """An entry as a Fraction; with slices or index lists, a submatrix."""
         x = self.data[ij]
         if not isinstance(x, np.ndarray):
-            return Fraction(x, self.den)
+            return Fraction(int(x), self.den)
         if x.ndim != 2:
             raise IndexError("a submatrix needs a row and a column index")
         return _ratmatrix(x, self.den)
@@ -621,13 +627,16 @@ class RatMatrix:
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         den = math.lcm(self.den, other.den)
-        return _ratmatrix(self.data * (den // self.den)
-                          + other.data * (den // other.den), den)
+        f, g = den // self.den, den // other.den
+        bound = max(self.top, 1) * f + max(other.top, 1) * g
+        return _ratmatrix(_lifted(self.data, bound) * f
+                          + _lifted(other.data, bound) * g, den)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RatMatrix":
+        # stored int64 entries are below 2^53, so their negations are exact
         return _ratmatrix(-self.data, self.den)
 
     def __mul__(self, other):
@@ -637,7 +646,8 @@ class RatMatrix:
             return _ratmatrix(int_matmul(self.data, other.data),
                               self.den * other.den)
         c = rat(other)
-        return _ratmatrix(self.data * c.numerator, self.den * c.denominator)
+        return _ratmatrix(_lifted(self.data, max(self.top, 1) * abs(c.numerator))
+                          * c.numerator, self.den * c.denominator)
 
     def __rmul__(self, other):
         return self * other
@@ -651,7 +661,8 @@ class RatMatrix:
         tests' references, directly and through `MatPoly.kron`, and the
         per-layer tracer in perfbench/tracer.py, which wraps it by name,
         keep it."""
-        a, b = self.data, other.data
+        bound = self.top * other.top
+        a, b = _lifted(self.data, bound), _lifted(other.data, bound)
         (r1, c1), (r2, c2) = a.shape, b.shape
         # out[i r2 + k, j c2 + l] = a[i, j] b[k, l], as one broadcast product
         out = (a[:, None, :, None] * b[None, :, None, :]).reshape(r1 * r2, c1 * c2)
@@ -660,7 +671,7 @@ class RatMatrix:
     def rref(self) -> tuple["RatMatrix", list[int]]:
         """Reduced row echelon form and its pivot columns."""
         red, pivots, d = _modular_rref(self.data)
-        full = np.zeros(self.shape, dtype=object)
+        full = np.zeros(self.shape, dtype=red.dtype)
         full[:len(pivots)] = red
         return _ratmatrix(full, d), pivots
 
@@ -684,7 +695,7 @@ class RatMatrix:
         red, pivots = RatMatrix.stack([[self, rhs]]).rref()
         if cols in pivots:
             return None
-        x = np.zeros((cols, 1), dtype=object)
+        x = np.zeros((cols, 1), dtype=red.data.dtype)
         x[pivots, 0] = red.data[:len(pivots), cols]
         return _ratmatrix(x, red.den)
 
@@ -714,10 +725,10 @@ def _ratmatrix(data: np.ndarray, den: int) -> RatMatrix:
     if den != 1:
         g = math.gcd(den, *data.flat)
         if g > 1:
-            data, den = data // g, den // g
+            data, den = _lifted(data, g) // g, den // g
     out = object.__new__(RatMatrix)
-    object.__setattr__(out, "data", data)
-    object.__setattr__(out, "den", den)
+    for name, value in zip(RatMatrix.__slots__, (*stored_ints(data), den)):
+        object.__setattr__(out, name, value)
     return out
 
 
@@ -737,7 +748,8 @@ def _nullspace_from_rref(red: np.ndarray, pivots: list[int], d: int,
     the reduced row echelon form of a matrix with ncols columns, its first
     len(pivots) rows nonzero; -red at the pivot rows, d at the free ones."""
     free = sorted(set(range(ncols)) - set(pivots))
-    basis = np.zeros((ncols, len(free)), dtype=object)
+    # R holds d at its pivots, so d fits R's dtype
+    basis = np.zeros((ncols, len(free)), dtype=red.dtype)
     basis[free, range(len(free))] = d
     basis[pivots] = -red[:len(pivots), free]
     return _ratmatrix(basis, d)
@@ -747,7 +759,8 @@ def _modular_rref(ints: np.ndarray) -> tuple[np.ndarray, list[int], int]:
     """The reduced row echelon form of an integer matrix A, certified.
 
     Returns (R, P, d): R / d is the nonzero part of rref(A), in lowest
-    terms, and P its pivot columns.  A is eliminated modulo word-size
+    terms and stored as `stored_ints` stores it, and P its pivot columns; A
+    is best stored so too.  A is eliminated modulo word-size
     primes (`_rref_mod`).  Only the primes of the best key are kept: the
     highest rank, then the earliest pivot set, since modulo a prime that
     divides a minor the rank drops or the pivots move right, never the
@@ -771,11 +784,6 @@ def _modular_rref(ints: np.ndarray) -> tuple[np.ndarray, list[int], int]:
     the loop ends.
     """
     cols = ints.shape[1]
-    # below 2^53 the float64 cast is exact, and its int64 copy spares the
-    # residues and the certificate's product a pass over Python ints
-    cast = _as_float64(ints)
-    if cast is not None and np.abs(cast).max(initial=0) < FLOAT64_EXACT_LIMIT:
-        ints = cast.astype(np.int64)
     best = None
     for p in _elimination_primes():
         red, pivots = _rref_mod(_residues(ints, p), p)
@@ -795,15 +803,16 @@ def _modular_rref(ints: np.ndarray) -> tuple[np.ndarray, list[int], int]:
         num, d = got
         if num[np.greater.outer(pivots, free)].any():
             continue
-        null = np.zeros((cols, len(free)), dtype=object)
+        # |entries| <= sqrt(modulus / 2): int64 whenever x is
+        null = np.zeros((cols, len(free)), dtype=num.dtype)
         null[pivots] = -num
         null[free, range(len(free))] = d
-        if int_matmul(ints, null).any():
+        if int_matmul(ints, stored_ints(null)[0]).any():
             continue
-        out = np.zeros((len(pivots), cols), dtype=object)
+        out = np.zeros((len(pivots), cols), dtype=num.dtype)
         out[range(len(pivots)), pivots] = d
         out[:, free] = num
-        return out, pivots, d
+        return stored_ints(out)[0], pivots, d
 
 
 # ---------------------------------------------------------------------------
@@ -907,36 +916,49 @@ class MatPoly:
 FLOAT64_EXACT_LIMIT = 2 ** 53
 
 
-def _as_float64(ints: np.ndarray) -> np.ndarray | None:
-    """The float64 cast of an integer array, or None when an entry is past
-    float64's range (about 2^1024), and so past FLOAT64_EXACT_LIMIT too.
+def stored_ints(ints: np.ndarray) -> tuple[np.ndarray, int]:
+    """An integer array in the one form the package stores, and its largest
+    |entry| M: read-only int64 when M < FLOAT64_EXACT_LIMIT, else read-only
+    Python ints, so readers branch on the dtype and read M.  M is read off
+    an int64 copy whenever every entry converts (each below 2^63 does); an
+    array already in its stored dtype is made read-only in place."""
+    if ints.dtype != np.int64:
+        try:
+            ints = ints.astype(np.int64)
+        except OverflowError:   # an |entry| of 2^63 or more
+            pass
+    top = _top(ints)
+    ints = ints.astype(np.int64 if top < FLOAT64_EXACT_LIMIT else object,
+                       copy=False)
+    ints.flags.writeable = False
+    return ints, top
 
-    Rounding to nearest is monotone and FLOAT64_EXACT_LIMIT is a float64,
-    so a sum, maximum or product of the casts' absolute values, all
-    nonnegative, is below the limit only when the exact value is: the
-    gates on the limit read their bounds off these casts."""
-    try:
-        return ints.astype(np.float64)
-    except OverflowError:
-        return None
+
+def _top(ints: np.ndarray) -> int:
+    """The largest |entry| of an integer array, exactly, with no temporary
+    of its size."""
+    return max(int(ints.max(initial=0)), -int(ints.min(initial=0)))
+
+
+def _lifted(ints: np.ndarray, bound: int) -> np.ndarray:
+    """Integers to form values from, bound bounding every |value| formed and
+    every Python int they are multiplied or divided by: as they are when
+    int64 and bound < 2^63, past which numpy's int64 arithmetic wraps
+    without a word, else lifted to Python ints."""
+    if ints.dtype == np.int64 and bound < 2 ** 63:
+        return ints
+    return ints.astype(object, copy=False)
 
 
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact a @ b of integer arrays, 2-d or stacked: float64 BLAS when
-    k max|a| max|b| < 2^53 (k the inner dimension), as every partial sum
-    is then an integer float64 holds, else Python-int matmul.  The maxima
-    are read off the `_as_float64` casts; a bound past float64's range
-    reads inf and fails the gate.  The result is int64 when both operands
-    are int64 and the gate passes, and Python ints in every other case."""
-    fa, fb = _as_float64(a), _as_float64(b)
-    if fa is not None and fb is not None:
-        # Python floats overflow to inf without numpy's RuntimeWarning
-        bound = (a.shape[-1] * float(np.abs(fa).max(initial=0))
-                 * float(np.abs(fb).max(initial=0)))
-        if bound < FLOAT64_EXACT_LIMIT:
-            # rebinding frees the casts and the float64 product before the copy
-            fa = fb = (fa @ fb).astype(np.int64)
-            return fa if a.dtype == b.dtype == np.int64 else fa.astype(object)
+    """Exact a @ b of integer arrays, 2-d or stacked: for two int64
+    operands, float64 BLAS when k max|a| max|b| < 2^53 (k the inner
+    dimension), as every partial sum is then an integer float64 holds,
+    returned as int64; else Python-int matmul, returned as Python ints, as
+    a stored Python-int operand (`stored_ints`) has an entry past 2^53."""
+    if a.dtype == b.dtype == np.int64:
+        if a.shape[-1] * _top(a) * _top(b) < FLOAT64_EXACT_LIMIT:
+            return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     return a.astype(object, copy=False) @ b.astype(object, copy=False)
 
 
@@ -1191,8 +1213,9 @@ def _wang(x: int, modulus: int, bound: int) -> tuple[int, int] | None:
 
 def _reconstruct(x: np.ndarray, modulus: int) -> tuple[np.ndarray, int] | None:
     """The fractions a / b = x modulo modulus with |a|, b <= sqrt(modulus /
-    2), as Python-int numerators over their least common denominator, or
-    None when an entry has none.
+    2), as numerators over their least common denominator, int64 when x is
+    and they are read off at once, else Python ints; or None when an entry
+    has none.
 
     x holds residues in [0, modulus).  While the common denominator D is
     within the bound, every entry whose symmetric residue of D x is within
@@ -1208,7 +1231,7 @@ def _reconstruct(x: np.ndarray, modulus: int) -> tuple[np.ndarray, int] | None:
         num = np.where(num > half, num - modulus, num)
         todo = (abs(num) > bound).nonzero()[0]
         if not len(todo):
-            return num.astype(object).reshape(x.shape), den
+            return num.reshape(x.shape), den
         got = _wang(int(flat[todo[0]]), modulus, bound)
         if got is None:
             return None

@@ -9,14 +9,14 @@ with deg P_ii = deg d, leading coefficient the identity, and deg P_ij < deg d
 off the diagonal.  The numerators form one integer array,
 num[i, j, k, r, s] = scale * (u^k coefficient of P_ij)[r, s], over one
 positive integer scale and kept in lowest terms.  A module stores that
-array once, exactly: in int64 (`num64`) when every |entry| is below
-`linalg.FLOAT64_EXACT_LIMIT`, else as Python ints.  Fock modules are
-filled and tensor products multiplied in int64 while a bound keeps every
-entry below the limit, so the Python ints of `num` are made only for the
-readers that need them, once per module.  This normal form survives
-tensor products (denominators multiply), parameter shifts and scalar
-twists, and makes every verification in this package a statement about
-integer coefficient arrays.
+array once, in the stored form of `linalg.stored_ints` (int64 below 2^53,
+else Python ints), with its largest |entry| `top`.  Fock modules are
+filled in int64 while a bound keeps every entry below 2^63, and tensor
+products multiplied in int64 while `int_matmul`'s gate passes, so small
+modules never make Python ints.  This normal form survives tensor
+products (denominators multiply), parameter shifts and scalar twists, and
+makes every verification in this package a statement about integer
+coefficient arrays.
 """
 
 from __future__ import annotations
@@ -40,14 +40,12 @@ from .fock import (
     first_variables_monomial,
     last_variables_monomial,
 )
-from .linalg import (FLOAT64_EXACT_LIMIT, Poly, RatFunc, RatMatrix,
-                     _as_float64, _poly, int_matmul, poly_gcd, rat)
+from .linalg import (Poly, RatFunc, RatMatrix, _lifted, _poly, int_matmul,
+                     poly_gcd, rat, stored_ints)
 
 # The largest n * dim of a module that fock_module or tensor_module builds:
 # its n^2 numerator entries are dense dim x dim matrices.
 MODULE_MAX_SIZE = 1024
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 T = TypeVar("T")
 
@@ -65,10 +63,8 @@ class YangianModule:
     holds the u^k coefficients of the P_ij, so num[i, i, deg d] = scale I
     and num[i, j, deg d] = 0 for i != j.  The constructor takes int64 or
     Python-int numerators, divides them and scale by their gcd and keeps
-    one exact form: int64 when every |entry| < FLOAT64_EXACT_LIMIT, read as
-    `num64`, else Python ints, and then num64 is None.  `num` is the
-    Python-int form, made from num64 on its first read and kept.  Both are
-    read-only: a module is a value, as RatMatrix.
+    `num` in the stored form of `linalg.stored_ints`, with its largest
+    |entry| `top`.  num is read-only: a module is a value, as RatMatrix.
     """
 
     def __init__(self, den: Poly, num: np.ndarray, scale: int = 1):
@@ -83,8 +79,7 @@ class YangianModule:
             raise ValueError("scale must be a positive integer")
         n, dim = num.shape[0], num.shape[3]
         # int64 numerators lead with scale, so one past int64 cannot match
-        if num.dtype != np.int64 or scale > _INT64_MAX:
-            num = num.astype(object, copy=False)
+        num = _lifted(num, scale)
         # the u^deg d coefficients as one (n dim)-square block matrix must be
         # scale I: n dim entries on the diagonal, each scale, and no other
         lead = num[:, :, -1].transpose(0, 2, 1, 3).reshape(n * dim, n * dim)
@@ -104,81 +99,61 @@ class YangianModule:
         self.dim = dim
         self.den = den
         self.scale = scale // g
-        self.num64 = self._num = None
-        cast = _as_float64(num)
-        if cast is not None and (np.abs(cast).max(initial=0)
-                                 < FLOAT64_EXACT_LIMIT):
-            self.num64 = num if num.dtype == np.int64 else cast.astype(np.int64)
-            self.num64.flags.writeable = False
-        if self.num64 is None or num.dtype == object:
-            self._num = num.astype(object, copy=False)
-            self._num.flags.writeable = False
-
-    @property
-    def num(self) -> np.ndarray:
-        """The numerators as Python ints, made once from num64 if need be."""
-        if self._num is None:
-            self._num = self.num64.astype(object)
-            self._num.flags.writeable = False
-        return self._num
-
-    @property
-    def ints(self) -> np.ndarray:
-        """The numerators in their stored exact form, num64 or else num: for
-        readers of a slice, which cast only what they read."""
-        return self.num if self.num64 is None else self.num64
+        self.num, self.top = stored_ints(num)
 
     def entry_ratfunc(self, i: int, j: int, r: int, s: int) -> RatFunc:
         """The (r, s) matrix element of T_ij(u) as a reduced rational function."""
-        return RatFunc(_poly(self.ints[i, j, :, r, s].tolist(), self.scale),
+        return RatFunc(_poly(self.num[i, j, :, r, s].tolist(), self.scale),
                        self.den)
 
     def equal_entrywise(self, other: "YangianModule") -> bool:
         """Same action entrywise, denominators may differ."""
         if (self.n, self.dim) != (other.n, other.dim):
             return False
-        return np.array_equal(*coefficient_pairs(self, other)[1:])
+        _, (b, _), (c, _) = coefficient_pairs(self, other)
+        return np.array_equal(b, c)
 
 
-def _cleared(mod: YangianModule, cofactor: Poly) -> tuple[np.ndarray, int]:
-    """The coefficients of P_ij(u) cofactor(u), for a monic cofactor, as
-    integers over a positive int, by one convolution of the cofactor's
-    numerators along the power axis."""
-    if cofactor.degree == 0:
-        return mod.num, mod.scale
-    n, _, powers, dim, _ = mod.num.shape
-    out = np.zeros((n, n, powers + cofactor.degree, dim, dim), dtype=object)
-    for t, c in enumerate(cofactor.num):
+def _cleared(mod: YangianModule, cofactor: Poly, mult: int) -> np.ndarray:
+    """mult times the numerators of P_ij(u) cofactor(u), for a monic
+    cofactor, as integers: one convolution of the cofactor's numerators
+    times mult along the power axis, whose entries are at most max|num|
+    sum |mult c|."""
+    cs = [mult * c for c in cofactor.num]
+    num = _lifted(mod.num, mod.top * sum(map(abs, cs)))
+    n, _, powers, dim, _ = num.shape
+    out = np.zeros((n, n, powers + cofactor.degree, dim, dim), dtype=num.dtype)
+    for t, c in enumerate(cs):
         if c:
-            out[:, :, t:t + powers] += mod.num * c
-    return out, mod.scale * cofactor.den
+            out[:, :, t:t + powers] += num * c
+    return out
 
 
-def coefficient_pairs(m1: YangianModule, m2: YangianModule
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def coefficient_pairs(m1: YangianModule, m2: YangianModule) -> tuple[
+        np.ndarray, tuple[np.ndarray, int], tuple[np.ndarray, int]]:
     """The coefficient pairs of the identity A . T1_ij(u) = T2_ij(u) . A.
 
     With T = P/d and g = gcd(d1, d2), the identity times d1 d2 / g is
     A . P1_ij (d2/g) = P2_ij (d1/g) . A, an equivalent identity of matrix
-    polynomials since Q[u] has no zero divisors.  Returns (keys, B, C):
-    the (P, 3) row-major (i, j, k) with B or C nonzero, and the (P, d1, d1)
-    and (P, d2, d2) Python-int stacks of the u^k coefficients of the two
-    sides' factors times one positive factor common to every pair, which
-    changes no identity; A is a module map exactly when A B = C A for all.
+    polynomials since Q[u] has no zero divisors.  Returns (keys, (B,
+    max|B|), (C, max|C|)): the (P, 3) row-major (i, j, k) with B or C
+    nonzero, and the (P, d1, d1) and (P, d2, d2) stacks, stored as
+    `stored_ints` stores them, of the u^k coefficients of the two sides'
+    factors times one positive factor common to every pair, which changes
+    no identity; A is a module map exactly when A B = C A for all.
     """
     if m1.n != m2.n:
         raise ValueError("rank mismatch")
     g = poly_gcd(m1.den, m2.den)
-    (b, sb), (c, sc) = _cleared(m1, m2.den // g), _cleared(m2, m1.den // g)
+    f1, f2 = m2.den // g, m1.den // g
+    sb, sc = m1.scale * f1.den, m2.scale * f2.den
     common = math.lcm(sb, sc)
-    if common != sb:
-        b = b * (common // sb)
-    if common != sc:
-        c = c * (common // sc)
+    b, c = _cleared(m1, f1, common // sb), _cleared(m2, f2, common // sc)
     # both sides have deg d1 + deg d2 - deg g + 1 powers
     b, c = b.reshape(-1, m1.dim, m1.dim), c.reshape(-1, m2.dim, m2.dim)
     keep = (b != 0).any(axis=(1, 2)) | (c != 0).any(axis=(1, 2))
-    return np.argwhere(keep.reshape(m1.n, m1.n, -1)), b[keep], c[keep]
+    return (np.argwhere(keep.reshape(m1.n, m1.n, -1)), stored_ints(b[keep]),
+            stored_ints(c[keep]))
 
 
 def trivial_module(n: int, dim: int = 1) -> YangianModule:
@@ -227,9 +202,9 @@ def fock_module(theta: int, n: int, flavor: str, z, degree: int) -> YangianModul
     delta_ij - x_j d_i/(u + theta (z - 1)).  A degree-0 component of 'plain'
     or 'prime' is trivial by inspection; for uniformity degree 0 always
     returns the trivial one-dimensional module.  The array is filled in
-    int64 when a bound on its entries is below FLOAT64_EXACT_LIMIT, else in
-    Python ints.  Raises ValueError when n * dim exceeds MODULE_MAX_SIZE,
-    before any matrix is built.
+    int64 when a bound on its entries is below 2^63, else in Python ints.
+    Raises ValueError when n * dim exceeds MODULE_MAX_SIZE, before any
+    matrix is built.
     """
     if flavor not in (PLAIN, TILDE, PRIME):
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -245,7 +220,7 @@ def fock_module(theta: int, n: int, flavor: str, z, degree: int) -> YangianModul
     # d_i x_j by at most one more, so |K| <= degree + 1, and every |entry|,
     # scale included, is at most scale (degree + 1) + |theta z_eff numerator|
     scale, shift = z_eff.denominator, theta * z_eff.numerator
-    dtype = (np.int64 if scale * (degree + 1) + abs(shift) < FLOAT64_EXACT_LIMIT
+    dtype = (np.int64 if scale * (degree + 1) + abs(shift) < 2 ** 63
              else object)
     ks = np.array([space.gl_action_matrix(flavor, i, j).data
                    for i in range(n) for j in range(n)], dtype=dtype)
@@ -262,19 +237,16 @@ def tensor_module(a: YangianModule, b: YangianModule) -> YangianModule:
     """Tensor product via the coproduct: P_ij = sum_l P_il (x) Q_lj, in the
     row-major Kronecker convention: per u-power k, to bound the temporaries,
     one `int_matmul` over (power s, l) against b's powers stacked
-    Toeplitz-wise (Q_lj's u^(k - s) coefficient at row (s, l)).  When both
-    factors have int64 numerators the products take them, and a power's
-    product stays int64 while `int_matmul`'s float64 gate passes; from the
-    first power past it the result holds Python ints.  Otherwise both
-    factors' Python ints are multiplied.  Raises ValueError, before any
-    product, when n * dim is over budget."""
+    Toeplitz-wise (Q_lj's u^(k - s) coefficient at row (s, l)).  A power's
+    product of two int64 factors stays int64 while `int_matmul`'s float64
+    gate passes; from the first power past it, or with a Python-int factor,
+    the result holds Python ints.  Raises ValueError, before any product,
+    when n * dim is over budget."""
     if a.n != b.n:
         raise ValueError("rank mismatch")
     n, dim = a.n, a.dim * b.dim
     _check_module_size(n, dim)
-    an, bn = a.num64, b.num64
-    if an is None or bn is None:
-        an, bn = a.num, b.num
+    an, bn = a.num, b.num
     ka, kb = an.shape[2], bn.shape[2]
     right = bn[:, :, ::-1].transpose(2, 0, 1, 3, 4).reshape(kb * n, -1)
     num = np.empty((n, n, ka + kb - 1, a.dim, b.dim, a.dim, b.dim), an.dtype)
@@ -315,8 +287,8 @@ def shift_module(mod: YangianModule, w) -> YangianModule:
     mix = np.array([[math.comb(k, t) * (-a) ** (k - t) * b ** (top - k + t)
                      if k >= t else 0 for k in range(top + 1)]
                     for t in range(top + 1)], dtype=object)
-    num = int_matmul(mix, mod.ints.reshape(*mod.ints.shape[:3], -1))
-    return YangianModule(mod.den.shift(-w), num.reshape(mod.ints.shape),
+    num = int_matmul(mix, mod.num.reshape(*mod.num.shape[:3], -1))
+    return YangianModule(mod.den.shift(-w), num.reshape(mod.num.shape),
                          mod.scale * b ** top)
 
 
@@ -328,16 +300,16 @@ def twist_module(mod: YangianModule, g: RatFunc) -> YangianModule:
     out = tensor_module(scalar_module(mod.n, g.num, g.den), mod)
     # cancel the common polynomial factor, if any, to keep degrees low
     common = out.den
-    for i, j, r, s in np.ndindex(out.ints.shape[:2] + out.ints.shape[3:]):
-        common = poly_gcd(common, _poly(out.ints[i, j, :, r, s].tolist(), 1))
+    for i, j, r, s in np.ndindex(out.num.shape[:2] + out.num.shape[3:]):
+        common = poly_gcd(common, _poly(out.num[i, j, :, r, s].tolist(), 1))
         if common.degree == 0:
             return out
     # the monic common factor is G / c, G its primitive numerators and c > 0
     # their lead, so out.num = scale P = scale (G / c) P' gives the new
     # numerators scale P' = c (out.num / G); G divides every entry in Z[u]
     # (Gauss's lemma), so the division is exact on the integers, one power
-    # at a time
-    rem = out.num.copy()
+    # at a time, on Python ints
+    rem = out.num.astype(object)
     m, powers, lead = common.degree, out.num.shape[2], common.num[-1]
     quo = np.zeros(out.num.shape[:2] + (powers - m,) + out.num.shape[3:],
                    dtype=object)

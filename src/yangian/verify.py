@@ -17,10 +17,10 @@ stacked as integer numerators over one common denominator; both sides are
 bilinear in the blocks at u0 and v0, so the denominators cancel, and the
 two products that compare (u0, v0) also compare (v0, u0).
 
-The two sides are compared exactly by one `linalg.ZeroTest` per grid,
-which picks float64 in one piece, two limbs or residue primes from the
-bound D = 2 (spread + 1) dim M^2 on every entry of lhs - rhs, M the
-largest absolute numerator of any stack and spread the largest |u0 - v0|.
+The stacks are stored by `linalg.stored_ints`, which keeps M, their
+largest |numerator|, and one `linalg.ZeroTest` per grid compares the two
+sides exactly, in float64 in one piece, two limbs or residue primes by the
+bound D = 2 (spread + 1) dim M^2 on lhs - rhs, spread the largest |u0 - v0|.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ from typing import Callable
 import numpy as np
 
 from .fock import PLAIN, PRIME, TILDE
-from .linalg import (FLOAT64_EXACT_LIMIT, Poly, RatFunc, RatMatrix,
-                     ZeroTest, _poly, _ratfunc, _ratmatrix, int_matmul,
-                     poly_rational_roots)
+from .linalg import (Poly, RatFunc, RatMatrix, ZeroTest, _poly, _ratfunc,
+                     _ratmatrix, int_matmul, poly_rational_roots, stored_ints)
 from .modules import (ModuleParams, PatternFactor, YangianModule,
                       scalar_module, source_pattern, tensor_module)
 
@@ -87,25 +86,18 @@ def _grid_stacks(mod: YangianModule, pts: list[int]) -> tuple[np.ndarray, int]:
     absolute value M: one contraction of the numerators with the
     Vandermonde matrix.
 
-    A module with `num64` is contracted with an int64 Vandermonde matrix,
-    and `int_matmul` returns int64 whenever its float64 gate passes, so no
-    Python int is made; a module without it, or a Vandermonde entry at or
-    past FLOAT64_EXACT_LIMIT (which fails that gate anyway), takes the
-    Python-int numerators.  Each point is divided by its gcd with the
-    scale, and M is exact."""
+    With the Vandermonde matrix stored by `stored_ints` and int64
+    numerators, `int_matmul` returns int64 whenever its float64 gate
+    passes.  Each point is divided by its gcd with the scale; M is exact."""
     powers = mod.den.degree + 1
-    num = mod.num64
-    if num is not None and pts[-1] ** (powers - 1) < FLOAT64_EXACT_LIMIT:
-        vander = np.vander(np.array(pts, dtype=np.int64), powers, True)
-    else:
-        num, vander = mod.num, np.vander(np.array(pts, dtype=object), powers,
-                                         True)
-    values = int_matmul(vander, np.moveaxis(num, 2, 0).reshape(
+    vander = stored_ints(np.vander(np.array(pts, dtype=object), powers,
+                                   True))[0]
+    values = int_matmul(vander, np.moveaxis(mod.num, 2, 0).reshape(
         powers, -1)).reshape(len(pts), -1, mod.dim)
     gcds = np.gcd.reduce(values.reshape(len(pts), -1), axis=1)
     values //= np.array([math.gcd(mod.scale, int(g)) for g in gcds],
                         dtype=values.dtype)[:, None, None]
-    return values, int(np.abs(values).max())
+    return stored_ints(values)
 
 
 # (i, j, r, k, l, s) -> (k, l, r, i, j, s): swaps the two generators
@@ -196,9 +188,8 @@ def check_rtt(mod: YangianModule) -> RttReport:
 def highest_weight_vectors(mod: YangianModule) -> RatMatrix:
     """Basis of the space killed by every T_ij(u) with i < j, one column
     per vector."""
-    upper = mod.ints[np.triu_indices(mod.n, 1)]
-    return _ratmatrix(upper.reshape(-1, mod.dim).astype(object, copy=False),
-                      1).nullspace()
+    upper = mod.num[np.triu_indices(mod.n, 1)]
+    return _ratmatrix(upper.reshape(-1, mod.dim), 1).nullspace()
 
 
 def eigenvalue_of(mod: YangianModule, i: int, vec: RatMatrix) -> RatFunc:
@@ -209,10 +200,10 @@ def eigenvalue_of(mod: YangianModule, i: int, vec: RatMatrix) -> RatFunc:
     if not len(support):
         raise ValueError("zero vector")
     pivot = support[0]
-    # imgs[k] = scale * c_k * ints, c_k the eigenvalue's u^k coefficient
-    imgs = int_matmul(mod.ints[i, i][:, :, support].reshape(-1, len(support)),
-                      ints[support, None]).reshape(-1, mod.dim)
-    if (imgs * ints[pivot] != np.outer(imgs[:, pivot], ints)).any():
+    # imgs[k] = scale * c_k * ints (c_k its u^k coefficient), in Python ints
+    imgs = int_matmul(mod.num[i, i][:, :, support].reshape(-1, len(support)),
+                      ints[support, None]).reshape(-1, mod.dim).astype(object)
+    if (imgs * int(ints[pivot]) != np.outer(imgs[:, pivot], ints)).any():
         raise ValueError(f"vector is not an eigenvector of entry {i}")
     return RatFunc(_poly(imgs[:, pivot].tolist(),
                          mod.scale * int(ints[pivot])), mod.den)
@@ -223,7 +214,7 @@ def hw_eigenvalues(mod: YangianModule, vec: RatMatrix) -> list[RatFunc]:
 
 
 def is_highest_weight(mod: YangianModule, vec: RatMatrix) -> bool:
-    upper = mod.ints[np.triu_indices(mod.n, 1)]
+    upper = mod.num[np.triu_indices(mod.n, 1)]
     return not int_matmul(upper.reshape(-1, mod.dim), vec.data).any()
 
 

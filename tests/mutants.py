@@ -57,10 +57,10 @@ MUTANTS = (
            ("tests/test_intertwine.py::"
             "test_certificate_matches_the_two_product_reference",)),
     Mutant("certificate-skipped", "intertwine.py",
-           "    keys, bs, cs = coefficient_pairs(src, tgt)\n"
+           "    keys, (bs, top_b), (cs, top_c) = coefficient_pairs(src, tgt)\n"
            "    d2, d1 = mat.shape\n",
            "    return None\n"
-           "    keys, bs, cs = coefficient_pairs(src, tgt)\n"
+           "    keys, (bs, top_b), (cs, top_c) = coefficient_pairs(src, tgt)\n"
            "    d2, d1 = mat.shape\n",
            ("tests/test_intertwine.py::"
             "test_certificate_matches_the_two_product_reference",)),
@@ -95,28 +95,44 @@ MUTANTS = (
            "ZeroTest(0, dim, 0, max(6, 2 * m + 2))",
            ("tests/test_hd.py::test_x_identities_match_reference",)),
     Mutant("int-matmul-gate-at-le", "linalg.py",
-           "        if bound < FLOAT64_EXACT_LIMIT:",
-           "        if bound <= FLOAT64_EXACT_LIMIT:",
+           "if a.shape[-1] * _top(a) * _top(b) < FLOAT64_EXACT_LIMIT:",
+           "if a.shape[-1] * _top(a) * _top(b) <= FLOAT64_EXACT_LIMIT:",
            ("tests/test_linalg.py::"
-            "test_int_matmul_matches_object_matmul_at_the_float64_edge",)),
+            "test_int_matmul_matches_object_matmul_at_the_float64_edge",
+            "tests/test_linalg.py::"
+            "test_int_matmul_int64_result_only_for_int64_pairs_under_the_gate")),
     Mutant("int-matmul-int64-for-mixed-pair", "linalg.py",
-           "return fa if a.dtype == b.dtype == np.int64 else fa.astype(object)",
-           "return fa if np.int64 in (a.dtype, b.dtype) else fa.astype(object)",
+           "    if a.dtype == b.dtype == np.int64:\n",
+           "    if np.int64 in (a.dtype, b.dtype):\n",
            ("tests/test_linalg.py::"
             "test_int_matmul_int64_result_only_for_int64_pairs_under_the_gate",)),
-    Mutant("num64-gate-at-le", "modules.py",
-           "        if cast is not None and (np.abs(cast).max(initial=0)\n"
-           "                                 < FLOAT64_EXACT_LIMIT):",
-           "        if cast is not None and (np.abs(cast).max(initial=0)\n"
-           "                                 <= FLOAT64_EXACT_LIMIT):",
-           ("tests/test_modules.py::test_num64_gate_at_the_float64_limit",)),
+    # a module's numerators are stored by the storage gate: its module test
+    Mutant("num64-gate-at-le", "linalg.py",
+           "ints.astype(np.int64 if top < FLOAT64_EXACT_LIMIT else object,",
+           "ints.astype(np.int64 if top <= FLOAT64_EXACT_LIMIT else object,",
+           ("tests/test_modules.py::test_storage_gate_at_the_float64_limit",)),
+    Mutant("storage-gate-at-le", "linalg.py",
+           "ints.astype(np.int64 if top < FLOAT64_EXACT_LIMIT else object,",
+           "ints.astype(np.int64 if top <= FLOAT64_EXACT_LIMIT else object,",
+           ("tests/test_storage.py::"
+            "test_ratmatrix_operations_keep_the_storage_rule",)),
+    Mutant("elementwise-op-without-lift", "linalg.py",
+           "        return _ratmatrix(_lifted(self.data, bound) * f\n",
+           "        return _ratmatrix(self.data * f\n",
+           ("tests/test_storage.py::"
+            "test_ratmatrix_operations_keep_the_storage_rule",)),
+    Mutant("cleared-pairs-without-lift", "modules.py",
+           "    num = _lifted(mod.num, mod.top * sum(map(abs, cs)))\n",
+           "    num = mod.num\n",
+           ("tests/test_storage.py::"
+            "test_pairs_equality_and_certificate_match_the_object_reference",)),
     Mutant("fock-int64-gate-without-shift", "modules.py",
-           "scale * (degree + 1) + abs(shift) < FLOAT64_EXACT_LIMIT",
-           "scale * (degree + 1) < FLOAT64_EXACT_LIMIT",
+           "scale * (degree + 1) + abs(shift) < 2 ** 63",
+           "scale * (degree + 1) < 2 ** 63",
            ("tests/test_modules.py::"
             "test_fock_module_fills_int64_only_below_the_limit",)),
     Mutant("echelon-identity-unchecked", "linalg.py",
-           "        if int_matmul(ints, null).any():\n"
+           "        if int_matmul(ints, stored_ints(null)[0]).any():\n"
            "            continue\n",
            "",
            ("tests/test_linalg.py::"
@@ -129,9 +145,11 @@ MUTANTS = (
            "",
            ("tests/test_linalg.py::"
             "test_certificate_rejects_forged_echelon_forms",)),
+    # the elimination's one int64 copy, of N, whose dtype follows the
+    # reconstruction's
     Mutant("elimination-int64-copy-without-bound", "linalg.py",
-           "if cast is not None and np.abs(cast).max(initial=0) < FLOAT64_EXACT_LIMIT:",
-           "if cast is not None:",
+           "null = np.zeros((cols, len(free)), dtype=num.dtype)",
+           "null = np.zeros((cols, len(free)), dtype=np.int64)",
            ("tests/test_linalg.py::"
             "test_modular_elimination_matches_bareiss_reference",)),
     Mutant("unlucky-first-prime-kept", "linalg.py",
@@ -241,6 +259,31 @@ MUTANTS = (
            "for atom in self.word_atoms.T[::-1, :, None] if len(src) else ():",
            "for atom in self.word_atoms.T[:, :, None] if len(src) else ():",
            ("tests/test_hd.py::test_word_maps_match_apply_word",)),
+    # each budget gate moved off its edge refuses the config at its limit
+    Mutant("module-budget-at-ge", "modules.py",
+           "if n * dim > MODULE_MAX_SIZE:",
+           "if n * dim >= MODULE_MAX_SIZE:",
+           ("tests/test_budgets.py::test_module_budget_admits_its_edge",)),
+    Mutant("rtt-budget-at-ge", "verify.py",
+           "if n * n * dim > RTT_MAX_SIZE:",
+           "if n * n * dim >= RTT_MAX_SIZE:",
+           ("tests/test_budgets.py::test_rtt_budget_admits_its_edge",)),
+    Mutant("step-budget-at-ge", "intertwine.py",
+           "if work > STEP_MAX_WORK:",
+           "if work >= STEP_MAX_WORK:",
+           ("tests/test_budgets.py::test_step_budget_admits_its_edge",)),
+    Mutant("hom-space-budget-at-ge", "intertwine.py",
+           "if len(unknowns) > HOM_SPACE_MAX_UNKNOWNS:",
+           "if len(unknowns) >= HOM_SPACE_MAX_UNKNOWNS:",
+           ("tests/test_budgets.py::test_hom_space_budget_admits_its_edge",)),
+    Mutant("basis-budget-at-ge", "hd.py",
+           "if size > BASIS_MAX_SIZE:",
+           "if size >= BASIS_MAX_SIZE:",
+           ("tests/test_budgets.py::test_basis_budget_admits_its_edge",)),
+    Mutant("work-budget-at-ge", "hd.py",
+           "if work > WORK_MAX:",
+           "if work >= WORK_MAX:",
+           ("tests/test_budgets.py::test_work_budget_admits_its_edge",)),
 )
 
 

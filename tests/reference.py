@@ -25,6 +25,7 @@ table of its own, whose witness text the shared tables must print, and
 last the series identities checked one pair of orders at a time.
 """
 import copy
+import itertools
 import math
 from fractions import Fraction
 
@@ -46,7 +47,8 @@ from yangian.intertwine import (
     hom_space,
     zeta_factor,
 )
-from yangian.linalg import MatPoly, RatMatrix, _ratmatrix, int_matmul
+from yangian.linalg import (MatPoly, RatMatrix, _ratmatrix, int_matmul,
+                            poly_gcd)
 from yangian.modules import (
     YangianModule,
     coefficient_pairs,
@@ -55,6 +57,133 @@ from yangian.modules import (
     source_pattern,
     tensor_module,
 )
+
+
+def storage_rule(ints):
+    """The dtype and largest |entry| that `yangian.linalg.stored_ints`
+    keeps an integer array with, read off its entries as Python ints: int64
+    when every |entry| is below 2^53, else object."""
+    top = max((abs(int(x)) for x in np.asarray(ints).flat), default=0)
+    return (np.int64 if top < 2 ** 53 else object), top
+
+
+def assert_stored(ints, top=None):
+    """ints is stored by `storage_rule`: read-only, of its dtype, Python
+    ints when object, and top, when given, its largest |entry|."""
+    dtype, want = storage_rule(ints)
+    assert ints.dtype == dtype and not ints.flags.writeable
+    assert dtype is np.int64 or all(type(x) is int for x in ints.flat)
+    assert top is None or top == want
+
+
+def ref_rref(a):
+    """Fraction Gauss-Jordan: the reduced rows and the pivot columns."""
+    m = [list(r) for r in a]
+    pivots = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def lowest_terms(rows):
+    """The integer numerators and the denominator of a matrix of Fractions
+    in lowest terms, as nested lists of Python ints and an int."""
+    den = math.lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (den // x.denominator) for x in r]
+            for r in rows], den
+
+
+def module_ints(low, scale):
+    """The (n, n, 2, dim, dim) Python-int numerators of a module over a
+    monic linear denominator: low at u^0, scale I at u^1."""
+    n, dim = len(low), len(low[0][0])
+    num = np.zeros((n, n, 2, dim, dim), dtype=object)
+    num[:, :, 0] = np.array(low, dtype=object).reshape(n, n, dim, dim)
+    for i in range(n):
+        num[i, i, 1] = np.diag([scale] * dim).astype(object)
+    return num
+
+
+def _convolve(num, cofactor):
+    """The u-coefficients of P_ij(u) cofactor(u) on Python ints, for num
+    nested as [i][j][k][r][s] and cofactor a list of ints, low first."""
+    powers = len(num[0][0]) + len(cofactor) - 1
+    dim = len(num[0][0][0])
+    return [[[[[sum(c * row[k - t][r][s] for t, c in enumerate(cofactor)
+                    if 0 <= k - t < len(row))
+                for s in range(dim)] for r in range(dim)]
+              for k in range(powers)] for row in side] for side in num]
+
+
+def tensor_ints(a, b):
+    """The numerators, lowest-terms scale and denominator of
+    tensor_module(a, b), by the coproduct sum_l P_il (x) Q_lj over the u
+    powers on Python ints, row-major Kronecker."""
+    x, y = a.num.tolist(), b.num.tolist()
+    n, da, db = a.n, a.dim, b.dim
+    ka, kb = len(x[0][0]), len(y[0][0])
+    num = [[[[[sum(x[i][l][s][r // db][c // db] * y[l][j][k - s][r % db][c % db]
+                   for l in range(n) for s in range(ka) if 0 <= k - s < kb)
+               for c in range(da * db)] for r in range(da * db)]
+             for k in range(ka + kb - 1)] for j in range(n)] for i in range(n)]
+    scale = a.scale * b.scale
+    g = math.gcd(scale, *np.array(num, dtype=object).flat)
+    return (np.array(num, dtype=object) // g).tolist(), scale // g, a.den * b.den
+
+
+def cleared_pairs(m1, m2):
+    """(keys, B, C) of `yangian.modules.coefficient_pairs` as lists of
+    Python ints: the u^k coefficients of P1_ij (d2/g) and P2_ij (d1/g), g =
+    gcd(d1, d2), by convolution loops, each side over its scale times its
+    cofactor's denominator and both brought to the least common one."""
+    g = poly_gcd(m1.den, m2.den)
+    sides = [(_convolve(mod.num.tolist(), list((other.den // g).num)),
+              mod.scale * (other.den // g).den)
+             for mod, other in ((m1, m2), (m2, m1))]
+    common = math.lcm(*(s for _, s in sides))
+    (b, sb), (c, sc) = sides
+    keys, bs, cs = [], [], []
+    for i, j in itertools.product(range(m1.n), repeat=2):
+        for k in range(len(b[i][j])):
+            if any(map(any, b[i][j][k])) or any(map(any, c[i][j][k])):
+                keys.append((i, j, k))
+                bs.append([[x * (common // sb) for x in r] for r in b[i][j][k]])
+                cs.append([[x * (common // sc) for x in r] for r in c[i][j][k]])
+    return keys, bs, cs
+
+
+def same_action(m1, m2):
+    """Whether two modules act alike entry by entry, cross-multiplied on
+    Python ints: P1 d1.den s2 d2.num = P2 d2.den s1 d1.num."""
+    if (m1.n, m1.dim) != (m2.n, m2.dim):
+        return False
+    left = _convolve(m1.num.tolist(), [x * m1.den.den * m2.scale
+                                       for x in m2.den.num])
+    right = _convolve(m2.num.tolist(), [x * m2.den.den * m1.scale
+                                        for x in m1.den.num])
+    return left == right
+
+
+def pair_witness(a, keys, bs, cs):
+    """The first (i, j, k, r, s), pair by pair and row-major, where the
+    Python-int lists A B_p and C_p A differ, summed term by term, or None."""
+    rows, cols = len(a), len(a[0])
+    for key, b, c in zip(keys, bs, cs):
+        for r in range(rows):
+            for s in range(cols):
+                left = sum(a[r][t] * b[t][s] for t in range(cols))
+                if left != sum(c[r][t] * a[t][s] for t in range(rows)):
+                    return (*key, r, s)
+    return None
 
 
 def coefficient(mod, i, j, k):
@@ -327,8 +456,8 @@ def lowering_pairs(params, fa, fb):
     fb (x) fa below the diagonal with B nonzero: the swap's generators."""
     theta, n = params.theta, params.n
     mods = [fock_module(theta, n, f.kind, f.param, f.degree) for f in (fa, fb)]
-    keys, bs, cs = coefficient_pairs(tensor_module(*mods),
-                                     tensor_module(*mods[::-1]))
+    keys, (bs, _), (cs, _) = coefficient_pairs(tensor_module(*mods),
+                                               tensor_module(*mods[::-1]))
     low = [p for p, (i, j, _) in enumerate(keys.tolist())
            if i > j and bs[p].any()]
     return keys[low], bs[low], cs[low]
@@ -357,7 +486,7 @@ def verify_intertwiner(mat, src, tgt):
     (i, j, k, r, s) of `yangian.intertwine._verify_intertwiner`, from the
     two whole products mat [B_1 B_2 ...] and [C_1; C_2; ...] mat compared
     on every pair at once."""
-    keys, bs, cs = coefficient_pairs(src, tgt)
+    keys, (bs, _), (cs, _) = coefficient_pairs(src, tgt)
     if not len(keys):
         return None
     rows, cols = mat.shape
@@ -376,16 +505,9 @@ def two_product_loop(mat, src, tgt):
     """The witness (i, j, k, r, s) of `verify_intertwiner`, or None, from
     the entries of A B_p and C_p A summed term by term on Python ints, pair
     by pair and row-major."""
-    keys, bs, cs = coefficient_pairs(src, tgt)
-    a = mat.data.tolist()
-    rows, cols = mat.shape
-    for key, b, c in zip(keys.tolist(), bs.tolist(), cs.tolist()):
-        for r in range(rows):
-            for s in range(cols):
-                left = sum(a[r][t] * b[t][s] for t in range(cols))
-                if left != sum(c[r][t] * a[t][s] for t in range(rows)):
-                    return (*key, r, s)
-    return None
+    keys, (bs, _), (cs, _) = coefficient_pairs(src, tgt)
+    return pair_witness(mat.data.tolist(), [tuple(k) for k in keys.tolist()],
+                        bs.tolist(), cs.tolist())
 
 
 def reference_kernel_quotient(intw):

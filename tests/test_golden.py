@@ -21,11 +21,12 @@ for byte.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from yangian import cli
+from yangian import cli, linalg
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 NAMES = sorted(p.name[:-len(".config.json")]
@@ -50,4 +51,32 @@ def test_golden_report_is_byte_identical(stem, tmp_path, capsys):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert text == (GOLDEN / f"{stem}.report.json").read_text()
     assert code == (0 if report["status"] == "pass" else 1)
+    capsys.readouterr()
+
+
+# Python-int operands of int_matmul whose entries all fit below 2^53, over
+# every golden config: the 9 column slices of wider Python-int arrays in
+# `intertwine._cyclic_span`, every other integer matrix being in the form
+# of `linalg.stored_ints`.  The count is the same on every host, so code
+# that falls back to Python ints where int64 would do shows here.
+SMALL_PYTHON_INT_OPERANDS = 9
+
+
+def test_goldens_hand_int_matmul_few_small_python_int_operands(
+        monkeypatch, tmp_path, capsys):
+    kernel, seen = linalg.int_matmul, []
+
+    def counted(a, b):
+        seen.extend(x.dtype == object and all(abs(v) < 2 ** 53 for v in x.flat)
+                    for x in (a, b))
+        return kernel(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("yangian") and getattr(
+                module, "int_matmul", None) is kernel:
+            monkeypatch.setattr(module, "int_matmul", counted)
+    for stem in NAMES:
+        cli.main(["--config", str(GOLDEN / f"{stem}.config.json"),
+                  "--output", str(tmp_path / "report.json")])
+    assert seen and sum(seen) <= SMALL_PYTHON_INT_OPERANDS
     capsys.readouterr()

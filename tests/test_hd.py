@@ -1,5 +1,6 @@
 """Tests for the operator realization and the series-homomorphism checks."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -152,7 +153,7 @@ def test_x_series_rejects_a_non_integer_rep():
     want = x_series(1, 2, 3).coeffs
     for rep in (half * 2, defining_rep(2).astype(np.int64)):
         series = x_series(1, 2, 3, rep)
-        assert series.coeffs.dtype == object
+        assert series.coeffs.dtype == np.int64
         assert (series.coeffs == want).all()
 
 
@@ -176,8 +177,7 @@ def test_order_pairs_at_the_alpha_budget_edge_stay_small():
 
 
 def test_x_identities_detect_perturbation():
-    s = x_series(1, 2, 3)
-    s.coeffs[1][0, 0][0, 0] += 1
+    s = _bump(x_series(1, 2, 3), 1, 0, 0, 0, 0, 1)
     report = check_x_identities(s)
     assert not report.ok and report.failures
 
@@ -202,9 +202,7 @@ def test_alpha_tensor_square_rep():
 
 def test_alpha_detects_perturbed_series():
     real = realize(1, 2, 1, 1)
-    s = x_series(1, 2, 4)
-    s.coeffs[2][0, 0] = s.coeffs[2][0, 0].copy()
-    s.coeffs[2][0, 0][0, 0] += 1
+    s = _bump(x_series(1, 2, 4), 2, 0, 0, 0, 0, 1)
     report = check_alpha(real, 4, series=s)
     assert not report.ok
     assert not report.yangian.ok
@@ -375,14 +373,16 @@ def perturbed_realizations(draw):
                                       st.integers(0, m - 1),
                                       st.sampled_from((-2, 1, 3))))
     if bump:
-        _bump(series, *bump)
+        series = _bump(series, *bump)
     return real, order, series
 
 
 def _bump(series, k, a, b, row, col, delta):
-    """Add delta to one entry of one series coefficient; returns series."""
-    series.coeffs[k][a, b][row, col] += delta
-    return series
+    """The series with delta added to one entry of one coefficient: a new
+    series, as the stored coefficients are read-only."""
+    coeffs = series.coeffs.astype(object)
+    coeffs[k][a, b][row, col] += delta
+    return dataclasses.replace(series, coeffs=coeffs)
 
 
 @st.composite
@@ -404,7 +404,7 @@ def bumped_series(draw):
             st.integers(0, d - 1), st.sampled_from(
                 (-2, 1, 3, edge, -edge, edge + 1, -edge - 1, 2 ** 62))),
             max_size=4)):
-        _bump(series, *bump)
+        series = _bump(series, *bump)
     return series
 
 
@@ -555,7 +555,7 @@ def test_int64_bound_both_sides(monkeypatch, order, bump, dtype):
     real = OperatorRealization(1, 2, 1, 1)
     series = x_series(1, 2, order, tensor_square_rep(2))
     if bump:
-        _bump(series, 2, 0, 1, 1, 2, bump)
+        series = _bump(series, 2, 0, 1, 1, 2, bump)
     alpha = check_alpha(real, order, series=series)
     assert seen == [dtype]
     assert (alpha.yangian, alpha.commutant) == reference.alpha(real, order,

@@ -476,11 +476,15 @@ def test_coefficient_pairs_match_whole_denominator_reference(pair):
                     want[i, j, k] = q1.coeff(k), q2.coeff(k)
     # the nonzero pairs in (i, j, k) order, as stacks of integer matrices
     # times one positive factor common to all of them
-    keys, bs, cs = coefficient_pairs(m1, m2)
+    keys, (bs, top_b), (cs, top_c) = coefficient_pairs(m1, m2)
     assert [tuple(key) for key in keys.tolist()] == sorted(want)
     assert bs.shape == (len(keys), m1.dim, m1.dim)
     assert cs.shape == (len(keys), m2.dim, m2.dim)
-    assert all(type(x) is int for x in (*bs.flat, *cs.flat))
+    # each stack in its stored form, with its largest |entry|
+    for stack, top in ((bs, top_b), (cs, top_c)):
+        assert top == max((abs(int(x)) for x in stack.flat), default=0)
+        assert stack.dtype == (np.int64 if top < 2 ** 53 else object)
+        assert not stack.flags.writeable
     factors = set()
     for key, b, c in zip(keys.tolist(), bs, cs):
         b, c = _ratmatrix(b, 1), _ratmatrix(c, 1)
@@ -693,7 +697,7 @@ def test_hom_space_eliminates_once_per_chunk_with_nonzero_rows(
     monkeypatch.setattr(intertwine, "_modular_rref", elimination)
     monkeypatch.setattr(linalg, "_modular_rref", elimination)
     assert hom_space(m1, m2) == want
-    _, bs, cs = coefficient_pairs(m1, m2)
+    _, (bs, _), (cs, _) = coefficient_pairs(m1, m2)
     off_diagonal = sum((b != np.diag(np.diagonal(b))).any()
                        or (c != np.diag(np.diagonal(c))).any()
                        for b, c in zip(bs, cs))
@@ -1110,9 +1114,10 @@ def test_target_side_pivot_is_refused(monkeypatch):
     pairs = intertwine.coefficient_pairs
 
     def with_extra(m1, m2):
-        got = pairs(m1, m2)
-        return tuple(np.concatenate([x, extra[None]])
-                     for x, extra in zip(got, (keys[0], bs[0], cs[1])))
+        got_keys, (got_bs, top_b), (got_cs, top_c) = pairs(m1, m2)
+        return (np.concatenate([got_keys, keys[:1]]),
+                (np.concatenate([got_bs, bs[:1]]), top_b),
+                (np.concatenate([got_cs, cs[1:2]]), top_c))
 
     monkeypatch.setattr(intertwine, "coefficient_pairs", with_extra)
     with pytest.raises(NonGenericStepError, match="pivot on the target side"):

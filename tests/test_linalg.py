@@ -29,6 +29,7 @@ from yangian.linalg import (
 )
 
 from reference import (
+    assert_stored,
     bareiss_gauss_jordan,
     column,
     divisor_rational_roots,
@@ -41,6 +42,7 @@ from reference import (
     ref_mul,
     ref_normalize,
     ref_poly,
+    ref_rref,
     ref_shift,
 )
 
@@ -395,12 +397,21 @@ def matmul_operands(draw):
 @example((np.full((2, 2, 0), 2 ** 1100, dtype=object),
           np.zeros((2, 0, 3), dtype=object)))
 def test_int_matmul_matches_object_matmul_at_the_float64_edge(operands):
+    # Python-int operands give Python ints; their int64 casts, where every
+    # entry fits, give int64 exactly when k max|a| max|b| < 2^53
     a, b = operands
-    got = int_matmul(a, b)
     want = a @ b
-    assert got.dtype == object and got.shape == want.shape
-    assert (got == want).all()
-    assert all(type(x) is int for x in got.flat)
+    pairs = [(a, b)]
+    if all(abs(x) < 2 ** 63 for x in (*a.flat, *b.flat)):
+        pairs.append((a.astype(np.int64), b.astype(np.int64)))
+    for left, right in pairs:
+        got = int_matmul(left, right)
+        bound = a.shape[-1] * max(map(abs, a.flat), default=0) * max(
+            map(abs, b.flat), default=0)
+        fast = left.dtype == np.int64 and bound < 2 ** 53
+        assert got.dtype == (np.int64 if fast else object)
+        assert got.shape == want.shape and (got == want).all()
+        assert fast or all(type(x) is int for x in got.flat)
 
 
 @pytest.mark.parametrize("k,ma,mb,int64_out", [
@@ -662,24 +673,6 @@ def ref_matmul(a, b):
              for j in range(len(b[0]))] for i in range(len(a))]
 
 
-def ref_rref(a):
-    """Fraction Gauss-Jordan: the reduced rows and the pivot columns."""
-    m = [list(r) for r in a]
-    pivots = []
-    for c in range(len(m[0])):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-    return m, pivots
-
-
 def ref_nullspace(a):
     red, pivots = ref_rref(a)
     cols = len(a[0])
@@ -828,10 +821,10 @@ def test_modular_elimination_matches_bareiss_reference(a):
     # Bareiss's last pivot may be negative
     g = math.gcd(d, *red.flat) * (1 if d > 0 else -1)
     got, got_pivots, got_d = linalg._modular_rref(ints)
-    # the same echelon form in lowest terms, as Python ints
+    # the same echelon form in lowest terms, in its stored form
     assert got_pivots == pivots and got_d == d // g
     assert got.shape == red.shape and (got == red // g).all()
-    assert all(type(x) is int for x in got.flat)
+    assert_stored(got)
     fractions_a = [[Fraction(x) for x in r] for r in a]
     want, want_pivots = ref_rref(fractions_a)
     ma = RatMatrix(a)

@@ -31,7 +31,7 @@ from yangian.modules import (
     twist_module,
 )
 
-from reference import entry_matpoly
+from reference import assert_stored, entry_matpoly
 
 THIRD = Fraction(1, 3)
 
@@ -276,17 +276,9 @@ def test_tensor_all_empty_raises():
 
 
 def assert_exact_forms(mod):
-    """num64 is num, as int64, exactly when every |entry| is below the
-    float64 limit, and both forms are read-only."""
-    top = max((abs(int(x)) for x in mod.num.flat), default=0)
-    assert all(type(x) is int for x in mod.num.flat)
-    assert not mod.num.flags.writeable
-    if top < FLOAT64_EXACT_LIMIT:
-        assert mod.num64 is not None and mod.num64.dtype == np.int64
-        assert not mod.num64.flags.writeable
-        assert (mod.num64 == mod.num).all()
-    else:
-        assert mod.num64 is None
+    """num is int64 exactly when every |entry| is below the float64 limit,
+    else Python ints, read-only either way, and top is its max |entry|."""
+    assert_stored(mod.num, mod.top)
 
 
 def fock_reference(theta, n, flavor, z, degree):
@@ -381,58 +373,57 @@ def _linear_module(c, scale=1, dtype=object):
 
 
 @pytest.mark.parametrize("dtype", [object, np.int64])
-def test_num64_gate_at_the_float64_limit(dtype):
+def test_storage_gate_at_the_float64_limit(dtype):
     for c in (FLOAT64_EXACT_LIMIT - 1, -(FLOAT64_EXACT_LIMIT - 1)):
         mod = _linear_module(c, dtype=dtype)
-        assert mod.num64 is not None and mod.num64.dtype == np.int64
-        assert mod.num64.tolist() == mod.num.tolist() == [[[[[c]], [[1]]]]]
+        assert mod.num.dtype == np.int64 and mod.top == abs(c)
+        assert mod.num.tolist() == [[[[[c]], [[1]]]]]
         assert_exact_forms(mod)
-    for c in (FLOAT64_EXACT_LIMIT, -FLOAT64_EXACT_LIMIT):
+    # 2^53 + 1 casts to 2^53 in float64: only the exact value may be kept
+    for c in (FLOAT64_EXACT_LIMIT, -FLOAT64_EXACT_LIMIT,
+              FLOAT64_EXACT_LIMIT + 1, -FLOAT64_EXACT_LIMIT - 1):
         mod = _linear_module(c, dtype=dtype)
-        assert mod.num64 is None
+        assert mod.num.dtype == object and mod.top == abs(c)
         assert mod.num.tolist() == [[[[[c]], [[1]]]]]
         assert_exact_forms(mod)
     # the gcd is taken before the gate: 2 (2^53 - 1) over 2 is stored whole
     # in int64, and 2^54 + 2 over 2 is not
     halved = _linear_module(2 * (FLOAT64_EXACT_LIMIT - 1), 2, dtype)
-    assert halved.scale == 1 and halved.num64 is not None
-    assert _linear_module(2 * FLOAT64_EXACT_LIMIT + 2, 2, dtype).num64 is None
+    assert halved.scale == 1 and halved.num.dtype == np.int64
+    assert _linear_module(2 * FLOAT64_EXACT_LIMIT + 2, 2,
+                          dtype).num.dtype == object
 
 
 def test_both_forms_are_read_only():
     mod = fock_module(1, 2, TILDE, Fraction(5, 7), 2)
-    assert_exact_forms(mod)
-    for form in (mod.num64, mod.num):
-        with pytest.raises(ValueError):
-            form[0, 0, 0, 0, 0] = 1
-    # num is made once, and a Python-int module stores only num
-    assert mod.num is mod.num
     big = fock_module(1, 2, TILDE, Fraction(1, 2 ** 60 + 33), 2)
-    assert big.num64 is None and big.num is big.num
-    with pytest.raises(ValueError):
-        big.num[0, 0, 0, 0, 0] = 1
+    assert (mod.num.dtype, big.num.dtype) == (np.int64, object)
+    for form in (mod, big):
+        assert_exact_forms(form)
+        with pytest.raises(ValueError):
+            form.num[0, 0, 0, 0, 0] = 1
 
 
 def test_int64_numerators_are_validated_as_python_ints():
     m = fock_module(1, 2, PLAIN, THIRD, 1)
-    num = m.num64.copy()
+    num = m.num.copy()
     num[0, 1, 1, 0, 0] = 1        # a leading coefficient off 0
     for bad in (num, num.astype(object)):
         with pytest.raises(ValueError):
             YangianModule(m.den, bad, m.scale)
     # a scale past int64 cannot lead int64 numerators
     with pytest.raises(ValueError):
-        YangianModule(m.den, m.num64, 2 ** 63 + m.scale)
-    assert same_array(YangianModule(m.den, m.num64 * 6, m.scale * 6), m)
+        YangianModule(m.den, m.num, 2 ** 63 + m.scale)
+    assert same_array(YangianModule(m.den, m.num * 6, m.scale * 6), m)
 
 
 @pytest.mark.parametrize("z", [
     FLOAT64_EXACT_LIMIT - 2, FLOAT64_EXACT_LIMIT - 1, 2 ** 63 - 1, 2 ** 64,
     Fraction(FLOAT64_EXACT_LIMIT // 2 - 2, 2)])
 def test_fock_module_fills_int64_only_below_the_limit(z):
-    # degree 1, so max|K| = 1 and the bound is scale + |theta z_eff
-    # numerator|: just under the limit, at it, and where an int64 fill
-    # would overflow (2^63 - 1 + 1) or not convert at all (2^64)
+    # degree 1, so max|K| = 1 and the bound is 2 scale + |theta z_eff
+    # numerator|: just under the storage limit, at it, and where an int64
+    # fill would overflow (2^63 - 1 + 1) or not convert at all (2^64)
     for theta, flavor in ((1, PLAIN), (-1, TILDE), (1, PRIME)):
         zz = z + 1 if flavor == PRIME else z
         mod = fock_module(theta, 2, flavor, zz, 1)
