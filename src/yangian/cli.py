@@ -37,7 +37,6 @@ from .linalg import Poly, RatFunc
 from .modules import (
     ModuleParams,
     PatternFactor,
-    YangianModule,
     distinguished_vector,
     fock_module,
     omega_module,
@@ -268,10 +267,6 @@ class _Shared:
     def factors(self) -> list[PatternFactor]:
         return source_pattern(self.params)
 
-    @cached_property
-    def source_module(self) -> YangianModule:
-        return pattern_module(self.params, self.factors)
-
     def composed(self, word: tuple[int, ...]) -> Intertwiner:
         """The intertwiner composed along word, once per run."""
         if word not in self._composed:
@@ -282,7 +277,7 @@ class _Shared:
     def eigenvalues(self) -> list[RatFunc]:
         """The T_ii(u) eigenvalues of the source module on its
         distinguished vector."""
-        return hw_eigenvalues(self.source_module,
+        return hw_eigenvalues(pattern_module(self.params, self.factors),
                               distinguished_vector(self.params, self.factors))
 
 
@@ -296,12 +291,12 @@ def _factor_label(f) -> str:
 
 
 def _check_rtt(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
-    factors, mod = shared.factors, shared.source_module
+    mod = pattern_module(shared.params, shared.factors)
     rep = check_rtt(mod)
     details = {
         "dim": mod.dim,
         "den_degree": rep.den_degree,
-        "factors": [_factor_label(f) for f in factors],
+        "factors": [_factor_label(f) for f in shared.factors],
         "sample_points_u": list(rep.points_u),
         "sample_points_v": list(rep.points_v),
     }
@@ -335,7 +330,7 @@ def _check_isomorphisms(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
 
 
 def _check_hw_eigenvalues(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
-    params, mod = shared.params, shared.source_module
+    params, mod = shared.params, pattern_module(shared.params, shared.factors)
     computed = shared.eigenvalues
     closed = closed_form_eigenvalues(params)
     matches = [computed[i] == closed[i] for i in range(params.n)]
@@ -361,10 +356,9 @@ def _check_drinfeld(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
 
 
 def _check_hw_scalar(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
-    params = shared.params
     word = cfg.word or _default_word(cfg.factor_count)
     intw = shared.composed(word)
-    report = check_hw_image(intw, params)
+    report = check_hw_image(intw, shared.params)
     details = {
         "word": list(word),
         "scalar": _frac_str(intw.hw_scalar),
@@ -398,7 +392,7 @@ def _check_kernel_quotient(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]
         raise CheckError("kernel-quotient check needs at least two factors")
     word = cfg.word or _default_word(m)
     sigma = word_permutation(m, word)
-    src = shared.source_module
+    src = pattern_module(params, shared.factors)
     tgt = pattern_module(params, permute_pattern(shared.factors, sigma))
     intw = hom_intertwiner(src, tgt)
     quot = kernel_quotient(intw)
@@ -448,8 +442,7 @@ def _check_alpha(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
 
 
 def _check_x_identities(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
-    m = cfg.factor_count
-    if m < 1:
+    if cfg.factor_count < 1:
         raise CheckError("appendix-x-identities check needs at least one factor")
     rep = hd.check_x_identities(shared.series)
     details = _identity_details(rep)

@@ -373,11 +373,12 @@ class XSeries:
     """Coefficients of the inverse-matrix series in a representation.
 
     rep is the (m, m, rep_dim, rep_dim) integer array of the gl_m action,
-    rep[a, b] representing E_ab.  coeffs is one (order + 2, m, m, rep_dim,
-    rep_dim) integer array: coeffs[k][a, b] is the representing matrix of
-    the u^{-k-1} coefficient of entry (a, b); coeffs[0] is the identity
-    coefficient and coeffs[1][a, b] = -theta rep(E_ba).  coeffs is stored
-    as `linalg.stored_ints` stores it, with its largest |entry| `top`.
+    rep[a, b] representing E_ab.  coeffs is one (order + 1, m, m, rep_dim,
+    rep_dim) integer array: coeffs[k][a, b], k <= order (all the checks
+    read), represents the u^{-k-1} coefficient of entry (a, b); coeffs[0] is
+    the identity coefficient and coeffs[1][a, b] = -theta rep(E_ba).  coeffs
+    is stored as `linalg.stored_ints` stores it, with its largest |entry|
+    `top`.
     """
 
     theta: int
@@ -426,9 +427,9 @@ def x_series(theta: int, m: int, order: int,
     size = m * dim
     step = stored_ints(-theta * rep.transpose(1, 2, 0, 3).reshape(size, size))[0]
     flat = [np.eye(size, dtype=np.int64)]
-    for k in range(order + 1):
+    for k in range(order):
         flat.append(int_matmul(step, flat[k]))
-    coeffs = np.reshape(flat, (order + 2, m, dim, m, dim)).transpose(0, 1, 3, 2, 4)
+    coeffs = np.reshape(flat, (order + 1, m, dim, m, dim)).transpose(0, 1, 3, 2, 4)
     return XSeries(theta, m, order, rep, dim, coeffs.copy())
 
 

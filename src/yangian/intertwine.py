@@ -40,7 +40,8 @@ import numpy as np
 
 from .fock import PLAIN, TILDE, block_dim
 from .linalg import (RatMatrix, ZeroTest, _lifted, _modular_rref,
-                     _nullspace_from_rref, _ratmatrix, int_matmul, stored_ints)
+                     _nullspace_from_rref, _ratmatrix, _top, int_matmul,
+                     stored_ints, stored_under)
 from .modules import (
     ModuleParams,
     PatternFactor,
@@ -252,8 +253,9 @@ def _cyclic_span(gens: Sequence[np.ndarray], start: Sequence[np.ndarray]
     generator to the rows the last layer added, in one product per side
     against [g_1^T g_2^T ...] (candidate rows generator-major), clears the
     span's pivots from them (cands . d - cands[:, pivots] . R), eliminates
-    only what remains and folds the new rows into R, every array stored by
-    `stored_ints` and each term in int64 only under its bound below 2^63.
+    only what remains and folds the new rows into R, every operand in the
+    stored form (a slice by `stored_under`, under the whole's maximum) and
+    each term in int64 only under its bound below 2^63.
     Returns (R, pivots, d) once side 0 has full rank or a layer adds no
     pivot.
     """
@@ -267,14 +269,14 @@ def _cyclic_span(gens: Sequence[np.ndarray], start: Sequence[np.ndarray]
         cands, top = stored_ints(cands)
         rows = _lifted(cands, max(top, 1) * (d + len(pivots) * top_r)) * d
         new, added, e = _modular_rref(stored_ints(
-            rows - int_matmul(cands[:, pivots], red))[0])
+            rows - int_matmul(stored_under(cands[:, pivots], top), red))[0])
         if not added:
             break
-        new, top_n = stored_ints(new)
+        top_n = _top(new)
         # the new rows vanish at the old pivots; clear theirs from R
         bound = max(top_r * (e + len(added) * top_n), top_n * d)
         red = np.vstack([_lifted(red, bound) * e
-                         - int_matmul(red[:, added], new),
+                         - int_matmul(stored_under(red[:, added], top_r), new),
                          _lifted(new, bound) * d])
         pivots, d = pivots + added, d * e
         g = math.gcd(d, *red.flat)
@@ -282,8 +284,8 @@ def _cyclic_span(gens: Sequence[np.ndarray], start: Sequence[np.ndarray]
         if not count or sum(c < dim for c in pivots) == dim:
             break
         cands = np.hstack([
-            int_matmul(side, move).reshape(len(new), count, dim)
-            .transpose(1, 0, 2).reshape(count * len(new), dim)
+            int_matmul(stored_under(side, top_n), move).reshape(
+                len(new), count, dim).transpose(1, 0, 2).reshape(-1, dim)
             for side, move in zip(np.hsplit(new, sides), moves)])
     order = np.argsort(pivots)
     return red[order], [pivots[r] for r in order], d
@@ -690,15 +692,15 @@ def kernel_quotient(intw: Intertwiner) -> QuotientModule:
     certificate.
     """
     src, mat = intw.source, intw.matrix
-    red, pivots = mat.rref()
+    red, pivots, d = _modular_rref(mat.data)
     if not pivots:
         raise ValueError("intertwiner is zero; the quotient would be the zero module")
-    kernel = _nullspace_from_rref(red.data, pivots, red.den, mat.ncols)
-    # R . N_k for every coefficient, over scale * red.den, as (row, i, j,
-    # k, column): one product against the coefficients side by side
+    kernel = _nullspace_from_rref(red, pivots, d, mat.ncols)
+    # R . N_k for every coefficient, over scale * d, as (row, i, j, k,
+    # column): one product against the coefficients side by side
     n, _, powers, dim, _ = src.num.shape
     shape = (len(pivots), n, n, powers)
-    moved = int_matmul(red.data[:len(pivots)], src.num.transpose(
+    moved = int_matmul(red, src.num.transpose(
         3, 0, 1, 2, 4).reshape(dim, -1)).reshape(*shape, dim)
     unstable = np.argwhere((int_matmul(moved.reshape(-1, dim), kernel.data) != 0)
                            .reshape(*shape, kernel.ncols).any(axis=(0, 4)))
@@ -706,7 +708,7 @@ def kernel_quotient(intw: Intertwiner) -> QuotientModule:
         raise ValueError("kernel is not stable under the module action at "
                          f"(i, j, k) = {tuple(int(x) for x in unstable[0])}")
     quotient = YangianModule(src.den, moved.transpose(1, 2, 3, 0, 4)[..., pivots],
-                             src.scale * red.den)
+                             src.scale * d)
 
     witness = _verify_intertwiner(mat[:, pivots], quotient, intw.target)
     if witness is not None:

@@ -220,16 +220,14 @@ def fock_module(theta: int, n: int, flavor: str, z, degree: int) -> YangianModul
     # d_i x_j by at most one more, so |K| <= degree + 1, and every |entry|,
     # scale included, is at most scale (degree + 1) + |theta z_eff numerator|
     scale, shift = z_eff.denominator, theta * z_eff.numerator
-    dtype = (np.int64 if scale * (degree + 1) + abs(shift) < 2 ** 63
-             else object)
-    ks = np.array([space.gl_action_matrix(flavor, i, j).data
-                   for i in range(n) for j in range(n)], dtype=dtype)
-    eye = np.eye(space.dim, dtype=dtype)
-    num = np.zeros((n, n, 2, space.dim, space.dim), dtype=dtype)
+    ks = _lifted(np.array([space.gl_action_matrix(flavor, i, j)
+                           for i in range(n) for j in range(n)]),
+                 scale * (degree + 1) + abs(shift))
+    eye = np.eye(space.dim, dtype=ks.dtype)
+    num = np.zeros((n, n, 2, space.dim, space.dim), dtype=ks.dtype)
     num[:, :, 0] = ks.reshape(n, n, space.dim, space.dim) * scale
-    for i in range(n):
-        num[i, i, 0] += eye * shift
-        num[i, i, 1] = eye * scale
+    num[range(n), range(n), 0] += eye * shift
+    num[range(n), range(n), 1] = eye * scale
     return YangianModule(den, num, scale)
 
 

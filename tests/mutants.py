@@ -116,6 +116,16 @@ MUTANTS = (
            "ints.astype(np.int64 if top <= FLOAT64_EXACT_LIMIT else object,",
            ("tests/test_storage.py::"
             "test_ratmatrix_operations_keep_the_storage_rule",)),
+    Mutant("stored-under-gate-at-gt", "linalg.py",
+           "    if ints.dtype != np.int64 or bound >= FLOAT64_EXACT_LIMIT:\n",
+           "    if ints.dtype != np.int64 or bound > FLOAT64_EXACT_LIMIT:\n",
+           ("tests/test_storage.py::"
+            "test_operator_matrix_keeps_the_storage_rule",)),
+    Mutant("operator-bound-without-scalar", "fock.py",
+           "bound = sum(abs(scalar) * max(",
+           "bound = sum(max(",
+           ("tests/test_storage.py::"
+            "test_operator_matrix_keeps_the_storage_rule",)),
     Mutant("elementwise-op-without-lift", "linalg.py",
            "        return _ratmatrix(_lifted(self.data, bound) * f\n",
            "        return _ratmatrix(self.data * f\n",
@@ -127,8 +137,8 @@ MUTANTS = (
            ("tests/test_storage.py::"
             "test_pairs_equality_and_certificate_match_the_object_reference",)),
     Mutant("fock-int64-gate-without-shift", "modules.py",
-           "scale * (degree + 1) + abs(shift) < 2 ** 63",
-           "scale * (degree + 1) < 2 ** 63",
+           "                 scale * (degree + 1) + abs(shift))",
+           "                 scale * (degree + 1))",
            ("tests/test_modules.py::"
             "test_fock_module_fills_int64_only_below_the_limit",)),
     Mutant("echelon-identity-unchecked", "linalg.py",

@@ -55,28 +55,61 @@ def test_golden_report_is_byte_identical(stem, tmp_path, capsys):
 
 
 # Python-int operands of int_matmul whose entries all fit below 2^53, over
-# every golden config: the 9 column slices of wider Python-int arrays in
-# `intertwine._cyclic_span`, every other integer matrix being in the form
-# of `linalg.stored_ints`.  The count is the same on every host, so code
-# that falls back to Python ints where int64 would do shows here.
-SMALL_PYTHON_INT_OPERANDS = 9
+# every golden config: none, as every integer matrix, the column slices of
+# `intertwine._cyclic_span` included, is in the form of
+# `linalg.stored_ints`.  The count is the same on every host, so code that
+# falls back to Python ints where int64 would do shows here.
+SMALL_PYTHON_INT_OPERANDS = 0
+
+# `linalg.stored_ints` calls on object arrays over every golden config:
+# each tries an int64 cast and scans for the maximum.  40 of the 87 hold an
+# entry past 2^53; among the other 47 are 24 echelon forms and nullspaces
+# rebuilt by CRT from several primes, 9 column slices in
+# `intertwine._cyclic_span`, 5 Vandermonde matrices of the RTT grid and 4
+# scalar modules.  Fock operators and distinguished vectors are filled in
+# int64, so they add none.
+OBJECT_STORES = 87
+
+
+def _run_goldens(monkeypatch, tmp_path, name, counted):
+    """Every golden config, with the package's bindings of the linalg
+    function `name` replaced by counted."""
+    kernel = getattr(linalg, name)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("yangian") and getattr(
+                module, name, None) is kernel:
+            monkeypatch.setattr(module, name, counted(kernel))
+    for stem in NAMES:
+        cli.main(["--config", str(GOLDEN / f"{stem}.config.json"),
+                  "--output", str(tmp_path / "report.json")])
 
 
 def test_goldens_hand_int_matmul_few_small_python_int_operands(
         monkeypatch, tmp_path, capsys):
-    kernel, seen = linalg.int_matmul, []
+    seen = []
 
-    def counted(a, b):
-        seen.extend(x.dtype == object and all(abs(v) < 2 ** 53 for v in x.flat)
-                    for x in (a, b))
-        return kernel(a, b)
+    def counted(kernel):
+        def product(a, b):
+            seen.extend(x.dtype == object
+                        and all(abs(v) < 2 ** 53 for v in x.flat)
+                        for x in (a, b))
+            return kernel(a, b)
+        return product
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("yangian") and getattr(
-                module, "int_matmul", None) is kernel:
-            monkeypatch.setattr(module, "int_matmul", counted)
-    for stem in NAMES:
-        cli.main(["--config", str(GOLDEN / f"{stem}.config.json"),
-                  "--output", str(tmp_path / "report.json")])
+    _run_goldens(monkeypatch, tmp_path, "int_matmul", counted)
     assert seen and sum(seen) <= SMALL_PYTHON_INT_OPERANDS
+    capsys.readouterr()
+
+
+def test_goldens_store_few_object_arrays(monkeypatch, tmp_path, capsys):
+    seen = []
+
+    def counted(kernel):
+        def store(ints):
+            seen.append(ints.dtype == object)
+            return kernel(ints)
+        return store
+
+    _run_goldens(monkeypatch, tmp_path, "stored_ints", counted)
+    assert seen and sum(seen) <= OBJECT_STORES
     capsys.readouterr()

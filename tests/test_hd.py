@@ -366,7 +366,7 @@ def perturbed_realizations(draw):
         _flip_sign(real, *flip)
     order = draw(st.integers(2, 3))
     series = x_series(theta, m, order)
-    bump = draw(st.none() | st.tuples(st.integers(1, order + 1),
+    bump = draw(st.none() | st.tuples(st.integers(1, order),
                                       st.integers(0, m - 1),
                                       st.integers(0, m - 1),
                                       st.integers(0, m - 1),
@@ -399,7 +399,7 @@ def bumped_series(draw):
     # to two limbs; a 2^62 entry takes the products to residue primes
     edge = math.isqrt((2 ** 53 - 1) // d)
     for bump in draw(st.lists(st.tuples(
-            st.integers(0, order + 1), st.integers(0, m - 1),
+            st.integers(0, order), st.integers(0, m - 1),
             st.integers(0, m - 1), st.integers(0, d - 1),
             st.integers(0, d - 1), st.sampled_from(
                 (-2, 1, 3, edge, -edge, edge + 1, -edge - 1, 2 ** 62))),

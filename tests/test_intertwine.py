@@ -806,8 +806,14 @@ def test_kernel_quotient_eliminates_once(monkeypatch):
     intw = hom_intertwiner(pattern_module(params, src),
                            pattern_module(params, [src[1], src[0]]))
     rref, rows = linalg._modular_rref, []
-    monkeypatch.setattr(linalg, "_modular_rref",
-                        lambda m: rows.append(len(m)) or rref(m))
+
+    def elimination(ints):
+        rows.append(len(ints))
+        return rref(ints)
+
+    # every elimination, in intertwine or behind RatMatrix.rref and nullspace
+    monkeypatch.setattr(intertwine, "_modular_rref", elimination)
+    monkeypatch.setattr(linalg, "_modular_rref", elimination)
     quot = kernel_quotient(intw)
     assert rows == [intw.source.dim] and quot.kernel_basis
 

@@ -1,5 +1,6 @@
 """Module constructors, tensor products, shifts, twists, pattern data."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -288,7 +289,7 @@ def fock_reference(theta, n, flavor, z, degree):
     space = FockSpace(theta, n, (degree,))
     eye = RatMatrix.identity(space.dim)
     entries = [[MatPoly((space.dim, space.dim),
-                        [space.gl_action_matrix(flavor, i, j)
+                        [RatMatrix(space.gl_action_matrix(flavor, i, j).tolist())
                          + eye * (theta * z_eff if i == j else 0)]
                         + ([eye] if i == j else []))
                 for j in range(n)] for i in range(n)]
@@ -432,12 +433,28 @@ def test_fock_module_fills_int64_only_below_the_limit(z):
         assert_exact_forms(mod)
 
 
+def test_fock_module_builds_no_ratmatrix(monkeypatch):
+    # the n^2 operator matrices reach the module as plain integer arrays,
+    # in int64 and, over a denominator past 2^63, in Python ints
+    def refuse(*args):
+        raise AssertionError("fock_module built a RatMatrix")
+
+    monkeypatch.setattr(RatMatrix, "__init__", refuse)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("yangian") and hasattr(module, "_ratmatrix"):
+            monkeypatch.setattr(module, "_ratmatrix", refuse)
+    for theta, flavor, z, degree in ((1, PLAIN, Fraction(1, 3), 2),
+                                     (-1, TILDE, 2, 2),
+                                     (1, PRIME, Fraction(5, 2 ** 64 + 13), 3)):
+        assert fock_module(theta, 3, flavor, z, degree).n == 3
+
+
 def test_gl_action_entries_are_at_most_degree_plus_one():
     # the bound fock_module's int64 fill rests on, reached by d_i x_i
     for theta, n, degree in ((1, 1, 5), (1, 2, 4), (1, 3, 3), (-1, 3, 2)):
         space = FockSpace(theta, n, (degree,))
         tops = {flavor: max(abs(int(x)) for i in range(n) for j in range(n)
-                            for x in space.gl_action_matrix(flavor, i, j).data.flat)
+                            for x in space.gl_action_matrix(flavor, i, j).flat)
                 for flavor in (PLAIN, TILDE, PRIME)}
         assert max(tops.values()) <= degree + 1
         assert tops[TILDE] == (degree + 1 if theta == 1 else 1)

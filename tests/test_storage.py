@@ -4,7 +4,8 @@
 every |entry| is below 2^53, else as read-only Python ints, with its largest
 |entry|.  These tests draw entries at 0, at and around +-2^53, at 2^63 and
 past float64's range (2^1024), run them through every `RatMatrix`
-operation and through module construction, tensor products, coefficient
+operation, the Fock operator matrices (filled in int64 under their own
+bound) and through module construction, tensor products, coefficient
 pairs, entrywise equality and the module-map certificate, and compare each
 with an object-only reference in `reference`: equal values, the dtype the
 storage rule gives those values, and equal witnesses for a tampered map.
@@ -18,6 +19,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from yangian.fock import FockSpace, apply_word
 from yangian.intertwine import _verify_intertwiner
 from yangian.linalg import Poly, RatMatrix
 from yangian.modules import YangianModule, coefficient_pairs, tensor_module
@@ -118,6 +120,35 @@ def test_elimination_keeps_the_storage_rule(a):
         [Fraction(int(f == row)) if row in free
          else -red[pivots.index(row)][f] for f in free]
         for row in range(len(a[0]))])
+
+
+# one-block words: x_0 d_1 (largest coefficient the degree), d_1 x_1 (one
+# more) and x_0 x_0 d_1 d_1 (a product of two exponents)
+WORDS = ((("x", 0, 0), ("d", 0, 1)), (("d", 0, 1), ("x", 0, 1)),
+         (("x", 0, 0), ("x", 0, 0), ("d", 0, 1), ("d", 0, 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(((1, 2, 3), (-1, 3, 2))),
+       st.lists(st.tuples(edge_ints, st.sampled_from(WORDS)), max_size=3))
+# entries of exactly +-2^53 from coefficients +-1: Python ints
+@example((-1, 3, 2), [(LIMIT, WORDS[0])])
+# 2^61 times the coefficient 4 reaches 2^63, past an int64 fill
+@example((1, 2, 3), [(2 ** 61, WORDS[1])])
+# two terms of 2^62 each sum to +-2^63, which an int64 fill wraps
+@example((-1, 3, 2), [(2 ** 62, WORDS[0]), (2 ** 62, WORDS[0])])
+def test_operator_matrix_keeps_the_storage_rule(shape, terms):
+    theta, n, degree = shape
+    space = FockSpace(theta, n, (degree,))
+    want = [[0] * space.dim for _ in range(space.dim)]
+    for scalar, word in terms:
+        for k, b in enumerate(space.basis):
+            hit = apply_word(theta, n, word, b)
+            if hit is not None:
+                want[space.index[hit[1]]][k] += scalar * hit[0]
+    got = space.operator_matrix(terms)
+    assert got.tolist() == want
+    assert_stored(got)
 
 
 @st.composite
