@@ -356,9 +356,10 @@ def _check_drinfeld(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
 
 
 def _check_hw_scalar(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
+    params = shared.params
     word = cfg.word or _default_word(cfg.factor_count)
     intw = shared.composed(word)
-    report = check_hw_image(intw, shared.params)
+    report = check_hw_image(intw, params)
     details = {
         "word": list(word),
         "scalar": _frac_str(intw.hw_scalar),
@@ -442,7 +443,8 @@ def _check_alpha(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
 
 
 def _check_x_identities(cfg: RunConfig, shared: _Shared) -> tuple[bool, dict]:
-    if cfg.factor_count < 1:
+    m = cfg.factor_count
+    if m < 1:
         raise CheckError("appendix-x-identities check needs at least one factor")
     rep = hd.check_x_identities(shared.series)
     details = _identity_details(rep)

@@ -13,8 +13,7 @@ Kronecker convention used for tensor products of modules.  Derivatives are
 left derivations, so for theta = -1 the relation is d_i x_j + x_j d_i = d_ij
 and a derivative acting at position k in a wedge word picks up (-1)^(k-1).
 `apply_word` is the one action of these atoms on monomials: the module
-matrices here (plain integer arrays in `linalg`'s stored form, filled in
-int64 under a bound) and the operator realization in `hd` go through it.
+matrices here and the operator realization in `hd` both go through it.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import math
 
 import numpy as np
 
-from .linalg import RatMatrix, _lifted, _ratmatrix, stored_under
+from .linalg import RatMatrix, _lifted, _ratmatrix, stored_ints
 
 # flavors of one-block module actions: entry (i, j) of the degree-preserving
 # coefficient operator, with theta folded in so that the time-line action is
@@ -41,8 +40,13 @@ def block_basis(theta: int, n: int, degree: int) -> list[tuple[int, ...]]:
     if theta == -1:
         if degree > n:
             raise ValueError(f"degree {degree} exceeds {n} anticommuting variables")
-        return [tuple(int(v in subset) for v in range(n))
-                for subset in itertools.combinations(range(n), degree)]
+        out = []
+        for subset in itertools.combinations(range(n), degree):
+            e = [0] * n
+            for v in subset:
+                e[v] = 1
+            out.append(tuple(e))
+        return out
     # commuting: all compositions of `degree` into n parts, highest variable
     # powers first
     return sorted(_compositions(degree, n), reverse=True)
@@ -105,27 +109,24 @@ class FockSpace:
         self.theta = theta
         self.n = n
         self.degrees = tuple(degrees)
+        self.m = len(self.degrees)
         blocks = [block_basis(theta, n, d) for d in self.degrees]
         self.basis = [sum(combo, ()) for combo in itertools.product(*blocks)]
         self.index = {b: k for k, b in enumerate(self.basis)}
         self.dim = len(self.basis)
 
     def operator_matrix(self, terms) -> np.ndarray:
-        """Integer matrix of sum(scalar * word) over the basis, for integer
-        scalars and degree-preserving words, in the stored form; filled in
-        int64 when its entry bound, the sum over the terms of |scalar| times
-        the word's largest |coefficient|, is below 2^63."""
-        hits = [(scalar, [(self.index[hit[1]], k, hit[0])
-                          for k, b in enumerate(self.basis)
-                          if (hit := apply_word(self.theta, self.n, word, b))])
-                for scalar, word in terms]
-        bound = sum(abs(scalar) * max((abs(c) for _, _, c in found), default=0)
-                    for scalar, found in hits)
-        out = _lifted(np.zeros((self.dim, self.dim), dtype=np.int64), bound)
-        for scalar, found in hits:
-            for r, k, c in found:
-                out[r, k] += scalar * c
-        return stored_under(out, bound)
+        """Integer matrix, in the stored form, of sum(scalar * word) over the
+        basis for integer scalars and degree-preserving words; filled in
+        int64 when the sum of the |summands| of its entries is below 2^63."""
+        hits = [(self.index[hit[1]], k, scalar * hit[0])
+                for scalar, word in terms for k, b in enumerate(self.basis)
+                if (hit := apply_word(self.theta, self.n, word, b))]
+        out = _lifted(np.zeros((self.dim, self.dim), dtype=np.int64),
+                      sum(abs(c) for _, _, c in hits))
+        for r, k, c in hits:
+            out[r, k] += c
+        return stored_ints(out)[0]
 
     def gl_action_matrix(self, flavor: str, i: int, j: int) -> np.ndarray:
         """Matrix of the (i, j) coefficient operator of a one-block flavor."""
@@ -148,13 +149,21 @@ class FockSpace:
 
 def first_variables_monomial(theta: int, n: int, degree: int) -> tuple[int, ...]:
     """Exponents of x_1^d (commuting) or x_1 ^ ... ^ x_d (anticommuting)."""
+    e = [0] * n
     if theta == -1:
-        return (1,) * degree + (0,) * (n - degree)
-    return (degree,) + (0,) * (n - 1)
+        for v in range(degree):
+            e[v] = 1
+    else:
+        e[0] = degree
+    return tuple(e)
 
 
 def last_variables_monomial(theta: int, n: int, degree: int) -> tuple[int, ...]:
     """Exponents of x_n^d (commuting) or x_{n-d+1} ^ ... ^ x_n (anticommuting)."""
+    e = [0] * n
     if theta == -1:
-        return (0,) * (n - degree) + (1,) * degree
-    return (0,) * (n - 1) + (degree,)
+        for v in range(n - degree, n):
+            e[v] = 1
+    else:
+        e[-1] = degree
+    return tuple(e)

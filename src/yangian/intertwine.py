@@ -41,7 +41,7 @@ import numpy as np
 from .fock import PLAIN, TILDE, block_dim
 from .linalg import (RatMatrix, ZeroTest, _lifted, _modular_rref,
                      _nullspace_from_rref, _ratmatrix, _top, int_matmul,
-                     stored_ints, stored_under)
+                     stored_ints)
 from .modules import (
     ModuleParams,
     PatternFactor,
@@ -253,9 +253,8 @@ def _cyclic_span(gens: Sequence[np.ndarray], start: Sequence[np.ndarray]
     generator to the rows the last layer added, in one product per side
     against [g_1^T g_2^T ...] (candidate rows generator-major), clears the
     span's pivots from them (cands . d - cands[:, pivots] . R), eliminates
-    only what remains and folds the new rows into R, every operand in the
-    stored form (a slice by `stored_under`, under the whole's maximum) and
-    each term in int64 only under its bound below 2^63.
+    only what remains and folds the new rows into R, every array stored by
+    `stored_ints` and each term in int64 only under its bound below 2^63.
     Returns (R, pivots, d) once side 0 has full rank or a layer adds no
     pivot.
     """
@@ -269,14 +268,14 @@ def _cyclic_span(gens: Sequence[np.ndarray], start: Sequence[np.ndarray]
         cands, top = stored_ints(cands)
         rows = _lifted(cands, max(top, 1) * (d + len(pivots) * top_r)) * d
         new, added, e = _modular_rref(stored_ints(
-            rows - int_matmul(stored_under(cands[:, pivots], top), red))[0])
+            rows - int_matmul(stored_ints(cands[:, pivots])[0], red))[0])
         if not added:
             break
         top_n = _top(new)
         # the new rows vanish at the old pivots; clear theirs from R
         bound = max(top_r * (e + len(added) * top_n), top_n * d)
         red = np.vstack([_lifted(red, bound) * e
-                         - int_matmul(stored_under(red[:, added], top_r), new),
+                         - int_matmul(stored_ints(red[:, added])[0], new),
                          _lifted(new, bound) * d])
         pivots, d = pivots + added, d * e
         g = math.gcd(d, *red.flat)
@@ -284,8 +283,8 @@ def _cyclic_span(gens: Sequence[np.ndarray], start: Sequence[np.ndarray]
         if not count or sum(c < dim for c in pivots) == dim:
             break
         cands = np.hstack([
-            int_matmul(stored_under(side, top_n), move).reshape(
-                len(new), count, dim).transpose(1, 0, 2).reshape(-1, dim)
+            int_matmul(stored_ints(side)[0], move).reshape(len(new), count, dim)
+            .transpose(1, 0, 2).reshape(count * len(new), dim)
             for side, move in zip(np.hsplit(new, sides), moves)])
     order = np.argsort(pivots)
     return red[order], [pivots[r] for r in order], d

@@ -12,8 +12,7 @@ candidate exactly, so it factors no integer and its work is polynomial in
 the degree and the coefficient sizes.  Every integer matrix the package
 keeps or hands between layers is in the one form `stored_ints` decides,
 read-only int64 when every |entry| < 2^53 and else Python ints, with its
-largest |entry| (`stored_under` stores int64 under a bound below 2^53
-with no scan); as int64 arithmetic wraps silently, an elementwise
+largest |entry|; as int64 arithmetic wraps silently, an elementwise
 operation on them states a bound below 2^63 or lifts them (`_lifted`).
 Every `RatMatrix` product goes through `int_matmul`, the package's one
 integer product kernel, and `rref`, `rank`, `nullspace`, `solve` and
@@ -933,16 +932,6 @@ def stored_ints(ints: np.ndarray) -> tuple[np.ndarray, int]:
                        copy=False)
     ints.flags.writeable = False
     return ints, top
-
-
-def stored_under(ints: np.ndarray, bound: int) -> np.ndarray:
-    """ints, every |entry| at most bound, in the stored form: int64 under a
-    bound below FLOAT64_EXACT_LIMIT is it already and is made read-only in
-    place with no scan for its maximum, anything else goes to `stored_ints`."""
-    if ints.dtype != np.int64 or bound >= FLOAT64_EXACT_LIMIT:
-        return stored_ints(ints)[0]
-    ints.flags.writeable = False
-    return ints
 
 
 def _top(ints: np.ndarray) -> int:

@@ -226,8 +226,9 @@ def fock_module(theta: int, n: int, flavor: str, z, degree: int) -> YangianModul
     eye = np.eye(space.dim, dtype=ks.dtype)
     num = np.zeros((n, n, 2, space.dim, space.dim), dtype=ks.dtype)
     num[:, :, 0] = ks.reshape(n, n, space.dim, space.dim) * scale
-    num[range(n), range(n), 0] += eye * shift
-    num[range(n), range(n), 1] = eye * scale
+    for i in range(n):
+        num[i, i, 0] += eye * shift
+        num[i, i, 1] = eye * scale
     return YangianModule(den, num, scale)
 
 

@@ -116,14 +116,9 @@ MUTANTS = (
            "ints.astype(np.int64 if top <= FLOAT64_EXACT_LIMIT else object,",
            ("tests/test_storage.py::"
             "test_ratmatrix_operations_keep_the_storage_rule",)),
-    Mutant("stored-under-gate-at-gt", "linalg.py",
-           "    if ints.dtype != np.int64 or bound >= FLOAT64_EXACT_LIMIT:\n",
-           "    if ints.dtype != np.int64 or bound > FLOAT64_EXACT_LIMIT:\n",
-           ("tests/test_storage.py::"
-            "test_operator_matrix_keeps_the_storage_rule",)),
-    Mutant("operator-bound-without-scalar", "fock.py",
-           "bound = sum(abs(scalar) * max(",
-           "bound = sum(max(",
+    Mutant("operator-bound-max-not-sum", "fock.py",
+           "sum(abs(c) for _, _, c in hits)",
+           "max((abs(c) for _, _, c in hits), default=0)",
            ("tests/test_storage.py::"
             "test_operator_matrix_keeps_the_storage_rule",)),
     Mutant("elementwise-op-without-lift", "linalg.py",
